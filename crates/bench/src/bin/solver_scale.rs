@@ -33,7 +33,10 @@
 //! `--diff` exits non-zero when any deterministic counter differs from the
 //! baseline or a wall time regresses by more than 20% (rows under 250 ms
 //! are treated as noise); baseline rows above `--max-n` are ignored so a
-//! capped nightly run can diff against the full committed sweep.
+//! capped nightly run can diff against the full committed sweep. It also
+//! fails when the fresh certified n = 10⁶ row settles zero checks from
+//! certificates (`certificate_skips + coarse_cert_hits == 0`): the coarse
+//! certificate index has stopped hitting at scale.
 //! `--budget-ms` exits non-zero when the cold solve at the largest swept
 //! n ≤ 10⁵ exceeds the budget — the nightly wall-clock gate.
 
@@ -261,6 +264,24 @@ fn main() -> ExitCode {
             println!("diff vs {baseline_path}: clean ({} rows)", in_scope.len());
         }
         ok &= problems.is_empty();
+        match rows.iter().find(|r| r.case_name == "certified" && r.n == 1_000_000) {
+            Some(r) => {
+                println!(
+                    "certified n=1e6: certificate_skips={} coarse_cert_hits={} \
+                     cursor_advances={} probes_saved={}",
+                    r.certificate_skips, r.coarse_cert_hits, r.cursor_advances, r.probes_saved
+                );
+                if r.certificate_skips + r.coarse_cert_hits == 0 {
+                    eprintln!(
+                        "solver_scale: REGRESSION: certified n=1e6 warm replay settled zero \
+                         checks from certificates — the coarse certificate index stopped \
+                         hitting at scale"
+                    );
+                    ok = false;
+                }
+            }
+            None => println!("sweep capped below n=1e6; skipping the certificate-hit gate"),
+        }
     }
     if ok {
         ExitCode::SUCCESS

@@ -219,10 +219,6 @@ impl<'a> Family<'a> {
     }
 }
 
-/// Party count above which the cursor's O(n) interval build fans out over
-/// chunked worker threads (same gate shape as the knapsack kernel).
-const CURSOR_PAR_MIN_PARTIES: usize = 8192;
-
 /// Cached state of one grid interval `((j-1-c)/w_max, (j-c)/w_max]`: the
 /// sorted candidate crossings inside it and the ticket vector materialized
 /// somewhere along it. Any total whose boundary crossing falls in the same
@@ -389,77 +385,32 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
     }
 
     /// Materializes the interval `j`: left-boundary tickets for every party
-    /// plus the sorted in-interval candidates. Both scans are O(n) and
-    /// independent per party, so large vectors fan out over chunked worker
-    /// threads exactly like the knapsack DP blocks; chunk results are
-    /// stitched back in party order, so the outcome is bit-identical to the
-    /// sequential scan.
+    /// plus the sorted in-interval candidates (parties whose next crossing
+    /// falls inside the interval).
     fn build_interval(&mut self, j: u64) {
         let family = self.family;
-        let n = family.weights.len();
         let left_eval = (j > 1).then(|| family.eval_at(family.grid_a(j - 1), family.w_max));
         let r_a = family.grid_a(j);
         self.tickets.clear();
-        self.tickets.resize(n, 0);
-
-        let weights = family.weights.as_slice();
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let mut cands: Vec<Crossing>;
-        if n >= CURSOR_PAR_MIN_PARTIES && workers > 1 {
-            let chunk = n.div_ceil(workers);
-            let mut parts: Vec<Vec<Crossing>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = weights
-                    .chunks(chunk)
-                    .zip(self.tickets.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(k, (ws, ts))| {
-                        let left_eval = &left_eval;
-                        scope.spawn(move || {
-                            scan_block(family, ws, ts, k * chunk, left_eval, r_a)
-                        })
-                    })
-                    .collect();
-                parts = handles.into_iter().map(|h| h.join().expect("scan worker")).collect();
-            });
-            cands = parts.concat();
-        } else {
-            cands = scan_block(family, weights, &mut self.tickets, 0, &left_eval, r_a);
+        self.tickets.resize(family.weights.len(), 0);
+        let mut cands = Vec::new();
+        for ((party, w), t) in family.weights.iter().zip(self.tickets.iter_mut()) {
+            if w == 0 {
+                continue;
+            }
+            let left = match &left_eval {
+                None => 0,
+                Some(eval) => eval.tickets(w),
+            };
+            *t = u64::try_from(left).expect("validated by Family::new envelope");
+            let a = (left + 1) * family.cd - family.cn;
+            if cmp_mul(a, u128::from(family.w_max), r_a, u128::from(w)) != Ordering::Greater {
+                cands.push(Crossing { a, party, w });
+            }
         }
         cands.sort_by(|x, y| x.cmp_value(y).then(x.party.cmp(&y.party)));
         self.interval = Some(IntervalState { j, cands, applied: 0, dropped: Vec::new() });
     }
-}
-
-/// One chunk of the interval build: writes each party's left-boundary
-/// tickets into `tickets` and returns the chunk's candidate crossings
-/// (parties whose next crossing falls inside the interval), in party order.
-fn scan_block(
-    family: &Family<'_>,
-    weights: &[u64],
-    tickets: &mut [u64],
-    base: usize,
-    left_eval: &Option<TicketsEval>,
-    r_a: u128,
-) -> Vec<Crossing> {
-    let mut cands = Vec::new();
-    for (off, (&w, t)) in weights.iter().zip(tickets.iter_mut()).enumerate() {
-        if w == 0 {
-            *t = 0;
-            continue;
-        }
-        let left = match left_eval {
-            None => 0,
-            Some(eval) => eval.tickets(w),
-        };
-        *t = u64::try_from(left).expect("validated by Family::new envelope");
-        let m = left + 1;
-        let a = m * family.cd - family.cn;
-        if cmp_mul(a, u128::from(family.w_max), r_a, u128::from(w)) != Ordering::Greater {
-            cands.push(Crossing { a, party: base + off, w });
-        }
-    }
-    cands
 }
 
 #[cfg(test)]
@@ -614,6 +565,43 @@ mod tests {
             assert_eq!(inc, scratch, "total={t}");
         }
         assert!(cursor.reused() > 0, "clustered probes must hit the splice path");
+
+        // The small shapes the solver routes through the cursor: the stake
+        // of the 24 heaviest Tezos bakers (second lightest moved to id 1),
+        // the Aptos replica, a single party, and zero-weight parties — under
+        // the WR(1/3, 1/2) family, bracket ends `1` and `bound` included.
+        // (`swiper-weights` owns the replica formula but depends on this
+        // crate, so the test restates it.)
+        let zipf_replica = |n: usize, exponent: f64, total: u128| -> Vec<u64> {
+            let raw: Vec<u128> = (1..=n)
+                .map(|i| ((1u64 << 40) as f64 / (i as f64).powf(exponent)).round() as u128)
+                .collect();
+            let sum: u128 = raw.iter().sum();
+            raw.iter().map(|&w| u64::try_from((w * total / sum).max(1)).unwrap()).collect()
+        };
+        let mut tezos_top = zipf_replica(382, 0.95, 676_000_000)[..24].to_vec();
+        let second_lightest = tezos_top.remove(22);
+        tezos_top.insert(1, second_lightest);
+        for ws in [
+            tezos_top,
+            zipf_replica(104, 0.45, 847_000_000),
+            vec![42],
+            vec![0, 13, 0, 0, 7, 29, 0, 1, 50, 50, 0],
+        ] {
+            let weights = Weights::new(ws).unwrap();
+            let params =
+                crate::WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+            let bound = params.ticket_bound(weights.len() as u64).unwrap().max(1);
+            let fam = Family::new(&weights, params.family_constant(), bound).unwrap();
+            let mut cursor = FamilyCursor::new(&fam);
+            let mid = bound / 2;
+            for t in [mid, bound / 4, mid + mid / 2, mid + 2, mid + 1, 0, mid + 1, 1, bound] {
+                let t = t.min(bound);
+                let inc = cursor.advance_to(t).unwrap();
+                let scratch = fam.assignment_with_total(t).unwrap();
+                assert_eq!(inc, scratch, "n={} total={t}", weights.len());
+            }
+        }
     }
 
     proptest! {

@@ -39,10 +39,6 @@
 //!   can never matter. Every `PRUNE_STRIDE` items (and before any read)
 //!   dominated states are cleared, leaving a strictly increasing
 //!   profit/weight frontier.
-//! * **Chunked parallel item blocks.** Large prefiltered inputs with modest
-//!   caps are split into per-thread blocks; each block builds its own
-//!   frontier and the blocks combine by exact min-plus convolution, which
-//!   is associative — results are bit-identical to the sequential fill.
 //! * **Profit-class Monge decomposition.** When the surviving items bunch
 //!   into few distinct profit values — the shape of every at-scale ticket
 //!   vector, where hundreds of thousands of parties hold one or two
@@ -318,12 +314,6 @@ fn dp_fill(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<u
     prune_frontier(dp);
 }
 
-/// Minimum worthwhile per-block item count for the parallel fill.
-const PAR_MIN_ITEMS: usize = 8192;
-/// Largest profit cap where min-plus block merges stay cheap relative to
-/// the per-block fills.
-const PAR_MAX_CAP: usize = 1 << 13;
-
 /// Minimum total items before the profit-class decomposition is worth its
 /// grouping sort.
 const CLASS_MIN_ITEMS: usize = 4096;
@@ -331,7 +321,7 @@ const CLASS_MIN_ITEMS: usize = 4096;
 /// per distinct profit value on average. Ticket vectors at scale are
 /// exactly this shape (hundreds of thousands of 1- and 2-ticket parties,
 /// a handful of whale values); all-distinct profit sets stay on the
-/// per-item fills, where the class machinery would only add overhead.
+/// per-item fill, where the class machinery would only add overhead.
 const CLASS_MIN_BUNCHING: usize = 8;
 /// Profit classes below this size are folded item-by-item instead of
 /// through the Monge minimization — a k-item class costs `O(k * reach)`
@@ -346,9 +336,8 @@ const CLASS_MONGE_MIN: usize = 32;
 const CLASS_INF: u128 = 1 << 110;
 
 /// Fills `dp` (resized and reset here) with the min-weight table for
-/// `items`, choosing between the sequential fill, chunked parallel
-/// blocks, and the profit-class decomposition. All paths produce
-/// identical frontier-pruned tables.
+/// `items`: the profit-class decomposition when the items bunch, the
+/// sequential fill otherwise. Both produce identical frontier-pruned tables.
 fn dp_table(
     dp: &mut Vec<u128>,
     items: &[Item],
@@ -359,19 +348,8 @@ fn dp_table(
     dp.clear();
     dp.resize(cap + 1, INF);
     dp[0] = 0;
-    if class_dp(dp, items, prune_limit, stop_at) {
-        return;
-    }
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let chunks = if items.len() >= 2 * PAR_MIN_ITEMS && cap <= PAR_MAX_CAP && threads > 1 {
-        threads.min(items.len() / PAR_MIN_ITEMS)
-    } else {
-        1
-    };
-    if chunks <= 1 {
+    if !class_dp(dp, items, prune_limit, stop_at) {
         dp_fill(dp, items, prune_limit, stop_at);
-    } else {
-        dp_chunked(dp, items, prune_limit, chunks);
     }
 }
 
@@ -390,7 +368,7 @@ fn dp_table(
 ///
 /// Returns `false` (table untouched beyond the reset) when the input does
 /// not bunch enough to pay for the grouping sort; the caller falls back to
-/// the per-item fills. When it runs, the resulting frontier-pruned table
+/// the per-item fill. When it runs, the resulting frontier-pruned table
 /// is identical to the sequential fill's: both compute the exact
 /// min-weight-per-profit function over the same subset space, and the
 /// final domination prune is path-independent.
@@ -534,62 +512,6 @@ fn monge_fill(
     g[jm] = best;
     monge_fill(f, wpfx, g, jlo, jm, ilo, best_i);
     monge_fill(f, wpfx, g, jm + 1, jhi, best_i, ihi);
-}
-
-/// Parallel DP: per-thread blocks each build an independent frontier, then
-/// the frontiers combine by exact min-plus convolution (associative, so the
-/// result does not depend on the block split).
-fn dp_chunked(dp: &mut Vec<u128>, items: &[Item], prune_limit: u128, chunks: usize) {
-    let cap = dp.len() - 1;
-    let per = items.len().div_ceil(chunks);
-    let tables: Vec<Vec<u128>> = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(per)
-            .map(|block| {
-                s.spawn(move || {
-                    let mut t = vec![INF; cap + 1];
-                    t[0] = 0;
-                    dp_fill(&mut t, block, prune_limit, None);
-                    t
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("DP block worker panicked")).collect()
-    });
-    let mut tmp = vec![INF; cap + 1];
-    for t in &tables {
-        min_plus_merge(dp, t, &mut tmp, prune_limit);
-    }
-}
-
-/// `acc <- min-plus(acc, add)`, both frontier-pruned: for every finite pair
-/// the combined state `(qa + qb, wa + wb)` is folded in, saturating profit
-/// at the cap and discarding weights beyond `prune_limit`.
-fn min_plus_merge(acc: &mut Vec<u128>, add: &[u128], tmp: &mut Vec<u128>, prune_limit: u128) {
-    let cap = acc.len() - 1;
-    tmp.clear();
-    tmp.resize(cap + 1, INF);
-    for (qa, &wa) in acc.iter().enumerate() {
-        if wa == INF {
-            continue;
-        }
-        for (qb, &wb) in add.iter().enumerate() {
-            if wb == INF {
-                continue;
-            }
-            let nw = wa.saturating_add(wb);
-            if nw > prune_limit {
-                // Finite entries of a pruned table ascend in weight.
-                break;
-            }
-            let np = (qa + qb).min(cap);
-            if nw < tmp[np] {
-                tmp[np] = nw;
-            }
-        }
-    }
-    prune_frontier(tmp);
-    std::mem::swap(acc, tmp);
 }
 
 /// A positive-profit, positive-weight party in the ratio-sorted view.
@@ -1053,33 +975,6 @@ mod tests {
             let feasible = max_profit_brute_force(&its, wmin) >= u128::from(q);
             let below = wmin == 0 || max_profit_brute_force(&its, wmin - 1) < u128::from(q);
             assert!(feasible && below, "({q}, {wmin}) is not a tight frontier point");
-        }
-    }
-
-    #[test]
-    fn chunked_fill_matches_sequential() {
-        // Deterministic pseudo-random items, forced through the chunked
-        // path, must produce the same frontier as one sequential fill.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let its: Vec<Item> = (0..4000)
-            .map(|_| Item { profit: next() % 12 + 1, weight: next() % 90 + 1 })
-            .collect();
-        let cap = 64usize;
-        let prune_limit = 500u128;
-        let mut seq = vec![INF; cap + 1];
-        seq[0] = 0;
-        dp_fill(&mut seq, &its, prune_limit, None);
-        for chunks in [2usize, 3, 7] {
-            let mut par = vec![INF; cap + 1];
-            par[0] = 0;
-            dp_chunked(&mut par, &its, prune_limit, chunks);
-            assert_eq!(seq, par, "chunked fill diverged at {chunks} chunks");
         }
     }
 

@@ -362,6 +362,12 @@ impl AliasTable {
 /// count has to beat), cheap enough to be noise next to one exact probe.
 pub(crate) const ESTIMATE_DRAWS: usize = 8192;
 
+/// Parties at or above which a hintless solve consults the sampler. Both
+/// sides are benchmarked (`solver_cold` solves at 10⁵ and 10⁶): at 10⁶ the
+/// window saves three near-full-cost probes, at 10⁵ the estimate costs more
+/// than the probes it would save.
+pub(crate) const SAMPLING_MIN_PARTIES: usize = 1 << 18;
+
 /// Fixed seed for the solver's estimates — every replica must derive the
 /// same probe sequence from the same weight vector.
 pub(crate) const ESTIMATE_SEED: u64 = 0x5317_9E57_1A7E_0001;

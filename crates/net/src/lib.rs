@@ -59,9 +59,7 @@ pub use overlay::{
     ChurnEvent, ChurnLedger, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats,
 };
 pub use runtime::{HistSummary, LatencySummary, RuntimeReport, ThreadedRuntime};
-pub use sim::{
-    Context, DelayModel, Effects, EpochedSimulation, NodeId, Protocol, RunReport, Simulation,
-};
+pub use sim::{Context, DelayModel, Effects, NodeId, Protocol, RunReport, Simulation};
 pub use socket::SocketTransport;
 pub use transport::{
     ChannelTransport, Delivery, Envelope, Runtime, SendError, SendNodes, Transport,

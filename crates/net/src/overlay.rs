@@ -157,7 +157,7 @@ impl<M: MessageSize> MessageSize for OverlayMsg<M> {
     }
 }
 
-/// Tuning knobs of the overlay. `0` on the degree fields means
+/// Configuration knobs of the overlay. `0` on the degree fields means
 /// "derive from `n`": active degree `max(3, ⌈log₂ n⌉) + 1` (the +1 is the
 /// ring successor), passive degree four times that. The failure-detection
 /// and shuffle schedules are *bounded-round* — a fixed number of probe and

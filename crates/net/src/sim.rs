@@ -159,7 +159,7 @@ pub trait Protocol {
     fn on_timer(&mut self, _id: u64, _ctx: &mut Context<Self::Msg>) {}
 
     /// Invoked when an epoch reconfiguration reaches this node (see
-    /// [`EpochedSimulation`]): the common-knowledge [`EpochEvent`] carries
+    /// [`Simulation::with_reconfiguration`]): the common-knowledge [`EpochEvent`] carries
     /// the epoch's `TicketDelta` **and the new per-party weight vector**
     /// (plus a deterministic rekey seed), and the node should splice the
     /// change into its live state instead of tearing the instance down.
@@ -281,7 +281,7 @@ pub struct RunReport {
     pub elapsed: u64,
     /// Events processed.
     pub events: u64,
-    /// Reconfigurations injected (see [`EpochedSimulation`]).
+    /// Reconfigurations injected (see [`Simulation::with_reconfiguration`]).
     pub reconfigurations: u64,
     /// Communication counters.
     pub metrics: Metrics,
@@ -404,9 +404,51 @@ impl<M: Clone + MessageSize> Simulation<M> {
 
     /// Schedules an epoch reconfiguration: once `at_event` events have
     /// been processed, every non-halted node receives
-    /// [`Protocol::on_reconfigure`] with `event` before the next delivery.
-    /// Multiple reconfigurations compose in event order;
-    /// [`EpochedSimulation`] is the builder for whole epoch schedules.
+    /// [`Protocol::on_reconfigure`] with `event` *between* two deliveries,
+    /// modelling the common-knowledge moment at which all replicas learn
+    /// the new epoch's ticket assignment *and stake distribution*. Messages
+    /// already in flight were sent under the old assignment and are still
+    /// delivered afterwards — protocols that embed virtual-user ids in
+    /// their messages must translate across the boundary (see
+    /// `swiper-protocols`' black-box wrapper for the reference
+    /// implementation).
+    ///
+    /// Multiple reconfigurations compose in event order; each delta must be
+    /// diffed against the assignment the previous one produced (and each
+    /// event's weights follow its predecessor's). Shrinking and renumbering
+    /// deltas and stake-drifting weight vectors are first-class.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use swiper_core::{EpochEvent, TicketAssignment, TicketDelta, Weights};
+    /// use swiper_net::{Context, NodeId, Protocol, Simulation};
+    ///
+    /// /// Counts reconfigurations; outputs the count at quiescence.
+    /// struct EpochCounter { seen: u8 }
+    /// impl Protocol for EpochCounter {
+    ///     type Msg = u64;
+    ///     fn on_start(&mut self, ctx: &mut Context<u64>) {
+    ///         ctx.broadcast(1);
+    ///     }
+    ///     fn on_message(&mut self, _f: NodeId, _m: u64, ctx: &mut Context<u64>) {
+    ///         ctx.output(vec![self.seen]);
+    ///     }
+    ///     fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut Context<u64>) {
+    ///         self.seen += 1;
+    ///     }
+    /// }
+    ///
+    /// let old = TicketAssignment::new(vec![1, 1]);
+    /// let new = TicketAssignment::new(vec![2, 1]);
+    /// let delta = TicketDelta::between(&old, &new).unwrap();
+    /// let stake = Weights::new(vec![6, 4]).unwrap();
+    /// let event = EpochEvent::new(1, delta, &stake, stake.clone(), 0).unwrap();
+    /// let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
+    ///     (0..2).map(|_| Box::new(EpochCounter { seen: 0 }) as _).collect();
+    /// let report = Simulation::new(nodes, 7).with_reconfiguration(1, event).run();
+    /// assert_eq!(report.reconfigurations, 1);
+    /// ```
     pub fn with_reconfiguration(mut self, at_event: u64, event: EpochEvent) -> Self {
         let pos = self.reconfigs.partition_point(|(at, _)| *at <= at_event);
         self.reconfigs.insert(pos, (at_event, event));
@@ -527,114 +569,6 @@ impl<M: Clone + MessageSize> Simulation<M> {
     }
 }
 
-/// Driver for live-instance epoch reconfiguration: a [`Simulation`] plus a
-/// schedule of [`EpochEvent`]s injected at configured event counts.
-///
-/// Each injection delivers [`Protocol::on_reconfigure`] to every
-/// non-halted node *between* two event deliveries, modelling the
-/// common-knowledge moment at which all replicas learn the new epoch's
-/// ticket assignment *and stake distribution*. Messages already in flight
-/// were sent under the old assignment and are still delivered afterwards
-/// — protocols that embed
-/// virtual-user ids in their messages must translate across the boundary
-/// (see `swiper-protocols`' black-box wrapper for the reference
-/// implementation).
-///
-/// # Examples
-///
-/// ```
-/// use swiper_core::{EpochEvent, TicketAssignment, TicketDelta, Weights};
-/// use swiper_net::{Context, EpochedSimulation, NodeId, Protocol};
-///
-/// /// Counts reconfigurations; outputs the count at quiescence.
-/// struct EpochCounter { seen: u8 }
-/// impl Protocol for EpochCounter {
-///     type Msg = u64;
-///     fn on_start(&mut self, ctx: &mut Context<u64>) {
-///         ctx.broadcast(1);
-///     }
-///     fn on_message(&mut self, _f: NodeId, _m: u64, ctx: &mut Context<u64>) {
-///         ctx.output(vec![self.seen]);
-///     }
-///     fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut Context<u64>) {
-///         self.seen += 1;
-///     }
-/// }
-///
-/// let old = TicketAssignment::new(vec![1, 1]);
-/// let new = TicketAssignment::new(vec![2, 1]);
-/// let delta = TicketDelta::between(&old, &new).unwrap();
-/// let stake = Weights::new(vec![6, 4]).unwrap();
-/// let event = EpochEvent::new(1, delta, &stake, stake.clone(), 0).unwrap();
-/// let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
-///     (0..2).map(|_| Box::new(EpochCounter { seen: 0 }) as _).collect();
-/// let report = EpochedSimulation::new(nodes, 7).inject_at(1, event).run();
-/// assert_eq!(report.reconfigurations, 1);
-/// ```
-pub struct EpochedSimulation<M> {
-    sim: Simulation<M>,
-}
-
-impl<M: Clone + MessageSize> EpochedSimulation<M> {
-    /// Creates the driver over the given node automata and seed.
-    pub fn new(nodes: Vec<Box<dyn Protocol<Msg = M>>>, seed: u64) -> Self {
-        EpochedSimulation { sim: Simulation::new(nodes, seed) }
-    }
-
-    /// Wraps an already-configured simulation.
-    pub fn from_simulation(sim: Simulation<M>) -> Self {
-        EpochedSimulation { sim }
-    }
-
-    /// Sets the delay model (builder style).
-    pub fn with_delay(mut self, delay: DelayModel) -> Self {
-        self.sim = self.sim.with_delay(delay);
-        self
-    }
-
-    /// Installs an adversarial per-message-type delay model.
-    pub fn with_adaptive_delay(mut self, adaptive: AdaptiveDelay<M>) -> Self {
-        self.sim = self.sim.with_adaptive_delay(adaptive);
-        self
-    }
-
-    /// Caps the number of processed events.
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.sim = self.sim.with_max_events(max);
-        self
-    }
-
-    /// Schedules `event` for injection once `at_event` events have been
-    /// processed. Events compose in event order; each delta must be
-    /// diffed against the assignment the previous one produced (and each
-    /// event's weights follow its predecessor's).
-    pub fn inject_at(mut self, at_event: u64, event: EpochEvent) -> Self {
-        self.sim = self.sim.with_reconfiguration(at_event, event);
-        self
-    }
-
-    /// Schedules a whole epoch chain: each `(at_event, event)` pair is
-    /// injected in order. Shrinking and renumbering deltas — and
-    /// stake-drifting weight vectors — are first-class: the schedule is
-    /// exactly what a churned multi-epoch replay (mixed joins, leaves and
-    /// live renumbering every epoch, weights refreshed each epoch) hands
-    /// the driver.
-    pub fn inject_schedule<I>(mut self, schedule: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, EpochEvent)>,
-    {
-        for (at_event, event) in schedule {
-            self.sim = self.sim.with_reconfiguration(at_event, event);
-        }
-        self
-    }
-
-    /// Runs to quiescence (or the event cap) and reports.
-    pub fn run(self) -> RunReport {
-        self.sim.run()
-    }
-}
-
 impl<M: Clone + MessageSize> Runtime<M> for Simulation<M> {
     fn backend(&self) -> &'static str {
         "sim"
@@ -642,16 +576,6 @@ impl<M: Clone + MessageSize> Runtime<M> for Simulation<M> {
 
     fn run(self) -> RunReport {
         Simulation::run(self)
-    }
-}
-
-impl<M: Clone + MessageSize> Runtime<M> for EpochedSimulation<M> {
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(self) -> RunReport {
-        EpochedSimulation::run(self)
     }
 }
 
@@ -928,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_schedule_composes_epoch_chains_in_order() {
+    fn reconfigurations_compose_epoch_chains_in_order() {
         /// Counts reconfigurations; keeps traffic alive long enough for
         /// the whole schedule to fire.
         struct EpochCounter {
@@ -961,7 +885,12 @@ mod tests {
         ];
         let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
             (0..2).map(|_| Box::new(EpochCounter { seen: 0, bounced: 0 }) as _).collect();
-        let report = EpochedSimulation::new(nodes, 3).inject_schedule(schedule).run();
+        let report = schedule
+            .into_iter()
+            .fold(Simulation::new(nodes, 3), |sim, (at, event)| {
+                sim.with_reconfiguration(at, event)
+            })
+            .run();
         assert_eq!(report.reconfigurations, 3);
     }
 

@@ -240,8 +240,7 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
 /// quiescence.
 ///
 /// Two implementations ship: the deterministic
-/// [`Simulation`](crate::Simulation) (and its epoch-schedule wrapper
-/// [`EpochedSimulation`](crate::EpochedSimulation)) and the threaded
+/// [`Simulation`](crate::Simulation) and the threaded
 /// [`ThreadedRuntime`](crate::ThreadedRuntime). Tests and harnesses that
 /// are generic over the backend take `R: Runtime<M>` and call
 /// [`Runtime::run`]; the determinism-twin contract (every runtime run is

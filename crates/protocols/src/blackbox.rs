@@ -515,7 +515,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use swiper_core::{Swiper, TicketDelta, WeightRestriction};
-    use swiper_net::{EpochedSimulation, Simulation};
+    use swiper_net::Simulation;
 
     /// Event whose stake stands still: the identity-plumbing tests
     /// exercise renumbering, not stake drift.
@@ -766,7 +766,8 @@ mod tests {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed).inject_at(16, event.clone()).run();
+            let report =
+                Simulation::new(nodes, seed).with_reconfiguration(16, event.clone()).run();
             assert_eq!(report.reconfigurations, 1, "seed {seed}");
             for (i, out) in report.outputs.iter().enumerate() {
                 assert_eq!(
@@ -811,7 +812,8 @@ mod tests {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed).inject_at(10, event.clone()).run();
+            let report =
+                Simulation::new(nodes, seed).with_reconfiguration(10, event.clone()).run();
             assert_eq!(report.reconfigurations, 1, "seed {seed}");
             for (i, out) in report.outputs.iter().enumerate() {
                 assert_eq!(out.as_deref(), Some(payload.as_slice()), "party {i} seed {seed}");
@@ -960,7 +962,8 @@ mod tests {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed).inject_at(12, event.clone()).run();
+            let report =
+                Simulation::new(nodes, seed).with_reconfiguration(12, event.clone()).run();
             assert_eq!(report.reconfigurations, 1, "seed {seed}");
             for (i, out) in report.outputs.iter().enumerate() {
                 assert_eq!(

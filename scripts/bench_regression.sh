@@ -3,8 +3,10 @@
 # baselines.
 #
 # Solver section (BENCH_solver.json): fails on any deterministic-counter
-# mismatch, >20% wall-time regression (rows over 250 ms), or a blown
-# --budget-ms. Extra flags are forwarded to solver_scale verbatim.
+# mismatch, >20% wall-time regression (rows over 250 ms), a blown
+# --budget-ms, or a certified n=1e6 warm replay that settles zero checks
+# from certificates (solver_scale --diff gates that itself). Extra flags
+# are forwarded to solver_scale verbatim.
 #
 # Runtime section (BENCH_runtime.json): re-runs the threaded-runtime
 # smoke sweep — both transport backends, in-process channels and
@@ -13,13 +15,6 @@
 # socket cells gate against socket baselines only: commits and
 # twin-replay status exact, >20% wall-time regression (rows over
 # 250 ms) fails. Any twin divergence fails on its own, baseline or not.
-#
-# Accelerator-counter section: parses the fresh solver rows exactly
-# (cursor_advances / probes_saved / coarse_cert_hits are deterministic
-# counters, already diffed above) and additionally fails if the certified
-# n=1e6 warm replay records certificate_skips + coarse_cert_hits == 0 —
-# the coarse certificate index has stopped hitting at scale, which is
-# exactly the regression this pipeline exists to catch.
 #
 # Epochs section (BENCH_epochs.json): replays the chain × churn
 # reconfiguration scenarios and diffs the seed-deterministic solver-work
@@ -72,37 +67,6 @@ trap 'rm -f "$FRESH" "$RUNTIME_FRESH" "$EPOCHS_FRESH" "$GOSSIP_FRESH"' EXIT
 
 cargo run --release -p swiper-bench --bin solver_scale -- \
     --out "$FRESH" --diff "$BASELINE" "$@"
-
-# Exact parse of one accelerator counter from a solver row: row identity by
-# case + n, counter by key. The row format is one JSON object per line, so
-# a line-oriented extraction is exact, not approximate.
-counter_of() { # counter_of <case> <n> <key>
-    sed -n "s/.*\"case\":\"$1\",\"n\":$2,.*\"$3\":\([0-9]*\).*/\1/p" "$FRESH" | head -n 1
-}
-
-CERT_ROW_PRESENT="$(grep -c "\"case\":\"certified\",\"n\":1000000," "$FRESH" || true)"
-if [[ "$CERT_ROW_PRESENT" -gt 0 ]]; then
-    SKIPS="$(counter_of certified 1000000 certificate_skips)"
-    COARSE="$(counter_of certified 1000000 coarse_cert_hits)"
-    CURSOR="$(counter_of certified 1000000 cursor_advances)"
-    SAVED="$(counter_of certified 1000000 probes_saved)"
-    for v in SKIPS COARSE CURSOR SAVED; do
-        if [[ -z "${!v}" ]]; then
-            echo "bench_regression: could not parse $v from the certified n=1e6 row" >&2
-            exit 1
-        fi
-    done
-    echo "certified n=1e6: certificate_skips=$SKIPS coarse_cert_hits=$COARSE" \
-         "cursor_advances=$CURSOR probes_saved=$SAVED"
-    if [[ "$((SKIPS + COARSE))" -eq 0 ]]; then
-        echo "bench_regression: certified n=1e6 warm replay settled zero checks from" \
-             "certificates (certificate_skips + coarse_cert_hits == 0) — the coarse" \
-             "certificate index stopped hitting at scale" >&2
-        exit 1
-    fi
-else
-    echo "bench_regression: sweep capped below n=1e6; skipping the certificate-hit gate"
-fi
 
 cargo run --release -p swiper-bench --bin runtime_scale -- \
     --ci-smoke --transport both --out "$RUNTIME_FRESH" --diff "$RUNTIME_BASELINE"

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swiper::net::adversary::{SelectiveAck, Silent};
-use swiper::net::{AdaptiveDelay, DelayModel, EpochedSimulation, Protocol, Simulation};
+use swiper::net::{AdaptiveDelay, DelayModel, Protocol, Simulation};
 use swiper::protocols::aba::{AbaMsg, AbaNode, AbaSetup};
 use swiper::protocols::avid::{AvidConfig, AvidMsg, AvidNode, TargetedFragmentSender, BOT};
 use swiper::protocols::beacon::{BeaconMsg, BeaconNode, BeaconSetup};
@@ -283,9 +283,9 @@ fn blackbox_epoch_crossing_sweep() {
                         nodes.push(Box::new(bb));
                     }
                 }
-                let report = EpochedSimulation::new(nodes, seed)
+                let report = Simulation::new(nodes, seed)
                     .with_delay(delay)
-                    .inject_at(60, event)
+                    .with_reconfiguration(60, event)
                     .run();
                 assert_eq!(report.reconfigurations, 1, "seed {seed} churn {churn_pct}%");
                 for (i, out) in report.outputs.iter().enumerate() {
@@ -353,9 +353,9 @@ fn blackbox_shrinking_renumbering_sweep() {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(30, event.clone())
+                .with_reconfiguration(30, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             for (i, out) in report.outputs.iter().enumerate() {
@@ -436,9 +436,9 @@ fn epoch_shifter_replay_cannot_double_count_votes() {
                     nodes.push(Box::new(bb));
                 }
             }
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(14, event.clone())
+                .with_reconfiguration(14, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             for (i, out) in report.outputs.iter().enumerate() {
@@ -490,9 +490,9 @@ fn blackbox_epoch_crossing_under_adaptive_vouch_delay() {
             })
             .collect();
         let adaptive = AdaptiveDelay::new(DelayModel::Uniform(1, 24)).rule(is_vouch, 300);
-        let report = EpochedSimulation::new(nodes, seed)
+        let report = Simulation::new(nodes, seed)
             .with_adaptive_delay(adaptive)
-            .inject_at(40, event)
+            .with_reconfiguration(40, event)
             .run();
         assert_eq!(report.reconfigurations, 1, "seed {seed}");
         for (i, out) in report.outputs.iter().enumerate() {
@@ -724,9 +724,9 @@ fn aba_coin_redeal_survives_shrinking_epoch() {
             // Inject early: most schedules cross the boundary before any
             // round combines its coin, which is exactly the case where
             // the stranded 3-of-6 shares would deadlock the old keys.
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(6, event.clone())
+                .with_reconfiguration(6, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             assert!(
@@ -770,9 +770,9 @@ fn aba_coin_redeal_reaches_joiners_on_growth() {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(6, event.clone())
+                .with_reconfiguration(6, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             assert!(
@@ -831,10 +831,10 @@ fn aba_coin_redeal_survives_revisited_assignment() {
                     })) as _
                 })
                 .collect();
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(6, event1.clone())
-                .inject_at(12, event2.clone())
+                .with_reconfiguration(6, event1.clone())
+                .with_reconfiguration(12, event2.clone())
                 .run();
             assert_eq!(report.reconfigurations, 2, "seed {seed} {delay:?}");
             assert!(
@@ -883,9 +883,9 @@ fn boundary_equivocator_cannot_forge_across_the_boundary() {
             for _ in 2..n {
                 nodes.push(Box::new(BrachaNode::new(config.clone(), 0)));
             }
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(10, event.clone())
+                .with_reconfiguration(10, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             for i in (0..n).filter(|&i| i != 1) {
@@ -943,7 +943,7 @@ fn vba_weighted_zoo_sweep_with_stake_drift() {
             vec![0, 1, 2, 3],
         )));
         nodes.push(Box::new(Silent::new()));
-        let report = EpochedSimulation::new(nodes, seed).inject_at(25, event.clone()).run();
+        let report = Simulation::new(nodes, seed).with_reconfiguration(25, event.clone()).run();
         assert_eq!(report.reconfigurations, 1, "seed {seed}");
         assert!(report.agreement_among(&[0, 1, 2, 3]), "seed {seed}");
         for p in 0..3 {
@@ -1040,9 +1040,9 @@ fn whale_collapse_revokes_stale_vouch_weight() {
                     .push(Box::new(BlackBox::new(config.clone(), party, |_v, _roster| LateOk)));
             }
             nodes.push(Box::new(BlackBox::new(config.clone(), 4, |_v, _roster| LateOk)));
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(1, event.clone())
+                .with_reconfiguration(1, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             assert_eq!(
@@ -1115,9 +1115,9 @@ fn stake_growth_completes_pending_vouch_quorum_at_the_boundary() {
             nodes.push(Box::new(BlackBox::new(config.clone(), 4, |_v, _r| InstantOk)));
             // 15 vouch deliveries (3 broadcasts x 5 nodes) precede the
             // keep-alive timers; the boundary lands after all of them.
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(15, event.clone())
+                .with_reconfiguration(15, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             assert_eq!(
@@ -1173,9 +1173,9 @@ fn stake_growth_completes_pending_bracha_quorums_at_the_boundary() {
                 Box::new(BrachaNode::new(config.clone(), 1)),
             ];
             // 4 INITIAL + 12 ECHO deliveries, then only keep-alive timers.
-            let report = EpochedSimulation::new(nodes, seed)
+            let report = Simulation::new(nodes, seed)
                 .with_delay(delay)
-                .inject_at(16, event.clone())
+                .with_reconfiguration(16, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
             for i in 1..4 {
