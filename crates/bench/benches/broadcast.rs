@@ -1,6 +1,6 @@
-//! End-to-end broadcast benchmarks on the simulator: Bracha (full payload
-//! everywhere) vs AVID (erasure-coded), nominal vs weighted — the measured
-//! counterpart of Table 1's broadcast rows.
+//! End-to-end broadcast benchmarks on the simulator: Bracha (payload once
+//! per receiver, digest votes) vs AVID (erasure-coded), nominal vs
+//! weighted — the measured counterpart of Table 1's broadcast rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use swiper_core::{Mode, Ratio, Swiper, WeightQualification, Weights};

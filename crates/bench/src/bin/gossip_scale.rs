@@ -4,12 +4,13 @@
 //!
 //! Simulator cells sweep n ∈ {64, 256, 1024} with seeded delay schedules
 //! and record reach, rounds-to-full-delivery (max eager hops), total
-//! messages and messages per unique first-receipt delivery — the economy
-//! figure the overlay must keep strictly below the n²-flood baseline of
-//! `n` msgs/delivery at n ≥ 256. The `fullmesh` cells run the *same*
-//! machinery with every peer in the active view (eager push to everyone =
-//! reliable flooding), so the comparison holds the workload, the repair
-//! path and the deliveries semantics fixed and varies only the view.
+//! messages, and messages and bytes per unique first-receipt delivery —
+//! msgs/delivery is the economy figure the overlay must keep strictly
+//! below the n²-flood baseline of `n` at n ≥ 256. The `fullmesh` cells
+//! run the *same* machinery with every peer in the active view (eager
+//! push to everyone = reliable flooding), so the comparison holds the
+//! workload, the repair path and the deliveries semantics fixed and
+//! varies only the view.
 //! Threaded cells drive the overlay on the [`ThreadedRuntime`] (channel
 //! and loopback-TCP socket transports) with timers scaled to the
 //! microsecond clock, recording latency percentiles and the
@@ -39,8 +40,8 @@ use swiper_bench::{
 };
 use swiper_core::Weights;
 use swiper_net::{
-    DelayModel, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats, Protocol,
-    SendNodes, Simulation, SocketTransport, ThreadedRuntime,
+    DelayModel, Metrics, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats,
+    Protocol, SendNodes, Simulation, SocketTransport, ThreadedRuntime,
 };
 use swiper_protocols::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
 use swiper_protocols::wire::BrachaCodec;
@@ -137,9 +138,10 @@ fn row_from(
     seed: u64,
     wall_ms: u64,
     reached: usize,
-    msgs: u64,
+    metrics: &Metrics,
     stats: &OverlayStats,
 ) -> GossipBenchRow {
+    let msgs = metrics.total_messages();
     let deliveries = stats.deliveries.max(1);
     GossipBenchRow {
         bench: "gossip_scale".into(),
@@ -153,6 +155,7 @@ fn row_from(
         msgs,
         deliveries: stats.deliveries,
         msgs_per_delivery_x100: msgs * 100 / deliveries,
+        bytes_per_delivery: metrics.total_bytes() / deliveries,
         baseline_msgs_per_delivery: n as u64,
         mean_degree_x100: (stats.mean_degree() * 100.0).round() as u64,
         p50_us: 0,
@@ -174,7 +177,7 @@ fn run_sim_cell(backend: &str, n: usize, seed: u64) -> GossipBenchRow {
     let wall_ms = t0.elapsed().as_millis() as u64;
     let reached = report.outputs.iter().filter(|o| o.as_deref() == Some(PAYLOAD)).count();
     let s = stats.lock().expect("sim is single-threaded");
-    row_from(backend, "sim", n, seed, wall_ms, reached, report.metrics.total_messages(), &s)
+    row_from(backend, "sim", n, seed, wall_ms, reached, &report.metrics, &s)
 }
 
 /// One threaded-runtime cell: latency percentiles and the twin verdict.
@@ -210,16 +213,8 @@ fn run_threaded_cell(substrate: &str, n: usize, seed: u64, workers: usize) -> Go
         .map(|r| r.outputs == full.report.outputs && r.metrics == full.report.metrics)
         .unwrap_or(false);
     let s = stats.lock().expect("workers joined");
-    let mut row = row_from(
-        "overlay",
-        substrate,
-        n,
-        seed,
-        wall_ms,
-        reached,
-        full.report.metrics.total_messages(),
-        &s,
-    );
+    let mut row =
+        row_from("overlay", substrate, n, seed, wall_ms, reached, &full.report.metrics, &s);
     row.p50_us = full.latency.p50_us;
     row.p95_us = full.latency.p95_us;
     row.p99_us = full.latency.p99_us;
@@ -268,6 +263,7 @@ fn main() -> ExitCode {
         "rounds",
         "msgs",
         "msgs/delivery",
+        "bytes/delivery",
         "flood baseline",
         "degree",
         "p99_us",
@@ -284,6 +280,7 @@ fn main() -> ExitCode {
             r.rounds.to_string(),
             r.msgs.to_string(),
             format!("{:.2}", r.msgs_per_delivery()),
+            r.bytes_per_delivery.to_string(),
             r.baseline_msgs_per_delivery.to_string(),
             format!("{:.2}", r.mean_degree_x100 as f64 / 100.0),
             r.p99_us.to_string(),

@@ -10,9 +10,10 @@
 //! replay diverges (the determinism-twin contract, see
 //! `docs/ARCHITECTURE.md`).
 //!
-//! * **bracha** — reliable broadcast of a large seeded payload; every
-//!   echo/ready receipt re-hashes the payload, so the cell is CPU-bound
-//!   and shows worker scaling.
+//! * **bracha** — reliable broadcast of a large seeded payload: it ships
+//!   once per receiver and is hashed once per node, every vote is a
+//!   33-byte digest message, so the cell times the runtime's fan-out of
+//!   `n` large sends and `2n²` small ones.
 //! * **aba** — binary agreement with split inputs; threshold-coin crypto
 //!   per round.
 //! * **smr** — a round-pipelined ledger ([`SmrNode`]); commits/sec is the
@@ -54,8 +55,8 @@ use swiper_protocols::wire::{AbaCodec, BrachaCodec, SmrCodec};
 const SMR_ROUNDS: u64 = 30;
 /// SMR batch size in bytes.
 const SMR_BATCH: usize = 4096;
-/// Bracha payload size in bytes (re-hashed at every echo/ready receipt —
-/// the CPU load that makes worker scaling visible).
+/// Bracha payload size in bytes (cloned per receiver by the sender's one
+/// broadcast, hashed once per node on arrival).
 const BRACHA_PAYLOAD: usize = 32 * 1024;
 
 struct Args {

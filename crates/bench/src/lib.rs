@@ -635,6 +635,8 @@ pub struct GossipBenchRow {
     pub deliveries: u64,
     /// Messages per delivery, fixed-point ×100 (e.g. `1042` = 10.42).
     pub msgs_per_delivery_x100: u64,
+    /// Bytes sent (every frame, payload and control) per delivery.
+    pub bytes_per_delivery: u64,
     /// The n²-flood yardstick in the same unit: a reliable full-mesh
     /// flood costs `n` messages per delivery (n² messages, n deliveries).
     pub baseline_msgs_per_delivery: u64,
@@ -667,7 +669,7 @@ impl GossipBenchRow {
         format!(
             "    {{\"bench\":\"{}\",\"backend\":\"{}\",\"substrate\":\"{}\",\"n\":{},\
              \"seed\":{},\"wall_ms\":{},\"reach_pct\":{},\"rounds\":{},\"msgs\":{},\
-             \"deliveries\":{},\"msgs_per_delivery_x100\":{},\
+             \"deliveries\":{},\"msgs_per_delivery_x100\":{},\"bytes_per_delivery\":{},\
              \"baseline_msgs_per_delivery\":{},\"mean_degree_x100\":{},\
              \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"twin_ok\":{}}}",
             self.bench,
@@ -681,6 +683,7 @@ impl GossipBenchRow {
             self.msgs,
             self.deliveries,
             self.msgs_per_delivery_x100,
+            self.bytes_per_delivery,
             self.baseline_msgs_per_delivery,
             self.mean_degree_x100,
             self.p50_us,
@@ -733,6 +736,7 @@ pub fn parse_gossip_json(doc: &str) -> Result<Vec<GossipBenchRow>, String> {
             msgs: num("msgs"),
             deliveries: num("deliveries"),
             msgs_per_delivery_x100: num("msgs_per_delivery_x100"),
+            bytes_per_delivery: num("bytes_per_delivery"),
             baseline_msgs_per_delivery: num("baseline_msgs_per_delivery"),
             mean_degree_x100: num("mean_degree_x100"),
             p50_us: num("p50_us"),
@@ -752,8 +756,8 @@ pub const GOSSIP_ECONOMY_FLOOR_N: u64 = 256;
 /// Compares a fresh gossip-overlay run against a committed baseline.
 ///
 /// Simulator rows (`substrate == "sim"`) are seed-deterministic, so
-/// `reach_pct`, `rounds`, `msgs`, `deliveries`, `msgs_per_delivery_x100`
-/// and `mean_degree_x100` must all match exactly. Threaded rows gate
+/// `reach_pct`, `rounds`, `msgs`, `deliveries`, `msgs_per_delivery_x100`,
+/// `bytes_per_delivery` and `mean_degree_x100` must all match exactly. Threaded rows gate
 /// `reach_pct` and `twin_ok` exactly and wall time with `tol_pct` above
 /// [`BENCH_WALL_FLOOR_MS`]; their message counts and latency percentiles
 /// are OS-schedule noise. Baseline rows missing from the fresh run are
@@ -792,6 +796,7 @@ pub fn diff_gossip_rows(
                     old.msgs_per_delivery_x100,
                     new.msgs_per_delivery_x100,
                 ),
+                ("bytes_per_delivery", old.bytes_per_delivery, new.bytes_per_delivery),
                 ("mean_degree_x100", old.mean_degree_x100, new.mean_degree_x100),
             ]
         } else {
@@ -1216,6 +1221,7 @@ mod tests {
             msgs: 26_000,
             deliveries: 2560,
             msgs_per_delivery_x100: 1015,
+            bytes_per_delivery: 1450,
             baseline_msgs_per_delivery: n,
             mean_degree_x100: 900,
             p50_us: 0,
@@ -1255,6 +1261,9 @@ mod tests {
         let mut rounds = base.clone();
         rounds[0].rounds += 1;
         assert_eq!(diff_gossip_rows(&base, &rounds, 20).len(), 1);
+        let mut bytes = base.clone();
+        bytes[0].bytes_per_delivery += 1;
+        assert_eq!(diff_gossip_rows(&base, &bytes, 20).len(), 1);
         // Threaded rows: message counts are schedule noise, but reach and
         // the twin flag are exact.
         let tbase = vec![gossip_row("overlay", "threaded", 64, 5)];

@@ -6,34 +6,53 @@
 //! voting* alone (paper Section 1.2): weight `> (1+f_w)/2` for echoes,
 //! `> f_w` for amplification, `> 2 f_w` for delivery, with `f_w = 1/3`.
 //!
-//! Bracha RBC sends the whole payload `O(n^2)` times; the erasure-coded
-//! broadcast in [`crate::avid`] is the communication-efficient alternative
-//! the paper's Section 5.1 weights with WQ.
+//! The payload ships once per receiver, in INITIAL, and is hashed once per
+//! node, on arrival; ECHO and READY vote on the 32-byte digest. Totality
+//! under a selective or Byzantine sender is a pull: a node whose delivery
+//! quorum on `d` completes before it holds bytes hashing to `d` broadcasts
+//! `Request(d)` once, holders answer `Payload(bytes)` at most once per
+//! requester, and only bytes whose recomputed digest is the awaited `d`
+//! are accepted — a node outputs nothing it has not itself hashed against
+//! the digest its delivery quorum voted on. That quorum implies an echo
+//! quorum, i.e. honest weight `> f_w` that held the bytes before echoing;
+//! a `Request` finds them only if they are still up, so a node does
+//! **not** halt on delivery. What is left of the cost is the sender's
+//! upload, `n * |M|`; the erasure-coded [`crate::avid`] (paper Section
+//! 5.1, weighted with WQ) disperses about `n/k * |M|` instead.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use swiper_core::{EpochEvent, Ratio, StableId, Weights};
-use swiper_crypto::hash::{digest, Digest};
+#[cfg(not(test))]
+use swiper_crypto::hash::digest;
+use swiper_crypto::hash::Digest;
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
+#[cfg(test)]
+use tests::digest;
 
 use crate::quorum::{IdentityView, Quorum, QuorumTracker, Roster};
 
 /// Bracha protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BrachaMsg {
-    /// Sender's initial payload.
+    /// Sender's initial payload: the only unsolicited message with bytes.
     Initial(Vec<u8>),
-    /// Echo of the payload (keyed by digest; payload carried for delivery).
-    Echo(Digest, Vec<u8>),
-    /// Ready declaration.
-    Ready(Digest, Vec<u8>),
+    /// Echo of the payload's digest.
+    Echo(Digest),
+    /// Ready declaration for a digest.
+    Ready(Digest),
+    /// Pull: the requester's delivery quorum on this digest is complete
+    /// and it holds no bytes hashing to it.
+    Request(Digest),
+    /// Pull reply: bytes the replier holds under the requested digest.
+    Payload(Vec<u8>),
 }
 
 impl MessageSize for BrachaMsg {
     fn size_bytes(&self) -> usize {
         match self {
-            BrachaMsg::Initial(p) => 1 + p.len(),
-            BrachaMsg::Echo(_, p) | BrachaMsg::Ready(_, p) => 1 + 32 + p.len(),
+            BrachaMsg::Initial(p) | BrachaMsg::Payload(p) => 1 + p.len(),
+            BrachaMsg::Echo(_) | BrachaMsg::Ready(_) | BrachaMsg::Request(_) => 1 + 32,
         }
     }
 }
@@ -104,14 +123,20 @@ pub struct BrachaNode {
     sender: StableId,
     /// `Some(payload)` when this node is the sender.
     input: Option<Vec<u8>>,
-    echoed: bool,
-    ready_sent: bool,
+    /// The bytes this node holds, under the digest it computed for them:
+    /// the sender's INITIAL, unless a verified pull reply replaced it.
+    /// The only thing ever output, and what `Request`s are served from.
+    held: Option<(Digest, Vec<u8>)>,
+    /// What this node echoed / declared ready, retained for
+    /// [`Self::reannounce`] (stable-keyed trackers make duplicates free).
+    echoed: Option<Digest>,
+    readied: Option<Digest>,
     delivered: bool,
-    /// What this node last echoed / declared ready, retained so the
-    /// epochal form can re-announce it to joiners spawned mid-flight
-    /// (stable-keyed trackers make the duplicates free).
-    echo_payload: Option<(Digest, Vec<u8>)>,
-    ready_payload: Option<(Digest, Vec<u8>)>,
+    /// The digest whose delivery quorum completed while `held` did not
+    /// match it: a `Request` for it is outstanding.
+    awaiting: Option<Digest>,
+    /// Requesters already sent a `Payload`: a spammer gets one, not many.
+    served: HashSet<StableId>,
     echo_quorums: HashMap<Digest, Quorum>,
     ready_amplify: HashMap<Digest, Quorum>,
     ready_deliver: HashMap<Digest, Quorum>,
@@ -137,11 +162,12 @@ impl BrachaNode {
             config,
             sender,
             input: None,
-            echoed: false,
-            ready_sent: false,
+            held: None,
+            echoed: None,
+            readied: None,
             delivered: false,
-            echo_payload: None,
-            ready_payload: None,
+            awaiting: None,
+            served: HashSet::new(),
             echo_quorums: HashMap::new(),
             ready_amplify: HashMap::new(),
             ready_deliver: HashMap::new(),
@@ -164,27 +190,50 @@ impl BrachaNode {
     }
 
     /// Re-asserts everything this node already said (its INITIAL when it
-    /// is the sender, its ECHO, its READY). Duplicates are free votes
-    /// that return the tracker's current verdict, so both epoch-boundary
-    /// paths lean on this: the party regime to fire quorums completed by
-    /// a reweigh, the epochal regime to let joiners catch up.
+    /// is the sender, its ECHO, its READY, an unanswered `Request`).
+    /// Duplicates are free votes that return the tracker's current
+    /// verdict, so both epoch-boundary paths lean on this: the party
+    /// regime to fire quorums completed by a reweigh, the epochal regime
+    /// to let joiners catch up and pull from whoever holds the bytes now.
     fn reannounce(&self, ctx: &mut Context<BrachaMsg>) {
         if let Some(payload) = self.input.clone() {
             ctx.broadcast(BrachaMsg::Initial(payload));
         }
-        if let Some((d, payload)) = self.echo_payload.clone() {
-            ctx.broadcast(BrachaMsg::Echo(d, payload));
+        if let Some(d) = self.echoed {
+            ctx.broadcast(BrachaMsg::Echo(d));
         }
-        if let Some((d, payload)) = self.ready_payload.clone() {
-            ctx.broadcast(BrachaMsg::Ready(d, payload));
+        if let Some(d) = self.readied {
+            ctx.broadcast(BrachaMsg::Ready(d));
+        }
+        if let Some(d) = self.awaiting {
+            ctx.broadcast(BrachaMsg::Request(d));
         }
     }
 
-    fn maybe_ready(&mut self, d: Digest, payload: &[u8], ctx: &mut Context<BrachaMsg>) {
-        if !self.ready_sent {
-            self.ready_sent = true;
-            self.ready_payload = Some((d, payload.to_vec()));
-            ctx.broadcast(BrachaMsg::Ready(d, payload.to_vec()));
+    fn maybe_ready(&mut self, d: Digest, ctx: &mut Context<BrachaMsg>) {
+        if self.readied.is_none() {
+            self.readied = Some(d);
+            ctx.broadcast(BrachaMsg::Ready(d));
+        }
+    }
+
+    /// The delivery quorum on `d` is complete: output the held bytes if
+    /// they are the ones voted on, otherwise pull them (once).
+    fn try_deliver(&mut self, d: Digest, ctx: &mut Context<BrachaMsg>) {
+        if self.delivered {
+            return;
+        }
+        match &self.held {
+            Some((held, payload)) if *held == d => {
+                self.delivered = true;
+                self.awaiting = None;
+                ctx.output(payload.clone());
+            }
+            _ if self.awaiting.is_none() => {
+                self.awaiting = Some(d);
+                ctx.broadcast(BrachaMsg::Request(d));
+            }
+            _ => {}
         }
     }
 }
@@ -202,40 +251,52 @@ impl Protocol for BrachaNode {
         let voter = self.config.view.stable_of(from);
         match msg {
             BrachaMsg::Initial(payload) => {
-                // Only the designated sender's first INITIAL is echoed.
-                if voter == self.sender && !self.echoed {
-                    self.echoed = true;
-                    let d = digest(&payload);
-                    self.echo_payload = Some((d, payload.clone()));
-                    ctx.broadcast(BrachaMsg::Echo(d, payload));
-                }
-            }
-            BrachaMsg::Echo(d, payload) => {
-                if digest(&payload) != d {
-                    return; // malformed
-                }
-                let q = self.echo_quorums.entry(d).or_insert_with(|| self.config.echo_quorum());
-                if q.vote(voter) {
-                    self.maybe_ready(d, &payload, ctx);
-                }
-            }
-            BrachaMsg::Ready(d, payload) => {
-                if digest(&payload) != d {
+                // Only the designated sender's first INITIAL is hashed and
+                // echoed; a node that has delivered needs neither.
+                if voter != self.sender || self.echoed.is_some() || self.delivered {
                     return;
                 }
+                let d = digest(&payload);
+                self.echoed = Some(d);
+                self.held = Some((d, payload));
+                ctx.broadcast(BrachaMsg::Echo(d));
+                if self.awaiting == Some(d) {
+                    self.try_deliver(d, ctx);
+                }
+            }
+            BrachaMsg::Echo(d) => {
+                let q = self.echo_quorums.entry(d).or_insert_with(|| self.config.echo_quorum());
+                if q.vote(voter) {
+                    self.maybe_ready(d, ctx);
+                }
+            }
+            BrachaMsg::Ready(d) => {
                 // Amplification: join READY once weight > f_w supports it.
                 let amplify =
                     self.ready_amplify.entry(d).or_insert_with(|| self.config.amplify_quorum());
                 if amplify.vote(voter) {
-                    self.maybe_ready(d, &payload, ctx);
+                    self.maybe_ready(d, ctx);
                 }
                 // Delivery: the bigger `> 2 f_w` quorum.
                 let deliver =
                     self.ready_deliver.entry(d).or_insert_with(|| self.config.deliver_quorum());
-                if deliver.vote(voter) && !self.delivered {
-                    self.delivered = true;
-                    ctx.output(payload);
-                    ctx.halt();
+                if deliver.vote(voter) {
+                    self.try_deliver(d, ctx);
+                }
+            }
+            BrachaMsg::Request(d) => {
+                if let Some((held, payload)) = &self.held {
+                    if *held == d && self.served.insert(voter) {
+                        ctx.send(from, BrachaMsg::Payload(payload.clone()));
+                    }
+                }
+            }
+            BrachaMsg::Payload(bytes) => {
+                // Only while a pull is outstanding (else dropped unhashed),
+                // and only bytes hashing to the digest the quorum voted on.
+                if let Some(d) = self.awaiting.filter(|d| digest(&bytes) == *d) {
+                    self.held = Some((d, bytes));
+                    self.try_deliver(d, ctx);
                 }
             }
         }
@@ -262,12 +323,11 @@ impl Protocol for BrachaNode {
             }
             // A reweigh can also COMPLETE a pending quorum (stake grew
             // onto already-recorded voters), but every quorum transition
-            // lives in the vote path, where the payload rides the
-            // message — and honest nodes vote exactly once. Re-assert
-            // what this node already said: duplicates are free votes
-            // that return the tracker's current verdict, so every peer
-            // (and this node, via self-delivery) re-runs its transitions
-            // under the new stake with the payload in hand. Only a
+            // lives in the vote path — and honest nodes vote exactly
+            // once. Re-assert what this node already said: duplicates are
+            // free votes that return the tracker's current verdict, so
+            // every peer (and this node, via self-delivery) re-runs its
+            // transitions under the new stake. Only a
             // weighted instance under actual stake drift can be
             // boundary-completed, so the nominal party regime (and
             // stake-stationary boundaries) skip the O(n) re-broadcasts.
@@ -325,8 +385,95 @@ impl Protocol for EquivocatingSender {
 #[allow(clippy::vec_init_then_push)]
 mod tests {
     use super::*;
-    use swiper_net::adversary::Silent;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+    use swiper_net::adversary::{AdaptiveDelay, SelectiveAck, Silent};
     use swiper_net::{DelayModel, Simulation};
+
+    thread_local! {
+        /// Payload hashes computed by automata on this test's thread.
+        static HASHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// What the automaton calls as `digest` under test: the real hash,
+    /// counted — "hashed once per node" is an assertion, not a comment.
+    pub(super) fn digest(data: &[u8]) -> Digest {
+        HASHES.set(HASHES.get() + 1);
+        swiper_crypto::hash::digest(data)
+    }
+
+    /// What a tapped node did.
+    #[derive(Debug, PartialEq)]
+    enum Did {
+        Sent(NodeId, BrachaMsg),
+        Output(Vec<u8>),
+    }
+
+    /// `(tag, action)` in execution order, shared by the taps of one run.
+    type Tape = Rc<RefCell<Vec<(usize, Did)>>>;
+
+    /// Runs a [`BrachaNode`] unchanged and records its sends and output
+    /// (Bracha sets no timers, so none are forwarded).
+    struct Tap {
+        inner: BrachaNode,
+        tag: usize,
+        tape: Tape,
+    }
+
+    impl Tap {
+        fn run(
+            &mut self,
+            ctx: &mut Context<BrachaMsg>,
+            call: impl FnOnce(&mut BrachaNode, &mut Context<BrachaMsg>),
+        ) {
+            let mut inner = Context::detached(ctx.me(), ctx.n(), ctx.now());
+            call(&mut self.inner, &mut inner);
+            let effects = inner.into_effects();
+            let mut tape = self.tape.borrow_mut();
+            for (to, msg) in effects.outbox {
+                tape.push((self.tag, Did::Sent(to, msg.clone())));
+                ctx.send(to, msg);
+            }
+            if let Some(out) = effects.output {
+                tape.push((self.tag, Did::Output(out.clone())));
+                ctx.output(out);
+            }
+            if effects.halted {
+                ctx.halt();
+            }
+        }
+    }
+
+    impl Protocol for Tap {
+        type Msg = BrachaMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<BrachaMsg>) {
+            self.run(ctx, |node, ctx| node.on_start(ctx));
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: BrachaMsg, ctx: &mut Context<BrachaMsg>) {
+            self.run(ctx, |node, ctx| node.on_message(from, msg, ctx));
+        }
+
+        fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<BrachaMsg>) {
+            self.run(ctx, |node, ctx| node.on_reconfigure(event, ctx));
+        }
+    }
+
+    fn sent(tape: &Tape, by: usize, what: fn(&BrachaMsg) -> bool) -> usize {
+        let tape = tape.borrow();
+        tape.iter()
+            .filter(|(tag, did)| *tag == by && matches!(did, Did::Sent(_, m) if what(m)))
+            .count()
+    }
+
+    fn is_request(m: &BrachaMsg) -> bool {
+        matches!(m, BrachaMsg::Request(_))
+    }
+
+    fn is_payload(m: &BrachaMsg) -> bool {
+        matches!(m, BrachaMsg::Payload(_))
+    }
 
     fn run_nominal(n: usize, byz_silent: usize, seed: u64) -> swiper_net::RunReport {
         let config = BrachaConfig::nominal(n);
@@ -447,20 +594,224 @@ mod tests {
         assert_eq!(report.outputs[3].as_deref(), Some(b"x".as_ref()));
     }
 
+    /// The cost this module is built around, on an honest run with unit
+    /// delays: the payload ships once per receiver (INITIAL) and every
+    /// vote is a 33-byte digest message, nobody pulls, and each node
+    /// hashes the payload exactly once.
     #[test]
-    fn payload_bytes_scale_quadratically() {
-        // Bracha's cost: every node rebroadcasts the payload; total bytes
-        // is Omega(n^2 * |M|). This is the baseline AVID beats.
-        let big = vec![0xAB; 1000];
-        let config = BrachaConfig::nominal(4);
+    fn payload_ships_and_is_hashed_once_per_receiver() {
+        let (n, len) = (4u64, 1000u64);
+        let payload = vec![0xAB; len as usize];
+        let config = BrachaConfig::nominal(n as usize);
         let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = Vec::new();
-        nodes.push(Box::new(BrachaNode::sender(config.clone(), 0, big)));
-        for _ in 1..4 {
+        nodes.push(Box::new(BrachaNode::sender(config.clone(), 0, payload.clone())));
+        for _ in 1..n {
             nodes.push(Box::new(BrachaNode::new(config.clone(), 0)));
         }
         let report = Simulation::new(nodes, 9).with_delay(DelayModel::Fixed(1)).run();
-        // >= n^2 payload-bearing messages (4 initial + 16 echo + 16 ready).
-        assert!(report.metrics.total_bytes() >= (4 + 16 + 16) * 1000);
+        assert!(report.outputs.iter().all(|o| o.as_ref() == Some(&payload)));
+        // n INITIALs, n ECHO and n READY broadcasts: no Request, no Payload.
+        assert_eq!(report.metrics.total_messages(), n + 2 * n * n);
+        assert!(report.metrics.total_bytes() <= n * (1 + len) + 2 * n * n * 33);
+        assert_eq!(HASHES.get(), n);
+    }
+
+    /// A 7-party run whose sender reaches only parties `0..5`, with every
+    /// `Request` held back 500 ticks — long after the five holders have
+    /// delivered. Returns the outputs and the tape of parties `1..7`.
+    fn starved_pull_run(config: BrachaConfig, seed: u64) -> (swiper_net::RunReport, Tape) {
+        let tape = Tape::default();
+        let payload = b"pulled after the fact".to_vec();
+        let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = Vec::new();
+        nodes.push(Box::new(SelectiveAck::new(
+            BrachaNode::sender(config.clone(), 0, payload),
+            vec![0, 1, 2, 3, 4],
+        )));
+        for tag in 1..7 {
+            let inner = BrachaNode::new(config.clone(), 0);
+            nodes.push(Box::new(Tap { inner, tag, tape: tape.clone() }));
+        }
+        let slow_requests =
+            AdaptiveDelay::new(DelayModel::Uniform(1, 16)).rule(is_request, 500);
+        let report = Simulation::new(nodes, seed).with_adaptive_delay(slow_requests).run();
+        (report, tape)
+    }
+
+    /// Totality moved from "the payload rides every vote" to the pull
+    /// path: parties 5 and 6 never see INITIAL, complete their delivery
+    /// quorum on digests alone, and their `Request`s arrive only after
+    /// every holder has delivered. The defence under test is that a
+    /// delivered node stays up to serve pulls — halt on delivery (the
+    /// old behaviour) and both parties stall on every seed, nominal and
+    /// weighted.
+    #[test]
+    fn starved_parties_pull_the_payload_from_nodes_that_already_delivered() {
+        let weighted = Weights::new(vec![20, 20, 20, 20, 10, 5, 5]).unwrap();
+        for config in [BrachaConfig::nominal(7), BrachaConfig::weighted(weighted)] {
+            for seed in 0..25u64 {
+                let (report, tape) = starved_pull_run(config.clone(), seed);
+                for i in 1..7 {
+                    assert_eq!(
+                        report.outputs[i].as_deref(),
+                        Some(b"pulled after the fact".as_ref()),
+                        "party {i} stalled at seed {seed}"
+                    );
+                }
+                for starved in [5, 6] {
+                    assert_eq!(sent(&tape, starved, is_request), 7, "one Request broadcast");
+                }
+                let tape = tape.borrow();
+                let first_reply = tape
+                    .iter()
+                    .position(|(_, did)| matches!(did, Did::Sent(_, m) if is_payload(m)));
+                let holders_done = tape
+                    .iter()
+                    .rposition(|(tag, did)| *tag < 5 && matches!(did, Did::Output(_)));
+                assert!(holders_done < first_reply, "replies came from delivered nodes");
+            }
+        }
+    }
+
+    /// A Byzantine party that re-broadcasts `Request(d)` at start and on
+    /// every message it receives from someone else.
+    struct RequestSpammer(Digest);
+
+    impl Protocol for RequestSpammer {
+        type Msg = BrachaMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<BrachaMsg>) {
+            ctx.broadcast(BrachaMsg::Request(self.0));
+        }
+
+        fn on_message(&mut self, from: NodeId, _msg: BrachaMsg, ctx: &mut Context<BrachaMsg>) {
+            if from != ctx.me() {
+                ctx.broadcast(BrachaMsg::Request(self.0));
+            }
+        }
+    }
+
+    /// Amplification bound of the pull path: however often a party asks,
+    /// each holder ships it the payload once per instance. The defence is
+    /// the `served` set — drop it and every holder answers every one of
+    /// the spammer's dozens of requests.
+    #[test]
+    fn request_spammer_gets_one_payload_per_holder() {
+        let n = 7;
+        let payload = b"worth asking for, once".to_vec();
+        let config = BrachaConfig::nominal(n);
+        for seed in 0..25u64 {
+            let tape = Tape::default();
+            let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = Vec::new();
+            for tag in 0..n - 1 {
+                let inner = if tag == 0 {
+                    BrachaNode::sender(config.clone(), 0, payload.clone())
+                } else {
+                    BrachaNode::new(config.clone(), 0)
+                };
+                nodes.push(Box::new(Tap { inner, tag, tape: tape.clone() }));
+            }
+            nodes.push(Box::new(RequestSpammer(swiper_crypto::hash::digest(&payload))));
+            let report = Simulation::new(nodes, seed).run();
+            assert!(report.metrics.sent_by(n - 1) > 10 * n as u64, "seed {seed}: it did spam");
+            for holder in 0..n - 1 {
+                assert_eq!(report.outputs[holder].as_deref(), Some(payload.as_slice()));
+                assert_eq!(sent(&tape, holder, is_payload), 1, "holder {holder} seed {seed}");
+            }
+        }
+    }
+
+    /// The pull reply is the one place foreign bytes can enter a node's
+    /// output, so it is accepted only while a pull is outstanding — an
+    /// unsolicited `Payload` is dropped before it costs a hash — and only
+    /// if the bytes hash to the digest the delivery quorum voted on.
+    #[test]
+    fn unsolicited_and_wrong_digest_payloads_are_ignored() {
+        let real = b"the real bytes".to_vec();
+        let d = swiper_crypto::hash::digest(&real);
+        let mut node = BrachaNode::new(BrachaConfig::nominal(4), 0);
+        let mut step = |from: NodeId, msg: BrachaMsg| {
+            let mut ctx = Context::detached(3, 4, 0);
+            node.on_message(from, msg, &mut ctx);
+            ctx.into_effects()
+        };
+        let unsolicited = step(1, BrachaMsg::Payload(real.clone()));
+        assert!(unsolicited.outbox.is_empty() && unsolicited.output.is_none());
+        assert_eq!(HASHES.get(), 0, "nothing was asked for, nothing is hashed");
+        // Three of four READYs complete the delivery quorum: the node
+        // amplifies, and pulls what it does not hold.
+        step(0, BrachaMsg::Ready(d));
+        step(1, BrachaMsg::Ready(d));
+        let pulled = step(2, BrachaMsg::Ready(d));
+        assert_eq!(
+            pulled.outbox.iter().filter(|(_, m)| *m == BrachaMsg::Request(d)).count(),
+            4
+        );
+        assert_eq!(step(1, BrachaMsg::Payload(b"forged".to_vec())).output, None);
+        assert_eq!(step(2, BrachaMsg::Payload(real.clone())).output, Some(real.clone()));
+        assert_eq!(HASHES.get(), 2, "one hash per solicited reply");
+        // Later replies to the same pull find nothing outstanding.
+        assert_eq!(step(0, BrachaMsg::Payload(real.clone())).output, None);
+        assert_eq!(HASHES.get(), 2);
+    }
+
+    /// Epochal (black-box roster) form: the boundary retires the sender's
+    /// only virtual user and spawns a joiner, so no INITIAL is ever
+    /// re-announced to it. The joiner builds its quorums from the
+    /// survivors' re-announced digests and gets the bytes by pulling from
+    /// them — the only path left.
+    #[test]
+    fn epochal_joiner_spawned_after_the_initial_delivers_by_pull() {
+        use crate::blackbox::{BlackBox, BlackBoxConfig, BlackBoxMsg};
+        use swiper_core::{TicketAssignment, TicketDelta};
+        type Msg = BlackBoxMsg<BrachaMsg>;
+        const JOINER: usize = 99;
+        let weights = Weights::new(vec![20, 25, 25, 20, 10]).unwrap();
+        let old = TicketAssignment::new(vec![1, 2, 2, 1, 0]);
+        let new = TicketAssignment::new(vec![0, 2, 2, 1, 1]);
+        let delta = TicketDelta::between(&old, &new).unwrap();
+        let event = EpochEvent::new(1, delta, &weights, weights.clone(), 0).unwrap();
+        let payload = b"the sender is gone".to_vec();
+        // INITIALs land first (5 remote virtual users, one tick), then the
+        // boundary, then everything else on the seeded schedule.
+        let initial_first = AdaptiveDelay::new(DelayModel::Uniform(2, 24)).rule(
+            |m: &Msg| matches!(m, BlackBoxMsg::Inner { msg: BrachaMsg::Initial(_), .. }),
+            1,
+        );
+        for seed in 0..25u64 {
+            let tape = Tape::default();
+            let config = BlackBoxConfig::new(weights.clone(), &old, Ratio::of(1, 4));
+            let sender_id = config.mapping().stable_of(0);
+            let nodes: Vec<Box<dyn Protocol<Msg = Msg>>> = (0..5)
+                .map(|party| {
+                    let (payload, tape) = (payload.clone(), tape.clone());
+                    Box::new(BlackBox::new(config.clone(), party, move |v, roster| {
+                        let bc = BrachaConfig::epochal(roster.clone());
+                        let me = roster.stable_of(v);
+                        let inner = if me == sender_id {
+                            BrachaNode::sender_with_id(bc, sender_id, payload.clone())
+                        } else {
+                            BrachaNode::with_sender_id(bc, sender_id)
+                        };
+                        let tag = if me == StableId::new(4, 0) { JOINER } else { v };
+                        Tap { inner, tag, tape: tape.clone() }
+                    })) as _
+                })
+                .collect();
+            let report = Simulation::new(nodes, seed)
+                .with_adaptive_delay(initial_first.clone())
+                .with_reconfiguration(5, event.clone())
+                .run();
+            assert_eq!(report.reconfigurations, 1, "seed {seed}");
+            assert_eq!(
+                sent(&tape, JOINER, is_request),
+                6,
+                "seed {seed}: one Request broadcast"
+            );
+            assert!(
+                tape.borrow().contains(&(JOINER, Did::Output(payload.clone()))),
+                "the joiner never delivered at seed {seed}"
+            );
+        }
     }
 
     #[test]

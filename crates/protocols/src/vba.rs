@@ -167,7 +167,6 @@ pub struct VbaNode<V> {
     validity: V,
     // Hosted proposal broadcasts, one per party (instance = sender id).
     rbc: Vec<BrachaNode>,
-    rbc_halted: Vec<bool>,
     delivered: Vec<Option<Vec<u8>>>,
     delivered_quorum: WeightQuorum,
     // Views.
@@ -205,7 +204,6 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
             config,
             validity,
             rbc,
-            rbc_halted: vec![false; n],
             delivered: vec![None; n],
             delivered_quorum,
             view: 0,
@@ -237,9 +235,6 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
                 self.delivered[instance] = Some(out);
                 self.delivered_quorum.vote(StableId::solo(instance));
             }
-        }
-        if effects.halted {
-            self.rbc_halted[instance] = true;
         }
     }
 
@@ -368,9 +363,6 @@ impl<V: Fn(&[u8]) -> bool> Protocol for VbaNode<V> {
         }
         self.delivered_quorum.reweigh(event);
         for instance in 0..self.rbc.len() {
-            if self.rbc_halted[instance] {
-                continue;
-            }
             let mut inner_ctx = Context::detached(ctx.me(), ctx.n(), ctx.now());
             self.rbc[instance].on_reconfigure(event, &mut inner_ctx);
             let fx = inner_ctx.into_effects();
@@ -395,7 +387,7 @@ impl<V: Fn(&[u8]) -> bool> Protocol for VbaNode<V> {
         match msg {
             VbaMsg::Rbc { instance, inner } => {
                 let instance = instance as usize;
-                if instance >= self.rbc.len() || self.rbc_halted[instance] {
+                if instance >= self.rbc.len() {
                     return;
                 }
                 let mut inner_ctx = Context::detached(ctx.me(), ctx.n(), ctx.now());

@@ -53,14 +53,20 @@ impl WireCodec<BrachaMsg> for BrachaCodec {
                 out.push(0);
                 put_slice(out, p);
             }
-            BrachaMsg::Echo(d, p) => {
+            BrachaMsg::Echo(d) => {
                 out.push(1);
                 put_digest(out, d);
-                put_slice(out, p);
             }
-            BrachaMsg::Ready(d, p) => {
+            BrachaMsg::Ready(d) => {
                 out.push(2);
                 put_digest(out, d);
+            }
+            BrachaMsg::Request(d) => {
+                out.push(3);
+                put_digest(out, d);
+            }
+            BrachaMsg::Payload(p) => {
+                out.push(4);
                 put_slice(out, p);
             }
         }
@@ -70,14 +76,10 @@ impl WireCodec<BrachaMsg> for BrachaCodec {
         let mut r = WireReader::new(buf);
         let msg = match r.take_u8()? {
             0 => BrachaMsg::Initial(r.take_slice()?.to_vec()),
-            1 => {
-                let d = take_digest(&mut r)?;
-                BrachaMsg::Echo(d, r.take_slice()?.to_vec())
-            }
-            2 => {
-                let d = take_digest(&mut r)?;
-                BrachaMsg::Ready(d, r.take_slice()?.to_vec())
-            }
+            1 => BrachaMsg::Echo(take_digest(&mut r)?),
+            2 => BrachaMsg::Ready(take_digest(&mut r)?),
+            3 => BrachaMsg::Request(take_digest(&mut r)?),
+            4 => BrachaMsg::Payload(r.take_slice()?.to_vec()),
             t => return Err(WireError::BadTag(t)),
         };
         r.finish()?;
@@ -214,12 +216,45 @@ mod tests {
             vec![
                 BrachaMsg::Initial(Vec::new()),
                 BrachaMsg::Initial(b"payload".to_vec()),
-                BrachaMsg::Echo(d, b"payload".to_vec()),
-                BrachaMsg::Ready(d, b"payload".to_vec()),
+                BrachaMsg::Echo(d),
+                BrachaMsg::Ready(d),
+                BrachaMsg::Request(d),
+                BrachaMsg::Payload(Vec::new()),
+                BrachaMsg::Payload(b"payload".to_vec()),
             ],
         );
         assert_eq!(BrachaCodec.decode(&[9]), Err(WireError::BadTag(9)));
         assert_eq!(BrachaCodec.decode(&[]), Err(WireError::Truncated));
+    }
+
+    /// A peer still speaking the payload-on-every-vote layout (`Echo` tag,
+    /// digest, length-prefixed payload) is version skew: its frame must
+    /// fail on the bytes after the digest, not decode as a bare vote.
+    #[test]
+    fn bracha_old_layout_echo_fails_on_trailing_bytes() {
+        let mut old = vec![1];
+        put_digest(&mut old, &swiper_crypto::hash::digest(b"payload"));
+        put_slice(&mut old, b"payload");
+        assert_eq!(BrachaCodec.decode(&old), Err(WireError::TrailingBytes(4 + 7)));
+    }
+
+    proptest::proptest! {
+        /// The socket is untrusted input: whatever bytes arrive, decoding
+        /// returns a message or an error, never panics — and a message it
+        /// does return re-encodes to exactly the bytes it came from.
+        #[test]
+        fn bracha_decode_never_panics_on_arbitrary_bytes(
+            tag in 0u8..8,
+            body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
+        ) {
+            for buf in [body.clone(), [vec![tag], body].concat()] {
+                if let Ok(msg) = BrachaCodec.decode(&buf) {
+                    let mut again = Vec::new();
+                    BrachaCodec.encode(&msg, &mut again);
+                    proptest::prop_assert_eq!(again, buf);
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ where
     assert!(!full.trace.is_empty(), "the run must record a trace");
     assert_eq!(probe.decode_errors(), 0, "every frame must decode");
     // A healthy wire loses nothing in transit: the only drops are
-    // deliveries to nodes that had already halted (Bracha and ABA halt on
+    // deliveries to nodes that had already halted (ABA halts on
     // decision), and the message conservation law stays exact.
     assert_eq!(
         full.report.metrics.total_messages(),
@@ -172,13 +172,15 @@ fn bracha_delivers_everywhere_on_the_runtime() {
 
 /// Metrics agreement between the two backends for one Bracha scenario.
 ///
-/// Bracha's replicas halt at delivery, so *delivered* counters depend on
-/// the schedule (in-flight messages to a halted node are dropped) — those
-/// are compared runtime-vs-twin, where bit-identity is the contract. The
-/// *sent* counters are schedule-independent: every replica sends exactly
-/// one Echo and one Ready broadcast (plus the sender's Initial) before it
-/// can ever halt, so a seeded simulator run and an independently
-/// scheduled runtime run must agree on them exactly.
+/// Everything is compared runtime-vs-twin, where bit-identity is the
+/// contract. Across backends, the *sent* counters of an honest run are
+/// schedule-independent as long as nobody has to pull: every replica
+/// sends exactly one Echo and one Ready broadcast (plus the sender's
+/// Initial). No pull fires on the simulator's seed-99 schedule, and on
+/// the runtime a pull needs a whole delivery quorum to form before the
+/// sender's single flush has enqueued its last Initial — so the seeded
+/// simulator run and the independently scheduled runtime run must agree
+/// on them exactly.
 #[test]
 fn bracha_metrics_agree_between_sim_and_runtime() {
     let n = 7;

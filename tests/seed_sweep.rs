@@ -101,6 +101,42 @@ fn bracha_equivocation_across_schedules() {
     }
 }
 
+/// Bracha totality through the pull path, across schedules: the sender
+/// (20% of the stake) reaches only parties `0..4` and the lightest party
+/// is silent — 25% misbehaving, under `f_w = 1/3`. Parties 4 and 5 never
+/// see INITIAL; they amplify, complete their delivery quorum on digests
+/// alone and must pull the payload from holders, some of which have
+/// already delivered by the time the `Request` lands. Whether and when a
+/// pull fires is the schedule's choice, which is why this sweeps `seeds()`
+/// (CI runs it at the nightly's width on every PR).
+#[test]
+fn bracha_totality_by_pull_across_schedules() {
+    let weights = Weights::new(vec![20, 20, 20, 20, 10, 5, 5]).unwrap();
+    let payload = b"pull what the sender withheld".to_vec();
+    for seed in seeds() {
+        for delay in [DelayModel::Uniform(1, 24), DelayModel::BiasAgainstLowIds(1, 40)] {
+            let config = BrachaConfig::weighted(weights.clone());
+            let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = Vec::new();
+            nodes.push(Box::new(SelectiveAck::new(
+                BrachaNode::sender(config.clone(), 0, payload.clone()),
+                vec![0, 1, 2, 3],
+            )));
+            for _ in 1..6 {
+                nodes.push(Box::new(BrachaNode::new(config.clone(), 0)));
+            }
+            nodes.push(Box::new(Silent::new()));
+            let report = Simulation::new(nodes, seed).with_delay(delay).run();
+            for i in 1..6 {
+                assert_eq!(
+                    report.outputs[i].as_deref(),
+                    Some(payload.as_slice()),
+                    "party {i} never got the payload at seed {seed} {delay:?}"
+                );
+            }
+        }
+    }
+}
+
 /// ECBC totality with garbage echoers: whenever any honest party delivers,
 /// every honest party delivers the same data, across schedules.
 #[test]
@@ -848,16 +884,27 @@ fn aba_coin_redeal_survives_revisited_assignment() {
 
 /// Zoo round three, next slice: the `BoundaryEquivocator` is honest
 /// within every epoch but re-asserts mangled copies of its own
-/// pre-boundary statements at the first `EpochEvent` — here, its Bracha
-/// ECHO/READY votes replayed with the original digest over a forged
-/// payload. The defense under test is the payload/digest binding check
-/// on delivery (`digest(&payload) != d => drop`): with it, the forged
-/// replays are discarded and every honest party still delivers the real
-/// payload on every schedule; revert it and the forged copy poisons the
-/// per-digest quorum, so whichever schedule lets the equivocator cast a
-/// quorum-completing vote makes an honest party output the forged bytes.
+/// pre-boundary statements at the first `EpochEvent`. Bracha's votes are
+/// bare digests, so forged bytes can enter a node only through a pull
+/// reply: the sender is a `SelectiveAck` that starves parties 5 and 6,
+/// they complete their delivery quorum on digests and broadcast
+/// `Request`, the equivocator answers honestly — and at the boundary
+/// replays that answer as `Payload(b"forged")`. The network adversary
+/// helps it: honest `Payload`s crawl (1000 ticks), and the boundary falls
+/// one event before the pre-reply traffic (5 INITIAL + 33 ECHO + 47
+/// READY + 14 REQUEST deliveries) runs dry, so the forged reply reaches
+/// a party that is still waiting, ahead of every honest one.
+///
+/// The defence under test is the digest check on `Payload`
+/// (`digest(&bytes) == awaited`): with it the forged reply is dropped
+/// and every honest party delivers the real payload on every schedule.
+/// Verified by sabotage — accept any `Payload` while a pull is
+/// outstanding and 94 of the default sweep's 100 starved-party outputs
+/// are `b"forged"` (752 of 800 over 200 seeds), from seed 0 on.
 #[test]
 fn boundary_equivocator_cannot_forge_across_the_boundary() {
+    use std::cell::Cell;
+    use std::rc::Rc;
     use swiper::net::adversary::BoundaryEquivocator;
     let n = 7;
     let payload = b"hold the line across epochs".to_vec();
@@ -865,17 +912,25 @@ fn boundary_equivocator_cannot_forge_across_the_boundary() {
     let tickets = TicketAssignment::new(vec![1u64; n]);
     let delta = TicketDelta::between(&tickets, &tickets).unwrap();
     let event = EpochEvent::new(1, delta, &unit, unit.clone(), 0).unwrap();
+    let pre_reply_events = 5 + 33 + 47 + 14;
     for seed in seeds() {
         for delay in [DelayModel::Uniform(1, 24), DelayModel::BiasAgainstLowIds(1, 40)] {
             let config = BrachaConfig::nominal(n);
+            let forged_replies = Rc::new(Cell::new(0u32));
+            let planted = Rc::clone(&forged_replies);
             let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = Vec::new();
-            nodes.push(Box::new(BrachaNode::sender(config.clone(), 0, payload.clone())));
+            nodes.push(Box::new(SelectiveAck::new(
+                BrachaNode::sender(config.clone(), 0, payload.clone()),
+                vec![0, 1, 2, 3, 4],
+            )));
             nodes.push(Box::new(BoundaryEquivocator::new(
                 BrachaNode::new(config.clone(), 0),
-                |_to, m: BrachaMsg| {
+                move |_to, m: BrachaMsg| {
                     Some(match m {
-                        BrachaMsg::Echo(d, _) => BrachaMsg::Echo(d, b"forged".to_vec()),
-                        BrachaMsg::Ready(d, _) => BrachaMsg::Ready(d, b"forged".to_vec()),
+                        BrachaMsg::Payload(_) => {
+                            planted.set(planted.get() + 1);
+                            BrachaMsg::Payload(b"forged".to_vec())
+                        }
                         other => other,
                     })
                 },
@@ -883,11 +938,17 @@ fn boundary_equivocator_cannot_forge_across_the_boundary() {
             for _ in 2..n {
                 nodes.push(Box::new(BrachaNode::new(config.clone(), 0)));
             }
+            let slow_honest_replies = AdaptiveDelay::new(delay)
+                .rule(|m| matches!(m, BrachaMsg::Payload(p) if p != b"forged"), 1000);
             let report = Simulation::new(nodes, seed)
-                .with_delay(delay)
-                .with_reconfiguration(10, event.clone())
+                .with_adaptive_delay(slow_honest_replies)
+                .with_reconfiguration(pre_reply_events - 1, event.clone())
                 .run();
             assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
+            assert!(
+                forged_replies.get() > 0,
+                "no forged reply was planted at seed {seed} {delay:?}: the attack never ran"
+            );
             for i in (0..n).filter(|&i| i != 1) {
                 assert_eq!(
                     report.outputs[i].as_deref(),
