@@ -18,9 +18,8 @@
 //! often the warm bracket settled on a different (equally valid) local
 //! minimum than cold bisection — the non-monotone dips discussed in
 //! `Swiper::resolve_from`. Solver-mode scenarios are also written as
-//! `BENCH_epochs.json` (schema `swiper-bench-epochs/v1`), one row per
-//! chain × churn with the `bracket_divergence` counter machine-readable
-//! instead of buried in the summary line.
+//! `BENCH_epochs.json`, one row per chain × churn; its columns and how
+//! each is gated are the `swiper_bench::EPOCHS` schema table.
 //!
 //! ```text
 //! cargo run --release -p swiper-bench --bin epochs -- [--epochs N] \
@@ -47,10 +46,11 @@
 //! in the summary).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swiper_bench::{diff_epochs_rows, parse_epochs_json, render_epochs_json, EpochBenchRow};
+use swiper_bench::{gate, verdict, Row, EPOCHS};
 use swiper_core::{Ratio, Swiper, VirtualUsers, WeightQualification, WeightRestriction};
 use swiper_protocols::quorum::{CountQuorum, QuorumTracker, Roster, WeightQuorum};
 use swiper_protocols::smr::{ReconfigureMode, SmrInstance};
@@ -128,40 +128,28 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-struct ScenarioReport {
-    failed: bool,
-    hit_rate: f64,
-    /// Warm-pass DP totals with certificates on / off, and the skips that
-    /// explain the gap.
-    warm_dp_certified: u64,
-    warm_dp_plain: u64,
-    cert_skips: u64,
-    /// Fresh cold-solve DP total — the no-machinery yardstick.
-    cold_dp: u64,
-    /// Epochs where the warm bracket settled on a different (equally
-    /// valid) local minimum than cold bisection.
-    divergences: u64,
+/// The identity of one solver-mode scenario.
+fn cell(chain: Chain, churn_pct: u64) -> Row {
+    Row::default()
+        .with("bench", "epochs")
+        .with("chain", chain.name())
+        .with("churn_pct", churn_pct)
 }
 
-impl ScenarioReport {
-    fn failure() -> Self {
-        ScenarioReport {
-            failed: true,
-            hit_rate: 0.0,
-            warm_dp_certified: 0,
-            warm_dp_plain: 0,
-            cert_skips: 0,
-            cold_dp: 0,
-            divergences: 0,
-        }
-    }
+/// Runs `f`, adding its wall-clock microseconds to `us`.
+fn timed<T>(us: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *us += t0.elapsed().as_micros() as u64;
+    out
 }
 
 /// One chain × churn replay. Two verified-mode loops consume the same
 /// snapshot stream — one with delta-stable certificates (the default), one
 /// without (the PR-2 warm baseline) — so their warm passes face identical
 /// members and the DP-count gap is attributable to certificates alone.
-fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> ScenarioReport {
+/// Returns the scenario's row, or `None` (having said why) when it failed.
+fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> Option<Row> {
     let solver = Swiper::new();
     let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).expect("valid params");
     let setting = Setting::Restriction(wr);
@@ -180,17 +168,20 @@ fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> ScenarioReport {
     let mut cert_skips = 0u64;
     let mut hits = 0u64;
     let mut lookups = 0u64;
+    // Wall clock of the three solves, each timed on its own.
+    let (mut certified_us, mut plain_us, mut cold_us) = (0u64, 0u64, 0u64);
     for epoch in 0..args.epochs {
-        let (outcome, plain_outcome) =
-            match (reconf.advance(&snapshot), plain.advance(&snapshot)) {
-                (Ok(o), Ok(p)) => (o, p),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("{chain} churn={churn_pct}% epoch={epoch}: solve failed: {e}");
-                    return ScenarioReport::failure();
-                }
-            };
-        let baseline = solver
-            .solve_instance(&setting.instance(snapshot.clone()))
+        let outcome = timed(&mut certified_us, || reconf.advance(&snapshot));
+        let plain_outcome = timed(&mut plain_us, || plain.advance(&snapshot));
+        let (outcome, plain_outcome) = match (outcome, plain_outcome) {
+            (Ok(o), Ok(p)) => (o, p),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("{chain} churn={churn_pct}% epoch={epoch}: solve failed: {e}");
+                return None;
+            }
+        };
+        let instance = setting.instance(snapshot.clone());
+        let baseline = timed(&mut cold_us, || solver.solve_instance(&instance))
             .expect("baseline solve cannot fail where advance succeeded");
         // Verified mode publishes the cold-identical result; if this ever
         // trips, the incremental machinery has an actual bug. The
@@ -203,7 +194,7 @@ fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> ScenarioReport {
                 "{chain} churn={churn_pct}% epoch={epoch}: published assignment differs \
                  from the fresh cold solve — incremental machinery is broken"
             );
-            return ScenarioReport::failure();
+            return None;
         }
         // Divergence = the warm bracket settled on a different (equally
         // valid) local minimum than cold bisection — a non-monotone dip.
@@ -253,15 +244,18 @@ fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> ScenarioReport {
         divergences,
         reconf.cached_verdicts(),
     );
-    ScenarioReport {
-        failed: false,
-        hit_rate: rate,
-        warm_dp_certified: warm_dp_total,
-        warm_dp_plain: plain_dp_total,
-        cert_skips,
-        cold_dp: base_dp_total,
-        divergences,
-    }
+    let row = cell(chain, churn_pct)
+        .with("epochs", args.epochs)
+        .with("bracket_divergence", divergences)
+        .with("cert_skips", cert_skips)
+        .with("warm_dp", warm_dp_total)
+        .with("plain_dp", plain_dp_total)
+        .with("cold_dp", base_dp_total)
+        .with("hit_rate_pct", (rate * 100.0).round() as u64)
+        .with("certified_us", certified_us)
+        .with("plain_us", plain_us)
+        .with("cold_us", cold_us);
+    Some(row)
 }
 
 /// Batches are a pure function of `(round, party)`, so the live instance
@@ -493,13 +487,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut ok = true;
-    let mut json_rows: Vec<EpochBenchRow> = Vec::new();
+    let mut problems = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     for &chain in &args.chains {
         for &churn_pct in &args.churn_pcts {
             if args.smr {
                 let report = run_smr_scenario(chain, churn_pct, &args);
-                ok &= !report.failed;
+                if report.failed {
+                    problems.push(format!("{chain} SMR churn={churn_pct}%: replay failed"));
+                }
                 if args.ci_smoke && report.double_counts > 0 {
                     eprintln!(
                         "{chain} SMR churn={churn_pct}%: {} double-count epoch(s) \
@@ -516,99 +512,59 @@ fn main() -> ExitCode {
                 }
                 if args.ci_smoke && churn_pct == 1 {
                     if report.restarted_live >= report.restarted_base {
-                        eprintln!(
+                        problems.push(format!(
                             "{chain} SMR churn=1%: live reconfiguration no longer \
                              reduces restarted rounds ({} vs {})",
                             report.restarted_live, report.restarted_base
-                        );
-                        ok = false;
+                        ));
                     }
                     if report.survived == 0 {
-                        eprintln!(
+                        problems.push(format!(
                             "{chain} SMR churn=1%: no round ever survived an epoch \
                              change — the live pipeline stopped earning its keep"
-                        );
-                        ok = false;
+                        ));
                     }
                 }
-            } else {
-                let report = run_scenario(chain, churn_pct, &args);
-                ok &= !report.failed;
-                if !report.failed {
-                    json_rows.push(EpochBenchRow {
-                        bench: "epochs".into(),
-                        chain: chain.name().into(),
-                        churn_pct,
-                        epochs: args.epochs,
-                        bracket_divergence: report.divergences,
-                        cert_skips: report.cert_skips,
-                        warm_dp: report.warm_dp_certified,
-                        plain_dp: report.warm_dp_plain,
-                        cold_dp: report.cold_dp,
-                        hit_rate_pct: (report.hit_rate * 100.0).round() as u64,
-                    });
+                continue;
+            }
+            let Some(row) = run_scenario(chain, churn_pct, &args) else {
+                problems.push(format!("{chain} churn={churn_pct}%: replay failed"));
+                continue;
+            };
+            if args.ci_smoke && churn_pct == 1 {
+                let count = |f| row.num(f).unwrap_or(0);
+                if count("hit_rate_pct") == 0 {
+                    problems.push(format!(
+                        "{chain} churn=1%: cache hit rate is zero — the verdict cache \
+                         stopped earning its keep"
+                    ));
                 }
-                if args.ci_smoke && churn_pct == 1 {
-                    if report.hit_rate <= 0.0 {
-                        eprintln!(
-                            "{chain} churn=1%: cache hit rate is zero — the verdict cache \
-                             stopped earning its keep"
-                        );
-                        ok = false;
-                    }
-                    if report.warm_dp_plain > 0
-                        && report.warm_dp_certified >= report.warm_dp_plain
-                    {
-                        eprintln!(
-                            "{chain} churn=1%: certificates no longer skip DP calls \
-                             (certified warm {} vs plain warm {})",
-                            report.warm_dp_certified, report.warm_dp_plain
-                        );
-                        ok = false;
-                    }
-                    if report.cert_skips == 0 {
-                        eprintln!(
-                            "{chain} churn=1%: zero certificate skips — the delta-stable \
-                             fast path stopped earning its keep"
-                        );
-                        ok = false;
-                    }
+                if count("plain_dp") > 0 && count("warm_dp") >= count("plain_dp") {
+                    problems.push(format!(
+                        "{chain} churn=1%: certificates no longer skip DP calls \
+                         (certified warm {} vs plain warm {})",
+                        count("warm_dp"),
+                        count("plain_dp")
+                    ));
+                }
+                if count("cert_skips") == 0 {
+                    problems.push(format!(
+                        "{chain} churn=1%: zero certificate skips — the delta-stable \
+                         fast path stopped earning its keep"
+                    ));
                 }
             }
+            rows.push(row);
         }
     }
-    if !json_rows.is_empty() {
-        std::fs::write(&args.out, render_epochs_json(&json_rows))
-            .expect("write benchmark file");
-        println!("wrote {}", args.out);
+    if args.smr {
+        return verdict(&problems);
     }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_epochs_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("epochs: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Gate only the scenarios this sweep covered, so shortened sweeps
-        // can diff against the committed full baseline.
-        let covered: Vec<EpochBenchRow> = baseline
-            .into_iter()
-            .filter(|b| json_rows.iter().any(|r| r.key() == b.key()))
-            .collect();
-        let problems = diff_epochs_rows(&covered, &json_rows);
-        for p in &problems {
-            eprintln!("epochs: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", covered.len());
-        }
-        ok &= problems.is_empty();
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    // The scenarios asked for, not the ones that produced a row (`Schema::scoped`).
+    let planned: Vec<Row> = args
+        .chains
+        .iter()
+        .flat_map(|&chain| args.churn_pcts.iter().map(move |&churn_pct| cell(chain, churn_pct)))
+        .collect();
+    gate(&EPOCHS, &rows, &args.out, args.diff.as_deref(), &planned, problems)
 }

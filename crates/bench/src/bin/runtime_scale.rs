@@ -19,10 +19,8 @@
 //! * **smr** — a round-pipelined ledger ([`SmrNode`]); commits/sec is the
 //!   pipeline's end-to-end rate.
 //!
-//! `commits` (protocol progress at quiescence) is schedule-independent
-//! and regression-gated exactly, as is `twin_ok`; wall time is gated with
-//! 20% tolerance above the 250 ms floor; message counts, latency and RSS
-//! are informational (see `swiper_bench::diff_runtime_rows`).
+//! The columns of `BENCH_runtime.json` and how each is gated are the
+//! `swiper_bench::RUNTIME` schema table.
 //!
 //! ```text
 //! cargo run --release -p swiper-bench --bin runtime_scale -- \
@@ -31,20 +29,17 @@
 //!
 //! `--ci-smoke` runs a reduced sweep (one population per chain, fewer
 //! worker counts) for the nightly soak; `--diff` compares against a
-//! committed baseline, restricted to the cells the current sweep covers,
-//! and exits non-zero on any regression.
+//! committed baseline, scoped to the cells this sweep planned, and exits
+//! non-zero on any regression.
 
 use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use swiper_bench::{
-    current_rss_kb, diff_runtime_rows, parse_runtime_json, peak_rss_kb, render_runtime_json,
-    RuntimeBenchRow, TextTable,
-};
+use swiper_bench::{current_rss_kb, gate, peak_rss_kb, twin_ok, Row, RUNTIME};
 use swiper_core::Weights;
 use swiper_net::{
-    MessageSize, Protocol, RunReport, SendNodes, SocketTransport, ThreadedRuntime, WireCodec,
+    MessageSize, RunReport, SendNodes, SocketTransport, ThreadedRuntime, WireCodec,
 };
 use swiper_protocols::aba::{AbaNode, AbaSetup};
 use swiper_protocols::bracha::{BrachaConfig, BrachaNode};
@@ -105,17 +100,20 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The identity of one sweep cell.
+fn cell(protocol: &str, transport: &str, n: usize, workers: usize) -> Row {
+    Row::default()
+        .with("bench", "runtime_scale")
+        .with("protocol", protocol)
+        .with("transport", transport)
+        .with("n", n as u64)
+        .with("workers", workers as u64)
+}
+
 /// Runs one sweep cell: the chain on the threaded runtime over the given
-/// transport backend, then the twin replay. Returns the row plus whether
-/// the twin held.
-fn run_cell<M, F, C, K>(
-    protocol: &str,
-    transport: &str,
-    n: usize,
-    workers: usize,
-    make: F,
-    commits_of: K,
-) -> (RuntimeBenchRow, bool)
+/// transport backend, then the twin replay on fresh automata from the same
+/// constructors.
+fn run_cell<M, F, C, K>(cell: Row, n: usize, workers: usize, make: F, commits_of: K) -> Row
 where
     M: Clone + MessageSize + Send + 'static,
     F: Fn() -> SendNodes<M>,
@@ -123,7 +121,7 @@ where
     K: Fn(&RunReport) -> u64,
 {
     let runtime = ThreadedRuntime::new(make()).with_workers(workers);
-    let full = if transport == "socket" {
+    let full = if cell.text("transport") == Some("socket") {
         let wire: SocketTransport<M, C> =
             SocketTransport::loopback(n).expect("bind loopback sockets");
         runtime.with_transport(wire).run_traced()
@@ -133,56 +131,30 @@ where
     // RSS at quiescence: the runtime has joined its workers and the trace
     // is fully materialized, so `VmRSS` here is the footprint this cell
     // actually held — sampled before the twin replay allocates its own
-    // copy. `VmHWM`-delta attribution degenerates to 0 for any cell that
-    // fits inside an earlier cell's peak; the quiescent sample (with the
-    // process peak as a non-Linux-safe fallback) is nonzero for every
-    // row.
+    // copy.
     let rss_kb = match current_rss_kb() {
         0 => peak_rss_kb(),
         kb => kb,
-    };
-    // The twin: fresh automata, same constructors, replayed on the
-    // simulator substrate. Outputs and metrics must match bit for bit.
-    let fresh: Vec<Box<dyn Protocol<Msg = M>>> =
-        make().into_iter().map(|b| b as Box<dyn Protocol<Msg = M>>).collect();
-    let twin_ok = match full.trace.replay(fresh) {
-        Ok(r) => {
-            let ok = r.outputs == full.report.outputs && r.metrics == full.report.metrics;
-            if !ok {
-                eprintln!(
-                    "runtime_scale: {protocol}/{transport}/n={n}/w={workers}: twin replay \
-                           ran but outputs or metrics differ"
-                );
-            }
-            ok
-        }
-        Err(e) => {
-            eprintln!("runtime_scale: {protocol}/{transport}/n={n}/w={workers}: {e}");
-            false
-        }
     };
     let commits = commits_of(&full.report);
     let wall_us = full.wall.as_micros().max(1) as u64;
     let msgs = full.report.metrics.delivered_messages();
     let per_sec = |count: u64| count.saturating_mul(1_000_000) / wall_us;
-    let row = RuntimeBenchRow {
-        bench: "runtime_scale".into(),
-        protocol: protocol.into(),
-        transport: transport.into(),
-        n: n as u64,
-        workers: workers as u64,
-        wall_ms: wall_us / 1000,
-        commits,
-        commits_per_sec: per_sec(commits),
-        msgs,
-        msgs_per_sec: per_sec(msgs),
-        p50_us: full.latency.p50_us,
-        p95_us: full.latency.p95_us,
-        p99_us: full.latency.p99_us,
-        peak_rss_kb: rss_kb,
-        twin_ok: u64::from(twin_ok),
-    };
-    (row, twin_ok)
+    let row = cell
+        .with("wall_ms", wall_us / 1000)
+        .with("commits", commits)
+        .with("commits_per_sec", per_sec(commits))
+        .with("msgs", msgs)
+        .with("msgs_per_sec", per_sec(msgs))
+        .with("p50_us", full.latency.p50_us)
+        .with("p95_us", full.latency.p95_us)
+        .with("p99_us", full.latency.p99_us)
+        .with("peak_rss_kb", rss_kb)
+        .with("twin_ok", u64::from(twin_ok(&full, make())));
+    match std::thread::available_parallelism() {
+        Ok(cores) => row.with("cores", cores.get() as u64),
+        Err(_) => row,
+    }
 }
 
 fn bracha_nodes(n: usize, seed: u64) -> SendNodes<swiper_protocols::bracha::BrachaMsg> {
@@ -240,122 +212,36 @@ fn main() -> ExitCode {
     let aba_sizes: &[usize] = if args.ci_smoke { &[8] } else { &[8, 16] };
     let smr_sizes: &[usize] = if args.ci_smoke { &[8] } else { &[8, 16] };
 
-    let mut rows = Vec::new();
-    let mut all_twins_ok = true;
-    let sweep = |rows: &mut Vec<RuntimeBenchRow>, ok: &mut bool, transport: &str| {
-        for &n in bracha_sizes {
-            for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, BrachaCodec, _>(
-                    "bracha",
-                    transport,
-                    n,
-                    w,
-                    || bracha_nodes(n, args.seed),
-                    outputs_count,
-                );
-                rows.push(row);
-                *ok &= twin;
+    // The cells are planned before anything runs (`Schema::scoped`).
+    let mut plan = Vec::new();
+    for &transport in &args.transports {
+        for (protocol, sizes) in
+            [("bracha", bracha_sizes), ("aba", aba_sizes), ("smr", smr_sizes)]
+        {
+            for &n in sizes {
+                for &w in worker_counts.iter().filter(|&&w| w <= n) {
+                    plan.push((protocol, transport, n, w));
+                }
             }
         }
-        for &n in aba_sizes {
-            for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, AbaCodec, _>(
-                    "aba",
-                    transport,
-                    n,
-                    w,
-                    || aba_nodes(n, args.seed),
-                    outputs_count,
-                );
-                rows.push(row);
-                *ok &= twin;
+    }
+    let planned: Vec<Row> = plan.iter().map(|&(p, t, n, w)| cell(p, t, n, w)).collect();
+    let run = |&(protocol, transport, n, w): &(&str, &str, usize, usize)| {
+        let (cell, seed) = (cell(protocol, transport, n, w), args.seed);
+        match protocol {
+            "bracha" => run_cell::<_, _, BrachaCodec, _>(
+                cell,
+                n,
+                w,
+                || bracha_nodes(n, seed),
+                outputs_count,
+            ),
+            "aba" => {
+                run_cell::<_, _, AbaCodec, _>(cell, n, w, || aba_nodes(n, seed), outputs_count)
             }
-        }
-        for &n in smr_sizes {
-            for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, SmrCodec, _>(
-                    "smr",
-                    transport,
-                    n,
-                    w,
-                    || smr_nodes(n, args.seed),
-                    smr_commits,
-                );
-                rows.push(row);
-                *ok &= twin;
-            }
+            _ => run_cell::<_, _, SmrCodec, _>(cell, n, w, || smr_nodes(n, seed), smr_commits),
         }
     };
-    for transport in &args.transports {
-        sweep(&mut rows, &mut all_twins_ok, transport);
-    }
-
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "transport",
-        "n",
-        "workers",
-        "wall_ms",
-        "commits",
-        "commits/s",
-        "msgs",
-        "msgs/s",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "twin",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.protocol.clone(),
-            r.transport.clone(),
-            r.n.to_string(),
-            r.workers.to_string(),
-            r.wall_ms.to_string(),
-            r.commits.to_string(),
-            r.commits_per_sec.to_string(),
-            r.msgs.to_string(),
-            r.msgs_per_sec.to_string(),
-            r.p50_us.to_string(),
-            r.p95_us.to_string(),
-            r.p99_us.to_string(),
-            if r.twin_ok == 1 { "ok".into() } else { "DIVERGED".to_string() },
-        ]);
-    }
-    print!("{}", table.render());
-
-    std::fs::write(&args.out, render_runtime_json(&rows)).expect("write benchmark file");
-    println!("wrote {}", args.out);
-
-    let mut ok = all_twins_ok;
-    if !all_twins_ok {
-        eprintln!("runtime_scale: twin replay DIVERGED — the determinism contract is broken");
-    }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_runtime_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("runtime_scale: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Gate only the cells this sweep covered, so --ci-smoke can diff
-        // against the committed full sweep.
-        let covered: Vec<RuntimeBenchRow> =
-            baseline.into_iter().filter(|b| rows.iter().any(|r| r.key() == b.key())).collect();
-        let problems = diff_runtime_rows(&covered, &rows, 20);
-        for p in &problems {
-            eprintln!("runtime_scale: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", covered.len());
-        }
-        ok &= problems.is_empty();
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let rows: Vec<Row> = plan.iter().map(run).collect();
+    gate(&RUNTIME, &rows, &args.out, args.diff.as_deref(), &planned, Vec::new())
 }

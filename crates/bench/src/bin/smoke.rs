@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use swiper_bench::twin_ok;
 use swiper_core::{Mode, Ratio, Swiper, WeightRestriction, WeightSeparation, Weights};
 use swiper_net::{
     DelayModel, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats, Protocol, SendNodes,
@@ -139,15 +140,7 @@ fn main() {
         let t0 = Instant::now();
         let full =
             ThreadedRuntime::new(bracha_nodes(&whales, &payload)).with_workers(2).run_traced();
-        let fresh: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = bracha_nodes(&whales, &payload)
-            .into_iter()
-            .map(|b| b as Box<dyn Protocol<Msg = BrachaMsg>>)
-            .collect();
-        let twin_ok = full
-            .trace
-            .replay(fresh)
-            .map(|r| r.outputs == full.report.outputs && r.metrics == full.report.metrics)
-            .unwrap_or(false);
+        let twin_ok = twin_ok(&full, bracha_nodes(&whales, &payload));
         let delivered = full.report.outputs.iter().filter(|o| o.is_some()).count();
         println!(
             "{:10} runtime n={:6} workers=2 delivered={}/{} msgs={:5} twin={} time={:?}",

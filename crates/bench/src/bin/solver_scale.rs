@@ -15,28 +15,18 @@
 //!   verdicts replay from stored margins instead of re-running bounds or
 //!   the DP.
 //!
-//! Every row records the generator seed, wall time, published tickets,
-//! `dp_invocations`, `certificate_skips`, `candidates_checked`, the
-//! accelerator counters (`cursor_advances`, `probes_saved`,
-//! `coarse_cert_hits`) and peak RSS, and the whole
-//! sweep is written as `BENCH_solver.json` (schema
-//! `swiper-bench-solver/v1`, one row per line). Counter fields are
-//! bit-deterministic for a fixed seed, which is what makes the file
-//! regression-gateable; wall times are gated with tolerance, RSS is
-//! informational.
+//! The whole sweep is written as `BENCH_solver.json`; its columns and how
+//! each is gated are the `swiper_bench::SOLVER` schema table.
 //!
 //! ```text
 //! cargo run --release -p swiper-bench --bin solver_scale -- \
 //!     [--max-n N] [--out PATH] [--diff BASELINE] [--budget-ms MS] [--seed S]
 //! ```
 //!
-//! `--diff` exits non-zero when any deterministic counter differs from the
-//! baseline or a wall time regresses by more than 20% (rows under 250 ms
-//! are treated as noise); baseline rows above `--max-n` are ignored so a
-//! capped nightly run can diff against the full committed sweep. It also
-//! fails when the fresh certified n = 10⁶ row settles zero checks from
-//! certificates (`certificate_skips + coarse_cert_hits == 0`): the coarse
-//! certificate index has stopped hitting at scale.
+//! `--diff` exits non-zero on any regression `SOLVER` gates; baseline
+//! rows above `--max-n` are out of scope, so a capped nightly run can diff
+//! against the full committed sweep. It also applies
+//! `swiper_bench::solver_invariants` to the fresh rows.
 //! `--budget-ms` exits non-zero when the cold solve at the largest swept
 //! n ≤ 10⁵ exceeds the budget — the nightly wall-clock gate.
 
@@ -45,9 +35,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swiper_bench::{
-    diff_bench_rows, parse_bench_json, peak_rss_kb, render_bench_json, BenchRow, TextTable,
-};
+use swiper_bench::{gate, peak_rss_kb, solver_invariants, Row, SOLVER};
 use swiper_core::{Ratio, SolveStats, Swiper, WeightRestriction};
 use swiper_weights::epoch::{churn_with, ChurnMode, Reconfigurator, Setting};
 use swiper_weights::gen;
@@ -96,6 +84,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The identity of one sweep cell.
+fn cell(case: &str, n: u64) -> Row {
+    Row::default().with("bench", "solver_scale").with("case", case).with("n", n)
+}
+
 fn row(
     case: &str,
     n: u64,
@@ -104,26 +97,22 @@ fn row(
     tickets: u128,
     stats: &SolveStats,
     rss_delta_kb: u64,
-) -> BenchRow {
-    BenchRow {
-        bench: "solver_scale".into(),
-        case_name: case.into(),
-        n,
-        wall_ms,
-        tickets,
-        dp_invocations: stats.dp_invocations,
-        certificate_skips: stats.certificate_skips,
-        candidates_checked: stats.candidates_checked,
-        cursor_advances: stats.cursor_advances,
-        probes_saved: stats.probes_saved,
-        coarse_cert_hits: stats.coarse_cert_hits,
-        seed: gen_seed,
-        peak_rss_kb: rss_delta_kb,
-    }
+) -> Row {
+    cell(case, n)
+        .with("seed", gen_seed)
+        .with("wall_ms", wall_ms)
+        .with("tickets", tickets)
+        .with("dp_invocations", stats.dp_invocations)
+        .with("certificate_skips", stats.certificate_skips)
+        .with("candidates_checked", stats.candidates_checked)
+        .with("cursor_advances", stats.cursor_advances)
+        .with("probes_saved", stats.probes_saved)
+        .with("coarse_cert_hits", stats.coarse_cert_hits)
+        .with("peak_rss_kb", rss_delta_kb)
 }
 
 /// One population size: cold solve plus the two epoch-step variants.
-fn run_size(n: u64, seed: u64) -> Vec<BenchRow> {
+fn run_size(n: u64, seed: u64) -> Vec<Row> {
     let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).expect("valid params");
     let setting = Setting::Restriction(p);
     let whales = usize::try_from((n / 10_000).max(8)).expect("fits");
@@ -179,113 +168,38 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut rows = Vec::new();
-    for n in SIZES.into_iter().filter(|&n| n <= args.max_n) {
-        rows.extend(run_size(n, args.seed));
-        println!("n={n}: done");
-    }
-    if rows.is_empty() {
+    // The cells are planned before anything runs (`Schema::scoped`).
+    let sizes: Vec<u64> = SIZES.into_iter().filter(|&n| n <= args.max_n).collect();
+    let planned: Vec<Row> = sizes
+        .iter()
+        .flat_map(|&n| ["cold", "warm", "certified"].map(|case| cell(case, n)))
+        .collect();
+    if planned.is_empty() {
         eprintln!("solver_scale: --max-n {} admits no sweep size", args.max_n);
         return ExitCode::FAILURE;
     }
-
-    let mut table = TextTable::new(vec![
-        "n",
-        "case",
-        "seed",
-        "wall_ms",
-        "tickets",
-        "dp",
-        "cert_skips",
-        "coarse",
-        "cursor",
-        "saved",
-        "candidates",
-        "rss_kb",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.n.to_string(),
-            r.case_name.clone(),
-            r.seed.to_string(),
-            r.wall_ms.to_string(),
-            r.tickets.to_string(),
-            r.dp_invocations.to_string(),
-            r.certificate_skips.to_string(),
-            r.coarse_cert_hits.to_string(),
-            r.cursor_advances.to_string(),
-            r.probes_saved.to_string(),
-            r.candidates_checked.to_string(),
-            r.peak_rss_kb.to_string(),
-        ]);
+    let mut rows = Vec::new();
+    for &n in &sizes {
+        rows.extend(run_size(n, args.seed));
+        println!("n={n}: done");
     }
-    print!("{}", table.render());
 
-    std::fs::write(&args.out, render_bench_json(&rows)).expect("write benchmark file");
-    println!("wrote {}", args.out);
-
-    let mut ok = true;
+    let mut problems = Vec::new();
     if let Some(budget) = args.budget_ms {
-        let gate_n = SIZES.into_iter().filter(|&n| n <= args.max_n.min(100_000)).max();
-        let cold = gate_n.and_then(|n| rows.iter().find(|r| r.case_name == "cold" && r.n == n));
-        match cold {
-            Some(r) if r.wall_ms > budget => {
-                eprintln!(
-                    "solver_scale: cold n={} took {} ms, over the {} ms budget",
-                    r.n, r.wall_ms, budget
-                );
-                ok = false;
-            }
-            Some(r) => {
-                println!("budget: cold n={} at {} ms within {} ms", r.n, r.wall_ms, budget)
-            }
-            None => {
-                eprintln!("solver_scale: no cold row to apply --budget-ms to");
-                ok = false;
-            }
+        // The largest swept n ≤ 10⁵; the smallest size is 10³, so one exists.
+        let n =
+            sizes.iter().copied().filter(|&n| n <= 100_000).max().expect("sizes is non-empty");
+        let is_cold = |r: &&Row| SOLVER.key(r) == SOLVER.key(&cell("cold", n));
+        let ms =
+            rows.iter().find(is_cold).and_then(|r| r.num("wall_ms")).expect("cold row ran");
+        if ms > budget.into() {
+            problems.push(format!("cold n={n} took {ms} ms, over the {budget} ms budget"));
+        } else {
+            println!("budget: cold n={n} at {ms} ms within {budget} ms");
         }
     }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_bench_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("solver_scale: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let in_scope: Vec<BenchRow> =
-            baseline.into_iter().filter(|r| r.n <= args.max_n).collect();
-        let problems = diff_bench_rows(&in_scope, &rows, 20);
-        for p in &problems {
-            eprintln!("solver_scale: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", in_scope.len());
-        }
-        ok &= problems.is_empty();
-        match rows.iter().find(|r| r.case_name == "certified" && r.n == 1_000_000) {
-            Some(r) => {
-                println!(
-                    "certified n=1e6: certificate_skips={} coarse_cert_hits={} \
-                     cursor_advances={} probes_saved={}",
-                    r.certificate_skips, r.coarse_cert_hits, r.cursor_advances, r.probes_saved
-                );
-                if r.certificate_skips + r.coarse_cert_hits == 0 {
-                    eprintln!(
-                        "solver_scale: REGRESSION: certified n=1e6 warm replay settled zero \
-                         checks from certificates — the coarse certificate index stopped \
-                         hitting at scale"
-                    );
-                    ok = false;
-                }
-            }
-            None => println!("sweep capped below n=1e6; skipping the certificate-hit gate"),
-        }
+    if args.diff.is_some() {
+        problems.extend(solver_invariants(&rows));
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate(&SOLVER, &rows, &args.out, args.diff.as_deref(), &planned, problems)
 }

@@ -3,19 +3,23 @@
 //! Each binary under `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md's experiment index); this library holds the
 //! parameter sets, measurement records and small table/CSV writers they
-//! share.
+//! share, plus the one bench schema behind the four gated `BENCH_*.json`
+//! files: a generic [`Row`], the [`Schema`] tables ([`SOLVER`],
+//! [`EPOCHS`], [`RUNTIME`], [`GOSSIP`]) and the [`gate`] driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
 
 use swiper_core::{
     Mode, Ratio, Solution, Swiper, TicketAssignment, WeightQualification, WeightRestriction,
     WeightSeparation, Weights,
 };
+use swiper_net::{MessageSize, Protocol, RuntimeReport, SendNodes};
 
 /// The WR/WQ parameter pairs of Table 2 (each WR pair `(aw, an)` is the
 /// Theorem 2.2 mirror of the WQ pair `(1-aw, 1-an)` printed below it).
@@ -120,794 +124,610 @@ impl From<&Solution> for SolveMeasurement {
     }
 }
 
-/// Schema tag written into (and required from) `BENCH_solver.json`.
-pub const BENCH_SOLVER_SCHEMA: &str = "swiper-bench-solver/v1";
-
-/// One measurement row of the machine-checked benchmark trajectory
-/// (`BENCH_solver.json`). Counter fields are bit-deterministic for a given
-/// seed and code version; `wall_ms` and `peak_rss_kb` are environmental.
+/// One cell of a bench [`Row`]: a label or an unsigned count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchRow {
-    /// Benchmark family, e.g. `solver_scale`.
-    pub bench: String,
-    /// Case within the family, e.g. `cold` / `warm` / `certified`.
-    pub case_name: String,
-    /// Population size.
-    pub n: u64,
-    /// Wall-clock milliseconds.
-    pub wall_ms: u64,
-    /// Total tickets allocated by the published solution.
-    pub tickets: u128,
-    /// Exact-DP invocations across the run.
-    pub dp_invocations: u64,
-    /// Checks settled by replaying a delta-stable certificate.
-    pub certificate_skips: u64,
-    /// Family members materialized and checked.
-    pub candidates_checked: u64,
-    /// Probes answered by the incremental family cursor reusing its
-    /// interval state instead of rebuilding candidates from scratch.
-    pub cursor_advances: u64,
-    /// Estimated probes the sampling-guided bracket avoided versus a cold
-    /// bisection of the full `[0, bound]` range.
-    pub probes_saved: u64,
-    /// Checks settled by a certificate found under a *nearby* stored
-    /// total (coarse key); disjoint from `certificate_skips`.
-    pub coarse_cert_hits: u64,
-    /// RNG seed the weight generator ran with — rows are reproducible
-    /// from `(bench, case, n, seed)` alone.
-    pub seed: u64,
-    /// Per-cell growth of the process peak RSS in kilobytes: `VmHWM`
-    /// delta across the cell's measured phase. `VmHWM` is a
-    /// process-lifetime high-water mark, so this is a monotone-floor
-    /// decomposition — a cell whose footprint fits inside an earlier
-    /// cell's peak reports 0, never an inherited peak. Informational,
-    /// never regression-gated; 0 when `/proc` is unavailable.
-    pub peak_rss_kb: u64,
+pub enum Value {
+    /// A label such as a chain, protocol or backend name.
+    Str(String),
+    /// A counter or measurement (`u128`: ticket totals outgrow `u64`).
+    Num(u128),
 }
 
-impl BenchRow {
-    /// The `(bench, case, n)` identity rows are matched on when diffing.
-    pub fn key(&self) -> (String, String, u64) {
-        (self.bench.clone(), self.case_name.clone(), self.n)
-    }
-
-    fn to_json_line(&self) -> String {
-        format!(
-            "    {{\"bench\":\"{}\",\"case\":\"{}\",\"n\":{},\"seed\":{},\"wall_ms\":{},\
-             \"tickets\":{},\
-             \"dp_invocations\":{},\"certificate_skips\":{},\"candidates_checked\":{},\
-             \"cursor_advances\":{},\"probes_saved\":{},\"coarse_cert_hits\":{},\
-             \"peak_rss_kb\":{}}}",
-            self.bench,
-            self.case_name,
-            self.n,
-            self.seed,
-            self.wall_ms,
-            self.tickets,
-            self.dp_invocations,
-            self.certificate_skips,
-            self.candidates_checked,
-            self.cursor_advances,
-            self.probes_saved,
-            self.coarse_cert_hits,
-            self.peak_rss_kb
-        )
-    }
-}
-
-/// Serializes rows as the `BENCH_solver.json` document: a schema header
-/// plus one row object per line (line-oriented so the lenient parser and
-/// plain `diff` both stay useful). Hand-rolled — the vendored serde shim
-/// is marker-only.
-pub fn render_bench_json(rows: &[BenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{BENCH_SOLVER_SCHEMA}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&row.to_json_line());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_solver.json` document produced by
-/// [`render_bench_json`]. Lenient and line-oriented: any line containing a
-/// `"bench"` key is treated as a row; missing numeric fields default to 0
-/// so older files with fewer columns still diff.
-///
-/// # Errors
-///
-/// Returns a description when the schema tag is absent or unexpected.
-pub fn parse_bench_json(doc: &str) -> Result<Vec<BenchRow>, String> {
-    if !doc.contains(&format!("\"schema\": \"{BENCH_SOLVER_SCHEMA}\"")) {
-        return Err(format!("missing or unexpected schema tag (want {BENCH_SOLVER_SCHEMA})"));
-    }
-    let mut rows = Vec::new();
-    for line in doc.lines() {
-        let Some(bench) = json_str_field(line, "bench") else { continue };
-        rows.push(BenchRow {
-            bench,
-            case_name: json_str_field(line, "case").unwrap_or_default(),
-            n: json_num_field(line, "n").unwrap_or(0) as u64,
-            wall_ms: json_num_field(line, "wall_ms").unwrap_or(0) as u64,
-            tickets: json_num_field(line, "tickets").unwrap_or(0),
-            dp_invocations: json_num_field(line, "dp_invocations").unwrap_or(0) as u64,
-            certificate_skips: json_num_field(line, "certificate_skips").unwrap_or(0) as u64,
-            candidates_checked: json_num_field(line, "candidates_checked").unwrap_or(0) as u64,
-            cursor_advances: json_num_field(line, "cursor_advances").unwrap_or(0) as u64,
-            probes_saved: json_num_field(line, "probes_saved").unwrap_or(0) as u64,
-            coarse_cert_hits: json_num_field(line, "coarse_cert_hits").unwrap_or(0) as u64,
-            seed: json_num_field(line, "seed").unwrap_or(0) as u64,
-            peak_rss_kb: json_num_field(line, "peak_rss_kb").unwrap_or(0) as u64,
-        });
-    }
-    Ok(rows)
-}
-
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let tail = &line[line.find(&format!("\"{key}\":\""))? + key.len() + 4..];
-    Some(tail[..tail.find('"')?].to_string())
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let tail = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Schema tag written into (and required from) `BENCH_epochs.json`.
-pub const BENCH_EPOCHS_SCHEMA: &str = "swiper-bench-epochs/v1";
-
-/// One scenario row of the epoch-replay trajectory (`BENCH_epochs.json`):
-/// a chain × churn replay through the incremental re-solve loop. The
-/// headline counter is `bracket_divergence` — epochs where the warm
-/// bracket settled on a different (equally valid) local minimum than cold
-/// bisection, the non-monotone dips discussed in `Swiper::resolve_from`.
-/// Previously this telemetry only existed as a text summary line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochBenchRow {
-    /// Benchmark family, always `epochs`.
-    pub bench: String,
-    /// Chain the snapshot stream replayed, e.g. `aptos`.
-    pub chain: String,
-    /// Churned parties per epoch, percent of the population.
-    pub churn_pct: u64,
-    /// Epochs replayed.
-    pub epochs: u64,
-    /// Epochs where the warm bracket landed on a different local minimum
-    /// than cold bisection (published results stay cold-identical).
-    pub bracket_divergence: u64,
-    /// Certificate skips across the replay (exact-total key).
-    pub cert_skips: u64,
-    /// Warm-pass DP invocations with certificates on.
-    pub warm_dp: u64,
-    /// Warm-pass DP invocations with certificates off.
-    pub plain_dp: u64,
-    /// Fresh cold-solve DP invocations (the no-machinery yardstick).
-    pub cold_dp: u64,
-    /// Verdict-cache hit rate over the replay, rounded percent.
-    pub hit_rate_pct: u64,
-}
-
-impl EpochBenchRow {
-    /// The `(bench, chain, churn_pct)` identity rows are matched on.
-    pub fn key(&self) -> (String, String, u64) {
-        (self.bench.clone(), self.chain.clone(), self.churn_pct)
-    }
-
-    fn to_json_line(&self) -> String {
-        format!(
-            "    {{\"bench\":\"{}\",\"chain\":\"{}\",\"churn_pct\":{},\"epochs\":{},\
-             \"bracket_divergence\":{},\"cert_skips\":{},\"warm_dp\":{},\"plain_dp\":{},\
-             \"cold_dp\":{},\"hit_rate_pct\":{}}}",
-            self.bench,
-            self.chain,
-            self.churn_pct,
-            self.epochs,
-            self.bracket_divergence,
-            self.cert_skips,
-            self.warm_dp,
-            self.plain_dp,
-            self.cold_dp,
-            self.hit_rate_pct
-        )
-    }
-}
-
-/// Serializes epoch-replay rows as the `BENCH_epochs.json` document (same
-/// line-oriented shape as [`render_bench_json`]).
-pub fn render_epochs_json(rows: &[EpochBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{BENCH_EPOCHS_SCHEMA}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&row.to_json_line());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_epochs.json` document produced by
-/// [`render_epochs_json`]. Lenient and line-oriented, like
-/// [`parse_bench_json`].
-///
-/// # Errors
-///
-/// Returns a description when the schema tag is absent or unexpected.
-pub fn parse_epochs_json(doc: &str) -> Result<Vec<EpochBenchRow>, String> {
-    if !doc.contains(&format!("\"schema\": \"{BENCH_EPOCHS_SCHEMA}\"")) {
-        return Err(format!("missing or unexpected schema tag (want {BENCH_EPOCHS_SCHEMA})"));
-    }
-    let mut rows = Vec::new();
-    for line in doc.lines() {
-        let Some(bench) = json_str_field(line, "bench") else { continue };
-        let num = |key: &str| json_num_field(line, key).unwrap_or(0) as u64;
-        rows.push(EpochBenchRow {
-            bench,
-            chain: json_str_field(line, "chain").unwrap_or_default(),
-            churn_pct: num("churn_pct"),
-            epochs: num("epochs"),
-            bracket_divergence: num("bracket_divergence"),
-            cert_skips: num("cert_skips"),
-            warm_dp: num("warm_dp"),
-            plain_dp: num("plain_dp"),
-            cold_dp: num("cold_dp"),
-            hit_rate_pct: num("hit_rate_pct"),
-        });
-    }
-    Ok(rows)
-}
-
-/// Compares a fresh epoch-replay run against a committed baseline.
-///
-/// The replay is seed-deterministic, so the solver-work counters
-/// (`epochs`, `cert_skips`, `warm_dp`, `plain_dp`, `cold_dp`,
-/// `hit_rate_pct`) must match exactly. `bracket_divergence` is
-/// **informational**: it counts epochs where the warm bracket settled on a
-/// different (equally valid) local minimum than cold bisection — a
-/// legitimate degree of freedom of the accelerated path, not a regression
-/// signal — so it is never gated. Baseline rows missing from the fresh run
-/// are regressions; extra fresh rows are not.
-pub fn diff_epochs_rows(baseline: &[EpochBenchRow], fresh: &[EpochBenchRow]) -> Vec<String> {
-    let mut problems = Vec::new();
-    for old in baseline {
-        let Some(new) = fresh.iter().find(|r| r.key() == old.key()) else {
-            problems.push(format!(
-                "row {}/{}/churn={}% missing from fresh run",
-                old.bench, old.chain, old.churn_pct
-            ));
-            continue;
-        };
-        let id = format!("{}/{}/churn={}%", old.bench, old.chain, old.churn_pct);
-        let counters = [
-            ("epochs", old.epochs, new.epochs),
-            ("cert_skips", old.cert_skips, new.cert_skips),
-            ("warm_dp", old.warm_dp, new.warm_dp),
-            ("plain_dp", old.plain_dp, new.plain_dp),
-            ("cold_dp", old.cold_dp, new.cold_dp),
-            ("hit_rate_pct", old.hit_rate_pct, new.hit_rate_pct),
-        ];
-        for (name, was, now) in counters {
-            if was != now {
-                problems.push(format!("{id}: {name} changed {was} -> {now}"));
-            }
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Str(s) => f.write_str(s),
+            Value::Num(n) => write!(f, "{n}"),
         }
     }
-    problems
 }
 
-/// Schema tag written into (and required from) `BENCH_runtime.json`.
-pub const BENCH_RUNTIME_SCHEMA: &str = "swiper-bench-runtime/v1";
-
-/// One measurement row of the threaded-runtime trajectory
-/// (`BENCH_runtime.json`): a protocol chain driven to quiescence on the
-/// [`ThreadedRuntime`](swiper_net::ThreadedRuntime) and replay-checked
-/// against its simulator twin.
-///
-/// `commits` (protocol-level progress at quiescence) and `twin_ok` are
-/// schedule-independent and regression-gated exactly; wall time is gated
-/// with tolerance above [`BENCH_WALL_FLOOR_MS`]; message counts, latency
-/// percentiles and RSS vary with the OS schedule and are informational.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuntimeBenchRow {
-    /// Benchmark family, e.g. `runtime_scale`.
-    pub bench: String,
-    /// Protocol chain: `bracha` / `aba` / `smr`.
-    pub protocol: String,
-    /// Transport backend the runtime ran on: `channel` (in-process
-    /// inboxes) or `socket` (loopback TCP through the wire codecs).
-    pub transport: String,
-    /// Population size.
-    pub n: u64,
-    /// Worker threads the runtime ran with.
-    pub workers: u64,
-    /// Wall-clock milliseconds of the run.
-    pub wall_ms: u64,
-    /// Protocol-level progress at quiescence (deliveries, decisions, or
-    /// committed rounds — deterministic for an honest chain).
-    pub commits: u64,
-    /// Commit throughput, rounded commits per second.
-    pub commits_per_sec: u64,
-    /// Messages delivered (schedule-dependent for halting protocols).
-    pub msgs: u64,
-    /// Delivery throughput, rounded messages per second.
-    pub msgs_per_sec: u64,
-    /// Median send→process latency, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Resident set size in kilobytes sampled at quiescence (workers
-    /// joined, queues drained), falling back to the process `VmHWM` peak
-    /// when `VmRSS` is unavailable. The earlier `VmHWM`-delta scheme
-    /// reported 0 for any cell whose footprint fit inside a predecessor's
-    /// peak, which zeroed most rows of a sweep; a quiescent sample is
-    /// nonzero for every live process. Informational, never
-    /// regression-gated.
-    pub peak_rss_kb: u64,
-    /// 1 when the delivery trace replayed bit-identically on the
-    /// simulator twin, 0 otherwise.
-    pub twin_ok: u64,
-}
-
-impl RuntimeBenchRow {
-    /// The `(bench, protocol, transport, n, workers)` identity rows are
-    /// matched on when diffing.
-    pub fn key(&self) -> (String, String, String, u64, u64) {
-        (
-            self.bench.clone(),
-            self.protocol.clone(),
-            self.transport.clone(),
-            self.n,
-            self.workers,
-        )
-    }
-
-    fn to_json_line(&self) -> String {
-        format!(
-            "    {{\"bench\":\"{}\",\"protocol\":\"{}\",\"transport\":\"{}\",\"n\":{},\
-             \"workers\":{},\
-             \"wall_ms\":{},\"commits\":{},\"commits_per_sec\":{},\"msgs\":{},\
-             \"msgs_per_sec\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
-             \"peak_rss_kb\":{},\"twin_ok\":{}}}",
-            self.bench,
-            self.protocol,
-            self.transport,
-            self.n,
-            self.workers,
-            self.wall_ms,
-            self.commits,
-            self.commits_per_sec,
-            self.msgs,
-            self.msgs_per_sec,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.peak_rss_kb,
-            self.twin_ok
-        )
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.into())
     }
 }
 
-/// Serializes runtime rows as the `BENCH_runtime.json` document (same
-/// line-oriented shape as [`render_bench_json`]).
-pub fn render_runtime_json(rows: &[RuntimeBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{BENCH_RUNTIME_SCHEMA}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&row.to_json_line());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Num(n.into())
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Parses a `BENCH_runtime.json` document produced by
-/// [`render_runtime_json`]. Lenient and line-oriented, like
-/// [`parse_bench_json`].
-///
-/// # Errors
-///
-/// Returns a description when the schema tag is absent or unexpected.
-pub fn parse_runtime_json(doc: &str) -> Result<Vec<RuntimeBenchRow>, String> {
-    if !doc.contains(&format!("\"schema\": \"{BENCH_RUNTIME_SCHEMA}\"")) {
-        return Err(format!("missing or unexpected schema tag (want {BENCH_RUNTIME_SCHEMA})"));
+impl From<u128> for Value {
+    fn from(n: u128) -> Self {
+        Value::Num(n)
     }
-    let mut rows = Vec::new();
-    for line in doc.lines() {
-        let Some(bench) = json_str_field(line, "bench") else { continue };
-        let num = |key: &str| json_num_field(line, key).unwrap_or(0) as u64;
-        rows.push(RuntimeBenchRow {
-            bench,
-            protocol: json_str_field(line, "protocol").unwrap_or_default(),
-            // Rows written before the transport axis existed are channel
-            // rows: that was the only backend.
-            transport: json_str_field(line, "transport").unwrap_or_else(|| "channel".into()),
-            n: num("n"),
-            workers: num("workers"),
-            wall_ms: num("wall_ms"),
-            commits: num("commits"),
-            commits_per_sec: num("commits_per_sec"),
-            msgs: num("msgs"),
-            msgs_per_sec: num("msgs_per_sec"),
-            p50_us: num("p50_us"),
-            p95_us: num("p95_us"),
-            p99_us: num("p99_us"),
-            peak_rss_kb: num("peak_rss_kb"),
-            twin_ok: num("twin_ok"),
-        });
-    }
-    Ok(rows)
 }
 
-/// Compares a fresh runtime-benchmark run against a committed baseline.
-///
-/// `commits` and `twin_ok` must match exactly (they are
-/// schedule-independent; a `twin_ok` flip means the determinism-twin
-/// contract broke). Wall time regresses when it exceeds the baseline by
-/// more than `tol_pct` percent and both sides are above
-/// [`BENCH_WALL_FLOOR_MS`]. Message counts, latency percentiles and RSS
-/// are never gated. Baseline rows missing from the fresh run are
-/// regressions; extra fresh rows are not.
-pub fn diff_runtime_rows(
-    baseline: &[RuntimeBenchRow],
-    fresh: &[RuntimeBenchRow],
-    tol_pct: u64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for old in baseline {
-        let Some(new) = fresh.iter().find(|r| r.key() == old.key()) else {
-            problems.push(format!(
-                "row {}/{}/{}/n={}/w={} missing from fresh run",
-                old.bench, old.protocol, old.transport, old.n, old.workers
-            ));
-            continue;
-        };
-        let id = format!(
-            "{}/{}/{}/n={}/w={}",
-            old.bench, old.protocol, old.transport, old.n, old.workers
-        );
-        if old.commits != new.commits {
-            problems.push(format!("{id}: commits changed {} -> {}", old.commits, new.commits));
-        }
-        if old.twin_ok != new.twin_ok {
-            problems.push(format!(
-                "{id}: twin replay status changed {} -> {}",
-                old.twin_ok, new.twin_ok
-            ));
-        }
-        if old.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms.saturating_mul(100) > old.wall_ms.saturating_mul(100 + tol_pct)
-        {
-            problems.push(format!(
-                "{id}: wall_ms regressed {} -> {} (> {tol_pct}%)",
-                old.wall_ms, new.wall_ms
-            ));
+/// One measurement row of a `BENCH_*.json` file: ordered `(field, value)`
+/// pairs. A column the cell did not measure is simply absent — the row
+/// never claims a zero it did not observe.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Row(Vec<(&'static str, Value)>);
+
+impl Row {
+    /// Builder form of [`Row::set`].
+    #[must_use]
+    pub fn with(mut self, field: &'static str, value: impl Into<Value>) -> Self {
+        self.set(field, value);
+        self
+    }
+
+    /// Sets `field`, replacing an earlier value.
+    pub fn set(&mut self, field: &'static str, value: impl Into<Value>) {
+        let value = value.into();
+        match self.0.iter_mut().find(|(name, _)| *name == field) {
+            Some(cell) => cell.1 = value,
+            None => self.0.push((field, value)),
         }
     }
-    problems
-}
 
-/// Schema tag written into (and required from) `BENCH_gossip.json`.
-pub const BENCH_GOSSIP_SCHEMA: &str = "swiper-bench-gossip/v1";
-
-/// One measurement row of the gossip-overlay dissemination trajectory
-/// (`BENCH_gossip.json`): weighted Bracha driven over a dissemination
-/// backend (`overlay` partial-view gossip, or the `fullmesh` yardstick)
-/// on one substrate (`sim` seeded simulator, or `threaded` runtime).
-///
-/// Simulator rows are seed-deterministic, so their counters are
-/// regression-gated exactly; threaded rows gate `reach_pct` and `twin_ok`
-/// exactly and wall time with tolerance, everything else being
-/// OS-schedule noise. The headline economy claim — overlay
-/// msgs/delivery strictly below the n²-flood baseline of `n` at
-/// `n >= 256` — is gated unconditionally on every fresh overlay row by
-/// [`diff_gossip_rows`], baseline present or not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GossipBenchRow {
-    /// Benchmark family, e.g. `gossip_scale`.
-    pub bench: String,
-    /// Dissemination backend: `overlay` or `fullmesh`.
-    pub backend: String,
-    /// Execution substrate: `sim` or `threaded`.
-    pub substrate: String,
-    /// Population size.
-    pub n: u64,
-    /// RNG seed (overlay view construction and the delay schedule).
-    pub seed: u64,
-    /// Wall-clock milliseconds of the run.
-    pub wall_ms: u64,
-    /// Nodes that delivered the payload, percent of the population.
-    pub reach_pct: u64,
-    /// Maximum eager-hop count observed — rounds to full delivery.
-    pub rounds: u64,
-    /// Total messages the run sent (overlay control + data frames).
-    pub msgs: u64,
-    /// Unique first-receipt payload deliveries across the fleet.
-    pub deliveries: u64,
-    /// Messages per delivery, fixed-point ×100 (e.g. `1042` = 10.42).
-    pub msgs_per_delivery_x100: u64,
-    /// Bytes sent (every frame, payload and control) per delivery.
-    pub bytes_per_delivery: u64,
-    /// The n²-flood yardstick in the same unit: a reliable full-mesh
-    /// flood costs `n` messages per delivery (n² messages, n deliveries).
-    pub baseline_msgs_per_delivery: u64,
-    /// Mean active-view degree across the fleet, fixed-point ×100.
-    pub mean_degree_x100: u64,
-    /// Median send→process latency, microseconds (threaded rows only).
-    pub p50_us: u64,
-    /// 95th-percentile latency, microseconds (threaded rows only).
-    pub p95_us: u64,
-    /// 99th-percentile latency, microseconds (threaded rows only).
-    pub p99_us: u64,
-    /// 1 when the delivery trace replayed bit-identically on the
-    /// simulator twin (threaded rows; simulator rows write 1).
-    pub twin_ok: u64,
-}
-
-impl GossipBenchRow {
-    /// The `(bench, backend, substrate, n, seed)` identity rows are
-    /// matched on when diffing.
-    pub fn key(&self) -> (String, String, String, u64, u64) {
-        (self.bench.clone(), self.backend.clone(), self.substrate.clone(), self.n, self.seed)
+    /// The value of `field`, if the row carries it.
+    pub fn get(&self, field: &str) -> Option<&Value> {
+        self.0.iter().find(|(name, _)| *name == field).map(|(_, v)| v)
     }
 
-    /// Messages per delivery as a float, for display.
-    pub fn msgs_per_delivery(&self) -> f64 {
-        self.msgs_per_delivery_x100 as f64 / 100.0
-    }
-
-    fn to_json_line(&self) -> String {
-        format!(
-            "    {{\"bench\":\"{}\",\"backend\":\"{}\",\"substrate\":\"{}\",\"n\":{},\
-             \"seed\":{},\"wall_ms\":{},\"reach_pct\":{},\"rounds\":{},\"msgs\":{},\
-             \"deliveries\":{},\"msgs_per_delivery_x100\":{},\"bytes_per_delivery\":{},\
-             \"baseline_msgs_per_delivery\":{},\"mean_degree_x100\":{},\
-             \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"twin_ok\":{}}}",
-            self.bench,
-            self.backend,
-            self.substrate,
-            self.n,
-            self.seed,
-            self.wall_ms,
-            self.reach_pct,
-            self.rounds,
-            self.msgs,
-            self.deliveries,
-            self.msgs_per_delivery_x100,
-            self.bytes_per_delivery,
-            self.baseline_msgs_per_delivery,
-            self.mean_degree_x100,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.twin_ok
-        )
-    }
-}
-
-/// Serializes gossip rows as the `BENCH_gossip.json` document (same
-/// line-oriented shape as [`render_bench_json`]).
-pub fn render_gossip_json(rows: &[GossipBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{BENCH_GOSSIP_SCHEMA}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&row.to_json_line());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_gossip.json` document produced by
-/// [`render_gossip_json`]. Lenient and line-oriented, like
-/// [`parse_bench_json`].
-///
-/// # Errors
-///
-/// Returns a description when the schema tag is absent or unexpected.
-pub fn parse_gossip_json(doc: &str) -> Result<Vec<GossipBenchRow>, String> {
-    if !doc.contains(&format!("\"schema\": \"{BENCH_GOSSIP_SCHEMA}\"")) {
-        return Err(format!("missing or unexpected schema tag (want {BENCH_GOSSIP_SCHEMA})"));
-    }
-    let mut rows = Vec::new();
-    for line in doc.lines() {
-        let Some(bench) = json_str_field(line, "bench") else { continue };
-        let num = |key: &str| json_num_field(line, key).unwrap_or(0) as u64;
-        rows.push(GossipBenchRow {
-            bench,
-            backend: json_str_field(line, "backend").unwrap_or_default(),
-            substrate: json_str_field(line, "substrate").unwrap_or_default(),
-            n: num("n"),
-            seed: num("seed"),
-            wall_ms: num("wall_ms"),
-            reach_pct: num("reach_pct"),
-            rounds: num("rounds"),
-            msgs: num("msgs"),
-            deliveries: num("deliveries"),
-            msgs_per_delivery_x100: num("msgs_per_delivery_x100"),
-            bytes_per_delivery: num("bytes_per_delivery"),
-            baseline_msgs_per_delivery: num("baseline_msgs_per_delivery"),
-            mean_degree_x100: num("mean_degree_x100"),
-            p50_us: num("p50_us"),
-            p95_us: num("p95_us"),
-            p99_us: num("p99_us"),
-            twin_ok: num("twin_ok"),
-        });
-    }
-    Ok(rows)
-}
-
-/// Population size from which the overlay-beats-flooding economy gate
-/// applies: below it the log-degree overlay and the mesh are too close
-/// for the comparison to be meaningful.
-pub const GOSSIP_ECONOMY_FLOOR_N: u64 = 256;
-
-/// Compares a fresh gossip-overlay run against a committed baseline.
-///
-/// Simulator rows (`substrate == "sim"`) are seed-deterministic, so
-/// `reach_pct`, `rounds`, `msgs`, `deliveries`, `msgs_per_delivery_x100`,
-/// `bytes_per_delivery` and `mean_degree_x100` must all match exactly. Threaded rows gate
-/// `reach_pct` and `twin_ok` exactly and wall time with `tol_pct` above
-/// [`BENCH_WALL_FLOOR_MS`]; their message counts and latency percentiles
-/// are OS-schedule noise. Baseline rows missing from the fresh run are
-/// regressions; extra fresh rows are not.
-///
-/// Independently of any baseline, every fresh row is held to the
-/// acceptance invariants: reach must be 100%, and `overlay` rows at
-/// `n >= `[`GOSSIP_ECONOMY_FLOOR_N`] must spend strictly fewer messages
-/// per delivery than the n²-flood baseline.
-pub fn diff_gossip_rows(
-    baseline: &[GossipBenchRow],
-    fresh: &[GossipBenchRow],
-    tol_pct: u64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for old in baseline {
-        let Some(new) = fresh.iter().find(|r| r.key() == old.key()) else {
-            problems.push(format!(
-                "row {}/{}/{}/n={}/seed={} missing from fresh run",
-                old.bench, old.backend, old.substrate, old.n, old.seed
-            ));
-            continue;
-        };
-        let id = format!(
-            "{}/{}/{}/n={}/seed={}",
-            old.bench, old.backend, old.substrate, old.n, old.seed
-        );
-        let exact: &[(&str, u64, u64)] = if old.substrate == "sim" {
-            &[
-                ("reach_pct", old.reach_pct, new.reach_pct),
-                ("rounds", old.rounds, new.rounds),
-                ("msgs", old.msgs, new.msgs),
-                ("deliveries", old.deliveries, new.deliveries),
-                (
-                    "msgs_per_delivery_x100",
-                    old.msgs_per_delivery_x100,
-                    new.msgs_per_delivery_x100,
-                ),
-                ("bytes_per_delivery", old.bytes_per_delivery, new.bytes_per_delivery),
-                ("mean_degree_x100", old.mean_degree_x100, new.mean_degree_x100),
-            ]
-        } else {
-            &[
-                ("reach_pct", old.reach_pct, new.reach_pct),
-                ("twin_ok", old.twin_ok, new.twin_ok),
-            ]
-        };
-        for &(name, was, now) in exact {
-            if was != now {
-                problems.push(format!("{id}: {name} changed {was} -> {now}"));
-            }
-        }
-        if old.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms.saturating_mul(100) > old.wall_ms.saturating_mul(100 + tol_pct)
-        {
-            problems.push(format!(
-                "{id}: wall_ms regressed {} -> {} (> {tol_pct}%)",
-                old.wall_ms, new.wall_ms
-            ));
+    /// The numeric value of `field`, if the row carries one.
+    pub fn num(&self, field: &str) -> Option<u128> {
+        match self.get(field) {
+            Some(&Value::Num(n)) => Some(n),
+            _ => None,
         }
     }
-    for row in fresh {
-        let id = format!(
-            "{}/{}/{}/n={}/seed={}",
-            row.bench, row.backend, row.substrate, row.n, row.seed
-        );
-        if row.reach_pct != 100 {
-            problems.push(format!("{id}: reach {}% != 100%", row.reach_pct));
-        }
-        if row.backend == "overlay"
-            && row.n >= GOSSIP_ECONOMY_FLOOR_N
-            && row.msgs_per_delivery_x100 >= row.baseline_msgs_per_delivery.saturating_mul(100)
-        {
-            problems.push(format!(
-                "{id}: msgs/delivery {:.2} does not beat the n²-flood baseline of {}",
-                row.msgs_per_delivery(),
-                row.baseline_msgs_per_delivery
-            ));
+
+    /// The label in `field`, if the row carries one.
+    pub fn text(&self, field: &str) -> Option<&str> {
+        match self.get(field) {
+            Some(Value::Str(s)) => Some(s),
+            _ => None,
         }
     }
-    problems
+}
+
+/// How [`Schema::diff`] holds one column of a fresh run to the baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Part of the row identity: baseline and fresh rows are matched on
+    /// the values of all `Key` fields.
+    Key,
+    /// Seed-deterministic: must equal the baseline exactly.
+    Exact,
+    /// [`Gate::Exact`] on rows whose field `.0` holds the label `.1`,
+    /// [`Gate::Info`] on the others.
+    ExactIf(&'static str, &'static str),
+    /// [`Gate::Exact`] on rows whose field `.0` does *not* hold `.1`.
+    ExactUnless(&'static str, &'static str),
+    /// Wall-clock milliseconds: regresses when it exceeds the baseline by
+    /// more than [`BENCH_WALL_TOL_PCT`] percent and both sides are at or
+    /// above [`BENCH_WALL_FLOOR_MS`].
+    Wall,
+    /// Environmental or schedule-dependent: recorded, never gated.
+    Info,
+}
+
+impl Gate {
+    fn exact_for(self, row: &Row) -> bool {
+        match self {
+            Gate::Exact => true,
+            Gate::ExactIf(field, label) => row.text(field) == Some(label),
+            Gate::ExactUnless(field, label) => row.text(field) != Some(label),
+            Gate::Key | Gate::Wall | Gate::Info => false,
+        }
+    }
+}
+
+/// One column of a [`Schema`].
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// JSON key.
+    pub name: &'static str,
+    /// How a fresh run is held to the baseline on this column.
+    pub gate: Gate,
+    /// JSON literal the lenient parser substitutes when a row lacks the
+    /// column (older files with fewer columns still diff); `None` leaves
+    /// the column absent.
+    default: Option<&'static str>,
+}
+
+impl Field {
+    /// A count; rows without it parse as 0.
+    pub const fn num(name: &'static str, gate: Gate) -> Self {
+        Field { name, gate, default: Some("0") }
+    }
+
+    /// A label; rows without it parse as the empty string.
+    pub const fn text(name: &'static str, gate: Gate) -> Self {
+        Field { name, gate, default: Some("\"\"") }
+    }
+
+    /// A column only some rows measure; rows without it stay without it.
+    pub const fn optional(name: &'static str, gate: Gate) -> Self {
+        Field { name, gate, default: None }
+    }
 }
 
 /// Wall-clock floor below which timing rows are treated as noise and not
 /// regression-gated.
-pub const BENCH_WALL_FLOOR_MS: u64 = 250;
+pub const BENCH_WALL_FLOOR_MS: u128 = 250;
 
-/// Compares a fresh benchmark run against a committed baseline and
-/// returns human-readable regression descriptions (empty = pass).
-///
-/// Deterministic counters (`tickets`, `dp_invocations`,
-/// `certificate_skips`, `candidates_checked`, `cursor_advances`,
-/// `probes_saved`, `coarse_cert_hits`) must match exactly; wall
-/// time regresses when it exceeds the baseline by more than `tol_pct`
-/// percent and both sides are above [`BENCH_WALL_FLOOR_MS`]. Peak RSS is
-/// reported but never gated (container-dependent). Baseline rows missing
-/// from the fresh run are regressions; extra fresh rows are not.
-pub fn diff_bench_rows(baseline: &[BenchRow], fresh: &[BenchRow], tol_pct: u64) -> Vec<String> {
-    let mut problems = Vec::new();
-    for old in baseline {
-        let Some(new) = fresh.iter().find(|r| r.key() == old.key()) else {
-            problems.push(format!(
-                "row {}/{}/n={} missing from fresh run",
-                old.bench, old.case_name, old.n
-            ));
-            continue;
+/// Percent a [`Gate::Wall`] column may exceed its baseline by.
+pub const BENCH_WALL_TOL_PCT: u128 = 20;
+
+/// The shape of one `BENCH_*.json` file: its schema tag and its columns in
+/// file order. Adding a column is one [`Field`] line in one of the four
+/// tables below — rendering, parsing, diffing and the terminal table all
+/// follow from it.
+#[derive(Debug, Clone, Copy)]
+pub struct Schema {
+    /// Schema tag written into (and required from) the document.
+    pub tag: &'static str,
+    /// Columns in file order. The first is the family name every row line
+    /// carries; the parser recognises rows by it.
+    pub fields: &'static [Field],
+}
+
+impl Schema {
+    /// The values of the [`Gate::Key`] fields: the identity rows are
+    /// matched on.
+    pub fn key<'a>(&self, row: &'a Row) -> Vec<Option<&'a Value>> {
+        self.key_fields().map(|f| row.get(f.name)).collect()
+    }
+
+    fn key_fields(&self) -> impl Iterator<Item = &'static Field> {
+        self.fields.iter().filter(|f| f.gate == Gate::Key)
+    }
+
+    /// Human-readable form of [`Schema::key`], e.g.
+    /// `runtime_scale/bracha/socket/n=16/workers=2`.
+    pub fn id(&self, row: &Row) -> String {
+        let parts = self.key_fields().filter_map(|f| match row.get(f.name)? {
+            Value::Str(s) => Some(s.clone()),
+            Value::Num(n) => Some(format!("{}={n}", f.name)),
+        });
+        parts.collect::<Vec<_>>().join("/")
+    }
+
+    /// Serializes rows as the document: a schema header plus one row
+    /// object per line (line-oriented so the lenient parser and plain
+    /// `diff` both stay useful). Hand-rolled — the vendored serde shim is
+    /// marker-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row carries a field the schema does not list.
+    pub fn render(&self, rows: &[Row]) -> String {
+        let mut out = format!("{{\n  \"schema\": \"{}\",\n  \"rows\": [\n", self.tag);
+        for (i, row) in rows.iter().enumerate() {
+            for (name, _) in &row.0 {
+                assert!(
+                    self.fields.iter().any(|f| f.name == *name),
+                    "{}: no `{name}`",
+                    self.tag
+                );
+            }
+            let cells = self.fields.iter().filter_map(|f| match row.get(f.name)? {
+                Value::Str(s) => Some(format!("\"{}\":\"{s}\"", f.name)),
+                Value::Num(n) => Some(format!("\"{}\":{n}", f.name)),
+            });
+            let line = cells.collect::<Vec<_>>().join(",");
+            let _ =
+                writeln!(out, "    {{{line}}}{}", if i + 1 == rows.len() { "" } else { "," });
+        }
+        out + "  ]\n}\n"
+    }
+
+    /// Parses a document produced by [`Schema::render`]. Lenient and
+    /// line-oriented: any line carrying the first field is a row, and a
+    /// column the line lacks takes its [`Field`] default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the schema tag is absent or unexpected.
+    pub fn parse(&self, doc: &str) -> Result<Vec<Row>, String> {
+        if !doc.contains(&format!("\"schema\": \"{}\"", self.tag)) {
+            return Err(format!("missing or unexpected schema tag (want {})", self.tag));
+        }
+        let row_lines = doc.lines().filter(|l| json_field(l, self.fields[0].name).is_some());
+        let parse_row = |line: &str| {
+            let cells = self.fields.iter().filter_map(|f| {
+                let value = json_field(line, f.name).or_else(|| json_value(f.default?));
+                Some((f.name, value?))
+            });
+            Row(cells.collect())
         };
-        let id = format!("{}/{}/n={}", old.bench, old.case_name, old.n);
-        let counters = [
-            ("tickets", old.tickets, new.tickets),
-            ("dp_invocations", u128::from(old.dp_invocations), u128::from(new.dp_invocations)),
-            (
-                "certificate_skips",
-                u128::from(old.certificate_skips),
-                u128::from(new.certificate_skips),
-            ),
-            (
-                "candidates_checked",
-                u128::from(old.candidates_checked),
-                u128::from(new.candidates_checked),
-            ),
-            (
-                "cursor_advances",
-                u128::from(old.cursor_advances),
-                u128::from(new.cursor_advances),
-            ),
-            ("probes_saved", u128::from(old.probes_saved), u128::from(new.probes_saved)),
-            (
-                "coarse_cert_hits",
-                u128::from(old.coarse_cert_hits),
-                u128::from(new.coarse_cert_hits),
-            ),
-        ];
-        for (name, was, now) in counters {
-            if was != now {
-                problems.push(format!("{id}: {name} changed {was} -> {now}"));
+        Ok(row_lines.map(parse_row).collect())
+    }
+
+    /// Compares a fresh run against baseline rows and returns
+    /// human-readable regression descriptions (empty = pass), each column
+    /// held as its [`Gate`] says. A baseline row missing from the fresh
+    /// run is a regression — scope the baseline with [`Schema::scoped`]
+    /// first; extra fresh rows are not.
+    pub fn diff(&self, baseline: &[Row], fresh: &[Row]) -> Vec<String> {
+        let mut problems = Vec::new();
+        for old in baseline {
+            let id = self.id(old);
+            let Some(new) = fresh.iter().find(|r| self.key(r) == self.key(old)) else {
+                problems.push(format!("row {id} missing from fresh run"));
+                continue;
+            };
+            let show = |v: Option<&Value>| v.map_or("absent".into(), Value::to_string);
+            for f in self.fields {
+                let (was, now) = (old.get(f.name), new.get(f.name));
+                if f.gate.exact_for(old) && was != now {
+                    let (was, now) = (show(was), show(now));
+                    problems.push(format!("{id}: {} changed {was} -> {now}", f.name));
+                }
+                let (was, now) = (old.num(f.name).unwrap_or(0), new.num(f.name).unwrap_or(0));
+                if f.gate == Gate::Wall
+                    && was.min(now) >= BENCH_WALL_FLOOR_MS
+                    && now * 100 > was * (100 + BENCH_WALL_TOL_PCT)
+                {
+                    problems.push(format!(
+                        "{id}: {} regressed {was} -> {now} (> {BENCH_WALL_TOL_PCT}%)",
+                        f.name
+                    ));
+                }
             }
         }
-        if old.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms >= BENCH_WALL_FLOOR_MS
-            && new.wall_ms.saturating_mul(100) > old.wall_ms.saturating_mul(100 + tol_pct)
+        problems
+    }
+
+    /// The baseline rows whose key is among the `planned` cells' keys —
+    /// what a sweep was *asked* to produce, decided before it ran, so a
+    /// sweep that silently loses a cell fails its diff while a shortened
+    /// sweep still diffs against the committed full file.
+    pub fn scoped(&self, baseline: Vec<Row>, planned: &[Row]) -> Vec<Row> {
+        let planned: Vec<_> = planned.iter().map(|p| self.key(p)).collect();
+        baseline.into_iter().filter(|b| planned.contains(&self.key(b))).collect()
+    }
+
+    /// Renders rows as an aligned terminal table, one column per field
+    /// (`-` where a row does not carry it).
+    pub fn table(&self, rows: &[Row]) -> String {
+        let mut table = TextTable::new(self.fields.iter().map(|f| f.name).collect());
+        for row in rows {
+            let cell = |f: &Field| row.get(f.name).map_or("-".into(), Value::to_string);
+            table.row(self.fields.iter().map(cell).collect());
+        }
+        table.render()
+    }
+}
+
+fn json_field(line: &str, key: &str) -> Option<Value> {
+    json_value(&line[line.find(&format!("\"{key}\":"))? + key.len() + 3..])
+}
+
+fn json_value(text: &str) -> Option<Value> {
+    if let Some(tail) = text.strip_prefix('"') {
+        return Some(Value::Str(tail[..tail.find('"')?].into()));
+    }
+    let digits = &text[..text.find(|c: char| !c.is_ascii_digit()).unwrap_or(text.len())];
+    digits.parse().ok().map(Value::Num)
+}
+
+/// `BENCH_solver.json`, written by `solver_scale`: WR(1/3, 1/2) on seeded
+/// whale-skewed populations, solved cold, warm and certified. Counters
+/// are bit-deterministic for a given seed and code version; `wall_ms` and
+/// `peak_rss_kb` are environmental.
+pub const SOLVER: Schema = Schema {
+    tag: "swiper-bench-solver/v1",
+    fields: &[
+        // Benchmark family, always `solver_scale`.
+        Field::text("bench", Gate::Key),
+        // Case within the family: `cold` / `warm` / `certified`.
+        Field::text("case", Gate::Key),
+        // Population size.
+        Field::num("n", Gate::Key),
+        // RNG seed the weight generator ran with — rows are reproducible
+        // from `(bench, case, n, seed)` alone.
+        Field::num("seed", Gate::Info),
+        // Wall-clock milliseconds.
+        Field::num("wall_ms", Gate::Wall),
+        // Total tickets allocated by the published solution.
+        Field::num("tickets", Gate::Exact),
+        // Exact-DP invocations across the run.
+        Field::num("dp_invocations", Gate::Exact),
+        // Checks settled by replaying a delta-stable certificate.
+        Field::num("certificate_skips", Gate::Exact),
+        // Family members materialized and checked.
+        Field::num("candidates_checked", Gate::Exact),
+        // Probes answered by the incremental family cursor reusing its
+        // interval state instead of rebuilding candidates from scratch.
+        Field::num("cursor_advances", Gate::Exact),
+        // Estimated probes the sampling-guided bracket avoided versus a
+        // cold bisection of the full `[0, bound]` range.
+        Field::num("probes_saved", Gate::Exact),
+        // Checks settled by a certificate found under a *nearby* stored
+        // total (coarse key); disjoint from `certificate_skips`.
+        Field::num("coarse_cert_hits", Gate::Exact),
+        // Per-cell growth of the process peak RSS in kilobytes: `VmHWM`
+        // delta across the cell's measured phase. `VmHWM` is a
+        // process-lifetime high-water mark, so this is a monotone-floor
+        // decomposition — a cell whose footprint fits inside an earlier
+        // cell's peak reports 0, never an inherited peak. 0 when `/proc`
+        // is unavailable.
+        Field::num("peak_rss_kb", Gate::Info),
+    ],
+};
+
+/// Solver invariant beyond the per-field gates: the certified n = 10⁶ row
+/// must settle at least one check from certificates (exact or coarse), or
+/// the coarse certificate index has stopped hitting at scale.
+pub fn solver_invariants(fresh: &[Row]) -> Vec<String> {
+    let count = |r: &Row, f| r.num(f).unwrap_or(0);
+    let at_scale = fresh
+        .iter()
+        .filter(|r| r.text("case") == Some("certified") && count(r, "n") == 1_000_000);
+    at_scale
+        .filter(|r| count(r, "certificate_skips") + count(r, "coarse_cert_hits") == 0)
+        .map(|r| format!("{}: warm replay settled zero checks from certificates", SOLVER.id(r)))
+        .collect()
+}
+
+/// `BENCH_epochs.json`, written by `epochs`: one chain × churn replay
+/// through the incremental re-solve loop per row. The replay is
+/// seed-deterministic, so the solver-work counters are exact; the schema
+/// has no [`Gate::Wall`] column, so its diff cannot flake on a slow host.
+pub const EPOCHS: Schema = Schema {
+    tag: "swiper-bench-epochs/v1",
+    fields: &[
+        // Benchmark family, always `epochs`.
+        Field::text("bench", Gate::Key),
+        // Chain the snapshot stream replayed, e.g. `Aptos`.
+        Field::text("chain", Gate::Key),
+        // Churned parties per epoch, percent of the population.
+        Field::num("churn_pct", Gate::Key),
+        // Epochs replayed.
+        Field::num("epochs", Gate::Exact),
+        // Epochs where the warm bracket landed on a different (equally
+        // valid) local minimum than cold bisection — the non-monotone
+        // dips discussed in `Swiper::resolve_from`. A legitimate degree
+        // of freedom of the accelerated path (published results stay
+        // cold-identical), so never gated.
+        Field::num("bracket_divergence", Gate::Info),
+        // Certificate skips across the replay (exact-total key).
+        Field::num("cert_skips", Gate::Exact),
+        // Warm-pass DP invocations with certificates on.
+        Field::num("warm_dp", Gate::Exact),
+        // Warm-pass DP invocations with certificates off.
+        Field::num("plain_dp", Gate::Exact),
+        // Fresh cold-solve DP invocations (the no-machinery yardstick).
+        Field::num("cold_dp", Gate::Exact),
+        // Verdict-cache hit rate over the replay, rounded percent.
+        Field::num("hit_rate_pct", Gate::Exact),
+        // Microseconds inside `Reconfigurator::advance` summed over the
+        // replay, certificates on (verified mode: warm pass plus the
+        // cold re-derivation through the shared cache).
+        Field::optional("certified_us", Gate::Info),
+        // The same loop with certificates off; the gap to `certified_us`
+        // is what certificates are worth in wall-clock terms.
+        Field::optional("plain_us", Gate::Info),
+        // Microseconds of the independent fresh cold solves.
+        Field::optional("cold_us", Gate::Info),
+    ],
+};
+
+/// `BENCH_runtime.json`, written by `runtime_scale`: a protocol chain
+/// driven to quiescence on the `ThreadedRuntime` and replay-checked
+/// against its simulator twin. `commits` and `twin_ok` are
+/// schedule-independent; message counts, latency percentiles and RSS vary
+/// with the OS schedule.
+pub const RUNTIME: Schema = Schema {
+    tag: "swiper-bench-runtime/v1",
+    fields: &[
+        // Benchmark family, always `runtime_scale`.
+        Field::text("bench", Gate::Key),
+        // Protocol chain: `bracha` / `aba` / `smr`.
+        Field::text("protocol", Gate::Key),
+        // Transport backend: `channel` (in-process inboxes) or `socket`
+        // (loopback TCP through the wire codecs). Rows written before the
+        // axis existed are channel rows: that was the only backend.
+        Field { name: "transport", gate: Gate::Key, default: Some("\"channel\"") },
+        // Population size.
+        Field::num("n", Gate::Key),
+        // Worker threads the runtime ran with.
+        Field::num("workers", Gate::Key),
+        // Wall-clock milliseconds of the run.
+        Field::num("wall_ms", Gate::Wall),
+        // Protocol-level progress at quiescence (deliveries, decisions,
+        // or committed rounds — deterministic for an honest chain).
+        Field::num("commits", Gate::Exact),
+        // Commit throughput, rounded commits per second.
+        Field::num("commits_per_sec", Gate::Info),
+        // Messages delivered (schedule-dependent for halting protocols).
+        Field::num("msgs", Gate::Info),
+        // Delivery throughput, rounded messages per second.
+        Field::num("msgs_per_sec", Gate::Info),
+        // Send→process latency percentiles, microseconds.
+        Field::num("p50_us", Gate::Info),
+        Field::num("p95_us", Gate::Info),
+        Field::num("p99_us", Gate::Info),
+        // Resident set size in kilobytes sampled at quiescence (workers
+        // joined, queues drained), falling back to the process `VmHWM`
+        // peak when `VmRSS` is unavailable: a `VmHWM` delta reads 0 for
+        // any cell that fits inside a predecessor's peak.
+        Field::num("peak_rss_kb", Gate::Info),
+        // 1 when the delivery trace replayed bit-identically on the
+        // simulator twin, 0 otherwise; a flip means the determinism-twin
+        // contract broke.
+        Field::num("twin_ok", Gate::Exact),
+        // Cores the host offered (`available_parallelism`): a row measured
+        // on one or two cores says so instead of reading as "workers do
+        // not scale".
+        Field::optional("cores", Gate::Info),
+    ],
+};
+
+/// `BENCH_gossip.json`, written by `gossip_scale`: weighted Bracha over a
+/// dissemination backend on one substrate. Simulator rows are
+/// seed-deterministic, so their counters are exact; on the runtime
+/// substrates message counts are OS-schedule noise and the twin verdict is
+/// the exact column.
+pub const GOSSIP: Schema = Schema {
+    tag: "swiper-bench-gossip/v1",
+    fields: &[
+        // Benchmark family, always `gossip_scale`.
+        Field::text("bench", Gate::Key),
+        // Dissemination backend: `overlay` or `fullmesh`.
+        Field::text("backend", Gate::Key),
+        // Execution substrate: `sim`, `threaded` or `socket`.
+        Field::text("substrate", Gate::Key),
+        // Population size.
+        Field::num("n", Gate::Key),
+        // RNG seed (overlay view construction and the delay schedule).
+        Field::num("seed", Gate::Key),
+        // Wall-clock milliseconds of the run.
+        Field::num("wall_ms", Gate::Wall),
+        // Nodes that delivered the payload, percent of the population.
+        Field::num("reach_pct", Gate::Exact),
+        // Maximum eager-hop count observed — rounds to full delivery.
+        Field::num("rounds", Gate::ExactIf("substrate", "sim")),
+        // Total messages the run sent (overlay control + data frames).
+        Field::num("msgs", Gate::ExactIf("substrate", "sim")),
+        // Unique first-receipt payload deliveries across the fleet.
+        Field::num("deliveries", Gate::ExactIf("substrate", "sim")),
+        // Messages per delivery, fixed-point ×100 (`1042` = 10.42).
+        Field::num("msgs_per_delivery_x100", Gate::ExactIf("substrate", "sim")),
+        // Bytes sent (every frame, payload and control) per delivery.
+        Field::num("bytes_per_delivery", Gate::ExactIf("substrate", "sim")),
+        // The n²-flood yardstick in the same unit: a reliable full-mesh
+        // flood costs `n` messages per delivery.
+        Field::num("baseline_msgs_per_delivery", Gate::Info),
+        // Mean active-view degree across the fleet, fixed-point ×100.
+        Field::num("mean_degree_x100", Gate::ExactIf("substrate", "sim")),
+        // Send→process latency percentiles, microseconds. Runtime rows
+        // only: the simulator has no clock to time against.
+        Field::optional("p50_us", Gate::Info),
+        Field::optional("p95_us", Gate::Info),
+        Field::optional("p99_us", Gate::Info),
+        // 1 when the delivery trace replayed bit-identically on the
+        // simulator twin. Runtime rows only: a simulator run has no twin.
+        Field::optional("twin_ok", Gate::ExactUnless("substrate", "sim")),
+    ],
+};
+
+/// Population size from which the overlay-beats-flooding economy gate
+/// applies: below it the log-degree overlay and the mesh are too close
+/// for the comparison to be meaningful.
+pub const GOSSIP_ECONOMY_FLOOR_N: u128 = 256;
+
+/// Gossip acceptance invariants every fresh row is held to, baseline or
+/// not: reach must be 100%, and `overlay` rows at
+/// `n >= `[`GOSSIP_ECONOMY_FLOOR_N`] must spend strictly fewer messages
+/// per delivery than the n²-flood baseline of `n`.
+pub fn gossip_invariants(fresh: &[Row]) -> Vec<String> {
+    let mut problems = Vec::new();
+    for row in fresh {
+        let (id, count) = (GOSSIP.id(row), |f| row.num(f).unwrap_or(0));
+        if count("reach_pct") != 100 {
+            problems.push(format!("{id}: reach {}% != 100%", count("reach_pct")));
+        }
+        let (cost, flood) =
+            (count("msgs_per_delivery_x100"), count("baseline_msgs_per_delivery"));
+        if row.text("backend") == Some("overlay")
+            && count("n") >= GOSSIP_ECONOMY_FLOOR_N
+            && cost >= flood * 100
         {
             problems.push(format!(
-                "{id}: wall_ms regressed {} -> {} (> {tol_pct}%)",
-                old.wall_ms, new.wall_ms
+                "{id}: msgs/delivery {:.2} does not beat the n²-flood baseline of {flood}",
+                cost as f64 / 100.0
             ));
         }
     }
     problems
+}
+
+/// Whether a traced runtime run replays bit-identically — same outputs,
+/// same metrics — on `fresh` automata, which must be constructed exactly
+/// as the live run's were. Says why on stderr when it does not.
+pub fn twin_ok<M: Clone + MessageSize>(full: &RuntimeReport, fresh: SendNodes<M>) -> bool {
+    let fresh = fresh.into_iter().map(|b| b as Box<dyn Protocol<Msg = M>>).collect();
+    match full.trace.replay(fresh) {
+        Ok(r) if r.outputs == full.report.outputs && r.metrics == full.report.metrics => true,
+        Ok(_) => {
+            eprintln!("twin replay ran but outputs or metrics differ");
+            false
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            false
+        }
+    }
+}
+
+/// The shared tail of the four gated bench bins: prints the table, writes
+/// `out`, diffs against the `diff` baseline scoped to the `planned` cells
+/// ([`Schema::scoped`]), and turns `problems` — the bin's own findings,
+/// plus any fresh row whose `twin_ok` is 0, plus the diff's — into
+/// `REGRESSION:` lines and the exit code.
+pub fn gate(
+    schema: &Schema,
+    rows: &[Row],
+    out: &str,
+    diff: Option<&str>,
+    planned: &[Row],
+    mut problems: Vec<String>,
+) -> ExitCode {
+    print!("{}", schema.table(rows));
+    fs::write(out, schema.render(rows)).expect("write benchmark file");
+    println!("wrote {out}");
+    let diverged = rows.iter().filter(|r| r.num("twin_ok") == Some(0));
+    problems.extend(diverged.map(|r| {
+        format!("{}: twin replay DIVERGED — the determinism contract is broken", schema.id(r))
+    }));
+    if let Some(path) = diff {
+        let doc = fs::read_to_string(path).map_err(|e| e.to_string());
+        match doc.and_then(|doc| schema.parse(&doc)) {
+            Ok(baseline) => {
+                let total = baseline.len();
+                let in_scope = schema.scoped(baseline, planned);
+                let found = schema.diff(&in_scope, rows);
+                println!(
+                    "diff vs {path}: {} problem(s) on {} planned baseline rows ({} out of scope)",
+                    found.len(),
+                    in_scope.len(),
+                    total - in_scope.len()
+                );
+                problems.extend(found);
+            }
+            Err(e) => problems.push(format!("baseline {path}: {e}")),
+        }
+    }
+    verdict(&problems)
+}
+
+/// Prints one `REGRESSION:` line per problem; success iff there are none.
+pub fn verdict(problems: &[String]) -> ExitCode {
+    for p in problems {
+        eprintln!("REGRESSION: {p}");
+    }
+    if problems.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// Peak resident set size of this process in kilobytes, from
@@ -917,8 +737,7 @@ pub fn diff_bench_rows(baseline: &[BenchRow], fresh: &[BenchRow], tol_pct: u64) 
 /// in a multi-cell sweep every cell after the largest would inherit its
 /// peak. Benchmark binaries must therefore report **per-cell deltas** —
 /// sample before the measured phase and subtract (`saturating_sub`), as
-/// the [`BenchRow::peak_rss_kb`] / [`RuntimeBenchRow::peak_rss_kb`]
-/// schema docs specify.
+/// the `peak_rss_kb` column of [`SOLVER`] specifies.
 pub fn peak_rss_kb() -> u64 {
     proc_status_kb("VmHWM:")
 }
@@ -1046,30 +865,85 @@ mod tests {
         assert!(m.holders <= 5);
     }
 
-    fn row(case: &str, n: u64, wall: u64, dp: u64) -> BenchRow {
-        BenchRow {
-            bench: "solver_scale".into(),
-            case_name: case.into(),
-            n,
-            wall_ms: wall,
-            tickets: 123_456_789_012_345_678_901u128,
-            dp_invocations: dp,
-            certificate_skips: 3,
-            candidates_checked: 40,
-            cursor_advances: 7,
-            probes_saved: 2,
-            coarse_cert_hits: 1,
-            seed: 42,
-            peak_rss_kb: 10_000,
+    /// The four schemas, each with the file this PR commits for it.
+    const COMMITTED: [(Schema, &str); 4] = [
+        (SOLVER, include_str!("../../../BENCH_solver.json")),
+        (EPOCHS, include_str!("../../../BENCH_epochs.json")),
+        (RUNTIME, include_str!("../../../BENCH_runtime.json")),
+        (GOSSIP, include_str!("../../../BENCH_gossip.json")),
+    ];
+
+    #[test]
+    fn committed_files_roundtrip_byte_for_byte() {
+        for (schema, doc) in COMMITTED {
+            let rows = schema.parse(doc).unwrap();
+            assert!(!rows.is_empty(), "{}", schema.tag);
+            assert_eq!(schema.render(&rows), doc, "{}", schema.tag);
         }
     }
 
     #[test]
-    fn bench_json_roundtrips() {
-        let rows = vec![row("cold", 1000, 12, 5), row("certified", 1_000_000, 900, 0)];
-        let doc = render_bench_json(&rows);
-        assert_eq!(parse_bench_json(&doc).unwrap(), rows);
-        assert!(parse_bench_json("{}").is_err(), "schema tag is mandatory");
+    fn a_document_parses_under_its_own_schema_only() {
+        for (i, (schema, _)) in COMMITTED.iter().enumerate() {
+            assert!(schema.parse("{}").is_err(), "schema tag is mandatory");
+            for (j, (other, doc)) in COMMITTED.iter().enumerate() {
+                assert_eq!(
+                    schema.parse(doc).is_ok(),
+                    i == j,
+                    "{} on {}",
+                    schema.tag,
+                    other.tag
+                );
+            }
+        }
+    }
+
+    /// Every field of every committed row, perturbed in turn: the diff
+    /// reports exactly one problem, naming the field, when the field's
+    /// gate class covers that row, and nothing otherwise.
+    #[test]
+    fn every_field_is_gated_as_its_class_says() {
+        for (schema, doc) in COMMITTED {
+            for mut base in schema.parse(doc).unwrap() {
+                // Lift walls above the noise floor so the Wall class bites.
+                for f in schema.fields.iter().filter(|f| f.gate == Gate::Wall) {
+                    base.set(f.name, 400u64);
+                }
+                let baseline = [base.clone()];
+                assert!(schema.diff(&baseline, &baseline).is_empty());
+                for f in schema.fields {
+                    let mut fresh = base.clone();
+                    match base.get(f.name) {
+                        Some(Value::Str(s)) => fresh.set(f.name, format!("{s}x").as_str()),
+                        Some(Value::Num(n)) => fresh.set(f.name, n * 2 + 1),
+                        None => fresh.set(f.name, 1u64),
+                    }
+                    let problems = schema.diff(&baseline, &[fresh]);
+                    let id = format!("{} `{}`: {problems:?}", schema.id(&base), f.name);
+                    if f.gate == Gate::Key {
+                        assert_eq!(problems.len(), 1, "{id}");
+                        assert!(problems[0].contains("missing from fresh run"), "{id}");
+                    } else if f.gate == Gate::Wall || f.gate.exact_for(&base) {
+                        assert_eq!(problems.len(), 1, "{id}");
+                        assert!(problems[0].contains(&format!(": {} ", f.name)), "{id}");
+                    } else {
+                        assert!(problems.is_empty(), "{id}");
+                    }
+                }
+            }
+        }
+        // The conditional classes saw both sides: the committed gossip
+        // file carries simulator rows and runtime rows.
+        let gossip = GOSSIP.parse(COMMITTED[3].1).unwrap();
+        assert!(gossip.iter().any(|r| r.text("substrate") == Some("sim")));
+        assert!(gossip.iter().any(|r| r.num("twin_ok") == Some(1)));
+    }
+
+    fn document(schema: &Schema, row_line: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"{}\",\n  \"rows\": [\n    {row_line}\n  ]\n}}\n",
+            schema.tag
+        )
     }
 
     #[test]
@@ -1077,320 +951,102 @@ mod tests {
         // Baselines written before the cursor/sampler/coarse counters (and
         // the seed column) existed must keep parsing — the lenient parser
         // defaults every missing numeric field to 0.
-        let doc = format!(
-            "{{\n  \"schema\": \"{BENCH_SOLVER_SCHEMA}\",\n  \"rows\": [\n    \
-             {{\"bench\":\"solver_scale\",\"case\":\"cold\",\"n\":1000,\"wall_ms\":12,\
+        let doc = document(
+            &SOLVER,
+            "{\"bench\":\"solver_scale\",\"case\":\"cold\",\"n\":1000,\"wall_ms\":12,\
              \"tickets\":307,\"dp_invocations\":2,\"certificate_skips\":0,\
-             \"candidates_checked\":17,\"peak_rss_kb\":100}}\n  ]\n}}\n"
+             \"candidates_checked\":17,\"peak_rss_kb\":100}",
         );
-        let rows = parse_bench_json(&doc).unwrap();
+        let rows = SOLVER.parse(&doc).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].tickets, 307);
-        assert_eq!(rows[0].cursor_advances, 0);
-        assert_eq!(rows[0].probes_saved, 0);
-        assert_eq!(rows[0].coarse_cert_hits, 0);
-        assert_eq!(rows[0].seed, 0);
-    }
-
-    #[test]
-    fn bench_diff_gates_the_accelerator_counters_exactly() {
-        let base = vec![row("warm", 1_000_000, 400, 0)];
-        for field in ["cursor_advances", "probes_saved", "coarse_cert_hits"] {
-            let mut drift = base.clone();
-            match field {
-                "cursor_advances" => drift[0].cursor_advances += 1,
-                "probes_saved" => drift[0].probes_saved += 1,
-                _ => drift[0].coarse_cert_hits += 1,
-            }
-            let problems = diff_bench_rows(&base, &drift, 20);
-            assert_eq!(problems.len(), 1, "{field} must be exact-gated");
-            assert!(problems[0].contains(field), "{problems:?}");
+        assert_eq!(rows[0].num("tickets"), Some(307));
+        for absent in ["cursor_advances", "probes_saved", "coarse_cert_hits", "seed"] {
+            assert_eq!(rows[0].num(absent), Some(0), "{absent}");
         }
     }
 
-    #[test]
-    fn bench_diff_gates_counters_exactly_and_wall_with_tolerance() {
-        let base = vec![row("cold", 1000, 400, 5)];
-        // Identical: clean.
-        assert!(diff_bench_rows(&base, &base, 20).is_empty());
-        // Counter drift: flagged regardless of magnitude.
-        let mut drift = base.clone();
-        drift[0].dp_invocations = 6;
-        assert_eq!(diff_bench_rows(&base, &drift, 20).len(), 1);
-        // Wall within tolerance: clean; beyond: flagged; below floor: noise.
-        let mut slow = base.clone();
-        slow[0].wall_ms = 470;
-        assert!(diff_bench_rows(&base, &slow, 20).is_empty());
-        slow[0].wall_ms = 500;
-        assert_eq!(diff_bench_rows(&base, &slow, 20).len(), 1);
-        let mut tiny = base.clone();
-        tiny[0].wall_ms = 10;
-        let mut tiny_slow = tiny.clone();
-        tiny_slow[0].wall_ms = 100;
-        assert!(diff_bench_rows(&tiny, &tiny_slow, 20).is_empty());
-        // Missing row: flagged.
-        assert_eq!(diff_bench_rows(&base, &[], 20).len(), 1);
-    }
-
-    #[test]
-    fn epochs_json_roundtrips() {
-        let rows = vec![
-            EpochBenchRow {
-                bench: "epochs".into(),
-                chain: "aptos".into(),
-                churn_pct: 1,
-                epochs: 16,
-                bracket_divergence: 2,
-                cert_skips: 40,
-                warm_dp: 3,
-                plain_dp: 9,
-                cold_dp: 30,
-                hit_rate_pct: 87,
-            },
-            EpochBenchRow {
-                bench: "epochs".into(),
-                chain: "tezos".into(),
-                churn_pct: 20,
-                epochs: 16,
-                bracket_divergence: 0,
-                cert_skips: 0,
-                warm_dp: 12,
-                plain_dp: 12,
-                cold_dp: 31,
-                hit_rate_pct: 40,
-            },
-        ];
-        let doc = render_epochs_json(&rows);
-        assert_eq!(parse_epochs_json(&doc).unwrap(), rows);
-        assert!(parse_epochs_json("{}").is_err(), "schema tag is mandatory");
-        assert!(
-            parse_epochs_json(&render_bench_json(&[])).is_err(),
-            "solver documents must not pass as epochs documents"
+    /// A runtime row as written before the transport axis existed.
+    fn old_runtime_row() -> Row {
+        let doc = document(
+            &RUNTIME,
+            "{\"bench\":\"runtime_scale\",\"protocol\":\"aba\",\"n\":8,\"workers\":2,\
+             \"commits\":8,\"twin_ok\":1}",
         );
+        RUNTIME.parse(&doc).unwrap().remove(0)
     }
 
-    #[test]
-    fn epochs_diff_gates_solver_counters_but_not_bracket_divergence() {
-        let base = vec![EpochBenchRow {
-            bench: "epochs".into(),
-            chain: "aptos".into(),
-            churn_pct: 5,
-            epochs: 16,
-            bracket_divergence: 2,
-            cert_skips: 40,
-            warm_dp: 3,
-            plain_dp: 9,
-            cold_dp: 30,
-            hit_rate_pct: 87,
-        }];
-        assert!(diff_epochs_rows(&base, &base).is_empty());
-        // bracket_divergence is informational: free to drift.
-        let mut bracket = base.clone();
-        bracket[0].bracket_divergence = 7;
-        assert!(diff_epochs_rows(&base, &bracket).is_empty());
-        // The solver-work counters are exact.
-        for field in ["epochs", "cert_skips", "warm_dp", "plain_dp", "cold_dp", "hit_rate_pct"]
-        {
-            let mut drift = base.clone();
-            match field {
-                "epochs" => drift[0].epochs += 1,
-                "cert_skips" => drift[0].cert_skips += 1,
-                "warm_dp" => drift[0].warm_dp += 1,
-                "plain_dp" => drift[0].plain_dp += 1,
-                "cold_dp" => drift[0].cold_dp += 1,
-                _ => drift[0].hit_rate_pct += 1,
-            }
-            let problems = diff_epochs_rows(&base, &drift);
-            assert_eq!(problems.len(), 1, "{field} must be exact-gated");
-            assert!(problems[0].contains(field), "{problems:?}");
-        }
-        // Missing row: flagged.
-        assert_eq!(diff_epochs_rows(&base, &[]).len(), 1);
-    }
-
-    fn gossip_row(backend: &str, substrate: &str, n: u64, seed: u64) -> GossipBenchRow {
-        GossipBenchRow {
-            bench: "gossip_scale".into(),
-            backend: backend.into(),
-            substrate: substrate.into(),
-            n,
-            seed,
-            wall_ms: 80,
-            reach_pct: 100,
-            rounds: 6,
-            msgs: 26_000,
-            deliveries: 2560,
-            msgs_per_delivery_x100: 1015,
-            bytes_per_delivery: 1450,
-            baseline_msgs_per_delivery: n,
-            mean_degree_x100: 900,
-            p50_us: 0,
-            p95_us: 0,
-            p99_us: 0,
-            twin_ok: 1,
-        }
-    }
-
-    #[test]
-    fn gossip_json_roundtrips() {
-        let mut threaded = gossip_row("overlay", "threaded", 64, 5);
-        threaded.p50_us = 40;
-        threaded.p99_us = 900;
-        let rows = vec![
-            gossip_row("overlay", "sim", 256, 7),
-            gossip_row("fullmesh", "sim", 64, 1),
-            threaded,
-        ];
-        let doc = render_gossip_json(&rows);
-        assert_eq!(parse_gossip_json(&doc).unwrap(), rows);
-        assert!(parse_gossip_json("{}").is_err(), "schema tag is mandatory");
-        assert!(
-            parse_gossip_json(&render_bench_json(&[])).is_err(),
-            "solver documents must not pass as gossip documents"
-        );
-    }
-
-    #[test]
-    fn gossip_diff_gates_sim_counters_exactly_and_threaded_loosely() {
-        let base = vec![gossip_row("overlay", "sim", 256, 7)];
-        assert!(diff_gossip_rows(&base, &base, 20).is_empty());
-        // Simulator rows are seed-deterministic: any counter drift flags.
-        let mut drift = base.clone();
-        drift[0].msgs += 1;
-        assert_eq!(diff_gossip_rows(&base, &drift, 20).len(), 1);
-        let mut rounds = base.clone();
-        rounds[0].rounds += 1;
-        assert_eq!(diff_gossip_rows(&base, &rounds, 20).len(), 1);
-        let mut bytes = base.clone();
-        bytes[0].bytes_per_delivery += 1;
-        assert_eq!(diff_gossip_rows(&base, &bytes, 20).len(), 1);
-        // Threaded rows: message counts are schedule noise, but reach and
-        // the twin flag are exact.
-        let tbase = vec![gossip_row("overlay", "threaded", 64, 5)];
-        let mut tnoise = tbase.clone();
-        tnoise[0].msgs = 1;
-        tnoise[0].p99_us = 9999;
-        tnoise[0].rounds += 3;
-        assert!(diff_gossip_rows(&tbase, &tnoise, 20).is_empty());
-        let mut twin = tbase.clone();
-        twin[0].twin_ok = 0;
-        assert_eq!(diff_gossip_rows(&tbase, &twin, 20).len(), 1);
-        // Missing row: flagged.
-        assert_eq!(diff_gossip_rows(&base, &[], 20).len(), 1);
-    }
-
-    #[test]
-    fn gossip_diff_holds_fresh_rows_to_the_acceptance_invariants() {
-        // Partial reach flags with or without a matching baseline row.
-        let mut unreached = vec![gossip_row("overlay", "sim", 64, 1)];
-        unreached[0].reach_pct = 98;
-        assert_eq!(diff_gossip_rows(&[], &unreached, 20).len(), 1);
-        // Above the economy floor, overlay msgs/delivery must beat the
-        // n²-flood yardstick of n…
-        let mut pricey = vec![gossip_row("overlay", "sim", 256, 7)];
-        pricey[0].msgs_per_delivery_x100 = 256 * 100;
-        let problems = diff_gossip_rows(&[], &pricey, 20);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("baseline"), "{problems:?}");
-        // …but small populations and the fullmesh yardstick itself are
-        // exempt.
-        let mut small = vec![gossip_row("overlay", "sim", 64, 1)];
-        small[0].msgs_per_delivery_x100 = 64 * 100;
-        assert!(diff_gossip_rows(&[], &small, 20).is_empty());
-        let mut mesh = vec![gossip_row("fullmesh", "sim", 256, 7)];
-        mesh[0].msgs_per_delivery_x100 = 256 * 100;
-        assert!(diff_gossip_rows(&[], &mesh, 20).is_empty());
-    }
-
-    fn runtime_row(protocol: &str, n: u64, workers: u64, wall: u64) -> RuntimeBenchRow {
-        RuntimeBenchRow {
-            bench: "runtime_scale".into(),
-            protocol: protocol.into(),
-            transport: "channel".into(),
-            n,
-            workers,
-            wall_ms: wall,
-            commits: n,
-            commits_per_sec: 1000,
-            msgs: 5000,
-            msgs_per_sec: 90_000,
-            p50_us: 40,
-            p95_us: 200,
-            p99_us: 900,
-            peak_rss_kb: 20_000,
-            twin_ok: 1,
-        }
-    }
-
-    #[test]
-    fn runtime_json_roundtrips() {
-        let mut socket = runtime_row("bracha", 20, 1, 300);
-        socket.transport = "socket".into();
-        let rows =
-            vec![runtime_row("bracha", 20, 1, 300), socket, runtime_row("smr", 10, 4, 800)];
-        let doc = render_runtime_json(&rows);
-        assert_eq!(parse_runtime_json(&doc).unwrap(), rows);
-        assert!(parse_runtime_json("{}").is_err(), "schema tag is mandatory");
-        assert!(
-            parse_runtime_json(&render_bench_json(&[])).is_err(),
-            "solver documents must not pass as runtime documents"
-        );
+    fn runtime_row(transport: &str, wall: u64) -> Row {
+        old_runtime_row().with("transport", transport).with("wall_ms", wall)
     }
 
     #[test]
     fn rows_without_a_transport_column_parse_as_channel() {
         // Baselines written before the transport axis existed must keep
-        // diffing as channel rows.
-        let doc = format!(
-            "{{\n  \"schema\": \"{BENCH_RUNTIME_SCHEMA}\",\n  \"rows\": [\n    \
-             {{\"bench\":\"runtime_scale\",\"protocol\":\"aba\",\"n\":8,\"workers\":2,\
-             \"wall_ms\":10,\"commits\":8,\"twin_ok\":1}}\n  ]\n}}\n"
-        );
-        let rows = parse_runtime_json(&doc).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].transport, "channel");
+        // diffing as channel rows; columns only some rows measure stay
+        // absent instead of reading as a measured zero.
+        let row = old_runtime_row();
+        assert_eq!(row.text("transport"), Some("channel"));
+        assert_eq!(row.get("cores"), None);
     }
 
     #[test]
     fn transport_is_part_of_the_row_identity() {
         // A socket row never matches a channel baseline (and vice versa):
         // the two backends have independent trajectories.
-        let channel = vec![runtime_row("bracha", 20, 1, 300)];
-        let mut socket = channel.clone();
-        socket[0].transport = "socket".into();
-        assert_eq!(diff_runtime_rows(&channel, &socket, 20).len(), 1, "baseline row unmatched");
-        let both = vec![channel[0].clone(), socket[0].clone()];
-        assert!(diff_runtime_rows(&both, &both, 20).is_empty());
+        let both = [runtime_row("channel", 300), runtime_row("socket", 300)];
+        let problems = RUNTIME.diff(&both[..1], &both[1..]);
+        assert_eq!(problems.len(), 1, "baseline row unmatched: {problems:?}");
+        assert!(RUNTIME.diff(&both, &both).is_empty());
     }
 
     #[test]
-    fn runtime_diff_gates_commits_twin_and_wall() {
-        let base = vec![runtime_row("aba", 20, 2, 400)];
-        assert!(diff_runtime_rows(&base, &base, 20).is_empty());
-        // Schedule-dependent columns may drift freely.
-        let mut drift = base.clone();
-        drift[0].msgs = 9999;
-        drift[0].p99_us = 1;
-        drift[0].peak_rss_kb = 1;
-        assert!(diff_runtime_rows(&base, &drift, 20).is_empty());
-        // Commits and the twin flag are exact.
-        let mut commits = base.clone();
-        commits[0].commits = 19;
-        assert_eq!(diff_runtime_rows(&base, &commits, 20).len(), 1);
-        let mut twin = base.clone();
-        twin[0].twin_ok = 0;
-        assert_eq!(diff_runtime_rows(&base, &twin, 20).len(), 1);
-        // Wall: tolerated within tol_pct above the floor, noise below it.
-        let mut slow = base.clone();
-        slow[0].wall_ms = 500;
-        assert_eq!(diff_runtime_rows(&base, &slow, 20).len(), 1);
-        let mut tiny = base.clone();
-        tiny[0].wall_ms = 10;
-        let mut tiny_slow = tiny.clone();
-        tiny_slow[0].wall_ms = 100;
-        assert!(diff_runtime_rows(&tiny, &tiny_slow, 20).is_empty());
-        // Missing row: flagged.
-        assert_eq!(diff_runtime_rows(&base, &[], 20).len(), 1);
+    fn wall_is_gated_with_tolerance_above_the_floor_only() {
+        let wall = |was, now| {
+            RUNTIME.diff(&[runtime_row("channel", was)], &[runtime_row("channel", now)])
+        };
+        assert!(wall(400, 470).is_empty(), "within 20%");
+        assert_eq!(wall(400, 500).len(), 1, "beyond 20%");
+        assert!(wall(10, 100).is_empty(), "both below the floor: noise");
+        assert!(wall(500, 400).is_empty(), "faster is never a regression");
+    }
+
+    #[test]
+    fn the_baseline_is_scoped_by_what_was_planned_not_by_what_ran() {
+        let cell = |churn: u64| Row::default().with("bench", "epochs").with("churn_pct", churn);
+        let baseline = vec![cell(1), cell(5), cell(20)];
+        // Planned 1% and 5%, but the run lost the 5% cell: one problem.
+        // The 20% row was never asked for: out of scope, no problem.
+        let in_scope = EPOCHS.scoped(baseline, &[cell(1), cell(5)]);
+        assert_eq!(in_scope.len(), 2);
+        let problems = EPOCHS.diff(&in_scope, &[cell(1)]);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("churn_pct=5 missing from fresh run"), "{problems:?}");
+    }
+
+    fn gossip_row(backend: &str, n: u64, reach_pct: u64, cost_x100: u64) -> Row {
+        Row::default()
+            .with("bench", "gossip_scale")
+            .with("backend", backend)
+            .with("n", n)
+            .with("reach_pct", reach_pct)
+            .with("msgs_per_delivery_x100", cost_x100)
+            .with("baseline_msgs_per_delivery", n)
+    }
+
+    #[test]
+    fn gossip_invariants_hold_fresh_rows_to_the_acceptance_criteria() {
+        // Partial reach flags.
+        assert_eq!(gossip_invariants(&[gossip_row("overlay", 64, 98, 1015)]).len(), 1);
+        // Above the economy floor, overlay msgs/delivery must beat the
+        // n²-flood yardstick of n…
+        let problems = gossip_invariants(&[gossip_row("overlay", 256, 100, 256 * 100)]);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("baseline"), "{problems:?}");
+        assert!(gossip_invariants(&[gossip_row("overlay", 256, 100, 1015)]).is_empty());
+        // …but small populations and the fullmesh yardstick itself are
+        // exempt.
+        assert!(gossip_invariants(&[gossip_row("overlay", 64, 100, 64 * 100)]).is_empty());
+        assert!(gossip_invariants(&[gossip_row("fullmesh", 256, 100, 256 * 100)]).is_empty());
     }
 
     #[test]
