@@ -151,6 +151,7 @@ fn row_from(
         .with("msgs", msgs)
         .with("deliveries", stats.deliveries)
         .with("msgs_per_delivery_x100", msgs * 100 / deliveries)
+        .with("payload_msgs_per_delivery_x100", stats.eager_sent * 100 / deliveries)
         .with("bytes_per_delivery", metrics.total_bytes() / deliveries)
         .with("baseline_msgs_per_delivery", n as u64)
         .with("mean_degree_x100", (stats.mean_degree() * 100.0).round() as u64)

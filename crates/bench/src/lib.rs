@@ -610,6 +610,10 @@ pub const GOSSIP: Schema = Schema {
         Field::num("deliveries", Gate::ExactIf("substrate", "sim")),
         // Messages per delivery, fixed-point ×100 (`1042` = 10.42).
         Field::num("msgs_per_delivery_x100", Gate::ExactIf("substrate", "sim")),
+        // Payload-bearing `Eager` frames per delivery, fixed-point ×100: 100
+        // is a spanning tree; the rest of `msgs_per_delivery_x100` is the
+        // overlay's control traffic and the inner protocol's unicasts.
+        Field::num("payload_msgs_per_delivery_x100", Gate::ExactIf("substrate", "sim")),
         // Bytes sent (every frame, payload and control) per delivery.
         Field::num("bytes_per_delivery", Gate::ExactIf("substrate", "sim")),
         // The n²-flood yardstick in the same unit: a reliable full-mesh

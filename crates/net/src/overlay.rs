@@ -4,26 +4,35 @@
 //! one [`Delivery::Broadcast`](crate::Delivery) effect fanned out to all
 //! `n` nodes, `O(n²)` messages per logical round. This module keeps the
 //! broadcast effect *symbolic* and expands it into **overlay fanout**
-//! instead: each node maintains a small *active view* it eagerly pushes
-//! payloads to and a larger *passive view* it repairs from — HyParView's
-//! partial-view split — while a Plumtree-style eager/lazy push layer
-//! prunes the flood into a spanning tree and recovers missing payloads
-//! with IHAVE/GRAFT. Three design points tie the overlay to the Swiper
-//! paper's weighted model:
+//! instead: each node keeps a small *active view* and a larger *passive
+//! view* it repairs from — HyParView's partial-view split — and pushes
+//! payloads Plumtree-style: eagerly along a spanning tree, lazily
+//! (IHAVE/GRAFT) along the rest of the active view. Four design points tie
+//! the overlay to the Swiper paper's weighted model (measurements: the
+//! "Dissemination backends" ADR in `docs/ARCHITECTURE.md`):
 //!
-//! * **Stake-weighted peer sampling.** Active-view members, passive
+//! * **The tree is derived, not learned.** Every node holds the full
+//!   weight vector, so each computes the same k-ary heap over the parties
+//!   ordered by (stake floored at 1, descending; then id): its parent and
+//!   up to k children are its eager links — symmetric by construction,
+//!   heavy stake at the root, the parties cheapest to corrupt at the
+//!   leaves. k is half the active degree, so the links sit inside the
+//!   view and a broadcast costs `n` payload sends at any degree. At every
+//!   [`EpochEvent`] the tree is re-derived from the event's weights.
+//! * **Stake-weighted lazy links.** The rest of the active view, passive
 //!   refills and shuffle targets are drawn with
-//!   [`WeightedReservoir`](swiper_core::sampling::WeightedReservoir) —
-//!   inclusion probability proportional to stake (floored at 1 so
-//!   zero-stake parties stay reachable), so heavy parties sit on many
-//!   eager paths and are reached early. Weights are refreshed and views
-//!   rebuilt at every [`EpochEvent`] boundary (`fold_rekey` reseeds the
-//!   sampler deterministically).
-//! * **Structural reach.** Every node keeps its ring successor
-//!   `(me+1) mod n` in the active view, and ring edges are exempt from
-//!   pruning: the directed ring is a subgraph of every eager graph, so a
-//!   broadcast reaches 100% of nodes on every seed — the sampled edges
-//!   buy *depth* (logarithmic rounds), the ring buys *certainty*.
+//!   [`WeightedReservoir`](swiper_core::sampling::WeightedReservoir)
+//!   (`fold_rekey` reseeds it at an epoch). They carry one batched
+//!   [`OverlayMsg::IHave`] per lazy tick; a peer still lacking an
+//!   announced payload one graft wait later pulls it with `Graft`, which
+//!   makes the link eager on both ends, and a duplicate on an eager link
+//!   demotes it again (`Prune`). Tick and wait are `graft_timeout` per hop
+//!   times the tree depth, so a fault-free run sends neither.
+//! * **Structural reach.** The ring successor `(me+1) mod n` never leaves
+//!   the active view and is announced *every* payload. Walk the ring from
+//!   any holder: the first node lacking the payload has a predecessor that
+//!   holds it, was announced it, and grafts — so a failed or Byzantine
+//!   interior node costs its subtree latency, not the payload.
 //! * **Churn feeds epochs.** SWIM-style probing (ping, suspect on
 //!   timeout, confirm after a grace period) records confirmed failures
 //!   and observed joins into a shared [`ChurnLedger`], which renders them
@@ -59,6 +68,7 @@ const KIND_PROBE_TICK: u64 = 1;
 const KIND_PROBE_TIMEOUT: u64 = 2;
 const KIND_CONFIRM: u64 = 3;
 const KIND_SHUFFLE: u64 = 4;
+const KIND_LAZY: u64 = 5;
 /// Payload mask (bits 0..60).
 const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
@@ -88,13 +98,11 @@ pub enum OverlayMsg<M> {
         /// The wrapped protocol's message.
         payload: M,
     },
-    /// Lazy push: "I have payload `(origin, seq)`" — sent to lazy peers
-    /// so they can graft if their eager paths failed.
+    /// Lazy push: "I have these payloads" — one batch per lazy peer per
+    /// lazy tick, so the receiver can graft what its eager paths missed.
     IHave {
-        /// Originating node of the announced payload.
-        origin: u32,
-        /// Origin's broadcast counter for the announced payload.
-        seq: u32,
+        /// `(origin, seq)` of every payload announced.
+        ids: Vec<(u32, u32)>,
     },
     /// Pull request for an announced payload the sender never received
     /// eagerly; also promotes the link back to eager (tree repair).
@@ -146,7 +154,8 @@ impl<M: MessageSize> MessageSize for OverlayMsg<M> {
     fn size_bytes(&self) -> usize {
         match self {
             OverlayMsg::Eager { payload, .. } => 1 + 12 + payload.size_bytes(),
-            OverlayMsg::IHave { .. } | OverlayMsg::Graft { .. } => 1 + 8,
+            OverlayMsg::IHave { ids } => 1 + 4 + 8 * ids.len(),
+            OverlayMsg::Graft { .. } => 1 + 8,
             OverlayMsg::Prune | OverlayMsg::Join | OverlayMsg::Disconnect => 1,
             OverlayMsg::Direct(m) => 1 + m.size_bytes(),
             OverlayMsg::JoinReply { peers }
@@ -159,7 +168,9 @@ impl<M: MessageSize> MessageSize for OverlayMsg<M> {
 
 /// Configuration knobs of the overlay. `0` on the degree fields means
 /// "derive from `n`": active degree `max(3, ⌈log₂ n⌉) + 1` (the +1 is the
-/// ring successor), passive degree four times that. The failure-detection
+/// ring successor), passive degree four times that. The dissemination
+/// tree's arity is half the active degree (at least 2), so its links sit
+/// inside the active view at any degree ≥ 4. The failure-detection
 /// and shuffle schedules are *bounded-round* — a fixed number of probe and
 /// shuffle rounds per run, so runs quiesce instead of ticking forever.
 #[derive(Debug, Clone)]
@@ -168,9 +179,11 @@ pub struct OverlayConfig {
     pub active_degree: usize,
     /// Passive-view size (0 = auto).
     pub passive_degree: usize,
-    /// How many lazy peers receive an IHAVE per first receipt.
+    /// How many lazy peers a first receipt is announced to, on top of the
+    /// ring successor (which is announced every one).
     pub lazy_fanout: usize,
-    /// Ticks to wait for an eager copy after an IHAVE before grafting.
+    /// Ticks one eager hop may take. The lazy tick and the wait for an
+    /// eager copy after an IHAVE are both this times the tree depth.
     pub graft_timeout: u64,
     /// How many graft attempts (rotating providers) before giving up.
     pub graft_retries: u32,
@@ -188,11 +201,11 @@ pub struct OverlayConfig {
     pub shuffle_period: u64,
     /// Peers carried per shuffle message.
     pub shuffle_size: usize,
-    /// When false, duplicate receipts never demote eager links: every
-    /// active edge stays eager forever and the overlay degenerates into
-    /// reliable flooding. The benchmark harness runs its `fullmesh`
-    /// yardstick with this off (and `active_degree: n - 1`) so the
-    /// n²-flood baseline is *measured* through the same code path the
+    /// When false, no tree is derived and duplicate receipts never demote
+    /// eager links: every active edge stays eager forever and the overlay
+    /// degenerates into reliable flooding. The benchmark harness runs its
+    /// `fullmesh` yardstick with this off (and `active_degree: n - 1`) so
+    /// the n²-flood baseline is *measured* through the same code path the
     /// overlay uses, not assumed.
     pub prune: bool,
 }
@@ -265,7 +278,7 @@ pub struct OverlayStats {
     pub max_hops: u32,
     /// Prune messages sent (tree convergence).
     pub prunes: u64,
-    /// IHAVE announcements sent to lazy peers.
+    /// IHAVE batches sent to lazy peers.
     pub ihaves: u64,
     /// Graft pulls sent (recovery activity).
     pub grafts: u64,
@@ -281,6 +294,16 @@ pub struct OverlayStats {
     pub degree_sum: u64,
     /// …over this many node-builds (mean degree = sum / builds).
     pub degree_builds: u64,
+    /// Payload-bearing [`OverlayMsg::Eager`] frames sent, self-addressed
+    /// originations included…
+    pub eager_sent: u64,
+    /// …and their bytes.
+    pub eager_bytes: u64,
+    /// The overlay's own frames sent: everything but `Eager` and the
+    /// inner protocol's `Direct` unicasts…
+    pub control_sent: u64,
+    /// …and their bytes.
+    pub control_bytes: u64,
 }
 
 impl OverlayStats {
@@ -380,7 +403,7 @@ impl ChurnLedger {
 #[derive(Debug, Default)]
 struct GraftState {
     providers: Vec<NodeId>,
-    next_provider: usize,
+    /// Grafts sent so far; providers are tried in rotation.
     retries: u32,
 }
 
@@ -399,16 +422,20 @@ pub struct OverlayNode<M: Clone + MessageSize> {
     me: NodeId,
     n: usize,
     started: bool,
-    // Views. Invariant: eager ∪ lazy = active, disjoint; passive is
-    // disjoint from active and never contains `me`.
+    /// Stake floored at 1 (zero-stake parties must stay reachable), padded
+    /// to `n`; refreshed by `build_views`.
+    floored: Vec<u64>,
+    // Views. Invariant: eager ⊆ active, and the lazy links are the rest
+    // of active; passive is disjoint from active and never contains `me`.
     active: BTreeSet<NodeId>,
     eager: BTreeSet<NodeId>,
-    lazy: BTreeSet<NodeId>,
     passive: BTreeSet<NodeId>,
     // Dissemination state.
     next_seq: u32,
     seen: BTreeMap<(u32, u32), (M, u32)>,
     graft_pending: BTreeMap<(u32, u32), GraftState>,
+    /// Announcements queued per lazy peer until the lazy tick.
+    announce: BTreeMap<NodeId, Vec<(u32, u32)>>,
     // Failure detection.
     next_nonce: u32,
     probes_sent: u32,
@@ -443,13 +470,14 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             me: 0,
             n: 0,
             started: false,
+            floored: Vec::new(),
             active: BTreeSet::new(),
             eager: BTreeSet::new(),
-            lazy: BTreeSet::new(),
             passive: BTreeSet::new(),
             next_seq: 0,
             seen: BTreeMap::new(),
             graft_pending: BTreeMap::new(),
+            announce: BTreeMap::new(),
             next_nonce: 0,
             probes_sent: 0,
             probe_cursor: 0,
@@ -481,6 +509,26 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         }
     }
 
+    /// Splits what one callback staged (from `mark` on) into payload
+    /// frames and the overlay's own control traffic.
+    fn tally(&self, ctx: &Context<OverlayMsg<M>>, mark: usize) {
+        if ctx.outbox.len() == mark {
+            return;
+        }
+        self.stat(|s| {
+            for delivery in &ctx.outbox[mark..] {
+                let Delivery::Unicast(_, msg) = delivery else { continue };
+                let (count, bytes) = match msg {
+                    OverlayMsg::Eager { .. } => (&mut s.eager_sent, &mut s.eager_bytes),
+                    OverlayMsg::Direct(_) => continue,
+                    _ => (&mut s.control_sent, &mut s.control_bytes),
+                };
+                *count += 1;
+                *bytes += msg.size_bytes() as u64;
+            }
+        });
+    }
+
     fn churn(&self, ev: ChurnEvent) {
         if let Some(l) = &self.ledger {
             l.lock().expect("ledger poisoned").record(ev);
@@ -491,50 +539,64 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         (self.me + 1) % self.n.max(1)
     }
 
-    fn ring_pred(&self) -> NodeId {
-        (self.me + self.n - 1) % self.n.max(1)
+    /// Arity of the dissemination tree: half the active degree, so parent,
+    /// children and ring successor fit inside the view.
+    fn arity(&self) -> usize {
+        (self.cfg.active_for(self.n) / 2).max(2)
     }
 
-    /// Stake floored at 1: zero-stake parties must stay reachable.
-    fn floored_weights(&self) -> Vec<u64> {
-        let mut w: Vec<u64> = self.weights.as_slice().iter().map(|&w| w.max(1)).collect();
-        w.resize(self.n, 1);
-        w
+    /// The lazy tick and the graft wait: `graft_timeout` per hop times the
+    /// tree depth `⌈log_k n⌉`, so an announcement is acted on only once
+    /// the tree has had time to deliver the payload by itself.
+    fn repair_wait(&self) -> u64 {
+        let (k, mut span, mut depth) = (self.arity(), 1, 0);
+        while span < self.n {
+            span *= k;
+            depth += 1;
+        }
+        self.cfg.graft_timeout * depth.max(1)
     }
 
-    /// (Re)draws both views from the current weights: ring successor
-    /// pinned into active, the rest stake-sampled; eager restarts as the
-    /// whole active view (pruning re-converges the tree).
+    /// This node's links in the k-ary heap over all parties ordered by
+    /// (floored stake descending, id): its parent and up to k children.
+    /// Every node holds the same weights, so every node derives the same
+    /// tree and the links are symmetric by construction.
+    fn tree_links(&self) -> BTreeSet<NodeId> {
+        let k = self.arity();
+        let mut order: Vec<NodeId> = (0..self.n).collect();
+        order.sort_unstable_by_key(|&p| (std::cmp::Reverse(self.floored[p]), p));
+        let pos = order.iter().position(|&p| p == self.me).expect("me < n once started");
+        let parent = (pos > 0).then(|| order[(pos - 1) / k]);
+        let children = (k * pos + 1..=k * pos + k).filter_map(|c| order.get(c).copied());
+        parent.into_iter().chain(children).collect()
+    }
+
+    /// (Re)draws the views from the current weights. The tree links are
+    /// the eager set; the pinned ring successor and stake-sampled peers
+    /// fill the active view up to its degree as the lazy (repair) set.
+    /// With pruning off, eager is the whole active view instead.
     fn build_views(&mut self) {
-        self.active.clear();
+        self.floored = self.weights.as_slice().iter().map(|&w| w.max(1)).collect();
+        self.floored.resize(self.n, 1);
+        let me = self.me;
+        self.eager = if self.cfg.prune { self.tree_links() } else { BTreeSet::new() };
+        self.active = self.eager.clone();
         self.passive.clear();
         if self.n > 1 {
             self.active.insert(self.ring_succ());
         }
-        let floored = self.floored_weights();
-        let me = self.me;
-        let want_active = self.cfg.active_for(self.n);
-        if want_active > self.active.len() {
-            let succ = self.ring_succ();
-            let extra = WeightedReservoir::sample_indices(
-                &floored,
-                want_active - self.active.len(),
-                &mut self.rng,
-                |i| i == me || i == succ,
-            );
-            self.active.extend(extra);
+        let mut draw = |k: usize, taken: &BTreeSet<NodeId>| {
+            let skip = |i| i == me || taken.contains(&i);
+            WeightedReservoir::sample_indices(&self.floored, k, &mut self.rng, skip)
+        };
+        let fill = self.cfg.active_for(self.n).saturating_sub(self.active.len());
+        let extra = draw(fill, &self.active);
+        self.active.extend(extra);
+        let passive = draw(self.cfg.passive_for(self.n), &self.active);
+        self.passive.extend(passive);
+        if !self.cfg.prune {
+            self.eager = self.active.clone();
         }
-        let want_passive = self.cfg.passive_for(self.n);
-        if want_passive > 0 {
-            let active = self.active.clone();
-            let passive =
-                WeightedReservoir::sample_indices(&floored, want_passive, &mut self.rng, |i| {
-                    i == me || active.contains(&i)
-                });
-            self.passive.extend(passive);
-        }
-        self.eager = self.active.clone();
-        self.lazy.clear();
         let degree = self.active.len() as u64;
         self.stat(|s| {
             s.degree_sum += degree;
@@ -548,51 +610,60 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     /// told via [`OverlayMsg::Disconnect`].
     fn enforce_active_cap(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
         let cap = self.cfg.active_for(self.n).max(1);
-        let floored = self.floored_weights();
+        let succ = self.ring_succ();
         while self.active.len() > cap {
-            let succ = self.ring_succ();
-            let victim =
-                self.active.iter().copied().filter(|&p| p != succ).min_by_key(|&p| {
-                    (floored.get(p).copied().unwrap_or(1), std::cmp::Reverse(p))
-                });
+            let victim = self.active.iter().copied().filter(|&p| p != succ).min_by_key(|&p| {
+                let stake = self.floored.get(p).copied().unwrap_or(1);
+                (self.eager.contains(&p), stake, std::cmp::Reverse(p))
+            });
             let Some(victim) = victim else { break };
             self.demote_to_passive(victim);
             ctx.send(victim, OverlayMsg::Disconnect);
         }
     }
 
+    /// Tree repair: `peer` becomes an eager neighbour. Both ends of a graft
+    /// call this, so the promoted link is known as eager on both sides.
+    fn promote_to_eager(&mut self, peer: NodeId, ctx: &mut Context<OverlayMsg<M>>) {
+        self.passive.remove(&peer);
+        self.active.insert(peer);
+        self.eager.insert(peer);
+        self.enforce_active_cap(ctx);
+    }
+
     fn demote_to_passive(&mut self, peer: NodeId) {
         self.active.remove(&peer);
         self.eager.remove(&peer);
-        self.lazy.remove(&peer);
         if peer != self.me {
             self.passive.insert(peer);
         }
     }
 
     /// Removes a confirmed-failed peer everywhere and promotes a
-    /// stake-sampled replacement from the passive view. The ring
-    /// successor is exempt: that edge is the structural reach guarantee,
-    /// and a false-positive confirmation (slow scheduler, lossy link)
-    /// must never sever it — the confirmation is still recorded in the
-    /// churn ledger, where the epoch machinery decides its fate.
+    /// stake-sampled replacement from the passive view, as a lazy link
+    /// until a graft makes it eager on both ends. The ring successor is
+    /// exempt: announcing to it is the structural reach guarantee, and a
+    /// false-positive confirmation (slow scheduler, lossy link) must never
+    /// sever it — the confirmation is still recorded in the churn ledger,
+    /// where the epoch machinery decides its fate.
     fn replace_failed(&mut self, peer: NodeId) {
         if peer == self.ring_succ() {
             return;
         }
         self.active.remove(&peer);
         self.eager.remove(&peer);
-        self.lazy.remove(&peer);
         self.passive.remove(&peer);
-        let floored = self.floored_weights();
-        let passive = self.passive.clone();
-        let promoted = WeightedReservoir::sample_indices(&floored, 1, &mut self.rng, |i| {
-            !passive.contains(&i)
-        });
+        let passive = &self.passive;
+        let promoted =
+            WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| {
+                !passive.contains(&i)
+            });
         if let Some(&p) = promoted.first() {
             self.passive.remove(&p);
             self.active.insert(p);
-            self.eager.insert(p);
+            if !self.cfg.prune {
+                self.eager.insert(p);
+            }
         }
     }
 
@@ -651,25 +722,15 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     ) {
         let key = (origin, seq);
         if self.seen.contains_key(&key) {
-            // Duplicate: this eager link is redundant — demote it, unless
-            // it is a ring edge or our own origination echo. Both ring
-            // directions are exempt: demoting the predecessor would stop
-            // *it* being pushed to on the way back, and demoting the
-            // successor severs the outgoing edge the reach guarantee is
-            // built on (every node always pushes to `(me + 1) % n`).
-            if self.cfg.prune
-                && from != self.me
-                && from != self.ring_pred()
-                && from != self.ring_succ()
-                && self.eager.remove(&from)
-            {
-                self.lazy.insert(from);
+            // Duplicate: the link is redundant. Payload only travels on
+            // links both ends hold as eager (tree, graft-promoted), so
+            // demoting it and telling the sender keeps the ends in step.
+            if self.cfg.prune && from != self.me && self.eager.remove(&from) {
                 ctx.send(from, OverlayMsg::Prune);
                 self.stat(|s| s.prunes += 1);
             }
             return;
         }
-        self.seen.insert(key, (payload.clone(), hops));
         self.graft_pending.remove(&key);
         self.stat(|s| {
             s.deliveries += 1;
@@ -682,47 +743,58 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         self.drive_inner(ctx, |inner, ictx| {
             inner.on_message(origin as NodeId, inner_payload, ictx);
         });
-        // Eager fanout: everyone on an eager link except where it came
-        // from and who started it.
-        for &p in self.eager.clone().iter() {
-            if p != from && p != self.me && p as u32 != origin {
-                ctx.send(
-                    p,
-                    OverlayMsg::Eager { origin, seq, hops: hops + 1, payload: payload.clone() },
-                );
+        // Eager fanout and lazy announcements go to everyone but where
+        // the payload came from and who started it.
+        let me = self.me;
+        let holds = |p: NodeId| p == from || p == me || p as u32 == origin;
+        for &p in self.eager.iter().filter(|&&p| !holds(p)) {
+            ctx.send(
+                p,
+                OverlayMsg::Eager { origin, seq, hops: hops + 1, payload: payload.clone() },
+            );
+        }
+        // Announced at the next lazy tick: the ring successor always (the
+        // reach guarantee), plus a rotating lazy_fanout-slice of the lazy
+        // view (no rng, so replicas agree; offset by `me`, so a peer's
+        // announcers do not all cover the same origins).
+        let lazy = self.active.difference(&self.eager);
+        let len = lazy.clone().count();
+        let start = (me + origin as usize + seq as usize) % len.max(1);
+        let slice = lazy.clone().cycle().skip(start).take(self.cfg.lazy_fanout.min(len));
+        let succ = self.ring_succ();
+        let ring = (!self.eager.contains(&succ)).then_some(&succ);
+        let idle = self.announce.is_empty();
+        for &p in ring.into_iter().chain(slice.filter(|&&p| p != succ)) {
+            if !holds(p) {
+                self.announce.entry(p).or_default().push(key);
             }
         }
-        // Lazy announcements: a rotating lazy_fanout-slice of the lazy
-        // view (deterministic rotation — no rng, so replicas agree).
-        if self.cfg.lazy_fanout > 0 && !self.lazy.is_empty() {
-            let lazy: Vec<NodeId> = self.lazy.iter().copied().collect();
-            let start = (origin as usize + seq as usize) % lazy.len();
-            for off in 0..self.cfg.lazy_fanout.min(lazy.len()) {
-                let p = lazy[(start + off) % lazy.len()];
-                ctx.send(p, OverlayMsg::IHave { origin, seq });
-                self.stat(|s| s.ihaves += 1);
-            }
+        if idle && !self.announce.is_empty() {
+            ctx.set_timer(self.repair_wait(), overlay_timer(KIND_LAZY, 0));
         }
+        self.seen.insert(key, (payload, hops));
     }
 
     fn on_ihave(
         &mut self,
         from: NodeId,
-        origin: u32,
-        seq: u32,
+        ids: Vec<(u32, u32)>,
         ctx: &mut Context<OverlayMsg<M>>,
     ) {
-        let key = (origin, seq);
-        if self.seen.contains_key(&key) {
-            return;
-        }
-        let state = self.graft_pending.entry(key).or_default();
-        let fresh = state.providers.is_empty();
-        if !state.providers.contains(&from) {
-            state.providers.push(from);
-        }
-        if fresh {
-            ctx.set_timer(self.cfg.graft_timeout, graft_timer(origin, seq));
+        for key @ (origin, seq) in ids {
+            // Ids off the wire are untrusted: only a party can originate,
+            // and the graft timer packs both fields into 28 bits each.
+            if self.seen.contains_key(&key) || origin as usize >= self.n || seq >= 1 << 28 {
+                continue;
+            }
+            let state = self.graft_pending.entry(key).or_default();
+            let fresh = state.providers.is_empty();
+            if !state.providers.contains(&from) {
+                state.providers.push(from);
+            }
+            if fresh {
+                ctx.set_timer(self.repair_wait(), graft_timer(origin, seq));
+            }
         }
     }
 
@@ -735,18 +807,20 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         if state.retries >= self.cfg.graft_retries || state.providers.is_empty() {
             return;
         }
-        let provider = state.providers[state.next_provider % state.providers.len()];
-        state.next_provider += 1;
+        let provider = state.providers[state.retries as usize % state.providers.len()];
         state.retries += 1;
         ctx.send(provider, OverlayMsg::Graft { origin, seq });
         self.stat(|s| s.grafts += 1);
-        // Tree repair: the provider becomes an eager neighbour.
-        self.lazy.remove(&provider);
-        self.passive.remove(&provider);
-        self.active.insert(provider);
-        self.eager.insert(provider);
-        self.enforce_active_cap(ctx);
-        ctx.set_timer(self.cfg.graft_timeout, graft_timer(origin, seq));
+        self.promote_to_eager(provider, ctx);
+        ctx.set_timer(self.repair_wait(), graft_timer(origin, seq));
+    }
+
+    /// Flushes the queued announcements: one batch per lazy peer.
+    fn on_lazy_tick(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
+        for (p, ids) in std::mem::take(&mut self.announce) {
+            ctx.send(p, OverlayMsg::IHave { ids });
+            self.stat(|s| s.ihaves += 1);
+        }
     }
 
     fn on_probe_tick(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
@@ -775,9 +849,8 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             return;
         }
         self.shuffles_sent += 1;
-        let floored = self.floored_weights();
-        let active = self.active.clone();
-        let target = WeightedReservoir::sample_indices(&floored, 1, &mut self.rng, |i| {
+        let active = &self.active;
+        let target = WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| {
             !active.contains(&i)
         });
         let Some(&target) = target.first() else { return };
@@ -825,6 +898,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
     type Msg = OverlayMsg<M>;
 
     fn on_start(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
+        let mark = ctx.outbox.len();
         self.me = ctx.me();
         self.n = ctx.n();
         self.started = true;
@@ -835,10 +909,9 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
         // Announce ourselves to one stake-sampled peer (the join path is
         // live on every run, not only under churn).
         if self.n > 1 {
-            let floored = self.floored_weights();
             let me = self.me;
             let join =
-                WeightedReservoir::sample_indices(&floored, 1, &mut self.rng, |i| i == me);
+                WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| i == me);
             if let Some(&p) = join.first() {
                 ctx.send(p, OverlayMsg::Join);
             }
@@ -850,6 +923,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
             ctx.set_timer(self.cfg.shuffle_period, overlay_timer(KIND_SHUFFLE, 0));
         }
         self.drive_inner(ctx, |inner, ictx| inner.on_start(ictx));
+        self.tally(ctx, mark);
     }
 
     fn on_message(
@@ -858,28 +932,23 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
         msg: OverlayMsg<M>,
         ctx: &mut Context<OverlayMsg<M>>,
     ) {
+        let mark = ctx.outbox.len();
         match msg {
             OverlayMsg::Eager { origin, seq, hops, payload } => {
                 self.on_eager(from, origin, seq, hops, payload, ctx);
             }
-            OverlayMsg::IHave { origin, seq } => self.on_ihave(from, origin, seq, ctx),
+            OverlayMsg::IHave { ids } => self.on_ihave(from, ids, ctx),
             OverlayMsg::Graft { origin, seq } => {
                 // The grafting peer wants this link eager again.
                 if from != self.me {
-                    self.passive.remove(&from);
-                    self.lazy.remove(&from);
-                    self.active.insert(from);
-                    self.eager.insert(from);
-                    self.enforce_active_cap(ctx);
+                    self.promote_to_eager(from, ctx);
                 }
                 if let Some((payload, hops)) = self.seen.get(&(origin, seq)).cloned() {
                     ctx.send(from, OverlayMsg::Eager { origin, seq, hops: hops + 1, payload });
                 }
             }
             OverlayMsg::Prune => {
-                if from != self.ring_succ() && self.eager.remove(&from) {
-                    self.lazy.insert(from);
-                }
+                self.eager.remove(&from);
             }
             OverlayMsg::Direct(m) => {
                 self.drive_inner(ctx, |inner, ictx| inner.on_message(from, m, ictx));
@@ -915,18 +984,20 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
             OverlayMsg::Disconnect => {
                 // The ring edge is unilateral: even a successor that
                 // evicted us from *its* active view keeps receiving our
-                // pushes — that edge is the structural reach guarantee.
+                // announcements — that is the structural reach guarantee.
                 if from != self.ring_succ() {
                     self.demote_to_passive(from);
                 }
             }
         }
+        self.tally(ctx, mark);
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut Context<OverlayMsg<M>>) {
+        let mark = ctx.outbox.len();
         if id & OVERLAY_TIMER_BIT == 0 {
             self.drive_inner(ctx, |inner, ictx| inner.on_timer(id, ictx));
-            return;
+            return self.tally(ctx, mark);
         }
         let payload = id & PAYLOAD_MASK;
         match (id >> KIND_SHIFT) & 0x7 {
@@ -958,11 +1029,14 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
                 }
             }
             KIND_SHUFFLE => self.on_shuffle_tick(ctx),
+            KIND_LAZY => self.on_lazy_tick(ctx),
             _ => {}
         }
+        self.tally(ctx, mark);
     }
 
     fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<OverlayMsg<M>>) {
+        let mark = ctx.outbox.len();
         // Reweigh-at-boundary: refresh stake, reseed the sampler from the
         // event's rekey material, and rebuild both views so fanout
         // reflects the new weight distribution. A mis-addressed event
@@ -976,6 +1050,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
             self.build_views();
         }
         self.drive_inner(ctx, |inner, ictx| inner.on_reconfigure(event, ictx));
+        self.tally(ctx, mark);
     }
 }
 
@@ -1038,10 +1113,13 @@ where
                 self.inner.encode(payload, &mut buf);
                 put_slice(out, &buf);
             }
-            OverlayMsg::IHave { origin, seq } => {
+            OverlayMsg::IHave { ids } => {
                 out.push(TAG_IHAVE);
-                put_u32(out, *origin);
-                put_u32(out, *seq);
+                put_u32(out, ids.len() as u32);
+                for &(origin, seq) in ids {
+                    put_u32(out, origin);
+                    put_u32(out, seq);
+                }
             }
             OverlayMsg::Graft { origin, seq } => {
                 out.push(TAG_GRAFT);
@@ -1090,7 +1168,14 @@ where
                 let payload = self.inner.decode(r.take_slice()?)?;
                 OverlayMsg::Eager { origin, seq, hops, payload }
             }
-            TAG_IHAVE => OverlayMsg::IHave { origin: r.take_u32()?, seq: r.take_u32()? },
+            TAG_IHAVE => {
+                let len = r.take_u32()? as usize;
+                let mut ids = Vec::with_capacity(len.min(4096));
+                for _ in 0..len {
+                    ids.push((r.take_u32()?, r.take_u32()?));
+                }
+                OverlayMsg::IHave { ids }
+            }
             TAG_GRAFT => OverlayMsg::Graft { origin: r.take_u32()?, seq: r.take_u32()? },
             TAG_PRUNE => OverlayMsg::Prune,
             TAG_DIRECT => OverlayMsg::Direct(self.inner.decode(r.take_slice()?)?),
@@ -1191,18 +1276,16 @@ mod tests {
         );
         let mut ctx = Context::detached(0, 8, 0);
         node.on_start(&mut ctx);
-        // First copy from the ring successor, duplicate from another peer.
+        // Equal stake: node 0 is the tree root and 1, 2 are its children.
+        assert_eq!(node.eager, BTreeSet::from([1, 2]));
+        // First copy from one child, duplicate from the other.
         let eager = |hops| OverlayMsg::Eager { origin: 5, seq: 0, hops, payload: 9u64 };
         let mut ctx = Context::detached(0, 8, 1);
         node.on_message(1, eager(1), &mut ctx);
-        let before = node.eager.clone();
-        assert!(before.contains(&2) || !node.active.contains(&2), "2 eager iff active");
-        node.active.insert(2);
-        node.eager.insert(2);
         let mut ctx = Context::detached(0, 8, 2);
         node.on_message(2, eager(3), &mut ctx);
         assert!(!node.eager.contains(&2), "duplicate sender demoted from eager");
-        assert!(node.lazy.contains(&2), "…into lazy");
+        assert!(node.active.contains(&2), "…into lazy");
         let sent = ctx.take_staged_expanded(0);
         assert!(
             sent.iter().any(|(to, m)| *to == 2 && *m == OverlayMsg::Prune),
@@ -1221,7 +1304,7 @@ mod tests {
         let mut ctx = Context::detached(0, 8, 0);
         node.on_start(&mut ctx);
         let mut ctx = Context::detached(0, 8, 1);
-        node.on_message(4, OverlayMsg::IHave { origin: 5, seq: 7 }, &mut ctx);
+        node.on_message(4, OverlayMsg::IHave { ids: vec![(5, 7)] }, &mut ctx);
         let timers = ctx.timers.clone();
         assert_eq!(timers.len(), 1, "one graft timer armed");
         let (_, timer_id) = timers[0];
@@ -1261,52 +1344,147 @@ mod tests {
         );
     }
 
+    /// `n` started nodes over `stake`, outside any simulation.
+    fn started_fleet(stake: &[u64], seed: u64) -> Vec<OverlayNode<u64>> {
+        let n = stake.len();
+        (0..n)
+            .map(|me| {
+                let mut node = OverlayNode::new(
+                    Box::new(Flood { broadcaster: false }),
+                    Weights::new(stake.to_vec()).unwrap(),
+                    OverlayConfig::default(),
+                    seed,
+                );
+                node.on_start(&mut Context::detached(me, n, 0));
+                node
+            })
+            .collect()
+    }
+
+    /// Every node derived the same tree: eager links are symmetric, there
+    /// are `n - 1` of them, and they reach every node from `root`.
+    fn assert_one_tree(nodes: &[OverlayNode<u64>], root: NodeId) {
+        let n = nodes.len();
+        for (p, node) in nodes.iter().enumerate() {
+            for &q in &node.eager {
+                assert!(nodes[q].eager.contains(&p), "{p} holds {q} eager, {q} not {p}");
+            }
+            assert!(node.eager.is_subset(&node.active) && node.active.contains(&((p + 1) % n)));
+            assert!(
+                node.active.len() <= node.cfg.active_for(n),
+                "tree links sit inside the view"
+            );
+        }
+        assert_eq!(nodes.iter().map(|v| v.eager.len()).sum::<usize>(), 2 * (n - 1));
+        let (mut reached, mut frontier) = (BTreeSet::from([root]), vec![root]);
+        while let Some(p) = frontier.pop() {
+            frontier.extend(nodes[p].eager.iter().copied().filter(|&q| reached.insert(q)));
+        }
+        assert_eq!(reached.len(), n, "the eager links span the population");
+    }
+
     #[test]
     fn reweigh_at_epoch_boundary_rebuilds_views_toward_the_new_whale() {
-        let n = 24;
-        let mut node = OverlayNode::new(
-            Box::new(Flood { broadcaster: false }),
-            Weights::new(vec![1; n]).unwrap(),
-            OverlayConfig::default(),
-            13,
-        );
-        let mut ctx = Context::detached(0, n, 0);
-        node.on_start(&mut ctx);
-        // New stake: party 17 holds essentially everything.
-        let mut stake = vec![1u64; n];
-        stake[17] = 1_000_000;
-        let old = Weights::new(vec![1; n]).unwrap();
-        let new = Weights::new(stake).unwrap();
-        let delta = TicketDelta::between(
-            &TicketAssignment::new(vec![1; n]),
-            &TicketAssignment::new(vec![1; n]),
-        )
-        .unwrap();
-        let event = EpochEvent::new(1, delta, &old, new.clone(), 7).unwrap();
-        let mut ctx = Context::detached(0, n, 100);
-        node.on_reconfigure(&event, &mut ctx);
-        assert_eq!(node.weights.as_slice(), new.as_slice(), "stake refreshed");
-        assert!(
-            node.active.contains(&17),
-            "the whale's clipped inclusion probability is 1 — it must be \
-             drawn into the rebuilt active view: {:?}",
-            node.active
-        );
-        assert_eq!(node.eager, node.active, "eager resets to the full active view");
-        assert!(node.lazy.is_empty());
-        // Determinism: an identical twin reconfigured identically agrees.
-        let mut twin = OverlayNode::new(
-            Box::new(Flood { broadcaster: false }),
-            Weights::new(vec![1; n]).unwrap(),
-            OverlayConfig::default(),
-            13,
-        );
-        let mut ctx = Context::detached(0, n, 0);
-        twin.on_start(&mut ctx);
-        let mut ctx = Context::detached(0, n, 100);
-        twin.on_reconfigure(&event, &mut ctx);
-        assert_eq!(node.active, twin.active);
-        assert_eq!(node.passive, twin.passive);
+        for (n, seed) in [(24usize, 13u64), (64, 1), (64, 42), (128, 1337)] {
+            let old_stake: Vec<u64> = (0..n as u64).map(|p| 1 + (p * 7919) % 97).collect();
+            let mut nodes = started_fleet(&old_stake, seed);
+            let old_root =
+                (0..n).min_by_key(|&p| (std::cmp::Reverse(old_stake[p]), p)).unwrap();
+            assert_one_tree(&nodes, old_root);
+            // New stake: party 17 holds essentially everything.
+            let mut stake = old_stake.clone();
+            stake[17] = 1_000_000;
+            let old = Weights::new(old_stake).unwrap();
+            let new = Weights::new(stake).unwrap();
+            let tickets = TicketAssignment::new(vec![1; n]);
+            let delta = TicketDelta::between(&tickets, &tickets).unwrap();
+            let event = EpochEvent::new(1, delta, &old, new.clone(), 7).unwrap();
+            for (me, node) in nodes.iter_mut().enumerate() {
+                node.on_reconfigure(&event, &mut Context::detached(me, n, 100));
+                assert_eq!(node.weights.as_slice(), new.as_slice(), "stake refreshed");
+            }
+            // The whale is the root of the tree every node re-derived: it
+            // has children only, and they are the next-heaviest parties.
+            assert_one_tree(&nodes, 17);
+            let k = nodes[17].arity();
+            assert_eq!(nodes[17].eager.len(), k, "the root has k children and no parent");
+            let mut rest: Vec<NodeId> = (0..n).filter(|&p| p != 17).collect();
+            rest.sort_by_key(|&p| (std::cmp::Reverse(new.get(p)), p));
+            assert_eq!(nodes[17].eager, rest[..k].iter().copied().collect());
+            // Determinism: an identical twin reconfigured identically agrees.
+            let mut twin = started_fleet(old.as_slice(), seed).swap_remove(0);
+            twin.on_reconfigure(&event, &mut Context::detached(0, n, 100));
+            assert_eq!(nodes[0].active, twin.active);
+            assert_eq!(nodes[0].passive, twin.passive);
+        }
+    }
+
+    /// Broadcasts `rounds` times, 400 ticks apart; outputs what it hears.
+    struct Chatter {
+        rounds: u32,
+    }
+
+    impl Protocol for Chatter {
+        type Msg = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            self.on_timer(0, ctx);
+        }
+
+        fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Context<u64>) {
+            ctx.output(msg.to_le_bytes().to_vec());
+        }
+
+        fn on_timer(&mut self, _id: u64, ctx: &mut Context<u64>) {
+            if self.rounds > 0 {
+                self.rounds -= 1;
+                ctx.broadcast(u64::from(self.rounds));
+                ctx.set_timer(400, 0);
+            }
+        }
+    }
+
+    /// Whether one origin broadcasts twenty times in sequence or every
+    /// node broadcasts once at the same time — the traffic shape learned
+    /// pruning could not converge on — the derived tree carries each
+    /// payload once per delivery and the repair loop stays idle.
+    #[test]
+    fn derived_tree_sends_each_payload_once_per_delivery() {
+        for (n, seed) in
+            [64usize, 128].into_iter().flat_map(|n| [1u64, 42, 1337].map(|s| (n, s)))
+        {
+            for concurrent in [false, true] {
+                let rounds = |me: usize| match (concurrent, me) {
+                    (true, _) => 1,
+                    (false, 0) => 20,
+                    (false, _) => 0,
+                };
+                let weights = Weights::new((1..=n as u64).collect()).unwrap();
+                let stats = Arc::new(Mutex::new(OverlayStats::default()));
+                let nodes = (0..n)
+                    .map(|me| {
+                        let node = OverlayNode::new(
+                            Box::new(Chatter { rounds: rounds(me) }),
+                            weights.clone(),
+                            OverlayConfig::default(),
+                            seed,
+                        );
+                        Box::new(node.with_stats(Arc::clone(&stats))) as _
+                    })
+                    .collect();
+                let report = Simulation::new(nodes, seed)
+                    .with_delay(crate::DelayModel::Uniform(1, 20))
+                    .run();
+                assert!(report.outputs.iter().all(Option::is_some));
+                let s = stats.lock().unwrap();
+                let what = format!("n {n} seed {seed} concurrent {concurrent}: {s:?}");
+                assert_eq!(s.broadcasts, if concurrent { n as u64 } else { 20 }, "{what}");
+                assert_eq!(s.deliveries, s.broadcasts * n as u64, "{what}");
+                assert!(s.eager_sent * 10 <= s.deliveries * 11, "{what}");
+                assert_eq!((s.grafts, s.prunes), (0, 0), "{what}");
+                assert!(s.control_sent > 0 && s.eager_bytes > s.eager_sent, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -1388,7 +1566,7 @@ mod tests {
         let codec: OverlayCodec<U64Codec> = OverlayCodec::default();
         let msgs: Vec<OverlayMsg<u64>> = vec![
             OverlayMsg::Eager { origin: 3, seq: 9, hops: 2, payload: 0xDEAD_BEEF },
-            OverlayMsg::IHave { origin: 1, seq: 2 },
+            OverlayMsg::IHave { ids: vec![(1, 2), (3, 4)] },
             OverlayMsg::Graft { origin: 4, seq: 5 },
             OverlayMsg::Prune,
             OverlayMsg::Direct(77),

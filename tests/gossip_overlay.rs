@@ -2,8 +2,9 @@
 //! Bracha rides `OverlayNode` instead of full-mesh expansion, on both
 //! substrates (seeded simulator sweeps; threaded runtime over channel and
 //! socket transports with bit-identical twin replay), under sabotage
-//! (mangled eager copies recovered via graft), and with detected churn
-//! composing into the epoch machinery through the `Reconfigurator`.
+//! (mangled eager copies, a silent tree root: recovered via graft), and
+//! with detected churn composing into the epoch machinery through the
+//! `Reconfigurator`.
 
 use std::sync::{Arc, Mutex};
 
@@ -146,55 +147,112 @@ fn overlay_bracha_socket_run_replays_bit_identically() {
     assert_eq!(twin.metrics, full.report.metrics, "metrics must be bit-identical");
 }
 
-/// Sabotage the eager path and watch the lazy path repair it: node 1
-/// downgrades the *first* outgoing eager copy of every origination to a
-/// bare IHAVE (later copies — the graft replies — pass). On a ring-only
-/// overlay (active degree 1) the victim's sole eager in-link is starved
-/// for every single origination, so delivery *requires* the IHAVE→graft
-/// recovery loop — and reach must still be 100%.
+/// Seeds swept by the adversarial tests below: 5 per PR, widened by the
+/// nightly job via `SWIPER_SWEEP_SEEDS`.
+fn seeds() -> std::ops::Range<u64> {
+    let n = std::env::var("SWIPER_SWEEP_SEEDS").map_or(5, |v| {
+        v.trim().parse().unwrap_or_else(|e| panic!("SWIPER_SWEEP_SEEDS={v:?}: {e}"))
+    });
+    0..n
+}
+
+/// Parties by (stake descending, id): the order the overlay's tree is a
+/// k-ary heap over. `[0]` is the root; at n = 64 the arity is 3, so
+/// `[1..4]` are its children.
+fn tree_order(weights: &Weights) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&p| (std::cmp::Reverse(weights.get(p)), p));
+    order
+}
+
+type Boxed = Box<dyn Protocol<Msg = OverlayMsg<BrachaMsg>>>;
+
+/// Weighted Bracha over the overlay on the simulator with `corrupt`
+/// wrapping or replacing chosen nodes; asserts every party outside
+/// `faulty` outputs the payload and returns the fleet's counters.
+fn run_corrupted(
+    n: usize,
+    seed: u64,
+    faulty: &[usize],
+    corrupt: impl Fn(usize, OverlayNode<BrachaMsg>) -> Boxed,
+) -> OverlayStats {
+    let weights = stake(n);
+    let stats = Arc::new(Mutex::new(OverlayStats::default()));
+    let nodes = (0..n)
+        .map(|me| {
+            let node = OverlayNode::new(
+                bracha_inner(me, &weights),
+                weights.clone(),
+                OverlayConfig::default(),
+                seed,
+            )
+            .with_stats(Arc::clone(&stats));
+            corrupt(me, node)
+        })
+        .collect();
+    let report = Simulation::new(nodes, seed).with_delay(DelayModel::Uniform(1, 20)).run();
+    for node in (0..n).filter(|p| !faulty.contains(p)) {
+        assert_eq!(
+            report.outputs[node].as_deref(),
+            Some(PAYLOAD),
+            "honest node {node} missed the payload (seed {seed}, faulty {faulty:?})"
+        );
+    }
+    let s = stats.lock().unwrap().clone();
+    s
+}
+
+/// Sabotage the eager path and watch the lazy path repair it: the tree's
+/// root downgrades the *first* outgoing eager copy of every origination to
+/// a bare IHAVE (later copies — the graft replies — pass), so one child's
+/// whole subtree is starved of every payload that crosses the root, and
+/// delivery there *requires* the IHAVE→graft recovery loop.
 #[test]
 fn mangled_eager_copies_are_recovered_via_graft() {
-    for seed in [3u64, 11] {
-        let n = 24;
-        let weights = stake(n);
-        let cfg = OverlayConfig { active_degree: 1, ..OverlayConfig::default() };
-        let stats = Arc::new(Mutex::new(OverlayStats::default()));
-        let nodes: Vec<Box<dyn Protocol<Msg = OverlayMsg<BrachaMsg>>>> = (0..n)
-            .map(|me| {
-                let node = OverlayNode::new(
-                    bracha_inner(me, &weights),
-                    weights.clone(),
-                    cfg.clone(),
-                    seed,
-                )
-                .with_stats(Arc::clone(&stats));
-                if me == 1 {
-                    let mut withheld = std::collections::BTreeSet::new();
-                    Box::new(Mangler::new(node, move |to, msg| {
-                        if let OverlayMsg::Eager { origin, seq, .. } = &msg {
-                            // Self-originations stay intact — sabotage the
-                            // relay links, not the payload source.
-                            if to != 1usize && withheld.insert((*origin, *seq)) {
-                                return Some(OverlayMsg::IHave { origin: *origin, seq: *seq });
-                            }
-                        }
-                        Some(msg)
-                    })) as _
-                } else {
-                    Box::new(node) as _
+    let n = 64;
+    let root = tree_order(&stake(n))[0];
+    for seed in seeds() {
+        let s = run_corrupted(n, seed, &[], |me, node| {
+            if me != root {
+                return Box::new(node);
+            }
+            let mut withheld = std::collections::BTreeSet::new();
+            Box::new(Mangler::new(node, move |to, msg| {
+                if let OverlayMsg::Eager { origin, seq, .. } = &msg {
+                    // Self-originations stay intact — sabotage the
+                    // relay links, not the payload source.
+                    if to != root && withheld.insert((*origin, *seq)) {
+                        return Some(OverlayMsg::IHave { ids: vec![(*origin, *seq)] });
+                    }
                 }
-            })
-            .collect();
-        let report = Simulation::new(nodes, seed).with_delay(DelayModel::Uniform(1, 20)).run();
-        for node in 0..n {
-            assert_eq!(
-                report.outputs[node].as_deref(),
-                Some(PAYLOAD),
-                "node {node} missed the payload despite graft recovery (seed {seed})"
-            );
-        }
-        let s = stats.lock().unwrap();
+                Some(msg)
+            }))
+        });
         assert!(s.grafts > 0, "the sabotage must actually force grafts (seed {seed})");
+    }
+}
+
+/// The worst place to fail: the tree's root and all of its children are
+/// silent, so the tree falls apart into the grandchildren's subtrees and
+/// no eager path joins them. Announcements do: every holder announces to
+/// its ring successor and to a rotating slice of its other lazy peers, the
+/// announced peer grafts, and the graft-promoted links carry the payload
+/// from then on. The sampled lazy links alone do not cover it — with the
+/// ring-successor announcement switched off, 35 to 53 of the 60 honest
+/// nodes deliver and this test fails on every seed.
+#[test]
+fn silent_root_and_children_are_routed_around_by_graft() {
+    let n = 64;
+    let silent = &tree_order(&stake(n))[..4];
+    for seed in seeds() {
+        let s = run_corrupted(n, seed, silent, |me, node| {
+            if silent.contains(&me) {
+                Box::new(Silent::new())
+            } else {
+                Box::new(node)
+            }
+        });
+        assert!(s.grafts > 0, "only grafts can join the subtrees (seed {seed})");
     }
 }
 
