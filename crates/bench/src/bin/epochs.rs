@@ -145,18 +145,18 @@ fn timed<T>(us: &mut u64, f: impl FnOnce() -> T) -> T {
 }
 
 /// One chain × churn replay. Two verified-mode loops consume the same
-/// snapshot stream — one with delta-stable certificates (the default), one
-/// without (the PR-2 warm baseline) — so their warm passes face identical
-/// members and the DP-count gap is attributable to certificates alone.
+/// snapshot stream — one with delta-stable certificates (opted in), one
+/// without (the default) — so their warm passes face identical members and
+/// the DP-count gap is attributable to certificates alone.
 /// Returns the scenario's row, or `None` (having said why) when it failed.
 fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> Option<Row> {
     let solver = Swiper::new();
     let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).expect("valid params");
     let setting = Setting::Restriction(wr);
-    let mut reconf = Reconfigurator::new(solver, vec![setting]).with_cold_check(true);
-    let mut plain = Reconfigurator::new(solver, vec![setting])
+    let mut reconf = Reconfigurator::new(solver, vec![setting])
         .with_cold_check(true)
-        .with_certificates(false);
+        .with_certificates(true);
+    let mut plain = Reconfigurator::new(solver, vec![setting]).with_cold_check(true);
     let mut snapshot = chain.weights();
     let churned = (snapshot.len() * usize::try_from(churn_pct).expect("small")).div_ceil(100);
     // Distinct RNG stream per scenario, reproducible from --seed.

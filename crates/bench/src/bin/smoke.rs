@@ -107,9 +107,10 @@ fn main() {
             t0.elapsed()
         );
         // Certified warm replay: a few 1%-churn epochs through the
-        // reconfiguration loop (certificates on by default) to surface the
-        // skip counter alongside the DP count.
-        let mut reconf = Reconfigurator::new(Swiper::new(), vec![Setting::Restriction(p)]);
+        // reconfiguration loop, certificates opted in, to surface the skip
+        // counter alongside the DP count.
+        let mut reconf = Reconfigurator::new(Swiper::new(), vec![Setting::Restriction(p)])
+            .with_certificates(true);
         let mut snapshot = w.clone();
         let churned = snapshot.len().div_ceil(100);
         let mut rng = StdRng::seed_from_u64(7);

@@ -9,11 +9,10 @@
 //! * **cold** — a fresh `Swiper::solve_restriction`, no caches, no hint;
 //! * **warm** — a `Reconfigurator` epoch step: solve the base population,
 //!   churn 1% of parties by up to ±5% stake, then measure the warm
-//!   re-solve (certificates disabled);
+//!   re-solve (certificates off, the `Reconfigurator` default);
 //! * **certified** — the same epoch step with delta-stable verdict
-//!   certificates enabled (the `Reconfigurator` default), so stable
-//!   verdicts replay from stored margins instead of re-running bounds or
-//!   the DP.
+//!   certificates opted in, so stable verdicts replay from stored margins
+//!   instead of re-running bounds or the DP.
 //!
 //! The whole sweep is written as `BENCH_solver.json`; its columns and how
 //! each is gated are the `swiper_bench::SOLVER` schema table.

@@ -156,7 +156,15 @@ impl FairExtension {
             .zip(self.base.as_slice())
             .map(|(&weight, &profit)| Item { profit, weight })
             .collect();
-        let reached = knapsack::max_profit_dp(&items, capacity, base_target) >= base_target;
+        let reached = knapsack::max_profit_dp_floor(
+            &mut knapsack::DpScratch::default(),
+            &items,
+            capacity,
+            base_target,
+            base_target,
+            knapsack::SortedItems::new(&items).break_ratio(capacity),
+        )
+        .is_some();
         Ok(!reached)
     }
 }

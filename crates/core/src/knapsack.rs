@@ -9,7 +9,9 @@
 //! Three evaluators are provided, mirroring the paper's design:
 //!
 //! * [`max_profit_dp`] — exact "dynamic programming by profits"
-//!   (Kellerer–Pferschy–Pisinger, Lemma 2.3.2), `O(n * profit_cap)`.
+//!   (Kellerer–Pferschy–Pisinger, Lemma 2.3.2), `O(n * profit_cap)`;
+//!   [`max_profit_dp_floor`] is the same table behind the Dembo–Hammer
+//!   variable reduction the book describes, for callers that bring a floor.
 //! * [`fractional_upper_bound_reaches`] — the Dantzig LP bound, a
 //!   *conservative* test: it can claim a reachable target unreachable-not,
 //!   i.e. it never claims "safe" when unsafe (no false "valid").
@@ -23,14 +25,29 @@
 //!
 //! The DP is organised for whale-skewed, large-`n` populations:
 //!
-//! * **Dominated-item prefilter.** Items heavier than the weight horizon are
-//!   dropped outright; items whose profit saturates the cap collapse to the
-//!   single lightest such item; and when the item count exceeds the harmonic
-//!   bound `cap · (log cap + 2)`, each distinct profit class `p` is reduced
-//!   to its `ceil(cap / p)` lightest members — any subset with profit at
-//!   most `cap` uses at most that many items of class `p`, and an exchange
-//!   argument lets it use the lightest ones. Million-item inputs shrink to
-//!   `O(cap log cap)` items before the table is touched.
+//! * **One class sort.** Items heavier than the weight horizon are dropped
+//!   outright, zero-weight profit is banked, and the rest are sorted once
+//!   by (profit, weight); every later stage reads that order.
+//! * **Lagrangian core.** A caller that only cares about optima of at
+//!   least some `floor` — the solver's oracle always is: it reaches the DP
+//!   only when the Dantzig bound exceeds its target by a few tickets —
+//!   hands [`max_profit_dp_floor`] that floor and the Dantzig break ratio
+//!   `λ`. Every subset loses, against the Lagrangian bound `U(λ)`, a sum of
+//!   non-negative per-item terms, so reaching the floor leaves only `U(λ)
+//!   − floor` to lose: inside each profit class all but a narrow window of
+//!   items around the break weight are forced in or out
+//!   (`fix_outside_core`), and the table is filled over the window items
+//!   alone, for the profit and weight still open. Floor 0 fixes nothing
+//!   and is what the exact verifiers, certificate probes and test
+//!   references keep, so they stay an independent check of the reduced
+//!   kernel.
+//! * **Dominated-item prefilter.** Items whose profit saturates the cap
+//!   collapse to the single lightest such item, and each distinct profit
+//!   class `p` is reduced to its `ceil(cap / p)` lightest members — any
+//!   subset with profit at most `cap` uses at most that many items of class
+//!   `p`, and an exchange argument lets it use the lightest ones.
+//!   Million-item inputs shrink to `O(cap log cap)` items before the table
+//!   is touched.
 //! * **Flat min-weight-per-profit inner loop.** The per-item update is a
 //!   flat saturating min-fold over the table — no data-dependent `INF` skip
 //!   branch — bounded by the current reach.
@@ -46,8 +63,8 @@
 //!   prefix-weight curve, and folding a class is a min-plus convolution
 //!   with a convex sequence: a Monge minimization solved by monotone
 //!   divide-and-conquer in `O(cap log cap)` per class instead of
-//!   `O(items · cap)` overall. This is what holds the near-flip decision
-//!   DP at a million parties to tens of milliseconds.
+//!   `O(items · cap)` overall. This is what holds a full (floor 0) table
+//!   at a million parties to tens of milliseconds.
 
 use crate::wide::cmp_mul;
 use std::cmp::Ordering;
@@ -81,20 +98,36 @@ const INF: u128 = u128::MAX;
 /// frontier-shaped for the reach bound.
 const PRUNE_STRIDE: usize = 128;
 
-/// Reusable buffer for [`max_profit_dp_with`]: callers running many DP
-/// invocations (the solver's binary search, batch sweeps) keep one scratch
-/// alive and avoid reallocating the `O(profit_cap)` table per call.
+/// The multiplier `λ = 0` as a `(profit, weight)` ratio: prices every item
+/// at its full profit, so together with floor 0 it fixes nothing.
+pub const NO_MULTIPLIER: (u64, u64) = (0, 1);
+
+/// Reusable buffers for [`max_profit_dp_floor`] and [`max_profit_dp_probe`]:
+/// callers running many DP invocations (the solver's binary search, batch
+/// sweeps) keep one scratch alive and allocate nothing per call.
 #[derive(Debug, Default, Clone)]
 pub struct DpScratch {
     dp: Vec<u128>,
+    /// The items the table is filled over, in class order: ascending
+    /// profit, lightest first inside a profit class.
     kept: Vec<Item>,
+    class: ClassBufs,
+}
+
+/// Working buffers of [`class_dp`].
+#[derive(Debug, Default, Clone)]
+struct ClassBufs {
+    loose: Vec<Item>,
+    f: Vec<u128>,
+    g: Vec<u128>,
+    wpfx: Vec<u128>,
 }
 
 /// Exact min-weight frontier produced by [`max_profit_dp_probe`].
 ///
 /// `frontier` lists `(total profit, min weight)` pairs, strictly increasing
 /// in both coordinates, including the trivial `(free profit, 0)` entry. For
-/// any `q <= profit_cap + free`, the minimum weight of a subset with profit
+/// any `q <= profit_cap`, the minimum weight of a subset with profit
 /// `>= q` is the weight of the first entry with profit `>= q`; if no such
 /// entry exists, that minimum exceeds `prune_limit`. Entries are exact as
 /// long as their weight is at most `prune_limit`.
@@ -116,49 +149,59 @@ pub struct DpProbe {
 /// profit at least `p` (profits saturate at `profit_cap`). Runtime
 /// `O(n * profit_cap)` worst case, heavily reduced by the prefilter and
 /// frontier pruning described in the module docs; memory `O(profit_cap)`.
+/// This is [`max_profit_dp_floor`] at floor 0 — the full table, which is
+/// what the exact verifiers and the test references want to stay.
 ///
 /// # Panics
 ///
 /// Panics if `profit_cap` does not fit in `usize` (bounded by
 /// [`crate::problems::MAX_TICKET_BOUND`] upstream).
 pub fn max_profit_dp(items: &[Item], capacity: u128, profit_cap: u64) -> u64 {
-    max_profit_dp_with(&mut DpScratch::default(), items, capacity, profit_cap)
+    max_profit_dp_floor(
+        &mut DpScratch::default(),
+        items,
+        capacity,
+        profit_cap,
+        0,
+        NO_MULTIPLIER,
+    )
+    .expect("every optimum reaches floor 0")
 }
 
-/// [`max_profit_dp`] reusing a caller-held scratch buffer across calls.
+/// [`max_profit_dp`] for a caller that only cares about optima of at least
+/// `floor`: `Some(best)` with the exact saturated optimum when it reaches
+/// `min(floor, profit_cap)`, `None` when it falls short. `floor ==
+/// profit_cap` is the decision form ("is `profit_cap` reachable?").
+///
+/// The floor is what lets the Lagrangian core stage (module docs) decide
+/// most parties before the table is touched; `lambda` is the multiplier it
+/// prices items at, as a `(profit, weight)` ratio. Any ratio is sound — the
+/// Dantzig break ratio ([`SortedItems::break_ratio`]) is the tight one.
 ///
 /// # Panics
 ///
 /// Panics if `profit_cap` does not fit in `usize`.
-pub fn max_profit_dp_with(
+pub fn max_profit_dp_floor(
     scratch: &mut DpScratch,
     items: &[Item],
     capacity: u128,
     profit_cap: u64,
-) -> u64 {
-    let cap = usize::try_from(profit_cap).expect("profit cap fits usize");
-    let free = split_free(&mut scratch.kept, items, capacity);
-    if free >= u128::from(profit_cap) {
-        return profit_cap;
-    }
-    let free = free as u64;
-    reduce_items(&mut scratch.kept, cap);
-    dp_table(&mut scratch.dp, &scratch.kept, cap, capacity, Some(capacity));
-    // Highest finite frontier state within capacity.
-    let mut best = 0u64;
-    for (p, &w) in scratch.dp.iter().enumerate().rev() {
-        if w <= capacity {
-            best = p as u64;
-            break;
-        }
-    }
-    (best + free).min(profit_cap)
+    floor: u64,
+    lambda: (u64, u64),
+) -> Option<u64> {
+    let floor = floor.min(profit_cap);
+    let (banked, used) = fill(scratch, items, capacity, profit_cap, floor, lambda, true)?;
+    let room = capacity - used;
+    // Highest frontier state within the room left (`dp[0] == 0` always is).
+    let best = banked + scratch.dp.iter().rposition(|&w| w <= room).unwrap_or(0) as u64;
+    (best >= floor).then_some(best)
 }
 
 /// Certificate-grade variant of [`max_profit_dp`]: additionally returns the
 /// exact min-weight frontier, explored out to `capacity + slack` so callers
 /// can measure *how far* each profit level is from feasibility (the margin
-/// behind delta-stable verdict certificates in [`crate::oracle`]).
+/// behind delta-stable verdict certificates in [`crate::oracle`]). The
+/// frontier must be exact *below* the target too, so this stays at floor 0.
 ///
 /// # Panics
 ///
@@ -170,15 +213,10 @@ pub fn max_profit_dp_probe(
     profit_cap: u64,
     slack: u128,
 ) -> DpProbe {
-    let cap = usize::try_from(profit_cap).expect("profit cap fits usize");
     let prune_limit = capacity.saturating_add(slack);
-    let free = split_free(&mut scratch.kept, items, prune_limit);
-    if free >= u128::from(profit_cap) {
-        return DpProbe { best: profit_cap, frontier: vec![(profit_cap, 0)], prune_limit };
-    }
-    let free = free as u64;
-    reduce_items(&mut scratch.kept, cap);
-    dp_table(&mut scratch.dp, &scratch.kept, cap, prune_limit, None);
+    let (free, used) = fill(scratch, items, prune_limit, profit_cap, 0, NO_MULTIPLIER, false)
+        .expect("every optimum reaches floor 0");
+    debug_assert_eq!(used, 0, "floor 0 forces nothing in");
     let mut frontier = Vec::new();
     let mut best = 0u64;
     for (p, &w) in scratch.dp.iter().enumerate() {
@@ -189,7 +227,53 @@ pub fn max_profit_dp_probe(
             }
         }
     }
-    DpProbe { best: (best + free).min(profit_cap), frontier, prune_limit }
+    DpProbe { best: best + free, frontier, prune_limit }
+}
+
+/// Every stage in front of the table, then the table: split out free
+/// profit, sort into class order once, fix what the floor decides
+/// ([`fix_outside_core`]), drop dominated items ([`reduce_items`]), fill.
+///
+/// Returns `(banked, used)`: the profit every subset the table describes
+/// already holds (zero-weight items plus the parties forced in) and the
+/// weight the forced parties use. `scratch.dp` then has `profit_cap -
+/// banked + 1` states over the remaining items, exact for weights up to
+/// `horizon - used` (a one-state table when `banked` alone saturates
+/// `profit_cap`). `None`: no subset within `horizon` reaches `floor`.
+fn fill(
+    scratch: &mut DpScratch,
+    items: &[Item],
+    horizon: u128,
+    profit_cap: u64,
+    floor: u64,
+    lambda: (u64, u64),
+    stop_early: bool,
+) -> Option<(u64, u128)> {
+    let states = usize::try_from(profit_cap).expect("profit cap fits usize");
+    let DpScratch { dp, kept, class } = scratch;
+    dp.clear();
+    dp.push(0);
+    let free = split_free(kept, items, horizon);
+    if free >= u128::from(profit_cap) {
+        return Some((profit_cap, 0));
+    }
+    kept.sort_unstable_by_key(|it| (it.profit, it.weight));
+    let (forced, used) =
+        fix_outside_core(kept, horizon, floor.saturating_sub(free as u64), lambda)?;
+    let banked = free + forced;
+    if banked >= u128::from(profit_cap) {
+        return Some((profit_cap, used));
+    }
+    let banked = banked as u64;
+    let cap = states - banked as usize;
+    reduce_items(kept, cap);
+    let room = horizon - used;
+    let stop_at = stop_early.then_some(room);
+    dp.resize(cap + 1, INF);
+    if !class_dp(dp, kept, class, room, stop_at) {
+        dp_fill(dp, kept, room, stop_at);
+    }
+    Some((banked, used))
 }
 
 /// Splits out free profit (zero-weight items) and keeps only items that can
@@ -211,53 +295,113 @@ fn split_free(kept: &mut Vec<Item>, items: &[Item], prune_limit: u128) -> u128 {
     free
 }
 
-/// The dominated-item prefilter: collapses cap-saturating items to the
-/// single lightest one and, when worthwhile, keeps only the `ceil(cap / p)`
-/// lightest items of each profit class `p`. Exact for the cap-saturated DP:
-/// any subset with (saturated) profit `q <= cap` takes at most
-/// `floor(cap / p)` items of class `p`, and swapping any member for a
-/// lighter same-profit item never hurts.
+/// Length of the profit class at the head of class-ordered `items`.
+fn class_len(items: &[Item]) -> usize {
+    items.first().map_or(0, |head| items.partition_point(|it| it.profit == head.profit))
+}
+
+/// The Lagrangian core stage (Dembo–Hammer variable fixing, sharpened per
+/// profit class): removes from class-ordered `kept` every item that a
+/// subset within `capacity` reaching profit `floor` must take — returning
+/// their `(profit, weight)` totals — or cannot take, leaving the *core*
+/// the table has to decide. `None`: no such subset exists.
+///
+/// With `λ = lp/lw`, every `x` within capacity has `p·x = U(λ) − loss(x)`,
+/// where `U(λ) = λ·C + Σ max(0, p_i − λ·w_i)` and `loss(x) = λ·(C − w·x) +
+/// Σ_{taken} max(0, λ·w_i − p_i) + Σ_{left} max(0, p_i − λ·w_i)` is a sum
+/// of non-negative terms; reaching `floor` therefore bounds each of them,
+/// and any sum of them, by `slack = U(λ) − floor`. Inside a profit class a
+/// solution may be assumed to take the `k` lightest items (swapping a taken
+/// item for a lighter one of equal profit keeps the profit and the fit).
+/// Reduced profits `p − λ·w_j` fall along the class, so with `k*` the
+/// number of positive ones the class's loss is the sum of the `|k − k*|`
+/// reduced profits between `k` and `k*`, monotone in `|k − k*|`: the `k`
+/// with loss within the slack form a window around `k*`, everything
+/// lighter than the window is forced in, everything heavier forced out.
+/// Items priced at exactly zero add no loss and stay in the window.
+///
+/// All arithmetic is exact, in `i128` scaled by `lw`; operands that leave
+/// that envelope (or `lw == 0`) fix nothing. So does floor 0 under
+/// [`NO_MULTIPLIER`]: the slack is then the whole profit sum.
+fn fix_outside_core(
+    kept: &mut Vec<Item>,
+    capacity: u128,
+    floor: u64,
+    (lp, lw): (u64, u64),
+) -> Option<(u128, u128)> {
+    let (lp, lw) = (i128::from(lp), i128::from(lw));
+    // `Some` proves every product below in range, so `reduced` may use
+    // plain arithmetic afterwards.
+    let checked_reduced = |it: &Item| {
+        i128::from(it.profit).checked_mul(lw)?.checked_sub(lp.checked_mul(it.weight.into())?)
+    };
+    let reduced = |it: &Item| i128::from(it.profit) * lw - lp * i128::from(it.weight);
+    let scaled_slack = || {
+        let mut upper = lp.checked_mul(i128::try_from(capacity).ok()?)?;
+        for it in kept.iter() {
+            upper = upper.checked_add(checked_reduced(it)?.max(0))?;
+        }
+        upper.checked_sub(i128::from(floor).checked_mul(lw)?)
+    };
+    let Some(slack) = (lw > 0).then(scaled_slack).flatten() else {
+        return Some((0, 0));
+    };
+    if slack < 0 {
+        return None; // even the relaxation stays below the floor
+    }
+    let (mut forced_profit, mut forced_weight) = (0u128, 0u128);
+    let (mut out, mut start) = (0usize, 0usize);
+    while start < kept.len() {
+        let class = &kept[start..start + class_len(&kept[start..])];
+        // `k*`, then the window's two ends, each walked outwards while the
+        // loss accumulated on that side stays within the slack.
+        let gain = class.partition_point(|it| reduced(it) > 0);
+        let (mut lo, mut left) = (gain, slack);
+        while lo > 0 && reduced(&class[lo - 1]) <= left {
+            left -= reduced(&class[lo - 1]);
+            lo -= 1;
+        }
+        let (mut hi, mut left) = (gain, slack);
+        while hi < class.len() && -reduced(&class[hi]) <= left {
+            left += reduced(&class[hi]);
+            hi += 1;
+        }
+        for it in &class[..lo] {
+            forced_profit += u128::from(it.profit);
+            forced_weight += u128::from(it.weight);
+        }
+        let end = start + class.len();
+        kept.copy_within(start + lo..start + hi, out);
+        out += hi - lo;
+        start = end;
+    }
+    kept.truncate(out);
+    (forced_weight <= capacity).then_some((forced_profit, forced_weight))
+}
+
+/// The dominated-item prefilter over class-ordered `kept`: items whose
+/// profit alone saturates the table collapse to the single lightest one
+/// (no subset needs two), and every other profit class `p` keeps its
+/// `ceil(cap / p)` lightest members. Exact for the cap-saturated DP: any
+/// subset with (saturated) profit `q <= cap` takes at most `ceil(cap / p)`
+/// items of class `p`, and swapping any member for a lighter same-profit
+/// item never hurts.
 fn reduce_items(kept: &mut Vec<Item>, cap: usize) {
     let cap64 = cap as u64;
-    // Items whose profit alone saturates the table: only the lightest can
-    // ever be preferable, and no subset needs two of them.
-    let mut sat: Option<Item> = None;
-    kept.retain(|it| {
-        if it.profit >= cap64 {
-            if sat.is_none_or(|s| it.weight < s.weight) {
-                sat = Some(*it);
-            }
-            false
-        } else {
-            true
-        }
-    });
-    // Harmonic bound on the reduced size; skip the sort when the input is
-    // already at least that small.
-    let log2 = usize::BITS - cap.leading_zeros();
-    let bound = (cap as u128).saturating_mul(u128::from(log2) + 2);
-    if (kept.len() as u128) > bound {
-        kept.sort_unstable_by(|a, b| a.profit.cmp(&b.profit).then(a.weight.cmp(&b.weight)));
-        let mut out = 0usize;
-        let mut i = 0usize;
-        while i < kept.len() {
-            let p = kept[i].profit;
-            let mut end = i + 1;
-            while end < kept.len() && kept[end].profit == p {
-                end += 1;
-            }
-            let keep = usize::try_from(cap64.div_ceil(p)).unwrap_or(usize::MAX).min(end - i);
-            for j in i..i + keep {
-                kept[out] = kept[j];
-                out += 1;
-            }
-            i = end;
-        }
-        kept.truncate(out);
+    let saturating = kept.partition_point(|it| it.profit < cap64);
+    let lightest = kept[saturating..].iter().copied().min_by_key(|it| it.weight);
+    kept.truncate(saturating);
+    let (mut out, mut start) = (0usize, 0usize);
+    while start < kept.len() {
+        let len = class_len(&kept[start..]);
+        let keep =
+            usize::try_from(cap64.div_ceil(kept[start].profit)).map_or(len, |k| k.min(len));
+        kept.copy_within(start..start + keep, out);
+        out += keep;
+        start += len;
     }
-    if let Some(s) = sat {
-        kept.push(s);
-    }
+    kept.truncate(out);
+    kept.extend(lightest);
 }
 
 /// Clears states dominated by an equal-or-lighter state of higher profit;
@@ -315,7 +459,7 @@ fn dp_fill(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<u
 }
 
 /// Minimum total items before the profit-class decomposition is worth its
-/// grouping sort.
+/// convolutions.
 const CLASS_MIN_ITEMS: usize = 4096;
 /// The class path engages only when items bunch: at least this many items
 /// per distinct profit value on average. Ticket vectors at scale are
@@ -335,24 +479,6 @@ const CLASS_MONGE_MIN: usize = 32;
 /// when two sentinels add.
 const CLASS_INF: u128 = 1 << 110;
 
-/// Fills `dp` (resized and reset here) with the min-weight table for
-/// `items`: the profit-class decomposition when the items bunch, the
-/// sequential fill otherwise. Both produce identical frontier-pruned tables.
-fn dp_table(
-    dp: &mut Vec<u128>,
-    items: &[Item],
-    cap: usize,
-    prune_limit: u128,
-    stop_at: Option<u128>,
-) {
-    dp.clear();
-    dp.resize(cap + 1, INF);
-    dp[0] = 0;
-    if !class_dp(dp, items, prune_limit, stop_at) {
-        dp_fill(dp, items, prune_limit, stop_at);
-    }
-}
-
 /// Profit-class decomposition of the DP fill (Axiotis–Tzamos style): items
 /// sharing a profit `p` collapse into one *convex* step curve — any subset
 /// taking `k` of them takes the `k` lightest, whose prefix-weight
@@ -364,62 +490,49 @@ fn dp_table(
 /// in `O((cap/p + k) log)` per residue class mod `p` — `O(cap log cap)`
 /// per profit class instead of `O(k * cap)`. Million-party ticket vectors
 /// bunch a few hundred thousand items into a few hundred classes, turning
-/// the near-flip decision DP from seconds into tens of milliseconds.
+/// the full-table DP from seconds into tens of milliseconds.
 ///
-/// Returns `false` (table untouched beyond the reset) when the input does
-/// not bunch enough to pay for the grouping sort; the caller falls back to
-/// the per-item fill. When it runs, the resulting frontier-pruned table
-/// is identical to the sequential fill's: both compute the exact
+/// `items` must be in class order and already through [`reduce_items`] for
+/// this table's cap (so a class of [`CLASS_MONGE_MIN`] items or more has a
+/// profit below the cap). Returns `false` (table untouched) when the input
+/// does not bunch enough to pay for the convolutions; the caller falls
+/// back to the per-item fill. When it runs, the resulting frontier-pruned
+/// table is identical to the sequential fill's: both compute the exact
 /// min-weight-per-profit function over the same subset space, and the
 /// final domination prune is path-independent.
-fn class_dp(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<u128>) -> bool {
+fn class_dp(
+    dp: &mut [u128],
+    items: &[Item],
+    bufs: &mut ClassBufs,
+    prune_limit: u128,
+    stop_at: Option<u128>,
+) -> bool {
     let cap = dp.len() - 1;
     if items.len() < CLASS_MIN_ITEMS || cap == 0 || prune_limit >= CLASS_INF {
         return false;
     }
-    let mut sorted = items.to_vec();
-    sorted.sort_unstable_by(|a, b| a.profit.cmp(&b.profit).then(a.weight.cmp(&b.weight)));
-    let distinct = 1 + sorted.windows(2).filter(|w| w[0].profit != w[1].profit).count();
-    if distinct.saturating_mul(CLASS_MIN_BUNCHING) > sorted.len() {
+    let distinct = 1 + items.windows(2).filter(|w| w[0].profit != w[1].profit).count();
+    if distinct.saturating_mul(CLASS_MIN_BUNCHING) > items.len() {
         return false;
     }
-    let cap64 = cap as u64;
-    // Small classes (and cap-saturating items) fold item-by-item at the
-    // end; `dp_fill` also performs the final domination prune.
-    let mut loose: Vec<Item> = Vec::new();
-    let mut f: Vec<u128> = Vec::new();
-    let mut g: Vec<u128> = Vec::new();
-    let mut wpfx: Vec<u128> = Vec::new();
+    // Small classes fold item-by-item at the end; `dp_fill` also performs
+    // the final domination prune.
+    let ClassBufs { loose, f, g, wpfx } = bufs;
+    loose.clear();
     let mut budget_met = false;
-    let mut i = 0usize;
-    while i < sorted.len() {
-        let p = sorted[i].profit;
-        let mut end = i + 1;
-        while end < sorted.len() && sorted[end].profit == p {
-            end += 1;
-        }
-        let class = &sorted[i..end];
-        i = end;
-        if p >= cap64 {
-            // One such item alone saturates the table; only the lightest
-            // (first — the class is weight-sorted) can matter.
-            loose.push(class[0]);
+    let mut rest = items;
+    while !rest.is_empty() {
+        let (class, tail) = rest.split_at(class_len(rest));
+        rest = tail;
+        if class.len() < CLASS_MONGE_MIN {
+            loose.extend_from_slice(class);
             continue;
         }
-        // A subset with (saturated) profit <= cap uses at most
-        // ceil(cap / p) items of this class, and exchange keeps them the
-        // lightest; prefix weights beyond the prune horizon can never
-        // participate either.
-        let k_cap = usize::try_from(cap64.div_ceil(p)).unwrap_or(usize::MAX);
-        let k_use = k_cap.min(class.len());
-        if k_use < CLASS_MONGE_MIN {
-            loose.extend_from_slice(&class[..k_use]);
-            continue;
-        }
+        // Prefix weights beyond the prune horizon can never participate.
         wpfx.clear();
         wpfx.push(0);
         let mut acc: u128 = 0;
-        for it in &class[..k_use] {
+        for it in class {
             acc += u128::from(it.weight);
             if acc > prune_limit {
                 break;
@@ -430,9 +543,10 @@ fn class_dp(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<
         if k_max == 0 {
             continue; // even one item of this class overshoots the horizon
         }
-        let p_us = p as usize; // p < cap <= usize::MAX
+        let p_us = class[0].profit as usize; // p < cap <= usize::MAX
+        debug_assert!(p_us < cap, "class not reduced for this cap");
         let mut sat_min = INF;
-        for r in 0..p_us.min(cap) {
+        for r in 0..p_us {
             // Exact-profit entries of this residue: q = r + p*t < cap.
             let len_f = (cap - r).div_ceil(p_us);
             f.clear();
@@ -449,7 +563,7 @@ fn class_dp(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<
             let out_len = len_f + k_max;
             g.clear();
             g.resize(out_len, CLASS_INF);
-            monge_fill(&f, &wpfx, &mut g, 0, out_len, 0, len_f - 1);
+            monge_fill(f, wpfx, g, 0, out_len, 0, len_f - 1);
             for (j, &v) in g.iter().enumerate().take(len_f) {
                 dp[r + j * p_us] = if v >= CLASS_INF || v > prune_limit { INF } else { v };
             }
@@ -472,7 +586,7 @@ fn class_dp(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<
     if budget_met {
         prune_frontier(dp);
     } else {
-        dp_fill(dp, &loose, prune_limit, stop_at);
+        dp_fill(dp, loose, prune_limit, stop_at);
     }
     true
 }
@@ -686,6 +800,16 @@ impl SortedItems {
         self.entries.first().map(|e| (e.profit, e.weight))
     }
 
+    /// The Dantzig break ratio under `capacity`, as the `(profit, weight)`
+    /// of the first item in ratio order that no longer fits: the multiplier
+    /// at which the Lagrangian bound equals the LP bound, hence the tightest
+    /// `lambda` for [`max_profit_dp_floor`]. [`NO_MULTIPLIER`] when
+    /// everything fits.
+    #[must_use]
+    pub fn break_ratio(&self, capacity: u128) -> (u64, u64) {
+        self.entries.get(self.cut(capacity)).map_or(NO_MULTIPLIER, |e| (e.profit, e.weight))
+    }
+
     /// Number of leading sorted items whose cumulative weight fits within
     /// `capacity` — the Dantzig split point.
     fn cut(&self, capacity: u128) -> usize {
@@ -877,6 +1001,12 @@ pub fn max_profit_brute_force(items: &[Item], capacity: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::Family;
+    use crate::problems::WeightRestriction;
+    use crate::ratio::Ratio;
+    use crate::solver::Swiper;
+    use crate::verify::{items_of, strict_capacity, ticket_target};
+    use crate::weights::Weights;
     use proptest::prelude::*;
 
     fn items(pairs: &[(u64, u64)]) -> Vec<Item> {
@@ -988,12 +1118,20 @@ mod tests {
         }
     }
 
+    /// Class order plus the dominated-item prefilter for `cap`: the state
+    /// [`fill`] hands its items to [`class_dp`] / [`dp_fill`] in.
+    fn class_ordered(mut its: Vec<Item>, cap: usize) -> Vec<Item> {
+        its.sort_unstable_by_key(|it| (it.profit, it.weight));
+        reduce_items(&mut its, cap);
+        its
+    }
+
     #[test]
     fn class_dp_matches_sequential_fill() {
-        // A bunched instance well above the gate: profits drawn from a
-        // small set (plus a saturating whale), weights spread out. The
-        // class decomposition must engage and produce the identical
-        // frontier-pruned table as one sequential per-item fill.
+        // A bunched instance that stays above the gate once reduced:
+        // profits drawn from a small set (plus a saturating whale), weights
+        // spread out. The class decomposition must engage and produce the
+        // identical frontier-pruned table as one sequential per-item fill.
         let mut next = xorshift_stream(0x9E3779B97F4A7C15);
         let profits = [1u64, 1, 1, 2, 2, 3, 5, 9, 120];
         let mut its: Vec<Item> = (0..6000)
@@ -1003,9 +1141,10 @@ mod tests {
             })
             .collect();
         its.push(Item { profit: 100_000, weight: 333 }); // saturates cap
-        let cap = 400usize;
+        let cap = 4000usize;
+        let its = class_ordered(its, cap);
         for (prune_limit, stop_at) in
-            [(40_000u128, None), (40_000, Some(9_000u128)), (120_000, None)]
+            [(300_000u128, None), (300_000, Some(60_000u128)), (1_000_000, None)]
         {
             let mut seq = vec![INF; cap + 1];
             seq[0] = 0;
@@ -1013,7 +1152,7 @@ mod tests {
             let mut cls = vec![INF; cap + 1];
             cls[0] = 0;
             assert!(
-                class_dp(&mut cls, &its, prune_limit, stop_at),
+                class_dp(&mut cls, &its, &mut ClassBufs::default(), prune_limit, stop_at),
                 "bunched instance must take the class path"
             );
             if let Some(budget) = stop_at {
@@ -1033,12 +1172,13 @@ mod tests {
     #[test]
     fn class_dp_declines_unbunched_input() {
         // All-distinct profits: the class path must decline and leave the
-        // table untouched past the reset.
+        // table untouched.
         let its: Vec<Item> =
             (0..5000).map(|i| Item { profit: i + 1, weight: i % 97 + 1 }).collect();
-        let mut dp = vec![INF; 301];
+        let its = class_ordered(its, 6000);
+        let mut dp = vec![INF; 6001];
         dp[0] = 0;
-        assert!(!class_dp(&mut dp, &its, 10_000, None));
+        assert!(!class_dp(&mut dp, &its, &mut ClassBufs::default(), 10_000, None));
         assert!(dp[1..].iter().all(|&w| w == INF));
     }
 
@@ -1131,6 +1271,146 @@ mod tests {
         assert_eq!(max_profit_brute_force(&its, 0), 0);
     }
 
+    // --- Lagrangian core stage --------------------------------------------
+    //
+    // Verified by sabotage (each edit reverted afterwards), in
+    // `fix_outside_core`: narrowing every window by one item — `lo + 1`
+    // forced in, or `hi - 1` kept — fails all four tests below; `<` for
+    // `<=` in the heavy-side walk (zero-priced ties forced out) fails
+    // `core_stage_edges` and `floor_dp_matches_reference_and_brute_force`;
+    // `<` for `<=` in the light-side walk (an item forced in whose loss
+    // uses the slack up exactly) fails `core_stage_edges`.
+
+    /// `(items, capacity, target)` of every member of a whale-skewed
+    /// population's ticket family, within `span` totals of the solver's
+    /// landing, that the quick test leaves `Uncertain` — the only inputs
+    /// the solver ever hands the DP.
+    fn uncertain_members(
+        n: usize,
+        seed: u64,
+        p: &WeightRestriction,
+        span: u64,
+    ) -> Vec<(Vec<Item>, u128, u64)> {
+        let w = Weights::whale_skewed(n, seed);
+        let landing = Swiper::new().solve_restriction(&w, p).unwrap().total_tickets() as u64;
+        let bound = p.ticket_bound(n as u64).unwrap();
+        let family = Family::new(&w, p.family_constant(), bound).unwrap();
+        let capacity = strict_capacity(p.alpha_w(), w.total()).unwrap();
+        (landing.saturating_sub(span)..=(landing + span).min(bound))
+            .filter_map(|total| {
+                let its = items_of(&w, &family.assignment_with_total(total).unwrap());
+                let target = ticket_target(p.alpha_n(), total.into()).unwrap() as u64;
+                (quick_test(&its, capacity, target) == QuickOutcome::Uncertain)
+                    .then_some((its, capacity, target))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn floor_dp_matches_full_table_on_near_flip_family_members() {
+        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let wq = WeightRestriction::new(Ratio::of(2, 3), Ratio::of(3, 4)).unwrap();
+        let mut scratch = DpScratch::default();
+        for (n, seed, p) in [(5_000, 1, wr), (20_000, 1, wr), (10_000, 1, wq)] {
+            let members = uncertain_members(n, seed, &p, 40);
+            assert!(!members.is_empty(), "no uncertain probe near the landing at n = {n}");
+            for (its, capacity, target) in members {
+                let total: u64 = its.iter().map(|it| it.profit).sum();
+                let best = max_profit_dp(&its, capacity, total);
+                let sorted = SortedItems::new(&its);
+                let tight = sorted.break_ratio(capacity);
+                let mut floor_dp = |cap, floor, lambda| {
+                    max_profit_dp_floor(&mut scratch, &its, capacity, cap, floor, lambda)
+                };
+                // Decision form, as the restriction branch asks it: the
+                // tight multiplier, then looser ones.
+                let loose = [sorted.densest().unwrap(), (tight.0, tight.1.saturating_mul(2))];
+                for lambda in [tight].into_iter().chain(loose) {
+                    assert_eq!(
+                        floor_dp(target, target, lambda).is_some(),
+                        best >= target,
+                        "decision at n = {n}, target {target}, lambda {lambda:?}"
+                    );
+                }
+                // Optimum form, as the separation branch asks it: the quick
+                // test's own bounds as floor and ceiling, then the tightest
+                // floor there is, then one past it.
+                let lb = sorted.greedy_lower_bound(capacity) as u64;
+                let ub = sorted.fractional_upper_bound_floor(capacity) as u64;
+                assert_eq!(floor_dp(ub, lb, tight), Some(best), "optimum at n = {n}");
+                assert_eq!(floor_dp(ub, best, tight), Some(best));
+                if best < ub {
+                    assert_eq!(floor_dp(ub, best + 1, tight), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn core_stage_edges() {
+        let mut scratch = DpScratch::default();
+        let mut floor_dp = |its: &[Item], capacity: u128, cap, floor| {
+            let lambda = SortedItems::new(its).break_ratio(capacity);
+            max_profit_dp_floor(&mut scratch, its, capacity, cap, floor, lambda)
+        };
+        // Slack 0 with every item priced at exactly zero (all ratios tie at
+        // lambda = 1, LP bound = capacity = floor): only the zero-loss items
+        // can fill the capacity exactly, so they must stay in the window.
+        let ties = items(&[(3, 3), (3, 3), (5, 5)]);
+        assert_eq!(floor_dp(&ties, 8, 8, 8), Some(8));
+        assert_eq!(floor_dp(&ties, 7, 7, 7), None, "no subset weighs exactly 7");
+        // Slack below one ticket: the first (6,5) is forced in, the second
+        // and the zero-priced (7,6) are the core. Exact optimum 13.
+        let gap = items(&[(6, 5), (6, 5), (7, 6)]);
+        assert_eq!(floor_dp(&gap, 11, 13, 13), Some(13));
+        assert_eq!(floor_dp(&gap, 11, 20, 12), Some(13));
+        // Floor above the optimum: refuted by the bound alone (LP 13.17 <
+        // 14), and by the table where the bound cannot ((2,3),(2,3): LP
+        // 3.33 admits 3, the optimum is 2).
+        assert_eq!(floor_dp(&gap, 11, 14, 14), None);
+        assert_eq!(floor_dp(&items(&[(2, 3), (2, 3)]), 5, 3, 3), None);
+        // Zero-weight profit comes off the floor before anything is priced.
+        let free = items(&[(3, 0), (6, 5), (6, 5), (7, 6)]);
+        assert_eq!(floor_dp(&free, 11, 16, 16), Some(16));
+        assert_eq!(floor_dp(&free, 11, 17, 17), None);
+        assert_eq!(floor_dp(&free, 0, 3, 3), Some(3));
+        // Every item fits: no break item, lambda 0, everything forced in.
+        assert_eq!(SortedItems::new(&gap).break_ratio(16), NO_MULTIPLIER);
+        assert_eq!(floor_dp(&gap, 16, 19, 19), Some(19));
+        assert_eq!(floor_dp(&gap, 16, 20, 20), None);
+        // Floors past the cap are read at the cap.
+        assert_eq!(floor_dp(&gap, 11, 10, 99), Some(10));
+    }
+
+    #[test]
+    fn core_stage_fixes_nothing_outside_the_i128_envelope() {
+        // lp * capacity, profit * lw or lp * weight leave i128, or lambda
+        // is no ratio at all: the stage must decline (not panic, not wrap)
+        // and the table decide alone.
+        let huge = items(&[(u64::MAX, u64::MAX / 2), (1 << 49, u64::MAX), (5, 7), (4, 7)]);
+        let lambda = (1u64 << 50, 3u64);
+        let mut kept = huge.clone();
+        kept.sort_unstable_by_key(|it| (it.profit, it.weight));
+        let before = kept.clone();
+        for (capacity, lambda) in [
+            (1u128 << 100, lambda),
+            (14, (1, u64::MAX)),
+            (14, (u64::MAX, u64::MAX)),
+            (14, (1, 0)),
+        ] {
+            assert_eq!(fix_outside_core(&mut kept, capacity, 9, lambda), Some((0, 0)));
+            assert_eq!(kept, before, "capacity {capacity}, lambda {lambda:?}");
+        }
+        let mut scratch = DpScratch::default();
+        for (capacity, cap) in [(1u128 << 100, 20u64), (14, 9), (13, 9)] {
+            assert_eq!(
+                max_profit_dp_floor(&mut scratch, &huge, capacity, cap, cap, lambda),
+                Some(max_profit_dp(&huge, capacity, cap)).filter(|&best| best >= cap),
+                "capacity {capacity}, cap {cap}"
+            );
+        }
+    }
+
     /// Expands `(profit, weight, selector)` draws into a whale-skewed item
     /// mix: three quarters small parties, one quarter order-of-magnitude
     /// whales.
@@ -1169,6 +1449,34 @@ mod tests {
             if its.len() < 20 {
                 let exact = max_profit_brute_force(&its, cap.into());
                 prop_assert_eq!(u128::from(new), exact.min(u128::from(pcap)));
+            }
+        }
+
+        /// The reduced kernel against both independent references, under
+        /// the tight multiplier, an arbitrary one and none. Profits from a
+        /// small set so classes hold several items and ratios tie.
+        #[test]
+        fn floor_dp_matches_reference_and_brute_force(
+            pw in proptest::collection::vec((0u64..6, 0u64..40), 1..14),
+            cap in 0u64..300,
+            pcap in 1u64..60,
+            floor in 0u64..70,
+            lp in 0u64..12,
+            lw in 0u64..60,
+        ) {
+            let its = items(&pw);
+            let exact = reference_scalar_dp(&its, cap.into(), pcap);
+            prop_assert_eq!(
+                u128::from(exact),
+                max_profit_brute_force(&its, cap.into()).min(pcap.into())
+            );
+            let want = (exact >= floor.min(pcap)).then_some(exact);
+            let mut scratch = DpScratch::default();
+            let tight = SortedItems::new(&its).break_ratio(cap.into());
+            for lambda in [tight, (lp, lw), NO_MULTIPLIER] {
+                let got =
+                    max_profit_dp_floor(&mut scratch, &its, cap.into(), pcap, floor, lambda);
+                prop_assert_eq!(got, want, "lambda {:?}", lambda);
             }
         }
 
@@ -1260,19 +1568,19 @@ mod tests {
 
         /// Class-path pin at full-function granularity: a bunched input
         /// whose prefiltered size clears the gate (profit cap large enough
-        /// that the harmonic reduction keeps everything) routes
+        /// that the per-class reduction leaves some 5 000 items) routes
         /// `max_profit_dp` through the class decomposition; value and
         /// probe frontier must match the pre-rework scalar reference.
         #[test]
         fn class_dp_matches_reference_on_bunched_inputs(
             seed in 1u64..u64::MAX,
-            n in 4400usize..5200,
-            cap in 1100u64..2600,
-            whale_profit in 1u64..4000,
+            n in 6000usize..6800,
+            cap in 2800u64..4200,
+            whale_profit in 1u64..6000,
             slack in 0u128..5000,
         ) {
             let mut next = xorshift_stream(seed);
-            let profits = [1u64, 1, 2, 3, 7, 31, 150];
+            let profits = [1u64, 1, 1, 1, 2, 2, 2, 3, 3, 7, 31, 150];
             let mut its: Vec<Item> = (0..n)
                 .map(|_| Item {
                     profit: profits[(next() % profits.len() as u64) as usize],

@@ -1276,12 +1276,8 @@ mod tests {
             }
         }
 
-        /// Oracle equivalence (WR): the solver must produce the
-        /// *identical* `TicketAssignment` as the seed cascade on random
-        /// skewed weight vectors — and identical `SolveStats` (bar the
-        /// cursor's own reuse counter), so `dp_invocations` cannot regress.
-        /// The reference materializes every probe from scratch, so this is
-        /// also the cursor ≡ from-scratch pin at solver level.
+        /// Oracle equivalence (WR) on random skewed weight vectors; see
+        /// [`assert_matches_seed_cascade_wr`].
         #[test]
         fn oracle_matches_seed_cascade_wr(
             mut ws in proptest::collection::vec(1u64..100_000, 1..24),
@@ -1295,15 +1291,7 @@ mod tests {
             ws.push(whale);
             let w = Weights::new(ws).unwrap();
             let p = WeightRestriction::new(aw, an).unwrap();
-            for mode in [Mode::Full, Mode::Linear] {
-                let new = Swiper::with_mode(mode).solve_restriction(&w, &p).unwrap();
-                let old = reference::solve_restriction(mode, &w, &p).unwrap();
-                prop_assert_eq!(&new.assignment, &old.assignment, "{:?}", mode);
-                prop_assert_eq!(new.ticket_bound, old.ticket_bound);
-                let masked = SolveStats { cursor_advances: 0, ..new.stats };
-                prop_assert_eq!(masked, old.stats, "{:?}", mode);
-                prop_assert!(new.stats.dp_invocations <= old.stats.dp_invocations);
-            }
+            assert_matches_seed_cascade_wr(&w, &p);
         }
 
         /// The work-stealing batch fan-out must be invisible: whatever
@@ -1414,13 +1402,57 @@ mod tests {
             prop_assume!(alpha < beta && alpha.is_proper() && beta.is_proper());
             let w = Weights::new(ws).unwrap();
             let p = WeightSeparation::new(alpha, beta).unwrap();
-            for mode in [Mode::Full, Mode::Linear] {
-                let new = Swiper::with_mode(mode).solve_separation(&w, &p).unwrap();
-                let old = reference::solve_separation(mode, &w, &p).unwrap();
-                prop_assert_eq!(&new.assignment, &old.assignment, "{:?}", mode);
-                let masked = SolveStats { cursor_advances: 0, ..new.stats };
-                prop_assert_eq!(masked, old.stats, "{:?}", mode);
-            }
+            assert_matches_seed_cascade_ws(&w, &p);
         }
+    }
+
+    /// Oracle equivalence (WR): the solver must produce the *identical*
+    /// `TicketAssignment` as the seed cascade — and identical `SolveStats`
+    /// (bar the cursor's own reuse counter), so `dp_invocations` cannot
+    /// regress. The reference materializes every probe from scratch, so
+    /// this is also the cursor ≡ from-scratch pin at solver level, and it
+    /// decides every DP probe on the full table (`max_profit_dp`), so it
+    /// pins the floor-reduced kernel's verdicts too. Returns the full
+    /// mode's DP count.
+    fn assert_matches_seed_cascade_wr(w: &Weights, p: &WeightRestriction) -> u64 {
+        [Mode::Full, Mode::Linear].map(|mode| {
+            let new = Swiper::with_mode(mode).solve_restriction(w, p).unwrap();
+            let old = reference::solve_restriction(mode, w, p).unwrap();
+            assert_eq!(new.assignment, old.assignment, "{mode:?}");
+            assert_eq!(new.ticket_bound, old.ticket_bound);
+            let masked = SolveStats { cursor_advances: 0, ..new.stats };
+            assert_eq!(masked, old.stats, "{mode:?}");
+            new.stats.dp_invocations
+        })[0]
+    }
+
+    /// [`assert_matches_seed_cascade_wr`] for the separation shape.
+    fn assert_matches_seed_cascade_ws(w: &Weights, p: &WeightSeparation) -> u64 {
+        [Mode::Full, Mode::Linear].map(|mode| {
+            let new = Swiper::with_mode(mode).solve_separation(w, p).unwrap();
+            let old = reference::solve_separation(mode, w, p).unwrap();
+            assert_eq!(new.assignment, old.assignment, "{mode:?}");
+            let masked = SolveStats { cursor_advances: 0, ..new.stats };
+            assert_eq!(masked, old.stats, "{mode:?}");
+            new.stats.dp_invocations
+        })[0]
+    }
+
+    /// The proptests above stay below 25 parties, where no profit class
+    /// ever holds two items. One whale-skewed population of a few thousand
+    /// — tickets bunched into a handful of classes, probes that reach the
+    /// DP — through the same comparison, for all three problem shapes.
+    #[test]
+    fn oracle_matches_seed_cascade_on_a_bunched_population() {
+        let w = Weights::whale_skewed(4_000, 1);
+        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
+        let ws = WeightSeparation::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let dp = [
+            assert_matches_seed_cascade_wr(&w, &wr),
+            assert_matches_seed_cascade_wr(&w, &wq.to_restriction()),
+            assert_matches_seed_cascade_ws(&w, &ws),
+        ];
+        assert!(dp.iter().all(|&calls| calls > 0), "a shape never reached the DP: {dp:?}");
     }
 }

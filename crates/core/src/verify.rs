@@ -34,7 +34,7 @@ pub(crate) fn ticket_target(threshold: Ratio, total_tickets: u128) -> Result<u12
     Ok(ceil_div(pt, threshold.den()))
 }
 
-fn items_of(weights: &Weights, tickets: &TicketAssignment) -> Vec<Item> {
+pub(crate) fn items_of(weights: &Weights, tickets: &TicketAssignment) -> Vec<Item> {
     weights
         .as_slice()
         .iter()

@@ -166,6 +166,34 @@ impl TryFrom<Vec<u64>> for Weights {
 }
 
 #[cfg(test)]
+impl Weights {
+    /// The population shape of `swiper_weights::gen::whale_mix` (which this
+    /// crate cannot depend on) for in-crate tests: a log-normal retail body
+    /// around e¹⁰ with a flat Zipf head of `max(8, n / 10⁴)` whales scattered
+    /// through it. Ticket families over it bunch thousands of parties into
+    /// a handful of small profit classes — the input the DP kernel's class
+    /// machinery is built for and small random vectors never produce.
+    pub(crate) fn whale_skewed(n: usize, seed: u64) -> Weights {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut w: Vec<u64> = (0..n)
+            .map(|_| {
+                let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.random_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                (10.0 + 1.5 * z).exp().max(1.0) as u64
+            })
+            .collect();
+        let head = (w.iter().map(|&x| u128::from(x)).sum::<u128>() / 8) as f64;
+        for i in 0..(n / 10_000).max(8).min(n) {
+            let slot = rng.random_range(0..n);
+            w[slot] = (head / ((i + 1) as f64).powf(0.8)).max(1.0) as u64;
+        }
+        Weights::new(w).expect("positive weights")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -185,18 +185,16 @@ pub struct Reconfigurator {
 
 impl Reconfigurator {
     /// A reconfiguration loop tracking the given settings. Each track gets
-    /// a dedicated persistent [`CachingOracle`] around a [`FullOracle`]
-    /// with delta-stable verdict certificates enabled (the loop is exactly
-    /// the replay workload certificates exist for; disable via
-    /// [`Reconfigurator::with_certificates`]); the solver's mode is
+    /// a dedicated persistent [`CachingOracle`] around a [`FullOracle`],
+    /// without delta-stable verdict certificates: a certified check needs
+    /// the DP's whole frontier, which costs more than the floor-reduced
+    /// decision DP it would later skip (opt in via
+    /// [`Reconfigurator::with_certificates`]). The solver's mode is
     /// ignored for oracle construction (the loop's identity guarantees are
     /// stated for exact oracles).
     #[must_use]
     pub fn new(solver: Swiper, settings: Vec<Setting>) -> Self {
-        let oracles = settings
-            .iter()
-            .map(|_| CachingOracle::new(FullOracle::new()).with_certificates(true))
-            .collect();
+        let oracles = settings.iter().map(|_| CachingOracle::new(FullOracle::new())).collect();
         let prev = settings.iter().map(|_| None).collect();
         Reconfigurator {
             solver,
@@ -235,9 +233,10 @@ impl Reconfigurator {
     }
 
     /// Enables or disables delta-stable verdict certificates on every
-    /// track's caching oracle (default: enabled). Certificates never
+    /// track's caching oracle (default: disabled). Certificates never
     /// change a verdict — see `swiper_core::oracle` — so this only moves
-    /// `dp_invocations` into `certificate_skips`.
+    /// `dp_invocations` into `certificate_skips`, at the price of running
+    /// every remaining DP in full-frontier probe mode.
     #[must_use]
     pub fn with_certificates(mut self, on: bool) -> Self {
         self.oracles = self.oracles.into_iter().map(|o| o.with_certificates(on)).collect();
@@ -698,9 +697,9 @@ mod tests {
     #[test]
     fn certified_replay_beats_warm_baseline_dp_count() {
         let setting = wr();
-        let mut base =
-            Reconfigurator::new(Swiper::new(), vec![setting]).with_certificates(false);
-        let mut cert = Reconfigurator::new(Swiper::new(), vec![setting]);
+        let mut base = Reconfigurator::new(Swiper::new(), vec![setting]);
+        let mut cert =
+            Reconfigurator::new(Swiper::new(), vec![setting]).with_certificates(true);
         assert!(!base.certificates_enabled());
         assert!(cert.certificates_enabled());
         let mut snapshot = crate::Chain::Tezos.weights();

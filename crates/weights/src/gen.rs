@@ -78,9 +78,14 @@ pub fn pareto(n: usize, alpha: f64, x_min: u64, seed: u64) -> Weights {
 ///
 /// Panics if `n == 0` or `sigma < 0`.
 pub fn lognormal(n: usize, mu: f64, sigma: f64, seed: u64) -> Weights {
+    Weights::new(lognormal_draws(n, mu, sigma, seed)).expect("positive weights")
+}
+
+/// The draws behind [`lognormal`], for generators that go on editing them.
+fn lognormal_draws(n: usize, mu: f64, sigma: f64, seed: u64) -> Vec<u64> {
     assert!(n > 0 && sigma >= 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let w: Vec<u64> = (0..n)
+    (0..n)
         .map(|_| {
             let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
             let u2: f64 = rng.random_range(0.0..1.0);
@@ -88,8 +93,7 @@ pub fn lognormal(n: usize, mu: f64, sigma: f64, seed: u64) -> Weights {
             let v = (mu + sigma * z).exp();
             v.min(u64::MAX as f64 / 2.0).max(1.0) as u64
         })
-        .collect();
-    Weights::new(w).expect("positive weights")
+        .collect()
 }
 
 /// Exponentially distributed weights (`-mean * ln u`). Seeded.
@@ -125,7 +129,7 @@ pub fn whale_mix(n: usize, whales: usize, seed: u64) -> Weights {
     assert!(n > 0);
     let whales = whales.min(n);
     // Body: ln-stake centered at e^10 (~22k) with heavy spread.
-    let mut w = lognormal(n, 10.0, 1.5, seed).as_slice().to_vec();
+    let mut w = lognormal_draws(n, 10.0, 1.5, seed);
     // Head: whale i holds ~whale_scale / (i+1)^0.8 — flat-ish Zipf, so
     // several parties are individually dominant.
     let body_total: u128 = w.iter().map(|&x| u128::from(x)).sum();
