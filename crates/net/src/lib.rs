@@ -3,21 +3,26 @@
 //! The weighted protocols of the Swiper paper (broadcast, agreement,
 //! beacons, SSLE, SMR) are *asynchronous message-passing* protocols. This
 //! crate provides the substrates they run on — one [`Protocol`] automaton
-//! interface, two interchangeable backends behind the [`Runtime`] seam:
+//! interface and one executor core that gives a callback the same meaning
+//! everywhere (build the [`Context`], call the automaton, account its
+//! traffic in [`Metrics`], number and flush its effects), driven by three
+//! schedulers:
 //!
 //! * [`Protocol`] — the node automaton interface (`on_start`,
 //!   `on_message`, `on_timer`, `on_reconfigure`), object-safe so
 //!   heterogeneous behaviours (honest, crashed, Byzantine) can share one
 //!   run.
-//! * [`Simulation`] — the deterministic backend: a seeded discrete-event
+//! * [`Simulation`] — the deterministic scheduler: a seeded discrete-event
 //!   queue with configurable message delays. Same seed, same run: every
 //!   execution is exactly reproducible.
-//! * [`ThreadedRuntime`] — the deployed backend: worker threads, bounded
+//! * [`ThreadedRuntime`] — the deployed scheduler: worker threads, bounded
 //!   links over a pluggable [`Transport`] ([`ChannelTransport`]
 //!   in-process, [`SocketTransport`] over real loopback TCP with a
 //!   [`WireCodec`] per message type), monotonic-clock timers. Every
-//!   run records a [`DeliveryTrace`] that replays on the simulator
-//!   substrate bit-identically (the determinism-twin contract).
+//!   run records a [`DeliveryTrace`].
+//! * [`DeliveryTrace::replay`] — the determinism twin: the recorded
+//!   callback sequence is the schedule, and the same core re-executes it
+//!   single-threaded, bit-identically.
 //! * [`overlay`] — the partial-view gossip dissemination backend:
 //!   [`OverlayNode`] wraps any protocol and expands its symbolic
 //!   broadcasts into stake-weighted eager/lazy fanout (HyParView views,
@@ -28,9 +33,9 @@
 //! * [`Metrics`] — per-node message/byte counters, the paper's
 //!   communication-overhead measurements (Table 1) read these.
 //!
-//! The layering (Protocol → Runtime → Transport) and the determinism-twin
-//! contract are documented in `docs/ARCHITECTURE.md` at the repository
-//! root.
+//! The layering (Protocol → executor core → Transport) and the
+//! determinism-twin contract are documented in `docs/ARCHITECTURE.md` at
+//! the repository root.
 //!
 //! The asynchronous model matches the paper's: the adversary (here, the
 //! delay schedule) may reorder messages arbitrarily but must eventually
@@ -41,6 +46,7 @@
 
 pub mod adversary;
 mod codec;
+mod exec;
 mod metrics;
 pub mod overlay;
 mod runtime;
@@ -58,11 +64,11 @@ pub use metrics::Metrics;
 pub use overlay::{
     ChurnEvent, ChurnLedger, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats,
 };
-pub use runtime::{HistSummary, LatencySummary, RuntimeReport, ThreadedRuntime};
+pub use runtime::{HistSummary, RuntimeReport, ThreadedRuntime};
 pub use sim::{Context, DelayModel, Effects, NodeId, Protocol, RunReport, Simulation};
 pub use socket::SocketTransport;
 pub use transport::{
-    ChannelTransport, Delivery, Envelope, Runtime, SendError, SendNodes, Transport,
+    ChannelTransport, Delivery, Envelope, SendError, SendNodes, Transport,
     DEFAULT_LINK_CAPACITY,
 };
 pub use twin::{DeliveryTrace, TraceEvent, TwinError};

@@ -2,7 +2,9 @@
 //! deterministic simulator.
 //!
 //! [`ThreadedRuntime`] drives the **same unmodified [`Protocol`]
-//! automata** the simulator runs, but over real parallelism: nodes are
+//! automata** the simulator runs, through the same executor core (every
+//! callback is one `exec::Host::step`; a worker adds only its schedule and
+//! its sink), but over real parallelism: nodes are
 //! sharded across worker threads, links are bounded per-node inboxes on a
 //! pluggable [`Transport`], timers fire off a monotonic clock, and epoch
 //! reconfigurations are injected through the existing
@@ -42,9 +44,10 @@ use std::time::{Duration, Instant};
 
 use swiper_core::EpochEvent;
 
+use crate::exec::{schedule_epoch, Host, Input, Sink};
 use crate::metrics::Metrics;
-use crate::sim::{Context, NodeId, Protocol, RunReport};
-use crate::transport::{ChannelTransport, Envelope, Runtime, SendError, SendNodes, Transport};
+use crate::sim::{NodeId, Protocol, RunReport};
+use crate::transport::{ChannelTransport, Envelope, SendError, SendNodes, Transport};
 use crate::twin::{DeliveryTrace, TraceEvent};
 use crate::MessageSize;
 
@@ -62,9 +65,6 @@ pub struct HistSummary {
     /// Number of deliveries measured.
     pub samples: u64,
 }
-
-/// The historical name of [`HistSummary`].
-pub type LatencySummary = HistSummary;
 
 impl HistSummary {
     /// Summarizes `samples` by nearest-rank percentiles. An empty vector —
@@ -112,9 +112,9 @@ pub struct RuntimeReport {
 /// A multi-threaded in-process runtime over boxed `Send` node automata.
 ///
 /// Construction mirrors [`Simulation`](crate::Simulation): boxed nodes
-/// plus builder-style configuration. `run` consumes the runtime; use
-/// [`ThreadedRuntime::run_traced`] to keep the trace and wall-clock
-/// measurements.
+/// plus builder-style configuration. [`ThreadedRuntime::run_traced`]
+/// consumes the runtime and returns the report, the trace and the
+/// wall-clock measurements.
 ///
 /// # Examples
 ///
@@ -218,8 +218,7 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
     /// with the injection point per node recorded in the trace so the twin
     /// replay applies it at exactly the same position.
     pub fn with_reconfiguration(mut self, at_event: u64, event: EpochEvent) -> Self {
-        let pos = self.reconfigs.partition_point(|(at, _)| *at <= at_event);
-        self.reconfigs.insert(pos, (at_event, event));
+        schedule_epoch(&mut self.reconfigs, at_event, event);
         self
     }
 
@@ -238,57 +237,35 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
         let max_events = self.max_events;
         let (thresholds, epochs): (Vec<u64>, Vec<EpochEvent>) =
             self.reconfigs.into_iter().unzip();
+        let env = WorkerEnv {
+            n,
+            workers,
+            transport,
+            epochs: &epochs,
+            pending: AtomicI64::new(n as i64),
+            processed: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            trace: Mutex::new(Vec::new()),
+            start_at: Mutex::new(vec![0u64; n]),
+            controls: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            origin: Instant::now(),
+        };
 
-        // In-flight event credits: n start credits, +1 per message/timer/
-        // per-node reconfiguration, -1 only after the event's callback and
-        // effect flush complete. Zero ⟺ quiescent.
-        let pending = AtomicI64::new(n as i64);
-        let processed = AtomicU64::new(0);
-        let dropped = AtomicU64::new(0);
-        let shutdown = AtomicBool::new(false);
-        let trace = Mutex::new(Vec::<TraceEvent>::new());
-        let start_at = Mutex::new(vec![0u64; n]);
-        let controls: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let origin = Instant::now();
-        let clock = |origin: Instant| origin.elapsed().as_micros() as u64;
-
-        // Shard nodes round-robin across workers.
+        // Shard nodes round-robin across workers: node `i` is slot
+        // `i / workers` of worker `i % workers`.
         let mut shards: Vec<Shard<M>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, node) in self.nodes.into_iter().enumerate() {
-            shards[i % workers].push((i, node));
+            shards[i % workers].push(Host::new(i, node));
         }
 
         let mut injected = 0usize;
         let (outputs, metrics, latencies) = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            for shard in shards {
-                let epochs = &epochs;
-                let pending = &pending;
-                let processed = &processed;
-                let dropped = &dropped;
-                let shutdown = &shutdown;
-                let trace = &trace;
-                let start_at = &start_at;
-                let controls = &controls;
-                handles.push(s.spawn(move || {
-                    worker_loop(WorkerEnv {
-                        shard,
-                        n,
-                        transport,
-                        epochs,
-                        pending,
-                        processed,
-                        dropped,
-                        shutdown,
-                        trace,
-                        start_at,
-                        controls,
-                        worker_count: workers,
-                        origin,
-                    })
-                }));
-            }
+            let env = &env;
+            let handles: Vec<_> = shards
+                .into_iter()
+                .map(|shard| s.spawn(move || worker_loop(shard, env)))
+                .collect();
 
             // Coordinator: inject due epochs, detect quiescence, enforce
             // the event cap, then shut down.
@@ -299,16 +276,11 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                 // events that will never arrive: account them here like
                 // halted-node drops, or their pending credits would stall
                 // quiescence until the stall limit.
-                let d = transport.take_dropped();
-                if d > 0 {
-                    dropped.fetch_add(d, Ordering::SeqCst);
-                    processed.fetch_add(d, Ordering::SeqCst);
-                    pending.fetch_sub(d as i64, Ordering::SeqCst);
-                }
-                let done = processed.load(Ordering::SeqCst);
+                env.account_drops(transport.take_dropped());
+                let done = env.processed.load(Ordering::SeqCst);
                 while injected < thresholds.len() && thresholds[injected] <= done {
-                    pending.fetch_add(n as i64, Ordering::SeqCst);
-                    for c in controls.iter() {
+                    env.pending.fetch_add(n as i64, Ordering::SeqCst);
+                    for c in env.controls.iter() {
                         c.lock().expect("control poisoned").push_back(injected);
                     }
                     injected += 1;
@@ -316,7 +288,7 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                 // `<= 0`, not `== 0`: a drop can be accounted above in the
                 // same window its sender's credit lands, so the counter may
                 // pass through negative transients.
-                if pending.load(Ordering::SeqCst) <= 0 || done >= max_events {
+                if env.pending.load(Ordering::SeqCst) <= 0 || done >= max_events {
                     break;
                 }
                 if done != last_progress.1 {
@@ -325,7 +297,7 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                     break; // an automaton is stuck inside a callback
                 }
             }
-            shutdown.store(true, Ordering::SeqCst);
+            env.shutdown.store(true, Ordering::SeqCst);
             transport.close();
 
             let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -341,68 +313,83 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
             }
             // Final sweep: envelopes the transport accepted that no worker
             // will ever pop (socket buffers emptied by `close`).
-            let d = transport.take_dropped();
-            if d > 0 {
-                dropped.fetch_add(d, Ordering::SeqCst);
-                processed.fetch_add(d, Ordering::SeqCst);
-                pending.fetch_sub(d as i64, Ordering::SeqCst);
-            }
+            env.account_drops(transport.take_dropped());
             (outputs, metrics, latencies)
         });
 
-        let elapsed = clock(origin);
-        let trace = DeliveryTrace {
-            n,
-            start_at: start_at.into_inner().expect("start stamps poisoned"),
-            events: trace.into_inner().expect("trace poisoned"),
-            epochs: epochs.into_iter().take(injected).collect(),
-        };
+        let (elapsed, wall) = (env.now(), env.origin.elapsed());
+        let WorkerEnv { processed, dropped, trace, start_at, .. } = env;
         RuntimeReport {
             report: RunReport {
                 outputs,
                 elapsed,
-                events: processed.load(Ordering::SeqCst),
+                events: processed.into_inner(),
                 reconfigurations: injected as u64,
                 metrics,
             },
-            trace,
-            wall: origin.elapsed(),
+            trace: DeliveryTrace {
+                n,
+                start_at: start_at.into_inner().expect("start stamps poisoned"),
+                events: trace.into_inner().expect("trace poisoned"),
+                epochs: epochs.into_iter().take(injected).collect(),
+            },
+            wall,
             latency: HistSummary::from_samples(latencies),
-            dropped: dropped.load(Ordering::SeqCst),
+            dropped: dropped.into_inner(),
         }
     }
 }
 
-impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> Runtime<M>
-    for ThreadedRuntime<M, T>
-{
-    fn backend(&self) -> &'static str {
-        "threaded"
-    }
+/// One worker's slice of the population.
+type Shard<M> = Vec<Host<dyn Protocol<Msg = M> + Send>>;
 
-    fn run(self) -> RunReport {
-        self.run_traced().report
-    }
-}
-
-/// One worker's slice of the population: `(node id, automaton)` pairs.
-type Shard<M> = Vec<(NodeId, Box<dyn Protocol<Msg = M> + Send>)>;
-
-/// Shared environment one worker operates in.
-struct WorkerEnv<'a, M, T: Transport<M>> {
-    shard: Shard<M>,
+/// What the coordinator and every worker of one run share.
+struct WorkerEnv<'a, T> {
     n: usize,
+    workers: usize,
     transport: &'a T,
     epochs: &'a [EpochEvent],
-    pending: &'a AtomicI64,
-    processed: &'a AtomicU64,
-    dropped: &'a AtomicU64,
-    shutdown: &'a AtomicBool,
-    trace: &'a Mutex<Vec<TraceEvent>>,
-    start_at: &'a Mutex<Vec<u64>>,
-    controls: &'a [Mutex<VecDeque<usize>>],
-    worker_count: usize,
+    /// In-flight event credits: n start credits, +1 per message/timer/
+    /// per-node reconfiguration, -1 only after the event's callback and
+    /// effect flush complete. Zero ⟺ quiescent.
+    pending: AtomicI64,
+    processed: AtomicU64,
+    dropped: AtomicU64,
+    shutdown: AtomicBool,
+    trace: Mutex<Vec<TraceEvent>>,
+    start_at: Mutex<Vec<u64>>,
+    /// Per worker: indices into `epochs` it has yet to apply.
+    controls: Vec<Mutex<VecDeque<usize>>>,
     origin: Instant,
+}
+
+impl<T> WorkerEnv<'_, T> {
+    /// The run's monotonic clock, in microseconds.
+    fn now(&self) -> u64 {
+        self.origin.elapsed().as_micros() as u64
+    }
+
+    /// Accounts `count` message envelopes that will never reach a live
+    /// callback: the same bookkeeping as a delivery to a halted node — each
+    /// counts as a processed event and releases its pending credit, but
+    /// runs no callback, records no delivery and is never traced. The
+    /// `dropped` tally is what keeps `total_messages == delivered_messages
+    /// + dropped` exact.
+    fn account_drops(&self, count: u64) {
+        if count == 0 {
+            return; // the coordinator's poll: leave the workers' cache lines alone
+        }
+        self.processed.fetch_add(count, Ordering::SeqCst);
+        self.dropped.fetch_add(count, Ordering::SeqCst);
+        self.pending.fetch_sub(count as i64, Ordering::SeqCst);
+    }
+
+    /// Appends one callback to the trace. Called *before* the callback's
+    /// step, so the global order stays causally consistent: no receiver
+    /// can process a message before its send's parent event is on record.
+    fn record(&self, entry: TraceEvent) {
+        self.trace.lock().expect("trace poisoned").push(entry);
+    }
 }
 
 /// What one worker hands back at shutdown.
@@ -412,114 +399,68 @@ struct WorkerPart {
     latencies: Vec<u64>,
 }
 
-/// Accounts one message envelope that will never reach a live callback:
-/// the same bookkeeping as a delivery to a halted node — it counts as a
-/// processed event and releases its pending credit, but runs no callback,
-/// records no delivery and is never traced. The `dropped` tally is what
-/// keeps `total_messages == delivered_messages + dropped` exact.
-fn account_drop(pending: &AtomicI64, processed: &AtomicU64, dropped: &AtomicU64) {
-    processed.fetch_add(1, Ordering::SeqCst);
-    dropped.fetch_add(1, Ordering::SeqCst);
-    pending.fetch_sub(1, Ordering::SeqCst);
+/// One worker's side of the executor core: sends go to the transport,
+/// timer arms to a local heap, and every event created takes a pending
+/// credit.
+struct Outbound<'a, M, T> {
+    env: &'a WorkerEnv<'a, T>,
+    /// Backpressured envelopes, retried in order so this worker's sends
+    /// stay FIFO even across a full link.
+    retry: VecDeque<Envelope<M>>,
+    /// `(due, node, timer_ix, id)`, soonest first.
+    timers: BinaryHeap<Reverse<(u64, NodeId, u64, u64)>>,
 }
 
-/// Per-hosted-node bookkeeping the worker owns.
-struct Hosted<M> {
-    id: NodeId,
-    node: Box<dyn Protocol<Msg = M> + Send>,
-    next_send_ix: u64,
-    next_timer_ix: u64,
-    halted: bool,
-    output: Option<Vec<u8>>,
+impl<M, T: Transport<M>> Outbound<'_, M, T> {
+    /// Offers one envelope to the transport. `false` on backpressure, the
+    /// envelope parked at the head of the retry queue; an envelope a closed
+    /// transport rejects is a drop.
+    fn offer(&mut self, envlp: Envelope<M>) -> bool {
+        match self.env.transport.try_send(envlp) {
+            Ok(()) => true,
+            Err(SendError::Full(e)) => {
+                self.retry.push_front(e);
+                false
+            }
+            Err(SendError::Closed(_)) => {
+                self.env.account_drops(1);
+                true
+            }
+        }
+    }
 }
 
-fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
-    mut env: WorkerEnv<'_, M, T>,
-) -> WorkerPart {
-    let worker_ix = env.shard.first().map_or(0, |(id, _)| id % env.worker_count);
-    let mut hosted: Vec<Hosted<M>> = std::mem::take(&mut env.shard)
-        .into_iter()
-        .map(|(id, node)| Hosted {
-            id,
-            node,
-            next_send_ix: 0,
-            next_timer_ix: 0,
-            halted: false,
-            output: None,
-        })
-        .collect();
-    let mut metrics = Metrics::new(env.n);
-    let mut latencies: Vec<u64> = Vec::new();
-    // Backpressured envelopes, retried in order so this worker's sends
-    // stay FIFO even across a full link.
-    let mut pending_out: VecDeque<Envelope<M>> = VecDeque::new();
-    // (due, slot-in-hosted, timer_ix, id), soonest first.
-    let mut timers: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
-    let now = |env: &WorkerEnv<'_, M, T>| env.origin.elapsed().as_micros() as u64;
-
-    // Flush one callback's effects: record the trace entry *first* (so the
-    // global order stays causally consistent — no receiver can process a
-    // message before its send's parent event is on record), then hand the
-    // sends to the transport with per-sender indices assigned in staging
-    // order.
-    #[allow(clippy::too_many_arguments)]
-    fn flush<M: Send + Clone + MessageSize, T: Transport<M>>(
-        env: &WorkerEnv<'_, M, T>,
-        host: &mut Hosted<M>,
-        ctx: Context<M>,
-        entry: Option<TraceEvent>,
-        metrics: &mut Metrics,
-        pending_out: &mut VecDeque<Envelope<M>>,
-        timers: &mut BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
-        slot: usize,
-        at: u64,
-    ) {
-        if let Some(entry) = entry {
-            env.trace.lock().expect("trace poisoned").push(entry);
-        }
-        let effects = ctx.into_effects();
-        if let Some(out) = effects.output {
-            if host.output.is_none() {
-                host.output = Some(out);
-            }
-        }
-        if effects.halted {
-            host.halted = true;
-        }
-        for (to, msg) in effects.outbox {
-            metrics.record_send(host.id, msg.size_bytes());
-            let send_ix = host.next_send_ix;
-            host.next_send_ix += 1;
-            let envlp = Envelope { from: host.id, to, send_ix, sent_at: at, msg };
-            env.pending.fetch_add(1, Ordering::SeqCst);
-            if !pending_out.is_empty() {
-                pending_out.push_back(envlp);
-                continue;
-            }
-            match env.transport.try_send(envlp) {
-                Ok(()) => {}
-                Err(SendError::Full(e)) => pending_out.push_back(e),
-                Err(SendError::Closed(_)) => {
-                    account_drop(env.pending, env.processed, env.dropped);
-                }
-            }
-        }
-        for (delay, id) in effects.timers {
-            let timer_ix = host.next_timer_ix;
-            host.next_timer_ix += 1;
-            env.pending.fetch_add(1, Ordering::SeqCst);
-            timers.push(Reverse((at + delay.max(1), slot, timer_ix, id)));
+impl<M, T: Transport<M>> Sink<M> for Outbound<'_, M, T> {
+    fn send(&mut self, envlp: Envelope<M>) {
+        self.env.pending.fetch_add(1, Ordering::SeqCst);
+        if self.retry.is_empty() {
+            self.offer(envlp);
+        } else {
+            self.retry.push_back(envlp);
         }
     }
 
+    fn arm(&mut self, node: NodeId, timer_ix: u64, due: u64, id: u64) {
+        self.env.pending.fetch_add(1, Ordering::SeqCst);
+        self.timers.push(Reverse((due, node, timer_ix, id)));
+    }
+}
+
+fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
+    mut hosted: Shard<M>,
+    env: &WorkerEnv<'_, T>,
+) -> WorkerPart {
+    let worker_ix = hosted.first().map_or(0, |host| host.id % env.workers);
+    let mut metrics = Metrics::new(env.n);
+    let mut latencies: Vec<u64> = Vec::new();
+    let mut out = Outbound { env, retry: VecDeque::new(), timers: BinaryHeap::new() };
+
     // Time zero: every hosted node starts before this worker consumes any
     // traffic; inbound envelopes simply queue in the transport meanwhile.
-    for (slot, host) in hosted.iter_mut().enumerate() {
-        let at = now(&env);
+    for host in &mut hosted {
+        let at = env.now();
         env.start_at.lock().expect("start stamps poisoned")[host.id] = at;
-        let mut ctx = Context::detached(host.id, env.n, at);
-        host.node.on_start(&mut ctx);
-        flush(&env, host, ctx, None, &mut metrics, &mut pending_out, &mut timers, slot, at);
+        host.step(env.n, at, Input::Start, &mut metrics, &mut out);
         env.pending.fetch_sub(1, Ordering::SeqCst); // start credit
     }
 
@@ -532,112 +473,65 @@ fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
             let next = env.controls[worker_ix].lock().expect("control poisoned").pop_front();
             let Some(epoch_ix) = next else { break };
             did_work = true;
-            for (slot, host) in hosted.iter_mut().enumerate() {
-                let at = now(&env);
-                if host.halted {
-                    env.pending.fetch_sub(1, Ordering::SeqCst);
-                    continue;
+            for host in &mut hosted {
+                if !host.halted {
+                    let at = env.now();
+                    env.record(TraceEvent::Epoch { to: host.id, epoch_ix, at });
+                    let input = Input::Epoch(&env.epochs[epoch_ix]);
+                    host.step(env.n, at, input, &mut metrics, &mut out);
                 }
-                let id = host.id;
-                let mut ctx = Context::detached(id, env.n, at);
-                host.node.on_reconfigure(&env.epochs[epoch_ix], &mut ctx);
-                flush(
-                    &env,
-                    host,
-                    ctx,
-                    Some(TraceEvent::Epoch { to: id, epoch_ix, at }),
-                    &mut metrics,
-                    &mut pending_out,
-                    &mut timers,
-                    slot,
-                    at,
-                );
                 env.pending.fetch_sub(1, Ordering::SeqCst);
             }
         }
 
         // 2. Retry backpressured sends, strictly in order.
-        while let Some(envlp) = pending_out.pop_front() {
-            match env.transport.try_send(envlp) {
-                Ok(()) => did_work = true,
-                Err(SendError::Full(e)) => {
-                    pending_out.push_front(e);
-                    break;
-                }
-                Err(SendError::Closed(_)) => {
-                    account_drop(env.pending, env.processed, env.dropped);
-                }
+        while let Some(envlp) = out.retry.pop_front() {
+            if !out.offer(envlp) {
+                break;
             }
+            did_work = true;
         }
 
         // 3. Fire due timers.
-        while let Some(&Reverse((due, slot, timer_ix, id))) = timers.peek() {
-            let at = now(&env);
+        while let Some(&Reverse((due, node, timer_ix, id))) = out.timers.peek() {
+            let at = env.now();
             if due > at {
                 break;
             }
-            timers.pop();
+            out.timers.pop();
             did_work = true;
             env.processed.fetch_add(1, Ordering::SeqCst);
-            let host = &mut hosted[slot];
-            if host.halted {
-                env.pending.fetch_sub(1, Ordering::SeqCst);
-                continue;
+            let host = &mut hosted[node / env.workers];
+            if !host.halted {
+                env.record(TraceEvent::Timer { to: node, timer_ix, id, at });
+                host.step(env.n, at, Input::Timer { id }, &mut metrics, &mut out);
             }
-            let host_id = host.id;
-            let mut ctx = Context::detached(host_id, env.n, at);
-            host.node.on_timer(id, &mut ctx);
-            flush(
-                &env,
-                &mut hosted[slot],
-                ctx,
-                Some(TraceEvent::Timer { to: host_id, timer_ix, id, at }),
-                &mut metrics,
-                &mut pending_out,
-                &mut timers,
-                slot,
-                at,
-            );
             env.pending.fetch_sub(1, Ordering::SeqCst);
         }
 
         // 4. Drain inbound traffic, a bounded batch per node per pass so
         // timers and controls stay serviced under load.
-        for (slot, host) in hosted.iter_mut().enumerate() {
+        for host in &mut hosted {
             for _ in 0..32 {
-                let Some(envlp) = env.transport.try_recv(host.id) else { break };
+                let Some(Envelope { from, send_ix, sent_at, msg, .. }) =
+                    env.transport.try_recv(host.id)
+                else {
+                    break;
+                };
                 did_work = true;
-                let at = now(&env);
                 if host.halted {
                     // Parity with the simulator: deliveries to a halted
                     // node count as events but run no callback (and are
                     // not traced — the twin never sees them). They are
                     // drops for the message conservation law.
-                    account_drop(env.pending, env.processed, env.dropped);
+                    env.account_drops(1);
                     continue;
                 }
+                let at = env.now();
                 env.processed.fetch_add(1, Ordering::SeqCst);
-                latencies.push(at.saturating_sub(envlp.sent_at));
-                metrics.record_delivery(host.id, envlp.msg.size_bytes());
-                let host_id = host.id;
-                let mut ctx = Context::detached(host_id, env.n, at);
-                host.node.on_message(envlp.from, envlp.msg, &mut ctx);
-                flush(
-                    &env,
-                    host,
-                    ctx,
-                    Some(TraceEvent::Deliver {
-                        to: host_id,
-                        from: envlp.from,
-                        send_ix: envlp.send_ix,
-                        at,
-                    }),
-                    &mut metrics,
-                    &mut pending_out,
-                    &mut timers,
-                    slot,
-                    at,
-                );
+                latencies.push(at.saturating_sub(sent_at));
+                env.record(TraceEvent::Deliver { to: host.id, from, send_ix, at });
+                host.step(env.n, at, Input::Message { from, msg }, &mut metrics, &mut out);
                 env.pending.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -662,12 +556,10 @@ fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
     // nodes' inboxes may still hold envelopes whose pending credits were
     // taken at send time. Every one must be drop-accounted, or the run
     // leaks credits and reports a miscounted event total.
-    for _ in pending_out.drain(..) {
-        account_drop(env.pending, env.processed, env.dropped);
-    }
+    env.account_drops(out.retry.len() as u64);
     for host in &hosted {
         while env.transport.try_recv(host.id).is_some() {
-            account_drop(env.pending, env.processed, env.dropped);
+            env.account_drops(1);
         }
     }
 
@@ -681,6 +573,7 @@ fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Context;
 
     /// Each node broadcasts its id once; outputs the sum of ids received.
     struct Summer {
@@ -769,7 +662,7 @@ mod tests {
             }
         }
         let nodes: SendNodes<u64> = (0..3).map(|_| Box::new(Chatter) as _).collect();
-        let report = ThreadedRuntime::new(nodes).with_max_events(500).run();
+        let report = ThreadedRuntime::new(nodes).with_max_events(500).run_traced().report;
         assert!(report.events >= 500, "cap is a floor for the stop decision");
         assert!(report.outputs.iter().all(|o| o.is_none()));
     }
@@ -844,9 +737,6 @@ mod tests {
         assert_eq!(s.p95_us, 95);
         assert_eq!(s.p99_us, 99);
         assert_eq!(s.samples, 100);
-        // The historical alias keeps downstream code compiling.
-        let also: LatencySummary = s;
-        assert_eq!(also, s);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The event-driven simulation core.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swiper_core::EpochEvent;
 
 use crate::adversary::AdaptiveDelay;
+use crate::exec::{schedule_epoch, Host, Input, Sink};
 use crate::metrics::Metrics;
-use crate::transport::{Delivery, Runtime};
+use crate::transport::{Delivery, Envelope};
 use crate::MessageSize;
 
 /// Index of a node in the simulation (`0..n`).
@@ -43,7 +44,10 @@ pub struct Effects<M> {
 }
 
 impl<M> Context<M> {
-    fn new(node: NodeId, n: usize, now: u64) -> Self {
+    /// Creates a context not owned by an executor — for wrappers that run
+    /// inner automata (black-box virtual users) and route the effects
+    /// themselves.
+    pub fn detached(node: NodeId, n: usize, now: u64) -> Self {
         Context {
             node,
             n,
@@ -53,13 +57,6 @@ impl<M> Context<M> {
             output: None,
             halted: false,
         }
-    }
-
-    /// Creates a context not owned by a simulation — for wrappers that run
-    /// inner automata (black-box virtual users) and route the effects
-    /// themselves.
-    pub fn detached(node: NodeId, n: usize, now: u64) -> Self {
-        Context::new(node, n, now)
     }
 
     /// Consumes the context, returning its accumulated side effects.
@@ -117,10 +114,10 @@ impl<M> Context<M> {
     /// convention in the BFT literature).
     ///
     /// The broadcast is staged as a single symbolic [`Delivery::Broadcast`]
-    /// effect, not `n` eager clones: the backend expands it at flush time
-    /// (the threaded runtime with last-send-moves, so a large AVID/ECBC
-    /// payload is cloned `n - 1` times at most), and a future gossip
-    /// backend can disseminate it without materializing the fan-out.
+    /// effect, not `n` eager clones: the executor expands it when the
+    /// callback returns (with last-send-moves, so a large AVID/ECBC payload
+    /// is cloned `n - 1` times at most), and the gossip overlay
+    /// disseminates it without materializing the fan-out.
     pub fn broadcast(&mut self, msg: M) {
         self.outbox.push(Delivery::Broadcast(msg));
     }
@@ -241,18 +238,13 @@ impl DelayModel {
     }
 }
 
-#[derive(Debug)]
-enum Payload<M> {
-    Message { from: NodeId, msg: M },
-    Timer { id: u64 },
-}
-
-#[derive(Debug)]
+/// One queued callback: `input` is only ever `Message` or `Timer` —
+/// starts and epoch boundaries are the run loop's own.
 struct Event<M> {
     time: u64,
     seq: u64,
     to: NodeId,
-    payload: Payload<M>,
+    input: Input<'static, M>,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -344,47 +336,75 @@ impl RunReport {
 /// assert!(report.outputs.iter().all(|o| o.as_deref() == Some(b"done".as_ref())));
 /// ```
 pub struct Simulation<M> {
-    nodes: Vec<Box<dyn Protocol<Msg = M>>>,
-    halted: Vec<bool>,
+    hosts: Vec<Host<dyn Protocol<Msg = M>>>,
+    wire: Wire<M>,
+    /// Epoch reconfigurations, ascending by event count.
+    reconfigs: Vec<(u64, EpochEvent)>,
+    max_events: u64,
+}
+
+/// The simulator's side of the executor core: every send and timer arm
+/// becomes a queued event, sends delayed by the seeded model — one sample
+/// per non-self send, in the order the core numbers them, which is what
+/// keeps a seed's delay stream (and every pinned-seed test) stable.
+struct Wire<M> {
+    n: usize,
     queue: BinaryHeap<Reverse<Event<M>>>,
     rng: StdRng,
     delay: DelayModel,
     adaptive: Option<AdaptiveDelay<M>>,
-    /// Epoch reconfigurations, ascending by event count.
-    reconfigs: VecDeque<(u64, EpochEvent)>,
-    reconfigs_applied: u64,
     seq: u64,
-    time: u64,
-    max_events: u64,
-    metrics: Metrics,
-    outputs: Vec<Option<Vec<u8>>>,
+}
+
+impl<M> Wire<M> {
+    fn push(&mut self, time: u64, to: NodeId, input: Input<'static, M>) {
+        self.seq += 1;
+        self.queue.push(Reverse(Event { time, seq: self.seq, to, input }));
+    }
+}
+
+impl<M> Sink<M> for Wire<M> {
+    fn send(&mut self, env: Envelope<M>) {
+        let Envelope { from, to, sent_at, msg, .. } = env;
+        let delay = if to == from {
+            0
+        } else if let Some(adaptive) = &self.adaptive {
+            adaptive.sample(&mut self.rng, from, self.n, &msg)
+        } else {
+            self.delay.sample(&mut self.rng, from, self.n)
+        };
+        self.push(sent_at + delay, to, Input::Message { from, msg });
+    }
+
+    fn arm(&mut self, node: NodeId, _timer_ix: u64, due: u64, id: u64) {
+        self.push(due, node, Input::Timer { id });
+    }
 }
 
 impl<M: Clone + MessageSize> Simulation<M> {
     /// Creates a simulation over the given node automata with a seed that
     /// fully determines the run.
     pub fn new(nodes: Vec<Box<dyn Protocol<Msg = M>>>, seed: u64) -> Self {
-        let n = nodes.len();
+        let hosts: Vec<_> =
+            nodes.into_iter().enumerate().map(|(id, node)| Host::new(id, node)).collect();
         Simulation {
-            nodes,
-            halted: vec![false; n],
-            queue: BinaryHeap::new(),
-            rng: StdRng::seed_from_u64(seed),
-            delay: DelayModel::Uniform(1, 16),
-            adaptive: None,
-            reconfigs: VecDeque::new(),
-            reconfigs_applied: 0,
-            seq: 0,
-            time: 0,
+            wire: Wire {
+                n: hosts.len(),
+                queue: BinaryHeap::new(),
+                rng: StdRng::seed_from_u64(seed),
+                delay: DelayModel::Uniform(1, 16),
+                adaptive: None,
+                seq: 0,
+            },
+            hosts,
+            reconfigs: Vec::new(),
             max_events: 2_000_000,
-            metrics: Metrics::new(n),
-            outputs: vec![None; n],
         }
     }
 
     /// Sets the delay model (builder style).
     pub fn with_delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
+        self.wire.delay = delay;
         self
     }
 
@@ -398,7 +418,7 @@ impl<M: Clone + MessageSize> Simulation<M> {
     /// ([`AdaptiveDelay`]); it overrides the plain [`DelayModel`] for
     /// every non-self message.
     pub fn with_adaptive_delay(mut self, adaptive: AdaptiveDelay<M>) -> Self {
-        self.adaptive = Some(adaptive);
+        self.wire.adaptive = Some(adaptive);
         self
     }
 
@@ -450,74 +470,27 @@ impl<M: Clone + MessageSize> Simulation<M> {
     /// assert_eq!(report.reconfigurations, 1);
     /// ```
     pub fn with_reconfiguration(mut self, at_event: u64, event: EpochEvent) -> Self {
-        let pos = self.reconfigs.partition_point(|(at, _)| *at <= at_event);
-        self.reconfigs.insert(pos, (at_event, event));
+        schedule_epoch(&mut self.reconfigs, at_event, event);
         self
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn flush(&mut self, node: NodeId, ctx: Context<M>) {
-        let Context { outbox, timers, output, halted, .. } = ctx;
-        if let Some(out) = output {
-            if self.outputs[node].is_none() {
-                self.outputs[node] = Some(out);
-            }
-        }
-        if halted {
-            self.halted[node] = true;
-        }
-        let n = self.n();
-        // Expand symbolic broadcasts into ascending per-recipient sends.
-        // Recipient order (and the skip-self rule below) must match the
-        // eager-clone era exactly so seeded delay streams — and therefore
-        // every pinned seed in the test suite — are unchanged.
-        let mut sends = Vec::with_capacity(outbox.len());
-        for d in outbox {
-            d.expand_into(n, &mut sends);
-        }
-        for (to, msg) in sends {
-            self.metrics.record_send(node, msg.size_bytes());
-            let delay = if to == node {
-                0
-            } else if let Some(adaptive) = &self.adaptive {
-                adaptive.sample(&mut self.rng, node, n, &msg)
-            } else {
-                self.delay.sample(&mut self.rng, node, n)
-            };
-            self.seq += 1;
-            self.queue.push(Reverse(Event {
-                time: self.time + delay,
-                seq: self.seq,
-                to,
-                payload: Payload::Message { from: node, msg },
-            }));
-        }
-        for (delay, id) in timers {
-            self.seq += 1;
-            self.queue.push(Reverse(Event {
-                time: self.time + delay.max(1),
-                seq: self.seq,
-                to: node,
-                payload: Payload::Timer { id },
-            }));
-        }
+        self.hosts.len()
     }
 
     /// Runs to quiescence (or the event cap) and reports.
-    pub fn run(mut self) -> RunReport {
-        let n = self.n();
-        for node in 0..n {
-            let mut ctx = Context::new(node, n, 0);
-            self.nodes[node].on_start(&mut ctx);
-            self.flush(node, ctx);
+    pub fn run(self) -> RunReport {
+        let Simulation { mut hosts, mut wire, reconfigs, max_events } = self;
+        let n = hosts.len();
+        let mut metrics = Metrics::new(n);
+        for host in &mut hosts {
+            host.step(n, 0, Input::Start, &mut metrics, &mut wire);
         }
-        let mut events = 0u64;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if events >= self.max_events {
+        let mut reconfigs = reconfigs.into_iter().peekable();
+        let (mut time, mut events, mut reconfigurations) = (0u64, 0u64, 0u64);
+        while let Some(Reverse(ev)) = wire.queue.pop() {
+            if events >= max_events {
                 break;
             }
             // The boundary shares the upcoming delivery's timestamp:
@@ -525,57 +498,33 @@ impl<M: Clone + MessageSize> Simulation<M> {
             // keeps simulated time monotone — effects emitted from
             // `on_reconfigure` are stamped at `ev.time + delay`, never
             // before an event that already popped.
-            self.time = ev.time;
+            time = ev.time;
             // Epoch boundaries: apply every reconfiguration scheduled at
             // or before the current event count, in order, before the
             // next delivery. In-flight messages sent under the old
             // assignment stay queued and are delivered afterwards —
             // surviving protocol state must cope (the `on_reconfigure`
             // contract).
-            while self.reconfigs.front().is_some_and(|(at, _)| *at <= events) {
-                let (_, event) = self.reconfigs.pop_front().expect("front checked");
-                self.reconfigs_applied += 1;
-                for node in 0..n {
-                    if self.halted[node] {
-                        continue;
-                    }
-                    let mut ctx = Context::new(node, n, self.time);
-                    self.nodes[node].on_reconfigure(&event, &mut ctx);
-                    self.flush(node, ctx);
+            while let Some((_, event)) = reconfigs.next_if(|(at, _)| *at <= events) {
+                reconfigurations += 1;
+                for host in hosts.iter_mut().filter(|h| !h.halted) {
+                    host.step(n, time, Input::Epoch(&event), &mut metrics, &mut wire);
                 }
             }
+            // An event for a halted node counts but runs nothing.
             events += 1;
-            let node = ev.to;
-            if self.halted[node] {
-                continue;
+            let host = &mut hosts[ev.to];
+            if !host.halted {
+                host.step(n, time, ev.input, &mut metrics, &mut wire);
             }
-            let mut ctx = Context::new(node, n, self.time);
-            match ev.payload {
-                Payload::Message { from, msg } => {
-                    self.metrics.record_delivery(node, msg.size_bytes());
-                    self.nodes[node].on_message(from, msg, &mut ctx);
-                }
-                Payload::Timer { id } => self.nodes[node].on_timer(id, &mut ctx),
-            }
-            self.flush(node, ctx);
         }
         RunReport {
-            outputs: self.outputs,
-            elapsed: self.time,
+            outputs: hosts.into_iter().map(|h| h.output).collect(),
+            elapsed: time,
             events,
-            reconfigurations: self.reconfigs_applied,
-            metrics: self.metrics,
+            reconfigurations,
+            metrics,
         }
-    }
-}
-
-impl<M: Clone + MessageSize> Runtime<M> for Simulation<M> {
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(self) -> RunReport {
-        Simulation::run(self)
     }
 }
 

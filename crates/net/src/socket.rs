@@ -457,7 +457,9 @@ fn deliver_frames<M: Send, C: WireCodec<M>>(
         let to = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes")) as usize;
         let send_ix = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
         let sent_at = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
-        if to >= state.queues.len() {
+        // Both ids index per-node state downstream (`from` in the twin
+        // replay's send ledger); neither is trusted off the wire.
+        if to >= state.queues.len() || from >= state.queues.len() {
             state.decode_errors.fetch_add(1, Ordering::SeqCst);
             continue;
         }
@@ -567,6 +569,31 @@ mod tests {
         t.close();
         assert_eq!(t.take_dropped(), 15, "sent - delivered, exactly");
         assert_eq!(t.take_dropped(), 0, "each drop is reported once");
+    }
+
+    #[test]
+    fn frame_naming_a_sender_outside_the_population_is_rejected() {
+        // `from` rides the wire as far as `on_message(from, ..)` and the
+        // trace, where the twin replay indexes per-sender state by it.
+        fn frame(from: u32, to: u32, send_ix: u64, msg: u64) -> Vec<u8> {
+            let mut f = ((FRAME_HEADER + 8) as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(&from.to_le_bytes());
+            f.extend_from_slice(&to.to_le_bytes());
+            f.extend_from_slice(&send_ix.to_le_bytes());
+            f.extend_from_slice(&0u64.to_le_bytes());
+            f.extend_from_slice(&msg.to_le_bytes());
+            f
+        }
+        let t: SocketTransport<u64, U64Codec> = SocketTransport::loopback(2).unwrap();
+        // from == n, then a well-formed frame on the same stream.
+        let mut acc = frame(2, 1, 0, 666);
+        acc.extend(frame(0, 1, 1, 7));
+        deliver_frames(&t.state, &mut acc, &mut None);
+        assert!(acc.is_empty(), "both frames consumed");
+        assert_eq!(t.decode_errors(), 1, "the forged sender counts as a decode error");
+        let queued: Vec<_> = t.state.queues[1].lock().unwrap().q.drain(..).collect();
+        assert_eq!(queued.len(), 1, "only the well-formed frame is enqueued");
+        assert_eq!((queued[0].from, queued[0].send_ix, queued[0].msg), (0, 1, 7));
     }
 
     #[test]

@@ -6,21 +6,18 @@
 //!
 //! * [`Delivery`] — the staged send effect. `Context::broadcast` stages a
 //!   single [`Delivery::Broadcast`] instead of `n` eager per-recipient
-//!   clones, so a backend can expand it with last-send-moves (clone
-//!   `n - 1` times, move the last) or, for a future gossip/stake-weighted
-//!   fanout backend, never materialize the full fan-out at all.
+//!   clones; the executor core expands it with last-send-moves (clone
+//!   `n - 1` times, move the last), and a wrapper such as the gossip
+//!   overlay can re-address it without materializing the full fan-out.
 //! * [`Envelope`] — one addressed message in flight, tagged with the
 //!   sender's per-node send index (the coordinate the determinism twin
-//!   replays by) and the monotonic send tick (latency accounting).
-//! * [`Transport`] — the link layer: non-blocking, bounded, per-node
-//!   inboxes. [`ChannelTransport`] is the in-process implementation;
-//!   [`SocketTransport`](crate::SocketTransport) carries the same
-//!   operations over real loopback TCP (see `docs/ARCHITECTURE.md` for
-//!   the contract).
-//! * [`Runtime`] — the execution seam: anything that can drive a set of
-//!   automata to quiescence and report. The deterministic
-//!   [`Simulation`](crate::Simulation) and the threaded
-//!   [`ThreadedRuntime`](crate::ThreadedRuntime) are the two backends.
+//!   replays by) and the monotonic send tick (latency accounting). It is
+//!   what the executor core hands every scheduler for each send.
+//! * [`Transport`] — the link layer under the threaded runtime:
+//!   non-blocking, bounded, per-node inboxes. [`ChannelTransport`] is the
+//!   in-process implementation; [`SocketTransport`](crate::SocketTransport)
+//!   carries the same operations over real loopback TCP (see
+//!   `docs/ARCHITECTURE.md` for the contract).
 //!
 //! Addressing stays [`NodeId`]-based on purpose: the seam abstracts the
 //! *carriage* of messages, not the membership of the system.
@@ -29,18 +26,18 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::sim::{NodeId, Protocol, RunReport};
+use crate::sim::{NodeId, Protocol};
 
 /// One staged send effect: either a point-to-point message or a
 /// full-population broadcast.
 ///
-/// Broadcasts are kept symbolic until a backend flushes them: the
-/// deterministic simulator expands recipients in `0..n` order (preserving
-/// the seeded delay stream of the eager-clone era byte for byte), the
-/// threaded runtime expands with last-send-moves so a large payload is
-/// cloned `n - 1` times instead of `n`, and a future partial-view gossip
-/// backend can treat the effect as "disseminate" without ever seeing a
-/// full recipient list.
+/// Broadcasts are kept symbolic until the executor core flushes the
+/// callback that staged them: recipients expand in `0..n` order (the order
+/// the simulator's seeded delay stream and the twin's send indices both
+/// follow) with last-send-moves, so a large payload is cloned `n - 1` times
+/// instead of `n`. A wrapper that re-addresses traffic (the gossip overlay)
+/// treats the effect as "disseminate" without ever seeing a full recipient
+/// list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery<M> {
     /// Send `msg` to one node (possibly the sender itself).
@@ -54,14 +51,20 @@ impl<M: Clone> Delivery<M> {
     /// population, recipients in ascending order. The last broadcast
     /// recipient receives the moved payload (last-send-moves).
     pub fn expand_into(self, n: usize, out: &mut Vec<(NodeId, M)>) {
+        self.expand(n, |to, msg| out.push((to, msg)));
+    }
+
+    /// [`Delivery::expand_into`] with a callback per pair: the one place
+    /// the recipient order is decided.
+    pub(crate) fn expand(self, n: usize, mut each: impl FnMut(NodeId, M)) {
         match self {
-            Delivery::Unicast(to, msg) => out.push((to, msg)),
+            Delivery::Unicast(to, msg) => each(to, msg),
             Delivery::Broadcast(msg) => {
                 for to in 0..n.saturating_sub(1) {
-                    out.push((to, msg.clone()));
+                    each(to, msg.clone());
                 }
                 if n > 0 {
-                    out.push((n - 1, msg));
+                    each(n - 1, msg);
                 }
             }
         }
@@ -234,28 +237,6 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
-}
-
-/// The execution seam: a backend that drives [`Protocol`] automata to
-/// quiescence.
-///
-/// Two implementations ship: the deterministic
-/// [`Simulation`](crate::Simulation) and the threaded
-/// [`ThreadedRuntime`](crate::ThreadedRuntime). Tests and harnesses that
-/// are generic over the backend take `R: Runtime<M>` and call
-/// [`Runtime::run`]; the determinism-twin contract (every runtime run is
-/// replayable on the simulator substrate, bit-identically) is what keeps
-/// the two backends honest with each other.
-pub trait Runtime<M> {
-    /// Short backend name for reports and benchmark rows (`"sim"`,
-    /// `"threaded"`).
-    fn backend(&self) -> &'static str;
-
-    /// Consumes the backend, runs to quiescence (or its event cap) and
-    /// reports.
-    fn run(self) -> RunReport
-    where
-        Self: Sized;
 }
 
 /// Boxed automata that may cross threads: what the threaded runtime

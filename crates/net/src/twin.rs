@@ -7,8 +7,10 @@
 //! message identified by its sender's per-node send index rather than by
 //! payload. Because [`Protocol`] automata are deterministic functions of
 //! their callback sequence, [`DeliveryTrace::replay`] can re-execute the
-//! run single-threaded on fresh nodes, re-deriving every payload, and the
-//! resulting outputs and [`Metrics`] must equal the live run's exactly.
+//! run single-threaded on fresh nodes — the same executor core the live
+//! run stepped, with the trace as its schedule — re-deriving every
+//! payload, and the resulting outputs and [`Metrics`] must equal the live
+//! run's exactly.
 //! Any mismatch — a send index that was never emitted, a timer id that
 //! differs, a delivery to a node the replay believes halted — is a
 //! [`TwinError`], the signal that an automaton hides nondeterminism
@@ -19,10 +21,14 @@
 //! tracing stays cheap enough to leave on for every benchmark run (the
 //! `runtime_scale --ci-smoke` gate replays every cell nightly).
 
+use std::collections::HashMap;
+
 use swiper_core::EpochEvent;
 
+use crate::exec::{Host, Input, Sink};
 use crate::metrics::Metrics;
-use crate::sim::{Context, NodeId, Protocol, RunReport};
+use crate::sim::{NodeId, Protocol, RunReport};
+use crate::transport::Envelope;
 use crate::MessageSize;
 
 /// One recorded callback of a runtime run, in a causally consistent total
@@ -95,26 +101,23 @@ impl std::fmt::Display for TwinError {
 
 impl std::error::Error for TwinError {}
 
-/// Replay-side view of one node: the messages and timers it has emitted
-/// (keyed by the same per-node counters the runtime assigned) and whether
-/// it has halted.
-struct ReplayNode<M> {
-    sent: std::collections::HashMap<u64, (NodeId, M)>,
-    next_send_ix: u64,
-    armed: std::collections::HashMap<u64, u64>,
-    next_timer_ix: u64,
-    halted: bool,
+/// The replay's side of the executor core: what every node has emitted
+/// and not yet had consumed by the trace, keyed by the same per-node
+/// counters the live run assigned.
+struct Emitted<M> {
+    /// Per sender: `send_ix → (to, msg)`.
+    sent: Vec<HashMap<u64, (NodeId, M)>>,
+    /// Per node: `timer_ix → id`.
+    armed: Vec<HashMap<u64, u64>>,
 }
 
-impl<M> ReplayNode<M> {
-    fn new() -> Self {
-        ReplayNode {
-            sent: std::collections::HashMap::new(),
-            next_send_ix: 0,
-            armed: std::collections::HashMap::new(),
-            next_timer_ix: 0,
-            halted: false,
-        }
+impl<M> Sink<M> for Emitted<M> {
+    fn send(&mut self, env: Envelope<M>) {
+        self.sent[env.from].insert(env.send_ix, (env.to, env.msg));
+    }
+
+    fn arm(&mut self, node: NodeId, timer_ix: u64, _due: u64, id: u64) {
+        self.armed[node].insert(timer_ix, id);
     }
 }
 
@@ -144,61 +147,47 @@ impl DeliveryTrace {
     /// # Errors
     ///
     /// [`TwinError`] when the trace references an emission the replay
-    /// never produced — the bit-identity contract is violated.
+    /// never produced — the bit-identity contract is violated — or names a
+    /// node outside the traced population.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the traced population.
     pub fn replay<M: Clone + MessageSize>(
         &self,
-        mut nodes: Vec<Box<dyn Protocol<Msg = M>>>,
+        nodes: Vec<Box<dyn Protocol<Msg = M>>>,
     ) -> Result<RunReport, TwinError> {
         assert_eq!(nodes.len(), self.n, "replay population must match the trace");
         let n = self.n;
+        if self.start_at.len() != n {
+            let reason = format!("{} start stamps for {n} nodes", self.start_at.len());
+            return Err(TwinError { at_event: 0, reason });
+        }
         let mut metrics = Metrics::new(n);
-        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut state: Vec<ReplayNode<M>> = (0..n).map(|_| ReplayNode::new()).collect();
-        let mut elapsed = 0u64;
-
-        let flush = |node: NodeId,
-                     ctx: Context<M>,
-                     state: &mut Vec<ReplayNode<M>>,
-                     outputs: &mut Vec<Option<Vec<u8>>>,
-                     metrics: &mut Metrics| {
-            let effects = ctx.into_effects();
-            if let Some(out) = effects.output {
-                if outputs[node].is_none() {
-                    outputs[node] = Some(out);
-                }
-            }
-            if effects.halted {
-                state[node].halted = true;
-            }
-            for (to, msg) in effects.outbox {
-                metrics.record_send(node, msg.size_bytes());
-                let ix = state[node].next_send_ix;
-                state[node].next_send_ix += 1;
-                state[node].sent.insert(ix, (to, msg));
-            }
-            for (_delay, id) in effects.timers {
-                let ix = state[node].next_timer_ix;
-                state[node].next_timer_ix += 1;
-                state[node].armed.insert(ix, id);
-            }
+        let mut hosts: Vec<_> =
+            nodes.into_iter().enumerate().map(|(id, node)| Host::new(id, node)).collect();
+        let mut emitted = Emitted {
+            sent: (0..n).map(|_| HashMap::new()).collect(),
+            armed: (0..n).map(|_| HashMap::new()).collect(),
         };
-
-        for (node, automaton) in nodes.iter_mut().enumerate() {
-            let mut ctx = Context::detached(node, n, self.start_at[node]);
-            automaton.on_start(&mut ctx);
-            flush(node, ctx, &mut state, &mut outputs, &mut metrics);
+        for (host, &at) in hosts.iter_mut().zip(&self.start_at) {
+            host.step(n, at, Input::Start, &mut metrics, &mut emitted);
         }
 
-        let mut events = 0u64;
+        let (mut elapsed, mut events) = (0u64, 0u64);
         for (pos, ev) in self.events.iter().enumerate() {
             let err = |reason: String| TwinError { at_event: pos, reason };
-            match *ev {
-                TraceEvent::Deliver { to, from, send_ix, at } => {
-                    let Some((dest, msg)) = state[from].sent.remove(&send_ix) else {
+            let (TraceEvent::Deliver { to, at, .. }
+            | TraceEvent::Timer { to, at, .. }
+            | TraceEvent::Epoch { to, at, .. }) = *ev;
+            let Some(host) = hosts.get_mut(to) else {
+                return Err(err(format!("node {to} is outside the traced population of {n}")));
+            };
+            let (what, input) = match *ev {
+                TraceEvent::Deliver { from, send_ix, .. } => {
+                    let Some((dest, msg)) =
+                        emitted.sent.get_mut(from).and_then(|sent| sent.remove(&send_ix))
+                    else {
                         return Err(err(format!(
                             "node {to} expects send #{send_ix} from node {from}, \
                              which the replay never emitted"
@@ -210,20 +199,11 @@ impl DeliveryTrace {
                              node {dest}, not node {to}"
                         )));
                     }
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "delivery to node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
                     events += 1;
-                    metrics.record_delivery(to, msg.size_bytes());
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_message(from, msg, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    ("delivery to", Input::Message { from, msg })
                 }
-                TraceEvent::Timer { to, timer_ix, id, at } => {
-                    let Some(armed) = state[to].armed.remove(&timer_ix) else {
+                TraceEvent::Timer { timer_ix, id, .. } => {
+                    let Some(armed) = emitted.armed[to].remove(&timer_ix) else {
                         return Err(err(format!(
                             "timer #{timer_ix} on node {to} was never armed in the replay"
                         )));
@@ -234,42 +214,94 @@ impl DeliveryTrace {
                              the live run fired id {id}"
                         )));
                     }
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "timer fire on node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
                     events += 1;
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_timer(id, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    ("timer fire on", Input::Timer { id })
                 }
-                TraceEvent::Epoch { to, epoch_ix, at } => {
+                TraceEvent::Epoch { epoch_ix, .. } => {
                     let Some(event) = self.epochs.get(epoch_ix) else {
                         return Err(err(format!(
                             "epoch #{epoch_ix} is not in the trace's schedule"
                         )));
                     };
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "reconfiguration of node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_reconfigure(event, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    ("reconfiguration of", Input::Epoch(event))
                 }
+            };
+            // The live run never traces a callback on a halted node.
+            if host.halted {
+                return Err(err(format!(
+                    "{what} node {to}, which already halted in the replay"
+                )));
             }
+            elapsed = elapsed.max(at);
+            host.step(n, at, input, &mut metrics, &mut emitted);
         }
 
         Ok(RunReport {
-            outputs,
+            outputs: hosts.into_iter().map(|h| h.output).collect(),
             elapsed,
             events,
             reconfigurations: self.epochs.len() as u64,
             metrics,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::Context;
+
+    struct Pinger;
+    impl Protocol for Pinger {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            ctx.broadcast(1);
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: u64, _ctx: &mut Context<u64>) {}
+    }
+
+    fn pingers(n: usize) -> Vec<Box<dyn Protocol<Msg = u64>>> {
+        (0..n).map(|_| Box::new(Pinger) as _).collect()
+    }
+
+    /// A trace is data: one that names a node outside `0..n` (a forged
+    /// `from` off the wire, a corrupted file) or carries the wrong number
+    /// of start stamps must come back as a `TwinError`, not an index panic.
+    #[test]
+    fn out_of_population_coordinates_are_a_twin_error() {
+        let trace = |start_at: Vec<u64>, events: Vec<TraceEvent>| DeliveryTrace {
+            n: 2,
+            start_at,
+            events,
+            epochs: Vec::new(),
+        };
+        let ok = TraceEvent::Deliver { to: 1, from: 0, send_ix: 1, at: 5 };
+        assert!(trace(vec![0, 0], vec![ok.clone()]).replay(pingers(2)).is_ok());
+        for (bad, at_event) in [
+            (
+                trace(
+                    vec![0, 0],
+                    vec![ok.clone(), TraceEvent::Deliver { to: 1, from: 2, send_ix: 0, at: 6 }],
+                ),
+                1,
+            ),
+            (
+                trace(
+                    vec![0, 0],
+                    vec![TraceEvent::Deliver { to: 2, from: 0, send_ix: 0, at: 6 }],
+                ),
+                0,
+            ),
+            (
+                trace(vec![0, 0], vec![TraceEvent::Timer { to: 7, timer_ix: 0, id: 0, at: 6 }]),
+                0,
+            ),
+            (trace(vec![0, 0], vec![TraceEvent::Epoch { to: 2, epoch_ix: 0, at: 6 }]), 0),
+            (trace(vec![0], vec![ok.clone()]), 0),
+            (trace(vec![0, 0, 0], vec![ok]), 0),
+        ] {
+            let err = bad.replay(pingers(2)).expect_err("must diverge, not panic");
+            assert_eq!(err.at_event, at_event, "{err}");
+        }
     }
 }
