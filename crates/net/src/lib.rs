@@ -25,9 +25,9 @@
 //!   single-threaded, bit-identically.
 //! * [`overlay`] — the partial-view gossip dissemination backend:
 //!   [`OverlayNode`] wraps any protocol and expands its symbolic
-//!   broadcasts into stake-weighted eager/lazy fanout (HyParView views,
-//!   Plumtree repair, SWIM-style churn detection feeding the epoch
-//!   machinery) instead of full-mesh.
+//!   broadcasts into stake-weighted eager/lazy fanout (one view drawn
+//!   from the public weight vector, Plumtree repair, SWIM-style churn
+//!   detection feeding the epoch machinery) instead of full-mesh.
 //! * [`adversary`] — generic fault injection: silence, crash-after-k,
 //!   and arbitrary message-mangling wrappers.
 //! * [`Metrics`] — per-node message/byte counters, the paper's

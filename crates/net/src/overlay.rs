@@ -4,30 +4,34 @@
 //! one [`Delivery::Broadcast`](crate::Delivery) effect fanned out to all
 //! `n` nodes, `O(n²)` messages per logical round. This module keeps the
 //! broadcast effect *symbolic* and expands it into **overlay fanout**
-//! instead: each node keeps a small *active view* and a larger *passive
-//! view* it repairs from — HyParView's partial-view split — and pushes
-//! payloads Plumtree-style: eagerly along a spanning tree, lazily
-//! (IHAVE/GRAFT) along the rest of the active view. Four design points tie
-//! the overlay to the Swiper paper's weighted model (measurements: the
-//! "Dissemination backends" ADR in `docs/ARCHITECTURE.md`):
+//! instead: each node keeps a small *active view* and pushes payloads
+//! Plumtree-style: eagerly along a spanning tree, lazily (IHAVE/GRAFT)
+//! along the rest of the view. Five design points tie the overlay to the
+//! Swiper paper's weighted model (measurements: the "Dissemination
+//! backends" ADR in `docs/ARCHITECTURE.md`):
 //!
-//! * **The tree is derived, not learned.** Every node holds the full
-//!   weight vector, so each computes the same k-ary heap over the parties
-//!   ordered by (stake floored at 1, descending; then id): its parent and
-//!   up to k children are its eager links — symmetric by construction,
-//!   heavy stake at the root, the parties cheapest to corrupt at the
-//!   leaves. k is half the active degree, so the links sit inside the
-//!   view and a broadcast costs `n` payload sends at any degree. At every
-//!   [`EpochEvent`] the tree is re-derived from the event's weights.
-//! * **Stake-weighted lazy links.** The rest of the active view, passive
-//!   refills and shuffle targets are drawn with
-//!   [`WeightedReservoir`](swiper_core::sampling::WeightedReservoir)
+//! * **Membership is the weight vector.** The model makes stake public:
+//!   every node holds all `n` weights, so "who exists" is never learned
+//!   from the wire — no message carries a peer list. Views, tree and
+//!   replacements are functions of the vector and the node's seeded
+//!   sampler alone.
+//! * **The tree is derived, not learned.** Each node computes the same
+//!   k-ary heap over the parties ordered by (stake floored at 1,
+//!   descending; then id): its parent and up to k children are its eager
+//!   links — symmetric by construction, heavy stake at the root, the
+//!   parties cheapest to corrupt at the leaves. k is half the active
+//!   degree, so the links sit inside the view and a broadcast costs `n`
+//!   payload sends at any degree. At every [`EpochEvent`] the tree is
+//!   re-derived from the event's weights.
+//! * **Stake-weighted lazy links.** The rest of the active view, and the
+//!   replacement for a peer confirmed failed, are drawn from the vector
+//!   with [`WeightedReservoir`](swiper_core::sampling::WeightedReservoir)
 //!   (`fold_rekey` reseeds it at an epoch). They carry one batched
 //!   [`OverlayMsg::IHave`] per lazy tick; a peer still lacking an
 //!   announced payload one graft wait later pulls it with `Graft`, which
 //!   makes the link eager on both ends, and a duplicate on an eager link
-//!   demotes it again (`Prune`). Tick and wait are `graft_timeout` per hop
-//!   times the tree depth, so a fault-free run sends neither.
+//!   demotes it again (`Prune`). Tick and wait are one eager hop's
+//!   allowance times the tree depth, so a fault-free run sends neither.
 //! * **Structural reach.** The ring successor `(me+1) mod n` never leaves
 //!   the active view and is announced *every* payload. Walk the ring from
 //!   any holder: the first node lacking the payload has a predecessor that
@@ -35,10 +39,10 @@
 //!   interior node costs its subtree latency, not the payload.
 //! * **Churn feeds epochs.** SWIM-style probing (ping, suspect on
 //!   timeout, confirm after a grace period) records confirmed failures
-//!   and observed joins into a shared [`ChurnLedger`], which renders them
-//!   as a *candidate weight snapshot* — input for the Reconfigurator's
-//!   solver pass, composing with the epoch machinery instead of mutating
-//!   membership behind its back.
+//!   into a shared [`ChurnLedger`], which renders them as a *candidate
+//!   weight snapshot* — input for the Reconfigurator's solver pass,
+//!   composing with the epoch machinery instead of mutating membership
+//!   behind its back.
 //!
 //! The overlay is itself a [`Protocol`] (over [`OverlayMsg`]), so it runs
 //! unchanged on both substrates — the deterministic simulator and the
@@ -67,8 +71,7 @@ const KIND_GRAFT: u64 = 0;
 const KIND_PROBE_TICK: u64 = 1;
 const KIND_PROBE_TIMEOUT: u64 = 2;
 const KIND_CONFIRM: u64 = 3;
-const KIND_SHUFFLE: u64 = 4;
-const KIND_LAZY: u64 = 5;
+const KIND_LAZY: u64 = 4;
 /// Payload mask (bits 0..60).
 const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
@@ -118,24 +121,6 @@ pub enum OverlayMsg<M> {
     /// A point-to-point message of the wrapped protocol (inner unicasts
     /// bypass gossip).
     Direct(M),
-    /// Membership: announce presence to a peer.
-    Join,
-    /// Membership: a Join recipient's active-view snapshot, for the
-    /// joiner's passive view.
-    JoinReply {
-        /// The replier's current active view.
-        peers: Vec<u32>,
-    },
-    /// Membership: periodic passive-view exchange (sender's sample).
-    Shuffle {
-        /// Sampled peers the sender offers.
-        peers: Vec<u32>,
-    },
-    /// Membership: the reply sample of a shuffle.
-    ShuffleReply {
-        /// Sampled peers the replier offers back.
-        peers: Vec<u32>,
-    },
     /// Failure detection: liveness probe.
     Ping {
         /// Correlates the probe with its pong and timers.
@@ -146,7 +131,7 @@ pub enum OverlayMsg<M> {
         /// The probe's nonce, echoed.
         nonce: u32,
     },
-    /// Membership: the sender evicted this link from its active view.
+    /// The sender evicted this link from its active view.
     Disconnect,
 }
 
@@ -156,51 +141,43 @@ impl<M: MessageSize> MessageSize for OverlayMsg<M> {
             OverlayMsg::Eager { payload, .. } => 1 + 12 + payload.size_bytes(),
             OverlayMsg::IHave { ids } => 1 + 4 + 8 * ids.len(),
             OverlayMsg::Graft { .. } => 1 + 8,
-            OverlayMsg::Prune | OverlayMsg::Join | OverlayMsg::Disconnect => 1,
+            OverlayMsg::Prune | OverlayMsg::Disconnect => 1,
             OverlayMsg::Direct(m) => 1 + m.size_bytes(),
-            OverlayMsg::JoinReply { peers }
-            | OverlayMsg::Shuffle { peers }
-            | OverlayMsg::ShuffleReply { peers } => 1 + 4 + 4 * peers.len(),
             OverlayMsg::Ping { .. } | OverlayMsg::Pong { .. } => 1 + 4,
         }
     }
 }
 
-/// Configuration knobs of the overlay. `0` on the degree fields means
-/// "derive from `n`": active degree `max(3, ⌈log₂ n⌉) + 1` (the +1 is the
-/// ring successor), passive degree four times that. The dissemination
-/// tree's arity is half the active degree (at least 2), so its links sit
-/// inside the active view at any degree ≥ 4. The failure-detection
-/// and shuffle schedules are *bounded-round* — a fixed number of probe and
-/// shuffle rounds per run, so runs quiesce instead of ticking forever.
+/// How many lazy peers a first receipt is announced to, on top of the
+/// ring successor (which is announced every one).
+const LAZY_FANOUT: usize = 2;
+/// How many graft attempts (rotating providers) before giving up.
+const GRAFT_RETRIES: u32 = 3;
+/// Timer lengths in units of [`OverlayConfig::tick`]: what one eager hop
+/// may take (the lazy tick and the wait for an eager copy after an IHAVE
+/// are both this times the tree depth), the gap between liveness probes,
+/// how long an unanswered probe waits before its target is suspected, and
+/// how much longer before a suspected peer is confirmed failed.
+const GRAFT_WAIT: u64 = 40;
+const PROBE_PERIOD: u64 = 25;
+const PROBE_TIMEOUT: u64 = 30;
+const CONFIRM_WAIT: u64 = 60;
+
+/// The overlay's knobs: the four values two callers disagree on, and
+/// nothing else — the lazy fanout, graft retries and timer ratios are
+/// constants of this module. The dissemination tree's arity is half the
+/// active degree (at least 2), so its links sit inside the active view at
+/// any degree ≥ 4. Failure detection is *bounded-round* — a fixed number
+/// of probes per run, so runs quiesce instead of ticking forever.
 #[derive(Debug, Clone)]
 pub struct OverlayConfig {
-    /// Active-view size (0 = auto).
+    /// Active-view size; `0` derives `max(3, ⌈log₂ n⌉) + 1` from `n` (the
+    /// +1 is the ring successor). The flood baseline sets `n - 1`.
     pub active_degree: usize,
-    /// Passive-view size (0 = auto).
-    pub passive_degree: usize,
-    /// How many lazy peers a first receipt is announced to, on top of the
-    /// ring successor (which is announced every one).
-    pub lazy_fanout: usize,
-    /// Ticks one eager hop may take. The lazy tick and the wait for an
-    /// eager copy after an IHAVE are both this times the tree depth.
-    pub graft_timeout: u64,
-    /// How many graft attempts (rotating providers) before giving up.
-    pub graft_retries: u32,
-    /// Total liveness probes each node sends per run (0 disables).
+    /// Total liveness probes each node sends per run (0 disables). Runs
+    /// that must *confirm* a silent peer raise it so every active link is
+    /// probed.
     pub probe_rounds: u32,
-    /// Ticks between probes.
-    pub probe_period: u64,
-    /// Ticks before an unanswered probe marks its target suspected.
-    pub probe_timeout: u64,
-    /// Further ticks before a suspected peer is confirmed failed.
-    pub confirm_timeout: u64,
-    /// Total shuffle exchanges each node initiates per run (0 disables).
-    pub shuffle_rounds: u32,
-    /// Ticks between shuffles.
-    pub shuffle_period: u64,
-    /// Peers carried per shuffle message.
-    pub shuffle_size: usize,
     /// When false, no tree is derived and duplicate receipts never demote
     /// eager links: every active edge stays eager forever and the overlay
     /// degenerates into reliable flooding. The benchmark harness runs its
@@ -208,41 +185,26 @@ pub struct OverlayConfig {
     /// the n²-flood baseline is *measured* through the same code path the
     /// overlay uses, not assumed.
     pub prune: bool,
+    /// Clock units per overlay tick; every overlay timer is a constant
+    /// multiple of it (see [`OverlayConfig::scaled_by`]).
+    pub tick: u64,
 }
 
 impl Default for OverlayConfig {
     fn default() -> Self {
-        OverlayConfig {
-            active_degree: 0,
-            passive_degree: 0,
-            lazy_fanout: 2,
-            graft_timeout: 40,
-            graft_retries: 3,
-            probe_rounds: 2,
-            probe_period: 25,
-            probe_timeout: 30,
-            confirm_timeout: 60,
-            shuffle_rounds: 1,
-            shuffle_period: 50,
-            shuffle_size: 6,
-            prune: true,
-        }
+        OverlayConfig { active_degree: 0, probe_rounds: 2, prune: true, tick: 1 }
     }
 }
 
 impl OverlayConfig {
-    /// Multiplies every timer field by `f`. The defaults are sized for
-    /// the simulator's abstract ticks (delays of 1..=20); on
-    /// [`crate::ThreadedRuntime`] the clock is *microseconds*, so runs
-    /// there should scale timers up (e.g. `scaled_by(500)`) or probes
+    /// Multiplies the tick, and with it every overlay timer, by `f`. The
+    /// default is sized for the simulator's abstract ticks (delays of
+    /// 1..=20); on [`crate::ThreadedRuntime`] the clock is *microseconds*,
+    /// so runs there should scale up (e.g. `scaled_by(500)`) or probes
     /// time out before a pong can cross a real scheduler.
     #[must_use]
     pub fn scaled_by(mut self, f: u64) -> Self {
-        self.graft_timeout *= f;
-        self.probe_period *= f;
-        self.probe_timeout *= f;
-        self.confirm_timeout *= f;
-        self.shuffle_period *= f;
+        self.tick *= f;
         self
     }
 
@@ -254,18 +216,12 @@ impl OverlayConfig {
         let d = if self.active_degree == 0 { auto() } else { self.active_degree };
         d.min(n.saturating_sub(1))
     }
-
-    fn passive_for(&self, n: usize) -> usize {
-        let d =
-            if self.passive_degree == 0 { self.active_for(n) * 4 } else { self.passive_degree };
-        d.min(n.saturating_sub(1))
-    }
 }
 
 /// Shared counters describing one overlay run: dissemination shape
 /// (deliveries, hop radius), repair activity (prunes, IHAVEs, grafts),
-/// membership/failure-detection activity, and view degree. Observational
-/// only — recording never influences an emission, which is what keeps a
+/// failure-detection activity, and view degree. Observational only —
+/// recording never influences an emission, which is what keeps a
 /// stats-sharing run twin-replayable.
 #[derive(Debug, Default, Clone)]
 pub struct OverlayStats {
@@ -286,9 +242,8 @@ pub struct OverlayStats {
     pub suspects: u64,
     /// Suspicions that hardened into confirmed failures.
     pub confirmed_failures: u64,
-    /// Join messages processed.
-    pub joins: u64,
-    /// Shuffle exchanges processed (requests + replies).
+    /// Reads 0, since no membership exchange is left to count; stays until
+    /// a `[benchmark]` PR drops the `overlay.shuffles` metric that reads it.
     pub shuffles: u64,
     /// Sum of active-view sizes at view-build time…
     pub degree_sum: u64,
@@ -318,8 +273,7 @@ impl OverlayStats {
     }
 }
 
-/// One churn observation made by the overlay's failure detector or
-/// membership layer.
+/// One churn observation made by the overlay's failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// A probed peer never answered through suspicion and grace — the
@@ -328,13 +282,6 @@ pub enum ChurnEvent {
         /// The node that ran the probe.
         observer: NodeId,
         /// The peer it confirmed failed.
-        peer: NodeId,
-    },
-    /// A Join was processed — the joiner is alive and reachable.
-    Join {
-        /// The node that processed the join.
-        observer: NodeId,
-        /// The joining peer.
         peer: NodeId,
     },
 }
@@ -371,9 +318,8 @@ impl ChurnLedger {
     pub fn confirmed_by(&self, quorum: usize) -> BTreeSet<NodeId> {
         let mut observers: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
         for ev in &self.events {
-            if let ChurnEvent::ConfirmedFailure { observer, peer } = *ev {
-                observers.entry(peer).or_default().insert(observer);
-            }
+            let ChurnEvent::ConfirmedFailure { observer, peer } = *ev;
+            observers.entry(peer).or_default().insert(observer);
         }
         observers.into_iter().filter(|(_, o)| o.len() >= quorum).map(|(p, _)| p).collect()
     }
@@ -410,8 +356,8 @@ struct GraftState {
 /// A [`Protocol`] adapter that runs `inner` over the gossip overlay: the
 /// inner automaton's symbolic broadcasts become eager-push originations,
 /// its unicasts travel as [`OverlayMsg::Direct`], and everything else —
-/// membership, failure detection, tree repair — is the overlay's own
-/// traffic. See the module docs for the design.
+/// failure detection, tree repair — is the overlay's own traffic. See the
+/// module docs for the design.
 pub struct OverlayNode<M: Clone + MessageSize> {
     inner: Box<dyn Protocol<Msg = M> + Send>,
     inner_halted: bool,
@@ -426,10 +372,12 @@ pub struct OverlayNode<M: Clone + MessageSize> {
     /// to `n`; refreshed by `build_views`.
     floored: Vec<u64>,
     // Views. Invariant: eager ⊆ active, and the lazy links are the rest
-    // of active; passive is disjoint from active and never contains `me`.
+    // of active.
     active: BTreeSet<NodeId>,
     eager: BTreeSet<NodeId>,
-    passive: BTreeSet<NodeId>,
+    /// Peers this node confirmed failed since the last view build; no
+    /// replacement is drawn from it.
+    failed: BTreeSet<NodeId>,
     // Dissemination state.
     next_seq: u32,
     seen: BTreeMap<(u32, u32), (M, u32)>,
@@ -442,7 +390,6 @@ pub struct OverlayNode<M: Clone + MessageSize> {
     probe_cursor: usize,
     outstanding: BTreeMap<u32, NodeId>,
     suspected: BTreeSet<NodeId>,
-    shuffles_sent: u32,
     // Observation (never influences emissions).
     stats: Option<Arc<Mutex<OverlayStats>>>,
     ledger: Option<Arc<Mutex<ChurnLedger>>>,
@@ -473,7 +420,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             floored: Vec::new(),
             active: BTreeSet::new(),
             eager: BTreeSet::new(),
-            passive: BTreeSet::new(),
+            failed: BTreeSet::new(),
             next_seq: 0,
             seen: BTreeMap::new(),
             graft_pending: BTreeMap::new(),
@@ -483,7 +430,6 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             probe_cursor: 0,
             outstanding: BTreeMap::new(),
             suspected: BTreeSet::new(),
-            shuffles_sent: 0,
             stats: None,
             ledger: None,
         }
@@ -545,7 +491,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         (self.cfg.active_for(self.n) / 2).max(2)
     }
 
-    /// The lazy tick and the graft wait: `graft_timeout` per hop times the
+    /// The lazy tick and the graft wait: `GRAFT_WAIT` per hop times the
     /// tree depth `⌈log_k n⌉`, so an announcement is acted on only once
     /// the tree has had time to deliver the payload by itself.
     fn repair_wait(&self) -> u64 {
@@ -554,7 +500,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             span *= k;
             depth += 1;
         }
-        self.cfg.graft_timeout * depth.max(1)
+        GRAFT_WAIT * self.cfg.tick * depth.max(1)
     }
 
     /// This node's links in the k-ary heap over all parties ordered by
@@ -578,22 +524,15 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     fn build_views(&mut self) {
         self.floored = self.weights.as_slice().iter().map(|&w| w.max(1)).collect();
         self.floored.resize(self.n, 1);
-        let me = self.me;
         self.eager = if self.cfg.prune { self.tree_links() } else { BTreeSet::new() };
         self.active = self.eager.clone();
-        self.passive.clear();
+        self.failed.clear();
         if self.n > 1 {
             self.active.insert(self.ring_succ());
         }
-        let mut draw = |k: usize, taken: &BTreeSet<NodeId>| {
-            let skip = |i| i == me || taken.contains(&i);
-            WeightedReservoir::sample_indices(&self.floored, k, &mut self.rng, skip)
-        };
         let fill = self.cfg.active_for(self.n).saturating_sub(self.active.len());
-        let extra = draw(fill, &self.active);
+        let extra = self.draw(fill);
         self.active.extend(extra);
-        let passive = draw(self.cfg.passive_for(self.n), &self.active);
-        self.passive.extend(passive);
         if !self.cfg.prune {
             self.eager = self.active.clone();
         }
@@ -602,6 +541,14 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             s.degree_sum += degree;
             s.degree_builds += 1;
         });
+    }
+
+    /// Up to `k` stake-weighted draws from the weight vector: anyone but
+    /// `me`, the active view and the peers confirmed failed.
+    fn draw(&mut self, k: usize) -> Vec<NodeId> {
+        let (me, active, failed) = (self.me, &self.active, &self.failed);
+        let skip = |i| i == me || active.contains(&i) || failed.contains(&i);
+        WeightedReservoir::sample_indices(&self.floored, k, &mut self.rng, skip)
     }
 
     /// Evicts down to the configured active degree after a graft or
@@ -617,7 +564,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
                 (self.eager.contains(&p), stake, std::cmp::Reverse(p))
             });
             let Some(victim) = victim else { break };
-            self.demote_to_passive(victim);
+            self.drop_link(victim);
             ctx.send(victim, OverlayMsg::Disconnect);
         }
     }
@@ -625,41 +572,30 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     /// Tree repair: `peer` becomes an eager neighbour. Both ends of a graft
     /// call this, so the promoted link is known as eager on both sides.
     fn promote_to_eager(&mut self, peer: NodeId, ctx: &mut Context<OverlayMsg<M>>) {
-        self.passive.remove(&peer);
         self.active.insert(peer);
         self.eager.insert(peer);
         self.enforce_active_cap(ctx);
     }
 
-    fn demote_to_passive(&mut self, peer: NodeId) {
+    fn drop_link(&mut self, peer: NodeId) {
         self.active.remove(&peer);
         self.eager.remove(&peer);
-        if peer != self.me {
-            self.passive.insert(peer);
-        }
     }
 
-    /// Removes a confirmed-failed peer everywhere and promotes a
-    /// stake-sampled replacement from the passive view, as a lazy link
-    /// until a graft makes it eager on both ends. The ring successor is
-    /// exempt: announcing to it is the structural reach guarantee, and a
-    /// false-positive confirmation (slow scheduler, lossy link) must never
-    /// sever it — the confirmation is still recorded in the churn ledger,
-    /// where the epoch machinery decides its fate.
+    /// Drops a confirmed-failed peer and draws its replacement from the
+    /// weight vector, as a lazy link until a graft makes it eager on both
+    /// ends. The ring successor is exempt: announcing to it is the
+    /// structural reach guarantee, and a false-positive confirmation (slow
+    /// scheduler, lossy link) must never sever it — the confirmation is
+    /// still recorded in the churn ledger, where the epoch machinery
+    /// decides its fate.
     fn replace_failed(&mut self, peer: NodeId) {
         if peer == self.ring_succ() {
             return;
         }
-        self.active.remove(&peer);
-        self.eager.remove(&peer);
-        self.passive.remove(&peer);
-        let passive = &self.passive;
-        let promoted =
-            WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| {
-                !passive.contains(&i)
-            });
-        if let Some(&p) = promoted.first() {
-            self.passive.remove(&p);
+        self.drop_link(peer);
+        self.failed.insert(peer);
+        if let Some(&p) = self.draw(1).first() {
             self.active.insert(p);
             if !self.cfg.prune {
                 self.eager.insert(p);
@@ -754,13 +690,13 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             );
         }
         // Announced at the next lazy tick: the ring successor always (the
-        // reach guarantee), plus a rotating lazy_fanout-slice of the lazy
+        // reach guarantee), plus a rotating LAZY_FANOUT-slice of the lazy
         // view (no rng, so replicas agree; offset by `me`, so a peer's
         // announcers do not all cover the same origins).
         let lazy = self.active.difference(&self.eager);
         let len = lazy.clone().count();
         let start = (me + origin as usize + seq as usize) % len.max(1);
-        let slice = lazy.clone().cycle().skip(start).take(self.cfg.lazy_fanout.min(len));
+        let slice = lazy.clone().cycle().skip(start).take(LAZY_FANOUT.min(len));
         let succ = self.ring_succ();
         let ring = (!self.eager.contains(&succ)).then_some(&succ);
         let idle = self.announce.is_empty();
@@ -804,7 +740,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             return;
         }
         let Some(state) = self.graft_pending.get_mut(&key) else { return };
-        if state.retries >= self.cfg.graft_retries || state.providers.is_empty() {
+        if state.retries >= GRAFT_RETRIES || state.providers.is_empty() {
             return;
         }
         let provider = state.providers[state.retries as usize % state.providers.len()];
@@ -835,61 +771,12 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         self.outstanding.insert(nonce, target);
         ctx.send(target, OverlayMsg::Ping { nonce });
         ctx.set_timer(
-            self.cfg.probe_timeout,
+            PROBE_TIMEOUT * self.cfg.tick,
             overlay_timer(KIND_PROBE_TIMEOUT, u64::from(nonce)),
         );
         self.probes_sent += 1;
         if self.probes_sent < self.cfg.probe_rounds {
-            ctx.set_timer(self.cfg.probe_period, overlay_timer(KIND_PROBE_TICK, 0));
-        }
-    }
-
-    fn on_shuffle_tick(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
-        if self.shuffles_sent >= self.cfg.shuffle_rounds || self.active.is_empty() {
-            return;
-        }
-        self.shuffles_sent += 1;
-        let active = &self.active;
-        let target = WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| {
-            !active.contains(&i)
-        });
-        let Some(&target) = target.first() else { return };
-        let peers = self.shuffle_sample(target);
-        ctx.send(target, OverlayMsg::Shuffle { peers });
-        if self.shuffles_sent < self.cfg.shuffle_rounds {
-            ctx.set_timer(self.cfg.shuffle_period, overlay_timer(KIND_SHUFFLE, 0));
-        }
-    }
-
-    /// Up to `shuffle_size` known peers (active first, then passive),
-    /// excluding the exchange partner, plus ourselves.
-    fn shuffle_sample(&self, partner: NodeId) -> Vec<u32> {
-        let mut peers: Vec<u32> = vec![self.me as u32];
-        for &p in self.active.iter().chain(self.passive.iter()) {
-            if peers.len() > self.cfg.shuffle_size {
-                break;
-            }
-            if p != partner && p != self.me {
-                peers.push(p as u32);
-            }
-        }
-        peers
-    }
-
-    /// Folds received peer addresses into the passive view (never the
-    /// active view — promotion happens via grafts or failure
-    /// replacement), evicting the highest ids beyond capacity.
-    fn merge_passive(&mut self, peers: &[u32]) {
-        for &p in peers {
-            let p = p as usize;
-            if p < self.n && p != self.me && !self.active.contains(&p) {
-                self.passive.insert(p);
-            }
-        }
-        let cap = self.cfg.passive_for(self.n).max(1);
-        while self.passive.len() > cap {
-            let last = *self.passive.iter().next_back().expect("nonempty");
-            self.passive.remove(&last);
+            ctx.set_timer(PROBE_PERIOD * self.cfg.tick, overlay_timer(KIND_PROBE_TICK, 0));
         }
     }
 }
@@ -906,21 +793,8 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
         self.rng =
             SplitMix64::new(self.seed ^ (self.me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.build_views();
-        // Announce ourselves to one stake-sampled peer (the join path is
-        // live on every run, not only under churn).
-        if self.n > 1 {
-            let me = self.me;
-            let join =
-                WeightedReservoir::sample_indices(&self.floored, 1, &mut self.rng, |i| i == me);
-            if let Some(&p) = join.first() {
-                ctx.send(p, OverlayMsg::Join);
-            }
-        }
         if self.cfg.probe_rounds > 0 && !self.active.is_empty() {
-            ctx.set_timer(self.cfg.probe_period, overlay_timer(KIND_PROBE_TICK, 0));
-        }
-        if self.cfg.shuffle_rounds > 0 && !self.active.is_empty() {
-            ctx.set_timer(self.cfg.shuffle_period, overlay_timer(KIND_SHUFFLE, 0));
+            ctx.set_timer(PROBE_PERIOD * self.cfg.tick, overlay_timer(KIND_PROBE_TICK, 0));
         }
         self.drive_inner(ctx, |inner, ictx| inner.on_start(ictx));
         self.tally(ctx, mark);
@@ -934,6 +808,9 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
     ) {
         let mark = ctx.outbox.len();
         match msg {
+            // Ids off the wire are untrusted: only a party can originate.
+            OverlayMsg::Eager { origin, .. } | OverlayMsg::Graft { origin, .. }
+                if origin as usize >= self.n => {}
             OverlayMsg::Eager { origin, seq, hops, payload } => {
                 self.on_eager(from, origin, seq, hops, payload, ctx);
             }
@@ -953,28 +830,6 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
             OverlayMsg::Direct(m) => {
                 self.drive_inner(ctx, |inner, ictx| inner.on_message(from, m, ictx));
             }
-            OverlayMsg::Join => {
-                self.stat(|s| s.joins += 1);
-                self.churn(ChurnEvent::Join { observer: self.me, peer: from });
-                if from != self.me && !self.active.contains(&from) {
-                    self.passive.insert(from);
-                    self.merge_passive(&[]);
-                }
-                let peers: Vec<u32> =
-                    self.active.iter().map(|&p| p as u32).take(self.cfg.shuffle_size).collect();
-                ctx.send(from, OverlayMsg::JoinReply { peers });
-            }
-            OverlayMsg::JoinReply { peers } => self.merge_passive(&peers),
-            OverlayMsg::Shuffle { peers } => {
-                self.stat(|s| s.shuffles += 1);
-                let reply = self.shuffle_sample(from);
-                self.merge_passive(&peers);
-                ctx.send(from, OverlayMsg::ShuffleReply { peers: reply });
-            }
-            OverlayMsg::ShuffleReply { peers } => {
-                self.stat(|s| s.shuffles += 1);
-                self.merge_passive(&peers);
-            }
             OverlayMsg::Ping { nonce } => ctx.send(from, OverlayMsg::Pong { nonce }),
             OverlayMsg::Pong { nonce } => {
                 if let Some(peer) = self.outstanding.remove(&nonce) {
@@ -986,7 +841,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
                 // evicted us from *its* active view keeps receiving our
                 // announcements — that is the structural reach guarantee.
                 if from != self.ring_succ() {
-                    self.demote_to_passive(from);
+                    self.drop_link(from);
                 }
             }
         }
@@ -1013,7 +868,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
                     self.suspected.insert(peer);
                     self.stat(|s| s.suspects += 1);
                     ctx.set_timer(
-                        self.cfg.confirm_timeout,
+                        CONFIRM_WAIT * self.cfg.tick,
                         overlay_timer(KIND_CONFIRM, u64::from(nonce)),
                     );
                 }
@@ -1028,7 +883,6 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
                     self.replace_failed(peer);
                 }
             }
-            KIND_SHUFFLE => self.on_shuffle_tick(ctx),
             KIND_LAZY => self.on_lazy_tick(ctx),
             _ => {}
         }
@@ -1038,7 +892,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
     fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<OverlayMsg<M>>) {
         let mark = ctx.outbox.len();
         // Reweigh-at-boundary: refresh stake, reseed the sampler from the
-        // event's rekey material, and rebuild both views so fanout
+        // event's rekey material, and rebuild the views so fanout
         // reflects the new weight distribution. A mis-addressed event
         // (length mismatch) is ignored wholesale.
         if event.refresh_weights(&mut self.weights) && self.started {
@@ -1073,29 +927,10 @@ const TAG_IHAVE: u8 = 1;
 const TAG_GRAFT: u8 = 2;
 const TAG_PRUNE: u8 = 3;
 const TAG_DIRECT: u8 = 4;
-const TAG_JOIN: u8 = 5;
-const TAG_JOIN_REPLY: u8 = 6;
-const TAG_SHUFFLE: u8 = 7;
-const TAG_SHUFFLE_REPLY: u8 = 8;
+// Tags 5..=8 carried the retired membership messages; they stay unassigned.
 const TAG_PING: u8 = 9;
 const TAG_PONG: u8 = 10;
 const TAG_DISCONNECT: u8 = 11;
-
-fn put_peers(out: &mut Vec<u8>, peers: &[u32]) {
-    put_u32(out, peers.len() as u32);
-    for &p in peers {
-        put_u32(out, p);
-    }
-}
-
-fn take_peers(r: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
-    let len = r.take_u32()? as usize;
-    let mut peers = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        peers.push(r.take_u32()?);
-    }
-    Ok(peers)
-}
 
 impl<M, C> WireCodec<OverlayMsg<M>> for OverlayCodec<C>
 where
@@ -1133,19 +968,6 @@ where
                 self.inner.encode(m, &mut buf);
                 put_slice(out, &buf);
             }
-            OverlayMsg::Join => out.push(TAG_JOIN),
-            OverlayMsg::JoinReply { peers } => {
-                out.push(TAG_JOIN_REPLY);
-                put_peers(out, peers);
-            }
-            OverlayMsg::Shuffle { peers } => {
-                out.push(TAG_SHUFFLE);
-                put_peers(out, peers);
-            }
-            OverlayMsg::ShuffleReply { peers } => {
-                out.push(TAG_SHUFFLE_REPLY);
-                put_peers(out, peers);
-            }
             OverlayMsg::Ping { nonce } => {
                 out.push(TAG_PING);
                 put_u32(out, *nonce);
@@ -1179,10 +1001,6 @@ where
             TAG_GRAFT => OverlayMsg::Graft { origin: r.take_u32()?, seq: r.take_u32()? },
             TAG_PRUNE => OverlayMsg::Prune,
             TAG_DIRECT => OverlayMsg::Direct(self.inner.decode(r.take_slice()?)?),
-            TAG_JOIN => OverlayMsg::Join,
-            TAG_JOIN_REPLY => OverlayMsg::JoinReply { peers: take_peers(&mut r)? },
-            TAG_SHUFFLE => OverlayMsg::Shuffle { peers: take_peers(&mut r)? },
-            TAG_SHUFFLE_REPLY => OverlayMsg::ShuffleReply { peers: take_peers(&mut r)? },
             TAG_PING => OverlayMsg::Ping { nonce: r.take_u32()? },
             TAG_PONG => OverlayMsg::Pong { nonce: r.take_u32()? },
             TAG_DISCONNECT => OverlayMsg::Disconnect,
@@ -1415,7 +1233,6 @@ mod tests {
             let mut twin = started_fleet(old.as_slice(), seed).swap_remove(0);
             twin.on_reconfigure(&event, &mut Context::detached(0, n, 100));
             assert_eq!(nodes[0].active, twin.active);
-            assert_eq!(nodes[0].passive, twin.passive);
         }
     }
 
@@ -1561,6 +1378,90 @@ mod tests {
         assert!(fresh.active.contains(&target), "answered peer stays active");
     }
 
+    /// After `replace_failed(p)` the view holds one fresh peer drawn from
+    /// the weight vector: never `me`, never `p` or any peer confirmed
+    /// failed before it — until `build_views` forgets them.
+    #[test]
+    fn replacement_is_drawn_from_the_vector_and_never_from_the_failed() {
+        for seed in [1, 21, 99] {
+            let n = 16;
+            let stake: Vec<u64> = (1..=n as u64).collect();
+            let mut node = started_fleet(&stake, seed).swap_remove(0);
+            let succ = node.ring_succ();
+            let mut failed = BTreeSet::new();
+            // Fail every non-ring link in turn, replacements included,
+            // until the vector has no one left to offer.
+            while let Some(p) = node.active.iter().copied().find(|&p| p != succ) {
+                let degree = node.active.len();
+                node.replace_failed(p);
+                failed.insert(p);
+                // Same degree and (below) no failed peer in it: the
+                // newcomer was outside the old view.
+                let exhausted = node.active.len() + failed.len() + 1 == n;
+                assert!(node.active.len() == degree || exhausted, "no replacement drawn");
+                assert!(!node.active.contains(&0), "never me (seed {seed})");
+                assert!(
+                    node.active.is_disjoint(&failed),
+                    "failed peer drawn again: {failed:?}"
+                );
+            }
+            assert_eq!(
+                failed.len(),
+                n - 2,
+                "everyone but me and the ring successor failed once"
+            );
+            node.replace_failed(succ);
+            assert_eq!(node.active, BTreeSet::from([succ]), "the ring successor is exempt");
+            assert!(!node.failed.contains(&succ));
+            node.build_views();
+            assert!(node.failed.is_empty(), "a view build starts from the whole vector again");
+            assert_eq!(node.active.len(), node.cfg.active_for(n));
+        }
+    }
+
+    /// Records the sender of every message the overlay hands it.
+    struct Senders(Arc<Mutex<Vec<NodeId>>>);
+
+    impl Protocol for Senders {
+        type Msg = u64;
+
+        fn on_start(&mut self, _ctx: &mut Context<u64>) {}
+
+        fn on_message(&mut self, from: NodeId, _msg: u64, _ctx: &mut Context<u64>) {
+            self.0.lock().unwrap().push(from);
+        }
+    }
+
+    #[test]
+    fn frames_naming_an_origin_outside_the_population_change_nothing() {
+        let n = 8;
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let mut node = OverlayNode::new(
+            Box::new(Senders(Arc::clone(&heard))),
+            Weights::new(vec![1; n]).unwrap(),
+            OverlayConfig::default(),
+            3,
+        );
+        node.on_start(&mut Context::detached(0, n, 0));
+        let outsider = (1..n).find(|p| !node.active.contains(p)).expect("a partial view");
+        let views = (node.active.clone(), node.eager.clone());
+        let forged = n as u32;
+        let mut ctx = Context::detached(0, n, 1);
+        let eager = |origin| OverlayMsg::Eager { origin, seq: 0, hops: 1, payload: 9 };
+        node.on_message(outsider, eager(forged), &mut ctx);
+        node.on_message(outsider, OverlayMsg::Graft { origin: forged, seq: 0 }, &mut ctx);
+        assert_eq!(*heard.lock().unwrap(), Vec::<NodeId>::new(), "inner saw a non-party");
+        assert!(
+            node.seen.is_empty() && node.announce.is_empty(),
+            "nothing cached or announced"
+        );
+        assert_eq!((node.active.clone(), node.eager.clone()), views, "no link promoted");
+        assert!(ctx.outbox.is_empty() && ctx.timers.is_empty(), "nothing staged");
+        // A party's id goes through as before.
+        node.on_message(outsider, eager(forged - 1), &mut ctx);
+        assert_eq!(*heard.lock().unwrap(), vec![n - 1]);
+    }
+
     #[test]
     fn overlay_codec_round_trips_every_variant() {
         let codec: OverlayCodec<U64Codec> = OverlayCodec::default();
@@ -1570,10 +1471,6 @@ mod tests {
             OverlayMsg::Graft { origin: 4, seq: 5 },
             OverlayMsg::Prune,
             OverlayMsg::Direct(77),
-            OverlayMsg::Join,
-            OverlayMsg::JoinReply { peers: vec![1, 2, 3] },
-            OverlayMsg::Shuffle { peers: vec![] },
-            OverlayMsg::ShuffleReply { peers: vec![9] },
             OverlayMsg::Ping { nonce: 11 },
             OverlayMsg::Pong { nonce: 11 },
             OverlayMsg::Disconnect,
@@ -1586,6 +1483,48 @@ mod tests {
             // Trailing garbage must be rejected.
             bytes.push(0);
             assert!(codec.decode(&bytes).is_err(), "{msg:?} accepted trailing bytes");
+        }
+    }
+
+    proptest::proptest! {
+        /// The socket is untrusted input: arbitrary bytes and cut-short
+        /// frames decode to a message or an error, never a panic; the
+        /// retired membership tags are errors; and whatever does decode
+        /// survives a second trip through the codec.
+        #[test]
+        fn overlay_decode_never_panics_on_arbitrary_bytes(
+            tag in 0u8..16,
+            body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+            ids in proptest::collection::vec((0u32..9, proptest::arbitrary::any::<u32>()), 0..6),
+            cut in proptest::arbitrary::any::<proptest::sample::Index>(),
+        ) {
+            let codec: OverlayCodec<U64Codec> = OverlayCodec::default();
+            let tagged = [vec![tag], body.clone()].concat();
+            if (5..=8).contains(&tag) {
+                proptest::prop_assert_eq!(codec.decode(&tagged), Err(WireError::BadTag(tag)));
+            }
+            let (origin, seq) = ids.first().copied().unwrap_or((0, 0));
+            let valid = match tag % 8 {
+                0 => OverlayMsg::Eager { origin, seq, hops: u32::from(tag), payload: 7 },
+                1 => OverlayMsg::IHave { ids },
+                2 => OverlayMsg::Graft { origin, seq },
+                3 => OverlayMsg::Prune,
+                4 => OverlayMsg::Direct(u64::from(seq)),
+                5 => OverlayMsg::Ping { nonce: seq },
+                6 => OverlayMsg::Pong { nonce: seq },
+                _ => OverlayMsg::Disconnect,
+            };
+            let mut frame = Vec::new();
+            codec.encode(&valid, &mut frame);
+            frame.truncate(cut.index(frame.len()));
+            proptest::prop_assert!(codec.decode(&frame).is_err(), "{valid:?} cut to {frame:?}");
+            for buf in [body, tagged] {
+                if let Ok(msg) = codec.decode(&buf) {
+                    let mut again = Vec::new();
+                    codec.encode(&msg, &mut again);
+                    proptest::prop_assert_eq!(codec.decode(&again), Ok(msg));
+                }
+            }
         }
     }
 
