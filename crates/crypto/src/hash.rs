@@ -133,6 +133,15 @@ impl Hasher {
         }
     }
 
+    /// Absorbs one length-framed part: its length as 8 little-endian
+    /// bytes, then its bytes — the framing [`digest_parts`] gives each
+    /// part. A hasher that has absorbed a shared prefix of parts can be
+    /// cloned and finished per suffix, paying for the prefix once.
+    pub fn update_part(&mut self, part: &[u8]) {
+        self.update(&(part.len() as u64).to_le_bytes());
+        self.update(part);
+    }
+
     fn absorb_block(&mut self) {
         for i in 0..8 {
             let word =
@@ -185,8 +194,7 @@ pub fn digest(data: &[u8]) -> Digest {
 pub fn digest_parts(parts: &[&[u8]]) -> Digest {
     let mut h = Hasher::new();
     for p in parts {
-        h.update(&(p.len() as u64).to_le_bytes());
-        h.update(p);
+        h.update_part(p);
     }
     h.finalize()
 }
@@ -284,6 +292,29 @@ mod tests {
             }
             h.update(&data[prev..]);
             prop_assert_eq!(h.finalize(), digest(&data));
+        }
+
+        /// Absorbing a prefix of parts once and cloning the hasher per
+        /// suffix is bit-identical to framing every part from scratch.
+        #[test]
+        fn cloned_prefix_matches_digest_parts(
+            parts in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..80),
+                0..6,
+            ),
+            split in any::<proptest::sample::Index>(),
+        ) {
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let k = split.index(parts.len() + 1);
+            let mut prefix = Hasher::new();
+            for p in &parts[..k] {
+                prefix.update_part(p);
+            }
+            let mut h = prefix.clone();
+            for p in &parts[k..] {
+                h.update_part(p);
+            }
+            prop_assert_eq!(h.finalize(), digest_parts(&parts));
         }
     }
 }

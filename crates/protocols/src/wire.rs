@@ -238,21 +238,84 @@ mod tests {
         assert_eq!(BrachaCodec.decode(&old), Err(WireError::TrailingBytes(4 + 7)));
     }
 
+    /// The socket is untrusted input: whatever bytes arrive, decoding
+    /// returns a message or an error, never panics — and a message it
+    /// does return re-encodes to exactly the bytes it came from.
+    fn assert_decode_total<M: std::fmt::Debug, C: WireCodec<M>>(codec: &C, buf: &[u8]) {
+        if let Ok(msg) = codec.decode(buf) {
+            let mut again = Vec::new();
+            codec.encode(&msg, &mut again);
+            assert_eq!(again, buf, "{msg:?} did not re-encode to its bytes");
+        }
+    }
+
+    /// A valid frame decodes to its message, and every strict prefix of
+    /// it (a frame cut short on the wire) is an error, not a panic.
+    fn assert_cut_short_frames_fail<M, C>(codec: &C, msg: &M)
+    where
+        M: std::fmt::Debug + PartialEq,
+        C: WireCodec<M>,
+    {
+        let mut buf = Vec::new();
+        codec.encode(msg, &mut buf);
+        assert_eq!(codec.decode(&buf).as_ref(), Ok(msg));
+        for cut in 0..buf.len() {
+            assert!(codec.decode(&buf[..cut]).is_err(), "{msg:?} decoded from {cut} bytes");
+        }
+    }
+
     proptest::proptest! {
-        /// The socket is untrusted input: whatever bytes arrive, decoding
-        /// returns a message or an error, never panics — and a message it
-        /// does return re-encodes to exactly the bytes it came from.
         #[test]
         fn bracha_decode_never_panics_on_arbitrary_bytes(
             tag in 0u8..8,
             body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
         ) {
             for buf in [body.clone(), [vec![tag], body].concat()] {
-                if let Ok(msg) = BrachaCodec.decode(&buf) {
-                    let mut again = Vec::new();
-                    BrachaCodec.encode(&msg, &mut again);
-                    proptest::prop_assert_eq!(again, buf);
-                }
+                assert_decode_total(&BrachaCodec, &buf);
+            }
+        }
+
+        #[test]
+        fn aba_decode_never_panics_on_arbitrary_bytes(
+            tag in 0u8..8,
+            body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
+            round in proptest::arbitrary::any::<u32>(),
+            value in proptest::arbitrary::any::<bool>(),
+            shares in proptest::collection::vec(
+                (proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u64>()),
+                0..4,
+            ),
+        ) {
+            for buf in [body.clone(), [vec![tag], body].concat()] {
+                assert_decode_total(&AbaCodec, &buf);
+            }
+            let partials = shares
+                .iter()
+                .map(|&(index, v)| PartialSignature { index, value: F61::new(v) })
+                .collect();
+            for msg in [
+                AbaMsg::BVal { round, value },
+                AbaMsg::Aux { round, value },
+                AbaMsg::CoinShare { round, partials },
+                AbaMsg::Decided { value },
+            ] {
+                assert_cut_short_frames_fail(&AbaCodec, &msg);
+            }
+        }
+
+        #[test]
+        fn smr_decode_never_panics_on_arbitrary_bytes(
+            tag in 0u8..8,
+            body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
+            round in proptest::arbitrary::any::<u64>(),
+        ) {
+            for buf in [body.clone(), [vec![tag], body.clone()].concat()] {
+                assert_decode_total(&SmrCodec, &buf);
+            }
+            let d = swiper_crypto::hash::digest(&body);
+            for msg in [SmrMsg::Propose(round, body), SmrMsg::Echo(round, d), SmrMsg::Ready(round, d)]
+            {
+                assert_cut_short_frames_fail(&SmrCodec, &msg);
             }
         }
     }
