@@ -105,6 +105,7 @@ fn row(
         .with("certificate_skips", stats.certificate_skips)
         .with("candidates_checked", stats.candidates_checked)
         .with("cursor_advances", stats.cursor_advances)
+        .with("grid_counts", stats.grid_counts)
         .with("probes_saved", stats.probes_saved)
         .with("coarse_cert_hits", stats.coarse_cert_hits)
         .with("peak_rss_kb", rss_delta_kb)

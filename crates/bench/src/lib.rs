@@ -456,6 +456,9 @@ pub const SOLVER: Schema = Schema {
         // Probes answered by the incremental family cursor reusing its
         // interval state instead of rebuilding candidates from scratch.
         Field::num("cursor_advances", Gate::Exact),
+        // O(n) grid-count passes the family cursor ran to find the grid
+        // intervals of the probed totals.
+        Field::num("grid_counts", Gate::Exact),
         // Estimated probes the sampling-guided bracket avoided versus a
         // cold bisection of the full `[0, bound]` range.
         Field::num("probes_saved", Gate::Exact),
@@ -964,7 +967,9 @@ mod tests {
         let rows = SOLVER.parse(&doc).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].num("tickets"), Some(307));
-        for absent in ["cursor_advances", "probes_saved", "coarse_cert_hits", "seed"] {
+        for absent in
+            ["cursor_advances", "grid_counts", "probes_saved", "coarse_cert_hits", "seed"]
+        {
             assert_eq!(rows[0].num(absent), Some(0), "{absent}");
         }
     }

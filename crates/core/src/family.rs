@@ -12,10 +12,11 @@
 //! `(m - c) / w_i` over parties `i` and positive integers `m`. Selection is
 //! done with pure integer arithmetic:
 //!
-//! 1. binary-search the integer `j` such that the `T`-th crossing lies in
+//! 1. search the integer `j` such that the `T`-th crossing lies in
 //!    `((j-1-c)/w_max, (j-c)/w_max]` — an interval of length `1/w_max` that
 //!    contains at most one crossing per party, because crossings of party
-//!    `i` are spaced `1/w_i >= 1/w_max` apart;
+//!    `i` are spaced `1/w_i >= 1/w_max` apart (the one-shot reference
+//!    bisects, [`FamilyCursor`] interpolates);
 //! 2. enumerate the at-most-`n` crossings inside and select by rank.
 //!
 //! All comparisons cross-multiply `u128`s (with 256-bit widening where
@@ -50,20 +51,44 @@ impl Crossing {
 }
 
 /// See [`Family::eval_at`]. `Narrow` is exact because the constructor
-/// proves `a * w_max + add <= u64::MAX` and every `w_i <= w_max`.
+/// proves `a * w_max + add <= u64::MAX` and every `w_i <= w_max`; it
+/// divides by its fixed `den` through the reciprocal `recip` (see
+/// [`div_by_recip`]).
 enum TicketsEval {
-    Narrow { a: u64, add: u64, den: u64 },
+    Narrow { a: u64, add: u64, recip: u128 },
     Wide { a: u128, add: u128, den: u128 },
 }
 
 impl TicketsEval {
+    /// `Narrow` with the reciprocal of `den` computed once. `den >= 2`
+    /// always holds: `c` in `(0, 1)` forces `cd >= 2`, and `w_p >= 1`.
+    fn narrow(a: u64, add: u64, den: u64) -> Self {
+        debug_assert!(den >= 2, "the reciprocal of {den} does not fit in u128");
+        TicketsEval::Narrow { a, add, recip: u128::MAX / u128::from(den) + 1 }
+    }
+
     #[inline]
     fn tickets(&self, w_i: u64) -> u128 {
         match *self {
-            TicketsEval::Narrow { a, add, den } => u128::from((a * w_i + add) / den),
+            TicketsEval::Narrow { a, add, recip } => div_by_recip(a * w_i + add, recip),
             TicketsEval::Wide { a, add, den } => (a * u128::from(w_i) + add) / den,
         }
     }
+}
+
+/// `floor(x / den)` as the high word of `recip * x` for
+/// `recip = ceil(2^128 / den)`, exact for every `x, den < 2^64` (Lemire,
+/// Kaser & Kurz, *Faster Remainder by Direct Computation*, 2019, Thm. 1
+/// with `F = 128 >= N + L`): writing `recip = 2^128 / den + e` with
+/// `0 <= e < 1`, the product is `x / den + e * x / 2^128`, and
+/// `e * x < 2^128 / den` keeps the error below the gap to the next
+/// multiple of `1 / den`. Two 64×64→128 multiplies replace a division.
+#[inline]
+fn div_by_recip(x: u64, recip: u128) -> u128 {
+    let x = u128::from(x);
+    let low = (recip & u128::from(u64::MAX)) * x;
+    let high = (recip >> 64) * x;
+    (high + (low >> 64)) >> 64
 }
 
 /// The `t(s, k)` family for a weight vector and rounding constant.
@@ -123,21 +148,27 @@ impl<'a> Family<'a> {
             if a > (u128::MAX - add) / w_max || a * w_max + add > u128::from(u64::MAX) {
                 return None;
             }
-            Some(TicketsEval::Narrow { a: a64, add: add64, den: den64 })
+            Some(TicketsEval::narrow(a64, add64, den64))
         })();
         narrow.unwrap_or(TicketsEval::Wide { a, add, den })
     }
 
-    /// Total tickets of the base assignment at scale `s = a / (cd * w_p)`,
-    /// i.e. the number of crossings with value `<= s`.
-    fn count_at(&self, a: u128, w_p: u64) -> u128 {
-        let eval = self.eval_at(a, w_p);
-        self.weights.as_slice().iter().map(|&w| if w == 0 { 0 } else { eval.tickets(w) }).sum()
+    /// Total tickets of the base assignment at the grid scale
+    /// `(j - c) / w_max`, i.e. the number of crossings with value `<= s`.
+    /// A zero weight needs no branch: it evaluates to `floor(c) = 0`.
+    fn count_at(&self, j: u64) -> u128 {
+        let eval = self.grid_eval(j);
+        self.weights.as_slice().iter().map(|&w| eval.tickets(w)).sum()
     }
 
     /// Numerator `a = j * cd - cn` of the scale `(j - c) / w_max`.
     fn grid_a(&self, j: u64) -> u128 {
         u128::from(j) * self.cd - self.cn
+    }
+
+    /// [`Family::eval_at`] at the grid scale `(j - c) / w_max`, `j >= 1`.
+    fn grid_eval(&self, j: u64) -> TicketsEval {
+        self.eval_at(self.grid_a(j), self.w_max)
     }
 
     /// The unique family member with exactly `total` tickets.
@@ -155,20 +186,20 @@ impl<'a> Family<'a> {
         let (mut lo, mut hi) = (0u64, total); // lo: count < total (j=0 -> s<0 -> 0)
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if self.count_at(self.grid_a(mid), self.w_max) >= u128::from(total) {
+            if self.count_at(mid) >= u128::from(total) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
         let j = hi;
-        let count_left = if j == 1 { 0 } else { self.count_at(self.grid_a(j - 1), self.w_max) };
+        let count_left = if j == 1 { 0 } else { self.count_at(j - 1) };
         debug_assert!(count_left < u128::from(total));
         let rank = (u128::from(total) - count_left) as usize; // 1-based within interval
 
         // Step 2: one candidate crossing per party inside ((j-1-c)/w_max, (j-c)/w_max].
         let r_a = self.grid_a(j);
-        let left_eval = (j > 1).then(|| self.eval_at(self.grid_a(j - 1), self.w_max));
+        let left_eval = (j > 1).then(|| self.grid_eval(j - 1));
         let mut cands: Vec<Crossing> = Vec::new();
         for (i, w) in self.weights.iter() {
             if w == 0 {
@@ -242,9 +273,9 @@ struct IntervalState {
 ///
 /// 1. **Grid counts** — `count(j)` evaluations (the O(n) inner loop of the
 ///    grid search) are memoized per `j`, and each search pre-narrows its
-///    bracket from the memo before computing anything new; across a whole
-///    solve the count work approaches one cold search's instead of one per
-///    probe.
+///    bracket from the memo before computing anything new; the search
+///    itself interpolates between its anchors (see
+///    [`FamilyCursor::find_j`]).
 /// 2. **Interval state** — when consecutive totals land in the same grid
 ///    interval (the common case once a bracket tightens), the ticket vector
 ///    is spliced by rank delta: only parties whose crossing sits between
@@ -254,8 +285,8 @@ struct IntervalState {
 /// `cursor_matches_from_scratch` proptest below.
 pub(crate) struct FamilyCursor<'f, 'a> {
     family: &'f Family<'a>,
-    /// Memoized `j -> count_at(grid_a(j), w_max)`.
-    grid_counts: BTreeMap<u64, u128>,
+    /// Memoized `j -> count_at(j)`: one entry per O(n) count pass run.
+    counts: BTreeMap<u64, u128>,
     interval: Option<IntervalState>,
     /// Current ticket vector for the cached interval (valid when
     /// `interval.is_some()`).
@@ -268,7 +299,7 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
     pub fn new(family: &'f Family<'a>) -> Self {
         FamilyCursor {
             family,
-            grid_counts: BTreeMap::new(),
+            counts: BTreeMap::new(),
             interval: None,
             tickets: Vec::new(),
             reused: 0,
@@ -280,41 +311,75 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
         self.reused
     }
 
-    /// Memoized `count_at(grid_a(j), w_max)`.
+    /// O(n) grid-count passes run so far.
+    pub fn grid_counts(&self) -> u64 {
+        self.counts.len() as u64
+    }
+
+    /// Memoized `count_at(j)`.
     fn count(&mut self, j: u64) -> u128 {
-        if let Some(&c) = self.grid_counts.get(&j) {
+        if let Some(&c) = self.counts.get(&j) {
             return c;
         }
-        let c = self.family.count_at(self.family.grid_a(j), self.family.w_max);
-        self.grid_counts.insert(j, c);
+        let c = self.family.count_at(j);
+        self.counts.insert(j, c);
         c
     }
 
-    /// Minimal `j` in `[1, total]` with `count(j) >= total` — same value the
-    /// from-scratch grid search finds, reached through the memo: counts are
-    /// monotone in `j`, so every memoized entry narrows the bracket before
-    /// any new O(n) count runs.
-    fn find_j(&mut self, total: u64) -> u64 {
+    /// The tightest `(lo, hi)` the memo proves for `total`:
+    /// `count(lo) < total <= count(hi)`, starting from `lo = 0` (scale
+    /// below zero, count 0) and `hi = total` (`w_max` alone reaches it).
+    /// Counts are monotone in `j`, so no memoized `j` lies strictly inside.
+    fn bracket(&self, total: u64) -> (u64, u64) {
         let want = u128::from(total);
-        let mut lo = 0u64; // count(lo) < total (j=0 -> s<0 -> count 0)
-        let mut hi = total; // count(total) >= total (w_max alone reaches it)
-        for (&j, &c) in &self.grid_counts {
-            if j >= hi {
+        let (mut lo, mut hi) = (0u64, total);
+        for (&j, &c) in self.counts.range(..total) {
+            if c < want {
+                lo = j;
+            } else {
+                hi = j;
                 break;
             }
-            if c < want {
-                lo = lo.max(j);
-            } else {
-                hi = hi.min(j);
-            }
         }
+        (lo, hi)
+    }
+
+    /// Minimal `j` in `[1, total]` with `count(j) >= total` — the same `j`
+    /// the reference bisection finds, since any search that keeps
+    /// `count(lo) < total <= count(hi)` converges on it.
+    ///
+    /// `count` grows nearly linearly in `j` (slope `W / w_max`), so each
+    /// step guesses `lo + ceil((total - c_lo)(hi - lo) / (c_hi - c_lo))`,
+    /// clamped into the open bracket. Before `hi = total` is counted the
+    /// secant runs through `(0, 0)` and `(lo, c_lo)` instead, and with
+    /// neither anchor the step bisects. A guess that fails to halve the
+    /// bracket makes the next step a bisection: at most
+    /// `2 * ceil(log2(hi - lo))` count passes per search.
+    fn find_j(&mut self, total: u64) -> u64 {
+        let want = u128::from(total);
+        let (mut lo, mut hi) = self.bracket(total);
+        let mut bisect = false;
         while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if self.count(mid) >= want {
-                hi = mid;
+            let width = hi - lo;
+            let c_lo = if lo == 0 { 0 } else { self.counts[&lo] };
+            let secant = match self.counts.get(&hi) {
+                Some(&c_hi) => Some((c_hi - c_lo, width)),
+                None if lo > 0 => Some((c_lo, lo)),
+                None => None,
+            };
+            let guess = match secant {
+                Some((rise, run)) if !bisect => {
+                    let step = ((want - c_lo) * u128::from(run)).div_ceil(rise);
+                    lo + step.min(u128::from(width - 1)) as u64
+                }
+                _ => lo + width / 2,
+            };
+            if self.count(guess) >= want {
+                hi = guess;
             } else {
-                lo = mid;
+                lo = guess;
             }
+            bisect = !bisect && hi - lo > width.div_ceil(2);
         }
         hi
     }
@@ -386,25 +451,21 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
 
     /// Materializes the interval `j`: left-boundary tickets for every party
     /// plus the sorted in-interval candidates (parties whose next crossing
-    /// falls inside the interval).
+    /// falls inside the interval). An interval holds at most one crossing
+    /// per party, so the next crossing is inside iff the right edge counts
+    /// one ticket more than the left.
     fn build_interval(&mut self, j: u64) {
         let family = self.family;
-        let left_eval = (j > 1).then(|| family.eval_at(family.grid_a(j - 1), family.w_max));
-        let r_a = family.grid_a(j);
+        let left_eval = (j > 1).then(|| family.grid_eval(j - 1));
+        let right_eval = family.grid_eval(j);
         self.tickets.clear();
         self.tickets.resize(family.weights.len(), 0);
         let mut cands = Vec::new();
         for ((party, w), t) in family.weights.iter().zip(self.tickets.iter_mut()) {
-            if w == 0 {
-                continue;
-            }
-            let left = match &left_eval {
-                None => 0,
-                Some(eval) => eval.tickets(w),
-            };
+            let left = left_eval.as_ref().map_or(0, |eval| eval.tickets(w));
             *t = u64::try_from(left).expect("validated by Family::new envelope");
-            let a = (left + 1) * family.cd - family.cn;
-            if cmp_mul(a, u128::from(family.w_max), r_a, u128::from(w)) != Ordering::Greater {
+            if right_eval.tickets(w) > left {
+                let a = (left + 1) * family.cd - family.cn;
                 cands.push(Crossing { a, party, w });
             }
         }
@@ -604,7 +665,160 @@ mod tests {
         }
     }
 
+    /// Probes a fresh cursor over the WR(1/3, 1/2) family of `ws` in the
+    /// order a bisection towards a flip at 3/8 of the bound visits them,
+    /// then at its landing. Asserts every member equals the reference and
+    /// every grid search stays within `2 * ceil(log2 width) + 1` count
+    /// passes of the bracket the memo proved before it; returns the total
+    /// count passes.
+    fn bisection_probe_passes(ws: Vec<u64>) -> u64 {
+        let weights = Weights::new(ws).unwrap();
+        let params = crate::WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let bound = params.ticket_bound(weights.len() as u64).unwrap().max(1);
+        let fam = Family::new(&weights, params.family_constant(), bound).unwrap();
+        let mut cursor = FamilyCursor::new(&fam);
+        let flip = bound * 3 / 8;
+        let (mut lo, mut hi) = (0u64, bound);
+        let mut probes = Vec::new();
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            probes.push(mid);
+            if mid > flip {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        probes.push(hi);
+        for t in probes {
+            let (blo, bhi) = cursor.bracket(t);
+            let width = bhi - blo;
+            let budget = if width <= 1 {
+                0
+            } else {
+                2 * u64::from(u64::BITS - (width - 1).leading_zeros()) + 1
+            };
+            let before = cursor.grid_counts();
+            let inc = cursor.advance_to(t).unwrap();
+            let passes = cursor.grid_counts() - before;
+            assert!(
+                passes <= budget,
+                "n={} total={t}: {passes} passes, width {width}",
+                weights.len()
+            );
+            assert_eq!(
+                inc,
+                fam.assignment_with_total(t).unwrap(),
+                "n={} total={t}",
+                weights.len()
+            );
+        }
+        cursor.grid_counts()
+    }
+
+    /// The grid search on the shapes that stress it: a step in `count(j)`
+    /// (one whale over unit dust lets 20 000 parties in at once, just
+    /// below the first probe's target — unguarded interpolation crawls
+    /// towards it for 229 passes), `count(j) = j` below the bound (a whale
+    /// too heavy for the dust to ever count), exact linearity (equal
+    /// weights), two slopes, zero weights, one party, and the whale-skewed
+    /// population the solver benchmarks. Plain bisection spends 88 passes
+    /// on the last.
+    #[test]
+    fn interpolated_grid_search_matches_reference_within_budget() {
+        let dust = |whale: u64| {
+            let mut ws = vec![1u64; 20_000];
+            ws.push(whale);
+            ws
+        };
+        let mut two_level = vec![10u64; 10_000];
+        two_level.extend([1_000u64; 100]);
+        let zeros: Vec<u64> = (0..3_000u64).map(|i| if i % 3 == 0 { 0 } else { i }).collect();
+        for ws in [dust(19_950), dust(1 << 30), vec![7u64; 5_000], two_level, zeros, vec![42]] {
+            bisection_probe_passes(ws);
+        }
+        let passes =
+            bisection_probe_passes(Weights::whale_skewed(100_000, 1).as_slice().to_vec());
+        assert!(passes <= 50, "whale-skewed 1e5 grid search took {passes} count passes");
+    }
+
+    /// Release-only: a cold WR solve over 10⁶ whale-skewed parties, every
+    /// probe's cursor member compared with the reference materialization.
+    #[test]
+    #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
+    fn cursor_matches_reference_on_1e6_whales() {
+        use crate::oracle::{CheckParams, FamilyMember, FullOracle, ValidityOracle, Verdict};
+        use crate::solver::SolveStats;
+
+        struct AgainstReference<'f, 'a> {
+            family: &'f Family<'a>,
+            inner: FullOracle,
+            compared: u64,
+        }
+
+        impl ValidityOracle for AgainstReference<'_, '_> {
+            fn check(
+                &mut self,
+                member: &FamilyMember<'_>,
+                params: &CheckParams,
+            ) -> Result<Verdict, CoreError> {
+                let reference = self.family.assignment_with_total(member.total)?;
+                assert_eq!(member.tickets, &reference, "total {}", member.total);
+                self.compared += 1;
+                self.inner.check(member, params)
+            }
+
+            fn take_stats(&mut self) -> SolveStats {
+                self.inner.take_stats()
+            }
+        }
+
+        let w = Weights::whale_skewed(1_000_000, 1);
+        let wr = crate::WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let bound = wr.ticket_bound(w.len() as u64).unwrap().max(1);
+        let family = Family::new(&w, wr.family_constant(), bound).unwrap();
+        let mut oracle =
+            AgainstReference { family: &family, inner: FullOracle::new(), compared: 0 };
+        let sol = crate::Swiper::new().solve_restriction_with(&mut oracle, &w, &wr).unwrap();
+        let total = u64::try_from(sol.total_tickets()).unwrap();
+        assert_eq!(sol.assignment, family.assignment_with_total(total).unwrap());
+        assert_eq!(oracle.compared, sol.stats.candidates_checked);
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_on_edges() {
+        for den in [2u64, 3, 1 << 37, 1 << 63, u64::MAX - 1, u64::MAX] {
+            let eval = TicketsEval::narrow(1, 0, den);
+            for x in [0, den - 1, den, den.saturating_add(1), u64::MAX - 1, u64::MAX] {
+                assert_eq!(eval.tickets(x), u128::from(x / den), "{x} / {den}");
+            }
+        }
+    }
+
     proptest! {
+        /// The reciprocal path is pinned against plain `/` over the whole
+        /// `Narrow` envelope (`den >= 2`, `a * w + add <= u64::MAX`), so
+        /// the reference materialization sharing `TicketsEval` stays an
+        /// independent check. Shifts spread operands over every magnitude;
+        /// each case also hits the exact multiple at or below `x` and the
+        /// value just below it.
+        #[test]
+        fn reciprocal_division_matches_plain_division(
+            (a, w, add, den) in (any::<u64>(), any::<u64>(), any::<u64>(), 2u64..),
+            (a_shift, w_shift, add_shift, den_shift) in (0u32..64, 0u32..64, 0u32..64, 0u32..63),
+        ) {
+            let (a, w, den) = (a >> a_shift, w >> w_shift, (den >> den_shift).max(2));
+            prop_assume!(a.checked_mul(w).is_some());
+            let add = (add >> add_shift).min(u64::MAX - a * w);
+            let x = a * w + add;
+            prop_assert_eq!(TicketsEval::narrow(a, add, den).tickets(w), u128::from(x / den));
+            let divide = TicketsEval::narrow(1, 0, den);
+            let floor = x - x % den;
+            for y in [floor, floor.saturating_sub(1)] {
+                prop_assert_eq!(divide.tickets(y), u128::from(y / den), "{} / {}", y, den);
+            }
+        }
+
         /// Satellite pin: the cursor's spliced advance is bit-identical to
         /// the from-scratch materialization, under random weight vectors,
         /// random probe orders, and epoch churn (fresh weights -> fresh

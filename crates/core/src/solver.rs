@@ -87,9 +87,12 @@ pub struct SolveStats {
     /// Counted separately from cache hits: the member differed from the
     /// one that produced the stored verdict.
     pub certificate_skips: u64,
-    /// Probes served by the incremental family cursor's O(Δ) same-interval
-    /// splice instead of a from-scratch materialization.
+    /// Probes the family cursor served from its cached grid interval by an
+    /// O(Δ) rank-delta splice instead of an O(n) interval rebuild.
     pub cursor_advances: u64,
+    /// O(n) grid-count passes the family cursor ran to locate the grid
+    /// intervals of the probed totals (memoized across a solve's probes).
+    pub grid_counts: u64,
     /// Bisection midpoints settled by the sampler's trust window (assumed
     /// verdicts that survived endpoint re-verification) instead of exact
     /// probes — zero when the sampler is not engaged or its estimate was
@@ -115,6 +118,7 @@ impl SolveStats {
         self.cache_misses += other.cache_misses;
         self.certificate_skips += other.certificate_skips;
         self.cursor_advances += other.cursor_advances;
+        self.grid_counts += other.grid_counts;
         self.probes_saved += other.probes_saved;
         self.coarse_cert_hits += other.coarse_cert_hits;
     }
@@ -823,6 +827,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     stats.probes_saved += saved;
     let assignment = cursor.advance_to(hi)?;
     stats.cursor_advances += cursor.reused();
+    stats.grid_counts += cursor.grid_counts();
     Ok(Solution { assignment, ticket_bound: bound, stats })
 }
 
@@ -1408,19 +1413,19 @@ mod tests {
 
     /// Oracle equivalence (WR): the solver must produce the *identical*
     /// `TicketAssignment` as the seed cascade — and identical `SolveStats`
-    /// (bar the cursor's own reuse counter), so `dp_invocations` cannot
-    /// regress. The reference materializes every probe from scratch, so
-    /// this is also the cursor ≡ from-scratch pin at solver level, and it
-    /// decides every DP probe on the full table (`max_profit_dp`), so it
-    /// pins the floor-reduced kernel's verdicts too. Returns the full
-    /// mode's DP count.
+    /// (bar the cursor's own reuse and grid-pass counters), so
+    /// `dp_invocations` cannot regress. The reference materializes every
+    /// probe from scratch, so this is also the cursor ≡ from-scratch pin at
+    /// solver level, and it decides every DP probe on the full table
+    /// (`max_profit_dp`), so it pins the floor-reduced kernel's verdicts
+    /// too. Returns the full mode's DP count.
     fn assert_matches_seed_cascade_wr(w: &Weights, p: &WeightRestriction) -> u64 {
         [Mode::Full, Mode::Linear].map(|mode| {
             let new = Swiper::with_mode(mode).solve_restriction(w, p).unwrap();
             let old = reference::solve_restriction(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
             assert_eq!(new.ticket_bound, old.ticket_bound);
-            let masked = SolveStats { cursor_advances: 0, ..new.stats };
+            let masked = SolveStats { cursor_advances: 0, grid_counts: 0, ..new.stats };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]
@@ -1432,7 +1437,7 @@ mod tests {
             let new = Swiper::with_mode(mode).solve_separation(w, p).unwrap();
             let old = reference::solve_separation(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
-            let masked = SolveStats { cursor_advances: 0, ..new.stats };
+            let masked = SolveStats { cursor_advances: 0, grid_counts: 0, ..new.stats };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]
