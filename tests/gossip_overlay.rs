@@ -25,28 +25,33 @@ fn stake(n: usize) -> Weights {
     Weights::new((0..n as u64).map(|p| 1 + (p * 7919) % 97).collect()).unwrap()
 }
 
-fn bracha_inner(me: usize, weights: &Weights) -> Box<dyn Protocol<Msg = BrachaMsg> + Send> {
+fn bracha_inner(
+    me: usize,
+    weights: &Weights,
+    payload: &[u8],
+) -> Box<dyn Protocol<Msg = BrachaMsg> + Send> {
     let config = BrachaConfig::weighted(weights.clone());
     if me == 0 {
-        Box::new(BrachaNode::sender(config, 0, PAYLOAD.to_vec()))
+        Box::new(BrachaNode::sender(config, 0, payload.to_vec()))
     } else {
         Box::new(BrachaNode::new(config, 0))
     }
 }
 
-/// Weighted Bracha (node 0 the sender) wrapped in the overlay, one shared
-/// stats block across the fleet.
+/// Weighted Bracha (node 0 the sender of `payload`) wrapped in the
+/// overlay, one shared stats block across the fleet.
 fn overlay_bracha(
     n: usize,
     seed: u64,
     cfg: &OverlayConfig,
     stats: Option<&Arc<Mutex<OverlayStats>>>,
+    payload: &[u8],
 ) -> SendNodes<OverlayMsg<BrachaMsg>> {
     let weights = stake(n);
     (0..n)
         .map(|me| {
             let mut node = OverlayNode::new(
-                bracha_inner(me, &weights),
+                bracha_inner(me, &weights, payload),
                 weights.clone(),
                 cfg.clone(),
                 seed,
@@ -75,7 +80,13 @@ fn weighted_bracha_reaches_everyone_over_the_overlay() {
         for &seed in seeds {
             let stats = Arc::new(Mutex::new(OverlayStats::default()));
             let report = Simulation::new(
-                desend(overlay_bracha(n, seed, &OverlayConfig::default(), Some(&stats))),
+                desend(overlay_bracha(
+                    n,
+                    seed,
+                    &OverlayConfig::default(),
+                    Some(&stats),
+                    PAYLOAD,
+                )),
                 seed,
             )
             .with_delay(DelayModel::Uniform(1, 20))
@@ -105,13 +116,49 @@ fn weighted_bracha_reaches_everyone_over_the_overlay() {
     }
 }
 
+/// Every emission of a seeded run is a pure function of the seed, so its
+/// counts are pinned: the benchmark's `gossip_sim` shape (weighted Bracha
+/// of a 256-byte blob among 128 parties, default overlay, `Uniform(1, 20)`)
+/// on seeds 1 and 2, and the flood baseline (`prune: false`, every peer
+/// active) at n = 64, where nearly every receipt is a duplicate. A change
+/// to the overlay's bookkeeping that moves any of these moved a message.
+#[test]
+fn seeded_overlay_runs_reproduce_their_pinned_counts() {
+    let flood = OverlayConfig { active_degree: 63, prune: false, ..OverlayConfig::default() };
+    let blob: Vec<u8> = (0..=255).collect();
+    // (n, seed, config) → [messages, bytes, events, deliveries, IHave batches]
+    let pins = [
+        (128, 1, OverlayConfig::default(), [34_933, 2_232_441, 37_499, 32_896, 1_525]),
+        (128, 2, OverlayConfig::default(), [34_923, 2_232_255, 37_040, 32_896, 1_515]),
+        (64, 1, flood, [505_655, 24_127_490, 505_929, 8_256, 0]),
+    ];
+    for (n, seed, cfg, want) in pins {
+        let stats = Arc::new(Mutex::new(OverlayStats::default()));
+        let report =
+            Simulation::new(desend(overlay_bracha(n, seed, &cfg, Some(&stats), &blob)), seed)
+                .with_delay(DelayModel::Uniform(1, 20))
+                .run();
+        assert!(report.outputs.iter().all(|o| o.as_deref() == Some(&blob[..])));
+        let s = stats.lock().unwrap();
+        let got = [
+            report.metrics.total_messages(),
+            report.metrics.total_bytes(),
+            report.events,
+            s.deliveries,
+            s.ihaves,
+        ];
+        assert_eq!(got, want, "n {n} seed {seed} prune {}", cfg.prune);
+    }
+}
+
 /// The determinism-twin contract holds for overlay runs: a threaded
 /// in-process run records a trace whose simulator replay is bit-identical
 /// in outputs and metrics. Timers are scaled up because the runtime clock
 /// ticks microseconds where the simulator ticks abstract units.
 #[test]
 fn overlay_bracha_runtime_run_replays_bit_identically() {
-    let make = || overlay_bracha(12, 5, &OverlayConfig::default().scaled_by(500), None);
+    let make =
+        || overlay_bracha(12, 5, &OverlayConfig::default().scaled_by(500), None, PAYLOAD);
     let full = ThreadedRuntime::new(make()).with_workers(3).run_traced();
     assert!(!full.trace.is_empty(), "the run must record a trace");
     let twin = full.trace.replay(desend(make())).expect("twin replay must not diverge");
@@ -128,7 +175,8 @@ fn overlay_bracha_runtime_run_replays_bit_identically() {
 /// conservation law exact.
 #[test]
 fn overlay_bracha_socket_run_replays_bit_identically() {
-    let make = || overlay_bracha(10, 8, &OverlayConfig::default().scaled_by(500), None);
+    let make =
+        || overlay_bracha(10, 8, &OverlayConfig::default().scaled_by(500), None, PAYLOAD);
     let nodes = make();
     let transport: SocketTransport<OverlayMsg<BrachaMsg>, OverlayCodec<BrachaCodec>> =
         SocketTransport::loopback(nodes.len()).expect("loopback sockets");
@@ -181,7 +229,7 @@ fn run_corrupted(
     let nodes = (0..n)
         .map(|me| {
             let node = OverlayNode::new(
-                bracha_inner(me, &weights),
+                bracha_inner(me, &weights, PAYLOAD),
                 weights.clone(),
                 OverlayConfig::default(),
                 seed,
@@ -279,7 +327,7 @@ fn confirmed_silent_node_churn_feeds_the_reconfigurator() {
             } else {
                 Box::new(
                     OverlayNode::new(
-                        bracha_inner(me, &weights),
+                        bracha_inner(me, &weights, PAYLOAD),
                         weights.clone(),
                         cfg.clone(),
                         21,
