@@ -44,6 +44,22 @@
 //!   composing with the epoch machinery instead of mutating membership
 //!   behind its back.
 //!
+//! **Dissemination state.** What a node has received is kept per origin,
+//! in a window of `SEQ_WINDOW` (1024) consecutive sequence numbers from
+//! that origin's `base`: slot `seq − base` holds the payload and its hop
+//! count, so a receipt, a duplicate check and a graft lookup are an index,
+//! and the state a node keeps per origin is bounded. A first receipt
+//! `SEQ_WINDOW` or more past `base` slides the window forward until its
+//! `seq` is the last slot, evicting the oldest. An id below `base` counts as
+//! already seen: an `Eager` copy of it is dropped before the inner
+//! automaton and prunes nothing, an `IHave` naming it (or naming anything
+//! past the window) arms no graft timer, a pending graft for it is given
+//! up, and a `Graft` asking for it gets no reply. Sliding on a forged
+//! far-future `seq` grants a relay nothing it lacked: `Eager` frames are
+//! unsigned, so a relay can already forge any `(origin, seq)`. Queued
+//! announcements are a short vector of `(peer, ids)` kept sorted by peer,
+//! flushed in that order at the lazy tick.
+//!
 //! The overlay is itself a [`Protocol`] (over [`OverlayMsg`]), so it runs
 //! unchanged on both substrates — the deterministic simulator and the
 //! threaded runtime over channel or socket transports — and satisfies the
@@ -51,7 +67,7 @@
 //! [`SplitMix64`], every emission is a pure function of the callback
 //! sequence, and shared stats/ledger handles are observational only.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use swiper_core::sampling::{SplitMix64, WeightedReservoir};
@@ -153,6 +169,9 @@ impl<M: MessageSize> MessageSize for OverlayMsg<M> {
 const LAZY_FANOUT: usize = 2;
 /// How many graft attempts (rotating providers) before giving up.
 const GRAFT_RETRIES: u32 = 3;
+/// Consecutive sequence numbers per origin a node tracks (module docs,
+/// "Dissemination state").
+const SEQ_WINDOW: usize = 1024;
 /// Timer lengths in units of [`OverlayConfig::tick`]: what one eager hop
 /// may take (the lazy tick and the wait for an eager copy after an IHAVE
 /// are both this times the tree depth), the gap between liveness probes,
@@ -345,6 +364,54 @@ impl ChurnLedger {
     }
 }
 
+/// One origin's receipts: the payload and hop count of every sequence
+/// number in `base..base + SEQ_WINDOW` this node received, at
+/// `slots[seq - base]`; everything below `base` is forgotten.
+#[derive(Debug)]
+struct SeqWindow<M> {
+    base: u32,
+    slots: VecDeque<Option<(M, u32)>>,
+}
+
+impl<M> SeqWindow<M> {
+    fn new() -> Self {
+        SeqWindow { base: 0, slots: VecDeque::new() }
+    }
+
+    /// `seq`'s slot index, if it lies inside the window.
+    fn offset(&self, seq: u32) -> Option<usize> {
+        let off = seq.checked_sub(self.base)? as usize;
+        (off < SEQ_WINDOW).then_some(off)
+    }
+
+    /// The payload and hops received for `seq`, while the window holds it.
+    fn get(&self, seq: u32) -> Option<&(M, u32)> {
+        self.slots.get(self.offset(seq)?)?.as_ref()
+    }
+
+    /// Whether `seq` is inside the window and not received yet: the only
+    /// ids worth a graft.
+    fn lacks(&self, seq: u32) -> bool {
+        self.offset(seq).is_some_and(|off| self.slots.get(off).is_none_or(Option::is_none))
+    }
+
+    /// Records a first receipt of `seq >= base`, first sliding the window
+    /// forward when `seq` lies past its end.
+    fn insert(&mut self, seq: u32, payload: M, hops: u32) {
+        debug_assert!(seq >= self.base, "ids below the window are dropped by the caller");
+        if self.offset(seq).is_none() {
+            let base = seq - (SEQ_WINDOW as u32 - 1);
+            self.slots.drain(..self.slots.len().min((base - self.base) as usize));
+            self.base = base;
+        }
+        let off = (seq - self.base) as usize;
+        if off >= self.slots.len() {
+            self.slots.resize_with(off + 1, || None);
+        }
+        self.slots[off] = Some((payload, hops));
+    }
+}
+
 /// Pending recovery state for one announced-but-unreceived payload.
 #[derive(Debug, Default)]
 struct GraftState {
@@ -375,15 +442,21 @@ pub struct OverlayNode<M: Clone + MessageSize> {
     // of active.
     active: BTreeSet<NodeId>,
     eager: BTreeSet<NodeId>,
+    /// The lazy links in ascending order, collected again on the first
+    /// receipt after either view changed (`lazy_stale`).
+    lazy: Vec<NodeId>,
+    lazy_stale: bool,
     /// Peers this node confirmed failed since the last view build; no
     /// replacement is drawn from it.
     failed: BTreeSet<NodeId>,
-    // Dissemination state.
+    // Dissemination state (module docs).
     next_seq: u32,
-    seen: BTreeMap<(u32, u32), (M, u32)>,
+    /// One window per origin; sized to `n` at start.
+    seen: Vec<SeqWindow<M>>,
     graft_pending: BTreeMap<(u32, u32), GraftState>,
-    /// Announcements queued per lazy peer until the lazy tick.
-    announce: BTreeMap<NodeId, Vec<(u32, u32)>>,
+    /// Announcements queued per lazy peer until the lazy tick, sorted by
+    /// peer.
+    announce: Vec<(NodeId, Vec<(u32, u32)>)>,
     // Failure detection.
     next_nonce: u32,
     probes_sent: u32,
@@ -420,11 +493,13 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
             floored: Vec::new(),
             active: BTreeSet::new(),
             eager: BTreeSet::new(),
+            lazy: Vec::new(),
+            lazy_stale: true,
             failed: BTreeSet::new(),
             next_seq: 0,
-            seen: BTreeMap::new(),
+            seen: Vec::new(),
             graft_pending: BTreeMap::new(),
-            announce: BTreeMap::new(),
+            announce: Vec::new(),
             next_nonce: 0,
             probes_sent: 0,
             probe_cursor: 0,
@@ -536,6 +611,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         if !self.cfg.prune {
             self.eager = self.active.clone();
         }
+        self.lazy_stale = true;
         let degree = self.active.len() as u64;
         self.stat(|s| {
             s.degree_sum += degree;
@@ -574,12 +650,20 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     fn promote_to_eager(&mut self, peer: NodeId, ctx: &mut Context<OverlayMsg<M>>) {
         self.active.insert(peer);
         self.eager.insert(peer);
+        self.lazy_stale = true;
         self.enforce_active_cap(ctx);
+    }
+
+    /// Demotes `peer` to a lazy link; whether it was eager.
+    fn demote(&mut self, peer: NodeId) -> bool {
+        self.lazy_stale = true;
+        self.eager.remove(&peer)
     }
 
     fn drop_link(&mut self, peer: NodeId) {
         self.active.remove(&peer);
         self.eager.remove(&peer);
+        self.lazy_stale = true;
     }
 
     /// Drops a confirmed-failed peer and draws its replacement from the
@@ -657,11 +741,16 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         ctx: &mut Context<OverlayMsg<M>>,
     ) {
         let key = (origin, seq);
-        if self.seen.contains_key(&key) {
+        let window = &self.seen[origin as usize];
+        if seq < window.base {
+            // Evicted: as good as seen, and a duplicate of nothing held.
+            return;
+        }
+        if window.get(seq).is_some() {
             // Duplicate: the link is redundant. Payload only travels on
             // links both ends hold as eager (tree, graft-promoted), so
             // demoting it and telling the sender keeps the ends in step.
-            if self.cfg.prune && from != self.me && self.eager.remove(&from) {
+            if self.cfg.prune && from != self.me && self.demote(from) {
                 ctx.send(from, OverlayMsg::Prune);
                 self.stat(|s| s.prunes += 1);
             }
@@ -693,22 +782,37 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         // reach guarantee), plus a rotating LAZY_FANOUT-slice of the lazy
         // view (no rng, so replicas agree; offset by `me`, so a peer's
         // announcers do not all cover the same origins).
-        let lazy = self.active.difference(&self.eager);
-        let len = lazy.clone().count();
+        if std::mem::take(&mut self.lazy_stale) {
+            self.lazy.clear();
+            self.lazy.extend(self.active.iter().filter(|p| !self.eager.contains(p)));
+        }
+        debug_assert!(
+            self.lazy.iter().eq(self.active.iter().filter(|p| !self.eager.contains(p))),
+            "a view changed without marking the lazy links stale"
+        );
+        let len = self.lazy.len();
         let start = (me + origin as usize + seq as usize) % len.max(1);
-        let slice = lazy.clone().cycle().skip(start).take(LAZY_FANOUT.min(len));
+        let slice = (start..start + LAZY_FANOUT.min(len)).map(|i| self.lazy[i % len]);
         let succ = self.ring_succ();
-        let ring = (!self.eager.contains(&succ)).then_some(&succ);
+        let ring = (!self.eager.contains(&succ)).then_some(succ);
         let idle = self.announce.is_empty();
-        for &p in ring.into_iter().chain(slice.filter(|&&p| p != succ)) {
-            if !holds(p) {
-                self.announce.entry(p).or_default().push(key);
+        for p in ring.into_iter().chain(slice.filter(|&p| p != succ)).filter(|&p| !holds(p)) {
+            match self.announce.binary_search_by_key(&p, |&(q, _)| q) {
+                Ok(i) => self.announce[i].1.push(key),
+                Err(i) => self.announce.insert(i, (p, vec![key])),
             }
         }
         if idle && !self.announce.is_empty() {
             ctx.set_timer(self.repair_wait(), overlay_timer(KIND_LAZY, 0));
         }
-        self.seen.insert(key, (payload, hops));
+        let window = &mut self.seen[origin as usize];
+        let base = window.base;
+        window.insert(seq, payload, hops);
+        if window.base != base {
+            // The window slid: grafts for what it evicted are given up.
+            let base = window.base;
+            self.graft_pending.retain(|&(o, s), _| o != origin || s >= base);
+        }
     }
 
     fn on_ihave(
@@ -719,8 +823,13 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
     ) {
         for key @ (origin, seq) in ids {
             // Ids off the wire are untrusted: only a party can originate,
-            // and the graft timer packs both fields into 28 bits each.
-            if self.seen.contains_key(&key) || origin as usize >= self.n || seq >= 1 << 28 {
+            // the graft timer packs both fields into 28 bits each, and
+            // only an unreceived id inside its origin's window is pulled
+            // (so one list arms at most `SEQ_WINDOW` timers per origin).
+            if origin as usize >= self.n
+                || seq >= 1 << 28
+                || !self.seen[origin as usize].lacks(seq)
+            {
                 continue;
             }
             let state = self.graft_pending.entry(key).or_default();
@@ -736,7 +845,7 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
 
     fn on_graft_timer(&mut self, origin: u32, seq: u32, ctx: &mut Context<OverlayMsg<M>>) {
         let key = (origin, seq);
-        if self.seen.contains_key(&key) {
+        if !self.seen[origin as usize].lacks(seq) {
             return;
         }
         let Some(state) = self.graft_pending.get_mut(&key) else { return };
@@ -751,12 +860,14 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         ctx.set_timer(self.repair_wait(), graft_timer(origin, seq));
     }
 
-    /// Flushes the queued announcements: one batch per lazy peer.
+    /// Flushes the queued announcements: one batch per lazy peer, in
+    /// ascending peer order.
     fn on_lazy_tick(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
-        for (p, ids) in std::mem::take(&mut self.announce) {
+        let batches = self.announce.len() as u64;
+        for (p, ids) in self.announce.drain(..) {
             ctx.send(p, OverlayMsg::IHave { ids });
-            self.stat(|s| s.ihaves += 1);
         }
+        self.stat(|s| s.ihaves += batches);
     }
 
     fn on_probe_tick(&mut self, ctx: &mut Context<OverlayMsg<M>>) {
@@ -789,6 +900,7 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
         self.me = ctx.me();
         self.n = ctx.n();
         self.started = true;
+        self.seen = std::iter::repeat_with(SeqWindow::new).take(self.n).collect();
         // Per-node deterministic sampling stream.
         self.rng =
             SplitMix64::new(self.seed ^ (self.me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -820,12 +932,12 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
                 if from != self.me {
                     self.promote_to_eager(from, ctx);
                 }
-                if let Some((payload, hops)) = self.seen.get(&(origin, seq)).cloned() {
+                if let Some((payload, hops)) = self.seen[origin as usize].get(seq).cloned() {
                     ctx.send(from, OverlayMsg::Eager { origin, seq, hops: hops + 1, payload });
                 }
             }
             OverlayMsg::Prune => {
-                self.eager.remove(&from);
+                self.demote(from);
             }
             OverlayMsg::Direct(m) => {
                 self.drive_inner(ctx, |inner, ictx| inner.on_message(from, m, ictx));
@@ -1432,9 +1544,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_naming_an_origin_outside_the_population_change_nothing() {
-        let n = 8;
+    /// A started node over `n` equal stakes whose inner automaton records
+    /// the sender of everything it is handed.
+    fn recording_node(n: usize) -> (OverlayNode<u64>, Arc<Mutex<Vec<NodeId>>>) {
         let heard = Arc::new(Mutex::new(Vec::new()));
         let mut node = OverlayNode::new(
             Box::new(Senders(Arc::clone(&heard))),
@@ -1443,6 +1555,13 @@ mod tests {
             3,
         );
         node.on_start(&mut Context::detached(0, n, 0));
+        (node, heard)
+    }
+
+    #[test]
+    fn frames_naming_an_origin_outside_the_population_change_nothing() {
+        let n = 8;
+        let (mut node, heard) = recording_node(n);
         let outsider = (1..n).find(|p| !node.active.contains(p)).expect("a partial view");
         let views = (node.active.clone(), node.eager.clone());
         let forged = n as u32;
@@ -1452,7 +1571,7 @@ mod tests {
         node.on_message(outsider, OverlayMsg::Graft { origin: forged, seq: 0 }, &mut ctx);
         assert_eq!(*heard.lock().unwrap(), Vec::<NodeId>::new(), "inner saw a non-party");
         assert!(
-            node.seen.is_empty() && node.announce.is_empty(),
+            node.seen.iter().all(|w| w.slots.is_empty()) && node.announce.is_empty(),
             "nothing cached or announced"
         );
         assert_eq!((node.active.clone(), node.eager.clone()), views, "no link promoted");
@@ -1460,6 +1579,65 @@ mod tests {
         // A party's id goes through as before.
         node.on_message(outsider, eager(forged - 1), &mut ctx);
         assert_eq!(*heard.lock().unwrap(), vec![n - 1]);
+    }
+
+    #[test]
+    fn a_forged_ihave_arms_at_most_one_window_of_graft_timers() {
+        let (mut node, _) = recording_node(8);
+        let ids = (0..100_000).map(|seq| (5, seq)).collect();
+        let mut ctx = Context::detached(0, 8, 1);
+        node.on_message(4, OverlayMsg::IHave { ids }, &mut ctx);
+        // The window's ids are still pulled; nothing past it is.
+        assert_eq!(ctx.timers.len(), SEQ_WINDOW, "one graft timer per id in the window");
+        assert!(ctx.timers.iter().all(|&(_, id)| id < graft_timer(5, SEQ_WINDOW as u32)));
+        assert_eq!(node.graft_pending.len(), SEQ_WINDOW);
+        assert!(ctx.outbox.is_empty());
+    }
+
+    #[test]
+    fn seen_keeps_one_bounded_window_per_origin() {
+        let n = 8;
+        let (mut node, heard) = recording_node(n);
+        let eager = |origin, seq| OverlayMsg::Eager { origin, seq, hops: 1, payload: 9 };
+        // One far-future id allocates one window, not a slot per skipped id.
+        let far = (1 << 28) - 1;
+        node.on_message(1, eager(5, far), &mut Context::detached(0, n, 1));
+        let window = &node.seen[5];
+        assert!(window.slots.len() <= SEQ_WINDOW, "{} slots", window.slots.len());
+        assert_eq!(window.base, far + 1 - SEQ_WINDOW as u32);
+        assert!(window.get(far).is_some());
+        // Below the window: not handed on, nothing staged, even from an
+        // eager link that a duplicate would have pruned.
+        let link = node.eager.first().copied().expect("a tree link");
+        let mut ctx = Context::detached(0, n, 2);
+        node.on_message(link, eager(5, 0), &mut ctx);
+        assert!(ctx.outbox.is_empty() && ctx.timers.is_empty(), "below the window");
+        assert!(node.eager.contains(&link), "no link demoted");
+        assert_eq!(heard.lock().unwrap().len(), 1, "inner saw only the far id");
+        // A long stream slides the window along, never past its size.
+        for seq in 0..10 * SEQ_WINDOW as u32 {
+            node.on_message(1, eager(6, seq), &mut Context::detached(0, n, 3));
+            assert!(node.seen[6].slots.len() <= SEQ_WINDOW);
+        }
+        assert_eq!(node.seen[6].base, 9 * SEQ_WINDOW as u32);
+        assert_eq!(heard.lock().unwrap().len(), 1 + 10 * SEQ_WINDOW);
+        // An evicted id is served to no graft.
+        let mut ctx = Context::detached(0, n, 4);
+        node.on_message(link, OverlayMsg::Graft { origin: 6, seq: 0 }, &mut ctx);
+        let sent = ctx.take_staged_expanded(0);
+        assert!(!sent.iter().any(|(_, m)| matches!(m, OverlayMsg::Eager { .. })), "{sent:?}");
+        // A graft pending for an id the window slides past is given up.
+        node.on_message(
+            4,
+            OverlayMsg::IHave { ids: vec![(7, 5)] },
+            &mut Context::detached(0, n, 5),
+        );
+        assert!(node.graft_pending.contains_key(&(7, 5)));
+        node.on_message(1, eager(7, 5_000), &mut Context::detached(0, n, 6));
+        assert!(node.graft_pending.is_empty(), "pending graft outlived its window");
+        let mut ctx = Context::detached(0, n, 200);
+        node.on_timer(graft_timer(7, 5), &mut ctx);
+        assert!(ctx.outbox.is_empty(), "no graft for an evicted id");
     }
 
     #[test]
