@@ -48,17 +48,24 @@
 //! in a window of `SEQ_WINDOW` (1024) consecutive sequence numbers from
 //! that origin's `base`: slot `seq − base` holds the payload and its hop
 //! count, so a receipt, a duplicate check and a graft lookup are an index,
-//! and the state a node keeps per origin is bounded. A first receipt
-//! `SEQ_WINDOW` or more past `base` slides the window forward until its
-//! `seq` is the last slot, evicting the oldest. An id below `base` counts as
-//! already seen: an `Eager` copy of it is dropped before the inner
-//! automaton and prunes nothing, an `IHave` naming it (or naming anything
-//! past the window) arms no graft timer, a pending graft for it is given
-//! up, and a `Graft` asking for it gets no reply. Sliding on a forged
-//! far-future `seq` grants a relay nothing it lacked: `Eager` frames are
-//! unsigned, so a relay can already forge any `(origin, seq)`. Queued
-//! announcements are a short vector of `(peer, ids)` kept sorted by peer,
-//! flushed in that order at the lazy tick.
+//! and the state a node keeps per origin is bounded. Receipts fill the
+//! lower half; the upper half is headroom for grafts, so the ids just past
+//! the newest receipt can always be pulled. A first receipt in the upper
+//! half slides the window forward until its `seq` ends the lower half,
+//! evicting the oldest. An id below `base` counts as already seen: an
+//! `Eager` copy of it is dropped before the inner automaton and prunes
+//! nothing, an `IHave` naming it (or naming anything past the window) arms
+//! no graft timer, a pending graft for it is given up, and a `Graft` asking
+//! for it gets no reply. `Eager` frames are unsigned, so a relay can
+//! forge any `(origin, seq)`, and the window makes one forgery reach
+//! further: a forged `seq` far ahead slides the window past every real id
+//! of that origin up to it, at this node and at every node the forgery is
+//! fanned out to. Two guards narrow that without closing it (closing it
+//! takes signed broadcasts): a `seq` must fit the graft timer's 28 bits,
+//! and a node accepts its own origin only from itself, so it always
+//! delivers and fans out its own broadcasts. Queued announcements are a
+//! short vector of `(peer, ids)` kept sorted by peer, flushed in that order
+//! at the lazy tick.
 //!
 //! The overlay is itself a [`Protocol`] (over [`OverlayMsg`]), so it runs
 //! unchanged on both substrates — the deterministic simulator and the
@@ -364,9 +371,11 @@ impl ChurnLedger {
     }
 }
 
-/// One origin's receipts: the payload and hop count of every sequence
-/// number in `base..base + SEQ_WINDOW` this node received, at
-/// `slots[seq - base]`; everything below `base` is forgotten.
+/// One origin's receipts over the `SEQ_WINDOW` sequence numbers from
+/// `base`: the payload and hop count of each one received, at
+/// `slots[seq - base]`. Every receipt lies in the lower half; the upper
+/// half is headroom, the ids after the newest receipt that a graft may
+/// still pull. Everything below `base` is forgotten.
 #[derive(Debug)]
 struct SeqWindow<M> {
     base: u32,
@@ -396,11 +405,12 @@ impl<M> SeqWindow<M> {
     }
 
     /// Records a first receipt of `seq >= base`, first sliding the window
-    /// forward when `seq` lies past its end.
+    /// forward when `seq` lies in its upper half, so that `seq` becomes the
+    /// last id of the lower half.
     fn insert(&mut self, seq: u32, payload: M, hops: u32) {
         debug_assert!(seq >= self.base, "ids below the window are dropped by the caller");
-        if self.offset(seq).is_none() {
-            let base = seq - (SEQ_WINDOW as u32 - 1);
+        if seq - self.base >= SEQ_WINDOW as u32 / 2 {
+            let base = seq - (SEQ_WINDOW as u32 / 2 - 1);
             self.slots.drain(..self.slots.len().min((base - self.base) as usize));
             self.base = base;
         }
@@ -443,7 +453,8 @@ pub struct OverlayNode<M: Clone + MessageSize> {
     active: BTreeSet<NodeId>,
     eager: BTreeSet<NodeId>,
     /// The lazy links in ascending order, collected again on the first
-    /// receipt after either view changed (`lazy_stale`).
+    /// receipt after either view changed (`lazy_stale`): collecting them
+    /// on every receipt costs `gossip_sim` ~11 % of its episode.
     lazy: Vec<NodeId>,
     lazy_stale: bool,
     /// Peers this node confirmed failed since the last view build; no
@@ -810,8 +821,10 @@ impl<M: Clone + MessageSize> OverlayNode<M> {
         window.insert(seq, payload, hops);
         if window.base != base {
             // The window slid: grafts for what it evicted are given up.
-            let base = window.base;
-            self.graft_pending.retain(|&(o, s), _| o != origin || s >= base);
+            let evicted = (origin, base)..(origin, window.base);
+            while let Some((&key, _)) = self.graft_pending.range(evicted.clone()).next() {
+                self.graft_pending.remove(&key);
+            }
         }
     }
 
@@ -923,6 +936,12 @@ impl<M: Clone + MessageSize> Protocol for OverlayNode<M> {
             // Ids off the wire are untrusted: only a party can originate.
             OverlayMsg::Eager { origin, .. } | OverlayMsg::Graft { origin, .. }
                 if origin as usize >= self.n => {}
+            // Nor can a frame move a window out of reach: a graft timer
+            // cannot name a `seq` past 28 bits, and no honest peer sends a
+            // node its own broadcast (fanout and announcements skip the
+            // origin), which it only ever addresses to itself.
+            OverlayMsg::Eager { origin, seq, .. }
+                if seq >= 1 << 28 || (origin as usize == self.me && from != self.me) => {}
             OverlayMsg::Eager { origin, seq, hops, payload } => {
                 self.on_eager(from, origin, seq, hops, payload, ctx);
             }
@@ -1604,7 +1623,7 @@ mod tests {
         node.on_message(1, eager(5, far), &mut Context::detached(0, n, 1));
         let window = &node.seen[5];
         assert!(window.slots.len() <= SEQ_WINDOW, "{} slots", window.slots.len());
-        assert_eq!(window.base, far + 1 - SEQ_WINDOW as u32);
+        assert_eq!(window.base, far + 1 - SEQ_WINDOW as u32 / 2);
         assert!(window.get(far).is_some());
         // Below the window: not handed on, nothing staged, even from an
         // eager link that a duplicate would have pruned.
@@ -1619,8 +1638,20 @@ mod tests {
             node.on_message(1, eager(6, seq), &mut Context::detached(0, n, 3));
             assert!(node.seen[6].slots.len() <= SEQ_WINDOW);
         }
-        assert_eq!(node.seen[6].base, 9 * SEQ_WINDOW as u32);
+        let next = 10 * SEQ_WINDOW as u32;
+        assert_eq!(node.seen[6].base, next - SEQ_WINDOW as u32 / 2);
         assert_eq!(heard.lock().unwrap().len(), 1 + 10 * SEQ_WINDOW);
+        // The id after the newest receipt is still pulled when only an
+        // announcement of it arrives, and the pulled copy is delivered.
+        let mut ctx = Context::detached(0, n, 4);
+        node.on_message(4, OverlayMsg::IHave { ids: vec![(6, next)] }, &mut ctx);
+        assert_eq!(ctx.timers.len(), 1, "one graft timer for the next id");
+        let mut ctx = Context::detached(0, n, 100);
+        node.on_timer(graft_timer(6, next), &mut ctx);
+        let sent = ctx.take_staged_expanded(0);
+        assert!(sent.contains(&(4, OverlayMsg::Graft { origin: 6, seq: next })), "{sent:?}");
+        node.on_message(4, eager(6, next), &mut Context::detached(0, n, 101));
+        assert_eq!(heard.lock().unwrap().len(), 2 + 10 * SEQ_WINDOW);
         // An evicted id is served to no graft.
         let mut ctx = Context::detached(0, n, 4);
         node.on_message(link, OverlayMsg::Graft { origin: 6, seq: 0 }, &mut ctx);
@@ -1638,6 +1669,25 @@ mod tests {
         let mut ctx = Context::detached(0, n, 200);
         node.on_timer(graft_timer(7, 5), &mut ctx);
         assert!(ctx.outbox.is_empty(), "no graft for an evicted id");
+    }
+
+    #[test]
+    fn a_relay_cannot_slide_a_window_past_the_timer_field_or_over_its_own_origin() {
+        let n = 8;
+        let (mut node, heard) = recording_node(n);
+        let eager = |origin, seq| OverlayMsg::Eager { origin, seq, hops: 1, payload: 9 };
+        let mut ctx = Context::detached(0, n, 1);
+        node.on_message(1, eager(5, u32::MAX), &mut ctx);
+        node.on_message(1, eager(5, 1 << 28), &mut ctx);
+        node.on_message(1, eager(0, 5_000), &mut ctx);
+        assert_eq!(*heard.lock().unwrap(), Vec::<NodeId>::new(), "inner saw a forgery");
+        assert!(node.seen.iter().all(|w| w.base == 0 && w.slots.is_empty()), "a window moved");
+        assert!(ctx.outbox.is_empty() && ctx.timers.is_empty(), "nothing staged");
+        // The node's own broadcasts, which it addresses to itself, still
+        // go through, and so do other origins' ids.
+        node.on_message(0, eager(0, 0), &mut ctx);
+        node.on_message(1, eager(5, 0), &mut ctx);
+        assert_eq!(*heard.lock().unwrap(), vec![0, 5]);
     }
 
     #[test]
