@@ -178,16 +178,24 @@ pub trait Protocol {
     ///   make survival automatic — there is nothing to re-key.
     /// * **Shed** state attached to *retired* identities: drop their
     ///   sub-instances and pending timers, and *migrate* quorum trackers
-    ///   so retired voters' weight is released rather than frozen in
-    ///   (`swiper-protocols`' `QuorumTracker::migrate`). Re-derive
-    ///   anything computed from the old ticket *totals* (thresholds,
-    ///   populations) from the new assignment.
+    ///   so retired voters' weight is released rather than frozen in.
+    ///   Re-derive anything computed from the old ticket *totals*
+    ///   (thresholds, populations) from the new assignment.
     /// * **Reweigh** weighted tallies under `event.weights()` — partial
     ///   quorums keep their votes but re-derive per-party weights and
     ///   thresholds from the new stake, so a pending tally can *lose*
     ///   ground (a whale's collapse revokes an almost-complete quorum)
-    ///   and stale stake can never cross a current-epoch threshold
-    ///   (`swiper-protocols`' `WeightQuorum::reweigh`).
+    ///   and stale stake can never cross a current-epoch threshold.
+    ///   `swiper-protocols`' `QuorumSet::on_epoch` migrates or reweighs
+    ///   every tracker an automaton keeps.
+    /// * **Fire boundary-crossed transitions locally; re-broadcast only
+    ///   to joiners.** A migration or reweigh can also *complete* a
+    ///   pending quorum, and honest peers vote exactly once, so no later
+    ///   vote would re-run its check: `QuorumSet::on_epoch` returns the
+    ///   quorums the boundary completed, and the node runs each through
+    ///   the transition its vote path calls. Peers already hold every
+    ///   vote the node cast — except identities the boundary spawned
+    ///   (`IdentityView::joiners`), the only ones to send them to again.
     /// * **Re-deal or carry** epoch-pinned cryptographic material: when
     ///   the assignment backing dealt keys moved, re-derive them
     ///   deterministically from `event.rekey_seed()` and the new

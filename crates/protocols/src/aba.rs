@@ -25,7 +25,7 @@ use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, VirtualUsers, W
 use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
 
-use crate::quorum::{CountQuorum, IdentityView, Quorum, QuorumTracker, Roster, WeightQuorum};
+use crate::quorum::{Electorate, IdentityView, QuorumSet, Roster};
 
 /// ABA protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -263,10 +263,12 @@ impl AbaSetup {
         tag
     }
 
-    fn quorum(&self, threshold: Ratio) -> Quorum {
+    /// Who votes in this instance's quorums: the roster's current virtual
+    /// users (roster regime), or the parties weighted by stake.
+    fn electorate(&self) -> Electorate {
         match self.view.roster() {
-            None => Quorum::Weight(WeightQuorum::new(self.weights.clone(), threshold)),
-            Some(roster) => Quorum::Count(CountQuorum::new(roster.total(), threshold)),
+            None => Electorate::Weighted(self.weights.clone()),
+            Some(roster) => Electorate::Roster(roster.clone()),
         }
     }
 
@@ -289,15 +291,36 @@ impl AbaSetup {
     }
 }
 
+/// What an ABA quorum counts toward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tally {
+    /// `BVal(v)` in a round at weight `> 2 f_w`: `v` enters `bin_values`.
+    Bin(u32, bool),
+    /// `BVal(v)` in a round at weight `> f_w`: relay it.
+    Relay(u32, bool),
+    /// `Decided(v)` at weight `> f_w`: adopt `v`.
+    Adopt(bool),
+    /// `Decided(v)` at weight `> 2 f_w`: halt on `v`.
+    Halt(bool),
+}
+
+impl Tally {
+    fn threshold(&self) -> Ratio {
+        match self {
+            Tally::Relay(..) | Tally::Adopt(_) => Ratio::of(1, 3),
+            Tally::Bin(..) | Tally::Halt(_) => Ratio::of(2, 3),
+        }
+    }
+}
+
 /// Per-round state.
+#[derive(Default)]
 struct RoundState {
     bval_sent: [bool; 2],
-    bval_votes: [Quorum; 2],
-    bval_relay: [Quorum; 2],
     bin: [bool; 2],
     aux_sent: bool,
     /// The AUX value this node broadcast (`Some` iff `aux_sent`), kept so
-    /// the epochal form can re-announce it to joiners spawned mid-flight.
+    /// the epochal form can re-send it to joiners spawned mid-flight.
     aux_value: Option<bool>,
     /// First AUX value per stable voter identity.
     aux_of: HashMap<StableId, bool>,
@@ -310,27 +333,6 @@ struct RoundState {
     vals: Option<[bool; 2]>,
 }
 
-impl RoundState {
-    fn new(setup: &AbaSetup) -> Self {
-        RoundState {
-            bval_sent: [false; 2],
-            // bin_values insertion: weight > 2 f_w.
-            bval_votes: [setup.quorum(Ratio::of(2, 3)), setup.quorum(Ratio::of(2, 3))],
-            // relay: weight > f_w.
-            bval_relay: [setup.quorum(Ratio::of(1, 3)), setup.quorum(Ratio::of(1, 3))],
-            bin: [false; 2],
-            aux_sent: false,
-            aux_value: None,
-            aux_of: HashMap::new(),
-            coin_sent: false,
-            coin_seen: Default::default(),
-            coin_partials: Vec::new(),
-            coin: None,
-            vals: None,
-        }
-    }
-}
-
 /// One agreement party.
 pub struct AbaNode {
     setup: AbaSetup,
@@ -339,8 +341,8 @@ pub struct AbaNode {
     rounds: HashMap<u32, RoundState>,
     decided: Option<bool>,
     decided_sent: bool,
-    decided_adopt: [Quorum; 2],
-    decided_halt: [Quorum; 2],
+    /// The BVal tallies of every round and the `Decided` tallies.
+    quorums: QuorumSet<Tally>,
     /// Rounds completed before this node moved on (expected O(1)).
     pub rounds_run: u32,
 }
@@ -348,8 +350,7 @@ pub struct AbaNode {
 impl AbaNode {
     /// A party with binary input `input`.
     pub fn new(setup: AbaSetup, input: bool) -> Self {
-        let adopt = [setup.quorum(Ratio::of(1, 3)), setup.quorum(Ratio::of(1, 3))];
-        let halt = [setup.quorum(Ratio::of(2, 3)), setup.quorum(Ratio::of(2, 3))];
+        let quorums = QuorumSet::new(setup.electorate(), Tally::threshold);
         AbaNode {
             setup,
             est: input,
@@ -357,8 +358,7 @@ impl AbaNode {
             rounds: HashMap::new(),
             decided: None,
             decided_sent: false,
-            decided_adopt: adopt,
-            decided_halt: halt,
+            quorums,
             rounds_run: 0,
         }
     }
@@ -369,8 +369,7 @@ impl AbaNode {
     }
 
     fn state(&mut self, round: u32) -> &mut RoundState {
-        let setup = &self.setup;
-        self.rounds.entry(round).or_insert_with(|| RoundState::new(setup))
+        self.rounds.entry(round).or_default()
     }
 
     fn send_bval(&mut self, round: u32, value: bool, ctx: &mut Context<AbaMsg>) {
@@ -487,6 +486,50 @@ impl AbaNode {
             ctx.broadcast(AbaMsg::Decided { value });
         }
     }
+
+    /// The quorum on `tally` is reached — by a vote, or by an epoch
+    /// boundary moving stake or roster under kept votes. Returns whether
+    /// the node halted.
+    fn crossed(&mut self, tally: Tally, ctx: &mut Context<AbaMsg>) -> bool {
+        match tally {
+            Tally::Bin(round, value) => self.state(round).bin[value as usize] = true,
+            Tally::Relay(round, value) => self.send_bval(round, value, ctx),
+            Tally::Adopt(value) => {
+                if self.decided.is_none() {
+                    self.decide(value, ctx);
+                }
+            }
+            Tally::Halt(value) => {
+                if self.decided == Some(value) {
+                    self.decide(value, ctx);
+                    ctx.halt();
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// What this node already said: its BVals and AUX per round, in
+    /// ascending round order (the emission order feeds the seeded delay
+    /// stream), then its `Decided`.
+    fn said(&self) -> Vec<AbaMsg> {
+        let mut rounds: Vec<u32> = self.rounds.keys().copied().collect();
+        rounds.sort_unstable();
+        let mut said = Vec::new();
+        for round in rounds {
+            let st = &self.rounds[&round];
+            for value in [false, true] {
+                if st.bval_sent[value as usize] {
+                    said.push(AbaMsg::BVal { round, value });
+                }
+            }
+            said.extend(st.aux_value.map(|value| AbaMsg::Aux { round, value }));
+        }
+        let decided = self.decided.filter(|_| self.decided_sent);
+        said.extend(decided.map(|value| AbaMsg::Decided { value }));
+        said
+    }
 }
 
 impl Protocol for AbaNode {
@@ -502,17 +545,10 @@ impl Protocol for AbaNode {
         let voter = self.setup.view.stable_of(from);
         match msg {
             AbaMsg::BVal { round, value } => {
-                let relay = {
-                    let st = self.state(round);
-                    st.bval_votes[value as usize].vote(voter);
-                    st.bval_relay[value as usize].vote(voter)
-                };
-                if relay {
-                    self.send_bval(round, value, ctx);
-                }
-                let st = self.state(round);
-                if st.bval_votes[value as usize].reached() {
-                    st.bin[value as usize] = true;
+                for tally in [Tally::Relay(round, value), Tally::Bin(round, value)] {
+                    if self.quorums.vote(tally, voter) {
+                        self.crossed(tally, ctx);
+                    }
                 }
             }
             AbaMsg::Aux { round, value } => {
@@ -530,14 +566,10 @@ impl Protocol for AbaNode {
                 }
             }
             AbaMsg::Decided { value } => {
-                if self.decided_adopt[value as usize].vote(voter) && self.decided.is_none() {
-                    self.decide(value, ctx);
-                }
-                if self.decided_halt[value as usize].vote(voter) && self.decided == Some(value)
-                {
-                    self.decide(value, ctx);
-                    ctx.halt();
-                    return;
+                for tally in [Tally::Adopt(value), Tally::Halt(value)] {
+                    if self.quorums.vote(tally, voter) && self.crossed(tally, ctx) {
+                        return;
+                    }
                 }
             }
         }
@@ -568,101 +600,32 @@ impl Protocol for AbaNode {
                 }
             }
         }
-        match self.setup.view.roster().cloned() {
-            // Party regime: identities are fixed, but stake is not — every
-            // weighted tally re-derives under the event's weight vector
-            // (`AbaSetup::on_epoch` already refreshed the vector new
-            // quorums are minted from).
-            None => {
-                for st in self.rounds.values_mut() {
-                    for q in st.bval_votes.iter_mut().chain(st.bval_relay.iter_mut()) {
-                        q.reweigh(event);
-                    }
-                    for value in [false, true] {
-                        if st.bval_votes[value as usize].reached() {
-                            st.bin[value as usize] = true;
-                        }
-                    }
-                }
-                for q in self.decided_adopt.iter_mut().chain(self.decided_halt.iter_mut()) {
-                    q.reweigh(event);
-                }
+        let crossed = self.quorums.on_epoch(event);
+        if let Some(roster) = self.setup.view.roster() {
+            // AUX claims are first-vote maps, not trackers: retired
+            // voters' claims are shed here.
+            for st in self.rounds.values_mut() {
+                st.aux_of.retain(|id, _| roster.contains(*id));
             }
-            // Roster-hosted nominal regime: every tracker migrates onto
-            // the new epoch — surviving voters carry, retired voters and
-            // their AUX claims are shed, count thresholds re-derive from
-            // the new population.
-            Some(roster) => {
-                for st in self.rounds.values_mut() {
-                    for q in st.bval_votes.iter_mut().chain(st.bval_relay.iter_mut()) {
-                        q.migrate(&roster);
-                    }
-                    st.aux_of.retain(|id, _| roster.contains(*id));
-                    for value in [false, true] {
-                        if st.bval_votes[value as usize].reached() {
-                            st.bin[value as usize] = true;
-                        }
-                    }
-                }
-                for q in self.decided_adopt.iter_mut().chain(self.decided_halt.iter_mut()) {
-                    q.migrate(&roster);
-                }
-                // Catch-up re-announcement (the epochal Bracha move):
-                // voters spawned this epoch missed every pre-boundary
-                // message, and with enough joins the quorums over the
-                // grown population are unreachable from survivor votes
-                // alone — while survivors, having spoken exactly once,
-                // would never speak again. Re-broadcast what this node
-                // already said (its BVals, its AUX per round, its
-                // Decided); stable-keyed trackers and first-vote-wins
-                // maps make every duplicate a no-op. Rounds go out in
-                // ascending order so the emission schedule — and with it
-                // the seeded delay stream — stays deterministic.
-                let mut rounds: Vec<u32> = self.rounds.keys().copied().collect();
-                rounds.sort_unstable();
-                for round in rounds {
-                    let st = &self.rounds[&round];
-                    for value in [false, true] {
-                        if st.bval_sent[value as usize] {
-                            ctx.broadcast(AbaMsg::BVal { round, value });
-                        }
-                    }
-                    if let Some(value) = st.aux_value {
-                        ctx.broadcast(AbaMsg::Aux { round, value });
-                    }
-                }
-                if self.decided_sent {
-                    if let Some(value) = self.decided {
-                        ctx.broadcast(AbaMsg::Decided { value });
-                    }
+        }
+        // Joiners missed every pre-boundary message, and with enough of
+        // them the quorums over the grown population are unreachable
+        // without their votes, while this node, having spoken once, would
+        // never speak again: re-send what it said to them, and only to
+        // them. Stable-keyed trackers and first-vote-wins maps make any
+        // duplicate a no-op.
+        let joiners = self.setup.view.joiners(event);
+        if !joiners.is_empty() {
+            for msg in self.said() {
+                for &to in &joiners {
+                    ctx.send(to, msg.clone());
                 }
             }
         }
-        // The boundary op itself can cross a threshold with no further
-        // vote arriving (stake grew onto recorded voters; a shrinking
-        // population lowered a count base) — and honest parties cast each
-        // vote exactly once, so the vote-path transitions would never
-        // re-run. Re-fire them here: BV relay duty, then the decide
-        // gadget; `progress` covers the bin/AUX/coin chain.
-        let mut relays: Vec<(u32, bool)> = Vec::new();
-        for (&round, st) in self.rounds.iter() {
-            for value in [false, true] {
-                if st.bval_relay[value as usize].reached() && !st.bval_sent[value as usize] {
-                    relays.push((round, value));
-                }
-            }
-        }
-        relays.sort_unstable();
-        for (round, value) in relays {
-            self.send_bval(round, value, ctx);
-        }
-        for value in [false, true] {
-            if self.decided_adopt[value as usize].reached() && self.decided.is_none() {
-                self.decide(value, ctx);
-            }
-            if self.decided_halt[value as usize].reached() && self.decided == Some(value) {
-                self.decide(value, ctx);
-                ctx.halt();
+        // A quorum the boundary completed fires as a vote would have
+        // fired it; `progress` covers the bin/AUX/coin chain.
+        for tally in crossed {
+            if self.crossed(tally, ctx) {
                 return;
             }
         }

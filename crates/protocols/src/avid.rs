@@ -29,7 +29,7 @@ use swiper_crypto::{MerkleProof, MerkleTree};
 use swiper_erasure::shards::{decode_bytes, encode_bytes, Shard};
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
 
-use crate::quorum::{Quorum, QuorumTracker};
+use crate::quorum::{Electorate, QuorumSet};
 
 /// The sentinel output when the dealer provably misencoded.
 pub const BOT: &[u8] = b"<AVID-BOT>";
@@ -133,18 +133,6 @@ impl AvidConfig {
         self.m
     }
 
-    fn ack_quorum(&self) -> Quorum {
-        // > 2 f_w = 2/3 of weight (nominal: > 2n/3 parties = 2t+1).
-        Quorum::weighted(self.weights.clone(), Ratio::of(2, 3))
-    }
-
-    /// Epoch stake refresh: replaces the weight vector new ack quorums
-    /// are minted from. Party sets are fixed across epochs; an event over
-    /// a different count is a mis-addressed driver bug and is ignored.
-    fn reweigh(&mut self, event: &EpochEvent) {
-        let _ = event.refresh_weights(&mut self.weights);
-    }
-
     fn shards_of(&self, party: usize, all: &[Shard], tree: &MerkleTree) -> Vec<ProvenShard> {
         self.mapping
             .virtuals_of(party)
@@ -171,7 +159,7 @@ pub struct AvidNode {
     /// intersection argument: only a root acked by weight `> 2 f_w` —
     /// which contains honest weight `> f_w`, enough fragments to decode
     /// exactly one blob — ever enters retrieval.
-    ack_quorums: HashMap<Digest, Quorum>,
+    acks: QuorumSet<Digest>,
     /// Roots whose ack quorum has completed (retrieval started).
     completed: HashSet<Digest>,
     collected: HashMap<Digest, HashMap<u32, Shard>>,
@@ -181,6 +169,9 @@ pub struct AvidNode {
 impl AvidNode {
     /// A non-dealer party.
     pub fn new(config: AvidConfig, dealer: NodeId) -> Self {
+        // > 2 f_w = 2/3 of weight (nominal: > 2n/3 parties = 2t+1).
+        let acks =
+            QuorumSet::new(Electorate::Weighted(config.weights.clone()), |_| Ratio::of(2, 3));
         AvidNode {
             config,
             dealer,
@@ -188,7 +179,7 @@ impl AvidNode {
             my_shards: Vec::new(),
             my_root: None,
             acked: false,
-            ack_quorums: HashMap::new(),
+            acks,
             completed: HashSet::new(),
             collected: HashMap::new(),
             delivered: false,
@@ -232,6 +223,20 @@ impl AvidNode {
             // fragment relay, so the halt below stays duty-gated.
             ctx.output(BOT.to_vec());
         }
+        self.maybe_halt(ctx);
+    }
+
+    /// `root`'s ack quorum is reached — by an ack, or by an epoch boundary
+    /// moving stake onto recorded ackers: start its retrieval, once, by
+    /// sharing the fragments stored for *this* root (none when this party
+    /// acked a different one).
+    fn crossed(&mut self, root: Digest, ctx: &mut Context<AvidMsg>) {
+        if !self.completed.insert(root) {
+            return;
+        }
+        let shards =
+            if self.my_root == Some(root) { self.my_shards.clone() } else { Vec::new() };
+        ctx.broadcast(AvidMsg::Fragments { root, shards });
         self.maybe_halt(ctx);
     }
 
@@ -295,23 +300,9 @@ impl Protocol for AvidNode {
             }
             AvidMsg::Stored { root } => {
                 // Per-root vote: acks for different dispersals never pool
-                // (see `ack_quorums`).
-                if !self.ack_quorums.contains_key(&root) {
-                    let fresh = self.config.ack_quorum();
-                    self.ack_quorums.insert(root, fresh);
-                }
-                let quorum = self.ack_quorums.get_mut(&root).expect("just inserted");
-                if quorum.vote(StableId::solo(from)) && !self.completed.contains(&root) {
-                    self.completed.insert(root);
-                    // Retrieval phase: share the fragments we stored for
-                    // *this* root (none when we acked a different one).
-                    let shards = if self.my_root == Some(root) {
-                        self.my_shards.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    ctx.broadcast(AvidMsg::Fragments { root, shards });
-                    self.maybe_halt(ctx);
+                // (see `acks`).
+                if self.acks.vote(root, StableId::solo(from)) {
+                    self.crossed(root, ctx);
                 }
             }
             AvidMsg::Fragments { root, shards } => {
@@ -339,22 +330,9 @@ impl Protocol for AvidNode {
         // onto recorded ackers), and parties ack exactly once — run the
         // retrieval transition here, in root order so replays stay
         // deterministic.
-        self.config.reweigh(event);
-        let mut newly_completed: Vec<Digest> = Vec::new();
-        for (root, q) in self.ack_quorums.iter_mut() {
-            q.reweigh(event);
-            if q.reached() && !self.completed.contains(root) {
-                newly_completed.push(*root);
-            }
+        for root in self.acks.on_epoch(event) {
+            self.crossed(root, ctx);
         }
-        newly_completed.sort();
-        for root in newly_completed {
-            self.completed.insert(root);
-            let shards =
-                if self.my_root == Some(root) { self.my_shards.clone() } else { Vec::new() };
-            ctx.broadcast(AvidMsg::Fragments { root, shards });
-        }
-        self.maybe_halt(ctx);
     }
 }
 

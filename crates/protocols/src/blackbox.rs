@@ -82,10 +82,9 @@
 //! Reconfiguration arrives as an [`EpochEvent`] — the delta *plus the new
 //! per-party weight vector* — so the wrapper is weight-bearing end to
 //! end: the **vouch quorum tallies with current-epoch stake**. At every
-//! boundary the stored weight vector is replaced by the event's and each
-//! accumulated vouch tally is re-derived under it
-//! ([`crate::quorum::WeightQuorum::reweigh`]): votes are kept, per-party
-//! weights and the threshold base re-derive, so a whale whose stake
+//! boundary each accumulated vouch tally is re-derived under the event's
+//! weight vector ([`crate::quorum::QuorumSet::on_epoch`]): votes are kept,
+//! per-party weights and the threshold base re-derive, so a whale whose stake
 //! collapsed mid-vouch stops propping up an almost-complete quorum (the
 //! pending tally is *revoked*) and stale stake can never push a forged
 //! output across a current-epoch threshold. Outputs already adopted are
@@ -102,7 +101,7 @@ use std::collections::{HashMap, VecDeque};
 use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
 use swiper_net::{Context, Effects, MessageSize, NodeId, Protocol};
 
-use crate::quorum::{QuorumTracker, Roster, WeightQuorum};
+use crate::quorum::{Electorate, QuorumSet, Roster};
 
 /// The virtual-user factory a [`BlackBox`] retains for mid-flight spawns:
 /// `factory(v, roster)` builds the automaton for dense id `v` under the
@@ -174,8 +173,6 @@ impl BlackBoxConfig {
 
 /// The transformed node: party `i` running its `t_i` virtual users of `P`.
 pub struct BlackBox<P: Protocol> {
-    weights: Weights,
-    f_w: Ratio,
     party: usize,
     /// This replica's identity directory: the current epoch's mapping,
     /// shared with every hosted automaton built through the factory.
@@ -190,7 +187,8 @@ pub struct BlackBox<P: Protocol> {
     /// Pending timers: nonce -> (setter's stable id, inner timer id).
     timer_map: HashMap<u64, (StableId, u64)>,
     timer_nonce: u64,
-    vouch_quorums: HashMap<Vec<u8>, WeightQuorum>,
+    /// Vouch tallies per output: weight `> f_w` adopts it.
+    vouches: QuorumSet<Vec<u8>>,
     output_done: bool,
     started: bool,
 }
@@ -215,8 +213,6 @@ impl<P: Protocol> BlackBox<P> {
             .map(|v| (mapping.stable_of(v), factory(v, &roster), false))
             .collect();
         BlackBox {
-            weights,
-            f_w,
             party,
             roster,
             epoch: 0,
@@ -224,7 +220,7 @@ impl<P: Protocol> BlackBox<P> {
             virtuals,
             timer_map: HashMap::new(),
             timer_nonce: 0,
-            vouch_quorums: HashMap::new(),
+            vouches: QuorumSet::new(Electorate::Weighted(weights), move |_| f_w),
             output_done: false,
             started: false,
         }
@@ -247,6 +243,16 @@ impl<P: Protocol> BlackBox<P> {
     /// (the dense-id design retained one full mapping per crossed epoch).
     pub fn translation_footprint(&self) -> usize {
         self.timer_map.len() + self.virtuals.len() + 1
+    }
+
+    /// Weight `> f_w` vouches for `output` — by a vouch, or by an epoch
+    /// boundary moving stake onto recorded vouchers. At least one voucher
+    /// is honest, so adopt it unless this party already output.
+    fn vouched(&mut self, output: Vec<u8>, ctx: &mut Context<BlackBoxMsg<P::Msg>>) {
+        if !self.output_done {
+            self.output_done = true;
+            ctx.output(output);
+        }
     }
 
     /// Routes one batch of inner effects, draining same-party deliveries
@@ -382,17 +388,8 @@ impl<P: Protocol> Protocol for BlackBox<P> {
                 self.route(pending, ctx);
             }
             BlackBoxMsg::Vouch { output } => {
-                let weights = self.weights.clone();
-                let f_w = self.f_w;
-                let q = self
-                    .vouch_quorums
-                    .entry(output.clone())
-                    .or_insert_with(|| WeightQuorum::new(weights, f_w));
-                if q.vote(StableId::solo(from)) && !self.output_done {
-                    // Weight > f_w vouching the same output: at least one
-                    // voucher is honest.
-                    self.output_done = true;
-                    ctx.output(output);
+                if self.vouches.vote(output.clone(), StableId::solo(from)) {
+                    self.vouched(output, ctx);
                 }
             }
         }
@@ -433,30 +430,13 @@ impl<P: Protocol> Protocol for BlackBox<P> {
         // weights from here on. Pending vouch quorums keep their votes
         // but re-derive every contribution and the threshold base — a
         // collapsed whale's almost-complete quorum is revoked, stale
-        // stake never crosses a live threshold.
-        if event.refresh_weights(&mut self.weights) {
-            // A reweigh can also COMPLETE a pending quorum (stake grew
-            // onto already-recorded vouchers), and vouchers vouch exactly
-            // once — no later vote will re-run the adoption check. Act on
-            // the transition here; ties across outputs (possible only
-            // with Byzantine vouchers) break lexicographically so every
-            // replay is deterministic.
-            let mut completed: Vec<&Vec<u8>> = Vec::new();
-            for (output, q) in self.vouch_quorums.iter_mut() {
-                q.reweigh(event);
-                if q.reached() {
-                    completed.push(output);
-                }
-            }
-            completed.sort();
-            if let Some(&output) = completed.first() {
-                if !self.output_done {
-                    self.output_done = true;
-                    ctx.output(output.clone());
-                }
-            }
-        } else {
-            debug_assert!(false, "EpochEvent weights cover a different party count");
+        // stake never crosses a live threshold. A reweigh can also
+        // COMPLETE a pending quorum (stake grew onto already-recorded
+        // vouchers, who vouch exactly once): adopt it as a vouch would.
+        // Ties across outputs (possible only with Byzantine vouchers) go
+        // to the lexicographically first, so every replay agrees.
+        for output in self.vouches.on_epoch(event) {
+            self.vouched(output, ctx);
         }
         // Retire users whose identity no longer resolves; their pending
         // timers are purged eagerly (the fire path would drop them anyway
@@ -512,6 +492,7 @@ mod tests {
     use super::*;
     use crate::aba::{AbaMsg, AbaNode, AbaSetup};
     use crate::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
+    use crate::quorum::QuorumTracker;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use swiper_core::{Swiper, TicketDelta, WeightRestriction};

@@ -20,7 +20,7 @@
 //! upload, `n * |M|`; the erasure-coded [`crate::avid`] (paper Section
 //! 5.1, weighted with WQ) disperses about `n/k * |M|` instead.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use swiper_core::{EpochEvent, Ratio, StableId, Weights};
 #[cfg(not(test))]
@@ -30,7 +30,7 @@ use swiper_net::{Context, MessageSize, NodeId, Protocol};
 #[cfg(test)]
 use tests::digest;
 
-use crate::quorum::{IdentityView, Quorum, QuorumTracker, Roster};
+use crate::quorum::{Electorate, IdentityView, QuorumSet, Roster};
 
 /// Bracha protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +60,8 @@ impl MessageSize for BrachaMsg {
 /// Quorum configuration shared by all Bracha nodes of one instance.
 #[derive(Debug, Clone)]
 pub struct BrachaConfig {
-    n: usize,
-    weights: Option<Weights>,
+    /// Who votes in the instance's quorums.
+    electorate: Electorate,
     /// How delivery-time sender ids map to stable voter identities.
     view: IdentityView,
 }
@@ -69,12 +69,12 @@ pub struct BrachaConfig {
 impl BrachaConfig {
     /// Nominal configuration for `n` parties (`t < n/3` tolerated).
     pub fn nominal(n: usize) -> Self {
-        BrachaConfig { n, weights: None, view: IdentityView::Party }
+        BrachaConfig { electorate: Electorate::Nominal(n), view: IdentityView::Party }
     }
 
     /// Weighted configuration (`f_w = 1/3` of total weight tolerated).
     pub fn weighted(weights: Weights) -> Self {
-        BrachaConfig { n: weights.len(), weights: Some(weights), view: IdentityView::Party }
+        BrachaConfig { electorate: Electorate::Weighted(weights), view: IdentityView::Party }
     }
 
     /// Epoch-aware nominal configuration over the black-box wrapper's
@@ -85,38 +85,37 @@ impl BrachaConfig {
     /// kept). This is the form that stays safe *and live* under mixed
     /// join/leave epoch reconfigurations.
     pub fn epochal(roster: Roster) -> Self {
-        BrachaConfig { n: roster.total(), weights: None, view: IdentityView::Virtual(roster) }
-    }
-
-    fn quorum(&self, threshold: Ratio) -> Quorum {
-        match &self.weights {
-            None => {
-                let n = self.view.roster().map_or(self.n, Roster::total);
-                Quorum::nominal(n, threshold)
-            }
-            Some(w) => Quorum::weighted(w.clone(), threshold),
+        BrachaConfig {
+            electorate: Electorate::Roster(roster.clone()),
+            view: IdentityView::Virtual(roster),
         }
     }
+}
 
-    /// Echo quorum: `> (1 + f_w)/2 = 2/3` of weight (or `> 2n/3` parties).
-    fn echo_quorum(&self) -> Quorum {
-        self.quorum(Ratio::of(2, 3))
-    }
+/// The three quorums a node counts on each digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    /// ECHO: `> (1 + f_w)/2 = 2/3` of weight (or `> 2n/3` parties) joins
+    /// READY.
+    Echo,
+    /// READY amplification: `> f_w = 1/3` joins READY.
+    Amplify,
+    /// READY delivery: `> 2 f_w = 2/3`.
+    Deliver,
+}
 
-    /// Ready amplification: `> f_w = 1/3`.
-    fn amplify_quorum(&self) -> Quorum {
-        self.quorum(Ratio::of(1, 3))
-    }
-
-    /// Delivery: `> 2 f_w = 2/3`.
-    fn deliver_quorum(&self) -> Quorum {
-        self.quorum(Ratio::of(2, 3))
+impl Phase {
+    fn threshold(&(phase, _): &(Phase, Digest)) -> Ratio {
+        match phase {
+            Phase::Echo | Phase::Deliver => Ratio::of(2, 3),
+            Phase::Amplify => Ratio::of(1, 3),
+        }
     }
 }
 
 /// One Bracha node.
 pub struct BrachaNode {
-    config: BrachaConfig,
+    view: IdentityView,
     /// The designated sender's *stable* identity: dense sender ids are a
     /// per-epoch artifact, so the INITIAL check resolves the delivery-time
     /// id through the identity view and compares coordinates.
@@ -127,8 +126,8 @@ pub struct BrachaNode {
     /// the sender's INITIAL, unless a verified pull reply replaced it.
     /// The only thing ever output, and what `Request`s are served from.
     held: Option<(Digest, Vec<u8>)>,
-    /// What this node echoed / declared ready, retained for
-    /// [`Self::reannounce`] (stable-keyed trackers make duplicates free).
+    /// What this node echoed / declared ready, kept to re-send to the
+    /// virtual users an epochal boundary spawns.
     echoed: Option<Digest>,
     readied: Option<Digest>,
     delivered: bool,
@@ -137,9 +136,8 @@ pub struct BrachaNode {
     awaiting: Option<Digest>,
     /// Requesters already sent a `Payload`: a spammer gets one, not many.
     served: HashSet<StableId>,
-    echo_quorums: HashMap<Digest, Quorum>,
-    ready_amplify: HashMap<Digest, Quorum>,
-    ready_deliver: HashMap<Digest, Quorum>,
+    /// ECHO and READY tallies, one per phase and digest.
+    quorums: QuorumSet<(Phase, Digest)>,
 }
 
 impl BrachaNode {
@@ -159,7 +157,7 @@ impl BrachaNode {
     /// the epoch-0 mapping, e.g. `mapping.stable_of(0)`).
     pub fn with_sender_id(config: BrachaConfig, sender: StableId) -> Self {
         BrachaNode {
-            config,
+            view: config.view,
             sender,
             input: None,
             held: None,
@@ -168,9 +166,7 @@ impl BrachaNode {
             delivered: false,
             awaiting: None,
             served: HashSet::new(),
-            echo_quorums: HashMap::new(),
-            ready_amplify: HashMap::new(),
-            ready_deliver: HashMap::new(),
+            quorums: QuorumSet::new(config.electorate, Phase::threshold),
         }
     }
 
@@ -189,31 +185,27 @@ impl BrachaNode {
         node
     }
 
-    /// Re-asserts everything this node already said (its INITIAL when it
-    /// is the sender, its ECHO, its READY, an unanswered `Request`).
-    /// Duplicates are free votes that return the tracker's current
-    /// verdict, so both epoch-boundary paths lean on this: the party
-    /// regime to fire quorums completed by a reweigh, the epochal regime
-    /// to let joiners catch up and pull from whoever holds the bytes now.
-    fn reannounce(&self, ctx: &mut Context<BrachaMsg>) {
-        if let Some(payload) = self.input.clone() {
-            ctx.broadcast(BrachaMsg::Initial(payload));
-        }
-        if let Some(d) = self.echoed {
-            ctx.broadcast(BrachaMsg::Echo(d));
-        }
-        if let Some(d) = self.readied {
-            ctx.broadcast(BrachaMsg::Ready(d));
-        }
-        if let Some(d) = self.awaiting {
-            ctx.broadcast(BrachaMsg::Request(d));
-        }
+    /// What this node already said: its INITIAL when it is the sender, its
+    /// ECHO, its READY.
+    fn said(&self) -> Vec<BrachaMsg> {
+        let initial = self.input.clone().map(BrachaMsg::Initial);
+        [initial, self.echoed.map(BrachaMsg::Echo), self.readied.map(BrachaMsg::Ready)]
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
-    fn maybe_ready(&mut self, d: Digest, ctx: &mut Context<BrachaMsg>) {
-        if self.readied.is_none() {
-            self.readied = Some(d);
-            ctx.broadcast(BrachaMsg::Ready(d));
+    /// The `phase` quorum on `d` is reached — by a vote, or by an epoch
+    /// boundary moving the stake or roster under kept votes.
+    fn crossed(&mut self, (phase, d): (Phase, Digest), ctx: &mut Context<BrachaMsg>) {
+        match phase {
+            Phase::Echo | Phase::Amplify => {
+                if self.readied.is_none() {
+                    self.readied = Some(d);
+                    ctx.broadcast(BrachaMsg::Ready(d));
+                }
+            }
+            Phase::Deliver => self.try_deliver(d, ctx),
         }
     }
 
@@ -248,7 +240,7 @@ impl Protocol for BrachaNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: BrachaMsg, ctx: &mut Context<BrachaMsg>) {
-        let voter = self.config.view.stable_of(from);
+        let voter = self.view.stable_of(from);
         match msg {
             BrachaMsg::Initial(payload) => {
                 // Only the designated sender's first INITIAL is hashed and
@@ -265,23 +257,17 @@ impl Protocol for BrachaNode {
                 }
             }
             BrachaMsg::Echo(d) => {
-                let q = self.echo_quorums.entry(d).or_insert_with(|| self.config.echo_quorum());
-                if q.vote(voter) {
-                    self.maybe_ready(d, ctx);
+                if self.quorums.vote((Phase::Echo, d), voter) {
+                    self.crossed((Phase::Echo, d), ctx);
                 }
             }
             BrachaMsg::Ready(d) => {
-                // Amplification: join READY once weight > f_w supports it.
-                let amplify =
-                    self.ready_amplify.entry(d).or_insert_with(|| self.config.amplify_quorum());
-                if amplify.vote(voter) {
-                    self.maybe_ready(d, ctx);
-                }
-                // Delivery: the bigger `> 2 f_w` quorum.
-                let deliver =
-                    self.ready_deliver.entry(d).or_insert_with(|| self.config.deliver_quorum());
-                if deliver.vote(voter) {
-                    self.try_deliver(d, ctx);
+                // Amplification joins READY once weight > f_w supports it;
+                // delivery needs the bigger `> 2 f_w` quorum.
+                for key in [(Phase::Amplify, d), (Phase::Deliver, d)] {
+                    if self.quorums.vote(key, voter) {
+                        self.crossed(key, ctx);
+                    }
                 }
             }
             BrachaMsg::Request(d) => {
@@ -303,59 +289,25 @@ impl Protocol for BrachaNode {
     }
 
     fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<BrachaMsg>) {
-        // Weighted party-keyed instances refresh their stake: the event's
-        // weight vector replaces the construction-time one in the config
-        // (so quorums minted after the boundary start current) and every
-        // accumulated tracker re-tallies its kept votes under it — stale
-        // stake can neither complete nor hold open a quorum.
-        let weighted = self.config.weights.is_some();
-        if let Some(weights) = &mut self.config.weights {
-            let _ = event.refresh_weights(weights);
-        }
-        let Some(roster) = self.config.view.roster().cloned() else {
-            for q in self
-                .echo_quorums
-                .values_mut()
-                .chain(self.ready_amplify.values_mut())
-                .chain(self.ready_deliver.values_mut())
-            {
-                q.reweigh(event);
+        // Virtual users an epochal boundary spawned missed everything said
+        // before it, and with enough of them the quorums over the new
+        // population are unreachable without their votes: re-send ours to
+        // them, and only to them (every other peer holds them already). A
+        // joiner that gets no INITIAL this way pulls the bytes.
+        let joiners = self.view.joiners(event);
+        if !joiners.is_empty() {
+            for msg in self.said() {
+                for &to in &joiners {
+                    ctx.send(to, msg.clone());
+                }
             }
-            // A reweigh can also COMPLETE a pending quorum (stake grew
-            // onto already-recorded voters), but every quorum transition
-            // lives in the vote path — and honest nodes vote exactly
-            // once. Re-assert what this node already said: duplicates are
-            // free votes that return the tracker's current verdict, so
-            // every peer (and this node, via self-delivery) re-runs its
-            // transitions under the new stake. Only a
-            // weighted instance under actual stake drift can be
-            // boundary-completed, so the nominal party regime (and
-            // stake-stationary boundaries) skip the O(n) re-broadcasts.
-            if weighted && event.weights_changed() {
-                self.reannounce(ctx);
-            }
-            return;
-        };
-        // The epochal (roster-hosted nominal) form migrates every tracker
-        // onto the roster's new epoch — survivors' votes carry (stable
-        // keys never renumber), retired voters are shed, and thresholds
-        // re-derive from the new total.
-        for q in self
-            .echo_quorums
-            .values_mut()
-            .chain(self.ready_amplify.values_mut())
-            .chain(self.ready_deliver.values_mut())
-        {
-            q.migrate(&roster);
         }
-        // Catch-up re-announcement: voters spawned this epoch missed the
-        // pre-boundary traffic, and with enough joins the 2/3 quorums
-        // over the *new* population are unreachable from survivor votes
-        // alone. Re-broadcasting what this node already said lets joiners
-        // participate; stable-keyed trackers make every duplicate a
-        // no-op, so the re-announcement can never inflate a tally — this
-        // is precisely the move the dense-id design could not afford.
-        self.reannounce(ctx);
+        // The boundary reweighs (weighted) or migrates (epochal) every
+        // tally; what it completed fires as a vote would fire it — after
+        // the re-sends, so a READY it triggers reaches joiners once.
+        for key in self.quorums.on_epoch(event) {
+            self.crossed(key, ctx);
+        }
     }
 }
 
@@ -387,6 +339,7 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
+    use swiper_core::{TicketAssignment, TicketDelta};
     use swiper_net::adversary::{AdaptiveDelay, SelectiveAck, Silent};
     use swiper_net::{DelayModel, Simulation};
 
@@ -406,6 +359,8 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Did {
         Sent(NodeId, BrachaMsg),
+        /// Sent from `on_reconfigure`.
+        SentAtBoundary(NodeId, BrachaMsg),
         Output(Vec<u8>),
     }
 
@@ -424,6 +379,7 @@ mod tests {
         fn run(
             &mut self,
             ctx: &mut Context<BrachaMsg>,
+            at_boundary: bool,
             call: impl FnOnce(&mut BrachaNode, &mut Context<BrachaMsg>),
         ) {
             let mut inner = Context::detached(ctx.me(), ctx.n(), ctx.now());
@@ -431,7 +387,12 @@ mod tests {
             let effects = inner.into_effects();
             let mut tape = self.tape.borrow_mut();
             for (to, msg) in effects.outbox {
-                tape.push((self.tag, Did::Sent(to, msg.clone())));
+                let did = if at_boundary {
+                    Did::SentAtBoundary(to, msg.clone())
+                } else {
+                    Did::Sent(to, msg.clone())
+                };
+                tape.push((self.tag, did));
                 ctx.send(to, msg);
             }
             if let Some(out) = effects.output {
@@ -448,15 +409,15 @@ mod tests {
         type Msg = BrachaMsg;
 
         fn on_start(&mut self, ctx: &mut Context<BrachaMsg>) {
-            self.run(ctx, |node, ctx| node.on_start(ctx));
+            self.run(ctx, false, |node, ctx| node.on_start(ctx));
         }
 
         fn on_message(&mut self, from: NodeId, msg: BrachaMsg, ctx: &mut Context<BrachaMsg>) {
-            self.run(ctx, |node, ctx| node.on_message(from, msg, ctx));
+            self.run(ctx, false, |node, ctx| node.on_message(from, msg, ctx));
         }
 
         fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<BrachaMsg>) {
-            self.run(ctx, |node, ctx| node.on_reconfigure(event, ctx));
+            self.run(ctx, true, |node, ctx| node.on_reconfigure(event, ctx));
         }
     }
 
@@ -465,6 +426,17 @@ mod tests {
         tape.iter()
             .filter(|(tag, did)| *tag == by && matches!(did, Did::Sent(_, m) if what(m)))
             .count()
+    }
+
+    /// What `by` sent from its `on_reconfigure`, in order.
+    fn sent_at_boundary(tape: &Tape, by: usize) -> Vec<(NodeId, BrachaMsg)> {
+        let tape = tape.borrow();
+        tape.iter()
+            .filter_map(|(tag, did)| match did {
+                Did::SentAtBoundary(to, m) if *tag == by => Some((*to, m.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
     fn is_request(m: &BrachaMsg) -> bool {
@@ -756,13 +728,12 @@ mod tests {
 
     /// Epochal (black-box roster) form: the boundary retires the sender's
     /// only virtual user and spawns a joiner, so no INITIAL is ever
-    /// re-announced to it. The joiner builds its quorums from the
-    /// survivors' re-announced digests and gets the bytes by pulling from
-    /// them — the only path left.
+    /// re-sent to it. The joiner builds its quorums from the digests the
+    /// survivors re-send it and gets the bytes by pulling from them — the
+    /// only path left.
     #[test]
     fn epochal_joiner_spawned_after_the_initial_delivers_by_pull() {
         use crate::blackbox::{BlackBox, BlackBoxConfig, BlackBoxMsg};
-        use swiper_core::{TicketAssignment, TicketDelta};
         type Msg = BlackBoxMsg<BrachaMsg>;
         const JOINER: usize = 99;
         let weights = Weights::new(vec![20, 25, 25, 20, 10]).unwrap();
@@ -811,6 +782,174 @@ mod tests {
                 tape.borrow().contains(&(JOINER, Did::Output(payload.clone()))),
                 "the joiner never delivered at seed {seed}"
             );
+        }
+    }
+
+    /// A stake-drift event over an unchanged one-ticket-each assignment.
+    fn drift(prev: &Weights, next: &[u64]) -> EpochEvent {
+        let tickets = TicketAssignment::new(vec![1; prev.len()]);
+        let delta = TicketDelta::between(&tickets, &tickets).unwrap();
+        EpochEvent::new(1, delta, prev, Weights::new(next.to_vec()).unwrap(), 0).unwrap()
+    }
+
+    /// A weighted boundary that completes no quorum sends nothing.
+    /// Doubling every stake is drift, yet it moves no verdict, so no
+    /// transition fires — and every peer already holds every vote this
+    /// node cast. Re-broadcasting them at each drifting boundary (`n`
+    /// messages per vote, the sender's payload among them) fails this on
+    /// every schedule.
+    #[test]
+    fn a_drift_boundary_that_crosses_no_quorum_sends_nothing() {
+        let weights = Weights::new(vec![10, 20, 30, 40]).unwrap();
+        let event = drift(&weights, &[20, 40, 60, 80]);
+        assert!(event.weights_changed());
+        let payload = b"nothing crossed, nothing sent".to_vec();
+        for seed in 0..25u64 {
+            // Among the INITIALs, the ECHOes and the READYs (4 + 16 + 16).
+            for at in [3, 12, 28] {
+                let tape = Tape::default();
+                let config = BrachaConfig::weighted(weights.clone());
+                let nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> = (0..4)
+                    .map(|tag| {
+                        let inner = if tag == 0 {
+                            BrachaNode::sender(config.clone(), 0, payload.clone())
+                        } else {
+                            BrachaNode::new(config.clone(), 0)
+                        };
+                        Box::new(Tap { inner, tag, tape: tape.clone() }) as _
+                    })
+                    .collect();
+                let report =
+                    Simulation::new(nodes, seed).with_reconfiguration(at, event.clone()).run();
+                assert_eq!(report.reconfigurations, 1, "seed {seed} at {at}");
+                for tag in 0..4 {
+                    let sends = sent_at_boundary(&tape, tag);
+                    assert!(
+                        sends.is_empty(),
+                        "node {tag} sent {sends:?} at seed {seed} at {at}"
+                    );
+                    assert_eq!(report.outputs[tag].as_deref(), Some(payload.as_slice()));
+                }
+            }
+        }
+    }
+
+    /// A silent whale that keeps the event queue non-empty past the
+    /// boundary (reconfigurations fire only between deliveries).
+    struct KeepAlive;
+
+    impl Protocol for KeepAlive {
+        type Msg = BrachaMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<BrachaMsg>) {
+            ctx.set_timer(400, 0);
+            ctx.set_timer(800, 1);
+        }
+
+        fn on_message(
+            &mut self,
+            _from: NodeId,
+            _msg: BrachaMsg,
+            _ctx: &mut Context<BrachaMsg>,
+        ) {
+        }
+    }
+
+    /// The boundary completes the echo quorum: stake moves onto echoers
+    /// whose 12 ECHOes were all delivered before it (20 of 100 under the
+    /// old stake, 95 of 105 under the new). Each node fires its READY
+    /// transition right there — one READY broadcast and nothing else —
+    /// and every node delivers.
+    #[test]
+    fn a_drift_boundary_that_completes_the_echo_quorum_sends_exactly_the_ready() {
+        let weights = Weights::new(vec![80, 10, 5, 5]).unwrap();
+        let event = drift(&weights, &[10, 40, 30, 25]);
+        let payload = b"growth completes the echo quorum".to_vec();
+        let d = swiper_crypto::hash::digest(&payload);
+        let ready: Vec<_> = (0..4).map(|to| (to, BrachaMsg::Ready(d))).collect();
+        for seed in 0..25u64 {
+            for delay in [DelayModel::Uniform(1, 16), DelayModel::Uniform(1, 48)] {
+                let tape = Tape::default();
+                let config = BrachaConfig::weighted(weights.clone());
+                let mut nodes: Vec<Box<dyn Protocol<Msg = BrachaMsg>>> =
+                    vec![Box::new(KeepAlive)];
+                for tag in 1..4 {
+                    let inner = if tag == 1 {
+                        BrachaNode::sender(config.clone(), 1, payload.clone())
+                    } else {
+                        BrachaNode::new(config.clone(), 1)
+                    };
+                    nodes.push(Box::new(Tap { inner, tag, tape: tape.clone() }));
+                }
+                // 4 INITIAL + 12 ECHO deliveries, then only the timers.
+                let report = Simulation::new(nodes, seed)
+                    .with_delay(delay)
+                    .with_reconfiguration(16, event.clone())
+                    .run();
+                assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
+                for tag in 1..4 {
+                    assert_eq!(sent_at_boundary(&tape, tag), ready, "node {tag} seed {seed}");
+                    assert_eq!(report.outputs[tag].as_deref(), Some(payload.as_slice()));
+                }
+            }
+        }
+    }
+
+    /// Epochal form, a delta that retires voters and spawns none: the
+    /// peers hold every vote that still counts, so a virtual user sends at
+    /// the boundary only what a transition the smaller population
+    /// completed emits — a READY or a `Request` broadcast to the 5
+    /// survivors — and every party delivers (the one left without tickets
+    /// by vouching, if not before).
+    #[test]
+    fn an_epochal_boundary_without_joiners_sends_only_crossed_transitions() {
+        use crate::blackbox::{BlackBox, BlackBoxConfig, BlackBoxMsg};
+        type Msg = BlackBoxMsg<BrachaMsg>;
+        let weights = Weights::new(vec![20, 25, 25, 20, 10]).unwrap();
+        let old = TicketAssignment::new(vec![1, 2, 2, 1, 1]);
+        let new = TicketAssignment::new(vec![1, 2, 1, 1, 0]);
+        let delta = TicketDelta::between(&old, &new).unwrap();
+        assert_eq!((delta.joining(), delta.leaving()), (0, 2));
+        let event = EpochEvent::new(1, delta, &weights, weights.clone(), 0).unwrap();
+        let payload = b"fewer voters, nothing to re-send".to_vec();
+        let crossed = |m: &BrachaMsg| matches!(m, BrachaMsg::Ready(_) | BrachaMsg::Request(_));
+        for seed in 0..25u64 {
+            for at in [10, 40, 70] {
+                let tape = Tape::default();
+                let config = BlackBoxConfig::new(weights.clone(), &old, Ratio::of(1, 4));
+                let sender_id = config.mapping().stable_of(0);
+                let nodes: Vec<Box<dyn Protocol<Msg = Msg>>> = (0..5)
+                    .map(|party| {
+                        let (payload, tape) = (payload.clone(), tape.clone());
+                        Box::new(BlackBox::new(config.clone(), party, move |v, roster| {
+                            let bc = BrachaConfig::epochal(roster.clone());
+                            let inner = if roster.stable_of(v) == sender_id {
+                                BrachaNode::sender_with_id(bc, sender_id, payload.clone())
+                            } else {
+                                BrachaNode::with_sender_id(bc, sender_id)
+                            };
+                            Tap { inner, tag: v, tape: tape.clone() }
+                        })) as _
+                    })
+                    .collect();
+                let report =
+                    Simulation::new(nodes, seed).with_reconfiguration(at, event.clone()).run();
+                assert_eq!(report.reconfigurations, 1, "seed {seed} at {at}");
+                for tag in 0..old.total() as usize {
+                    let sends = sent_at_boundary(&tape, tag);
+                    assert!(
+                        sends.len() <= 2 * 5 && sends.iter().all(|(_, m)| crossed(m)),
+                        "user {tag} sent {sends:?} at seed {seed} at {at}"
+                    );
+                }
+                for (party, out) in report.outputs.iter().enumerate() {
+                    assert_eq!(
+                        out.as_deref(),
+                        Some(payload.as_slice()),
+                        "party {party} seed {seed}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,6 +6,21 @@
 //! *weighted voting* strategy. [`QuorumTracker`] abstracts both forms so a
 //! protocol implementation is generic over them.
 //!
+//! # Epoch boundaries
+//!
+//! An epoch boundary changes the stake or the roster under the quorum
+//! test, so it is a tracker event. An automaton keeps its trackers in one
+//! [`QuorumSet`], keyed by what they count (a phase and a digest, a round
+//! and a value), and hands each boundary to [`QuorumSet::on_epoch`]. That
+//! call reweighs (party regime) or migrates (roster regime) every tracker
+//! and reports the keys whose quorum the boundary completed. The
+//! automaton fires those through the same transition its vote path calls:
+//! honest peers vote exactly once, so no later vote would re-run it, and
+//! the peers already hold every vote this node cast. The one exception is
+//! a virtual user the boundary spawned ([`IdentityView::joiners`]): it
+//! missed everything said before it, so epochal automata re-send their
+//! own votes to it, and only to it.
+//!
 //! # Cross-epoch identity
 //!
 //! Votes are keyed by [`StableId`] — `(party, offset)` — never by dense
@@ -34,8 +49,9 @@
 //! whose claimed identity is not owned by the wire sender. Trackers count
 //! whatever distinct identities they are handed.
 
+use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::{collections::HashSet, fmt};
 
 use swiper_core::{CoreError, EpochEvent, Ratio, StableId, TicketDelta, VirtualUsers, Weights};
 
@@ -174,6 +190,21 @@ impl IdentityView {
             IdentityView::Virtual(roster) => Some(roster),
         }
     }
+
+    /// The current dense ids of the virtual users `event` spawned, in
+    /// ascending party order (the roster must already hold the new epoch;
+    /// none in the party regime). They missed everything said before the
+    /// boundary — the one case where peers, not this node, lack its votes.
+    pub fn joiners(&self, event: &EpochEvent) -> Vec<usize> {
+        let Some(roster) = self.roster() else { return Vec::new() };
+        event
+            .delta()
+            .changes()
+            .iter()
+            .flat_map(|c| (c.old..c.new).map(move |offset| StableId::new(c.party, offset)))
+            .filter_map(|id| roster.dense_of(id))
+            .collect()
+    }
 }
 
 /// Tracks votes from distinct stable identities until a threshold is
@@ -185,9 +216,6 @@ pub trait QuorumTracker {
 
     /// Whether the quorum has been reached.
     fn reached(&self) -> bool;
-
-    /// Resets to the empty vote set.
-    fn reset(&mut self);
 
     /// Epoch migration: re-derives the threshold base from the roster's
     /// new population and sheds votes of retired identities, so
@@ -249,10 +277,6 @@ impl QuorumTracker for CountQuorum {
         (self.voted.len() as u128) * self.den > self.num * (self.population as u128)
     }
 
-    fn reset(&mut self) {
-        self.voted.clear();
-    }
-
     fn migrate(&mut self, roster: &Roster) {
         self.population = roster.total();
         self.voted.retain(|id| roster.contains(*id));
@@ -309,23 +333,20 @@ impl WeightQuorum {
     /// covers a different party count is a driver bug and is ignored
     /// (`debug_assert` in debug builds).
     pub fn reweigh(&mut self, event: &EpochEvent) {
-        self.reweigh_to(event.weights());
-    }
-
-    /// [`WeightQuorum::reweigh`] from a bare weight vector (the form
-    /// internal epoch plumbing uses once the event is unpacked).
-    pub fn reweigh_to(&mut self, weights: &Weights) {
-        if weights.len() != self.weights.len() {
+        if !event.refresh_weights(&mut self.weights) {
             debug_assert!(false, "reweigh with a different party count");
             return;
         }
-        self.weights = weights.clone();
-        self.weight = self
-            .voted
+        self.weight = self.tally();
+    }
+
+    /// The weight of the recorded voters under the current weights.
+    fn tally(&self) -> u128 {
+        self.voted
             .iter()
             .filter(|id| id.party_ix() < self.weights.len())
             .map(|id| u128::from(self.weights.get(id.party_ix())))
-            .sum();
+            .sum()
     }
 }
 
@@ -343,21 +364,11 @@ impl QuorumTracker for WeightQuorum {
         self.weight * self.den > self.num * self.weights.total()
     }
 
-    fn reset(&mut self) {
-        self.voted.clear();
-        self.weight = 0;
-    }
-
     fn migrate(&mut self, roster: &Roster) {
         // Shed retired voters and release their weight; the weight vector
         // itself is per-party and parties never retire, so it is kept.
         self.voted.retain(|id| roster.contains(*id));
-        self.weight = self
-            .voted
-            .iter()
-            .filter(|id| id.party_ix() < self.weights.len())
-            .map(|id| u128::from(self.weights.get(id.party_ix())))
-            .sum();
+        self.weight = self.tally();
     }
 }
 
@@ -381,17 +392,6 @@ impl Quorum {
     pub fn weighted(weights: Weights, threshold: Ratio) -> Self {
         Quorum::Weight(WeightQuorum::new(weights, threshold))
     }
-
-    /// Epoch stake refresh: weighted trackers re-derive their tally under
-    /// the event's weights ([`WeightQuorum::reweigh`]); count-based
-    /// trackers have no stake to refresh and are untouched (their
-    /// population moves through [`QuorumTracker::migrate`]).
-    pub fn reweigh(&mut self, event: &EpochEvent) {
-        match self {
-            Quorum::Count(_) => {}
-            Quorum::Weight(q) => q.reweigh(event),
-        }
-    }
 }
 
 impl QuorumTracker for Quorum {
@@ -409,18 +409,109 @@ impl QuorumTracker for Quorum {
         }
     }
 
-    fn reset(&mut self) {
-        match self {
-            Quorum::Count(q) => q.reset(),
-            Quorum::Weight(q) => q.reset(),
-        }
-    }
-
     fn migrate(&mut self, roster: &Roster) {
         match self {
             Quorum::Count(q) => q.migrate(roster),
             Quorum::Weight(q) => q.migrate(roster),
         }
+    }
+}
+
+/// Who votes in a [`QuorumSet`]'s trackers, and what an epoch boundary
+/// does to them.
+#[derive(Debug, Clone)]
+pub enum Electorate {
+    /// `n` fixed parties, one vote each: a boundary moves nothing.
+    Nominal(usize),
+    /// Fixed parties weighted by stake: a boundary reweighs every tracker
+    /// under the event's weights ([`WeightQuorum::reweigh`]).
+    Weighted(Weights),
+    /// The virtual users of a shared [`Roster`], one vote each: a boundary
+    /// migrates every tracker onto the roster's new epoch
+    /// ([`QuorumTracker::migrate`]).
+    Roster(Roster),
+}
+
+impl Electorate {
+    /// A fresh tracker over the current electorate.
+    fn mint(&self, threshold: Ratio) -> Quorum {
+        match self {
+            Electorate::Nominal(n) => Quorum::nominal(*n, threshold),
+            Electorate::Weighted(weights) => Quorum::weighted(weights.clone(), threshold),
+            Electorate::Roster(roster) => Quorum::nominal(roster.total(), threshold),
+        }
+    }
+}
+
+/// One automaton's quorum trackers, one per key — what the votes are for,
+/// such as a phase and a digest or a round and a value. A key's tracker is
+/// minted on its first vote from the current electorate, with the
+/// threshold the set's `threshold` function gives the key.
+///
+/// The set owns the epoch boundary: [`QuorumSet::on_epoch`] moves every
+/// tracker into the new epoch and reports the quorums that move completed,
+/// which the automaton fires through the transition its vote path calls.
+pub struct QuorumSet<K> {
+    electorate: Electorate,
+    threshold: Box<dyn Fn(&K) -> Ratio + Send>,
+    trackers: BTreeMap<K, Quorum>,
+}
+
+impl<K: Ord + Clone> QuorumSet<K> {
+    /// An empty set over `electorate`; a key's quorum needs strictly more
+    /// than `threshold(key)` of the votes (of the weight, when weighted).
+    pub fn new(
+        electorate: Electorate,
+        threshold: impl Fn(&K) -> Ratio + Send + 'static,
+    ) -> Self {
+        QuorumSet { electorate, threshold: Box::new(threshold), trackers: BTreeMap::new() }
+    }
+
+    /// Registers `voter`'s vote on `key` (duplicates are ignored) and
+    /// returns whether `key`'s quorum is reached.
+    pub fn vote(&mut self, key: K, voter: StableId) -> bool {
+        let (electorate, threshold) = (&self.electorate, &self.threshold);
+        self.trackers
+            .entry(key)
+            .or_insert_with_key(|key| electorate.mint(threshold(key)))
+            .vote(voter)
+    }
+
+    /// Whether `key`'s quorum is reached (never, before its first vote).
+    pub fn reached(&self, key: &K) -> bool {
+        self.trackers.get(key).is_some_and(Quorum::reached)
+    }
+
+    /// The epoch boundary: every tracker reweighs under `event`'s stake
+    /// (weighted), migrates onto the roster's new epoch (roster — the
+    /// host must already have spliced the delta in), or stays (nominal);
+    /// trackers minted later start from the new epoch.
+    ///
+    /// Returns, in key order, the keys whose quorum went from not reached
+    /// to reached: the caller fires each through its vote-path transition.
+    /// A quorum the boundary revokes (its stake collapsed) simply stops
+    /// being reached. An event over a different party count is a
+    /// mis-addressed driver bug and moves nothing (debug builds assert).
+    pub fn on_epoch(&mut self, event: &EpochEvent) -> Vec<K> {
+        if let Electorate::Weighted(weights) = &mut self.electorate {
+            if !event.refresh_weights(weights) {
+                debug_assert!(false, "EpochEvent weights cover a different party count");
+                return Vec::new();
+            }
+        }
+        let mut crossed = Vec::new();
+        for (key, q) in &mut self.trackers {
+            let was = q.reached();
+            match (&self.electorate, &mut *q) {
+                (Electorate::Roster(roster), q) => q.migrate(roster),
+                (Electorate::Weighted(_), Quorum::Weight(q)) => q.reweigh(event),
+                _ => {}
+            }
+            if !was && q.reached() {
+                crossed.push(key.clone());
+            }
+        }
+        crossed
     }
 }
 
@@ -495,18 +586,6 @@ mod tests {
         let mut nq = Quorum::nominal(3, Ratio::of(1, 2));
         assert!(wq.vote(solo(0)));
         assert!(!nq.vote(solo(0)));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let w = Weights::new(vec![10, 10]).unwrap();
-        let mut q = Quorum::weighted(w, Ratio::of(1, 3));
-        q.vote(solo(0));
-        assert!(q.reached());
-        q.reset();
-        assert!(!q.reached());
-        q.vote(solo(1));
-        assert!(q.reached());
     }
 
     #[test]
@@ -635,13 +714,79 @@ mod tests {
         let mut q = WeightQuorum::new(old.clone(), Ratio::of(1, 3));
         q.vote(solo(0));
         let before = q.weight();
+        let three = Weights::new(vec![1, 1, 1]).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.reweigh_to(&Weights::new(vec![1, 1, 1]).unwrap());
+            q.reweigh(&stake_event(&three, &[1, 1, 1]));
         }));
         if result.is_ok() {
             assert_eq!(q.weight(), before);
             assert_eq!(q.weights().len(), 2);
         }
+    }
+
+    /// The set's boundary report: exactly the keys whose quorum the stake
+    /// drift completed, in key order — not a quorum that was reached
+    /// before (this drift revokes it), not one still short.
+    #[test]
+    fn quorum_set_reports_the_quorums_a_reweigh_completes_in_key_order() {
+        let old = Weights::new(vec![70, 10, 10, 10]).unwrap();
+        let mut set =
+            QuorumSet::new(Electorate::Weighted(old.clone()), |_: &char| Ratio::of(1, 2));
+        let votes: [(char, &[usize]); 4] =
+            [('d', &[2, 3]), ('a', &[1, 2, 3]), ('b', &[0]), ('c', &[1])];
+        for (key, voters) in votes {
+            for &p in voters {
+                set.vote(key, solo(p));
+            }
+        }
+        assert_eq!(['a', 'b', 'c', 'd'].map(|k| set.reached(&k)), [false, true, false, false]);
+        assert_eq!(set.on_epoch(&stake_event(&old, &[10, 30, 30, 30])), vec!['a', 'd']);
+        assert_eq!(['a', 'b', 'c', 'd'].map(|k| set.reached(&k)), [true, false, false, true]);
+        // A tracker minted after the boundary tallies under the new stake.
+        assert!(!set.vote('e', solo(1)), "30 of 100");
+        assert!(set.vote('e', solo(2)), "60 of 100");
+        // A boundary that moves no verdict reports nothing.
+        assert!(set.on_epoch(&stake_event(&old, &[20, 60, 60, 60])).is_empty());
+    }
+
+    /// Roster regime: the boundary migrates every tracker — a shrinking
+    /// population completes a quorum whose voters all survive, and one
+    /// whose voters all retired is emptied.
+    #[test]
+    fn quorum_set_migrates_roster_trackers() {
+        let weights = Weights::new(vec![40, 40, 20]).unwrap();
+        let old = TicketAssignment::new(vec![2, 2, 1]);
+        let new = TicketAssignment::new(vec![2, 1, 0]);
+        let delta = TicketDelta::between(&old, &new).unwrap();
+        let event = EpochEvent::new(1, delta.clone(), &weights, weights.clone(), 0).unwrap();
+        let roster = Roster::new(VirtualUsers::from_assignment(&old).unwrap());
+        let mut set =
+            QuorumSet::new(Electorate::Roster(roster.clone()), |_: &u8| Ratio::of(2, 3));
+        // 3 of 5 is not > 10/3; these three all survive the delta.
+        for id in [StableId::new(0, 0), StableId::new(0, 1), StableId::new(1, 0)] {
+            assert!(!set.vote(0, id));
+        }
+        for id in [StableId::new(1, 1), StableId::new(2, 0)] {
+            set.vote(1, id);
+        }
+        roster.apply_delta(&delta).unwrap();
+        assert_eq!(set.on_epoch(&event), vec![0], "3 of 3 survivors");
+        assert!(!set.reached(&1));
+        assert!(!set.vote(1, StableId::new(0, 0)), "the retired votes were shed: 1 of 3");
+    }
+
+    #[test]
+    fn identity_view_names_the_joiners_an_event_spawned() {
+        let weights = Weights::new(vec![50, 50]).unwrap();
+        let old = TicketAssignment::new(vec![2, 1]);
+        let new = TicketAssignment::new(vec![1, 3]);
+        let delta = TicketDelta::between(&old, &new).unwrap();
+        let event = EpochEvent::new(1, delta.clone(), &weights, weights.clone(), 0).unwrap();
+        let roster = Roster::new(VirtualUsers::from_assignment(&old).unwrap());
+        roster.apply_delta(&delta).unwrap();
+        // New numbering: (0,0) (1,0) (1,1) (1,2); party 1 gained offsets 1, 2.
+        assert_eq!(IdentityView::Virtual(roster).joiners(&event), vec![2, 3]);
+        assert!(IdentityView::Party.joiners(&event).is_empty());
     }
 
     #[test]

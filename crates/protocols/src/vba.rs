@@ -28,7 +28,7 @@ use swiper_net::{Context, Effects, MessageSize, NodeId, Protocol};
 
 use crate::aba::{AbaMsg, AbaNode, AbaSetup};
 use crate::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
-use crate::quorum::{QuorumTracker, WeightQuorum};
+use crate::quorum::{Electorate, QuorumSet};
 
 /// VBA wrapper messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +168,8 @@ pub struct VbaNode<V> {
     // Hosted proposal broadcasts, one per party (instance = sender id).
     rbc: Vec<BrachaNode>,
     delivered: Vec<Option<Vec<u8>>>,
-    delivered_quorum: WeightQuorum,
+    /// Weight `> 2 f_w` of delivered proposals enters the view.
+    delivered_quorum: QuorumSet<()>,
     // Views.
     view: u32,
     view_entered: bool,
@@ -199,7 +200,8 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
                 }
             })
             .collect();
-        let delivered_quorum = WeightQuorum::new(config.weights.clone(), Ratio::of(2, 3));
+        let delivered_quorum =
+            QuorumSet::new(Electorate::Weighted(config.weights.clone()), |_| Ratio::of(2, 3));
         VbaNode {
             config,
             validity,
@@ -233,7 +235,7 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
         if let Some(out) = effects.output {
             if self.delivered[instance].is_none() {
                 self.delivered[instance] = Some(out);
-                self.delivered_quorum.vote(StableId::solo(instance));
+                self.delivered_quorum.vote((), StableId::solo(instance));
             }
         }
     }
@@ -255,7 +257,7 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
     fn progress(&mut self, ctx: &mut Context<VbaMsg>) {
         // Enter the current view once enough proposals are delivered.
         if !self.view_entered
-            && self.delivered_quorum.reached()
+            && self.delivered_quorum.reached(&())
             && self.view < self.config.max_views
         {
             self.view_entered = true;
@@ -354,14 +356,16 @@ impl<V: Fn(&[u8]) -> bool> Protocol for VbaNode<V> {
     fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<VbaMsg>) {
         // Stake refresh end to end: the shared config (future quorums +
         // per-view coin setups), the proposal-delivery tally, and every
-        // hosted automaton — the RBC instances reweigh their own quorums,
-        // live ABA instances reweigh and apply the coin rule. A
-        // mis-addressed event is ignored wholesale (half-applying it
-        // would split the tallies across epochs).
+        // hosted automaton — the RBC instances reweigh their own quorums
+        // and fire what that completes, live ABA instances reweigh and
+        // apply the coin rule. A mis-addressed event is ignored wholesale
+        // (half-applying it would split the tallies across epochs).
         if !self.config.on_epoch(event) {
             return;
         }
-        self.delivered_quorum.reweigh(event);
+        // A delivered-proposals quorum this completes is what `progress`
+        // below enters the view on.
+        self.delivered_quorum.on_epoch(event);
         for instance in 0..self.rbc.len() {
             let mut inner_ctx = Context::detached(ctx.me(), ctx.n(), ctx.now());
             self.rbc[instance].on_reconfigure(event, &mut inner_ctx);
@@ -525,6 +529,101 @@ mod tests {
             assert!(report.agreement_among(&[0, 1, 2, 3, 4]), "seed {seed}");
             if let Some(out) = &report.outputs[2] {
                 assert!(valid(out), "invalid decision {out:?}, seed {seed}");
+            }
+        }
+    }
+
+    /// What a drift-only boundary makes a VBA party send: only what a
+    /// transition it completed emits. Doubling every stake completes
+    /// nothing, so nothing goes out; shifting stake may complete hosted
+    /// quorums, but the transitions those fire never re-send a proposal
+    /// or an echo. Each hosted RBC instance re-broadcasting its votes at a
+    /// drifting boundary — the proposer its whole payload included —
+    /// fails both.
+    #[test]
+    fn a_drift_only_boundary_sends_only_crossed_transitions() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use swiper_core::TicketDelta;
+
+        /// Runs a VBA party unchanged and records what its
+        /// `on_reconfigure` sends (VBA sets no timers).
+        struct Tap {
+            inner: VbaNode<fn(&[u8]) -> bool>,
+            at_boundary: Rc<RefCell<Vec<VbaMsg>>>,
+        }
+
+        impl Protocol for Tap {
+            type Msg = VbaMsg;
+
+            fn on_start(&mut self, ctx: &mut Context<VbaMsg>) {
+                self.inner.on_start(ctx);
+            }
+
+            fn on_message(&mut self, from: NodeId, msg: VbaMsg, ctx: &mut Context<VbaMsg>) {
+                self.inner.on_message(from, msg, ctx);
+            }
+
+            fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<VbaMsg>) {
+                let mut inner = Context::detached(ctx.me(), ctx.n(), ctx.now());
+                self.inner.on_reconfigure(event, &mut inner);
+                let effects = inner.into_effects();
+                for (to, msg) in effects.outbox {
+                    self.at_boundary.borrow_mut().push(msg.clone());
+                    ctx.send(to, msg);
+                }
+                if let Some(out) = effects.output {
+                    ctx.output(out);
+                }
+            }
+        }
+
+        let weights = Weights::new(vec![40, 30, 20, 10]).unwrap();
+        let params = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let tickets = Swiper::new().solve_restriction(&weights, &params).unwrap().assignment;
+        let stay = TicketDelta::between(&tickets, &tickets).unwrap();
+        let drift = |to: &[u64]| {
+            let to = Weights::new(to.to_vec()).unwrap();
+            EpochEvent::new(1, stay.clone(), &weights, to, 0).unwrap()
+        };
+        let (doubled, shifted) = (drift(&[80, 60, 40, 20]), drift(&[10, 30, 30, 30]));
+        for seed in 0..10u64 {
+            for (event, crosses_nothing) in [(&doubled, true), (&shifted, false)] {
+                for at in [8, 40] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let cfg = VbaConfig::deal(weights.clone(), &tickets, 16, &mut rng);
+                    let at_boundary = Rc::new(RefCell::new(Vec::new()));
+                    let nodes: Vec<Box<dyn Protocol<Msg = VbaMsg>>> = (0..4)
+                        .map(|p| {
+                            let proposal = format!("ok:proposal-{p}").into_bytes();
+                            let valid: fn(&[u8]) -> bool = valid;
+                            Box::new(Tap {
+                                inner: VbaNode::new(cfg.clone(), p, proposal, valid),
+                                at_boundary: Rc::clone(&at_boundary),
+                            }) as _
+                        })
+                        .collect();
+                    let report = Simulation::new(nodes, seed)
+                        .with_reconfiguration(at, event.clone())
+                        .run();
+                    assert_eq!(report.reconfigurations, 1, "seed {seed} at {at}");
+                    assert!(report.unanimity_among(&[0, 1, 2, 3]), "seed {seed} at {at}");
+                    let sent = at_boundary.borrow();
+                    assert!(
+                        !crosses_nothing || sent.is_empty(),
+                        "seed {seed} at {at}: {sent:?}"
+                    );
+                    assert!(
+                        !sent.iter().any(|m| matches!(
+                            m,
+                            VbaMsg::Rbc {
+                                inner: BrachaMsg::Initial(_) | BrachaMsg::Echo(_),
+                                ..
+                            }
+                        )),
+                        "seed {seed} at {at}: {sent:?}"
+                    );
+                }
             }
         }
     }

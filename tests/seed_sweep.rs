@@ -363,10 +363,10 @@ fn blackbox_shrinking_renumbering_sweep() {
     let old = TicketAssignment::new(vec![3, 2, 2, 1]);
     // Only 4 of the 8 epoch-1 voters survive from epoch 0: the 2/3
     // delivery quorum (6 of 8) is unreachable from survivor votes alone,
-    // so this delta additionally pins the epochal catch-up
-    // re-announcement (`BrachaNode::on_reconfigure` re-broadcasting
-    // INITIAL/ECHO/READY so joiners can vote) — remove it and every
-    // schedule that has not delivered by event 30 stalls forever.
+    // so this delta additionally pins the epochal catch-up for joiners
+    // (`BrachaNode::on_reconfigure` re-sending INITIAL/ECHO/READY to the
+    // virtual users the boundary spawned, so they can vote) — remove it
+    // and every schedule that has not delivered by event 30 stalls forever.
     let new = TicketAssignment::new(vec![1, 2, 0, 5]);
     let delta = TicketDelta::between(&old, &new).unwrap();
     assert!(delta.joining() > 0 && delta.leaving() > 0, "the delta must mix joins and leaves");
@@ -1194,10 +1194,10 @@ fn stake_growth_completes_pending_vouch_quorum_at_the_boundary() {
 /// Same transition class for weighted Bracha in the party regime: the
 /// echo quorum is pending under a whale-dominated stake when the epoch
 /// event shifts weight onto the echoers — with every echo already
-/// delivered. `BrachaNode::on_reconfigure`'s re-announcement (duplicate
-/// votes are free and return the tracker's current verdict) is the only
-/// path to READY and delivery; revert it and the broadcast stalls on
-/// every schedule.
+/// delivered. The boundary itself completes each node's echo quorum:
+/// `QuorumSet::on_epoch` reports it and `BrachaNode::on_reconfigure` fires
+/// the READY transition locally, the only path to READY and delivery;
+/// drop that and the broadcast stalls on every schedule.
 #[test]
 fn stake_growth_completes_pending_bracha_quorums_at_the_boundary() {
     struct KeepAlive;
