@@ -288,9 +288,9 @@ pub(crate) struct FamilyCursor<'f, 'a> {
     /// Memoized `j -> count_at(j)`: one entry per O(n) count pass run.
     counts: BTreeMap<u64, u128>,
     interval: Option<IntervalState>,
-    /// Current ticket vector for the cached interval (valid when
-    /// `interval.is_some()`).
-    tickets: Vec<u64>,
+    /// The member last advanced to, lent out by [`FamilyCursor::advance_to`];
+    /// the base of the next splice while `interval.is_some()`.
+    member: TicketAssignment,
     /// Advances served from the cached interval via rank-delta splicing.
     reused: u64,
 }
@@ -301,7 +301,7 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
             family,
             counts: BTreeMap::new(),
             interval: None,
-            tickets: Vec::new(),
+            member: TicketAssignment::new(Vec::new()),
             reused: 0,
         }
     }
@@ -386,12 +386,13 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
 
     /// The family member with exactly `total` tickets; see
     /// [`Family::assignment_with_total`] for the semantics — outputs are
-    /// bit-identical, including the deterministic border rule.
-    pub fn advance_to(&mut self, total: u64) -> Result<TicketAssignment, CoreError> {
-        let family = self.family;
-        let n = family.weights.len();
+    /// bit-identical, including the deterministic border rule. The member
+    /// is lent, not copied: O(Δ) per advance inside the cached interval.
+    pub fn advance_to(&mut self, total: u64) -> Result<&TicketAssignment, CoreError> {
         if total == 0 {
-            return Ok(TicketAssignment::new(vec![0; n]));
+            self.interval = None;
+            self.member = TicketAssignment::new(vec![0; self.family.weights.len()]);
+            return Ok(&self.member);
         }
         let j = self.find_j(total);
         let count_left = if j == 1 { 0 } else { self.count(j - 1) };
@@ -421,17 +422,18 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
 
         // Undo the previous total's border drops, splice the base by rank
         // delta, then apply this total's drops: O(Δ + border).
+        let (tickets, sum) = self.member.parts_mut();
         for &p in &iv.dropped {
-            self.tickets[p] += 1;
+            tickets[p] += 1;
         }
         iv.dropped.clear();
         if ub > iv.applied {
             for c in &iv.cands[iv.applied..ub] {
-                self.tickets[c.party] += 1;
+                tickets[c.party] += 1;
             }
         } else {
             for c in &iv.cands[ub..iv.applied] {
-                self.tickets[c.party] -= 1;
+                tickets[c.party] -= 1;
             }
         }
         iv.applied = ub;
@@ -442,11 +444,13 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
             debug_assert!(border.len() > overshoot, "overshoot bounded by border size");
             border.sort_by(|x, y| x.w.cmp(&y.w).then(y.party.cmp(&x.party)));
             for c in border.into_iter().take(overshoot) {
-                self.tickets[c.party] -= 1;
+                tickets[c.party] -= 1;
                 iv.dropped.push(c.party);
             }
         }
-        Ok(TicketAssignment::from_parts(self.tickets.clone(), u128::from(total)))
+        *sum = u128::from(total);
+        debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), *sum);
+        Ok(&self.member)
     }
 
     /// Materializes the interval `j`: left-boundary tickets for every party
@@ -458,10 +462,11 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
         let family = self.family;
         let left_eval = (j > 1).then(|| family.grid_eval(j - 1));
         let right_eval = family.grid_eval(j);
-        self.tickets.clear();
-        self.tickets.resize(family.weights.len(), 0);
+        let (tickets, _) = self.member.parts_mut();
+        tickets.clear();
+        tickets.resize(family.weights.len(), 0);
         let mut cands = Vec::new();
-        for ((party, w), t) in family.weights.iter().zip(self.tickets.iter_mut()) {
+        for ((party, w), t) in family.weights.iter().zip(tickets.iter_mut()) {
             let left = left_eval.as_ref().map_or(0, |eval| eval.tickets(w));
             *t = u64::try_from(left).expect("validated by Family::new envelope");
             if right_eval.tickets(w) > left {
@@ -623,7 +628,7 @@ mod tests {
         for t in [30u64, 15, 45, 52, 48, 50, 49, 0, 49, 1, 60] {
             let inc = cursor.advance_to(t).unwrap();
             let scratch = fam.assignment_with_total(t).unwrap();
-            assert_eq!(inc, scratch, "total={t}");
+            assert_eq!(*inc, scratch, "total={t}");
         }
         assert!(cursor.reused() > 0, "clustered probes must hit the splice path");
 
@@ -660,7 +665,7 @@ mod tests {
                 let t = t.min(bound);
                 let inc = cursor.advance_to(t).unwrap();
                 let scratch = fam.assignment_with_total(t).unwrap();
-                assert_eq!(inc, scratch, "n={} total={t}", weights.len());
+                assert_eq!(*inc, scratch, "n={} total={t}", weights.len());
             }
         }
     }
@@ -699,7 +704,7 @@ mod tests {
                 2 * u64::from(u64::BITS - (width - 1).leading_zeros()) + 1
             };
             let before = cursor.grid_counts();
-            let inc = cursor.advance_to(t).unwrap();
+            let inc = cursor.advance_to(t).unwrap().clone();
             let passes = cursor.grid_counts() - before;
             assert!(
                 passes <= budget,
@@ -845,7 +850,7 @@ mod tests {
                 for &t in &probes {
                     let inc = cursor.advance_to(t).unwrap();
                     let scratch = fam.assignment_with_total(t).unwrap();
-                    prop_assert_eq!(inc, scratch, "total={}", t);
+                    prop_assert_eq!(inc, &scratch, "total={}", t);
                 }
             }
         }

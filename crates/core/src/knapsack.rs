@@ -713,24 +713,19 @@ impl SortedItems {
         self.rebuild_prefixes();
     }
 
-    /// Incremental [`SortedItems::rebuild`]: `old_items` must be exactly the
-    /// slice this view was last built from, and `changed` lists the indices
-    /// where `new_items` may differ. The result is bit-identical to
-    /// `rebuild(new_items)` at `O(n + k log n)` instead of `O(n log n)`.
+    /// Incremental [`SortedItems::rebuild`]: `changes` lists each changed
+    /// party once as `(party, old, new)`, `old` being its item in the slice
+    /// this view was last built from. Bit-identical to rebuilding from the
+    /// updated slice, at `O(n + k log n)` instead of `O(n log n)`.
     ///
     /// # Panics
     ///
-    /// Panics if a changed old entry is not present in the view (the view
-    /// was not built from `old_items`).
-    pub fn splice(&mut self, old_items: &[Item], new_items: &[Item], changed: &[usize]) {
-        debug_assert_eq!(old_items.len(), new_items.len());
+    /// Panics if a changed old entry is not present in the view (an `old`
+    /// that is not what the view was built from).
+    pub fn splice(&mut self, changes: &[(usize, Item, Item)]) {
         self.splice_rem.clear();
         self.splice_ins.clear();
-        for &i in changed {
-            let (old, new) = (old_items[i], new_items[i]);
-            if old == new {
-                continue;
-            }
+        for &(i, old, new) in changes {
             let party = u32::try_from(i).expect("party count fits u32");
             if old.profit > 0 {
                 if old.weight == 0 {
@@ -1190,7 +1185,9 @@ mod tests {
         new[2] = Item { profit: 0, weight: 5 }; // free profit removed
         new[5] = Item { profit: 4, weight: 0 }; // becomes free
         let mut spliced = SortedItems::new(&old);
-        spliced.splice(&old, &new, &[0, 2, 5, 4]); // includes an unchanged index
+        // Includes an unchanged party: a no-op change splices to itself.
+        let changes: Vec<_> = [0, 2, 5, 4].iter().map(|&i| (i, old[i], new[i])).collect();
+        spliced.splice(&changes);
         let rebuilt = SortedItems::new(&new);
         assert_eq!(spliced.free, rebuilt.free);
         assert_eq!(spliced.entries, rebuilt.entries);
@@ -1514,8 +1511,9 @@ mod tests {
             }
             changed.sort_unstable();
             changed.dedup();
+            let changes: Vec<_> = changed.iter().map(|&i| (i, old[i], new[i])).collect();
             let mut spliced = SortedItems::new(&old);
-            spliced.splice(&old, &new, &changed);
+            spliced.splice(&changes);
             let rebuilt = SortedItems::new(&new);
             prop_assert_eq!(spliced.free, rebuilt.free);
             prop_assert_eq!(spliced.entries, rebuilt.entries);

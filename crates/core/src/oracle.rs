@@ -338,8 +338,8 @@ const CERT_WINDOW: usize = 192;
 #[derive(Debug, Default, Clone)]
 pub struct FullOracle {
     items: Vec<Item>,
-    next_items: Vec<Item>,
-    changed: Vec<usize>,
+    /// The last `prepare`'s `(party, old, new)` changes, capped at one past n/8.
+    changes: Vec<(usize, Item, Item)>,
     sorted: SortedItems,
     dp: knapsack::DpScratch,
     stats: SolveStats,
@@ -352,30 +352,32 @@ impl FullOracle {
         FullOracle::default()
     }
 
-    /// Rebuilds the sorted view for `member`, splicing only the changed
-    /// parties when the previous check had the same party count and churn
-    /// stayed below one eighth of the parties (the epoch-replay shape);
-    /// larger diffs fall back to a full re-sort. Leaves `self.items` equal
-    /// to the member's item view.
+    /// Rebuilds the sorted view for `member`. One fused pass over `(items,
+    /// weights, tickets)` rewrites the changed items in place and collects
+    /// the changes; when the previous check had the same party count and at
+    /// most one eighth of the parties changed (consecutive probes of one
+    /// search, the epoch-replay shape) they are spliced, else re-sorted.
     fn prepare(&mut self, member: &FamilyMember<'_>) {
-        fill_items(&mut self.next_items, member);
-        let n = self.next_items.len();
-        if n == self.items.len() && n > 0 {
-            self.changed.clear();
-            for (i, (a, b)) in self.items.iter().zip(&self.next_items).enumerate() {
-                if a != b {
-                    self.changed.push(i);
+        let n = member.weights.len();
+        self.changes.clear();
+        if n == self.items.len() {
+            let fresh = member.weights.as_slice().iter().zip(member.tickets.as_slice());
+            for (i, (item, (&weight, &profit))) in self.items.iter_mut().zip(fresh).enumerate()
+            {
+                if item.profit != profit || item.weight != weight {
+                    if self.changes.len() <= n / 8 {
+                        self.changes.push((i, *item, Item { profit, weight }));
+                    }
+                    *item = Item { profit, weight };
                 }
             }
-            if self.changed.len() <= n / 8 {
-                self.sorted.splice(&self.items, &self.next_items, &self.changed);
-            } else {
-                self.sorted.rebuild(&self.next_items);
+            if self.changes.len() <= n / 8 {
+                return self.sorted.splice(&self.changes);
             }
         } else {
-            self.sorted.rebuild(&self.next_items);
+            fill_items(&mut self.items, member);
         }
-        std::mem::swap(&mut self.items, &mut self.next_items);
+        self.sorted.rebuild(&self.items);
     }
 
     /// The shared check body; with `want_cert` the DP runs in probe mode
@@ -1264,6 +1266,48 @@ mod tests {
         assert!(dp.iter().all(|&calls| calls > 0), "a shape never reached the DP: {dp:?}");
     }
 
+    /// Checks every member twice — through the wrapped persistent
+    /// [`FullOracle`] and through a fresh one — and insists on the same
+    /// verdict and settlement counters.
+    #[derive(Default)]
+    struct AgainstFresh {
+        inner: FullOracle,
+        stats: SolveStats,
+    }
+
+    impl ValidityOracle for AgainstFresh {
+        fn check(
+            &mut self,
+            member: &FamilyMember<'_>,
+            params: &CheckParams,
+        ) -> Result<Verdict, CoreError> {
+            let verdict = self.inner.check(member, params)?;
+            let settled = self.inner.take_stats();
+            let mut fresh = FullOracle::new();
+            assert_eq!(fresh.check(member, params)?, verdict, "total {}", member.total);
+            assert_eq!(fresh.take_stats(), settled, "total {}", member.total);
+            self.stats.absorb(&settled);
+            Ok(verdict)
+        }
+
+        fn take_stats(&mut self) -> SolveStats {
+            std::mem::take(&mut self.stats)
+        }
+    }
+
+    /// Every probe of a cold WR solve over 10⁶ whale-skewed parties, judged
+    /// by the one oracle that carries its item view from probe to probe and
+    /// by a fresh oracle per probe.
+    #[test]
+    #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
+    fn persistent_oracle_matches_fresh_on_1e6_whales() {
+        let w = Weights::whale_skewed(1_000_000, 1);
+        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let mut oracle = AgainstFresh::default();
+        let sol = crate::Swiper::new().solve_restriction_with(&mut oracle, &w, &wr).unwrap();
+        assert!(sol.stats.candidates_checked > 1, "a one-probe solve compares nothing");
+    }
+
     // --- Delta-stable certificate tests -----------------------------------
     //
     // The handcrafted instances below sit exactly on the margin boundaries:
@@ -1416,6 +1460,87 @@ mod tests {
         let c = c.with_certificates(true);
         assert!(c.certificates_enabled());
         assert!(!c.with_certificates(false).certificates_enabled());
+    }
+
+    proptest! {
+        /// One `FullOracle` fed a random member sequence returns, for every
+        /// member, the verdict and `SolveStats` a fresh `FullOracle` does.
+        /// The sequence mixes a few ticket changes at the same n (the
+        /// splice), more than n/8 of them (the re-sort), new weights at the
+        /// same n, a different n, and zero weights and zero tickets; each
+        /// member is judged under both check shapes.
+        #[test]
+        fn persistent_full_oracle_matches_a_fresh_one(
+            seed in 1u64..u64::MAX,
+            n in 8u64..40,
+            kinds in proptest::collection::vec(0u64..5, 4..16),
+        ) {
+            let mut state = seed;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut ws: Vec<u64> = (0..n).map(|_| 1 + next(10_000)).collect();
+            let mut ts: Vec<u64> = (0..n).map(|_| next(6)).collect();
+            let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+            let sep = WeightSeparation::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+            let mut persistent = FullOracle::new();
+            for kind in kinds {
+                let n = ws.len() as u64;
+                let few = 1 + next(n / 8);
+                match kind {
+                    0 => {
+                        for _ in 0..few {
+                            let i = next(n) as usize;
+                            ts[i] = (ts[i] + 1 + next(5)) % 6;
+                        }
+                    }
+                    1 => {
+                        let start = next(n);
+                        for k in 0..n / 4 + 1 {
+                            ts[((start + k) % n) as usize] += 1 + next(3);
+                        }
+                    }
+                    2 => {
+                        for _ in 0..few {
+                            ws[next(n) as usize] = 1 + next(1_000_000);
+                        }
+                    }
+                    3 => {
+                        if next(2) == 0 && n > 10 {
+                            ws.truncate((n - 1 - next(3)) as usize);
+                            ts.truncate(ws.len());
+                        } else {
+                            for _ in 0..1 + next(3) {
+                                ws.push(1 + next(10_000));
+                                ts.push(next(6));
+                            }
+                        }
+                    }
+                    _ => {
+                        for _ in 0..few {
+                            // Party 0 keeps its weight: the total stays positive.
+                            ws[1 + next(n - 1) as usize] = 0;
+                            ts[next(n) as usize] = 0;
+                        }
+                    }
+                }
+                let w = Weights::new(ws.clone()).unwrap();
+                let t = TicketAssignment::new(ts.clone());
+                let member = member_for(&w, &t);
+                for params in [
+                    CheckParams::restriction(&w, &wr).unwrap(),
+                    CheckParams::separation(&w, &sep).unwrap(),
+                ] {
+                    let mut fresh = FullOracle::new();
+                    let expect = fresh.check(&member, &params).unwrap();
+                    prop_assert_eq!(persistent.check(&member, &params).unwrap(), expect);
+                    prop_assert_eq!(persistent.take_stats(), fresh.take_stats());
+                }
+            }
+        }
     }
 
     proptest! {

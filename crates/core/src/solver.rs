@@ -713,8 +713,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     let mut saved = 0u64;
     let mut search = || -> Result<(), CoreError> {
         let mut probe = |total: u64| -> Result<Verdict, CoreError> {
-            let cand = cursor.advance_to(total)?;
-            let member = FamilyMember { weights, tickets: &cand, total };
+            let member = FamilyMember { weights, tickets: cursor.advance_to(total)?, total };
             checked += 1;
             oracle.check(&member, check)
         };
@@ -825,7 +824,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     stats.candidates_checked += checked;
     stats.settled_by_theorem += u64::from(hi == bound);
     stats.probes_saved += saved;
-    let assignment = cursor.advance_to(hi)?;
+    let assignment = cursor.advance_to(hi)?.clone();
     stats.cursor_advances += cursor.reused();
     stats.grid_counts += cursor.grid_counts();
     Ok(Solution { assignment, ticket_bound: bound, stats })

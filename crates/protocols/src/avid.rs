@@ -413,6 +413,8 @@ impl Protocol for TargetedFragmentSender {
 #[allow(clippy::vec_init_then_push)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use swiper_core::{Swiper, WeightQualification};
     use swiper_net::adversary::Silent;
     use swiper_net::{DelayModel, Simulation};
@@ -650,6 +652,132 @@ mod tests {
             avid.metrics.bytes_sent_by(0),
             bracha.metrics.bytes_sent_by(0)
         );
+    }
+
+    /// `(tag, sent from on_reconfigure, to, msg)` in execution order.
+    type Tape = Rc<RefCell<Vec<(usize, bool, NodeId, AvidMsg)>>>;
+
+    /// Runs an [`AvidNode`] unchanged and records its sends (AVID sets no
+    /// timers, so none are forwarded).
+    struct Tap {
+        inner: AvidNode,
+        tag: usize,
+        tape: Tape,
+    }
+
+    impl Tap {
+        fn run(
+            &mut self,
+            ctx: &mut Context<AvidMsg>,
+            at_boundary: bool,
+            call: impl FnOnce(&mut AvidNode, &mut Context<AvidMsg>),
+        ) {
+            let mut inner = Context::detached(ctx.me(), ctx.n(), ctx.now());
+            call(&mut self.inner, &mut inner);
+            let effects = inner.into_effects();
+            for (to, msg) in effects.outbox {
+                self.tape.borrow_mut().push((self.tag, at_boundary, to, msg.clone()));
+                ctx.send(to, msg);
+            }
+            if let Some(out) = effects.output {
+                ctx.output(out);
+            }
+            if effects.halted {
+                ctx.halt();
+            }
+        }
+    }
+
+    impl Protocol for Tap {
+        type Msg = AvidMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<AvidMsg>) {
+            self.run(ctx, false, |node, ctx| node.on_start(ctx));
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: AvidMsg, ctx: &mut Context<AvidMsg>) {
+            self.run(ctx, false, |node, ctx| node.on_message(from, msg, ctx));
+        }
+
+        fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<AvidMsg>) {
+            self.run(ctx, true, |node, ctx| node.on_reconfigure(event, ctx));
+        }
+    }
+
+    /// A silent whale that keeps the event queue non-empty past the
+    /// boundary (reconfigurations fire only between deliveries).
+    struct KeepAlive;
+
+    impl Protocol for KeepAlive {
+        type Msg = AvidMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<AvidMsg>) {
+            ctx.set_timer(400, 0);
+            ctx.set_timer(800, 1);
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: AvidMsg, _ctx: &mut Context<AvidMsg>) {}
+    }
+
+    /// The boundary completes the ack quorum: stake moves onto ackers whose
+    /// 12 `Stored` votes were all delivered before it (20 of 100 under the
+    /// old stake, 95 of 105 under the new). Each acker starts retrieval
+    /// right there — one `Fragments` broadcast of its own fragments, and no
+    /// other retrieval broadcast in the whole run — and every acker
+    /// delivers the blob.
+    #[test]
+    fn a_drift_boundary_that_completes_the_ack_quorum_starts_retrieval_once() {
+        use swiper_core::TicketDelta;
+        let weights = Weights::new(vec![80, 10, 5, 5]).unwrap();
+        let tickets = TicketAssignment::new(vec![1; 4]);
+        let delta = TicketDelta::between(&tickets, &tickets).unwrap();
+        let next = Weights::new(vec![10, 40, 30, 25]).unwrap();
+        let event = EpochEvent::new(1, delta, &weights, next, 0).unwrap();
+        let config = AvidConfig::weighted(weights, &tickets, Ratio::of(1, 2));
+        let blob = b"growth completes the ack quorum".to_vec();
+        let shards = encode_bytes(&blob, config.k(), config.m()).unwrap();
+        let leaves: Vec<&[u8]> = shards.iter().map(|s| s.data.as_slice()).collect();
+        let tree = MerkleTree::build(&leaves);
+        let root = tree.root();
+        for seed in 0..25u64 {
+            for delay in [DelayModel::Uniform(1, 16), DelayModel::Uniform(1, 48)] {
+                let tape = Tape::default();
+                let mut nodes: Vec<Box<dyn Protocol<Msg = AvidMsg>>> =
+                    vec![Box::new(KeepAlive)];
+                for tag in 1..4 {
+                    let inner = if tag == 1 {
+                        AvidNode::dealer(config.clone(), 1, blob.clone())
+                    } else {
+                        AvidNode::new(config.clone(), 1)
+                    };
+                    nodes.push(Box::new(Tap { inner, tag, tape: tape.clone() }));
+                }
+                // 4 `Disperse` + 12 `Stored` deliveries, then only the timers.
+                let report = Simulation::new(nodes, seed)
+                    .with_delay(delay)
+                    .with_reconfiguration(16, event.clone())
+                    .run();
+                assert_eq!(report.reconfigurations, 1, "seed {seed} {delay:?}");
+                for tag in 1..4 {
+                    let own = config.shards_of(tag, &shards, &tree);
+                    let expect: Vec<_> = (0..4)
+                        .map(|to| {
+                            (tag, true, to, AvidMsg::Fragments { root, shards: own.clone() })
+                        })
+                        .collect();
+                    let retrievals: Vec<_> = tape
+                        .borrow()
+                        .iter()
+                        .filter(|(by, _, _, m)| {
+                            *by == tag && matches!(m, AvidMsg::Fragments { .. })
+                        })
+                        .cloned()
+                        .collect();
+                    assert_eq!(retrievals, expect, "node {tag} seed {seed} {delay:?}");
+                    assert_eq!(report.outputs[tag].as_deref(), Some(blob.as_slice()));
+                }
+            }
+        }
     }
 
     #[test]
