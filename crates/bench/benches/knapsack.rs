@@ -67,7 +67,7 @@ fn bench_dp_vs_bounds(c: &mut Criterion) {
             Swiper::new().solve_instance_with(&mut finder, &instance).expect("solvable");
             let (tickets, total, params) =
                 finder.last.unwrap_or_else(|| panic!("{shape} at n = {n} never ran the DP"));
-            let member = FamilyMember { weights: &w, tickets: &tickets, total };
+            let member = FamilyMember { weights: &w, tickets: &tickets, total, support: None };
             let mut oracle = FullOracle::new();
             group.bench_function(BenchmarkId::new(format!("dp_check/{shape}"), n), |b| {
                 b.iter(|| oracle.check(black_box(&member), &params))

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use crate::assignment::TicketAssignment;
 use crate::error::CoreError;
+use crate::oracle::FamilyMember;
 use crate::ratio::Ratio;
 use crate::weights::Weights;
 use crate::wide::cmp_mul;
@@ -265,28 +266,90 @@ struct IntervalState {
     dropped: Vec<usize>,
 }
 
+/// `L_j`: the parties holding a ticket at grid index `j`, ascending, with
+/// their weights. A party with no ticket at `j` has none below it, so
+/// `L_j` serves every pass at `j' <= j` exactly and holds every party a
+/// member of those intervals can give a ticket.
+struct Level {
+    j: u64,
+    parties: Vec<u32>,
+    weights: Vec<u64>,
+}
+
+/// Levels a cursor keeps at once; past the cap the widest goes.
+const LEVELS: usize = 4;
+
+/// One pass at grid index `j`: `visit(party, w, tickets_j(w))` for every
+/// party of `src` (the whole weight vector when `None`), which must cover
+/// `j`. Count passes, interval builds and level collections all walk here.
+fn pass(
+    family: &Family<'_>,
+    src: Option<&Level>,
+    j: u64,
+    mut visit: impl FnMut(usize, u64, u128),
+) {
+    let eval = family.grid_eval(j);
+    let mut step = |p: usize, w: u64| visit(p, w, eval.tickets(w));
+    match src {
+        Some(lv) => lv.parties.iter().zip(&lv.weights).for_each(|(&p, &w)| step(p as usize, w)),
+        None => family.weights.as_slice().iter().enumerate().for_each(|(p, &w)| step(p, w)),
+    }
+}
+
+/// A [`pass`] that also collects `L_j`.
+fn collect(
+    family: &Family<'_>,
+    src: Option<&Level>,
+    j: u64,
+    mut visit: impl FnMut(usize, u64, u128),
+) -> Level {
+    let width = src.map_or(family.weights.len(), |lv| lv.parties.len());
+    let (mut parties, mut weights) = (Vec::with_capacity(width), Vec::with_capacity(width));
+    pass(family, src, j, |p, w, t| {
+        visit(p, w, t);
+        // Branch-free: write every party, keep it if it holds a ticket.
+        parties.push(p as u32);
+        weights.push(w);
+        let kept = parties.len() - usize::from(t == 0);
+        parties.truncate(kept);
+        weights.truncate(kept);
+    });
+    Level { j, parties, weights }
+}
+
+/// The narrowest of `levels` at or above `j`.
+fn source(levels: &[Level], j: u64) -> Option<&Level> {
+    levels.iter().rev().find(|lv| lv.j >= j)
+}
+
 /// Incremental materializer over one [`Family`]: [`FamilyCursor::advance_to`]
 /// produces the member with a given total **bit-identically** to
 /// [`Family::assignment_with_total`], but shares work across calls.
 ///
-/// Two memoizations carry between probes of one binary search:
+/// Three memoizations carry between probes of one binary search:
 ///
-/// 1. **Grid counts** — `count(j)` evaluations (the O(n) inner loop of the
-///    grid search) are memoized per `j`, and each search pre-narrows its
+/// 1. **Grid counts** — `count(j)` evaluations (the inner loop of the grid
+///    search) are memoized per `j`, and each search pre-narrows its
 ///    bracket from the memo before computing anything new; the search
 ///    itself interpolates between its anchors (see
 ///    [`FamilyCursor::find_j`]).
-/// 2. **Interval state** — when consecutive totals land in the same grid
+/// 2. **Live levels** — a pass at grid index `j` walks only the narrowest
+///    kept [`Level`] at or above `j`: near a landing few parties hold a
+///    ticket, so a pass costs the live set, not `n`.
+/// 3. **Interval state** — when consecutive totals land in the same grid
 ///    interval (the common case once a bracket tightens), the ticket vector
 ///    is spliced by rank delta: only parties whose crossing sits between
 ///    the two boundary ranks change, plus border-drop bookkeeping.
 ///
-/// Equivalence with the from-scratch path is pinned by the
-/// `cursor_matches_from_scratch` proptest below.
+/// The lent member's support is its interval's `L_j`. Equivalence with the
+/// from-scratch path is pinned by the `*cursor_matches_from_scratch` tests.
 pub(crate) struct FamilyCursor<'f, 'a> {
     family: &'f Family<'a>,
-    /// Memoized `j -> count_at(j)`: one entry per O(n) count pass run.
+    /// Memoized `j -> count_at(j)`: one entry per count pass run.
     counts: BTreeMap<u64, u128>,
+    /// Kept levels in descending `j`, each a subset of the one before; the
+    /// last holds every ticket of `member` (the interval's `L_j`).
+    levels: Vec<Level>,
     interval: Option<IntervalState>,
     /// The member last advanced to, lent out by [`FamilyCursor::advance_to`];
     /// the base of the next splice while `interval.is_some()`.
@@ -297,9 +360,12 @@ pub(crate) struct FamilyCursor<'f, 'a> {
 
 impl<'f, 'a> FamilyCursor<'f, 'a> {
     pub fn new(family: &'f Family<'a>) -> Self {
+        // Levels, like every oracle's sorted view, name parties by `u32`.
+        assert!(u32::try_from(family.weights.len()).is_ok(), "party count fits u32");
         FamilyCursor {
             family,
             counts: BTreeMap::new(),
+            levels: Vec::new(),
             interval: None,
             member: TicketAssignment::new(Vec::new()),
             reused: 0,
@@ -311,7 +377,8 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
         self.reused
     }
 
-    /// O(n) grid-count passes run so far.
+    /// Grid-count passes run so far, each over the narrowest level covering
+    /// its index (the whole vector when none does).
     pub fn grid_counts(&self) -> u64 {
         self.counts.len() as u64
     }
@@ -321,7 +388,15 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
         if let Some(&c) = self.counts.get(&j) {
             return c;
         }
-        let c = self.family.count_at(j);
+        let mut c = 0u128;
+        if self.levels.is_empty() {
+            // The first pass keeps its `L_j`; a query above every level
+            // reads the whole vector.
+            let top = collect(self.family, None, j, |_, _, t| c += t);
+            self.levels.push(top);
+        } else {
+            pass(self.family, source(&self.levels, j), j, |_, _, t| c += t);
+        }
         self.counts.insert(j, c);
         c
     }
@@ -387,12 +462,13 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
     /// The family member with exactly `total` tickets; see
     /// [`Family::assignment_with_total`] for the semantics — outputs are
     /// bit-identical, including the deterministic border rule. The member
-    /// is lent, not copied: O(Δ) per advance inside the cached interval.
-    pub fn advance_to(&mut self, total: u64) -> Result<&TicketAssignment, CoreError> {
+    /// is lent, not copied: O(Δ) per advance inside the cached interval,
+    /// with its interval's `L_j` as [`FamilyMember::support`].
+    pub fn advance_to(&mut self, total: u64) -> Result<FamilyMember<'_>, CoreError> {
         if total == 0 {
             self.interval = None;
             self.member = TicketAssignment::new(vec![0; self.family.weights.len()]);
-            return Ok(&self.member);
+            return Ok(self.lend(0));
         }
         let j = self.find_j(total);
         let count_left = if j == 1 { 0 } else { self.count(j - 1) };
@@ -450,29 +526,42 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
         }
         *sum = u128::from(total);
         debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), *sum);
-        Ok(&self.member)
+        Ok(self.lend(total))
     }
 
-    /// Materializes the interval `j`: left-boundary tickets for every party
-    /// plus the sorted in-interval candidates (parties whose next crossing
-    /// falls inside the interval). An interval holds at most one crossing
+    fn lend(&self, total: u64) -> FamilyMember<'_> {
+        let live = self.levels.last().filter(|_| total > 0);
+        let support = Some(live.map_or(&[][..], |lv| &lv.parties));
+        FamilyMember { weights: self.family.weights, tickets: &self.member, total, support }
+    }
+
+    /// Materializes the interval `j` in one [`pass`]: left-boundary tickets
+    /// for every party that can hold one, the sorted in-interval candidates
+    /// (parties whose next crossing falls inside the interval) and `L_j`,
+    /// the member's new support. An interval holds at most one crossing
     /// per party, so the next crossing is inside iff the right edge counts
     /// one ticket more than the left.
     fn build_interval(&mut self, j: u64) {
         let family = self.family;
         let left_eval = (j > 1).then(|| family.grid_eval(j - 1));
-        let right_eval = family.grid_eval(j);
         let (tickets, _) = self.member.parts_mut();
-        tickets.clear();
         tickets.resize(family.weights.len(), 0);
+        let old = self.levels.last().map_or(&[][..], |lv| &lv.parties);
+        old.iter().for_each(|&p| tickets[p as usize] = 0);
         let mut cands = Vec::new();
-        for ((party, w), t) in family.weights.iter().zip(tickets.iter_mut()) {
+        let live = collect(family, source(&self.levels, j), j, |party, w, right| {
             let left = left_eval.as_ref().map_or(0, |eval| eval.tickets(w));
-            *t = u64::try_from(left).expect("validated by Family::new envelope");
-            if right_eval.tickets(w) > left {
+            tickets[party] = u64::try_from(left).expect("validated by Family::new envelope");
+            if right > left {
                 let a = (left + 1) * family.cd - family.cn;
                 cands.push(Crossing { a, party, w });
             }
+        });
+        // A bisection never probes below its invalid end again.
+        self.levels.retain(|lv| lv.j > j);
+        self.levels.push(live);
+        if self.levels.len() > LEVELS {
+            self.levels.remove(0);
         }
         cands.sort_by(|x, y| x.cmp_value(y).then(x.party.cmp(&y.party)));
         self.interval = Some(IntervalState { j, cands, applied: 0, dropped: Vec::new() });
@@ -628,7 +717,7 @@ mod tests {
         for t in [30u64, 15, 45, 52, 48, 50, 49, 0, 49, 1, 60] {
             let inc = cursor.advance_to(t).unwrap();
             let scratch = fam.assignment_with_total(t).unwrap();
-            assert_eq!(*inc, scratch, "total={t}");
+            assert_eq!(*inc.tickets, scratch, "total={t}");
         }
         assert!(cursor.reused() > 0, "clustered probes must hit the splice path");
 
@@ -665,7 +754,7 @@ mod tests {
                 let t = t.min(bound);
                 let inc = cursor.advance_to(t).unwrap();
                 let scratch = fam.assignment_with_total(t).unwrap();
-                assert_eq!(*inc, scratch, "n={} total={t}", weights.len());
+                assert_eq!(*inc.tickets, scratch, "n={} total={t}", weights.len());
             }
         }
     }
@@ -704,7 +793,7 @@ mod tests {
                 2 * u64::from(u64::BITS - (width - 1).leading_zeros()) + 1
             };
             let before = cursor.grid_counts();
-            let inc = cursor.advance_to(t).unwrap().clone();
+            let inc = cursor.advance_to(t).unwrap().tickets.clone();
             let passes = cursor.grid_counts() - before;
             assert!(
                 passes <= budget,
@@ -747,8 +836,19 @@ mod tests {
         assert!(passes <= 50, "whale-skewed 1e5 grid search took {passes} count passes");
     }
 
+    /// The member's support is strictly ascending and every party outside
+    /// it holds no ticket.
+    fn assert_support_covers(member: &FamilyMember<'_>) {
+        let support = member.support.expect("the cursor lends a support");
+        assert!(support.windows(2).all(|p| p[0] < p[1]), "support not ascending");
+        let tickets = member.tickets.as_slice();
+        let inside: u128 = support.iter().map(|&p| u128::from(tickets[p as usize])).sum();
+        assert_eq!(inside, member.tickets.total(), "a ticket outside the support");
+    }
+
     /// Release-only: a cold WR solve over 10⁶ whale-skewed parties, every
-    /// probe's cursor member compared with the reference materialization.
+    /// probe's cursor member compared with the reference materialization
+    /// and its support checked to cover every ticket.
     #[test]
     #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
     fn cursor_matches_reference_on_1e6_whales() {
@@ -769,6 +869,7 @@ mod tests {
             ) -> Result<Verdict, CoreError> {
                 let reference = self.family.assignment_with_total(member.total)?;
                 assert_eq!(member.tickets, &reference, "total {}", member.total);
+                assert_support_covers(member);
                 self.compared += 1;
                 self.inner.check(member, params)
             }
@@ -850,8 +951,39 @@ mod tests {
                 for &t in &probes {
                     let inc = cursor.advance_to(t).unwrap();
                     let scratch = fam.assignment_with_total(t).unwrap();
-                    prop_assert_eq!(inc, &scratch, "total={}", t);
+                    prop_assert_eq!(inc.tickets, &scratch, "total={}", t);
                 }
+            }
+        }
+
+        /// The live levels against the reference: probes walk down, jump
+        /// above every level the walk narrowed to, go to 0 and come back.
+        /// Every lent member equals the reference and holds no ticket
+        /// outside its support.
+        #[test]
+        fn narrowed_cursor_matches_from_scratch(
+            ws in proptest::collection::vec(0u64..1_000, 2..48),
+            whale in 0u64..100_000,
+            down in proptest::collection::vec(1u64..120, 1..8),
+            back in proptest::collection::vec(1u64..120, 1..4),
+            cn in 1u128..20,
+        ) {
+            let mut ws = ws;
+            ws[0] += whale;
+            prop_assume!(ws.iter().any(|&w| w > 0));
+            let c = Ratio::of(cn, 20);
+            prop_assume!(c.is_proper());
+            let weights = Weights::new(ws).unwrap();
+            let fam = Family::new(&weights, c, 120).unwrap();
+            let mut cursor = FamilyCursor::new(&fam);
+            let mut walk = down.clone();
+            walk.sort_unstable_by(|a, b| b.cmp(a));
+            let above = walk[0] + (120 - walk[0]).div_ceil(2);
+            let probes = walk.into_iter().chain([above, 0]).chain(back);
+            for t in probes {
+                let member = cursor.advance_to(t).unwrap();
+                prop_assert_eq!(member.tickets, &fam.assignment_with_total(t).unwrap(), "total={}", t);
+                assert_support_covers(&member);
             }
         }
 

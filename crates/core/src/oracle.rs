@@ -121,6 +121,28 @@ pub struct FamilyMember<'a> {
     pub tickets: &'a TicketAssignment,
     /// Total tickets of the candidate (`tickets.total()`, pre-narrowed).
     pub total: u64,
+    /// Strictly ascending parties outside which every ticket is 0 (`None`:
+    /// any party may hold one). Lets an oracle walk only these parties;
+    /// debug builds check it wherever an oracle relies on it.
+    pub support: Option<&'a [u32]>,
+}
+
+impl FamilyMember<'_> {
+    /// Whether the support is strictly ascending and misses no ticket.
+    fn support_is_exact(&self) -> bool {
+        let tickets = |p: &u32| u128::from(self.tickets.get(*p as usize));
+        let exact = |s: &[u32]| s.iter().map(tickets).sum::<u128>() == self.tickets.total();
+        self.support.is_none_or(|s| s.windows(2).all(|p| p[0] < p[1]) && exact(s))
+    }
+
+    /// The `(party, tickets)` pairs with a ticket, ascending, over the support.
+    fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        debug_assert!(self.support_is_exact(), "support misses a ticket or is unsorted");
+        let tickets = self.tickets.as_slice();
+        let all = self.support.is_none().then_some(0..tickets.len()).into_iter().flatten();
+        let listed = self.support.unwrap_or_default().iter().map(|&p| p as usize);
+        all.chain(listed).map(move |p| (p, tickets[p])).filter(|&(_, t)| t != 0)
+    }
 }
 
 /// Problem-shape parameters of a validity check, fixed for a whole solve.
@@ -228,6 +250,18 @@ fn fill_items(buf: &mut Vec<Item>, member: &FamilyMember<'_>) {
             .zip(member.tickets.as_slice())
             .map(|(&weight, &profit)| Item { profit, weight }),
     );
+}
+
+/// Calls `visit` once per party of the union of the ascending lists `a`
+/// and `b`, in ascending order.
+fn walk_union(a: &[u32], b: &[u32], mut visit: impl FnMut(usize)) {
+    let (mut i, mut k) = (0, 0);
+    while i < a.len() && k < b.len() {
+        let p = a[i].min(b[k]);
+        (i, k) = (i + usize::from(a[i] == p), k + usize::from(b[k] == p));
+        visit(p as usize);
+    }
+    a[i..].iter().chain(&b[k..]).for_each(|&p| visit(p as usize));
 }
 
 /// The per-candidate ticket target for a Restriction-shaped check, already
@@ -340,6 +374,8 @@ pub struct FullOracle {
     items: Vec<Item>,
     /// The last `prepare`'s `(party, old, new)` changes, capped at one past n/8.
     changes: Vec<(usize, Item, Item)>,
+    /// The last member's support: no item outside it has a profit.
+    held: Option<Vec<u32>>,
     sorted: SortedItems,
     dp: knapsack::DpScratch,
     stats: SolveStats,
@@ -352,32 +388,45 @@ impl FullOracle {
         FullOracle::default()
     }
 
-    /// Rebuilds the sorted view for `member`. One fused pass over `(items,
-    /// weights, tickets)` rewrites the changed items in place and collects
-    /// the changes; when the previous check had the same party count and at
-    /// most one eighth of the parties changed (consecutive probes of one
-    /// search, the epoch-replay shape) they are spliced, else re-sorted.
+    /// Rebuilds the sorted view for `member`. One fused pass rewrites the
+    /// changed items in place and collects the changes, over the union of
+    /// the member's support and `held` when both are known (every other
+    /// item keeps profit 0, whose weight is never read). When the previous
+    /// check had the same party count and at most n/8 items changed
+    /// (consecutive probes of one search, the epoch-replay shape) the
+    /// changes are spliced, else re-sorted.
     fn prepare(&mut self, member: &FamilyMember<'_>) {
+        debug_assert!(member.support_is_exact(), "support misses a ticket or is unsorted");
         let n = member.weights.len();
+        let cap = n / 8 + 1;
         self.changes.clear();
-        if n == self.items.len() {
-            let fresh = member.weights.as_slice().iter().zip(member.tickets.as_slice());
-            for (i, (item, (&weight, &profit))) in self.items.iter_mut().zip(fresh).enumerate()
-            {
-                if item.profit != profit || item.weight != weight {
-                    if self.changes.len() <= n / 8 {
-                        self.changes.push((i, *item, Item { profit, weight }));
+        let same_n = n == self.items.len();
+        if same_n {
+            let (weights, tickets) = (member.weights.as_slice(), member.tickets.as_slice());
+            let visit = |i: usize| {
+                let new = Item { profit: tickets[i], weight: weights[i] };
+                let item = &mut self.items[i];
+                if *item != new {
+                    if self.changes.len() < cap {
+                        self.changes.push((i, *item, new));
                     }
-                    *item = Item { profit, weight };
+                    *item = new;
                 }
-            }
-            if self.changes.len() <= n / 8 {
-                return self.sorted.splice(&self.changes);
+            };
+            match (member.support, &self.held) {
+                (Some(support), Some(held)) => walk_union(support, held, visit),
+                _ => (0..n).for_each(visit),
             }
         } else {
             fill_items(&mut self.items, member);
         }
-        self.sorted.rebuild(&self.items);
+        // Every party the new items give a positive profit is in the support.
+        self.held = member.support.map(<[u32]>::to_vec);
+        if same_n && self.changes.len() < cap {
+            self.sorted.splice(&self.changes);
+        } else {
+            self.sorted.rebuild(&self.items);
+        }
     }
 
     /// The shared check body; with `want_cert` the DP runs in probe mode
@@ -874,12 +923,10 @@ impl<O> CachingOracle<O> {
         }
         eat(&mut lo, &mut hi, member.total);
         let mut nonzero = 0u64;
-        for (i, &t) in member.tickets.as_slice().iter().enumerate() {
-            if t != 0 {
-                eat(&mut lo, &mut hi, i as u64);
-                eat(&mut lo, &mut hi, t);
-                nonzero += 1;
-            }
+        for (i, t) in member.nonzero() {
+            eat(&mut lo, &mut hi, i as u64);
+            eat(&mut lo, &mut hi, t);
+            nonzero += 1;
         }
         eat(&mut lo, &mut hi, nonzero);
         (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
@@ -980,14 +1027,7 @@ impl<O> CachingOracle<O> {
             });
         }
         let gen = self.cur_gen.as_mut().expect("generation ensured above");
-        let sparse: Vec<(u32, u64)> = member
-            .tickets
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != 0)
-            .map(|(i, &t)| (i as u32, t))
-            .collect();
+        let sparse: Vec<(u32, u64)> = member.nonzero().map(|(i, t)| (i as u32, t)).collect();
         if gen.by_total.len() >= CERT_ENTRY_BUDGET
             || gen.pairs.saturating_add(sparse.len()) > CERT_PAIR_BUDGET
         {
@@ -1086,7 +1126,7 @@ mod tests {
 
     fn member_for<'a>(weights: &'a Weights, tickets: &'a TicketAssignment) -> FamilyMember<'a> {
         let total = u64::try_from(tickets.total()).unwrap();
-        FamilyMember { weights, tickets, total }
+        FamilyMember { weights, tickets, total, support: None }
     }
 
     #[test]
@@ -1308,6 +1348,69 @@ mod tests {
         assert!(sol.stats.candidates_checked > 1, "a one-probe solve compares nothing");
     }
 
+    /// Forwards every member to `inner`, with its support stripped to
+    /// `None` when `strip`, and records the verdicts.
+    #[derive(Default)]
+    struct Recorded {
+        inner: FullOracle,
+        strip: bool,
+        verdicts: Vec<(u64, Verdict)>,
+    }
+
+    impl ValidityOracle for Recorded {
+        fn check(
+            &mut self,
+            member: &FamilyMember<'_>,
+            params: &CheckParams,
+        ) -> Result<Verdict, CoreError> {
+            let support = if self.strip { None } else { member.support };
+            let verdict = self.inner.check(&FamilyMember { support, ..*member }, params)?;
+            self.verdicts.push((member.total, verdict));
+            Ok(verdict)
+        }
+
+        fn take_stats(&mut self) -> SolveStats {
+            self.inner.take_stats()
+        }
+    }
+
+    /// The cold WR solve over 10⁶ whale-skewed parties twice: its oracle
+    /// walking each member's support, and walking every party. Verdicts,
+    /// counters and landing must agree.
+    #[test]
+    #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
+    fn support_walk_matches_full_walk_on_1e6_whales() {
+        let w = Weights::whale_skewed(1_000_000, 1);
+        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let solve = |strip| {
+            let mut oracle = Recorded { strip, ..Recorded::default() };
+            let sol =
+                crate::Swiper::new().solve_restriction_with(&mut oracle, &w, &wr).unwrap();
+            (sol, oracle.verdicts)
+        };
+        let (walked, walked_verdicts) = solve(false);
+        let (full, full_verdicts) = solve(true);
+        assert!(walked_verdicts.len() > 1, "a one-probe solve compares nothing");
+        assert_eq!(walked_verdicts, full_verdicts);
+        assert_eq!(walked.stats, full.stats);
+        assert_eq!(walked.assignment, full.assignment);
+    }
+
+    /// The debug check an oracle runs before trusting a support: it must
+    /// be strictly ascending and list every party holding a ticket.
+    #[test]
+    fn support_check_rejects_a_missed_ticket_and_disorder() {
+        let w = Weights::new(vec![5, 3, 2, 7]).unwrap();
+        let t = TicketAssignment::new(vec![2, 0, 1, 0]);
+        let with = |support| FamilyMember { support, ..member_for(&w, &t) };
+        for exact in [None, Some(&[0, 2][..]), Some(&[0, 1, 2, 3][..])] {
+            assert!(with(exact).support_is_exact(), "{exact:?}");
+        }
+        for broken in [&[0][..], &[0, 1, 3], &[2, 0], &[0, 0, 2], &[]] {
+            assert!(!with(Some(broken)).support_is_exact(), "{broken:?}");
+        }
+    }
+
     // --- Delta-stable certificate tests -----------------------------------
     //
     // The handcrafted instances below sit exactly on the margin boundaries:
@@ -1467,13 +1570,17 @@ mod tests {
         /// member, the verdict and `SolveStats` a fresh `FullOracle` does.
         /// The sequence mixes a few ticket changes at the same n (the
         /// splice), more than n/8 of them (the re-sort), new weights at the
-        /// same n, a different n, and zero weights and zero tickets; each
-        /// member is judged under both check shapes.
+        /// same n, a different n, zero weights and zero tickets, and
+        /// thinning to a sparse member; each member carries a random
+        /// support (its nonzero parties plus random others, or `None`) and
+        /// is judged under both check shapes. A `CachingOracle`
+        /// fingerprints it the same with and without the support.
         #[test]
         fn persistent_full_oracle_matches_a_fresh_one(
             seed in 1u64..u64::MAX,
             n in 8u64..40,
-            kinds in proptest::collection::vec(0u64..5, 4..16),
+            sparse in 1u64..6,
+            kinds in proptest::collection::vec(0u64..6, 4..16),
         ) {
             let mut state = seed;
             let mut next = move |bound: u64| {
@@ -1483,10 +1590,12 @@ mod tests {
                 state % bound
             };
             let mut ws: Vec<u64> = (0..n).map(|_| 1 + next(10_000)).collect();
-            let mut ts: Vec<u64> = (0..n).map(|_| next(6)).collect();
+            let mut ts: Vec<u64> =
+                (0..n).map(|_| if next(sparse) == 0 { next(6) } else { 0 }).collect();
             let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
             let sep = WeightSeparation::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
             let mut persistent = FullOracle::new();
+            let mut caching = CachingOracle::new(FullOracle::new());
             for kind in kinds {
                 let n = ws.len() as u64;
                 let few = 1 + next(n / 8);
@@ -1519,17 +1628,28 @@ mod tests {
                             }
                         }
                     }
-                    _ => {
+                    4 => {
                         for _ in 0..few {
                             // Party 0 keeps its weight: the total stays positive.
                             ws[1 + next(n - 1) as usize] = 0;
                             ts[next(n) as usize] = 0;
                         }
                     }
+                    _ => ts.iter_mut().filter(|_| next(4) != 0).for_each(|t| *t = 0),
                 }
                 let w = Weights::new(ws.clone()).unwrap();
                 let t = TicketAssignment::new(ts.clone());
-                let member = member_for(&w, &t);
+                let support: Vec<u32> =
+                    (0..ts.len() as u32).filter(|&p| ts[p as usize] != 0 || next(8) == 0).collect();
+                let member = FamilyMember {
+                    support: (next(4) != 0).then_some(&support[..]),
+                    ..member_for(&w, &t)
+                };
+                let any = FamilyMember { support: None, ..member };
+                prop_assert_eq!(
+                    caching.member_fingerprint(&member),
+                    caching.member_fingerprint(&any)
+                );
                 for params in [
                     CheckParams::restriction(&w, &wr).unwrap(),
                     CheckParams::separation(&w, &sep).unwrap(),

@@ -277,13 +277,6 @@ fn waterfill(cands: &[(f64, f64)], absent: f64, k: f64) -> f64 {
     f64::INFINITY
 }
 
-/// One alias slot: `keep` of the slot's mass stays with the owning party,
-/// the remainder belongs to `alias`.
-struct Slot {
-    keep: u128,
-    alias: u32,
-}
-
 /// Walker/Vose alias table over a weight vector: O(n) build, O(1)
 /// weight-proportional draws, exact integer probabilities.
 ///
@@ -300,7 +293,10 @@ struct Slot {
 /// assert!(heavy > 800, "party 0 holds 90% of the weight: {heavy}");
 /// ```
 pub struct AliasTable {
-    slots: Vec<Slot>,
+    /// `keep[k]` of slot `k`'s mass stays with party `k`, the remainder
+    /// belongs to `alias[k]`.
+    keep: Vec<u128>,
+    alias: Vec<u32>,
     /// Mass held by each slot (= the total weight `W`).
     slot_mass: u128,
 }
@@ -315,42 +311,35 @@ impl AliasTable {
             return None;
         }
         let n128 = n as u128;
-        // Scaled mass per party; each of the n slots holds exactly W.
-        let mut rem: Vec<u128> =
+        // Scaled mass per party; each of the n slots holds exactly W. A
+        // party's entry is final once it leaves the stacks, so the vector
+        // becomes the slots' `keep`.
+        let mut keep: Vec<u128> =
             weights.as_slice().iter().map(|&w| u128::from(w) * n128).collect();
-        let mut slots: Vec<Slot> =
-            (0..n).map(|i| Slot { keep: total, alias: i as u32 }).collect();
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &r) in rem.iter().enumerate() {
-            if r < total {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let (mut small, mut large): (Vec<u32>, Vec<u32>) =
+            alias.iter().partition(|&&i| keep[i as usize] < total);
         while let (Some(s), Some(&l)) = (small.pop(), large.last()) {
-            slots[s] = Slot { keep: rem[s], alias: l as u32 };
-            rem[l] -= total - rem[s];
-            if rem[l] < total {
+            alias[s as usize] = l;
+            keep[l as usize] -= total - keep[s as usize];
+            if keep[l as usize] < total {
                 large.pop();
                 small.push(l);
             }
         }
-        // Leftovers (rounding residue) keep their full slot.
-        Some(AliasTable { slots, slot_mass: total })
+        // Parties left on a stack hold exactly `W` and keep their full slot.
+        Some(AliasTable { keep, alias, slot_mass: total })
     }
 
     /// Draws one party index with probability proportional to its weight.
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let x = rng.below(self.slot_mass * self.slots.len() as u128);
+        let x = rng.below(self.slot_mass * self.keep.len() as u128);
         let k = (x / self.slot_mass) as usize;
         let r = x % self.slot_mass;
-        let slot = &self.slots[k];
-        if r < slot.keep {
+        if r < self.keep[k] {
             k
         } else {
-            slot.alias as usize
+            self.alias[k] as usize
         }
     }
 }
@@ -524,14 +513,28 @@ mod tests {
         let w = Weights::new(ws.clone()).unwrap();
         let table = AliasTable::new(&w).unwrap();
         let mut mass = vec![0u128; ws.len()];
-        for (k, slot) in table.slots.iter().enumerate() {
-            mass[k] += slot.keep;
-            mass[slot.alias as usize] += table.slot_mass - slot.keep;
+        for (k, (&keep, &alias)) in table.keep.iter().zip(&table.alias).enumerate() {
+            mass[k] += keep;
+            mass[alias as usize] += table.slot_mass - keep;
         }
         let n = ws.len() as u128;
         for (i, &wi) in ws.iter().enumerate() {
             assert_eq!(mass[i], u128::from(wi) * n, "party {i}");
         }
+    }
+
+    /// The draws of the solver's estimate stream on the whale-skewed
+    /// population, pinned: any change to the table's layout or build order
+    /// that moves a single draw moves the solver's trust window.
+    #[test]
+    fn alias_table_draws_are_pinned() {
+        let w = Weights::whale_skewed(100_000, 1);
+        let table = AliasTable::new(&w).unwrap();
+        let mut rng = SplitMix64::new(ESTIMATE_SEED);
+        let digest = (0..8192).fold(0xcbf2_9ce4_8422_2325u64, |d, _| {
+            (d ^ table.sample(&mut rng) as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x5c48_129d_64fa_500d);
     }
 
     #[test]

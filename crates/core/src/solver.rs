@@ -34,9 +34,7 @@ use serde::{Deserialize, Serialize};
 use crate::assignment::TicketAssignment;
 use crate::error::CoreError;
 use crate::family::{Family, FamilyCursor};
-use crate::oracle::{
-    CheckParams, FamilyMember, FullOracle, LinearOracle, ValidityOracle, Verdict,
-};
+use crate::oracle::{CheckParams, FullOracle, LinearOracle, ValidityOracle, Verdict};
 use crate::problems::{WeightQualification, WeightRestriction, WeightSeparation};
 use crate::ratio::Ratio;
 use crate::sampling;
@@ -90,8 +88,10 @@ pub struct SolveStats {
     /// Probes the family cursor served from its cached grid interval by an
     /// O(Δ) rank-delta splice instead of an O(n) interval rebuild.
     pub cursor_advances: u64,
-    /// O(n) grid-count passes the family cursor ran to locate the grid
+    /// Grid-count passes the family cursor ran to locate the grid
     /// intervals of the probed totals (memoized across a solve's probes).
+    /// A pass walks only the parties that can hold a ticket at its grid
+    /// index — a kept live level — and all n only above every level.
     pub grid_counts: u64,
     /// Bisection midpoints settled by the sampler's trust window (assumed
     /// verdicts that survived endpoint re-verification) instead of exact
@@ -713,7 +713,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     let mut saved = 0u64;
     let mut search = || -> Result<(), CoreError> {
         let mut probe = |total: u64| -> Result<Verdict, CoreError> {
-            let member = FamilyMember { weights, tickets: cursor.advance_to(total)?, total };
+            let member = cursor.advance_to(total)?;
             checked += 1;
             oracle.check(&member, check)
         };
@@ -824,7 +824,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     stats.candidates_checked += checked;
     stats.settled_by_theorem += u64::from(hi == bound);
     stats.probes_saved += saved;
-    let assignment = cursor.advance_to(hi)?.clone();
+    let assignment = cursor.advance_to(hi)?.tickets.clone();
     stats.cursor_advances += cursor.reused();
     stats.grid_counts += cursor.grid_counts();
     Ok(Solution { assignment, ticket_bound: bound, stats })
