@@ -25,9 +25,16 @@
 //!
 //! The DP is organised for whale-skewed, large-`n` populations:
 //!
-//! * **One class sort.** Items heavier than the weight horizon are dropped
-//!   outright, zero-weight profit is banked, and the rest are sorted once
-//!   by (profit, weight); every later stage reads that order.
+//! * **One class order, taken from the ratio view.** Items heavier than
+//!   the weight horizon are dropped outright, zero-weight profit is banked,
+//!   and the rest are put in class order — ascending profit, lightest first
+//!   inside a class — once; every later stage reads that order. A caller
+//!   holding the items' [`SortedItems`] (the solver's oracle keeps one
+//!   current across probes) asks [`SortedItems::max_profit_dp_floor`],
+//!   which builds the order with one stable counting pass by profit over
+//!   the ratio-sorted entries: inside a profit class, descending ratio is
+//!   ascending weight. The slice entry points sort by (profit, weight)
+//!   instead; both then run the same kernel.
 //! * **Lagrangian core.** A caller that only cares about optima of at
 //!   least some `floor` — the solver's oracle always is: it reaches the DP
 //!   only when the Dantzig bound exceeds its target by a few tickets —
@@ -48,9 +55,14 @@
 //!   `p`, and an exchange argument lets it use the lightest ones.
 //!   Million-item inputs shrink to `O(cap log cap)` items before the table
 //!   is touched.
-//! * **Flat min-weight-per-profit inner loop.** The per-item update is a
-//!   flat saturating min-fold over the table — no data-dependent `INF` skip
-//!   branch — bounded by the current reach.
+//! * **Flat min-weight-per-profit inner loop in a 64-bit table.** The
+//!   per-item update is a branch-free min of the table against a copy of
+//!   its pre-item states shifted by the item's profit — no data-dependent
+//!   `INF` skip branch — bounded by the current reach, with the states that
+//!   saturate the cap folded into one min. The table holds `u64` weights
+//!   whenever the weight horizon leaves a `u64` headroom for one more item,
+//!   and `u128` past that (stake counted in small units, as in some chain
+//!   replicas); one generic body serves both.
 //! * **Monotone-frontier pruning.** `dp[p]` = min weight to reach profit
 //!   `>= p`, so a state that weighs no less than some higher-profit state
 //!   can never matter. Every `PRUNE_STRIDE` items (and before any read)
@@ -68,6 +80,7 @@
 
 use crate::wide::cmp_mul;
 use std::cmp::Ordering;
+use std::ops::{Add, AddAssign};
 
 /// Outcome of the quasilinear [`quick_test`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +104,44 @@ pub struct Item {
     pub weight: u64,
 }
 
-const INF: u128 = u128::MAX;
+/// A DP table word: `u64` when the weight horizon is at most
+/// [`NARROW_HORIZON`], `u128` past it. Every finite state is a weight sum
+/// within the horizon, and item weights are `u64`.
+trait Word: Copy + Ord + Default + From<u64> + Into<u128> + Add<Output = Self> + AddAssign {
+    /// An unreachable state.
+    const INF: Self;
+    /// Stand-in for `INF` inside the Monge minimization. The monotone-argmin
+    /// property needs *exact* (non-saturating) arithmetic, so unreachable
+    /// states enter as this finite sentinel: above any horizon the word is
+    /// picked for, and far enough below overflow that two sentinels add.
+    const CLASS_INF: Self;
+    /// `v` in this word; the caller picked the word so that `v` fits.
+    fn of(v: u128) -> Self;
+    fn checked_sub(self, rhs: Self) -> Option<Self>;
+}
+
+macro_rules! impl_word {
+    ($t:ty, $class_inf:expr) => {
+        impl Word for $t {
+            const INF: Self = <$t>::MAX;
+            const CLASS_INF: Self = $class_inf;
+            fn of(v: u128) -> Self {
+                Self::try_from(v).expect("the table word holds the horizon")
+            }
+            fn checked_sub(self, rhs: Self) -> Option<Self> {
+                <$t>::checked_sub(self, rhs)
+            }
+        }
+    };
+}
+
+impl_word!(u64, 1 << 62);
+impl_word!(u128, 1 << 110);
+
+/// Largest weight horizon a `u64` table serves. Below [`Word::CLASS_INF`]
+/// for `u64`, and a state plus one more item (both within the horizon)
+/// stays below `2^63`.
+const NARROW_HORIZON: u128 = (1 << 62) - 1;
 
 /// Items between frontier prunes in the DP fill. Pruning costs `O(cap)`, so
 /// amortize it across a block of items while still keeping the table mostly
@@ -107,20 +157,33 @@ pub const NO_MULTIPLIER: (u64, u64) = (0, 1);
 /// sweeps) keep one scratch alive and allocate nothing per call.
 #[derive(Debug, Default, Clone)]
 pub struct DpScratch {
-    dp: Vec<u128>,
     /// The items the table is filled over, in class order: ascending
     /// profit, lightest first inside a profit class.
     kept: Vec<Item>,
-    class: ClassBufs,
+    /// Per-profit next slot of [`SortedItems::class_order`]'s counting pass.
+    slots: Vec<usize>,
+    /// The view's items above the counted profits, in ratio order.
+    over: Vec<Item>,
+    narrow: Table<u64>,
+    wide: Table<u128>,
 }
 
-/// Working buffers of [`class_dp`].
+/// One DP table and its working buffers.
 #[derive(Debug, Default, Clone)]
-struct ClassBufs {
+struct Table<W> {
+    dp: Vec<W>,
+    bufs: FillBufs<W>,
+}
+
+/// Working buffers of [`dp_fill`] and [`class_dp`].
+#[derive(Debug, Default, Clone)]
+struct FillBufs<W> {
+    /// The pre-item states [`add_item`] reads.
+    pre: Vec<W>,
     loose: Vec<Item>,
-    f: Vec<u128>,
-    g: Vec<u128>,
-    wpfx: Vec<u128>,
+    f: Vec<W>,
+    g: Vec<W>,
+    wpfx: Vec<W>,
 }
 
 /// Exact min-weight frontier produced by [`max_profit_dp_probe`].
@@ -177,6 +240,8 @@ pub fn max_profit_dp(items: &[Item], capacity: u128, profit_cap: u64) -> u64 {
 /// most parties before the table is touched; `lambda` is the multiplier it
 /// prices items at, as a `(profit, weight)` ratio. Any ratio is sound — the
 /// Dantzig break ratio ([`SortedItems::break_ratio`]) is the tight one.
+/// A caller that already holds the items' [`SortedItems`] view should ask
+/// [`SortedItems::max_profit_dp_floor`] instead, which skips the class sort.
 ///
 /// # Panics
 ///
@@ -189,12 +254,8 @@ pub fn max_profit_dp_floor(
     floor: u64,
     lambda: (u64, u64),
 ) -> Option<u64> {
-    let floor = floor.min(profit_cap);
-    let (banked, used) = fill(scratch, items, capacity, profit_cap, floor, lambda, true)?;
-    let room = capacity - used;
-    // Highest frontier state within the room left (`dp[0] == 0` always is).
-    let best = banked + scratch.dp.iter().rposition(|&w| w <= room).unwrap_or(0) as u64;
-    (best >= floor).then_some(best)
+    let free = order_slice(&mut scratch.kept, items, capacity, profit_cap);
+    decide(scratch, free, capacity, profit_cap, floor, lambda)
 }
 
 /// Certificate-grade variant of [`max_profit_dp`]: additionally returns the
@@ -214,76 +275,28 @@ pub fn max_profit_dp_probe(
     slack: u128,
 ) -> DpProbe {
     let prune_limit = capacity.saturating_add(slack);
-    let (free, used) = fill(scratch, items, prune_limit, profit_cap, 0, NO_MULTIPLIER, false)
-        .expect("every optimum reaches floor 0");
+    let free = order_slice(&mut scratch.kept, items, prune_limit, profit_cap);
+    let (free, used, table) =
+        fill(scratch, free, prune_limit, profit_cap, 0, NO_MULTIPLIER, false)
+            .expect("every optimum reaches floor 0");
     debug_assert_eq!(used, 0, "floor 0 forces nothing in");
-    let mut frontier = Vec::new();
-    let mut best = 0u64;
-    for (p, &w) in scratch.dp.iter().enumerate() {
-        if w != INF {
-            frontier.push((p as u64 + free, w));
-            if w <= capacity {
-                best = p as u64;
-            }
-        }
+    DpProbe {
+        best: free + table.highest_within(capacity),
+        frontier: table.frontier(free),
+        prune_limit,
     }
-    DpProbe { best: best + free, frontier, prune_limit }
 }
 
-/// Every stage in front of the table, then the table: split out free
-/// profit, sort into class order once, fix what the floor decides
-/// ([`fix_outside_core`]), drop dominated items ([`reduce_items`]), fill.
-///
-/// Returns `(banked, used)`: the profit every subset the table describes
-/// already holds (zero-weight items plus the parties forced in) and the
-/// weight the forced parties use. `scratch.dp` then has `profit_cap -
-/// banked + 1` states over the remaining items, exact for weights up to
-/// `horizon - used` (a one-state table when `banked` alone saturates
-/// `profit_cap`). `None`: no subset within `horizon` reaches `floor`.
-fn fill(
-    scratch: &mut DpScratch,
-    items: &[Item],
-    horizon: u128,
-    profit_cap: u64,
-    floor: u64,
-    lambda: (u64, u64),
-    stop_early: bool,
-) -> Option<(u64, u128)> {
-    let states = usize::try_from(profit_cap).expect("profit cap fits usize");
-    let DpScratch { dp, kept, class } = scratch;
-    dp.clear();
-    dp.push(0);
-    let free = split_free(kept, items, horizon);
-    if free >= u128::from(profit_cap) {
-        return Some((profit_cap, 0));
-    }
-    kept.sort_unstable_by_key(|it| (it.profit, it.weight));
-    let (forced, used) =
-        fix_outside_core(kept, horizon, floor.saturating_sub(free as u64), lambda)?;
-    let banked = free + forced;
-    if banked >= u128::from(profit_cap) {
-        return Some((profit_cap, used));
-    }
-    let banked = banked as u64;
-    let cap = states - banked as usize;
-    reduce_items(kept, cap);
-    let room = horizon - used;
-    let stop_at = stop_early.then_some(room);
-    dp.resize(cap + 1, INF);
-    if !class_dp(dp, kept, class, room, stop_at) {
-        dp_fill(dp, kept, room, stop_at);
-    }
-    Some((banked, used))
-}
-
-/// Splits out free profit (zero-weight items) and keeps only items that can
-/// participate: positive profit, weight within the horizon. Returns the
-/// (unsaturated) free profit.
-fn split_free(kept: &mut Vec<Item>, items: &[Item], prune_limit: u128) -> u128 {
+/// The slice entry points' adapter to the kernel: writes into `kept` the
+/// items that can participate — positive profit, positive weight within
+/// `horizon` — sorted into class order, and returns the (unsaturated) free
+/// profit of the zero-weight ones. Nothing is sorted when that profit
+/// alone saturates `profit_cap`: the kernel then reads no item.
+fn order_slice(kept: &mut Vec<Item>, items: &[Item], horizon: u128, profit_cap: u64) -> u128 {
     let mut free: u128 = 0;
     kept.clear();
     for it in items {
-        if it.profit == 0 || u128::from(it.weight) > prune_limit {
+        if it.profit == 0 || u128::from(it.weight) > horizon {
             continue;
         }
         if it.weight == 0 {
@@ -292,7 +305,112 @@ fn split_free(kept: &mut Vec<Item>, items: &[Item], prune_limit: u128) -> u128 {
             kept.push(*it);
         }
     }
+    if free < u128::from(profit_cap) {
+        kept.sort_unstable_by_key(|it| (it.profit, it.weight));
+    }
     free
+}
+
+/// The decision both [`max_profit_dp_floor`] entry points share, over the
+/// class-ordered `scratch.kept` and the `free` profit beside it.
+fn decide(
+    scratch: &mut DpScratch,
+    free: u128,
+    capacity: u128,
+    profit_cap: u64,
+    floor: u64,
+    lambda: (u64, u64),
+) -> Option<u64> {
+    let floor = floor.min(profit_cap);
+    let (banked, used, table) = fill(scratch, free, capacity, profit_cap, floor, lambda, true)?;
+    let best = banked + table.highest_within(capacity - used);
+    (best >= floor).then_some(best)
+}
+
+/// Every stage between the class order and the table, then the table: fix
+/// what the floor decides ([`fix_outside_core`]), drop dominated items
+/// ([`reduce_items`]), fill — in a `u64` table when `horizon` allows one.
+///
+/// `scratch.kept` holds the participating items in class order and `free`
+/// the zero-weight profit beside them (it is read only when `free` stays
+/// below `profit_cap`). Returns `(banked, used, table)`: the profit every
+/// subset the table describes already holds (zero-weight items plus the
+/// parties forced in), the weight the forced parties use, and the table:
+/// `profit_cap - banked + 1` states over the remaining items, exact for
+/// weights up to `horizon - used` (one state when `banked` saturates
+/// `profit_cap`). `None`: no subset within `horizon` reaches `floor`.
+fn fill(
+    scratch: &mut DpScratch,
+    free: u128,
+    horizon: u128,
+    profit_cap: u64,
+    floor: u64,
+    lambda: (u64, u64),
+    stop_early: bool,
+) -> Option<(u64, u128, &dyn Filled)> {
+    let states = usize::try_from(profit_cap).expect("profit cap fits usize");
+    let DpScratch { kept, narrow, wide, .. } = scratch;
+    let (banked, used) = if free >= u128::from(profit_cap) {
+        (profit_cap, 0)
+    } else {
+        let (forced, used) =
+            fix_outside_core(kept, horizon, floor.saturating_sub(free as u64), lambda)?;
+        // Capped at `profit_cap`, so the cast is exact.
+        ((free + forced).min(u128::from(profit_cap)) as u64, used)
+    };
+    let cap = states - banked as usize;
+    if cap > 0 {
+        reduce_items(kept, cap);
+    }
+    let room = horizon - used;
+    let stop_at = stop_early.then_some(room);
+    let table: &dyn Filled = if horizon > NARROW_HORIZON {
+        wide.fill(kept, cap, room, stop_at);
+        wide
+    } else {
+        narrow.fill(kept, cap, room, stop_at);
+        narrow
+    };
+    Some((banked, used, table))
+}
+
+/// A filled table, read whatever its word.
+trait Filled {
+    /// The highest state within `room` (`dp[0] == 0` always is).
+    fn highest_within(&self, room: u128) -> u64;
+    /// The reachable states as `(offset + profit, weight)`, ascending.
+    fn frontier(&self, offset: u64) -> Vec<(u64, u128)>;
+}
+
+impl<W: Word> Filled for Table<W> {
+    fn highest_within(&self, room: u128) -> u64 {
+        self.dp.iter().rposition(|&w| w != W::INF && w.into() <= room).unwrap_or(0) as u64
+    }
+
+    fn frontier(&self, offset: u64) -> Vec<(u64, u128)> {
+        (offset..)
+            .zip(&self.dp)
+            .filter(|&(_, &w)| w != W::INF)
+            .map(|(p, &w)| (p, w.into()))
+            .collect()
+    }
+}
+
+impl<W: Word> Table<W> {
+    /// A `cap + 1`-state table over class-ordered, reduced `items`: the
+    /// profit-class decomposition when it pays, else the per-item fill.
+    fn fill(&mut self, items: &[Item], cap: usize, room: u128, stop_at: Option<u128>) {
+        self.dp.clear();
+        self.dp.resize(cap + 1, W::INF);
+        self.dp[0] = W::default();
+        if cap == 0 {
+            return;
+        }
+        let (room, stop_at) = (W::of(room), stop_at.map(W::of));
+        if !class_dp(&mut self.dp, items, &mut self.bufs, room, stop_at) {
+            dp_fill(&mut self.dp, &mut self.bufs.pre, items, room, stop_at);
+        }
+    }
 }
 
 /// Length of the profit class at the head of class-ordered `items`.
@@ -407,8 +525,8 @@ fn reduce_items(kept: &mut Vec<Item>, cap: usize) {
 /// Clears states dominated by an equal-or-lighter state of higher profit;
 /// afterwards finite entries are strictly increasing in weight. Returns the
 /// highest finite index.
-fn prune_frontier(dp: &mut [u128]) -> usize {
-    let mut best = INF;
+fn prune_frontier<W: Word>(dp: &mut [W]) -> usize {
+    let mut best = W::INF;
     let mut reach = 0usize;
     for q in (1..dp.len()).rev() {
         if dp[q] < best {
@@ -417,7 +535,7 @@ fn prune_frontier(dp: &mut [u128]) -> usize {
                 reach = q;
             }
         } else {
-            dp[q] = INF;
+            dp[q] = W::INF;
         }
     }
     reach
@@ -428,21 +546,22 @@ fn prune_frontier(dp: &mut [u128]) -> usize {
 /// `prune_limit` are discarded; with `stop_at` set, the fill returns as soon
 /// as the saturated state is reachable within that budget (sound when the
 /// caller only needs `best`, not the full frontier). The table is left
-/// frontier-pruned.
-fn dp_fill(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<u128>) {
+/// frontier-pruned. `pre` is [`add_item`]'s scratch.
+fn dp_fill<W: Word>(
+    dp: &mut [W],
+    pre: &mut Vec<W>,
+    items: &[Item],
+    prune_limit: W,
+    stop_at: Option<W>,
+) {
     let cap = dp.len() - 1;
     let mut reach = prune_frontier(dp);
     for (k, it) in items.iter().enumerate() {
         let p = usize::try_from(it.profit).unwrap_or(cap).min(cap);
-        let w = u128::from(it.weight);
-        // Flat min-fold: saturating_add keeps INF states INF, and the
-        // prune-limit compare rejects them without a dedicated branch.
-        for q in (0..=reach).rev() {
-            let nw = dp[q].saturating_add(w);
-            let np = (q + p).min(cap);
-            if nw <= prune_limit && nw < dp[np] {
-                dp[np] = nw;
-            }
+        let w = W::from(it.weight);
+        // Only states of weight at most `fits` can take the item.
+        if let Some(fits) = prune_limit.checked_sub(w) {
+            add_item(dp, pre, reach, p, w, fits);
         }
         // Upper bound on the new reach; tightened at each prune.
         reach = (reach + p).min(cap);
@@ -456,6 +575,28 @@ fn dp_fill(dp: &mut [u128], items: &[Item], prune_limit: u128, stop_at: Option<u
         }
     }
     prune_frontier(dp);
+}
+
+/// The 0/1 update for one item of (cap-clamped, positive) profit `p` and
+/// weight `w`: every state `q <= reach` that weighs at most `fits` offers
+/// its weight plus `w` to `min(q + p, cap)`. The update reads a copy of the
+/// pre-item states, so below the saturated top it is one flat, branch-free
+/// min of the table against that copy shifted by `p` — nothing it writes
+/// is read again, so a target with 64-bit vector compares (x86-64 from
+/// SSE4.2 on) vectorizes it, and baseline x86-64 runs a conditional-move
+/// stream. The states that land on the top fold into a single min.
+fn add_item<W: Word>(dp: &mut [W], pre: &mut Vec<W>, reach: usize, p: usize, w: W, fits: W) {
+    let cap = dp.len() - 1;
+    pre.clear();
+    pre.extend_from_slice(&dp[..=reach]);
+    let offer = |s: W| if s <= fits { s + w } else { W::INF };
+    let (below, top) = pre.split_at((cap - p).min(reach + 1));
+    for (d, &s) in dp[p..].iter_mut().zip(below) {
+        *d = (*d).min(offer(s));
+    }
+    if let Some(m) = top.iter().map(|&s| offer(s)).min() {
+        dp[cap] = dp[cap].min(m);
+    }
 }
 
 /// Minimum total items before the profit-class decomposition is worth its
@@ -472,12 +613,6 @@ const CLASS_MIN_BUNCHING: usize = 8;
 /// per-item but `O(cap log cap)` through the convolution, so tiny classes
 /// (whales are usually singletons) stay on the cheap side.
 const CLASS_MONGE_MIN: usize = 32;
-/// Stand-in for `INF` inside the Monge minimization. The monotone-argmin
-/// property needs *exact* (non-saturating) arithmetic, so unreachable
-/// states enter as this finite sentinel: far above any real weight sum
-/// (which the caller's `prune_limit` bounds), far below overflow even
-/// when two sentinels add.
-const CLASS_INF: u128 = 1 << 110;
 
 /// Profit-class decomposition of the DP fill (Axiotis–Tzamos style): items
 /// sharing a profit `p` collapse into one *convex* step curve — any subset
@@ -500,15 +635,15 @@ const CLASS_INF: u128 = 1 << 110;
 /// table is identical to the sequential fill's: both compute the exact
 /// min-weight-per-profit function over the same subset space, and the
 /// final domination prune is path-independent.
-fn class_dp(
-    dp: &mut [u128],
+fn class_dp<W: Word>(
+    dp: &mut [W],
     items: &[Item],
-    bufs: &mut ClassBufs,
-    prune_limit: u128,
-    stop_at: Option<u128>,
+    bufs: &mut FillBufs<W>,
+    prune_limit: W,
+    stop_at: Option<W>,
 ) -> bool {
     let cap = dp.len() - 1;
-    if items.len() < CLASS_MIN_ITEMS || cap == 0 || prune_limit >= CLASS_INF {
+    if items.len() < CLASS_MIN_ITEMS || cap == 0 || prune_limit >= W::CLASS_INF {
         return false;
     }
     let distinct = 1 + items.windows(2).filter(|w| w[0].profit != w[1].profit).count();
@@ -517,7 +652,7 @@ fn class_dp(
     }
     // Small classes fold item-by-item at the end; `dp_fill` also performs
     // the final domination prune.
-    let ClassBufs { loose, f, g, wpfx } = bufs;
+    let FillBufs { pre, loose, f, g, wpfx } = bufs;
     loose.clear();
     let mut budget_met = false;
     let mut rest = items;
@@ -530,10 +665,10 @@ fn class_dp(
         }
         // Prefix weights beyond the prune horizon can never participate.
         wpfx.clear();
-        wpfx.push(0);
-        let mut acc: u128 = 0;
+        wpfx.push(W::default());
+        let mut acc = W::default();
         for it in class {
-            acc += u128::from(it.weight);
+            acc += W::from(it.weight);
             if acc > prune_limit {
                 break;
             }
@@ -545,15 +680,15 @@ fn class_dp(
         }
         let p_us = class[0].profit as usize; // p < cap <= usize::MAX
         debug_assert!(p_us < cap, "class not reduced for this cap");
-        let mut sat_min = INF;
+        let mut sat_min = W::INF;
         for r in 0..p_us {
             // Exact-profit entries of this residue: q = r + p*t < cap.
             let len_f = (cap - r).div_ceil(p_us);
             f.clear();
             f.extend((0..len_f).map(|t| {
                 let v = dp[r + t * p_us];
-                if v == INF {
-                    CLASS_INF
+                if v == W::INF {
+                    W::CLASS_INF
                 } else {
                     v
                 }
@@ -562,10 +697,11 @@ fn class_dp(
             // the saturated bucket.
             let out_len = len_f + k_max;
             g.clear();
-            g.resize(out_len, CLASS_INF);
+            g.resize(out_len, W::CLASS_INF);
             monge_fill(f, wpfx, g, 0, out_len, 0, len_f - 1);
             for (j, &v) in g.iter().enumerate().take(len_f) {
-                dp[r + j * p_us] = if v >= CLASS_INF || v > prune_limit { INF } else { v };
+                dp[r + j * p_us] =
+                    if v >= W::CLASS_INF || v > prune_limit { W::INF } else { v };
             }
             for &v in &g[len_f..] {
                 if v < sat_min {
@@ -586,7 +722,7 @@ fn class_dp(
     if budget_met {
         prune_frontier(dp);
     } else {
-        dp_fill(dp, loose, prune_limit, stop_at);
+        dp_fill(dp, pre, loose, prune_limit, stop_at);
     }
     true
 }
@@ -596,12 +732,12 @@ fn class_dp(
 /// `[j - k_max, j] ∩ [0, f.len() - 1]`. Convexity of `wpfx` makes the
 /// leftmost argmin monotone in `j` (the quadrangle inequality cancels the
 /// `f` terms exactly — which is why unreachable states are the finite
-/// [`CLASS_INF`] rather than a saturating `INF`), so each level of the
-/// recursion scans a window bounded by its parent's argmin.
-fn monge_fill(
-    f: &[u128],
-    wpfx: &[u128],
-    g: &mut [u128],
+/// [`Word::CLASS_INF`] rather than a saturating `INF`), so each level of
+/// the recursion scans a window bounded by its parent's argmin.
+fn monge_fill<W: Word>(
+    f: &[W],
+    wpfx: &[W],
+    g: &mut [W],
     jlo: usize,
     jhi: usize,
     ilo: usize,
@@ -614,7 +750,7 @@ fn monge_fill(
     let k_max = wpfx.len() - 1;
     let lo = ilo.max(jm.saturating_sub(k_max));
     let hi = ihi.min(jm).min(f.len() - 1);
-    let mut best = u128::MAX;
+    let mut best = W::INF;
     let mut best_i = lo;
     for i in lo..=hi {
         let c = f[i] + wpfx[jm - i];
@@ -803,6 +939,67 @@ impl SortedItems {
     #[must_use]
     pub fn break_ratio(&self, capacity: u128) -> (u64, u64) {
         self.entries.get(self.cut(capacity)).map_or(NO_MULTIPLIER, |e| (e.profit, e.weight))
+    }
+
+    /// [`max_profit_dp_floor`] over the items this view was built from,
+    /// with the same answer. The kernel's class order comes from one
+    /// counting pass by profit over the view's ratio order instead of a
+    /// sort of the items, and the free profit straight from the view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profit_cap` does not fit in `usize`.
+    pub fn max_profit_dp_floor(
+        &self,
+        scratch: &mut DpScratch,
+        capacity: u128,
+        profit_cap: u64,
+        floor: u64,
+        lambda: (u64, u64),
+    ) -> Option<u64> {
+        if self.free < u128::from(profit_cap) {
+            self.class_order(scratch, capacity, profit_cap);
+        }
+        decide(scratch, self.free, capacity, profit_cap, floor, lambda)
+    }
+
+    /// Writes the view's items of weight within `horizon` into
+    /// `scratch.kept` in class order — ascending profit, lightest first
+    /// inside a class — with one stable counting pass by profit over the
+    /// ratio order: inside one profit class, descending ratio is ascending
+    /// weight. That is the `(profit, weight)` sort's sequence up to swapping
+    /// identical items. Profits above `profit_cap` are not counted; those
+    /// few items are stably sorted by profit and appended.
+    fn class_order(&self, scratch: &mut DpScratch, horizon: u128, profit_cap: u64) {
+        let DpScratch { kept, slots, over, .. } = scratch;
+        let within = |e: &&Entry| u128::from(e.weight) <= horizon;
+        slots.clear();
+        over.clear();
+        for e in self.entries.iter().filter(within) {
+            if e.profit > profit_cap {
+                over.push(Item { profit: e.profit, weight: e.weight });
+                continue;
+            }
+            let p = e.profit as usize; // `fill` panics unless `profit_cap` fits usize
+            if p >= slots.len() {
+                slots.resize(p + 1, 0);
+            }
+            slots[p] += 1;
+        }
+        // Counts to each class's first slot.
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            (*slot, next) = (next, next + *slot);
+        }
+        kept.clear();
+        kept.resize(next, Item { profit: 0, weight: 0 });
+        for e in self.entries.iter().filter(within).filter(|e| e.profit <= profit_cap) {
+            let slot = &mut slots[e.profit as usize];
+            kept[*slot] = Item { profit: e.profit, weight: e.weight };
+            *slot += 1;
+        }
+        over.sort_by_key(|it| it.profit);
+        kept.extend_from_slice(over);
     }
 
     /// Number of leading sorted items whose cumulative weight fits within
@@ -1011,6 +1208,7 @@ mod tests {
     /// The pre-rework scalar DP, kept verbatim as a differential reference:
     /// no prefilter, no frontier pruning, no chunking.
     fn reference_scalar_dp(items: &[Item], capacity: u128, profit_cap: u64) -> u64 {
+        const INF: u128 = u128::MAX;
         let mut free: u128 = 0;
         let mut rest: Vec<Item> = Vec::new();
         for it in items {
@@ -1121,12 +1319,42 @@ mod tests {
         its
     }
 
+    /// `cap + 1` states, only `dp[0]` reached.
+    fn empty_table<W: Word>(cap: usize) -> Vec<W> {
+        let mut dp = vec![W::INF; cap + 1];
+        dp[0] = W::default();
+        dp
+    }
+
+    /// The class path and the sequential fill over the same items, in a
+    /// table of word `W`; both tables returned widened.
+    fn class_and_sequential<W: Word>(
+        its: &[Item],
+        cap: usize,
+        prune_limit: u128,
+        stop_at: Option<u128>,
+    ) -> (Vec<u128>, Vec<u128>) {
+        let (prune_limit, stop_at) = (W::of(prune_limit), stop_at.map(W::of));
+        let mut seq = empty_table::<W>(cap);
+        dp_fill(&mut seq, &mut Vec::new(), its, prune_limit, stop_at);
+        let mut cls = empty_table::<W>(cap);
+        assert!(
+            class_dp(&mut cls, its, &mut FillBufs::default(), prune_limit, stop_at),
+            "bunched instance must take the class path"
+        );
+        let widen = |dp: Vec<W>| -> Vec<u128> {
+            dp.into_iter().map(|w| if w == W::INF { u128::MAX } else { w.into() }).collect()
+        };
+        (widen(seq), widen(cls))
+    }
+
     #[test]
     fn class_dp_matches_sequential_fill() {
         // A bunched instance that stays above the gate once reduced:
         // profits drawn from a small set (plus a saturating whale), weights
         // spread out. The class decomposition must engage and produce the
-        // identical frontier-pruned table as one sequential per-item fill.
+        // identical frontier-pruned table as one sequential per-item fill,
+        // in a `u64` table and in a `u128` one alike.
         let mut next = xorshift_stream(0x9E3779B97F4A7C15);
         let profits = [1u64, 1, 1, 2, 2, 3, 5, 9, 120];
         let mut its: Vec<Item> = (0..6000)
@@ -1141,25 +1369,18 @@ mod tests {
         for (prune_limit, stop_at) in
             [(300_000u128, None), (300_000, Some(60_000u128)), (1_000_000, None)]
         {
-            let mut seq = vec![INF; cap + 1];
-            seq[0] = 0;
-            dp_fill(&mut seq, &its, prune_limit, stop_at);
-            let mut cls = vec![INF; cap + 1];
-            cls[0] = 0;
-            assert!(
-                class_dp(&mut cls, &its, &mut ClassBufs::default(), prune_limit, stop_at),
-                "bunched instance must take the class path"
-            );
+            let (seq, cls) = class_and_sequential::<u64>(&its, cap, prune_limit, stop_at);
+            let wide = class_and_sequential::<u128>(&its, cap, prune_limit, stop_at);
             if let Some(budget) = stop_at {
                 // Early-exit tables are partial; only the saturated
                 // bucket's budget verdict is contractual.
-                assert_eq!(
-                    seq[cap] <= budget,
-                    cls[cap] <= budget,
-                    "budget verdict diverged at prune_limit {prune_limit}"
-                );
+                let verdict = seq[cap] <= budget;
+                assert_eq!(verdict, cls[cap] <= budget, "budget verdict at {prune_limit}");
+                assert_eq!(verdict, wide.0[cap] <= budget, "u128 verdict at {prune_limit}");
+                assert_eq!(verdict, wide.1[cap] <= budget, "u128 verdict at {prune_limit}");
             } else {
                 assert_eq!(seq, cls, "tables diverged at prune_limit {prune_limit}");
+                assert_eq!((&seq, &cls), (&wide.0, &wide.1), "u128 diverged at {prune_limit}");
             }
         }
     }
@@ -1171,10 +1392,9 @@ mod tests {
         let its: Vec<Item> =
             (0..5000).map(|i| Item { profit: i + 1, weight: i % 97 + 1 }).collect();
         let its = class_ordered(its, 6000);
-        let mut dp = vec![INF; 6001];
-        dp[0] = 0;
-        assert!(!class_dp(&mut dp, &its, &mut ClassBufs::default(), 10_000, None));
-        assert!(dp[1..].iter().all(|&w| w == INF));
+        let mut dp = empty_table::<u64>(6000);
+        assert!(!class_dp(&mut dp, &its, &mut FillBufs::default(), 10_000, None));
+        assert!(dp[1..].iter().all(|&w| w == u64::MAX));
     }
 
     #[test]
@@ -1474,6 +1694,44 @@ mod tests {
                 let got =
                     max_profit_dp_floor(&mut scratch, &its, cap.into(), pcap, floor, lambda);
                 prop_assert_eq!(got, want, "lambda {:?}", lambda);
+            }
+        }
+
+        /// The sorted-view entry point against the slice entry point: the
+        /// same `Option<best>` for every floor and multiplier, in a `u64`
+        /// table (weights in units of 1, or of 2^57 below 32 units of
+        /// capacity) and in a `u128` one (2^57 from 32 units on). Small
+        /// value sets make many duplicate items and multi-item classes;
+        /// zero profits and weights, weights above the capacity and
+        /// profits at or past the cap all occur. The floors include the
+        /// optimum itself, where the core stage forces the most.
+        #[test]
+        fn sorted_view_dp_matches_slice_dp(
+            pw in proptest::collection::vec((0u64..10, 0u64..12), 1..40),
+            wide in 0u64..2,
+            cap in 0u64..64,
+            pcap in 1u64..40,
+            floor in 0u64..50,
+            lp in 0u64..12,
+            lw in 0u64..60,
+        ) {
+            let unit = 1u64 << (57 * wide);
+            let its: Vec<Item> =
+                pw.iter().map(|&(profit, w)| Item { profit, weight: w * unit }).collect();
+            let capacity = u128::from(cap) * u128::from(unit);
+            let exact = reference_scalar_dp(&its, capacity, pcap);
+            let sorted = SortedItems::new(&its);
+            let tight = sorted.break_ratio(capacity);
+            let (mut by_view, mut by_slice) = (DpScratch::default(), DpScratch::default());
+            for floor in [floor, exact, exact + 1] {
+                for lambda in [tight, (lp, lw), NO_MULTIPLIER] {
+                    let got =
+                        sorted.max_profit_dp_floor(&mut by_view, capacity, pcap, floor, lambda);
+                    let want =
+                        max_profit_dp_floor(&mut by_slice, &its, capacity, pcap, floor, lambda);
+                    prop_assert_eq!(got, want, "floor {}, lambda {:?}", floor, lambda);
+                    prop_assert_eq!(want, (exact >= floor.min(pcap)).then_some(exact));
+                }
             }
         }
 

@@ -429,6 +429,13 @@ impl FullOracle {
         }
     }
 
+    /// The exact DP behind the quick bounds ([`SortedItems::max_profit_dp_floor`]
+    /// over the prepared view), at the Dantzig break ratio of `capacity`.
+    fn exact(&mut self, capacity: u128, profit_cap: u64, floor: u64) -> Option<u64> {
+        let lambda = self.sorted.break_ratio(capacity);
+        self.sorted.max_profit_dp_floor(&mut self.dp, capacity, profit_cap, floor, lambda)
+    }
+
     /// The shared check body; with `want_cert` the DP runs in probe mode
     /// (frontier + slack) and margins are packaged into a certificate.
     /// Verdicts and counters are identical either way.
@@ -471,15 +478,7 @@ impl FullOracle {
                 }
                 self.stats.dp_invocations += 1;
                 if !want_cert {
-                    let reached = knapsack::max_profit_dp_floor(
-                        &mut self.dp,
-                        &self.items,
-                        capacity,
-                        target,
-                        target,
-                        self.sorted.break_ratio(capacity),
-                    )
-                    .is_some();
+                    let reached = self.exact(capacity, target, target).is_some();
                     return Ok((if reached { Verdict::Invalid } else { Verdict::Valid }, None));
                 }
                 let probe = knapsack::max_profit_dp_probe(
@@ -543,27 +542,12 @@ impl FullOracle {
                 // and `a < T - b_ub` is Valid whatever the heavy side holds.
                 // All four bounds are at most `T`, which fits `u64`.
                 let floor = a_lb.max(total.saturating_sub(b_ub)) as u64;
-                let Some(a) = knapsack::max_profit_dp_floor(
-                    &mut self.dp,
-                    &self.items,
-                    cap_low,
-                    a_ub.min(total) as u64,
-                    floor,
-                    self.sorted.break_ratio(cap_low),
-                ) else {
+                let Some(a) = self.exact(cap_low, a_ub.min(total) as u64, floor) else {
                     return Ok((Verdict::Valid, None));
                 };
                 // Invalid iff the heavy side reaches the rest: b >= T - a.
                 let rest = member.total - a;
-                let reached = knapsack::max_profit_dp_floor(
-                    &mut self.dp,
-                    &self.items,
-                    cap_high,
-                    rest,
-                    rest,
-                    self.sorted.break_ratio(cap_high),
-                )
-                .is_some();
+                let reached = self.exact(cap_high, rest, rest).is_some();
                 Ok((if reached { Verdict::Invalid } else { Verdict::Valid }, None))
             }
         }
@@ -1242,13 +1226,70 @@ mod tests {
         assert_eq!(oracle.take_stats(), SolveStats::default());
     }
 
+    /// Runs the DP calls a [`FullOracle`] check makes — the restriction's
+    /// decision, the separation's light-side optimum and, when that reaches
+    /// its floor, the heavy side's decision — through the sorted view
+    /// `oracle` prepared for `member` and through the slice entry point on
+    /// the member's items, and insists on the same `Option<best>`. The
+    /// calls run whether or not the quick bounds would settle the check.
+    /// Returns whether the heavy-side call ran.
+    fn entry_points_agree(
+        oracle: &mut FullOracle,
+        member: &FamilyMember<'_>,
+        params: &CheckParams,
+    ) -> bool {
+        if member.total == 0 {
+            return false; // settled before any view is prepared
+        }
+        let items = crate::verify::items_of(member.weights, member.tickets);
+        let fresh = SortedItems::new(&items);
+        let mut scratch = knapsack::DpScratch::default();
+        let mut both = |capacity: u128, cap: u64, floor: u64| {
+            let lambda = fresh.break_ratio(capacity);
+            let want = knapsack::max_profit_dp_floor(
+                &mut scratch,
+                &items,
+                capacity,
+                cap,
+                floor,
+                lambda,
+            );
+            let got = oracle.exact(capacity, cap, floor);
+            assert_eq!(got, want, "total {}, capacity {capacity}, cap {cap}", member.total);
+            want
+        };
+        match *params {
+            CheckParams::Restriction { capacity, alpha_n } => {
+                if let Some(target) = restriction_target(alpha_n, member.total).unwrap() {
+                    both(capacity, target, target);
+                }
+                false
+            }
+            CheckParams::Separation { cap_low, cap_high } => {
+                let total = u128::from(member.total);
+                let a_ub = fresh.fractional_upper_bound_floor(cap_low);
+                let b_ub = fresh.fractional_upper_bound_floor(cap_high);
+                let floor = fresh.greedy_lower_bound(cap_low).max(total.saturating_sub(b_ub));
+                let Some(a) = both(cap_low, a_ub.min(total) as u64, floor as u64) else {
+                    return false;
+                };
+                let rest = member.total - a;
+                both(cap_high, rest, rest);
+                true
+            }
+        }
+    }
+
     /// Re-decides on the full table (`floor = 0`, the verifiers' kernel)
     /// every check the wrapped [`FullOracle`] settled by the DP, and
-    /// insists on the same verdict.
+    /// insists on the same verdict; runs that check's DP calls through both
+    /// entry points ([`entry_points_agree`]) too.
     #[derive(Default)]
     struct FullTableRecheck {
         inner: FullOracle,
         stats: SolveStats,
+        /// Separation checks whose heavy-side DP call ran.
+        heavy_calls: usize,
     }
 
     impl ValidityOracle for FullTableRecheck {
@@ -1260,6 +1301,8 @@ mod tests {
             let verdict = self.inner.check(member, params)?;
             let settled = self.inner.take_stats();
             if settled.dp_invocations > 0 {
+                self.heavy_calls +=
+                    usize::from(entry_points_agree(&mut self.inner, member, params));
                 let items = crate::verify::items_of(member.weights, member.tickets);
                 let best = |capacity, cap| knapsack::max_profit_dp(&items, capacity, cap);
                 let valid = match *params {
@@ -1286,7 +1329,8 @@ mod tests {
 
     /// The floor-reduced kernel at the scale it was built for: cold WR, WQ
     /// and WS solves over 10⁵ whale-skewed parties, every DP-settled probe
-    /// re-decided on the full table.
+    /// re-decided on the full table and its DP calls, the separation's
+    /// heavy side included, run through both entry points.
     #[test]
     #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
     fn core_reduction_matches_full_table_on_1e5_whales() {
@@ -1304,6 +1348,7 @@ mod tests {
         ]
         .map(|sol| sol.unwrap().stats.dp_invocations);
         assert!(dp.iter().all(|&calls| calls > 0), "a shape never reached the DP: {dp:?}");
+        assert!(oracle.heavy_calls > 0, "no separation check reached its heavy side");
     }
 
     /// Checks every member twice — through the wrapped persistent
@@ -1573,7 +1618,8 @@ mod tests {
         /// same n, a different n, zero weights and zero tickets, and
         /// thinning to a sparse member; each member carries a random
         /// support (its nonzero parties plus random others, or `None`) and
-        /// is judged under both check shapes. A `CachingOracle`
+        /// is judged under both check shapes, and the persistent oracle's
+        /// DP calls for it run through both entry points. A `CachingOracle`
         /// fingerprints it the same with and without the support.
         #[test]
         fn persistent_full_oracle_matches_a_fresh_one(
@@ -1658,6 +1704,7 @@ mod tests {
                     let expect = fresh.check(&member, &params).unwrap();
                     prop_assert_eq!(persistent.check(&member, &params).unwrap(), expect);
                     prop_assert_eq!(persistent.take_stats(), fresh.take_stats());
+                    entry_points_agree(&mut persistent, &member, &params);
                 }
             }
         }

@@ -41,7 +41,7 @@
 //! obtained by sorting draws by ticket density `t(w)/w` and letting each
 //! capacity consume the densest mass first. Bisecting `s` on the predicate
 //! "take < q·T(s)" lands within sampling error (a few percent at
-//! [`ESTIMATE_DRAWS`]) of the true validity boundary.
+//! `ESTIMATE_DRAWS` draws) of the true validity boundary.
 
 use crate::weights::Weights;
 

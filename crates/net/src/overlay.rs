@@ -25,7 +25,7 @@
 //!   re-derived from the event's weights.
 //! * **Stake-weighted lazy links.** The rest of the active view, and the
 //!   replacement for a peer confirmed failed, are drawn from the vector
-//!   with [`WeightedReservoir`](swiper_core::sampling::WeightedReservoir)
+//!   with [`WeightedReservoir`]
 //!   (`fold_rekey` reseeds it at an epoch). They carry one batched
 //!   [`OverlayMsg::IHave`] per lazy tick; a peer still lacking an
 //!   announced payload one graft wait later pulls it with `Graft`, which
