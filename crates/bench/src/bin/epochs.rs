@@ -51,7 +51,10 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swiper_bench::{gate, verdict, Row, EPOCHS};
-use swiper_core::{Ratio, Swiper, VirtualUsers, WeightQualification, WeightRestriction};
+use swiper_core::{
+    CachingOracle, FullOracle, Ratio, Swiper, VirtualUsers, WeightQualification,
+    WeightRestriction,
+};
 use swiper_protocols::quorum::{CountQuorum, QuorumTracker, Roster, WeightQuorum};
 use swiper_protocols::smr::{ReconfigureMode, SmrInstance};
 use swiper_weights::epoch::{churn_with, ChurnMode, Reconfigurator, Setting};
@@ -144,19 +147,23 @@ fn timed<T>(us: &mut u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// One chain × churn replay. Two verified-mode loops consume the same
-/// snapshot stream — one with delta-stable certificates (opted in), one
-/// without (the default) — so their warm passes face identical members and
-/// the DP-count gap is attributable to certificates alone.
+/// One chain × churn replay. Two verified-mode loops, each around a
+/// verdict cache, consume the same snapshot stream — one with delta-stable
+/// certificates, one without — so their warm passes face identical members
+/// and the DP-count gap is attributable to certificates alone.
 /// Returns the scenario's row, or `None` (having said why) when it failed.
 fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> Option<Row> {
     let solver = Swiper::new();
     let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).expect("valid params");
     let setting = Setting::Restriction(wr);
-    let mut reconf = Reconfigurator::new(solver, vec![setting])
-        .with_cold_check(true)
-        .with_certificates(true);
-    let mut plain = Reconfigurator::new(solver, vec![setting]).with_cold_check(true);
+    let mut reconf = Reconfigurator::with_oracles(solver, vec![setting], || {
+        CachingOracle::new(FullOracle::new()).with_certificates(true)
+    })
+    .with_cold_check(true);
+    let mut plain = Reconfigurator::with_oracles(solver, vec![setting], || {
+        CachingOracle::new(FullOracle::new())
+    })
+    .with_cold_check(true);
     let mut snapshot = chain.weights();
     let churned = (snapshot.len() * usize::try_from(churn_pct).expect("small")).div_ceil(100);
     // Distinct RNG stream per scenario, reproducible from --seed.
@@ -242,7 +249,7 @@ fn run_scenario(chain: Chain, churn_pct: u64, args: &Args) -> Option<Row> {
         lookups,
         rate * 100.0,
         divergences,
-        reconf.cached_verdicts(),
+        reconf.oracles().iter().map(CachingOracle::len).sum::<usize>(),
     );
     let row = cell(chain, churn_pct)
         .with("epochs", args.epochs)

@@ -16,7 +16,10 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swiper_bench::twin_ok;
-use swiper_core::{Mode, Ratio, Swiper, WeightRestriction, WeightSeparation, Weights};
+use swiper_core::{
+    CachingOracle, FullOracle, Mode, Ratio, Swiper, WeightRestriction, WeightSeparation,
+    Weights,
+};
 use swiper_net::{
     DelayModel, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats, Protocol, SendNodes,
     Simulation, ThreadedRuntime,
@@ -109,8 +112,10 @@ fn main() {
         // Certified warm replay: a few 1%-churn epochs through the
         // reconfiguration loop, certificates opted in, to surface the skip
         // counter alongside the DP count.
-        let mut reconf = Reconfigurator::new(Swiper::new(), vec![Setting::Restriction(p)])
-            .with_certificates(true);
+        let mut reconf =
+            Reconfigurator::with_oracles(Swiper::new(), vec![Setting::Restriction(p)], || {
+                CachingOracle::new(FullOracle::new()).with_certificates(true)
+            });
         let mut snapshot = w.clone();
         let churned = snapshot.len().div_ceil(100);
         let mut rng = StdRng::seed_from_u64(7);

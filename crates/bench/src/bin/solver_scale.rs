@@ -9,10 +9,11 @@
 //! * **cold** — a fresh `Swiper::solve_restriction`, no caches, no hint;
 //! * **warm** — a `Reconfigurator` epoch step: solve the base population,
 //!   churn 1% of parties by up to ±5% stake, then measure the warm
-//!   re-solve (certificates off, the `Reconfigurator` default);
-//! * **certified** — the same epoch step with delta-stable verdict
-//!   certificates opted in, so stable verdicts replay from stored margins
-//!   instead of re-running bounds or the DP.
+//!   re-solve through the `Reconfigurator` default, a bare `FullOracle`
+//!   per track;
+//! * **certified** — the same epoch step through a `CachingOracle` with
+//!   delta-stable verdict certificates, so stable verdicts replay from
+//!   stored margins instead of re-running bounds or the DP.
 //!
 //! The whole sweep is written as `BENCH_solver.json`; its columns and how
 //! each is gated are the `swiper_bench::SOLVER` schema table.
@@ -35,7 +36,10 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swiper_bench::{gate, peak_rss_kb, solver_invariants, Row, SOLVER};
-use swiper_core::{Ratio, SolveStats, Swiper, WeightRestriction};
+use swiper_core::{
+    CachingOracle, FullOracle, Ratio, SolveStats, Swiper, ValidityOracle, WeightRestriction,
+    Weights,
+};
 use swiper_weights::epoch::{churn_with, ChurnMode, Reconfigurator, Setting};
 use swiper_weights::gen;
 
@@ -134,30 +138,35 @@ fn run_size(n: u64, seed: u64) -> Vec<Row> {
     let mut rows =
         vec![row("cold", n, gen_seed, cold_ms, cold.assignment.total(), &cold.stats, cold_rss)];
 
-    for (case, certs) in [("warm", false), ("certified", true)] {
-        let mut reconf =
-            Reconfigurator::new(Swiper::new(), vec![setting]).with_certificates(certs);
-        reconf.advance(&w).expect("base epoch solvable");
-        // Same churn stream for both variants: the members the warm pass
-        // faces are identical, so the counter gap is certificates alone.
-        let mut rng = StdRng::seed_from_u64(seed ^ n ^ 0xDEAD_BEEF);
-        let w2 = churn_with(ChurnMode::Drift, &w, churned, 5, &mut rng);
-        let rss_before = peak_rss_kb();
-        let t0 = Instant::now();
-        let outcome = reconf.advance(&w2).expect("churned epoch solvable");
-        let wall = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let rss = peak_rss_kb().saturating_sub(rss_before);
-        rows.push(row(
-            case,
-            n,
-            gen_seed,
-            wall,
-            outcome.solutions[0].assignment.total(),
-            &outcome.stats(),
-            rss,
-        ));
-    }
+    // Same churn stream for both variants: the members the warm pass faces
+    // are identical, so the counter gap is certificates alone.
+    let mut rng = StdRng::seed_from_u64(seed ^ n ^ 0xDEAD_BEEF);
+    let w2 = churn_with(ChurnMode::Drift, &w, churned, 5, &mut rng);
+    let bare = Reconfigurator::new(Swiper::new(), vec![setting]);
+    let certified = Reconfigurator::with_oracles(Swiper::new(), vec![setting], || {
+        CachingOracle::new(FullOracle::new()).with_certificates(true)
+    });
+    rows.push(epoch_step("warm", n, gen_seed, [&w, &w2], bare));
+    rows.push(epoch_step("certified", n, gen_seed, [&w, &w2], certified));
     rows
+}
+
+/// One measured epoch step: `reconf` solves `base`, then the timed warm
+/// re-solve of `next`.
+fn epoch_step<O: ValidityOracle + Send>(
+    case: &'static str,
+    n: u64,
+    gen_seed: u64,
+    [base, next]: [&Weights; 2],
+    mut reconf: Reconfigurator<O>,
+) -> Row {
+    reconf.advance(base).expect("base epoch solvable");
+    let rss_before = peak_rss_kb();
+    let t0 = Instant::now();
+    let outcome = reconf.advance(next).expect("churned epoch solvable");
+    let wall = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
+    let rss = peak_rss_kb().saturating_sub(rss_before);
+    row(case, n, gen_seed, wall, outcome.solutions[0].assignment.total(), &outcome.stats(), rss)
 }
 
 fn main() -> ExitCode {

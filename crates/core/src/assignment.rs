@@ -95,30 +95,26 @@ impl TicketAssignment {
         self.tickets
     }
 
-    /// 128-bit FNV-1a fingerprint of the ticket vector. Deterministic
-    /// across processes and replicas, so epoch machinery can key derived
-    /// state (threshold-key seeds, verdict caches, delta bases) on the
-    /// assignment itself. Guards against *stale or misrouted* inputs, not
-    /// adversarial ones: assignments are consensus-agreed values every
-    /// honest replica derives identically.
+    /// 128-bit fingerprint of the ticket vector: FNV-1a's 128-bit offset
+    /// basis and prime, one whole word per step, `h = (h ^ t) * PRIME mod
+    /// 2¹²⁸` (not byte-wise FNV-1a). Deterministic across processes and
+    /// replicas, so epoch machinery can key derived state (threshold-key
+    /// seeds, delta bases) on the assignment itself. Guards against *stale
+    /// or misrouted* inputs, not adversarial ones: assignments are
+    /// consensus-agreed values every honest replica derives identically.
     pub fn fingerprint(&self) -> u128 {
         tickets_fingerprint(&self.tickets)
     }
 }
 
-/// 128-bit FNV-1a over a raw ticket vector (see
-/// [`TicketAssignment::fingerprint`]).
+/// The word-wise fingerprint of a `u64` vector (see
+/// [`TicketAssignment::fingerprint`]). Each step is a bijection of `h` (the
+/// prime is odd), so vectors of one length that differ in a single word
+/// always fingerprint differently.
 pub(crate) fn tickets_fingerprint(tickets: &[u64]) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &t in tickets {
-        for byte in t.to_le_bytes() {
-            h ^= u128::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
+    tickets.iter().fold(OFFSET, |h, &w| (h ^ u128::from(w)).wrapping_mul(PRIME))
 }
 
 impl AsRef<[u64]> for TicketAssignment {
@@ -163,6 +159,23 @@ mod tests {
         let pairs: Vec<_> = t.iter().collect();
         assert_eq!(pairs, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(t.into_inner(), vec![1, 2, 3]);
+    }
+
+    /// Known answers of the word-wise formula, computed independently from
+    /// `h = (h ^ w) * PRIME mod 2¹²⁸` over FNV-1a's 128-bit constants. A
+    /// byte-wise loop agrees only on the empty vector.
+    #[test]
+    fn fingerprint_known_answers() {
+        let cases: [(&[u64], u128); 4] = [
+            (&[], 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d),
+            (&[0], 0xd228_cb69_101a_8caf_7891_2b70_4e4a_147f),
+            (&[1, 2, 3], 0xa68b_af0d_6c8b_5822_836d_bc78_c568_559b),
+            (&[u64::MAX], 0xe763_9fdd_f51a_8cf7_876e_d48f_b1b5_ea46),
+        ];
+        for (words, want) in cases {
+            assert_eq!(tickets_fingerprint(words), want, "{words:?}");
+            assert_eq!(TicketAssignment::new(words.to_vec()).fingerprint(), want, "{words:?}");
+        }
     }
 
     #[test]

@@ -155,7 +155,8 @@ impl EpochEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::TicketAssignment;
+    use crate::assignment::{tickets_fingerprint, TicketAssignment};
+    use proptest::prelude::*;
 
     fn delta(old: &[u64], new: &[u64]) -> TicketDelta {
         TicketDelta::between(
@@ -228,5 +229,35 @@ mod tests {
         let fp_b = TicketAssignment::new(vec![2, 1]).fingerprint();
         assert_eq!(event.fold_rekey(fp_a), event.fold_rekey(fp_a));
         assert_ne!(event.fold_rekey(fp_a), event.fold_rekey(fp_b));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-wise fingerprint sees every bit of every word and the
+        /// order of the words, and the rekey fold keeps what it sees.
+        #[test]
+        fn fingerprint_sees_every_bit_and_the_word_order(
+            words in proptest::collection::vec(any::<u64>(), 1..40),
+            pick in any::<proptest::sample::Index>(),
+            other in any::<proptest::sample::Index>(),
+            bit in 0u32..64,
+            seed in any::<u64>(),
+        ) {
+            let w = Weights::new(vec![1]).unwrap();
+            let event = EpochEvent::new(1, delta(&[1], &[1]), &w, w.clone(), seed).unwrap();
+            let fp = tickets_fingerprint(&words);
+            let (i, j) = (pick.index(words.len()), other.index(words.len()));
+            let mut flipped = words.clone();
+            flipped[i] ^= 1 << bit;
+            let flipped_fp = tickets_fingerprint(&flipped);
+            prop_assert_ne!(fp, flipped_fp, "bit {} of word {}", bit, i);
+            prop_assert_ne!(event.fold_rekey(fp), event.fold_rekey(flipped_fp));
+            if words[i] != words[j] {
+                let mut swapped = words.clone();
+                swapped.swap(i, j);
+                prop_assert_ne!(fp, tickets_fingerprint(&swapped), "swap {} and {}", i, j);
+            }
+        }
     }
 }

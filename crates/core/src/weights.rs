@@ -127,7 +127,8 @@ impl Weights {
         &self.weights
     }
 
-    /// 128-bit FNV-1a fingerprint of the weight vector — the compact
+    /// 128-bit fingerprint of the weight vector, the same word-wise
+    /// formula as `TicketAssignment::fingerprint` — the compact
     /// handle epoch machinery uses to detect stake drift (see
     /// `EpochEvent::prev_weights_fingerprint`). Deterministic across
     /// processes and replicas; guards against stale inputs, not

@@ -8,11 +8,14 @@
 //! * **warm-started search** — [`Swiper::resolve_from`] seeds the binary
 //!   search bracket from the previous epoch's ticket total instead of
 //!   `[0, bound]`;
-//! * **verdict caching** — each tracked instance keeps a persistent
-//!   [`CachingOracle`], so any check whose `(member, params)` fingerprint
-//!   was already judged (an unchanged snapshot, a verification re-solve, a
-//!   repeated settings-grid cell) is answered without touching the
-//!   knapsack machinery.
+//! * **persistent oracles** — each tracked instance keeps one oracle for
+//!   the loop's lifetime. By default it is a bare [`FullOracle`], whose
+//!   sorted view is spliced from one probe to the next. A loop built with
+//!   [`Reconfigurator::with_oracles`] can wrap it in a
+//!   [`swiper_core::CachingOracle`] instead, so a check whose
+//!   `(member, params)` fingerprint was already judged (an unchanged
+//!   snapshot, a verification re-solve, a repeated settings-grid cell) is
+//!   answered without touching the knapsack machinery.
 //!
 //! A [`Reconfigurator`] tracks one or more [`Setting`]s (problem shapes
 //! with fixed thresholds), consumes a stream of [`Weights`] snapshots via
@@ -30,11 +33,13 @@
 //! total each epoch, so it can sit a few tickets above the cold answer
 //! for many epochs. [`Reconfigurator::with_cold_check`] is the verified
 //! mode for deployments that care: every epoch is additionally re-derived
-//! cold through the same shared caches (the flip-region verdicts the warm
-//! pass just filled in answer much of it), the **cold result is the one
+//! cold through the same per-track oracles, the **cold result is the one
 //! published and chained** — bit-identical to a from-scratch solve, by
 //! construction — and [`EpochOutcome::verified`] reports whether the warm
-//! pass had agreed.
+//! pass had agreed. With the default bare oracles the cold pass re-runs
+//! every DP the warm pass ran; pass a `CachingOracle` to
+//! [`Reconfigurator::with_oracles`] to answer its flip-region checks from
+//! the verdicts the warm pass just cached.
 //!
 //! The `epochs` binary in `swiper-bench` replays churned chain snapshots
 //! through this loop and reports `dp_invocations` and cache hit rates per
@@ -43,8 +48,8 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use swiper_core::{
-    CachingOracle, CoreError, EpochEvent, FullOracle, Instance, Solution, SolveStats, Swiper,
-    TicketDelta, WeightQualification, WeightRestriction, WeightSeparation, Weights,
+    CoreError, EpochEvent, FullOracle, Instance, Solution, SolveStats, Swiper, TicketDelta,
+    ValidityOracle, WeightQualification, WeightRestriction, WeightSeparation, Weights,
 };
 
 /// A tracked problem shape with fixed thresholds; the weights come from
@@ -145,7 +150,8 @@ impl EpochOutcome {
     }
 }
 
-/// The epoch reconfiguration loop: persistent per-track caching oracles,
+/// The epoch reconfiguration loop: persistent per-track oracles (a bare
+/// [`FullOracle`] each unless built with [`Reconfigurator::with_oracles`]),
 /// warm-started re-solves, delta emission.
 ///
 /// # Examples
@@ -172,10 +178,10 @@ impl EpochOutcome {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct Reconfigurator {
+pub struct Reconfigurator<O = FullOracle> {
     solver: Swiper,
     settings: Vec<Setting>,
-    oracles: Vec<CachingOracle<FullOracle>>,
+    oracles: Vec<O>,
     prev: Vec<Option<Solution>>,
     prev_snapshot: Option<Weights>,
     epoch: u64,
@@ -184,17 +190,46 @@ pub struct Reconfigurator {
 }
 
 impl Reconfigurator {
-    /// A reconfiguration loop tracking the given settings. Each track gets
-    /// a dedicated persistent [`CachingOracle`] around a [`FullOracle`],
-    /// without delta-stable verdict certificates: a certified check needs
-    /// the DP's whole frontier, which costs more than the floor-reduced
-    /// decision DP it would later skip (opt in via
-    /// [`Reconfigurator::with_certificates`]). The solver's mode is
-    /// ignored for oracle construction (the loop's identity guarantees are
-    /// stated for exact oracles).
+    /// A reconfiguration loop tracking the given settings, each track with
+    /// a dedicated persistent bare [`FullOracle`]. On 1 %-churned
+    /// snapshots a warm re-solve rarely presents a member twice, so a
+    /// verdict cache would only pay for fingerprinting every probe; use
+    /// [`Reconfigurator::with_oracles`] to cache or certify. The solver's
+    /// mode is ignored for oracle construction (the loop's identity
+    /// guarantees are stated for exact oracles).
     #[must_use]
     pub fn new(solver: Swiper, settings: Vec<Setting>) -> Self {
-        let oracles = settings.iter().map(|_| CachingOracle::new(FullOracle::new())).collect();
+        Reconfigurator::with_oracles(solver, settings, FullOracle::new)
+    }
+}
+
+impl<O: ValidityOracle + Send> Reconfigurator<O> {
+    /// A reconfiguration loop whose tracks each keep one oracle built by
+    /// `oracle`, e.g. a verdict cache with delta-stable certificates:
+    ///
+    /// ```
+    /// use swiper_core::{CachingOracle, FullOracle, Ratio, Swiper, WeightRestriction};
+    /// use swiper_weights::epoch::{Reconfigurator, Setting};
+    ///
+    /// let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+    /// let settings = vec![Setting::Restriction(wr)];
+    /// let loop_ = Reconfigurator::with_oracles(Swiper::new(), settings, || {
+    ///     CachingOracle::new(FullOracle::new()).with_certificates(true)
+    /// });
+    /// assert!(loop_.oracles()[0].certificates_enabled());
+    /// ```
+    ///
+    /// Every published solution is the one `oracle`'s verdicts lead the
+    /// search to, so an oracle that agrees with [`FullOracle`] on every
+    /// check (a `CachingOracle` around one, certificates on or off)
+    /// publishes exactly what [`Reconfigurator::new`] does.
+    #[must_use]
+    pub fn with_oracles(
+        solver: Swiper,
+        settings: Vec<Setting>,
+        mut oracle: impl FnMut() -> O,
+    ) -> Self {
+        let oracles = settings.iter().map(|_| oracle()).collect();
         let prev = settings.iter().map(|_| None).collect();
         Reconfigurator {
             solver,
@@ -220,33 +255,25 @@ impl Reconfigurator {
     }
 
     /// Enables verified mode: every `advance` additionally re-solves each
-    /// track cold (no warm hint) through the same shared cache, publishes
-    /// and chains the **cold** results — making the loop's output
+    /// track cold (no warm hint) through the same per-track oracle,
+    /// publishes and chains the **cold** results — making the loop's output
     /// bit-identical to from-scratch solves by construction — and keeps
     /// the warm pass as telemetry ([`EpochOutcome::warm_solutions`],
     /// [`EpochOutcome::verified`]). Publishing cold also re-anchors the
     /// next epoch's warm bracket, so a warm-pass divergence never sticks.
+    /// The default bare oracles re-run the DP for every cold check; a loop
+    /// built with [`Reconfigurator::with_oracles`] around a `CachingOracle`
+    /// answers the checks the warm pass already judged from its cache.
     #[must_use]
     pub fn with_cold_check(mut self, on: bool) -> Self {
         self.cold_check = on;
         self
     }
 
-    /// Enables or disables delta-stable verdict certificates on every
-    /// track's caching oracle (default: disabled). Certificates never
-    /// change a verdict — see `swiper_core::oracle` — so this only moves
-    /// `dp_invocations` into `certificate_skips`, at the price of running
-    /// every remaining DP in full-frontier probe mode.
+    /// The per-track oracles, in track order.
     #[must_use]
-    pub fn with_certificates(mut self, on: bool) -> Self {
-        self.oracles = self.oracles.into_iter().map(|o| o.with_certificates(on)).collect();
-        self
-    }
-
-    /// Whether the per-track oracles replay delta-stable certificates.
-    #[must_use]
-    pub fn certificates_enabled(&self) -> bool {
-        self.oracles.iter().any(CachingOracle::certificates_enabled)
+    pub fn oracles(&self) -> &[O] {
+        &self.oracles
     }
 
     /// The tracked settings, in track order.
@@ -259,12 +286,6 @@ impl Reconfigurator {
     #[must_use]
     pub fn epochs_consumed(&self) -> u64 {
         self.epoch
-    }
-
-    /// Total verdicts currently cached across all tracks.
-    #[must_use]
-    pub fn cached_verdicts(&self) -> usize {
-        self.oracles.iter().map(CachingOracle::len).sum()
     }
 
     /// Consumes the next snapshot: warm re-solves every track (cold on the
@@ -291,9 +312,9 @@ impl Reconfigurator {
         let instances: Vec<Instance> =
             self.settings.iter().map(|s| s.instance(snapshot.clone())).collect();
         let warm = self.solver.resolve_many_with(&instances, &self.prev, &mut self.oracles)?;
-        // In verified mode the cold pass (through the same caches, so the
-        // flip-region verdicts the warm pass just judged are hits) is the
-        // published truth; the warm pass becomes telemetry.
+        // In verified mode the cold pass (through the same oracles, so a
+        // caching one answers the flip-region checks the warm pass just
+        // judged) is the published truth; the warm pass becomes telemetry.
         let (published, warm_solutions) = if self.cold_check {
             let cold_priors: Vec<Option<Solution>> = vec![None; instances.len()];
             let cold =
@@ -476,14 +497,36 @@ pub fn churn(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use swiper_core::{Ratio, VirtualUsers};
+    use swiper_core::{CachingOracle, Ratio, VirtualUsers};
 
     fn wr() -> Setting {
         Setting::Restriction(WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap())
     }
 
+    fn wq() -> Setting {
+        Setting::Qualification(
+            WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap(),
+        )
+    }
+
     fn ws() -> Setting {
         Setting::Separation(WeightSeparation::new(Ratio::of(1, 4), Ratio::of(1, 3)).unwrap())
+    }
+
+    fn cached() -> CachingOracle<FullOracle> {
+        CachingOracle::new(FullOracle::new())
+    }
+
+    /// Asserts two loops' outcomes published the same thing: per track the
+    /// same assignment and bound, and the same events.
+    fn assert_same_output(a: &EpochOutcome, b: &EpochOutcome, what: &str) {
+        assert_eq!(a.epoch, b.epoch, "{what}");
+        assert_eq!(a.solutions.len(), b.solutions.len(), "{what}");
+        for (track, (x, y)) in a.solutions.iter().zip(&b.solutions).enumerate() {
+            assert_eq!(x.assignment, y.assignment, "{what}: track {track} assignment");
+            assert_eq!(x.ticket_bound, y.ticket_bound, "{what}: track {track} bound");
+        }
+        assert_eq!(a.events, b.events, "{what}: events");
     }
 
     #[test]
@@ -545,7 +588,6 @@ mod tests {
             }
         }
         assert_eq!(loop_.epochs_consumed(), 7);
-        assert!(loop_.cached_verdicts() > 0);
     }
 
     /// `drive_simulation` hands each epoch's snapshot + outcome to the
@@ -634,9 +676,10 @@ mod tests {
 
     #[test]
     fn unchanged_snapshot_is_fully_cached() {
-        let mut loop_ = Reconfigurator::new(Swiper::new(), vec![wr()]);
+        let mut loop_ = Reconfigurator::with_oracles(Swiper::new(), vec![wr()], cached);
         let snapshot = crate::gen::zipf(40, 0.7, 1 << 16);
         loop_.advance(&snapshot).unwrap();
+        assert!(loop_.oracles().iter().map(CachingOracle::len).sum::<usize>() > 0);
         let again = loop_.advance(&snapshot).unwrap();
         let stats = again.stats();
         assert_eq!(stats.cache_misses, 0, "identical epoch re-solves from the cache");
@@ -645,10 +688,10 @@ mod tests {
         assert!(!again.event(0).unwrap().weights_changed());
     }
 
-    /// The ISSUE acceptance criterion: on a 1%-churn replay, the
-    /// warm-started, verdict-cached re-solve produces assignments
-    /// identical to independent cold solves while invoking the knapsack
-    /// DP strictly fewer times. Tezos is the scenario where the cold
+    /// On a 1%-churn replay, the warm-started re-solve of a verdict-cached
+    /// loop in verified mode publishes assignments identical to
+    /// independent cold solves while its warm pass invokes the knapsack DP
+    /// strictly fewer times. Tezos is the scenario where the cold
     /// search actually pays for DP calls on the mid-path (Aptos settles
     /// everything by the quick bounds), so the saving is observable and
     /// the assertion is strict.
@@ -656,7 +699,8 @@ mod tests {
     fn one_percent_churn_replay_matches_cold_with_strictly_fewer_dp_calls() {
         let solver = Swiper::new();
         let setting = wr();
-        let mut loop_ = Reconfigurator::new(solver, vec![setting]).with_cold_check(true);
+        let mut loop_ =
+            Reconfigurator::with_oracles(solver, vec![setting], cached).with_cold_check(true);
         // Tezos replica: 382 parties; 1% churn = 4 parties per epoch, each
         // moving at most ±5% of its stake.
         let mut snapshot = crate::Chain::Tezos.weights();
@@ -690,40 +734,69 @@ mod tests {
         assert!(warm_agreed >= 20, "warm pass should agree on most epochs: {warm_agreed}/25");
     }
 
-    /// The PR-6 acceptance criterion: on the same 25-epoch Tezos 1%-churn
-    /// replay, a certificate-enabled loop publishes bit-identical
-    /// assignments to a certificate-free one while running the DP strictly
-    /// fewer times — the skipped calls show up in `certificate_skips`.
+    /// On the same 25-epoch Tezos 1%-churn replay, three loops — bare
+    /// oracles, a verdict cache, a verdict cache with certificates —
+    /// publish identical assignments and events every epoch. The cache
+    /// never hits on these members, so the bare and cached loops run the DP
+    /// equally often; the certified loop runs it strictly fewer times, and
+    /// the skipped calls show up in `certificate_skips`.
     #[test]
     fn certified_replay_beats_warm_baseline_dp_count() {
         let setting = wr();
-        let mut base = Reconfigurator::new(Swiper::new(), vec![setting]);
-        let mut cert =
-            Reconfigurator::new(Swiper::new(), vec![setting]).with_certificates(true);
-        assert!(!base.certificates_enabled());
-        assert!(cert.certificates_enabled());
+        let mut bare = Reconfigurator::new(Swiper::new(), vec![setting]);
+        let mut base = Reconfigurator::with_oracles(Swiper::new(), vec![setting], cached);
+        let mut cert = Reconfigurator::with_oracles(Swiper::new(), vec![setting], || {
+            cached().with_certificates(true)
+        });
+        assert!(!base.oracles()[0].certificates_enabled());
+        assert!(cert.oracles()[0].certificates_enabled());
         let mut snapshot = crate::Chain::Tezos.weights();
         let churned = snapshot.len().div_ceil(100);
         let mut rng = StdRng::seed_from_u64(1);
-        let (mut base_dp, mut cert_dp, mut skips) = (0u64, 0u64, 0u64);
+        let (mut bare_dp, mut base_dp, mut cert_dp, mut skips) = (0u64, 0u64, 0u64, 0u64);
         for epoch in 0..25 {
+            let a = bare.advance(&snapshot).unwrap();
             let b = base.advance(&snapshot).unwrap();
             let c = cert.advance(&snapshot).unwrap();
-            assert_eq!(
-                b.solutions[0].assignment, c.solutions[0].assignment,
-                "epoch {epoch}: certificates must not change the published assignment"
-            );
+            assert_same_output(&a, &b, &format!("epoch {epoch}: bare vs cached"));
+            assert_same_output(&b, &c, &format!("epoch {epoch}: cached vs certified"));
             let (bs, cs) = (b.stats(), c.stats());
             assert_eq!(bs.certificate_skips, 0);
+            bare_dp += a.stats().dp_invocations;
             base_dp += bs.dp_invocations;
             cert_dp += cs.dp_invocations;
             skips += cs.certificate_skips;
             snapshot = churn(&snapshot, churned, 5, &mut rng);
         }
+        assert_eq!(bare_dp, base_dp, "the cache alone must not change the DP count");
         assert!(
             cert_dp < base_dp,
             "certificates must skip DP calls: certified {cert_dp} vs baseline {base_dp}"
         );
         assert!(skips > 0, "the skip counter must surface the fast path");
+    }
+
+    /// The benchmark's shape at release scale: `[WR, WQ]` over 10⁵
+    /// whale-mixed parties and six 1 %-churn drift epochs. A bare loop and
+    /// a verdict-cached loop publish identical solutions and events. Too
+    /// slow for a debug build:
+    /// `cargo test --release -p swiper-weights -- --ignored bare_and_cached_loops`.
+    #[test]
+    #[ignore = "release-scale; run with --release -- --ignored"]
+    fn bare_and_cached_loops_agree_at_release_scale() {
+        let settings = vec![wr(), wq()];
+        let mut bare = Reconfigurator::new(Swiper::new(), settings.clone());
+        let mut caching = Reconfigurator::with_oracles(Swiper::new(), settings, cached);
+        let mut snapshot = crate::gen::whale_mix(100_000, 10, 1);
+        let churned = snapshot.len().div_ceil(100);
+        let mut rng = StdRng::seed_from_u64(1);
+        for epoch in 0..7 {
+            if epoch > 0 {
+                snapshot = churn_with(ChurnMode::Drift, &snapshot, churned, 5, &mut rng);
+            }
+            let a = bare.advance(&snapshot).unwrap();
+            let b = caching.advance(&snapshot).unwrap();
+            assert_same_output(&a, &b, &format!("epoch {epoch}"));
+        }
     }
 }
