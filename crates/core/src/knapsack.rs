@@ -777,17 +777,28 @@ struct Entry {
 /// Because equal ratio plus equal profit forces equal weight, this is
 /// exactly the order the original stable ratio sort produced (ties kept
 /// input order, and entries are pushed in party order) — which is what lets
-/// [`SortedItems::splice`] target positions by binary search.
+/// [`SortedItems::splice`] find slots by search.
 fn cmp_entry(a: &Entry, b: &Entry) -> Ordering {
-    match cmp_mul(
-        u128::from(b.profit),
-        u128::from(a.weight),
-        u128::from(a.profit),
-        u128::from(b.weight),
-    ) {
-        Ordering::Equal => b.profit.cmp(&a.profit).then(a.party.cmp(&b.party)),
-        ord => ord,
+    // Each side is a product of two `u64`s, which fits a `u128`.
+    let (ba, ab) = (
+        u128::from(b.profit) * u128::from(a.weight),
+        u128::from(a.profit) * u128::from(b.weight),
+    );
+    ba.cmp(&ab).then_with(|| b.profit.cmp(&a.profit).then(a.party.cmp(&b.party)))
+}
+
+/// The first index at or after `from` of the sorted `entries` whose entry
+/// is not `ahead`, for an `ahead` that holds on a prefix of them.
+/// Exponential search from `from`, then binary search inside the last
+/// doubling, so an index `d` entries on costs `O(log d)` comparisons.
+fn gallop(entries: &[Entry], from: usize, ahead: impl Fn(&Entry) -> bool) -> usize {
+    let tail = &entries[from..];
+    let mut hi = 1;
+    while hi <= tail.len() && ahead(&tail[hi - 1]) {
+        hi *= 2;
     }
+    let lo = hi / 2;
+    from + lo + tail[lo..hi.min(tail.len())].partition_point(ahead)
 }
 
 /// A ratio-sorted item view with prefix sums, shared by every bound query
@@ -814,7 +825,7 @@ pub struct SortedItems {
     /// Splice scratch, recycled across epochs.
     scratch: Vec<Entry>,
     splice_ins: Vec<Entry>,
-    splice_rem: Vec<usize>,
+    splice_rem: Vec<Entry>,
 }
 
 impl SortedItems {
@@ -832,9 +843,27 @@ impl SortedItems {
     ///
     /// Panics if `items.len()` exceeds `u32::MAX` parties.
     pub fn rebuild(&mut self, items: &[Item]) {
+        self.rebuild_over(items, 0..items.len());
+    }
+
+    /// [`SortedItems::rebuild`] for items that have a profit only inside
+    /// `support`, a strictly ascending party list: reads only the
+    /// support's items, and equals `rebuild(items)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a support party is out of range of `items`.
+    pub fn rebuild_from(&mut self, items: &[Item], support: &[u32]) {
+        self.rebuild_over(items, support.iter().map(|&p| p as usize));
+    }
+
+    /// The shared rebuild body: collects the entries of `parties`, in
+    /// ascending party order, and sorts them.
+    fn rebuild_over(&mut self, items: &[Item], parties: impl Iterator<Item = usize>) {
         self.free = 0;
         self.entries.clear();
-        for (i, it) in items.iter().enumerate() {
+        for i in parties {
+            let it = items[i];
             if it.profit == 0 {
                 continue; // never helps
             }
@@ -846,13 +875,18 @@ impl SortedItems {
             }
         }
         self.entries.sort_unstable_by(cmp_entry);
-        self.rebuild_prefixes();
+        self.refresh_prefixes(0);
     }
 
     /// Incremental [`SortedItems::rebuild`]: `changes` lists each changed
     /// party once as `(party, old, new)`, `old` being its item in the slice
     /// this view was last built from. Bit-identical to rebuilding from the
-    /// updated slice, at `O(n + k log n)` instead of `O(n log n)`.
+    /// updated slice. The `k` removals and insertions are sorted, and each
+    /// finds its slot by a galloping search from the merge cursor; the
+    /// unchanged runs between them move as whole slices, and the prefix
+    /// sums are recomputed only from the first changed slot. That is
+    /// `O(k log n)` comparisons (`O(k log(n/k))` for the searches) plus a
+    /// copy of the view, instead of one comparison per entry.
     ///
     /// # Panics
     ///
@@ -867,12 +901,11 @@ impl SortedItems {
                 if old.weight == 0 {
                     self.free -= u128::from(old.profit);
                 } else {
-                    let e = Entry { profit: old.profit, weight: old.weight, party };
-                    let pos = self
-                        .entries
-                        .binary_search_by(|x| cmp_entry(x, &e))
-                        .expect("changed old entry present in view");
-                    self.splice_rem.push(pos);
+                    self.splice_rem.push(Entry {
+                        profit: old.profit,
+                        weight: old.weight,
+                        party,
+                    });
                 }
             }
             if new.profit > 0 {
@@ -887,41 +920,74 @@ impl SortedItems {
                 }
             }
         }
-        self.splice_rem.sort_unstable();
+        if self.splice_rem.is_empty() && self.splice_ins.is_empty() {
+            self.refresh_prefixes(self.entries.len());
+            return;
+        }
+        self.splice_rem.sort_unstable_by(cmp_entry);
         self.splice_ins.sort_unstable_by(cmp_entry);
+        let entries = &self.entries;
+        // The slot of a removal is its entry's; that of an insertion is
+        // past every entry not after it.
+        let removal = |from, x: &Entry| {
+            let at = gallop(entries, from, |e| cmp_entry(e, x) == Ordering::Less);
+            assert!(entries.get(at) == Some(x), "changed old entry present in view");
+            at
+        };
+        let insertion = |from, x: &Entry| {
+            (gallop(entries, from, |e| cmp_entry(e, x) != Ordering::Greater), *x)
+        };
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        out.reserve(self.entries.len() + self.splice_ins.len());
-        let mut rem = self.splice_rem.iter().copied().peekable();
-        let mut ins = self.splice_ins.iter().copied().peekable();
-        for (idx, &e) in self.entries.iter().enumerate() {
-            if rem.peek() == Some(&idx) {
-                rem.next();
-                continue;
+        out.reserve(entries.len() + self.splice_ins.len());
+        // `at`: the first old entry not yet copied or dropped; `first`: the
+        // first slot the splice changes.
+        let (mut at, mut first) = (0, entries.len());
+        let (mut rem, mut ins) = (self.splice_rem.iter(), self.splice_ins.iter());
+        let mut next_rem = rem.next().map(|x| removal(0, x));
+        let mut next_ins = ins.next().map(|x| insertion(0, x));
+        loop {
+            if let Some(r) = next_rem.filter(|&r| next_ins.is_none_or(|(s, _)| r < s)) {
+                out.extend_from_slice(&entries[at..r]);
+                first = first.min(r);
+                at = r + 1;
+                next_rem = rem.next().map(|x| removal(at, x));
+            } else if let Some((s, x)) = next_ins {
+                out.extend_from_slice(&entries[at..s]);
+                first = first.min(s);
+                out.push(x);
+                at = s;
+                next_ins = ins.next().map(|x| insertion(at, x));
+            } else {
+                break;
             }
-            while ins.peek().is_some_and(|x| cmp_entry(x, &e) == Ordering::Less) {
-                out.push(ins.next().expect("peeked"));
-            }
-            out.push(e);
         }
-        out.extend(ins);
+        out.extend_from_slice(&entries[at..]);
         std::mem::swap(&mut self.entries, &mut out);
         self.scratch = out;
-        self.rebuild_prefixes();
+        // The slots before the first change kept their entries.
+        self.refresh_prefixes(first);
     }
 
-    fn rebuild_prefixes(&mut self) {
-        self.prefix_profit.clear();
-        self.prefix_weight.clear();
-        self.prefix_profit.push(0);
-        self.prefix_weight.push(0);
-        let (mut ap, mut aw) = (0u128, 0u128);
-        for e in &self.entries {
-            ap += u128::from(e.profit);
-            aw += u128::from(e.weight);
-            self.prefix_profit.push(ap);
-            self.prefix_weight.push(aw);
+    /// Recomputes the prefix sums past slot `from`; those up to it must
+    /// be current.
+    fn refresh_prefixes(&mut self, from: usize) {
+        self.prefix_profit.truncate(from + 1);
+        self.prefix_weight.truncate(from + 1);
+        if self.prefix_profit.is_empty() {
+            self.prefix_profit.push(0);
+            self.prefix_weight.push(0);
         }
+        let (mut ap, mut aw) = (self.prefix_profit[from], self.prefix_weight[from]);
+        let tail = &self.entries[from..];
+        self.prefix_profit.extend(tail.iter().map(|e| {
+            ap += u128::from(e.profit);
+            ap
+        }));
+        self.prefix_weight.extend(tail.iter().map(|e| {
+            aw += u128::from(e.weight);
+            aw
+        }));
     }
 
     /// The best profit/weight ratio among positive-weight items, as a
@@ -1203,6 +1269,11 @@ mod tests {
 
     fn items(pairs: &[(u64, u64)]) -> Vec<Item> {
         pairs.iter().map(|&(profit, weight)| Item { profit, weight }).collect()
+    }
+
+    /// Everything a sorted view answers from.
+    fn view_parts(v: &SortedItems) -> (u128, Vec<Entry>, Vec<u128>, Vec<u128>) {
+        (v.free, v.entries.clone(), v.prefix_profit.clone(), v.prefix_weight.clone())
     }
 
     /// The pre-rework scalar DP, kept verbatim as a differential reference:
@@ -1772,10 +1843,82 @@ mod tests {
             let changes: Vec<_> = changed.iter().map(|&i| (i, old[i], new[i])).collect();
             let mut spliced = SortedItems::new(&old);
             spliced.splice(&changes);
-            let rebuilt = SortedItems::new(&new);
-            prop_assert_eq!(spliced.free, rebuilt.free);
-            prop_assert_eq!(spliced.entries, rebuilt.entries);
-            prop_assert_eq!(spliced.prefix_weight, rebuilt.prefix_weight);
+            prop_assert_eq!(view_parts(&spliced), view_parts(&SortedItems::new(&new)));
+        }
+
+        /// The run-copy splice against a rebuild on clustered edits, the
+        /// shapes random churn rarely draws: every insertion at the head,
+        /// every insertion at the tail, a long run of insertions beside
+        /// one entry, a removal beside insertions, every entry removed,
+        /// and insertions into an empty view. Parties past the base start
+        /// without a profit, so they can only be inserted.
+        #[test]
+        fn run_copy_splice_equals_rebuild_on_clustered_edits(
+            pw in proptest::collection::vec((0u64..30, 0u64..60), 0..40),
+            room in 1usize..24,
+            shape in 0u8..6,
+            pick in any::<u64>(),
+        ) {
+            let mut old = items(&pw);
+            old.resize(pw.len() + room, Item { profit: 0, weight: 0 });
+            if shape == 5 {
+                old.iter_mut().for_each(|it| it.profit = 0);
+            }
+            let view = SortedItems::new(&old);
+            let picked = (!view.entries.is_empty())
+                .then(|| view.entries[pick as usize % view.entries.len()]);
+            let as_item = |e: Entry| Item { profit: e.profit, weight: e.weight };
+            let mut new = old.clone();
+            let fresh = pw.len()..old.len();
+            for (k, i) in fresh.clone().enumerate() {
+                let k = k as u64;
+                new[i] = match shape {
+                    0 => Item { profit: 100 + k, weight: 1 },
+                    1 => Item { profit: 1, weight: 100 + k },
+                    2 | 3 => picked.map_or(Item { profit: 3, weight: 7 }, as_item),
+                    4 => old[i],
+                    _ => Item { profit: 1 + (pick >> k) % 29, weight: (pick >> (2 * k)) % 60 },
+                };
+            }
+            match (shape, picked) {
+                (3, Some(e)) => {
+                    // Remove the picked entry: the copies of it inserted
+                    // above land just past its slot, and one copy of the
+                    // entry before it lands on the slot.
+                    new[e.party as usize].profit = 0;
+                    let at = view.entries.iter().position(|x| x.party == e.party);
+                    if let Some(before) = at.and_then(|at| at.checked_sub(1)) {
+                        new[fresh.start] = as_item(view.entries[before]);
+                    }
+                }
+                (4, _) => new.iter_mut().for_each(|it| it.profit = 0),
+                _ => {}
+            }
+            let changes: Vec<_> = (0..old.len())
+                .filter(|&i| old[i] != new[i])
+                .map(|i| (i, old[i], new[i]))
+                .collect();
+            let mut spliced = view;
+            spliced.splice(&changes);
+            prop_assert_eq!(view_parts(&spliced), view_parts(&SortedItems::new(&new)));
+        }
+
+        /// A view built over a support is the view built over every party.
+        #[test]
+        fn rebuild_from_support_equals_rebuild(
+            pw in proptest::collection::vec((0u64..30, 0u64..60), 0..40),
+            extra in any::<u64>(),
+        ) {
+            let its = items(&pw);
+            // Every party with a profit, and some without.
+            let support: Vec<u32> = (0..its.len())
+                .filter(|&i| its[i].profit > 0 || (extra >> (i % 64)) & 1 == 1)
+                .map(|i| i as u32)
+                .collect();
+            // Built over other items first: a rebuild keeps nothing of them.
+            let mut from = SortedItems::new(&items(&[(9, 9), (0, 3)]));
+            from.rebuild_from(&its, &support);
+            prop_assert_eq!(view_parts(&from), view_parts(&SortedItems::new(&its)));
         }
 
         #[test]

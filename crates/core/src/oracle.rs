@@ -394,7 +394,8 @@ impl FullOracle {
     /// item keeps profit 0, whose weight is never read). When the previous
     /// check had the same party count and at most n/8 items changed
     /// (consecutive probes of one search, the epoch-replay shape) the
-    /// changes are spliced, else re-sorted.
+    /// changes are spliced, else re-sorted, over the support when it is
+    /// known.
     fn prepare(&mut self, member: &FamilyMember<'_>) {
         debug_assert!(member.support_is_exact(), "support misses a ticket or is unsorted");
         let n = member.weights.len();
@@ -424,6 +425,8 @@ impl FullOracle {
         self.held = member.support.map(<[u32]>::to_vec);
         if same_n && self.changes.len() < cap {
             self.sorted.splice(&self.changes);
+        } else if let Some(support) = member.support {
+            self.sorted.rebuild_from(&self.items, support);
         } else {
             self.sorted.rebuild(&self.items);
         }

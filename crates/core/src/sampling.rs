@@ -1,15 +1,9 @@
 //! Weighted sampling and the sampling-guided bracket estimate.
 //!
-//! Three pieces live here, all in service of weight-driven resource
+//! Two pieces live here, both in service of weight-driven resource
 //! allocation — the million-party solver and stake-weighted peer sampling
 //! for gossip fanout:
 //!
-//! * [`AliasTable`] — Walker/Vose alias method over a [`Weights`] vector,
-//!   built with **exact integer arithmetic** so every replica constructs
-//!   the identical table: party `i` is drawn with probability exactly
-//!   `w_i / W` in O(1) per draw after an O(n) build. This is the classic
-//!   structure behind the parallel weighted-sampling line (Hübschle-Schneider
-//!   & Sanders) referenced by the roadmap.
 //! * [`WeightedReservoir`] — a streaming weighted reservoir sampler
 //!   (Chao's probability-proportional-to-size scheme, the reservoir
 //!   counterpart of the distributed weighted-sampling line of Jayaram et
@@ -29,6 +23,13 @@
 //!   any contradiction) — so the estimate can be arbitrarily wrong without
 //!   affecting correctness; a bad estimate only costs extra probes.
 //!
+//! The draws are one batch, output-sensitive in the spirit of
+//! Hübschle-Schneider & Sanders' parallel weighted sampling: `m` sorted
+//! uniform points in `[0, W)` matched against the running prefix of the
+//! weights in one sweep, so party `i` is drawn with probability exactly
+//! `w_i / W` per draw, in `O(n + m log m)` with exact integer arithmetic
+//! and nothing `n`-sized allocated; every replica draws the same parties.
+//!
 //! The estimate simulates the solver's own quick test on the sample. A
 //! weight-proportional draw carries weight-mass `W/m`, so the `m` draws
 //! form an empirical weighted distribution of the population (the
@@ -37,10 +38,11 @@
 //! *exactly* per draw, so the regime where most parties round to zero
 //! tickets (every million-party solve: `T ≪ n`) is represented correctly —
 //! giving two importance estimates: the family total
-//! `T(s) ≈ (W/m)·Σ t(w_j)/w_j`, and the fractional adversary's take,
-//! obtained by sorting draws by ticket density `t(w)/w` and letting each
-//! capacity consume the densest mass first. Bisecting `s` on the predicate
-//! "take < q·T(s)" lands within sampling error (a few percent at
+//! `T(s) ≈ (W/m)·Σ t(w_j)/w_j`, and the fractional adversary's take, in
+//! which each capacity consumes the densest mass first: its whole grabs
+//! take the largest ticket densities `t(w)/w`, found by selection rather
+//! than a sort. Bisecting `s` on the predicate "take < q·T(s)" to a
+//! relative `10⁻⁶` lands within sampling error (a few percent at
 //! `ESTIMATE_DRAWS` draws) of the true validity boundary.
 
 use crate::weights::Weights;
@@ -78,7 +80,7 @@ impl SplitMix64 {
 /// Streaming weighted reservoir sampler: keeps `k` of the offered items
 /// with inclusion probability proportional to their weight (Chao's
 /// probability-proportional-to-size reservoir). Determinism contract
-/// matches [`AliasTable`]: all randomness comes from the caller's
+/// matches the solver's batch draw: all randomness comes from the caller's
 /// [`SplitMix64`], and the per-slot probability bookkeeping uses only
 /// IEEE-exact `f64` operations (`+ - * /`, `min`, total-order sort — no
 /// transcendentals), so every replica offering the same stream with the
@@ -277,71 +279,35 @@ fn waterfill(cands: &[(f64, f64)], absent: f64, k: f64) -> f64 {
     f64::INFINITY
 }
 
-/// Walker/Vose alias table over a weight vector: O(n) build, O(1)
-/// weight-proportional draws, exact integer probabilities.
-///
-/// # Examples
-///
-/// ```
-/// use swiper_core::sampling::{AliasTable, SplitMix64};
-/// use swiper_core::Weights;
-///
-/// let weights = Weights::new(vec![90, 5, 5]).unwrap();
-/// let table = AliasTable::new(&weights).unwrap();
-/// let mut rng = SplitMix64::new(7);
-/// let heavy = (0..1000).filter(|_| table.sample(&mut rng) == 0).count();
-/// assert!(heavy > 800, "party 0 holds 90% of the weight: {heavy}");
-/// ```
-pub struct AliasTable {
-    /// `keep[k]` of slot `k`'s mass stays with party `k`, the remainder
-    /// belongs to `alias[k]`.
-    keep: Vec<u128>,
-    alias: Vec<u32>,
-    /// Mass held by each slot (= the total weight `W`).
-    slot_mass: u128,
+/// `m` weight-proportional draws with replacement, as party indices in
+/// ascending order: `m` uniform points in `[0, W)`, sorted, matched against
+/// the running prefix of the weights in one sweep. Party `i` owns the
+/// points in `[W_<i, W_<i + w_i)`, so each draw lands on it with
+/// probability exactly `w_i / W`, and a zero-weight party owns none.
+/// `O(n + m log m)`, with nothing `n`-sized allocated.
+fn batch_draw(weights: &Weights, m: usize, rng: &mut SplitMix64) -> Vec<usize> {
+    // `Weights` guarantees a positive total.
+    let mut points: Vec<u128> = (0..m).map(|_| rng.below(weights.total())).collect();
+    points.sort_unstable();
+    owners(weights.as_slice(), &points)
 }
 
-impl AliasTable {
-    /// Builds the table; `None` when the vector is empty or all-zero
-    /// (there is no distribution to sample).
-    pub fn new(weights: &Weights) -> Option<Self> {
-        let n = weights.len();
-        let total = weights.total();
-        if n == 0 || total == 0 {
-            return None;
+/// The party owning each of the ascending `points` (all below the total
+/// weight): one sweep over the weights' running prefix.
+fn owners(weights: &[u64], points: &[u128]) -> Vec<usize> {
+    let mut drawn = Vec::with_capacity(points.len());
+    let mut next = points.iter().peekable();
+    let mut end = 0u128;
+    for (i, &w) in weights.iter().enumerate() {
+        end += u128::from(w);
+        while next.next_if(|&&x| x < end).is_some() {
+            drawn.push(i);
         }
-        let n128 = n as u128;
-        // Scaled mass per party; each of the n slots holds exactly W. A
-        // party's entry is final once it leaves the stacks, so the vector
-        // becomes the slots' `keep`.
-        let mut keep: Vec<u128> =
-            weights.as_slice().iter().map(|&w| u128::from(w) * n128).collect();
-        let mut alias: Vec<u32> = (0..n as u32).collect();
-        let (mut small, mut large): (Vec<u32>, Vec<u32>) =
-            alias.iter().partition(|&&i| keep[i as usize] < total);
-        while let (Some(s), Some(&l)) = (small.pop(), large.last()) {
-            alias[s as usize] = l;
-            keep[l as usize] -= total - keep[s as usize];
-            if keep[l as usize] < total {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Parties left on a stack hold exactly `W` and keep their full slot.
-        Some(AliasTable { keep, alias, slot_mass: total })
-    }
-
-    /// Draws one party index with probability proportional to its weight.
-    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let x = rng.below(self.slot_mass * self.keep.len() as u128);
-        let k = (x / self.slot_mass) as usize;
-        let r = x % self.slot_mass;
-        if r < self.keep[k] {
-            k
-        } else {
-            self.alias[k] as usize
+        if next.peek().is_none() {
+            break;
         }
     }
+    drawn
 }
 
 /// Draws the sampler makes per estimate: enough to place the boundary
@@ -352,9 +318,11 @@ impl AliasTable {
 pub(crate) const ESTIMATE_DRAWS: usize = 8192;
 
 /// Parties at or above which a hintless solve consults the sampler. Both
-/// sides are benchmarked (`solver_cold` solves at 10⁵ and 10⁶): at 10⁶ the
-/// window saves three near-full-cost probes, at 10⁵ the estimate costs more
-/// than the probes it would save.
+/// sides are benchmarked (`solver_cold` solves at 10⁵ and 10⁶). At 10⁶ the
+/// window saves a few near-full-cost probes for an estimate that costs a
+/// fraction of one. At 10⁵ the probes it would save are cheap too:
+/// moving the gate to 2¹⁶ measured inconclusive (the fork table in
+/// ARCHITECTURE.md).
 pub(crate) const SAMPLING_MIN_PARTIES: usize = 1 << 18;
 
 /// Fixed seed for the solver's estimates — every replica must derive the
@@ -377,7 +345,6 @@ pub(crate) fn estimate_boundary_total(
     draws: usize,
     seed: u64,
 ) -> Option<u64> {
-    let table = AliasTable::new(weights)?;
     if q_den == 0 || c_den == 0 {
         return None;
     }
@@ -388,44 +355,60 @@ pub(crate) fn estimate_boundary_total(
     if q * wt <= cap_sum {
         return None; // capacity at/above the target slope: no finite boundary.
     }
-    let mut rng = SplitMix64::new(seed);
     let m = draws.max(16);
-    let drawn: Vec<u64> = (0..m).map(|_| weights.get(table.sample(&mut rng))).collect();
+    let drawn = batch_draw(weights, m, &mut SplitMix64::new(seed));
+    let drawn: Vec<f64> = drawn.into_iter().map(|i| weights.get(i) as f64).collect();
     // Each weight-proportional draw stands for weight-mass W/m of the
     // population: the count of parties it represents is (W/m)/w_j, so any
     // per-party statistic g(w) has the importance estimate (W/m)·Σ g(w_j)/w_j.
     let mass = wt / m as f64;
+    // Whole grabs of mass W/m each capacity takes, and the fraction of one
+    // more it takes.
+    let grabs: Vec<(usize, f64)> = caps
+        .iter()
+        .map(|&cap| {
+            let whole = (cap as f64 / mass).floor();
+            (whole.min(m as f64) as usize, (cap as f64 / mass - whole).min(1.0))
+        })
+        .collect();
 
     // Simulate the quick test at scale `s` on the empirical distribution.
     // Returns (estimated family total, fractional adversary take summed
     // over all capacities).
     let mut dens: Vec<f64> = Vec::with_capacity(m);
-    let eval = |s: f64, dens: &mut Vec<f64>| -> (f64, f64) {
+    let mut select: Vec<f64> = Vec::with_capacity(m);
+    let mut eval = |s: f64| -> (f64, f64) {
         dens.clear();
         let mut t_hat = 0.0f64;
-        for &w in &drawn {
-            let wf = w as f64;
+        for &wf in &drawn {
             // The family's exact per-party ticket rule — floors included,
             // so the `T ≪ n` regime (most parties at zero tickets) is
             // represented instead of averaged away.
-            let t = (s * wf + c).floor();
-            t_hat += (t / wf) * mass;
-            dens.push(t / wf);
+            let d = (s * wf + c).floor() / wf;
+            t_hat += d * mass;
+            dens.push(d);
         }
         // Fractional adversary: each capacity independently consumes the
-        // densest weight-mass first (draws all carry equal mass W/m).
-        dens.sort_unstable_by(|a, b| b.total_cmp(a));
+        // densest weight-mass first (draws all carry equal mass W/m): its
+        // `k` whole grabs take the `k` largest densities, the partial one
+        // the next. Selection finds the `(k+1)`-th largest, `v`; one pass
+        // in draw order sums what lies above it, so the take does not
+        // depend on the selection's internal order.
         let mut take = 0.0f64;
-        for &cap in caps {
-            let mut left = cap as f64;
-            for &d in dens.iter() {
-                if left <= 0.0 || d <= 0.0 {
-                    break;
-                }
-                let grab = mass.min(left);
-                take += d * grab;
-                left -= grab;
+        for &(k, part) in &grabs {
+            let v = if k < m {
+                select.clone_from(&dens);
+                *select.select_nth_unstable_by(k, |a, b| b.total_cmp(a)).1
+            } else {
+                f64::NEG_INFINITY
+            };
+            let (mut above, mut count) = (0.0f64, 0usize);
+            for &d in dens.iter().filter(|&&d| d > v) {
+                above += d;
+                count += 1;
             }
+            let ties = if k < m { (k - count) as f64 * v + part * v } else { 0.0 };
+            take += (above + ties) * mass;
         }
         (t_hat, take)
     };
@@ -433,7 +416,7 @@ pub(crate) fn estimate_boundary_total(
 
     // Bracket the flip in `s`: valid(s) is (up to floor wiggle) monotone
     // because q·W > cap_sum makes the target outgrow the take.
-    let (t0, a0) = eval(0.0, &mut dens);
+    let (t0, a0) = eval(0.0);
     let finish = |t_hat: f64| -> Option<u64> {
         if !t_hat.is_finite() {
             return None;
@@ -454,7 +437,7 @@ pub(crate) fn estimate_boundary_total(
     let mut hi_total = f64::NAN;
     let mut bracketed = false;
     for _ in 0..200 {
-        let (t, a) = eval(hi, &mut dens);
+        let (t, a) = eval(hi);
         if valid(t, a) {
             hi_total = t;
             bracketed = true;
@@ -466,12 +449,10 @@ pub(crate) fn estimate_boundary_total(
     if !bracketed {
         return None;
     }
-    for _ in 0..64 {
+    // The flip is placed to a relative 10⁻⁶, far inside the sampling error.
+    while hi - lo > 1e-6 * hi {
         let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            break;
-        }
-        let (t, a) = eval(mid, &mut dens);
+        let (t, a) = eval(mid);
         if valid(t, a) {
             hi = mid;
             hi_total = t;
@@ -488,64 +469,58 @@ mod tests {
 
     #[test]
     fn degenerate_vectors_cannot_reach_the_table() {
-        // All-zero vectors are rejected upstream by `Weights::new`; the
-        // table's own `None` guard is defense in depth.
+        // All-zero vectors are rejected upstream by `Weights::new`, so the
+        // batch draw always has a positive total to draw below.
         assert!(Weights::new(vec![0, 0, 0]).is_err());
     }
 
     #[test]
-    fn alias_table_is_deterministic_per_seed() {
+    fn batch_draw_is_deterministic_per_seed() {
         let w = Weights::new(vec![5, 1, 100, 17, 0, 9]).unwrap();
-        let table = AliasTable::new(&w).unwrap();
-        let draw = |seed| {
-            let mut rng = SplitMix64::new(seed);
-            (0..64).map(|_| table.sample(&mut rng)).collect::<Vec<_>>()
-        };
+        let draw = |seed| batch_draw(&w, 64, &mut SplitMix64::new(seed));
         assert_eq!(draw(42), draw(42));
         assert_ne!(draw(42), draw(43), "different seeds must diverge");
+        assert!(draw(42).windows(2).all(|p| p[0] <= p[1]), "draws come out ascending");
     }
 
     #[test]
-    fn alias_table_matches_weights_in_frequency() {
-        // Exact-probability check via full enumeration of slot masses:
-        // summed keep/alias mass per party must equal w_i * n.
-        let ws = vec![3u64, 0, 7, 90, 10, 10];
-        let w = Weights::new(ws.clone()).unwrap();
-        let table = AliasTable::new(&w).unwrap();
-        let mut mass = vec![0u128; ws.len()];
-        for (k, (&keep, &alias)) in table.keep.iter().zip(&table.alias).enumerate() {
-            mass[k] += keep;
-            mass[alias as usize] += table.slot_mass - keep;
+    fn batch_draw_matches_weights_in_frequency() {
+        // Exact-probability check via full enumeration of the points: of
+        // the W points in [0, W), party i must own exactly w_i.
+        let ws = [3u64, 0, 7, 90, 10, 10];
+        let total: u64 = ws.iter().sum();
+        let points: Vec<u128> = (0..u128::from(total)).collect();
+        let mut owned = vec![0u64; ws.len()];
+        for i in owners(&ws, &points) {
+            owned[i] += 1;
         }
-        let n = ws.len() as u128;
-        for (i, &wi) in ws.iter().enumerate() {
-            assert_eq!(mass[i], u128::from(wi) * n, "party {i}");
-        }
+        assert_eq!(owned, ws);
     }
 
-    /// The draws of the solver's estimate stream on the whale-skewed
-    /// population, pinned: any change to the table's layout or build order
-    /// that moves a single draw moves the solver's trust window.
+    /// The draws of the solver's estimate stream, pinned on a small
+    /// vector and, as a digest, on the whale-skewed population: any change
+    /// to the point stream or the sweep that moves a single draw moves the
+    /// solver's trust window.
     #[test]
-    fn alias_table_draws_are_pinned() {
+    fn batch_draws_are_pinned() {
+        let small = Weights::new(vec![5, 1, 100, 17, 0, 9]).unwrap();
+        let small = batch_draw(&small, 12, &mut SplitMix64::new(7));
+        assert_eq!(small, [2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 5]);
         let w = Weights::whale_skewed(100_000, 1);
-        let table = AliasTable::new(&w).unwrap();
         let mut rng = SplitMix64::new(ESTIMATE_SEED);
-        let digest = (0..8192).fold(0xcbf2_9ce4_8422_2325u64, |d, _| {
-            (d ^ table.sample(&mut rng) as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        let drawn = batch_draw(&w, ESTIMATE_DRAWS, &mut rng);
+        let digest = drawn.iter().fold(0xcbf2_9ce4_8422_2325u64, |d, &i| {
+            (d ^ i as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(digest, 0x5c48_129d_64fa_500d);
+        assert_eq!(digest, 0xc31a_169a_6b5c_c838);
     }
 
     #[test]
     fn zero_weight_parties_are_never_drawn() {
-        let w = Weights::new(vec![0, 50, 0, 50]).unwrap();
-        let table = AliasTable::new(&w).unwrap();
-        let mut rng = SplitMix64::new(1);
-        for _ in 0..500 {
-            let i = table.sample(&mut rng);
-            assert!(i == 1 || i == 3, "drew zero-weight party {i}");
-        }
+        let w = Weights::new(vec![0, 50, 0, 50, 0]).unwrap();
+        let drawn = batch_draw(&w, 500, &mut SplitMix64::new(1));
+        assert_eq!(drawn.len(), 500);
+        assert!(drawn.iter().all(|&i| i == 1 || i == 3), "drew a zero-weight party");
     }
 
     #[test]

@@ -1442,6 +1442,34 @@ mod tests {
         })[0]
     }
 
+    /// The trust window at the scale it is gated to: cold WR(1/3, 1/2)
+    /// solves over 10⁶ whale-skewed parties (the shape of
+    /// `swiper_weights::gen::whale_mix`), seeds 1–4, publish the assignment
+    /// of the windowless bisection and save probes doing so.
+    #[test]
+    #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
+    fn window_landing_matches_windowless_on_1e6_whales() {
+        let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let c = p.family_constant();
+        for seed in 1..=4 {
+            let w = Weights::whale_skewed(1_000_000, seed);
+            let bound = p.ticket_bound(w.len() as u64).unwrap().max(1);
+            let check = CheckParams::restriction(&w, &p).unwrap();
+            let window = trust_window(&w, c, bound, &check);
+            assert!(window.is_some(), "seed {seed}: the sampler declined");
+            let solve = |window| {
+                solve_with(&mut FullOracle::new(), &w, c, bound, &check, None, window).unwrap()
+            };
+            let (windowed, windowless) = (solve(window), solve(None));
+            assert_eq!(windowed.assignment, windowless.assignment, "seed {seed}");
+            let probes = [windowed.stats, windowless.stats].map(|s| s.candidates_checked);
+            assert!(
+                probes[0] < probes[1],
+                "seed {seed}: the window saved no probe: {probes:?}"
+            );
+        }
+    }
+
     /// The proptests above stay below 25 parties, where no profit class
     /// ever holds two items. One whale-skewed population of a few thousand
     /// — tickets bunched into a handful of classes, probes that reach the
