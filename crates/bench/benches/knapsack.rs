@@ -25,7 +25,7 @@ use swiper_weights::gen;
 #[derive(Default)]
 struct LastDpSettled {
     inner: FullOracle,
-    last: Option<(TicketAssignment, u64, CheckParams)>,
+    last: Option<(TicketAssignment, CheckParams)>,
     stats: SolveStats,
 }
 
@@ -38,7 +38,7 @@ impl ValidityOracle for LastDpSettled {
         let verdict = self.inner.check(member, params)?;
         let settled = self.inner.take_stats();
         if settled.dp_invocations > 0 {
-            self.last = Some((member.tickets.clone(), member.total, *params));
+            self.last = Some((member.materialize(), *params));
         }
         self.stats.absorb(&settled);
         Ok(verdict)
@@ -65,9 +65,10 @@ fn bench_dp_vs_bounds(c: &mut Criterion) {
         ] {
             let mut finder = LastDpSettled::default();
             Swiper::new().solve_instance_with(&mut finder, &instance).expect("solvable");
-            let (tickets, total, params) =
+            let (tickets, params) =
                 finder.last.unwrap_or_else(|| panic!("{shape} at n = {n} never ran the DP"));
-            let member = FamilyMember { weights: &w, tickets: &tickets, total, support: None };
+            let member = FamilyMember::dense(&w, &tickets);
+            let total = member.total;
             let mut oracle = FullOracle::new();
             group.bench_function(BenchmarkId::new(format!("dp_check/{shape}"), n), |b| {
                 b.iter(|| oracle.check(black_box(&member), &params))

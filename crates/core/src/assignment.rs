@@ -28,12 +28,11 @@ impl TicketAssignment {
         TicketAssignment { tickets, total }
     }
 
-    /// The raw tickets and the total, for the incremental family cursor: it
-    /// splices ticket deltas in place and keeps the total itself, since
-    /// re-summing a million-entry vector per probe would undo the O(Δ)
-    /// advance. The caller keeps `total` equal to the sum.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u64>, &mut u128) {
-        (&mut self.tickets, &mut self.total)
+    /// Wraps a ticket vector whose sum the caller already knows (a scatter
+    /// of a run with a known total), skipping the re-summing pass.
+    pub(crate) fn from_parts(tickets: Vec<u64>, total: u128) -> Self {
+        debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), total);
+        TicketAssignment { tickets, total }
     }
 
     /// Number of parties.

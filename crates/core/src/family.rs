@@ -39,7 +39,9 @@ struct Crossing {
     /// Numerator over the denominator `cd * w`.
     a: u128,
     /// The party whose crossing this is.
-    party: usize,
+    party: u32,
+    /// Where the party's tickets sit in the vector the crossing updates.
+    slot: u32,
     /// That party's weight (denominator component).
     w: u64,
 }
@@ -110,13 +112,16 @@ impl<'a> Family<'a> {
     ///
     /// * [`CoreError::ThresholdOutOfRange`] when `c` is not in `(0, 1)`.
     /// * [`CoreError::ArithmeticOverflow`] when `max_total`, `c`'s
-    ///   denominator and the largest weight jointly exceed the envelope.
+    ///   denominator and the largest weight jointly exceed the envelope,
+    ///   or there are more than `u32::MAX` parties (crossings, like every
+    ///   oracle's sorted view, name parties by `u32`).
     pub fn new(weights: &'a Weights, c: Ratio, max_total: u64) -> Result<Self, CoreError> {
         if !c.is_proper() {
             return Err(CoreError::ThresholdOutOfRange {
                 what: "family constant c must be in (0, 1)",
             });
         }
+        u32::try_from(weights.len()).map_err(|_| CoreError::ArithmeticOverflow)?;
         let (cn, cd) = (c.num(), c.den());
         let w_max = weights.max();
         // Worst-case numerator: ((max_total + 2) * cd) * w_max + cn * w_max.
@@ -215,7 +220,8 @@ impl<'a> Family<'a> {
             // Include iff value <= right end: a/(cd*w) <= r_a/(cd*w_max)
             //   <=> a * w_max <= r_a * w.
             if cmp_mul(a, u128::from(self.w_max), r_a, u128::from(w)) != Ordering::Greater {
-                cands.push(Crossing { a, party: i, w });
+                let party = i as u32; // `Family::new` bounds the party count
+                cands.push(Crossing { a, party, slot: party, w });
             }
         }
         debug_assert!(cands.len() >= rank, "interval must contain the target crossing");
@@ -242,7 +248,7 @@ impl<'a> Family<'a> {
             // border parties first, breaking ties towards higher indices.
             border.sort_by(|x, y| x.w.cmp(&y.w).then(y.party.cmp(&x.party)));
             for c in border.into_iter().take(overshoot) {
-                tickets[c.party] -= 1;
+                tickets[c.slot as usize] -= 1;
             }
         }
         let out = TicketAssignment::new(tickets);
@@ -252,18 +258,22 @@ impl<'a> Family<'a> {
 }
 
 /// Cached state of one grid interval `((j-1-c)/w_max, (j-c)/w_max]`: the
-/// sorted candidate crossings inside it and the ticket vector materialized
-/// somewhere along it. Any total whose boundary crossing falls in the same
-/// interval is reachable from here by splicing only the candidates between
-/// the two ranks — the O(Δ) path.
+/// sorted candidate crossings inside it and the member materialized
+/// somewhere along it, as tickets aligned with the interval's `L_j`. Any
+/// total whose boundary crossing falls in the same interval is reachable
+/// from here by splicing only the candidates between the two ranks — the
+/// O(Δ) path.
 struct IntervalState {
     j: u64,
-    /// Candidate crossings in the interval, sorted by `(value, party)`.
+    /// Candidate crossings in the interval, sorted by `(value, party)`;
+    /// each one's slot is its party's index in `L_j`.
     cands: Vec<Crossing>,
-    /// `cands[..applied]` currently carry their `+1` in the ticket vector.
+    /// `tickets[k]` is the tickets of `L_j`'s `k`-th party.
+    tickets: Vec<u64>,
+    /// `cands[..applied]` currently carry their `+1` in `tickets`.
     applied: usize,
-    /// Parties currently holding a border `-1` (the "all but k" drop).
-    dropped: Vec<usize>,
+    /// Slots currently holding a border `-1` (the "all but k" drop).
+    dropped: Vec<u32>,
 }
 
 /// `L_j`: the parties holding a ticket at grid index `j`, ascending, with
@@ -341,33 +351,30 @@ fn source(levels: &[Level], j: u64) -> Option<&Level> {
 ///    is spliced by rank delta: only parties whose crossing sits between
 ///    the two boundary ranks change, plus border-drop bookkeeping.
 ///
-/// The lent member's support is its interval's `L_j`. Equivalence with the
-/// from-scratch path is pinned by the `*cursor_matches_from_scratch` tests.
+/// The member is lent as its interval's live run: `L_j`'s parties and
+/// weights beside the interval's tickets; nothing `n`-sized is written per
+/// probe. Equivalence with the from-scratch path is pinned by the
+/// `*cursor_matches_from_scratch` tests.
 pub(crate) struct FamilyCursor<'f, 'a> {
     family: &'f Family<'a>,
     /// Memoized `j -> count_at(j)`: one entry per count pass run.
     counts: BTreeMap<u64, u128>,
-    /// Kept levels in descending `j`, each a subset of the one before; the
-    /// last holds every ticket of `member` (the interval's `L_j`).
+    /// Kept levels in descending `j`, each a subset of the one before;
+    /// while `interval` is set, the last is its `L_j`.
     levels: Vec<Level>,
+    /// The interval last advanced into; `None` after a total-0 advance.
     interval: Option<IntervalState>,
-    /// The member last advanced to, lent out by [`FamilyCursor::advance_to`];
-    /// the base of the next splice while `interval.is_some()`.
-    member: TicketAssignment,
     /// Advances served from the cached interval via rank-delta splicing.
     reused: u64,
 }
 
 impl<'f, 'a> FamilyCursor<'f, 'a> {
     pub fn new(family: &'f Family<'a>) -> Self {
-        // Levels, like every oracle's sorted view, name parties by `u32`.
-        assert!(u32::try_from(family.weights.len()).is_ok(), "party count fits u32");
         FamilyCursor {
             family,
             counts: BTreeMap::new(),
             levels: Vec::new(),
             interval: None,
-            member: TicketAssignment::new(Vec::new()),
             reused: 0,
         }
     }
@@ -462,13 +469,12 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
     /// The family member with exactly `total` tickets; see
     /// [`Family::assignment_with_total`] for the semantics — outputs are
     /// bit-identical, including the deterministic border rule. The member
-    /// is lent, not copied: O(Δ) per advance inside the cached interval,
-    /// with its interval's `L_j` as [`FamilyMember::support`].
+    /// is lent as its interval's live run, not copied: O(Δ) per advance
+    /// inside the cached interval. The total-0 member is the empty run.
     pub fn advance_to(&mut self, total: u64) -> Result<FamilyMember<'_>, CoreError> {
         if total == 0 {
             self.interval = None;
-            self.member = TicketAssignment::new(vec![0; self.family.weights.len()]);
-            return Ok(self.lend(0));
+            return Ok(FamilyMember::run(self.family.weights, 0, &[], &[], &[]));
         }
         let j = self.find_j(total);
         let count_left = if j == 1 { 0 } else { self.count(j - 1) };
@@ -498,18 +504,18 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
 
         // Undo the previous total's border drops, splice the base by rank
         // delta, then apply this total's drops: O(Δ + border).
-        let (tickets, sum) = self.member.parts_mut();
-        for &p in &iv.dropped {
-            tickets[p] += 1;
+        let tickets = &mut iv.tickets;
+        for &k in &iv.dropped {
+            tickets[k as usize] += 1;
         }
         iv.dropped.clear();
         if ub > iv.applied {
             for c in &iv.cands[iv.applied..ub] {
-                tickets[c.party] += 1;
+                tickets[c.slot as usize] += 1;
             }
         } else {
             for c in &iv.cands[ub..iv.applied] {
-                tickets[c.party] -= 1;
+                tickets[c.slot as usize] -= 1;
             }
         }
         iv.applied = ub;
@@ -520,41 +526,37 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
             debug_assert!(border.len() > overshoot, "overshoot bounded by border size");
             border.sort_by(|x, y| x.w.cmp(&y.w).then(y.party.cmp(&x.party)));
             for c in border.into_iter().take(overshoot) {
-                tickets[c.party] -= 1;
-                iv.dropped.push(c.party);
+                tickets[c.slot as usize] -= 1;
+                iv.dropped.push(c.slot);
             }
         }
-        *sum = u128::from(total);
-        debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), *sum);
-        Ok(self.lend(total))
+        let live = self.levels.last().expect("the interval's level is the newest");
+        let tickets = &self.interval.as_ref().expect("interval built above").tickets;
+        Ok(FamilyMember::run(self.family.weights, total, &live.parties, &live.weights, tickets))
     }
 
-    fn lend(&self, total: u64) -> FamilyMember<'_> {
-        let live = self.levels.last().filter(|_| total > 0);
-        let support = Some(live.map_or(&[][..], |lv| &lv.parties));
-        FamilyMember { weights: self.family.weights, tickets: &self.member, total, support }
-    }
-
-    /// Materializes the interval `j` in one [`pass`]: left-boundary tickets
-    /// for every party that can hold one, the sorted in-interval candidates
-    /// (parties whose next crossing falls inside the interval) and `L_j`,
-    /// the member's new support. An interval holds at most one crossing
-    /// per party, so the next crossing is inside iff the right edge counts
-    /// one ticket more than the left.
+    /// Materializes the interval `j` in one [`pass`]: `L_j`, its parties'
+    /// left-boundary tickets and the sorted in-interval candidates (parties
+    /// whose next crossing falls inside the interval). An interval holds at
+    /// most one crossing per party, so the next crossing is inside iff the
+    /// right edge counts one ticket more than the left.
     fn build_interval(&mut self, j: u64) {
         let family = self.family;
         let left_eval = (j > 1).then(|| family.grid_eval(j - 1));
-        let (tickets, _) = self.member.parts_mut();
-        tickets.resize(family.weights.len(), 0);
-        let old = self.levels.last().map_or(&[][..], |lv| &lv.parties);
-        old.iter().for_each(|&p| tickets[p as usize] = 0);
+        let src = source(&self.levels, j);
+        let mut tickets = self.interval.take().map(|iv| iv.tickets).unwrap_or_default();
+        tickets.clear();
+        tickets.reserve(src.map_or(family.weights.len(), |lv| lv.parties.len()));
         let mut cands = Vec::new();
-        let live = collect(family, source(&self.levels, j), j, |party, w, right| {
+        let live = collect(family, src, j, |party, w, right| {
             let left = left_eval.as_ref().map_or(0, |eval| eval.tickets(w));
-            tickets[party] = u64::try_from(left).expect("validated by Family::new envelope");
+            // Aligned with `L_j` as `collect` builds it: keep iff `right > 0`.
+            tickets.push(u64::try_from(left).expect("validated by Family::new envelope"));
+            tickets.truncate(tickets.len() - usize::from(right == 0));
             if right > left {
                 let a = (left + 1) * family.cd - family.cn;
-                cands.push(Crossing { a, party, w });
+                let slot = (tickets.len() - 1) as u32;
+                cands.push(Crossing { a, party: party as u32, slot, w });
             }
         });
         // A bisection never probes below its invalid end again.
@@ -564,7 +566,8 @@ impl<'f, 'a> FamilyCursor<'f, 'a> {
             self.levels.remove(0);
         }
         cands.sort_by(|x, y| x.cmp_value(y).then(x.party.cmp(&y.party)));
-        self.interval = Some(IntervalState { j, cands, applied: 0, dropped: Vec::new() });
+        self.interval =
+            Some(IntervalState { j, cands, tickets, applied: 0, dropped: Vec::new() });
     }
 }
 
@@ -716,8 +719,7 @@ mod tests {
         // A bisection-shaped probe order: far jumps, then a tight cluster.
         for t in [30u64, 15, 45, 52, 48, 50, 49, 0, 49, 1, 60] {
             let inc = cursor.advance_to(t).unwrap();
-            let scratch = fam.assignment_with_total(t).unwrap();
-            assert_eq!(*inc.tickets, scratch, "total={t}");
+            assert_run_exact(&inc, &fam.assignment_with_total(t).unwrap());
         }
         assert!(cursor.reused() > 0, "clustered probes must hit the splice path");
 
@@ -753,8 +755,7 @@ mod tests {
             for t in [mid, bound / 4, mid + mid / 2, mid + 2, mid + 1, 0, mid + 1, 1, bound] {
                 let t = t.min(bound);
                 let inc = cursor.advance_to(t).unwrap();
-                let scratch = fam.assignment_with_total(t).unwrap();
-                assert_eq!(*inc.tickets, scratch, "n={} total={t}", weights.len());
+                assert_run_exact(&inc, &fam.assignment_with_total(t).unwrap());
             }
         }
     }
@@ -793,7 +794,7 @@ mod tests {
                 2 * u64::from(u64::BITS - (width - 1).leading_zeros()) + 1
             };
             let before = cursor.grid_counts();
-            let inc = cursor.advance_to(t).unwrap().tickets.clone();
+            let inc = cursor.advance_to(t).unwrap().materialize();
             let passes = cursor.grid_counts() - before;
             assert!(
                 passes <= budget,
@@ -836,19 +837,24 @@ mod tests {
         assert!(passes <= 50, "whale-skewed 1e5 grid search took {passes} count passes");
     }
 
-    /// The member's support is strictly ascending and every party outside
-    /// it holds no ticket.
-    fn assert_support_covers(member: &FamilyMember<'_>) {
-        let support = member.support.expect("the cursor lends a support");
-        assert!(support.windows(2).all(|p| p[0] < p[1]), "support not ascending");
-        let tickets = member.tickets.as_slice();
-        let inside: u128 = support.iter().map(|&p| u128::from(tickets[p as usize])).sum();
-        assert_eq!(inside, member.tickets.total(), "a ticket outside the support");
+    /// The lent member equals `reference`: its run yields the reference's
+    /// `(party, item)` pairs, strictly ascending, holding every ticket, and
+    /// it materializes to the reference.
+    fn assert_run_exact(member: &FamilyMember<'_>, reference: &TicketAssignment) {
+        let total = member.total;
+        assert_eq!(u128::from(total), reference.total(), "total {total}");
+        let run: Vec<_> = member.nonzero().collect();
+        assert!(run.windows(2).all(|p| p[0].0 < p[1].0), "run not ascending at {total}");
+        let held: u128 = run.iter().map(|(_, it)| u128::from(it.profit)).sum();
+        assert_eq!(held, u128::from(total), "a ticket outside the run at {total}");
+        let dense: Vec<_> = FamilyMember::dense(member.weights, reference).nonzero().collect();
+        assert_eq!(run, dense, "total {total}");
+        assert_eq!(&member.materialize(), reference, "total {total}");
     }
 
     /// Release-only: a cold WR solve over 10⁶ whale-skewed parties, every
-    /// probe's cursor member compared with the reference materialization
-    /// and its support checked to cover every ticket.
+    /// probe's cursor member compared with the reference materialization,
+    /// its run checked to be ascending and to hold every ticket.
     #[test]
     #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
     fn cursor_matches_reference_on_1e6_whales() {
@@ -867,9 +873,7 @@ mod tests {
                 member: &FamilyMember<'_>,
                 params: &CheckParams,
             ) -> Result<Verdict, CoreError> {
-                let reference = self.family.assignment_with_total(member.total)?;
-                assert_eq!(member.tickets, &reference, "total {}", member.total);
-                assert_support_covers(member);
+                assert_run_exact(member, &self.family.assignment_with_total(member.total)?);
                 self.compared += 1;
                 self.inner.check(member, params)
             }
@@ -950,16 +954,15 @@ mod tests {
                 let mut cursor = FamilyCursor::new(&fam);
                 for &t in &probes {
                     let inc = cursor.advance_to(t).unwrap();
-                    let scratch = fam.assignment_with_total(t).unwrap();
-                    prop_assert_eq!(inc.tickets, &scratch, "total={}", t);
+                    assert_run_exact(&inc, &fam.assignment_with_total(t).unwrap());
                 }
             }
         }
 
         /// The live levels against the reference: probes walk down, jump
         /// above every level the walk narrowed to, go to 0 and come back.
-        /// Every lent member equals the reference and holds no ticket
-        /// outside its support.
+        /// Every lent member equals the reference and its run is ascending
+        /// and holds every ticket.
         #[test]
         fn narrowed_cursor_matches_from_scratch(
             ws in proptest::collection::vec(0u64..1_000, 2..48),
@@ -982,8 +985,7 @@ mod tests {
             let probes = walk.into_iter().chain([above, 0]).chain(back);
             for t in probes {
                 let member = cursor.advance_to(t).unwrap();
-                prop_assert_eq!(member.tickets, &fam.assignment_with_total(t).unwrap(), "total={}", t);
-                assert_support_covers(&member);
+                assert_run_exact(&member, &fam.assignment_with_total(t).unwrap());
             }
         }
 

@@ -801,6 +801,10 @@ fn gallop(entries: &[Entry], from: usize, ahead: impl Fn(&Entry) -> bool) -> usi
     from + lo + tail[lo..hi.min(tail.len())].partition_point(ahead)
 }
 
+/// [`SortedItems::parts`]: free profit, entries, prefix profits and weights.
+#[cfg(test)]
+pub(crate) type ViewParts<'a> = (u128, Vec<(u64, u64, u32)>, &'a [u128], &'a [u128]);
+
 /// A ratio-sorted item view with prefix sums, shared by every bound query
 /// against the same candidate assignment.
 ///
@@ -843,34 +847,23 @@ impl SortedItems {
     ///
     /// Panics if `items.len()` exceeds `u32::MAX` parties.
     pub fn rebuild(&mut self, items: &[Item]) {
-        self.rebuild_over(items, 0..items.len());
+        assert!(u32::try_from(items.len()).is_ok(), "party count fits u32");
+        self.rebuild_run(items.iter().enumerate().map(|(i, &it)| (i as u32, it)));
     }
 
-    /// [`SortedItems::rebuild`] for items that have a profit only inside
-    /// `support`, a strictly ascending party list: reads only the
-    /// support's items, and equals `rebuild(items)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a support party is out of range of `items`.
-    pub fn rebuild_from(&mut self, items: &[Item], support: &[u32]) {
-        self.rebuild_over(items, support.iter().map(|&p| p as usize));
-    }
-
-    /// The shared rebuild body: collects the entries of `parties`, in
-    /// ascending party order, and sorts them.
-    fn rebuild_over(&mut self, items: &[Item], parties: impl Iterator<Item = usize>) {
+    /// [`SortedItems::rebuild`] from a run of `(party, item)` pairs in
+    /// ascending party order, every party absent from it holding profit 0:
+    /// equals `rebuild` over the dense items.
+    pub fn rebuild_run(&mut self, run: impl IntoIterator<Item = (u32, Item)>) {
         self.free = 0;
         self.entries.clear();
-        for i in parties {
-            let it = items[i];
+        for (party, it) in run {
             if it.profit == 0 {
                 continue; // never helps
             }
             if it.weight == 0 {
                 self.free += u128::from(it.profit);
             } else {
-                let party = u32::try_from(i).expect("party count fits u32");
                 self.entries.push(Entry { profit: it.profit, weight: it.weight, party });
             }
         }
@@ -967,6 +960,14 @@ impl SortedItems {
         self.scratch = out;
         // The slots before the first change kept their entries.
         self.refresh_prefixes(first);
+    }
+
+    /// Everything the view answers from: the free profit, the
+    /// `(profit, weight, party)` entries in order and the prefix sums.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> ViewParts<'_> {
+        let entries = self.entries.iter().map(|e| (e.profit, e.weight, e.party)).collect();
+        (self.free, entries, &self.prefix_profit, &self.prefix_weight)
     }
 
     /// Recomputes the prefix sums past slot `from`; those up to it must
@@ -1269,11 +1270,6 @@ mod tests {
 
     fn items(pairs: &[(u64, u64)]) -> Vec<Item> {
         pairs.iter().map(|&(profit, weight)| Item { profit, weight }).collect()
-    }
-
-    /// Everything a sorted view answers from.
-    fn view_parts(v: &SortedItems) -> (u128, Vec<Entry>, Vec<u128>, Vec<u128>) {
-        (v.free, v.entries.clone(), v.prefix_profit.clone(), v.prefix_weight.clone())
     }
 
     /// The pre-rework scalar DP, kept verbatim as a differential reference:
@@ -1843,7 +1839,7 @@ mod tests {
             let changes: Vec<_> = changed.iter().map(|&i| (i, old[i], new[i])).collect();
             let mut spliced = SortedItems::new(&old);
             spliced.splice(&changes);
-            prop_assert_eq!(view_parts(&spliced), view_parts(&SortedItems::new(&new)));
+            prop_assert_eq!(spliced.parts(), SortedItems::new(&new).parts());
         }
 
         /// The run-copy splice against a rebuild on clustered edits, the
@@ -1900,25 +1896,25 @@ mod tests {
                 .collect();
             let mut spliced = view;
             spliced.splice(&changes);
-            prop_assert_eq!(view_parts(&spliced), view_parts(&SortedItems::new(&new)));
+            prop_assert_eq!(spliced.parts(), SortedItems::new(&new).parts());
         }
 
-        /// A view built over a support is the view built over every party.
+        /// A view built from the run of a support (every party with a
+        /// profit, and some without) is the view built over every party.
         #[test]
         fn rebuild_from_support_equals_rebuild(
             pw in proptest::collection::vec((0u64..30, 0u64..60), 0..40),
             extra in any::<u64>(),
         ) {
             let its = items(&pw);
-            // Every party with a profit, and some without.
             let support: Vec<u32> = (0..its.len())
                 .filter(|&i| its[i].profit > 0 || (extra >> (i % 64)) & 1 == 1)
                 .map(|i| i as u32)
                 .collect();
             // Built over other items first: a rebuild keeps nothing of them.
             let mut from = SortedItems::new(&items(&[(9, 9), (0, 3)]));
-            from.rebuild_from(&its, &support);
-            prop_assert_eq!(view_parts(&from), view_parts(&SortedItems::new(&its)));
+            from.rebuild_run(support.iter().map(|&p| (p, its[p as usize])));
+            prop_assert_eq!(from.parts(), SortedItems::new(&its).parts());
         }
 
         #[test]

@@ -113,35 +113,96 @@ pub enum Verdict {
 }
 
 /// One candidate of the `t(s, k)` family, as presented to an oracle.
+///
+/// The solver lends its cursor's live run: the parties that can hold a
+/// ticket at the member's grid interval, ascending, with their weights and
+/// tickets; every party outside it holds none. Tests and external callers
+/// present a whole [`TicketAssignment`] through [`FamilyMember::dense`].
+/// Either way an oracle reads the tickets through
+/// [`FamilyMember::nonzero`].
 #[derive(Debug, Clone, Copy)]
 pub struct FamilyMember<'a> {
     /// The instance's party weights.
     pub weights: &'a Weights,
-    /// The candidate ticket assignment.
-    pub tickets: &'a TicketAssignment,
-    /// Total tickets of the candidate (`tickets.total()`, pre-narrowed).
+    /// Total tickets of the candidate.
     pub total: u64,
-    /// Strictly ascending parties outside which every ticket is 0 (`None`:
-    /// any party may hold one). Lets an oracle walk only these parties;
-    /// debug builds check it wherever an oracle relies on it.
-    pub support: Option<&'a [u32]>,
+    view: View<'a>,
 }
 
-impl FamilyMember<'_> {
-    /// Whether the support is strictly ascending and misses no ticket.
-    fn support_is_exact(&self) -> bool {
-        let tickets = |p: &u32| u128::from(self.tickets.get(*p as usize));
-        let exact = |s: &[u32]| s.iter().map(tickets).sum::<u128>() == self.tickets.total();
-        self.support.is_none_or(|s| s.windows(2).all(|p| p[0] < p[1]) && exact(s))
+#[derive(Debug, Clone, Copy)]
+enum View<'a> {
+    /// Aligned `(party, weight, tickets)` columns, parties strictly
+    /// ascending, holding every ticket of the member.
+    Run {
+        parties: &'a [u32],
+        weights: &'a [u64],
+        tickets: &'a [u64],
+    },
+    Dense(&'a TicketAssignment),
+}
+
+impl<'a> FamilyMember<'a> {
+    /// The member holding `tickets` over `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tickets do not match the weights' party count, there
+    /// are more than `u32::MAX` parties, or the tickets' total exceeds
+    /// `u64::MAX`.
+    #[must_use]
+    pub fn dense(weights: &'a Weights, tickets: &'a TicketAssignment) -> Self {
+        assert_eq!(weights.len(), tickets.len(), "one ticket count per party");
+        assert!(u32::try_from(weights.len()).is_ok(), "party count fits u32");
+        let total = u64::try_from(tickets.total()).expect("member total fits u64");
+        FamilyMember { weights, total, view: View::Dense(tickets) }
     }
 
-    /// The `(party, tickets)` pairs with a ticket, ascending, over the support.
-    fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        debug_assert!(self.support_is_exact(), "support misses a ticket or is unsorted");
-        let tickets = self.tickets.as_slice();
-        let all = self.support.is_none().then_some(0..tickets.len()).into_iter().flatten();
-        let listed = self.support.unwrap_or_default().iter().map(|&p| p as usize);
-        all.chain(listed).map(move |p| (p, tickets[p])).filter(|&(_, t)| t != 0)
+    /// The member whose tickets all sit in the aligned run `(parties,
+    /// run_weights, tickets)`, parties strictly ascending; `total` is the
+    /// run's ticket sum.
+    pub(crate) fn run(
+        weights: &'a Weights,
+        total: u64,
+        parties: &'a [u32],
+        run_weights: &'a [u64],
+        tickets: &'a [u64],
+    ) -> Self {
+        debug_assert!(parties.len() == run_weights.len() && parties.len() == tickets.len());
+        debug_assert!(parties.windows(2).all(|p| p[0] < p[1]), "run parties not ascending");
+        debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), total.into());
+        let view = View::Run { parties, weights: run_weights, tickets };
+        FamilyMember { weights, total, view }
+    }
+
+    /// The `(party, item)` pairs with a ticket, ascending by party; the
+    /// item's profit is the party's tickets, its weight the party's weight.
+    pub fn nonzero(&self) -> impl Iterator<Item = (u32, Item)> + 'a {
+        let (parties, weights, tickets) = match self.view {
+            View::Run { parties, weights, tickets } => (Some(parties), weights, tickets),
+            View::Dense(tickets) => (None, self.weights.as_slice(), tickets.as_slice()),
+        };
+        // A dense member has at most `u32::MAX` parties (see `dense`).
+        weights.iter().zip(tickets).enumerate().filter(|(_, (_, &t))| t != 0).map(
+            move |(k, (&weight, &profit))| {
+                (parties.map_or(k as u32, |ps| ps[k]), Item { profit, weight })
+            },
+        )
+    }
+
+    /// The member as a whole ticket vector: one zeroed vector and one
+    /// scatter of the run.
+    #[must_use]
+    pub fn materialize(&self) -> TicketAssignment {
+        match self.view {
+            View::Dense(tickets) => tickets.clone(),
+            View::Run { parties, tickets, .. } => {
+                let mut dense = vec![0; self.weights.len()];
+                for (&p, &t) in parties.iter().zip(tickets) {
+                    dense[p as usize] = t;
+                }
+                TicketAssignment::from_parts(dense, self.total.into())
+            }
+        }
     }
 }
 
@@ -237,31 +298,6 @@ pub trait ValidityOracle {
 
     /// Drains the counters accumulated since the last call.
     fn take_stats(&mut self) -> SolveStats;
-}
-
-/// Shared per-candidate preparation: the knapsack item view of a member.
-fn fill_items(buf: &mut Vec<Item>, member: &FamilyMember<'_>) {
-    buf.clear();
-    buf.extend(
-        member
-            .weights
-            .as_slice()
-            .iter()
-            .zip(member.tickets.as_slice())
-            .map(|(&weight, &profit)| Item { profit, weight }),
-    );
-}
-
-/// Calls `visit` once per party of the union of the ascending lists `a`
-/// and `b`, in ascending order.
-fn walk_union(a: &[u32], b: &[u32], mut visit: impl FnMut(usize)) {
-    let (mut i, mut k) = (0, 0);
-    while i < a.len() && k < b.len() {
-        let p = a[i].min(b[k]);
-        (i, k) = (i + usize::from(a[i] == p), k + usize::from(b[k] == p));
-        visit(p as usize);
-    }
-    a[i..].iter().chain(&b[k..]).for_each(|&p| visit(p as usize));
 }
 
 /// The per-candidate ticket target for a Restriction-shaped check, already
@@ -364,22 +400,40 @@ const CERT_WINDOW: usize = 192;
 
 /// Exact oracle: quick test first, the knapsack DP only on "uncertain".
 ///
-/// Memoizes its working state across checks — the item buffer, the
-/// ratio-sorted prefix sums ([`SortedItems`]) and the DP table
+/// Memoizes its working state across checks — the last member's items,
+/// the ratio-sorted prefix sums ([`SortedItems`]) and the DP table
 /// ([`knapsack::DpScratch`]) are allocated once per oracle and recycled
 /// through the entire binary search (and, via [`crate::Swiper::solve_many`],
 /// across instances of a sweep).
 #[derive(Debug, Default, Clone)]
 pub struct FullOracle {
-    items: Vec<Item>,
+    /// The last member's nonzero items, ascending by party.
+    held: Run,
+    /// The run `prepare` writes while it reads `held`; swapped in after.
+    next: Run,
     /// The last `prepare`'s `(party, old, new)` changes, capped at one past n/8.
     changes: Vec<(usize, Item, Item)>,
-    /// The last member's support: no item outside it has a profit.
-    held: Option<Vec<u32>>,
     sorted: SortedItems,
     dp: knapsack::DpScratch,
     stats: SolveStats,
 }
+
+/// A member's nonzero items as aligned columns, parties strictly
+/// ascending: `parties[k]` holds `items[k]`, every other party nothing.
+#[derive(Debug, Default, Clone)]
+struct Run {
+    parties: Vec<u32>,
+    items: Vec<Item>,
+}
+
+impl Run {
+    fn pairs(&self) -> impl Iterator<Item = (u32, Item)> + '_ {
+        self.parties.iter().copied().zip(self.items.iter().copied())
+    }
+}
+
+/// The item of a party outside a run: no profit (its weight is never read).
+const NO_ITEM: Item = Item { profit: 0, weight: 0 };
 
 impl FullOracle {
     /// A fresh oracle with empty scratch.
@@ -388,47 +442,55 @@ impl FullOracle {
         FullOracle::default()
     }
 
-    /// Rebuilds the sorted view for `member`. One fused pass rewrites the
-    /// changed items in place and collects the changes, over the union of
-    /// the member's support and `held` when both are known (every other
-    /// item keeps profit 0, whose weight is never read). When the previous
-    /// check had the same party count and at most n/8 items changed
-    /// (consecutive probes of one search, the epoch-replay shape) the
-    /// changes are spliced, else re-sorted, over the support when it is
-    /// known.
+    /// Rebuilds the sorted view for `member`. One fused pass merges the
+    /// held run with the member's nonzero items: it writes the new run and
+    /// collects the `(party, old, new)` changes, a party leaving the run
+    /// as `(party, old, no item)`. When a view exists and at most n/8
+    /// items changed (consecutive probes of one search, the epoch-replay
+    /// shape) the changes are spliced, else the new run is re-sorted.
     fn prepare(&mut self, member: &FamilyMember<'_>) {
-        debug_assert!(member.support_is_exact(), "support misses a ticket or is unsorted");
-        let n = member.weights.len();
-        let cap = n / 8 + 1;
-        self.changes.clear();
-        let same_n = n == self.items.len();
-        if same_n {
-            let (weights, tickets) = (member.weights.as_slice(), member.tickets.as_slice());
-            let visit = |i: usize| {
-                let new = Item { profit: tickets[i], weight: weights[i] };
-                let item = &mut self.items[i];
-                if *item != new {
-                    if self.changes.len() < cap {
-                        self.changes.push((i, *item, new));
-                    }
-                    *item = new;
-                }
-            };
-            match (member.support, &self.held) {
-                (Some(support), Some(held)) => walk_union(support, held, visit),
-                _ => (0..n).for_each(visit),
+        // A first member is re-sorted whatever changed: collect nothing.
+        let first = self.held.parties.is_empty();
+        let cap = if first { 0 } else { member.weights.len() / 8 + 1 };
+        let (held, next, changes) = (&self.held, &mut self.next, &mut self.changes);
+        changes.clear();
+        next.parties.clear();
+        next.items.clear();
+        let mut note = |p: u32, old: Item, new: Item| {
+            if changes.len() < cap {
+                changes.push((p as usize, old, new));
             }
-        } else {
-            fill_items(&mut self.items, member);
+        };
+        // The member's run bounds the new one: reserve once, not by doubling.
+        let nonzero = member.nonzero();
+        let upper = nonzero.size_hint().1.unwrap_or(0);
+        next.parties.reserve(upper);
+        next.items.reserve(upper);
+        let mut k = 0;
+        for (p, new) in nonzero {
+            while k < held.parties.len() && held.parties[k] < p {
+                note(held.parties[k], held.items[k], NO_ITEM);
+                k += 1;
+            }
+            if held.parties.get(k) == Some(&p) {
+                if held.items[k] != new {
+                    note(p, held.items[k], new);
+                }
+                k += 1;
+            } else {
+                note(p, NO_ITEM, new);
+            }
+            next.parties.push(p);
+            next.items.push(new);
         }
-        // Every party the new items give a positive profit is in the support.
-        self.held = member.support.map(<[u32]>::to_vec);
-        if same_n && self.changes.len() < cap {
+        for (&p, &old) in held.parties[k..].iter().zip(&held.items[k..]) {
+            note(p, old, NO_ITEM);
+        }
+        std::mem::swap(&mut self.held, &mut self.next);
+        if self.changes.len() < cap {
             self.sorted.splice(&self.changes);
-        } else if let Some(support) = member.support {
-            self.sorted.rebuild_from(&self.items, support);
         } else {
-            self.sorted.rebuild(&self.items);
+            self.sorted.rebuild_run(self.held.pairs());
         }
     }
 
@@ -486,7 +548,7 @@ impl FullOracle {
                 }
                 let probe = knapsack::max_profit_dp_probe(
                     &mut self.dp,
-                    &self.items,
+                    &self.held.items,
                     capacity,
                     target.saturating_add(CERT_PROFIT_HEADROOM),
                     capacity / 8 + 1,
@@ -585,7 +647,6 @@ impl CertifyingOracle for FullOracle {
 /// `--linear` flag). Never falsely accepts, never runs the DP.
 #[derive(Debug, Default, Clone)]
 pub struct LinearOracle {
-    items: Vec<Item>,
     sorted: SortedItems,
     stats: SolveStats,
 }
@@ -606,8 +667,7 @@ impl LinearOracle {
         if member.total == 0 {
             return Ok((Verdict::Invalid, None));
         }
-        fill_items(&mut self.items, member);
-        self.sorted.rebuild(&self.items);
+        self.sorted.rebuild_run(member.nonzero());
         match *params {
             CheckParams::Restriction { capacity, alpha_n } => {
                 let Some(target) = restriction_target(alpha_n, member.total)? else {
@@ -782,22 +842,23 @@ fn apply_certificate(
             d_minus += u128::from(ow - nw);
         }
     }
+    // Both ticket lists are sparse and ascending: merge them, a party
+    // missing from one side holding 0 there.
     let (mut p_plus, mut p_minus) = (0u128, 0u128);
     let mut old = sc.tickets.iter().peekable();
-    for (i, &tn) in member.tickets.as_slice().iter().enumerate() {
-        let to = match old.peek() {
-            Some(&&(j, t)) if j as usize == i => {
-                old.next();
-                t
-            }
-            _ => 0,
-        };
+    for (p, item) in member.nonzero() {
+        while let Some(&(_, to)) = old.next_if(|&&(q, _)| q < p) {
+            p_minus += u128::from(to);
+        }
+        let to = old.next_if(|&&(q, _)| q == p).map_or(0, |&(_, t)| t);
+        let tn = item.profit;
         if tn >= to {
             p_plus += u128::from(tn - to);
         } else {
             p_minus += u128::from(to - tn);
         }
     }
+    p_minus += old.map(|&(_, to)| u128::from(to)).sum::<u128>();
     match &sc.cert.kind {
         CertKind::ValidByBound { lp_floor, r } => {
             // New LP optimum <= lp_floor + 1 - eps + P⁺ + r·δ, so a strict
@@ -910,9 +971,9 @@ impl<O> CachingOracle<O> {
         }
         eat(&mut lo, &mut hi, member.total);
         let mut nonzero = 0u64;
-        for (i, t) in member.nonzero() {
-            eat(&mut lo, &mut hi, i as u64);
-            eat(&mut lo, &mut hi, t);
+        for (p, item) in member.nonzero() {
+            eat(&mut lo, &mut hi, u64::from(p));
+            eat(&mut lo, &mut hi, item.profit);
             nonzero += 1;
         }
         eat(&mut lo, &mut hi, nonzero);
@@ -997,9 +1058,6 @@ impl<O> CachingOracle<O> {
     /// weight snapshot changed. Budget overruns silently drop the store —
     /// certificates are an optimization, never load-bearing.
     fn store_certificate(&mut self, member: &FamilyMember<'_>, cert: VerdictCertificate) {
-        if u32::try_from(member.weights.len()).is_err() {
-            return;
-        }
         let rotate = self.cur_gen.as_ref().is_none_or(|g| g.weights != *member.weights);
         if rotate {
             if let Some(g) = self.cur_gen.take() {
@@ -1014,7 +1072,8 @@ impl<O> CachingOracle<O> {
             });
         }
         let gen = self.cur_gen.as_mut().expect("generation ensured above");
-        let sparse: Vec<(u32, u64)> = member.nonzero().map(|(i, t)| (i as u32, t)).collect();
+        let sparse: Vec<(u32, u64)> =
+            member.nonzero().map(|(p, item)| (p, item.profit)).collect();
         if gen.by_total.len() >= CERT_ENTRY_BUDGET
             || gen.pairs.saturating_add(sparse.len()) > CERT_PAIR_BUDGET
         {
@@ -1111,18 +1170,13 @@ mod tests {
     use crate::problems::WeightRestriction;
     use proptest::prelude::*;
 
-    fn member_for<'a>(weights: &'a Weights, tickets: &'a TicketAssignment) -> FamilyMember<'a> {
-        let total = u64::try_from(tickets.total()).unwrap();
-        FamilyMember { weights, tickets, total, support: None }
-    }
-
     #[test]
     fn zero_total_is_invalid_for_both_oracles() {
         let w = Weights::new(vec![5, 3, 2]).unwrap();
         let t = TicketAssignment::new(vec![0, 0, 0]);
         let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let params = CheckParams::restriction(&w, &p).unwrap();
-        let member = member_for(&w, &t);
+        let member = FamilyMember::dense(&w, &t);
         assert_eq!(FullOracle::new().check(&member, &params).unwrap(), Verdict::Invalid);
         assert_eq!(LinearOracle::new().check(&member, &params).unwrap(), Verdict::Invalid);
     }
@@ -1138,7 +1192,7 @@ mod tests {
         for total in 1u64..=12 {
             let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
             let t = fam.assignment_with_total(total).unwrap();
-            let member = member_for(&w, &t);
+            let member = FamilyMember::dense(&w, &t);
             let fv = full.check(&member, &params).unwrap();
             let lv = linear.check(&member, &params).unwrap();
             if lv == Verdict::Valid {
@@ -1158,7 +1212,7 @@ mod tests {
             for total in 1u64..=10 {
                 let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                 let t = fam.assignment_with_total(total).unwrap();
-                let member = member_for(&w, &t);
+                let member = FamilyMember::dense(&w, &t);
                 let expect = plain.check(&member, &params).unwrap();
                 assert_eq!(cached.check(&member, &params).unwrap(), expect, "round {round}");
             }
@@ -1173,7 +1227,7 @@ mod tests {
     fn caching_oracle_distinguishes_params_and_members() {
         let w = Weights::new(vec![40, 25, 20, 10, 5]).unwrap();
         let t = TicketAssignment::new(vec![2, 1, 1, 1, 0]);
-        let member = member_for(&w, &t);
+        let member = FamilyMember::dense(&w, &t);
         let pa = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let pb = WeightRestriction::new(Ratio::of(1, 4), Ratio::of(1, 3)).unwrap();
         let mut cached = CachingOracle::new(FullOracle::new());
@@ -1181,7 +1235,7 @@ mod tests {
         cached.check(&member, &CheckParams::restriction(&w, &pb).unwrap()).unwrap();
         // Same tickets under different weights must also be distinct keys.
         let w2 = Weights::new(vec![40, 25, 20, 10, 6]).unwrap();
-        let member2 = member_for(&w2, &t);
+        let member2 = FamilyMember::dense(&w2, &t);
         cached.check(&member2, &CheckParams::restriction(&w2, &pa).unwrap()).unwrap();
         let stats = cached.take_stats();
         assert_eq!(stats.cache_hits, 0);
@@ -1196,7 +1250,7 @@ mod tests {
         let params = CheckParams::restriction(&w, &p).unwrap();
         let mut cached = CachingOracle::new(FullOracle::new()).with_max_entries(0);
         let t = TicketAssignment::new(vec![2, 1, 1, 1, 0]);
-        let member = member_for(&w, &t);
+        let member = FamilyMember::dense(&w, &t);
         cached.check(&member, &params).unwrap();
         cached.check(&member, &params).unwrap();
         assert!(cached.is_empty(), "max_entries == 0 disables caching");
@@ -1206,7 +1260,7 @@ mod tests {
         for total in 1u64..=5 {
             let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
             let t = fam.assignment_with_total(total).unwrap();
-            small.check(&member_for(&w, &t), &params).unwrap();
+            small.check(&FamilyMember::dense(&w, &t), &params).unwrap();
         }
         assert!(small.len() <= 2, "cache stays bounded: {}", small.len());
     }
@@ -1218,7 +1272,7 @@ mod tests {
         let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let params = CheckParams::restriction(&w, &p).unwrap();
         let mut oracle = FullOracle::new();
-        oracle.check(&member_for(&w, &t), &params).unwrap();
+        oracle.check(&FamilyMember::dense(&w, &t), &params).unwrap();
         let stats = oracle.take_stats();
         // The driver owns candidates_checked; the oracle reports only how
         // the check was settled.
@@ -1244,7 +1298,7 @@ mod tests {
         if member.total == 0 {
             return false; // settled before any view is prepared
         }
-        let items = crate::verify::items_of(member.weights, member.tickets);
+        let items = crate::verify::items_of(member.weights, &member.materialize());
         let fresh = SortedItems::new(&items);
         let mut scratch = knapsack::DpScratch::default();
         let mut both = |capacity: u128, cap: u64, floor: u64| {
@@ -1306,7 +1360,7 @@ mod tests {
             if settled.dp_invocations > 0 {
                 self.heavy_calls +=
                     usize::from(entry_points_agree(&mut self.inner, member, params));
-                let items = crate::verify::items_of(member.weights, member.tickets);
+                let items = crate::verify::items_of(member.weights, &member.materialize());
                 let best = |capacity, cap| knapsack::max_profit_dp(&items, capacity, cap);
                 let valid = match *params {
                     CheckParams::Restriction { capacity, alpha_n } => {
@@ -1355,8 +1409,8 @@ mod tests {
     }
 
     /// Checks every member twice — through the wrapped persistent
-    /// [`FullOracle`] and through a fresh one — and insists on the same
-    /// verdict and settlement counters.
+    /// [`FullOracle`] and, in dense form, through a fresh one — and insists
+    /// on the same verdict and settlement counters.
     #[derive(Default)]
     struct AgainstFresh {
         inner: FullOracle,
@@ -1372,7 +1426,9 @@ mod tests {
             let verdict = self.inner.check(member, params)?;
             let settled = self.inner.take_stats();
             let mut fresh = FullOracle::new();
-            assert_eq!(fresh.check(member, params)?, verdict, "total {}", member.total);
+            let dense = member.materialize();
+            let dense = FamilyMember::dense(member.weights, &dense);
+            assert_eq!(fresh.check(&dense, params)?, verdict, "total {}", member.total);
             assert_eq!(fresh.take_stats(), settled, "total {}", member.total);
             self.stats.absorb(&settled);
             Ok(verdict)
@@ -1396,12 +1452,12 @@ mod tests {
         assert!(sol.stats.candidates_checked > 1, "a one-probe solve compares nothing");
     }
 
-    /// Forwards every member to `inner`, with its support stripped to
-    /// `None` when `strip`, and records the verdicts.
+    /// Forwards every member to `inner`, materialized to its dense form
+    /// when `dense`, and records the verdicts.
     #[derive(Default)]
     struct Recorded {
         inner: FullOracle,
-        strip: bool,
+        dense: bool,
         verdicts: Vec<(u64, Verdict)>,
     }
 
@@ -1411,8 +1467,12 @@ mod tests {
             member: &FamilyMember<'_>,
             params: &CheckParams,
         ) -> Result<Verdict, CoreError> {
-            let support = if self.strip { None } else { member.support };
-            let verdict = self.inner.check(&FamilyMember { support, ..*member }, params)?;
+            let verdict = if self.dense {
+                let tickets = member.materialize();
+                self.inner.check(&FamilyMember::dense(member.weights, &tickets), params)?
+            } else {
+                self.inner.check(member, params)?
+            };
             self.verdicts.push((member.total, verdict));
             Ok(verdict)
         }
@@ -1423,15 +1483,15 @@ mod tests {
     }
 
     /// The cold WR solve over 10⁶ whale-skewed parties twice: its oracle
-    /// walking each member's support, and walking every party. Verdicts,
-    /// counters and landing must agree.
+    /// reading each member as the cursor's live run, and as the whole
+    /// ticket vector. Verdicts, counters and landing must agree.
     #[test]
     #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
     fn support_walk_matches_full_walk_on_1e6_whales() {
         let w = Weights::whale_skewed(1_000_000, 1);
         let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
-        let solve = |strip| {
-            let mut oracle = Recorded { strip, ..Recorded::default() };
+        let solve = |dense| {
+            let mut oracle = Recorded { dense, ..Recorded::default() };
             let sol =
                 crate::Swiper::new().solve_restriction_with(&mut oracle, &w, &wr).unwrap();
             (sol, oracle.verdicts)
@@ -1442,21 +1502,6 @@ mod tests {
         assert_eq!(walked_verdicts, full_verdicts);
         assert_eq!(walked.stats, full.stats);
         assert_eq!(walked.assignment, full.assignment);
-    }
-
-    /// The debug check an oracle runs before trusting a support: it must
-    /// be strictly ascending and list every party holding a ticket.
-    #[test]
-    fn support_check_rejects_a_missed_ticket_and_disorder() {
-        let w = Weights::new(vec![5, 3, 2, 7]).unwrap();
-        let t = TicketAssignment::new(vec![2, 0, 1, 0]);
-        let with = |support| FamilyMember { support, ..member_for(&w, &t) };
-        for exact in [None, Some(&[0, 2][..]), Some(&[0, 1, 2, 3][..])] {
-            assert!(with(exact).support_is_exact(), "{exact:?}");
-        }
-        for broken in [&[0][..], &[0, 1, 3], &[2, 0], &[0, 0, 2], &[]] {
-            assert!(!with(Some(broken)).support_is_exact(), "{broken:?}");
-        }
     }
 
     // --- Delta-stable certificate tests -----------------------------------
@@ -1472,7 +1517,7 @@ mod tests {
         let w = Weights::new(ws.to_vec()).unwrap();
         let t = TicketAssignment::new(ts.to_vec());
         let mut c = CachingOracle::new(FullOracle::new()).with_certificates(true);
-        c.check(&member_for(&w, &t), params).unwrap();
+        c.check(&FamilyMember::dense(&w, &t), params).unwrap();
         let stats = c.take_stats();
         assert_eq!(stats.certificate_skips, 0, "priming never skips");
         c
@@ -1491,7 +1536,7 @@ mod tests {
     ) {
         let w = Weights::new(ws.to_vec()).unwrap();
         let t = TicketAssignment::new(ts.to_vec());
-        let member = member_for(&w, &t);
+        let member = FamilyMember::dense(&w, &t);
         let fresh = FullOracle::new().check(&member, params).unwrap();
         assert_eq!(fresh, expect, "instance is miscrafted");
         assert_eq!(c.check(&member, params).unwrap(), expect);
@@ -1562,7 +1607,7 @@ mod tests {
         let mut c = primed(&[5, 5, 6], &[6, 6, 7], &params);
         let w = Weights::new(vec![5, 5, 5]).unwrap();
         let t = TicketAssignment::new(vec![6, 6, 7]);
-        let member = member_for(&w, &t);
+        let member = FamilyMember::dense(&w, &t);
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         let stats = c.take_stats();
@@ -1581,7 +1626,7 @@ mod tests {
         let mut c = primed(&[5, 5, 6], &[6, 6, 7], &params);
         let w = Weights::new(vec![5, 5, 6]).unwrap();
         let near = TicketAssignment::new(vec![6, 6, 8]);
-        let member = member_for(&w, &near);
+        let member = FamilyMember::dense(&w, &near);
         assert_eq!(
             FullOracle::new().check(&member, &params).unwrap(),
             Verdict::Valid,
@@ -1597,7 +1642,7 @@ mod tests {
         // recompute — the true verdict here is Invalid, so replaying the
         // stale Valid would lie.
         let far = TicketAssignment::new(vec![6, 6, 20]);
-        let member = member_for(&w, &far);
+        let member = FamilyMember::dense(&w, &far);
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         let stats = c.take_stats();
         assert_eq!(stats.coarse_cert_hits, 0, "margin gone: no coarse settle");
@@ -1613,17 +1658,95 @@ mod tests {
         assert!(!c.with_certificates(false).certificates_enabled());
     }
 
+    /// The weight and ticket columns of the run over `parties`.
+    fn run_columns(ws: &[u64], ts: &[u64], parties: &[u32]) -> (Vec<u64>, Vec<u64>) {
+        parties.iter().map(|&p| (ws[p as usize], ts[p as usize])).unzip()
+    }
+
     proptest! {
+        /// `prepare` over random pairs of runs — disjoint, nested either
+        /// way, identical, either one empty — with churned weights half the
+        /// time: the change list is the two members' party-wise difference
+        /// in ascending order (cut at one past n/8; none after an empty
+        /// run), a party leaving the run included, and the view equals a
+        /// rebuild of the new member.
+        #[test]
+        fn prepare_diffs_runs_and_matches_a_rebuild(
+            seed in 1u64..u64::MAX,
+            n in 1u64..64,
+            shape in 0u64..6,
+            churn in any::<bool>(),
+        ) {
+            let mut state = seed;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            // Zero weights too, but party 0 keeps the total positive.
+            let ws_a: Vec<u64> = (0..n).map(|p| next(50) + u64::from(p == 0)).collect();
+            let ts_a: Vec<u64> = (0..n).map(|_| if next(3) == 0 { 1 + next(5) } else { 0 }).collect();
+            let mut ws_b = ws_a.clone();
+            if churn {
+                for w in ws_b.iter_mut().skip(1) {
+                    if next(4) == 0 {
+                        *w = next(50);
+                    }
+                }
+            }
+            let mut fresh = |_| 1 + next(5);
+            let ts_b: Vec<u64> = match shape {
+                // Disjoint.
+                0 => ts_a.iter().map(|&t| if t == 0 { fresh(()) } else { 0 }).collect(),
+                // Nested inside the old run, tickets changed in places.
+                1 => ts_a.iter().map(|&t| if t > 0 && fresh(()) > 2 { fresh(()) } else { 0 }).collect(),
+                // Nested around the old run.
+                2 => ts_a.iter().map(|&t| if t > 0 { t } else { fresh(()) % 3 }).collect(),
+                // Identical.
+                3 => ts_a.clone(),
+                // The new run empty.
+                4 => vec![0; ts_a.len()],
+                // The old run empty: the first probe.
+                _ => ts_a.iter().map(|_| fresh(()) % 2).collect(),
+            };
+            let ts_a = if shape == 5 { vec![0; ts_b.len()] } else { ts_a };
+            let (wa, wb) = (Weights::new(ws_a.clone()).unwrap(), Weights::new(ws_b.clone()).unwrap());
+            let (ta, tb) = (TicketAssignment::new(ts_a.clone()), TicketAssignment::new(ts_b.clone()));
+            let parties: Vec<u32> = (0..n as u32).filter(|&p| ts_b[p as usize] != 0 || next(4) == 0).collect();
+            let (run_w, run_t) = run_columns(&ws_b, &ts_b, &parties);
+            let total_b = u64::try_from(tb.total()).unwrap();
+            let mut oracle = FullOracle::new();
+            oracle.prepare(&FamilyMember::dense(&wa, &ta));
+            oracle.prepare(&FamilyMember::run(&wb, total_b, &parties, &run_w, &run_t));
+
+            let item = |ws: &[u64], ts: &[u64], p: usize| {
+                if ts[p] == 0 { NO_ITEM } else { Item { profit: ts[p], weight: ws[p] } }
+            };
+            // A first member (nothing held) is re-sorted and diffs nothing.
+            let cap = if ts_a.iter().all(|&t| t == 0) { 0 } else { n as usize / 8 + 1 };
+            let want: Vec<(usize, Item, Item)> = (0..n as usize)
+                .map(|p| (p, item(&ws_a, &ts_a, p), item(&ws_b, &ts_b, p)))
+                .filter(|(_, old, new)| old != new)
+                .take(cap)
+                .collect();
+            prop_assert_eq!(&oracle.changes, &want);
+            let held: Vec<(u32, Item)> = oracle.held.pairs().collect();
+            prop_assert_eq!(held, FamilyMember::dense(&wb, &tb).nonzero().collect::<Vec<_>>());
+            let items = crate::verify::items_of(&wb, &tb);
+            prop_assert_eq!(oracle.sorted.parts(), SortedItems::new(&items).parts());
+        }
+
         /// One `FullOracle` fed a random member sequence returns, for every
         /// member, the verdict and `SolveStats` a fresh `FullOracle` does.
         /// The sequence mixes a few ticket changes at the same n (the
         /// splice), more than n/8 of them (the re-sort), new weights at the
         /// same n, a different n, zero weights and zero tickets, and
-        /// thinning to a sparse member; each member carries a random
-        /// support (its nonzero parties plus random others, or `None`) and
-        /// is judged under both check shapes, and the persistent oracle's
-        /// DP calls for it run through both entry points. A `CachingOracle`
-        /// fingerprints it the same with and without the support.
+        /// thinning to a sparse member; each member comes as a run (its
+        /// nonzero parties plus random others) or in dense form and is
+        /// judged under both check shapes, and the persistent oracle's DP
+        /// calls for it run through both entry points. A `CachingOracle`
+        /// fingerprints the run and the dense form the same.
         #[test]
         fn persistent_full_oracle_matches_a_fresh_one(
             seed in 1u64..u64::MAX,
@@ -1688,16 +1811,18 @@ mod tests {
                 }
                 let w = Weights::new(ws.clone()).unwrap();
                 let t = TicketAssignment::new(ts.clone());
-                let support: Vec<u32> =
+                let dense = FamilyMember::dense(&w, &t);
+                let parties: Vec<u32> =
                     (0..ts.len() as u32).filter(|&p| ts[p as usize] != 0 || next(8) == 0).collect();
-                let member = FamilyMember {
-                    support: (next(4) != 0).then_some(&support[..]),
-                    ..member_for(&w, &t)
+                let (run_w, run_t) = run_columns(&ws, &ts, &parties);
+                let member = if next(4) != 0 {
+                    FamilyMember::run(&w, dense.total, &parties, &run_w, &run_t)
+                } else {
+                    dense
                 };
-                let any = FamilyMember { support: None, ..member };
                 prop_assert_eq!(
                     caching.member_fingerprint(&member),
-                    caching.member_fingerprint(&any)
+                    caching.member_fingerprint(&dense)
                 );
                 for params in [
                     CheckParams::restriction(&w, &wr).unwrap(),
@@ -1750,7 +1875,7 @@ mod tests {
                 for total in 1u64..=10 {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    let member = member_for(&w, &t);
+                    let member = FamilyMember::dense(&w, &t);
                     let expect = fresh.check(&member, &params).unwrap();
                     prop_assert_eq!(cert.check(&member, &params).unwrap(), expect);
                 }
@@ -1785,7 +1910,7 @@ mod tests {
                 for total in (2u64..=20).step_by(2) {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    cert.check(&member_for(&w, &t), &params).unwrap();
+                    cert.check(&FamilyMember::dense(&w, &t), &params).unwrap();
                 }
             }
             let _ = cert.take_stats();
@@ -1806,7 +1931,7 @@ mod tests {
                 for total in (1u64..=21).step_by(2) {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    let member = member_for(&w, &t);
+                    let member = FamilyMember::dense(&w, &t);
                     let expect = fresh.check(&member, &params).unwrap();
                     prop_assert_eq!(cert.check(&member, &params).unwrap(), expect);
                 }

@@ -824,7 +824,7 @@ fn solve_with<O: ValidityOracle + ?Sized>(
     stats.candidates_checked += checked;
     stats.settled_by_theorem += u64::from(hi == bound);
     stats.probes_saved += saved;
-    let assignment = cursor.advance_to(hi)?.tickets.clone();
+    let assignment = cursor.advance_to(hi)?.materialize();
     stats.cursor_advances += cursor.reused();
     stats.grid_counts += cursor.grid_counts();
     Ok(Solution { assignment, ticket_bound: bound, stats })
