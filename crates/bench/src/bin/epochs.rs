@@ -39,9 +39,9 @@
 //! diverges from the teardown-rebuild baseline / stops beating it on
 //! restarted rounds at 1% churn (SMR mode) — the nightly guards that the
 //! incremental machinery keeps earning its keep. SMR mode also runs the
-//! **stake-refresh audit**: a vouch-style weighted quorum is reweighed
-//! through each epoch's `EpochEvent`, and any epoch whose published
-//! vouch-quorum weights diverge from that epoch's snapshot fails the run
+//! **stake-refresh audit**: a vouch-style weighted quorum set crosses
+//! each epoch's `EpochEvent`, and any epoch whose electorate's weights
+//! diverge from that epoch's snapshot fails the run
 //! (per-epoch `stake=ok|STALE` in the replay lines, `stake_mismatches`
 //! in the summary).
 
@@ -55,7 +55,7 @@ use swiper_core::{
     CachingOracle, FullOracle, Ratio, Swiper, VirtualUsers, WeightQualification,
     WeightRestriction,
 };
-use swiper_protocols::quorum::{CountQuorum, QuorumTracker, Roster, WeightQuorum};
+use swiper_protocols::quorum::{Electorate, QuorumSet, Roster};
 use swiper_protocols::smr::{ReconfigureMode, SmrInstance};
 use swiper_weights::epoch::{churn_with, ChurnMode, Reconfigurator, Setting};
 use swiper_weights::Chain;
@@ -317,18 +317,18 @@ fn run_smr_scenario(chain: Chain, churn_pct: u64, args: &Args) -> SmrReport {
 
     let mut live: Option<SmrInstance> = None;
     let mut base: Option<SmrInstance> = None;
-    // Cross-epoch quorum-identity audit: a census tracker votes every
-    // live WR virtual user each epoch, migrating across the epoch's
-    // delta. Stable keying must land exactly on the live population every
+    // Cross-epoch quorum-identity audit: a census quorum takes every
+    // live WR virtual user's vote each epoch, crossing the epoch's delta.
+    // Stable keying must land exactly on the live population every
     // epoch — any excess is a double-counted voter (the dense-id bug),
     // any deficit a stranded survivor.
-    let mut audit: Option<(Roster, CountQuorum)> = None;
+    let mut audit: Option<(Roster, QuorumSet<()>)> = None;
     let mut double_counts = 0u64;
-    // Cross-epoch stake-refresh audit: a vouch-style weighted quorum is
-    // reweighed through each epoch's event; its published weight vector
-    // must be bit-identical to the epoch's snapshot, or the vouch path is
+    // Cross-epoch stake-refresh audit: a vouch-style weighted quorum set
+    // crosses each epoch's event; its electorate's weight vector must be
+    // bit-identical to the epoch's snapshot, or the vouch path is
     // tallying under stale stake.
-    let mut vouch: Option<WeightQuorum> = None;
+    let mut vouch: Option<QuorumSet<()>> = None;
     let mut stake_mismatches = 0u64;
     let session_seed = args.seed;
     let quiet = args.quiet;
@@ -336,32 +336,35 @@ fn run_smr_scenario(chain: Chain, churn_pct: u64, args: &Args) -> SmrReport {
     let result = reconf.drive_simulation(snapshots, |weights, outcome| {
         let wq_t = outcome.solutions[0].assignment.clone();
         let wr_t = outcome.solutions[1].assignment.clone();
-        let vouch_q =
-            vouch.get_or_insert_with(|| WeightQuorum::new(weights.clone(), Ratio::of(1, 4)));
+        let vouch_q = vouch.get_or_insert_with(|| {
+            QuorumSet::new(Electorate::Weighted(weights.clone()), |_| Ratio::of(1, 4))
+        });
         if let Some(event) = outcome.event(1) {
-            vouch_q.reweigh(event);
+            vouch_q.on_epoch(event);
         }
-        let stake_stale = vouch_q.weights() != weights;
+        let stake_stale =
+            !matches!(vouch_q.electorate(), Electorate::Weighted(w) if w == weights);
         stake_mismatches += u64::from(stake_stale);
         match &mut audit {
             Some((roster, census)) => {
                 if let Some(event) = outcome.event(1) {
                     roster.apply_delta(event.delta()).expect("WR deltas arrive in sequence");
-                    census.migrate(roster);
+                    census.on_epoch(event);
                 }
                 for v in 0..roster.total() {
-                    census.vote(roster.stable_of(v));
+                    census.vote((), roster.stable_of(v));
                 }
-                double_counts += u64::from(census.count() != roster.total());
+                double_counts += u64::from(census.tally(&()) != roster.total() as u128);
             }
             None => {
                 let mapping = VirtualUsers::from_assignment(&wr_t).expect("fits memory");
                 let roster = Roster::new(mapping);
-                let mut census = CountQuorum::at_least(roster.total(), 1);
+                let mut census =
+                    QuorumSet::new(Electorate::Roster(roster.clone()), |_| Ratio::of(0, 1));
                 for v in 0..roster.total() {
-                    census.vote(roster.stable_of(v));
+                    census.vote((), roster.stable_of(v));
                 }
-                double_counts += u64::from(census.count() != roster.total());
+                double_counts += u64::from(census.tally(&()) != roster.total() as u128);
                 audit = Some((roster, census));
             }
         }

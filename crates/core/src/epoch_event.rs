@@ -2,7 +2,7 @@
 //!
 //! A [`TicketDelta`] alone is only half a reconfiguration: it renumbers
 //! identities but says nothing about *stake*, so a consumer that re-keys
-//! its trackers from the delta keeps weighing votes with whatever weight
+//! its tallies from the delta keeps weighing votes with whatever weight
 //! vector it was constructed against. [`EpochEvent`] is the full unit of
 //! epoch change the protocols layer consumes — one value carrying
 //!

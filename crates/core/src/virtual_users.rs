@@ -29,7 +29,7 @@ pub type PartyId = u32;
 /// `(party, offset)` is the coordinate that survives: after
 /// [`VirtualUsers::apply_delta`], the same `StableId` still names the same
 /// logical sub-instance as long as `offset` is below the party's new
-/// ticket count. Quorum trackers key votes on `StableId` and wire formats
+/// ticket count. Each quorum set keys votes on `StableId` and wire formats
 /// carry `StableId`s, so one logical voter can never be double-counted
 /// under its pre- and post-epoch dense ids.
 ///
@@ -648,7 +648,7 @@ mod tests {
         /// epoch resolves after the whole chain **iff** its offset is
         /// still below its party's final ticket count — in which case it
         /// names the same `(party, offset)` coordinate it always did.
-        /// This is the invariant that lets quorum trackers keyed on
+        /// This is the invariant that lets quorum tallies keyed on
         /// `StableId` carry votes across renumbering epochs.
         #[test]
         fn stable_ids_round_trip_across_delta_chains(

@@ -1,5 +1,7 @@
 //! Party weight vectors.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -11,6 +13,11 @@ use crate::error::CoreError;
 /// quantized with [`Weights::from_floats`]; stake systems natively count in
 /// integer base units, so `u64` is the natural domain. The *total* weight `W`
 /// is tracked as `u128` so it cannot overflow.
+///
+/// The vector is shared: cloning a `Weights` bumps a reference count, so
+/// one epoch's snapshot flows through the solver, its events and every
+/// quorum electorate without a copy. (A real `serde` needs its `rc`
+/// feature for the `Arc<[u64]>`; see the offline `serde` shim.)
 ///
 /// # Examples
 ///
@@ -27,7 +34,7 @@ use crate::error::CoreError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Weights {
-    weights: Vec<u64>,
+    weights: Arc<[u64]>,
     total: u128,
 }
 
@@ -47,7 +54,7 @@ impl Weights {
         if total == 0 {
             return Err(CoreError::ZeroTotalWeight);
         }
-        Ok(Weights { weights, total })
+        Ok(Weights { weights: weights.into(), total })
     }
 
     /// Quantizes real weights to `u64` by scaling so that the largest weight

@@ -300,10 +300,10 @@ impl<P: Protocol> Protocol for SelectiveAck<P> {
 ///
 /// The defense under test is stable-identity resolution: wire formats
 /// that name endpoints by `(party, offset)` resolve both copies to the
-/// same logical voter, and stable-keyed quorum trackers dedupe them.
+/// same logical voter, and stable-keyed quorum tallies dedupe them.
 /// A dense-id design (per-epoch translation tables) translates the
 /// pre-boundary copy under the old numbering and the post-boundary copy
-/// under the new one — two distinct tracker keys, double-counted weight.
+/// under the new one — two distinct tally keys, double-counted weight.
 ///
 /// Replay is *withholding-free*: the inner automaton runs honestly
 /// throughout, so the adversary stays inside the resilience budget; its

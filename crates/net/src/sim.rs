@@ -177,8 +177,9 @@ pub trait Protocol {
     ///   committed outputs, and accumulated quorum progress. Stable keys
     ///   make survival automatic — there is nothing to re-key.
     /// * **Shed** state attached to *retired* identities: drop their
-    ///   sub-instances and pending timers, and *migrate* quorum trackers
-    ///   so retired voters' weight is released rather than frozen in.
+    ///   sub-instances and pending timers, and drop their votes from
+    ///   every quorum tally so their weight is released rather than
+    ///   frozen in.
     ///   Re-derive anything computed from the old ticket *totals*
     ///   (thresholds, populations) from the new assignment.
     /// * **Reweigh** weighted tallies under `event.weights()` — partial
@@ -186,10 +187,11 @@ pub trait Protocol {
     ///   thresholds from the new stake, so a pending tally can *lose*
     ///   ground (a whale's collapse revokes an almost-complete quorum)
     ///   and stale stake can never cross a current-epoch threshold.
-    ///   `swiper-protocols`' `QuorumSet::on_epoch` migrates or reweighs
-    ///   every tracker an automaton keeps.
+    ///   `swiper-protocols`' `QuorumSet::on_epoch` refreshes its
+    ///   electorate once and re-tallies every key an automaton keeps,
+    ///   shedding retired voters first in the roster regime.
     /// * **Fire boundary-crossed transitions locally; re-broadcast only
-    ///   to joiners.** A migration or reweigh can also *complete* a
+    ///   to joiners.** A re-tally can also *complete* a
     ///   pending quorum, and honest peers vote exactly once, so no later
     ///   vote would re-run its check: `QuorumSet::on_epoch` returns the
     ///   quorums the boundary completed, and the node runs each through
@@ -206,7 +208,7 @@ pub trait Protocol {
     ///   `on_start` and may rely on vouching/relay paths to catch up.
     /// * Hosts that run nested automata (the black-box wrapper) must
     ///   **propagate** this call to each surviving automaton so it can
-    ///   migrate and reweigh its own trackers.
+    ///   re-tally its own quorums.
     ///
     /// Under this contract gain-only, shrinking/renumbering *and
     /// stake-drifting* epochs are safe and live — the epoch-crossing seed

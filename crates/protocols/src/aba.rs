@@ -152,7 +152,8 @@ impl AbaSetup {
     /// hosted over a black-box [`Roster`]: quorums become count-based over
     /// the roster's current population, votes are keyed by stable
     /// `(party, offset)` identity, and [`Protocol::on_reconfigure`]
-    /// migrates them across renumbering deltas. Coin keys follow the
+    /// sheds retired voters and re-tallies the rest across renumbering
+    /// deltas. Coin keys follow the
     /// carry/re-deal rule (see the type docs): an epoch whose delta moves
     /// the hosting tickets re-deals them deterministically over the new
     /// population from the event's rekey seed; an epoch that does not
@@ -248,12 +249,6 @@ impl AbaSetup {
         self.scheme = new_scheme;
         self.pk = pk;
         self.tickets = tickets;
-        // In the roster-hosted nominal regime the weight vector is the
-        // (unused) equal-weight one over the old population; keep it in
-        // step so `weights.len()` matches the new share table.
-        if self.view.roster().is_some() {
-            self.weights = Weights::new(vec![1; total]).expect("total > 0");
-        }
     }
 
     fn coin_tag(&self, round: u32) -> Vec<u8> {
@@ -261,33 +256,6 @@ impl AbaSetup {
         tag.extend_from_slice(&self.instance.to_le_bytes());
         tag.extend_from_slice(&round.to_le_bytes());
         tag
-    }
-
-    /// Who votes in this instance's quorums: the roster's current virtual
-    /// users (roster regime), or the parties weighted by stake.
-    fn electorate(&self) -> Electorate {
-        match self.view.roster() {
-            None => Electorate::Weighted(self.weights.clone()),
-            Some(roster) => Electorate::Roster(roster.clone()),
-        }
-    }
-
-    /// One voter's contribution to a weighted tally (unit in the
-    /// roster-hosted nominal regime, the party's stake otherwise).
-    fn weight_of(&self, voter: StableId) -> u128 {
-        match self.view.roster() {
-            None => u128::from(self.weights.get(voter.party_ix())),
-            Some(_) => 1,
-        }
-    }
-
-    /// The weighted tally's denominator (current population or stake
-    /// total).
-    fn weight_total(&self) -> u128 {
-        match self.view.roster() {
-            None => self.weights.total(),
-            Some(roster) => roster.total() as u128,
-        }
     }
 }
 
@@ -350,7 +318,13 @@ pub struct AbaNode {
 impl AbaNode {
     /// A party with binary input `input`.
     pub fn new(setup: AbaSetup, input: bool) -> Self {
-        let quorums = QuorumSet::new(setup.electorate(), Tally::threshold);
+        // Who votes: the roster's current virtual users (roster regime), or
+        // the parties weighted by stake.
+        let electorate = match setup.view.roster() {
+            None => Electorate::Weighted(setup.weights.clone()),
+            Some(roster) => Electorate::Roster(roster.clone()),
+        };
+        let quorums = QuorumSet::new(electorate, Tally::threshold);
         AbaNode {
             setup,
             est: input,
@@ -447,16 +421,18 @@ impl AbaNode {
         if st.vals.is_some() || !st.aux_sent {
             return;
         }
-        // Weight of AUX senders whose value is currently in bin_values.
+        // Weight of AUX senders whose value is currently in bin_values,
+        // under the electorate the BVal quorums tally with.
+        let electorate = self.quorums.electorate();
         let mut vals = [false; 2];
         let mut weight: u128 = 0;
         for (&voter, &v) in &st.aux_of {
             if st.bin[v as usize] {
-                weight += self.setup.weight_of(voter);
+                weight += electorate.weight_of(voter).unwrap_or(0);
                 vals[v as usize] = true;
             }
         }
-        if weight * 3 > 2 * self.setup.weight_total() {
+        if weight * 3 > 2 * electorate.base() {
             self.rounds.get_mut(&round).expect("checked above").vals = Some(vals);
         }
     }
@@ -586,9 +562,9 @@ impl Protocol for AbaNode {
         // can see two different coins.
         let Some(rekeyed) = self.setup.on_epoch(event) else {
             // A mis-addressed event (its delta does not chain from this
-            // instance's dealt tickets) is ignored wholesale — reweighing
-            // trackers under weights the setup never adopted would be the
-            // half-applied state the contract forbids.
+            // instance's dealt tickets) is ignored wholesale — re-tallying
+            // the quorums under weights the setup never adopted would be
+            // the half-applied state the contract forbids.
             return;
         };
         if rekeyed {
@@ -602,8 +578,8 @@ impl Protocol for AbaNode {
         }
         let crossed = self.quorums.on_epoch(event);
         if let Some(roster) = self.setup.view.roster() {
-            // AUX claims are first-vote maps, not trackers: retired
-            // voters' claims are shed here.
+            // AUX claims are first-vote maps outside the quorum set:
+            // retired voters' claims are shed here.
             for st in self.rounds.values_mut() {
                 st.aux_of.retain(|id, _| roster.contains(*id));
             }
@@ -612,8 +588,8 @@ impl Protocol for AbaNode {
         // them the quorums over the grown population are unreachable
         // without their votes, while this node, having spoken once, would
         // never speak again: re-send what it said to them, and only to
-        // them. Stable-keyed trackers and first-vote-wins maps make any
-        // duplicate a no-op.
+        // them. Stable-keyed quorum sets and first-vote-wins maps make
+        // any duplicate a no-op.
         let joiners = self.setup.view.joiners(event);
         if !joiners.is_empty() {
             for msg in self.said() {

@@ -59,10 +59,11 @@
 //!   timers;
 //! * surviving automata then receive the `EpochEvent` themselves, so
 //!   epoch-aware nominal protocols (e.g.
-//!   [`crate::bracha::BrachaConfig::epochal`]) migrate their quorum
-//!   trackers — shedding retired voters' weight and re-deriving
-//!   thresholds from the new total — and protocols holding epoch-pinned
-//!   keys (e.g. [`crate::aba::AbaSetup::with_roster`]) apply their
+//!   [`crate::bracha::BrachaConfig::epochal`]) hand it to their
+//!   [`QuorumSet`], which sheds retired voters, takes the new
+//!   population as its base and re-tallies every key — and protocols
+//!   holding epoch-pinned keys (e.g.
+//!   [`crate::aba::AbaSetup::with_roster`]) apply their
 //!   carry/re-deal rule from the event's rekey seed;
 //! * **added** sub-instances are spawned mid-flight via the stored
 //!   factory; they begin at `on_start` and may rely on the vouching path
@@ -198,8 +199,8 @@ impl<P: Protocol> BlackBox<P> {
     /// automaton for virtual user `v` (it will see `n = T` and `me = v`
     /// under the numbering current at spawn time). The roster is this
     /// replica's live identity directory — epoch-aware nominal protocols
-    /// capture a clone of it so their quorum trackers resolve and migrate
-    /// identities in lockstep with the wrapper. The factory is retained:
+    /// capture a clone of it so their quorum sets resolve identities and
+    /// shed retired voters in lockstep with the wrapper. The factory is retained:
     /// epoch reconfigurations use it to spawn virtual users added
     /// mid-flight.
     pub fn new<F>(config: BlackBoxConfig, party: usize, mut factory: F) -> Self
@@ -446,8 +447,9 @@ impl<P: Protocol> Protocol for BlackBox<P> {
         self.virtuals.retain(|(id, _, _)| roster.contains(*id));
         self.timer_map.retain(|_, (setter, _)| roster.contains(*setter));
         // Propagate the boundary to surviving automata so epoch-aware
-        // inner protocols migrate their trackers (shed retired voters,
-        // re-derive totals) and can make immediate progress.
+        // inner protocols refresh their quorum sets (shed retired voters,
+        // re-tally under the new population) and can make immediate
+        // progress.
         let total = roster.total();
         let mut pending = Vec::new();
         let ids: Vec<StableId> = self
@@ -492,7 +494,6 @@ mod tests {
     use super::*;
     use crate::aba::{AbaMsg, AbaNode, AbaSetup};
     use crate::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
-    use crate::quorum::QuorumTracker;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use swiper_core::{Swiper, TicketDelta, WeightRestriction};
@@ -884,12 +885,12 @@ mod tests {
     /// Post-boundary duplicates of a pre-boundary message must not be
     /// double-delivered under a new identity: the wire names stable ids,
     /// so a replayed message resolves to the *same* logical endpoints and
-    /// inner-protocol dedup (quorum trackers, heard-sets) sees one voter.
+    /// inner-protocol dedup (quorum sets, heard-sets) sees one voter.
     /// Counts each distinct *stable* sender exactly once and fails if a
     /// renumbering epoch makes one voter look like two.
     struct Census {
         roster: Roster,
-        quorum: crate::quorum::CountQuorum,
+        quorum: QuorumSet<()>,
         expected: usize,
     }
 
@@ -900,18 +901,19 @@ mod tests {
             ctx.set_timer(900, 0);
         }
         fn on_message(&mut self, from: NodeId, _m: u64, _ctx: &mut Context<u64>) {
-            self.quorum.vote(self.roster.stable_of(from));
+            self.quorum.vote((), self.roster.stable_of(from));
         }
-        fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut Context<u64>) {
-            self.quorum.migrate(&self.roster);
+        fn on_reconfigure(&mut self, e: &EpochEvent, _ctx: &mut Context<u64>) {
+            self.quorum.on_epoch(e);
         }
         fn on_timer(&mut self, _id: u64, ctx: &mut Context<u64>) {
             // Exactly the live population: more means double-counting,
             // fewer means lost survivors.
-            if self.quorum.count() == self.expected {
+            let count = self.quorum.tally(&());
+            if count == self.expected as u128 {
                 ctx.output(b"exact".to_vec());
             } else {
-                ctx.output(format!("count={}", self.quorum.count()).into_bytes());
+                ctx.output(format!("count={count}").into_bytes());
             }
         }
     }
@@ -938,7 +940,9 @@ mod tests {
                 .map(|party| {
                     Box::new(BlackBox::new(config.clone(), party, move |_v, roster| Census {
                         roster: roster.clone(),
-                        quorum: crate::quorum::CountQuorum::at_least(expected, expected),
+                        quorum: QuorumSet::new(Electorate::Roster(roster.clone()), |_| {
+                            Ratio::of(0, 1)
+                        }),
                         expected,
                     })) as _
                 })

@@ -57,7 +57,7 @@ impl MessageSize for BrachaMsg {
     }
 }
 
-/// Quorum configuration shared by all Bracha nodes of one instance.
+/// The quorum configuration shared by all Bracha nodes of one instance.
 #[derive(Debug, Clone)]
 pub struct BrachaConfig {
     /// Who votes in the instance's quorums.
@@ -80,7 +80,7 @@ impl BrachaConfig {
     /// Epoch-aware nominal configuration over the black-box wrapper's
     /// shared [`Roster`]: votes are keyed by stable `(party, offset)`
     /// identity, quorum thresholds track the roster's *current* virtual
-    /// population, and [`Protocol::on_reconfigure`] migrates accumulated
+    /// population, and [`Protocol::on_reconfigure`] carries accumulated
     /// votes across renumbering deltas (retired voters shed, survivors
     /// kept). This is the form that stays safe *and live* under mixed
     /// join/leave epoch reconfigurations.
@@ -302,8 +302,9 @@ impl Protocol for BrachaNode {
                 }
             }
         }
-        // The boundary reweighs (weighted) or migrates (epochal) every
-        // tally; what it completed fires as a vote would fire it — after
+        // The boundary re-tallies every key under the new stake
+        // (weighted) or population (epochal, retired voters shed first);
+        // what it completed fires as a vote would fire it — after
         // the re-sends, so a READY it triggers reaches joiners once.
         for key in self.quorums.on_epoch(event) {
             self.crossed(key, ctx);

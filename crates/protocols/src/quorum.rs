@@ -1,18 +1,22 @@
-//! Weighted voting (paper Section 1.2): quorum trackers with exact
-//! rational thresholds, keyed on **epoch-stable identities**.
+//! Weighted voting (paper Section 1.2): quorums with exact rational
+//! thresholds, keyed on **epoch-stable identities**.
 //!
 //! Converting a protocol from "wait for `2t+1` parties" to "wait for
 //! parties holding more than a `2/3` fraction of the weight" is the
-//! *weighted voting* strategy. [`QuorumTracker`] abstracts both forms so a
-//! protocol implementation is generic over them.
+//! *weighted voting* strategy. Both forms are one comparison,
+//! `tally · den > num · base`: an [`Electorate`] says what a vote weighs
+//! (one, or the voter's stake) and what the base is (the party count, the
+//! total stake `W`, or a roster's population), and a [`QuorumSet`] keeps
+//! per key only its voters and their tally.
 //!
 //! # Epoch boundaries
 //!
 //! An epoch boundary changes the stake or the roster under the quorum
-//! test, so it is a tracker event. An automaton keeps its trackers in one
-//! [`QuorumSet`], keyed by what they count (a phase and a digest, a round
-//! and a value), and hands each boundary to [`QuorumSet::on_epoch`]. That
-//! call reweighs (party regime) or migrates (roster regime) every tracker
+//! test. An automaton keeps its quorums in one [`QuorumSet`], keyed by
+//! what they count (a phase and a digest, a round and a value), and hands
+//! each boundary to [`QuorumSet::on_epoch`]. That call refreshes the
+//! electorate once (the event's weights, or the roster's new population),
+//! re-tallies every key (shedding retired voters in the roster regime)
 //! and reports the keys whose quorum the boundary completed. The
 //! automaton fires those through the same transition its vote path calls:
 //! honest peers vote exactly once, so no later vote would re-run it, and
@@ -26,12 +30,11 @@
 //! Votes are keyed by [`StableId`] — `(party, offset)` — never by dense
 //! per-epoch indices. Dense virtual ids renumber whenever a
 //! [`TicketDelta`] touches an earlier party, so
-//! a dense-keyed tracker would count one logical voter under both its
+//! a dense-keyed tally would count one logical voter under both its
 //! pre- and post-epoch ids (double-counting) while freezing in the weight
 //! of voters that have since retired. Stable keying makes vote survival
-//! automatic; an epoch crossing only needs [`QuorumTracker::migrate`] to
-//! re-derive the threshold base for the new population and shed retired
-//! voters.
+//! automatic; an epoch crossing only needs [`QuorumSet::on_epoch`] to take
+//! the new population as the base and shed retired voters.
 //!
 //! Two identity regimes exist, captured by [`IdentityView`]:
 //!
@@ -46,8 +49,8 @@
 //! Identity *validation* (spoof checks, membership of the wire sender) is
 //! the hosting protocol's job — the simulator guarantees `from` is the
 //! real wire sender, and the black-box wrapper rejects inner messages
-//! whose claimed identity is not owned by the wire sender. Trackers count
-//! whatever distinct identities they are handed.
+//! whose claimed identity is not owned by the wire sender. A quorum set
+//! counts whatever distinct identities it is handed.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -207,307 +210,160 @@ impl IdentityView {
     }
 }
 
-/// Tracks votes from distinct stable identities until a threshold is
-/// reached.
-pub trait QuorumTracker {
-    /// Registers a vote from `voter`; duplicate votes are ignored.
-    /// Returns `true` once (and as long as) the quorum is reached.
-    fn vote(&mut self, voter: StableId) -> bool;
-
-    /// Whether the quorum has been reached.
-    fn reached(&self) -> bool;
-
-    /// Epoch migration: re-derives the threshold base from the roster's
-    /// new population and sheds votes of retired identities, so
-    /// accumulated progress survives renumbering while retired voters'
-    /// weight is released rather than frozen in.
-    fn migrate(&mut self, roster: &Roster);
-}
-
-/// Nominal quorum: strictly more than `num/den` of the `population`
-/// eligible voters.
-#[derive(Debug, Clone)]
-pub struct CountQuorum {
-    population: usize,
-    num: u128,
-    den: u128,
-    voted: HashSet<StableId>,
-}
-
-impl CountQuorum {
-    /// Quorum of strictly more than `threshold * n` voters.
-    pub fn new(n: usize, threshold: Ratio) -> Self {
-        CountQuorum {
-            population: n,
-            num: threshold.num(),
-            den: threshold.den(),
-            voted: HashSet::new(),
-        }
-    }
-
-    /// Classic `k`-of-`n` quorum (at least `k` distinct voters).
-    pub fn at_least(n: usize, k: usize) -> Self {
-        // "at least k" == "strictly more than k-1": represent as (k-1)/n.
-        CountQuorum {
-            population: n,
-            num: k.saturating_sub(1) as u128,
-            den: n.max(1) as u128,
-            voted: HashSet::new(),
-        }
-    }
-
-    /// Current number of distinct voters.
-    pub fn count(&self) -> usize {
-        self.voted.len()
-    }
-
-    /// The threshold base (eligible-voter population).
-    pub fn population(&self) -> usize {
-        self.population
-    }
-}
-
-impl QuorumTracker for CountQuorum {
-    fn vote(&mut self, voter: StableId) -> bool {
-        self.voted.insert(voter);
-        self.reached()
-    }
-
-    fn reached(&self) -> bool {
-        (self.voted.len() as u128) * self.den > self.num * (self.population as u128)
-    }
-
-    fn migrate(&mut self, roster: &Roster) {
-        self.population = roster.total();
-        self.voted.retain(|id| roster.contains(*id));
-    }
-}
-
-/// Weighted quorum: strictly more than `threshold * W` of total weight.
-///
-/// Weights are per *party*; each distinct voter contributes its party's
-/// weight once. The weighted protocols in this crate host exactly one
-/// voter per party ([`StableId::solo`]), which gives the exact
-/// weighted-voting semantics of paper §1.2.
-#[derive(Debug, Clone)]
-pub struct WeightQuorum {
-    weights: Weights,
-    num: u128,
-    den: u128,
-    voted: HashSet<StableId>,
-    weight: u128,
-}
-
-impl WeightQuorum {
-    /// Quorum of strictly more than `threshold * W` weight.
-    pub fn new(weights: Weights, threshold: Ratio) -> Self {
-        WeightQuorum {
-            weights,
-            num: threshold.num(),
-            den: threshold.den(),
-            voted: HashSet::new(),
-            weight: 0,
-        }
-    }
-
-    /// Accumulated voting weight.
-    pub fn weight(&self) -> u128 {
-        self.weight
-    }
-
-    /// The weight vector this quorum currently tallies under.
-    pub fn weights(&self) -> &Weights {
-        &self.weights
-    }
-
-    /// Epoch stake refresh: re-derives the tally under the event's new
-    /// per-party weight vector. Votes are **kept** — identity progress is
-    /// orthogonal to stake — but each voter's contribution and the
-    /// threshold base `W` are recomputed from the new weights, so the
-    /// verdict after `reweigh` equals a fresh tracker's fed the same
-    /// votes under the new weights: no ghost stake (a collapsed whale's
-    /// kept vote now carries its *current* dust weight, which can
-    /// **revoke** an almost-complete quorum), no lost votes.
-    ///
-    /// Party sets are fixed across epochs; an event whose weight vector
-    /// covers a different party count is a driver bug and is ignored
-    /// (`debug_assert` in debug builds).
-    pub fn reweigh(&mut self, event: &EpochEvent) {
-        if !event.refresh_weights(&mut self.weights) {
-            debug_assert!(false, "reweigh with a different party count");
-            return;
-        }
-        self.weight = self.tally();
-    }
-
-    /// The weight of the recorded voters under the current weights.
-    fn tally(&self) -> u128 {
-        self.voted
-            .iter()
-            .filter(|id| id.party_ix() < self.weights.len())
-            .map(|id| u128::from(self.weights.get(id.party_ix())))
-            .sum()
-    }
-}
-
-impl QuorumTracker for WeightQuorum {
-    fn vote(&mut self, voter: StableId) -> bool {
-        // A voter naming a party outside the weight vector carries no
-        // weight (and party sets are fixed, so it never will).
-        if voter.party_ix() < self.weights.len() && self.voted.insert(voter) {
-            self.weight += u128::from(self.weights.get(voter.party_ix()));
-        }
-        self.reached()
-    }
-
-    fn reached(&self) -> bool {
-        self.weight * self.den > self.num * self.weights.total()
-    }
-
-    fn migrate(&mut self, roster: &Roster) {
-        // Shed retired voters and release their weight; the weight vector
-        // itself is per-party and parties never retire, so it is kept.
-        self.voted.retain(|id| roster.contains(*id));
-        self.weight = self.tally();
-    }
-}
-
-/// Builds the tracker family used across the weighted protocols: a nominal
-/// tracker when `weights` is `None`, a weighted one otherwise.
-#[derive(Debug, Clone)]
-pub enum Quorum {
-    /// Count-based (nominal model).
-    Count(CountQuorum),
-    /// Weight-based (weighted model).
-    Weight(WeightQuorum),
-}
-
-impl Quorum {
-    /// Nominal quorum over `n` voters.
-    pub fn nominal(n: usize, threshold: Ratio) -> Self {
-        Quorum::Count(CountQuorum::new(n, threshold))
-    }
-
-    /// Weighted quorum.
-    pub fn weighted(weights: Weights, threshold: Ratio) -> Self {
-        Quorum::Weight(WeightQuorum::new(weights, threshold))
-    }
-}
-
-impl QuorumTracker for Quorum {
-    fn vote(&mut self, voter: StableId) -> bool {
-        match self {
-            Quorum::Count(q) => q.vote(voter),
-            Quorum::Weight(q) => q.vote(voter),
-        }
-    }
-
-    fn reached(&self) -> bool {
-        match self {
-            Quorum::Count(q) => q.reached(),
-            Quorum::Weight(q) => q.reached(),
-        }
-    }
-
-    fn migrate(&mut self, roster: &Roster) {
-        match self {
-            Quorum::Count(q) => q.migrate(roster),
-            Quorum::Weight(q) => q.migrate(roster),
-        }
-    }
-}
-
-/// Who votes in a [`QuorumSet`]'s trackers, and what an epoch boundary
-/// does to them.
+/// Who votes in a [`QuorumSet`], what a vote weighs, and what a quorum's
+/// threshold is a fraction of (the *base*).
 #[derive(Debug, Clone)]
 pub enum Electorate {
-    /// `n` fixed parties, one vote each: a boundary moves nothing.
+    /// `n` fixed parties, one vote each; the base is `n`, and a boundary
+    /// moves nothing.
     Nominal(usize),
-    /// Fixed parties weighted by stake: a boundary reweighs every tracker
-    /// under the event's weights ([`WeightQuorum::reweigh`]).
+    /// Fixed parties weighted by stake; the base is the total stake `W`,
+    /// and a boundary adopts the event's weights. A voter naming a party
+    /// outside the vector carries no weight and is not recorded (party
+    /// sets are fixed, so it never will).
     Weighted(Weights),
-    /// The virtual users of a shared [`Roster`], one vote each: a boundary
-    /// migrates every tracker onto the roster's new epoch
-    /// ([`QuorumTracker::migrate`]).
+    /// The virtual users of a shared [`Roster`], one vote each; the base is
+    /// the roster's current population. The host splices each delta into
+    /// the roster before the boundary reaches the set, so
+    /// [`QuorumSet::on_epoch`] judges the pre-boundary verdicts against
+    /// the delta's old total.
     Roster(Roster),
 }
 
 impl Electorate {
-    /// A fresh tracker over the current electorate.
-    fn mint(&self, threshold: Ratio) -> Quorum {
+    /// What `voter`'s vote weighs, or `None` when it names a party outside
+    /// a weighted electorate.
+    pub(crate) fn weight_of(&self, voter: StableId) -> Option<u128> {
         match self {
-            Electorate::Nominal(n) => Quorum::nominal(*n, threshold),
-            Electorate::Weighted(weights) => Quorum::weighted(weights.clone(), threshold),
-            Electorate::Roster(roster) => Quorum::nominal(roster.total(), threshold),
+            Electorate::Weighted(weights) => {
+                weights.as_slice().get(voter.party_ix()).map(|&w| u128::from(w))
+            }
+            Electorate::Nominal(_) | Electorate::Roster(_) => Some(1),
+        }
+    }
+
+    /// What a quorum threshold is a fraction of.
+    pub(crate) fn base(&self) -> u128 {
+        match self {
+            Electorate::Nominal(n) => *n as u128,
+            Electorate::Weighted(weights) => weights.total(),
+            Electorate::Roster(roster) => roster.total() as u128,
+        }
+    }
+
+    /// Moves into `event`'s epoch; `false`, and nothing moved, when the
+    /// event's weights cover a different party count.
+    fn refresh(&mut self, event: &EpochEvent) -> bool {
+        match self {
+            Electorate::Nominal(_) | Electorate::Roster(_) => true,
+            Electorate::Weighted(weights) => event.refresh_weights(weights),
         }
     }
 }
 
-/// One automaton's quorum trackers, one per key — what the votes are for,
-/// such as a phase and a digest or a round and a value. A key's tracker is
-/// minted on its first vote from the current electorate, with the
-/// threshold the set's `threshold` function gives the key.
+/// One key's quorum: its threshold, its distinct voters, and what their
+/// votes weigh together under the set's electorate.
+struct Tally {
+    threshold: Ratio,
+    voters: HashSet<StableId>,
+    sum: u128,
+}
+
+impl Tally {
+    fn reached(&self, base: u128) -> bool {
+        self.sum * self.threshold.den() > self.threshold.num() * base
+    }
+}
+
+/// One automaton's quorums, one per key — what the votes are for, such as
+/// a phase and a digest or a round and a value. A key's quorum needs
+/// strictly more than the fraction the set's `threshold` function gives
+/// the key, of the electorate's base.
 ///
 /// The set owns the epoch boundary: [`QuorumSet::on_epoch`] moves every
-/// tracker into the new epoch and reports the quorums that move completed,
+/// tally into the new epoch and reports the quorums that move completed,
 /// which the automaton fires through the transition its vote path calls.
 pub struct QuorumSet<K> {
     electorate: Electorate,
     threshold: Box<dyn Fn(&K) -> Ratio + Send>,
-    trackers: BTreeMap<K, Quorum>,
+    tallies: BTreeMap<K, Tally>,
 }
 
 impl<K: Ord + Clone> QuorumSet<K> {
     /// An empty set over `electorate`; a key's quorum needs strictly more
-    /// than `threshold(key)` of the votes (of the weight, when weighted).
+    /// than `threshold(key)` of the base.
     pub fn new(
         electorate: Electorate,
         threshold: impl Fn(&K) -> Ratio + Send + 'static,
     ) -> Self {
-        QuorumSet { electorate, threshold: Box::new(threshold), trackers: BTreeMap::new() }
+        QuorumSet { electorate, threshold: Box::new(threshold), tallies: BTreeMap::new() }
     }
 
     /// Registers `voter`'s vote on `key` (duplicates are ignored) and
     /// returns whether `key`'s quorum is reached.
     pub fn vote(&mut self, key: K, voter: StableId) -> bool {
-        let (electorate, threshold) = (&self.electorate, &self.threshold);
-        self.trackers
-            .entry(key)
-            .or_insert_with_key(|key| electorate.mint(threshold(key)))
-            .vote(voter)
+        let tally = self.tallies.entry(key).or_insert_with_key(|key| Tally {
+            threshold: (self.threshold)(key),
+            voters: HashSet::new(),
+            sum: 0,
+        });
+        if let Some(weight) = self.electorate.weight_of(voter) {
+            if tally.voters.insert(voter) {
+                tally.sum += weight;
+            }
+        }
+        tally.reached(self.electorate.base())
     }
 
     /// Whether `key`'s quorum is reached (never, before its first vote).
     pub fn reached(&self, key: &K) -> bool {
-        self.trackers.get(key).is_some_and(Quorum::reached)
+        self.tallies.get(key).is_some_and(|tally| tally.reached(self.electorate.base()))
     }
 
-    /// The epoch boundary: every tracker reweighs under `event`'s stake
-    /// (weighted), migrates onto the roster's new epoch (roster — the
-    /// host must already have spliced the delta in), or stays (nominal);
-    /// trackers minted later start from the new epoch.
+    /// What `key`'s recorded votes weigh together (0 before its first
+    /// vote): its distinct voters, or their stake when weighted.
+    pub fn tally(&self, key: &K) -> u128 {
+        self.tallies.get(key).map_or(0, |tally| tally.sum)
+    }
+
+    /// Who votes, what a vote weighs, and the base.
+    pub fn electorate(&self) -> &Electorate {
+        &self.electorate
+    }
+
+    /// The epoch boundary: the electorate takes `event`'s weights
+    /// (weighted) or the roster's new population (roster — the host must
+    /// already have spliced the delta in), and every key re-tallies its
+    /// kept votes under it, the roster regime first shedding retired
+    /// voters. Keys first voted on later start from the new epoch.
     ///
     /// Returns, in key order, the keys whose quorum went from not reached
-    /// to reached: the caller fires each through its vote-path transition.
-    /// A quorum the boundary revokes (its stake collapsed) simply stops
-    /// being reached. An event over a different party count is a
-    /// mis-addressed driver bug and moves nothing (debug builds assert).
+    /// (under the pre-boundary base) to reached: the caller fires each
+    /// through its vote-path transition. A quorum the boundary revokes
+    /// (its stake collapsed) simply stops being reached. An event over a
+    /// different party count is a mis-addressed driver bug and moves
+    /// nothing (debug builds assert).
     pub fn on_epoch(&mut self, event: &EpochEvent) -> Vec<K> {
-        if let Electorate::Weighted(weights) = &mut self.electorate {
-            if !event.refresh_weights(weights) {
-                debug_assert!(false, "EpochEvent weights cover a different party count");
-                return Vec::new();
-            }
+        // The host spliced the roster already: its pre-boundary population
+        // is the delta's old total.
+        let before = match &self.electorate {
+            Electorate::Roster(_) => event.delta().old_total(),
+            Electorate::Nominal(_) | Electorate::Weighted(_) => self.electorate.base(),
+        };
+        if !self.electorate.refresh(event) {
+            debug_assert!(false, "EpochEvent weights cover a different party count");
+            return Vec::new();
         }
+        let electorate = &self.electorate;
+        let after = electorate.base();
         let mut crossed = Vec::new();
-        for (key, q) in &mut self.trackers {
-            let was = q.reached();
-            match (&self.electorate, &mut *q) {
-                (Electorate::Roster(roster), q) => q.migrate(roster),
-                (Electorate::Weighted(_), Quorum::Weight(q)) => q.reweigh(event),
-                _ => {}
+        for (key, tally) in &mut self.tallies {
+            let was = tally.reached(before);
+            if let Electorate::Roster(roster) = electorate {
+                tally.voters.retain(|id| roster.contains(*id));
             }
-            if !was && q.reached() {
+            tally.sum = tally.voters.iter().filter_map(|&id| electorate.weight_of(id)).sum();
+            if !was && tally.reached(after) {
                 crossed.push(key.clone());
             }
         }
@@ -524,79 +380,86 @@ mod tests {
         StableId::solo(p)
     }
 
+    /// A set whose every key needs strictly more than `threshold`.
+    fn set_of<K: Ord + Clone>(electorate: Electorate, threshold: Ratio) -> QuorumSet<K> {
+        QuorumSet::new(electorate, move |_| threshold)
+    }
+
+    fn weighted(ws: &[u64]) -> Electorate {
+        Electorate::Weighted(Weights::new(ws.to_vec()).unwrap())
+    }
+
     #[test]
     fn count_quorum_strict_threshold() {
         // n = 6, threshold 2/3: need > 4, i.e. 5 parties.
-        let mut q = CountQuorum::new(6, Ratio::of(2, 3));
+        let mut q = set_of(Electorate::Nominal(6), Ratio::of(2, 3));
         for p in 0..4 {
-            assert!(!q.vote(solo(p)), "party {p}");
+            assert!(!q.vote((), solo(p)), "party {p}");
         }
-        assert!(q.vote(solo(4)));
-        assert!(q.reached());
+        assert!(q.vote((), solo(4)));
+        assert!(q.reached(&()));
     }
 
     #[test]
     fn count_quorum_at_least() {
-        let mut q = CountQuorum::at_least(4, 3);
-        q.vote(solo(0));
-        q.vote(solo(1));
-        assert!(!q.reached());
-        q.vote(solo(2));
-        assert!(q.reached());
+        // "At least 3 of 4" is "strictly more than 2/4".
+        let mut q = set_of(Electorate::Nominal(4), Ratio::of(2, 4));
+        q.vote((), solo(0));
+        q.vote((), solo(1));
+        assert!(!q.reached(&()));
+        q.vote((), solo(2));
+        assert!(q.reached(&()));
     }
 
     #[test]
     fn duplicates_ignored() {
-        let mut q = CountQuorum::at_least(3, 2);
-        q.vote(solo(1));
-        q.vote(solo(1));
-        q.vote(solo(1));
-        assert!(!q.reached());
-        assert_eq!(q.count(), 1);
+        let mut q = set_of(Electorate::Nominal(3), Ratio::of(1, 3));
+        q.vote((), solo(1));
+        q.vote((), solo(1));
+        q.vote((), solo(1));
+        assert!(!q.reached(&()));
+        assert_eq!(q.tally(&()), 1);
     }
 
     #[test]
     fn distinct_offsets_are_distinct_voters() {
         // Virtual users of the same party are independent voters in the
         // nominal model — the black-box transformation depends on it.
-        let mut q = CountQuorum::at_least(4, 3);
-        q.vote(StableId::new(0, 0));
-        q.vote(StableId::new(0, 1));
-        assert!(!q.reached());
-        q.vote(StableId::new(1, 0));
-        assert!(q.reached());
+        let mut q = set_of(Electorate::Nominal(4), Ratio::of(2, 4));
+        q.vote((), StableId::new(0, 0));
+        q.vote((), StableId::new(0, 1));
+        assert!(!q.reached(&()));
+        q.vote((), StableId::new(1, 0));
+        assert!(q.reached(&()));
     }
 
     #[test]
     fn weight_quorum_strict() {
-        let w = Weights::new(vec![50, 30, 20]).unwrap();
-        let mut q = WeightQuorum::new(w, Ratio::of(1, 2));
-        q.vote(solo(0)); // exactly 50 = W/2, not strictly more
-        assert!(!q.reached());
-        q.vote(solo(2)); // 70 > 50
-        assert!(q.reached());
+        let mut q = set_of(weighted(&[50, 30, 20]), Ratio::of(1, 2));
+        q.vote((), solo(0)); // exactly 50 = W/2, not strictly more
+        assert!(!q.reached(&()));
+        q.vote((), solo(2)); // 70 > 50
+        assert!(q.reached(&()));
     }
 
     #[test]
     fn weighted_vs_nominal_divergence() {
         // A whale alone passes the weighted 1/2 quorum but never the
         // nominal one.
-        let w = Weights::new(vec![90, 5, 5]).unwrap();
-        let mut wq = Quorum::weighted(w, Ratio::of(1, 2));
-        let mut nq = Quorum::nominal(3, Ratio::of(1, 2));
-        assert!(wq.vote(solo(0)));
-        assert!(!nq.vote(solo(0)));
+        let mut wq = set_of(weighted(&[90, 5, 5]), Ratio::of(1, 2));
+        let mut nq = set_of(Electorate::Nominal(3), Ratio::of(1, 2));
+        assert!(wq.vote((), solo(0)));
+        assert!(!nq.vote((), solo(0)));
     }
 
     #[test]
     fn unknown_party_votes_carry_no_weight() {
         // Identity validation is upstream; a voter naming a party beyond
         // the weight vector must at least never add weight or panic.
-        let w = Weights::new(vec![10, 10]).unwrap();
-        let mut q = WeightQuorum::new(w, Ratio::of(1, 3));
-        q.vote(solo(99));
-        assert!(!q.reached());
-        assert_eq!(q.weight(), 0);
+        let mut q = set_of(weighted(&[10, 10]), Ratio::of(1, 3));
+        q.vote((), solo(99));
+        assert!(!q.reached(&()));
+        assert_eq!(q.tally(&()), 0);
     }
 
     /// The dense-id double-counting regression the `StableId` re-keying
@@ -604,8 +467,8 @@ mod tests {
     /// numbering; a renumbering delta is spliced in; every *live* voter
     /// votes again under the epoch-1 numbering (the in-flight-duplicate
     /// schedule an epoch-crossing adversary forces). Keyed on stable
-    /// identities the tracker must end with exactly the live population —
-    /// a dense-keyed tracker counts survivors under both their pre- and
+    /// identities the tally must end with exactly the live population —
+    /// a dense-keyed one counts survivors under both their pre- and
     /// post-epoch ids and blows past it.
     #[test]
     fn renumbering_epoch_never_double_counts_voters() {
@@ -614,113 +477,113 @@ mod tests {
         // party 2 retires entirely, party 3 grows.
         let new = TicketAssignment::new(vec![1, 3, 0, 3]);
         let delta = TicketDelta::between(&old, &new).unwrap();
+        let weights = Weights::new(vec![1; 4]).unwrap();
+        let event = EpochEvent::new(1, delta.clone(), &weights, weights.clone(), 0).unwrap();
         let old_map = VirtualUsers::from_assignment(&old).unwrap();
         let roster = Roster::new(old_map.clone());
 
-        let mut q = CountQuorum::at_least(old_map.total(), old_map.total());
+        let mut q = set_of(Electorate::Roster(roster.clone()), Ratio::of(7, 8));
         for v in 0..old_map.total() {
-            q.vote(roster.stable_of(v));
+            q.vote((), roster.stable_of(v));
         }
-        assert_eq!(q.count(), old_map.total());
-        assert!(q.reached());
+        assert_eq!(q.tally(&()), old_map.total() as u128);
+        assert!(q.reached(&()));
 
         roster.apply_delta(&delta).unwrap();
-        q.migrate(&roster);
+        q.on_epoch(&event);
         // Retired voters shed: (0,1), (2,0); survivors retained.
-        assert_eq!(q.count(), old_map.total() - 2);
-        assert_eq!(q.population(), roster.total());
+        assert_eq!(q.tally(&()), old_map.total() as u128 - 2);
+        assert_eq!(q.electorate().base(), roster.total() as u128);
 
         // Epoch-1 duplicates: every live voter votes again under the new
         // numbering. Stable keying dedupes them all; the only fresh voter
         // is party 3's joiner.
         for v in 0..roster.total() {
-            q.vote(roster.stable_of(v));
+            q.vote((), roster.stable_of(v));
         }
         assert_eq!(
-            q.count(),
-            roster.total(),
+            q.tally(&()),
+            roster.total() as u128,
             "one logical voter was counted under two epochs' numberings"
         );
     }
 
-    /// Retired voters' weight is shed on migration, not frozen into the
-    /// accumulated total — the "ghost weight" half of the cross-epoch
-    /// quorum-identity fix.
+    /// Retired voters' votes are shed at the boundary, not frozen into
+    /// the tally — the "ghost weight" half of the cross-epoch identity
+    /// fix.
     #[test]
     fn migrate_sheds_retired_weight() {
-        let w = Weights::new(vec![40, 35, 25]).unwrap();
+        let weights = Weights::new(vec![40, 35, 25]).unwrap();
         let old = TicketAssignment::new(vec![1, 1, 1]);
         let new = TicketAssignment::new(vec![1, 0, 1]);
         let delta = TicketDelta::between(&old, &new).unwrap();
+        let event = EpochEvent::new(1, delta.clone(), &weights, weights.clone(), 0).unwrap();
         let roster = Roster::new(VirtualUsers::from_assignment(&old).unwrap());
 
-        let mut q = WeightQuorum::new(w, Ratio::of(2, 3));
-        q.vote(solo(0));
-        q.vote(solo(1));
-        assert!(q.reached(), "75 > 2/3 of 100");
+        let mut q = set_of(Electorate::Roster(roster.clone()), Ratio::of(1, 2));
+        q.vote((), StableId::new(0, 0));
+        q.vote((), StableId::new(1, 0));
+        assert!(q.reached(&()), "2 > 1/2 of 3");
 
         roster.apply_delta(&delta).unwrap();
-        // Party-keyed voters never retire: solo identities stay live as
-        // long as the party holds a ticket; party 1's retired here.
-        q.migrate(&roster);
-        assert_eq!(q.weight(), 40, "retired voter's 35 released");
-        assert!(!q.reached());
-        q.vote(solo(2));
-        assert!(!q.reached(), "65 is not > 2/3 of 100");
+        assert!(q.on_epoch(&event).is_empty());
+        assert_eq!(q.tally(&()), 1, "the retired voter's vote released");
+        assert!(!q.reached(&()), "1 is not > 1/2 of 2");
+        assert!(q.vote((), StableId::new(2, 0)), "2 > 1/2 of 2");
     }
 
     /// Builds a stake-refresh event over an unchanged assignment — the
-    /// pure weight-drift epoch the reweigh machinery exists for.
+    /// pure weight-drift epoch a weighted boundary re-tallies under.
     fn stake_event(prev: &Weights, next: &[u64]) -> EpochEvent {
         let tickets = TicketAssignment::new(vec![1; prev.len()]);
         let delta = TicketDelta::between(&tickets, &tickets).unwrap();
         EpochEvent::new(1, delta, prev, Weights::new(next.to_vec()).unwrap(), 0).unwrap()
     }
 
-    /// The stale-stake hole the reweigh API closes: a pending quorum that
-    /// was one dust vote short under the old weights must NOT cross the
-    /// threshold after the whale backing it collapsed — the kept votes
+    /// The stale-stake hole the boundary re-tally closes: a pending quorum
+    /// that was one dust vote short under the old weights must NOT cross
+    /// the threshold after the whale backing it collapsed — the kept votes
     /// re-tally under current stake, revoking the almost-complete quorum.
     #[test]
     fn reweigh_revokes_an_almost_complete_quorum_after_whale_collapse() {
         let old = Weights::new(vec![50, 30, 20]).unwrap();
-        let mut q = WeightQuorum::new(old.clone(), Ratio::of(2, 3));
-        q.vote(solo(0));
-        assert_eq!(q.weight(), 50);
-        assert!(!q.reached(), "50 is not > 2/3 of 100");
+        let mut q = set_of(Electorate::Weighted(old.clone()), Ratio::of(2, 3));
+        q.vote((), solo(0));
+        assert_eq!(q.tally(&()), 50);
+        assert!(!q.reached(&()), "50 is not > 2/3 of 100");
         // The whale's stake collapses mid-vouch (slashed / unbonded).
-        q.reweigh(&stake_event(&old, &[5, 30, 20]));
-        assert_eq!(q.weight(), 5, "the kept vote carries current stake");
+        assert!(q.on_epoch(&stake_event(&old, &[5, 30, 20])).is_empty());
+        assert_eq!(q.tally(&()), 5, "the kept vote carries current stake");
         // Under the old weights this vote would have completed the quorum
         // (50 + 30 = 80 > 66); under live stake it must not (35 ≤ 36.7).
-        assert!(!q.vote(solo(1)), "stale whale weight crossed a current-epoch threshold");
-        assert_eq!(q.weight(), 35);
-        // A fresh tracker under the new weights agrees vote-for-vote.
-        let mut fresh =
-            WeightQuorum::new(Weights::new(vec![5, 30, 20]).unwrap(), Ratio::of(2, 3));
-        fresh.vote(solo(0));
-        fresh.vote(solo(1));
-        assert_eq!((fresh.weight(), fresh.reached()), (q.weight(), q.reached()));
+        assert!(!q.vote((), solo(1)), "stale whale weight crossed a current-epoch threshold");
+        assert_eq!(q.tally(&()), 35);
+        // A fresh set under the new weights agrees vote-for-vote.
+        let mut fresh = set_of(weighted(&[5, 30, 20]), Ratio::of(2, 3));
+        fresh.vote((), solo(0));
+        fresh.vote((), solo(1));
+        assert_eq!((fresh.tally(&()), fresh.reached(&())), (q.tally(&()), q.reached(&())));
         // Stake moving the other way completes it without new votes.
-        q.reweigh(&stake_event(&Weights::new(vec![5, 30, 20]).unwrap(), &[90, 30, 20]));
-        assert!(q.reached(), "re-grown stake counts immediately");
+        let regrown = stake_event(&Weights::new(vec![5, 30, 20]).unwrap(), &[90, 30, 20]);
+        assert_eq!(q.on_epoch(&regrown), vec![()], "re-grown stake counts immediately");
     }
 
     #[test]
     fn reweigh_ignores_party_count_mismatches_in_release() {
-        // Release builds must not corrupt the tracker on a mis-addressed
+        // Release builds must not corrupt the set on a mis-addressed
         // event (debug builds assert).
         let old = Weights::new(vec![10, 10]).unwrap();
-        let mut q = WeightQuorum::new(old.clone(), Ratio::of(1, 3));
-        q.vote(solo(0));
-        let before = q.weight();
+        let mut q = set_of(Electorate::Weighted(old), Ratio::of(1, 3));
+        q.vote((), solo(0));
+        let before = q.tally(&());
         let three = Weights::new(vec![1, 1, 1]).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.reweigh(&stake_event(&three, &[1, 1, 1]));
+            q.on_epoch(&stake_event(&three, &[1, 1, 1]))
         }));
-        if result.is_ok() {
-            assert_eq!(q.weight(), before);
-            assert_eq!(q.weights().len(), 2);
+        if let Ok(crossed) = result {
+            assert!(crossed.is_empty());
+            assert_eq!(q.tally(&()), before);
+            assert_eq!(q.electorate().base(), 20);
         }
     }
 
@@ -730,8 +593,7 @@ mod tests {
     #[test]
     fn quorum_set_reports_the_quorums_a_reweigh_completes_in_key_order() {
         let old = Weights::new(vec![70, 10, 10, 10]).unwrap();
-        let mut set =
-            QuorumSet::new(Electorate::Weighted(old.clone()), |_: &char| Ratio::of(1, 2));
+        let mut set = set_of(Electorate::Weighted(old.clone()), Ratio::of(1, 2));
         let votes: [(char, &[usize]); 4] =
             [('d', &[2, 3]), ('a', &[1, 2, 3]), ('b', &[0]), ('c', &[1])];
         for (key, voters) in votes {
@@ -742,14 +604,15 @@ mod tests {
         assert_eq!(['a', 'b', 'c', 'd'].map(|k| set.reached(&k)), [false, true, false, false]);
         assert_eq!(set.on_epoch(&stake_event(&old, &[10, 30, 30, 30])), vec!['a', 'd']);
         assert_eq!(['a', 'b', 'c', 'd'].map(|k| set.reached(&k)), [true, false, false, true]);
-        // A tracker minted after the boundary tallies under the new stake.
+        // A key first voted on after the boundary tallies under the new
+        // stake.
         assert!(!set.vote('e', solo(1)), "30 of 100");
         assert!(set.vote('e', solo(2)), "60 of 100");
         // A boundary that moves no verdict reports nothing.
         assert!(set.on_epoch(&stake_event(&old, &[20, 60, 60, 60])).is_empty());
     }
 
-    /// Roster regime: the boundary migrates every tracker — a shrinking
+    /// Roster regime: the boundary re-tallies every key — a shrinking
     /// population completes a quorum whose voters all survive, and one
     /// whose voters all retired is emptied.
     #[test]
@@ -760,11 +623,10 @@ mod tests {
         let delta = TicketDelta::between(&old, &new).unwrap();
         let event = EpochEvent::new(1, delta.clone(), &weights, weights.clone(), 0).unwrap();
         let roster = Roster::new(VirtualUsers::from_assignment(&old).unwrap());
-        let mut set =
-            QuorumSet::new(Electorate::Roster(roster.clone()), |_: &u8| Ratio::of(2, 3));
+        let mut set = set_of(Electorate::Roster(roster.clone()), Ratio::of(2, 3));
         // 3 of 5 is not > 10/3; these three all survive the delta.
         for id in [StableId::new(0, 0), StableId::new(0, 1), StableId::new(1, 0)] {
-            assert!(!set.vote(0, id));
+            assert!(!set.vote(0u8, id));
         }
         for id in [StableId::new(1, 1), StableId::new(2, 0)] {
             set.vote(1, id);
@@ -819,7 +681,47 @@ mod tests {
 
     mod properties {
         use super::*;
+        use proptest::collection::vec;
         use proptest::prelude::*;
+        use proptest::sample::Index;
+
+        const KEYS: [u8; 3] = [0, 1, 2];
+
+        /// Each key's threshold: `nums[key] / 6`, proper for `nums` in 1..6.
+        fn set_over(electorate: Electorate, nums: [u128; 3]) -> QuorumSet<u8> {
+            QuorumSet::new(electorate, move |key: &u8| Ratio::of(nums[usize::from(*key)], 6))
+        }
+
+        /// Hands `set` the boundary `event` (the roster, if any, already
+        /// spliced) and checks it against a fresh set over `fresh_over`
+        /// fed the `surviving` votes: every key's verdict and tally must
+        /// match, and `on_epoch` must report exactly the keys that went
+        /// from not reached (`was`, read before the boundary) to reached,
+        /// in key order.
+        fn cross(
+            set: &mut QuorumSet<u8>,
+            was: [bool; 3],
+            event: &EpochEvent,
+            fresh_over: Electorate,
+            nums: [u128; 3],
+            surviving: &[(u8, StableId)],
+        ) -> QuorumSet<u8> {
+            let crossed = set.on_epoch(event);
+            let mut fresh = set_over(fresh_over, nums);
+            for &(key, voter) in surviving {
+                fresh.vote(key, voter);
+            }
+            for key in KEYS {
+                assert_eq!(set.reached(&key), fresh.reached(&key), "key {key}");
+                assert_eq!(set.tally(&key), fresh.tally(&key), "key {key}");
+            }
+            let flipped: Vec<u8> = KEYS
+                .into_iter()
+                .filter(|&key| !was[usize::from(key)] && set.reached(&key))
+                .collect();
+            assert_eq!(crossed, flipped);
+            fresh
+        }
 
         proptest! {
             /// On equal weights, weighted voting degenerates to nominal
@@ -828,133 +730,148 @@ mod tests {
             #[test]
             fn weighted_equals_nominal_on_equal_weights(
                 n in 1usize..30,
-                votes in proptest::collection::vec(any::<proptest::sample::Index>(), 0..40),
+                votes in vec(any::<Index>(), 0..40),
                 num in 1u128..6,
             ) {
                 let threshold = Ratio::of(num, 6);
                 prop_assume!(threshold.is_proper());
                 let weights = Weights::new(vec![7; n]).unwrap();
-                let mut wq = Quorum::weighted(weights, threshold);
-                let mut nq = Quorum::nominal(n, threshold);
+                let mut wq = set_of(Electorate::Weighted(weights), threshold);
+                let mut nq = set_of(Electorate::Nominal(n), threshold);
                 for ix in votes {
                     let party = ix.index(n);
-                    wq.vote(StableId::solo(party));
-                    nq.vote(StableId::solo(party));
-                    prop_assert_eq!(wq.reached(), nq.reached());
+                    prop_assert_eq!(wq.vote((), solo(party)), nq.vote((), solo(party)));
                 }
             }
 
             /// Votes are monotone: once reached, a quorum stays reached.
             #[test]
             fn quorums_are_monotone(
-                ws in proptest::collection::vec(1u64..100, 1..12),
-                votes in proptest::collection::vec(any::<proptest::sample::Index>(), 1..40),
+                ws in vec(1u64..100, 1..12),
+                votes in vec(any::<Index>(), 1..40),
             ) {
                 let n = ws.len();
-                let weights = Weights::new(ws).unwrap();
-                let mut q = Quorum::weighted(weights, Ratio::of(1, 2));
+                let mut q = set_of(weighted(&ws), Ratio::of(1, 2));
                 let mut was_reached = false;
                 for ix in votes {
-                    q.vote(StableId::solo(ix.index(n)));
-                    if was_reached {
-                        prop_assert!(q.reached(), "quorum regressed");
-                    }
-                    was_reached = q.reached();
+                    let reached = q.vote((), solo(ix.index(n)));
+                    prop_assert!(reached || !was_reached, "quorum regressed");
+                    was_reached = reached;
                 }
             }
 
             /// Voting everyone always reaches any proper threshold.
             #[test]
             fn full_participation_reaches(
-                ws in proptest::collection::vec(1u64..100, 1..12),
+                ws in vec(1u64..100, 1..12),
                 num in 1u128..7,
             ) {
                 let threshold = Ratio::of(num, 7);
                 prop_assume!(threshold.is_proper());
-                let n = ws.len();
-                let weights = Weights::new(ws).unwrap();
-                let mut q = Quorum::weighted(weights, threshold);
-                for p in 0..n {
-                    q.vote(StableId::solo(p));
+                let mut q = set_of(weighted(&ws), threshold);
+                for p in 0..ws.len() {
+                    q.vote((), solo(p));
                 }
-                prop_assert!(q.reached());
+                prop_assert!(q.reached(&()));
             }
 
-            /// The reweigh contract, in full generality: for ANY vote
-            /// prefix and ANY weight re-draw, the re-weighed tracker's
-            /// verdict — and its exact tally — equals a fresh tracker's
-            /// fed the same votes under the new weights. No ghost stake
-            /// (old weights never linger in the tally), no lost votes
-            /// (identity progress survives the re-draw). Checked after
-            /// every single vote on both sides of the boundary.
+            /// The boundary contract for party-keyed electorates: after
+            /// ANY vote prefix and ANY weight re-draw, every key's verdict
+            /// and exact tally equal a fresh set's over the post-boundary
+            /// electorate fed the same votes, `on_epoch` reports exactly
+            /// the keys it flipped to reached, and the two sets agree vote
+            /// for vote afterwards. No ghost stake (old weights never
+            /// linger in the tally), no lost votes (identity progress
+            /// survives the re-draw). Runs over nominal and weighted sets.
             #[test]
             fn reweigh_matches_fresh_tracker_on_any_prefix_and_redraw(
-                old_ws in proptest::collection::vec(1u64..1000, 1..10),
-                new_ws in proptest::collection::vec(1u64..1000, 10),
-                votes in proptest::collection::vec(any::<proptest::sample::Index>(), 0..24),
-                split in any::<proptest::sample::Index>(),
-                num in 1u128..5,
+                weighted in any::<bool>(),
+                (old_ws, new_ws) in (vec(1u64..1000, 1..10), vec(1u64..1000, 10)),
+                votes in vec((0u8..3, any::<Index>()), 0..24),
+                (nums, split) in ((1u128..6, 1u128..6, 1u128..6), any::<Index>()),
             ) {
                 let n = old_ws.len();
-                let threshold = Ratio::of(num, 5);
-                prop_assume!(threshold.is_proper());
+                let nums = [nums.0, nums.1, nums.2];
                 let old = Weights::new(old_ws).unwrap();
                 let new = Weights::new(new_ws[..n].to_vec()).unwrap();
-                let boundary = split.index(votes.len() + 1);
-                let mut reweighed = WeightQuorum::new(old.clone(), threshold);
-                // Pre-boundary votes under the old weights...
-                for ix in &votes[..boundary] {
-                    reweighed.vote(StableId::solo(ix.index(n)));
+                let electorate = |w: &Weights| {
+                    if weighted {
+                        Electorate::Weighted(w.clone())
+                    } else {
+                        Electorate::Nominal(n)
+                    }
+                };
+                // Parties vote as themselves, one past the vector too (it
+                // carries no weight in the weighted regime).
+                let cast: Vec<(u8, StableId)> =
+                    votes.iter().map(|(key, ix)| (*key, solo(ix.index(n + 1)))).collect();
+                let split = split.index(cast.len() + 1);
+                let mut set = set_over(electorate(&old), nums);
+                for &(key, voter) in &cast[..split] {
+                    set.vote(key, voter);
                 }
-                // ...then the stake refresh...
-                reweighed.reweigh(&stake_event(&old, new.as_slice()));
-                // ...must leave a tracker indistinguishable from a fresh
-                // one that saw every vote under the new weights.
-                let mut fresh = WeightQuorum::new(new, threshold);
-                for ix in &votes[..boundary] {
-                    fresh.vote(StableId::solo(ix.index(n)));
-                }
-                prop_assert_eq!(reweighed.weight(), fresh.weight());
-                prop_assert_eq!(reweighed.reached(), fresh.reached());
-                for ix in &votes[boundary..] {
-                    let party = ix.index(n);
-                    prop_assert_eq!(
-                        reweighed.vote(StableId::solo(party)),
-                        fresh.vote(StableId::solo(party))
-                    );
-                    prop_assert_eq!(reweighed.weight(), fresh.weight());
+                let event = stake_event(&old, new.as_slice());
+                let was = KEYS.map(|key| set.reached(&key));
+                let mut fresh =
+                    cross(&mut set, was, &event, electorate(&new), nums, &cast[..split]);
+                for &(key, voter) in &cast[split..] {
+                    prop_assert_eq!(set.vote(key, voter), fresh.vote(key, voter));
+                    prop_assert_eq!(set.tally(&key), fresh.tally(&key));
                 }
             }
 
-            /// Stable keying is invariant under delta chains: voting every
-            /// virtual user once per epoch along a random chain, with a
-            /// migrate at each boundary, ends with exactly the final
+            /// The boundary contract for a roster electorate, along each
+            /// step of a random delta chain: key 0 takes every live
+            /// virtual user's vote each epoch and must land exactly on the
             /// population — never more (double counts), never less (lost
-            /// survivors), whatever the renumbering did.
+            /// survivors), whatever the renumbering did — while every
+            /// key's verdict and exact tally after `on_epoch` equal a
+            /// fresh set's fed the surviving votes, and `on_epoch`
+            /// reports exactly the keys it flipped to reached.
             #[test]
             fn vote_once_per_epoch_counts_each_logical_voter_once(
-                base in proptest::collection::vec(0u64..6, 1..10),
-                epochs in proptest::collection::vec(
-                    proptest::collection::vec(0u64..6, 10), 1..5),
+                tickets in vec(0u64..6, 1..10),
+                chain in vec(vec(0u64..6, 10), 1..5),
+                votes in vec((0u8..3, any::<Index>()), 0..24),
+                (nums, splits) in ((1u128..6, 1u128..6, 1u128..6), vec(any::<Index>(), 4)),
             ) {
-                let n = base.len();
-                let mut current = TicketAssignment::new(base);
+                let n = tickets.len();
+                let nums = [nums.0, nums.1, nums.2];
+                let old = Weights::new(vec![1; n]).unwrap();
+                let mut current = TicketAssignment::new(tickets);
                 let roster = Roster::new(VirtualUsers::from_assignment(&current).unwrap());
-                let mut q = CountQuorum::at_least(roster.total(), 1);
-                for v in 0..roster.total() {
-                    q.vote(roster.stable_of(v));
-                }
-                for epoch in &epochs {
-                    let next = TicketAssignment::new(epoch[..n].to_vec());
+                let mut set = set_over(Electorate::Roster(roster.clone()), nums);
+                let mut cast: Vec<(u8, StableId)> = Vec::new();
+                for (epoch, next) in chain.iter().enumerate() {
+                    // This epoch's votes: a census on key 0, then a random
+                    // slice of the others from live users.
+                    for v in 0..roster.total() {
+                        cast.push((0, roster.stable_of(v)));
+                        set.vote(0, roster.stable_of(v));
+                    }
+                    prop_assert_eq!(set.tally(&0), roster.total() as u128);
+                    if roster.total() > 0 {
+                        let take = splits[epoch].index(votes.len() + 1);
+                        for (key, ix) in &votes[..take] {
+                            let voter = roster.stable_of(ix.index(roster.total()));
+                            cast.push((*key, voter));
+                            set.vote(*key, voter);
+                        }
+                    }
+                    let next = TicketAssignment::new(next[..n].to_vec());
                     let delta = TicketDelta::between(&current, &next).unwrap();
+                    let event = EpochEvent::new(1, delta.clone(), &old, old.clone(), 0).unwrap();
+                    let was = KEYS.map(|key| set.reached(&key));
                     roster.apply_delta(&delta).unwrap();
                     current = next;
-                    q.migrate(&roster);
-                    for v in 0..roster.total() {
-                        q.vote(roster.stable_of(v));
-                    }
-                    prop_assert_eq!(q.count(), roster.total());
+                    cast.retain(|(_, id)| roster.contains(*id));
+                    let fresh_over = Electorate::Roster(roster.clone());
+                    cross(&mut set, was, &event, fresh_over, nums, &cast);
                 }
+                for v in 0..roster.total() {
+                    set.vote(0, roster.stable_of(v));
+                }
+                prop_assert_eq!(set.tally(&0), roster.total() as u128);
             }
         }
     }

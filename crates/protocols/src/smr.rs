@@ -572,7 +572,7 @@ impl SmrNode {
         (self.n - 1) / 3
     }
 
-    /// Quorum size `n - f`.
+    /// The quorum size `n - f`.
     fn quorum(&self) -> usize {
         self.n - self.f()
     }

@@ -20,7 +20,7 @@ use swiper_core::{Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
 use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
 
-use crate::quorum::{QuorumTracker, WeightQuorum};
+use crate::quorum::{Electorate, QuorumSet};
 
 /// Messages of the tight-signing wrapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +94,7 @@ pub struct TightNode {
     config: TightConfig,
     /// Whether this party approves the action (votes for it).
     approves: bool,
-    vote_quorum: WeightQuorum,
+    vote_quorum: QuorumSet<()>,
     released: bool,
     seen: std::collections::HashSet<u64>,
     collected: Vec<PartialSignature>,
@@ -104,7 +104,9 @@ pub struct TightNode {
 impl TightNode {
     /// Creates a party; `approves` decides whether it votes.
     pub fn new(config: TightConfig, approves: bool) -> Self {
-        let vote_quorum = WeightQuorum::new(config.weights.clone(), config.beta);
+        let beta = config.beta;
+        let vote_quorum =
+            QuorumSet::new(Electorate::Weighted(config.weights.clone()), move |_| beta);
         TightNode {
             config,
             approves,
@@ -119,7 +121,7 @@ impl TightNode {
     fn maybe_release(&mut self, ctx: &mut Context<TightMsg>) {
         // Release shares only after the weighted vote quorum — the single
         // extra round that upgrades blunt to tight.
-        if self.vote_quorum.reached() && !self.released {
+        if self.vote_quorum.reached(&()) && !self.released {
             self.released = true;
             let partials: Vec<PartialSignature> = self.config.shares[ctx.me()]
                 .iter()
@@ -173,7 +175,7 @@ impl Protocol for TightNode {
                 // Party-keyed stable identity: the voter set is the fixed
                 // party set, so votes survive any epoch's renumbering of
                 // *virtual* users untouched.
-                self.vote_quorum.vote(StableId::solo(from));
+                self.vote_quorum.vote((), StableId::solo(from));
                 self.maybe_release(ctx);
             }
             TightMsg::Shares { partials } => {

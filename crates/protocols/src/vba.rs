@@ -356,9 +356,9 @@ impl<V: Fn(&[u8]) -> bool> Protocol for VbaNode<V> {
     fn on_reconfigure(&mut self, event: &EpochEvent, ctx: &mut Context<VbaMsg>) {
         // Stake refresh end to end: the shared config (future quorums +
         // per-view coin setups), the proposal-delivery tally, and every
-        // hosted automaton — the RBC instances reweigh their own quorums
-        // and fire what that completes, live ABA instances reweigh and
-        // apply the coin rule. A mis-addressed event is ignored wholesale
+        // hosted automaton — the RBC instances re-tally their quorum sets
+        // under the new stake and fire what that completes, live ABA
+        // instances do the same and apply the coin rule. A mis-addressed event is ignored wholesale
         // (half-applying it would split the tallies across epochs).
         if !self.config.on_epoch(event) {
             return;

@@ -410,7 +410,7 @@ fn blackbox_shrinking_renumbering_sweep() {
 /// until the first reconfiguration, then replays its entire old-epoch
 /// traffic — the same logical votes arrive once under the pre-epoch
 /// numbering and once after the boundary. Each node runs a census that
-/// counts *distinct stable voters* with a `CountQuorum` and outputs
+/// counts *distinct stable voters* with a `QuorumSet` and outputs
 /// whether the tally landed exactly on the live population. Under
 /// stable-id resolution the replays are duplicates and the count is
 /// exact on every schedule; revert to dense-id keying (per-epoch
@@ -419,13 +419,13 @@ fn blackbox_shrinking_renumbering_sweep() {
 #[test]
 fn epoch_shifter_replay_cannot_double_count_votes() {
     use swiper::net::adversary::EpochShifter;
-    use swiper::protocols::quorum::{CountQuorum, QuorumTracker, Roster};
+    use swiper::protocols::quorum::{Electorate, QuorumSet, Roster};
 
     /// One virtual user: broadcasts a hello, counts distinct stable
     /// senders, reports the tally long after the boundary.
     struct Census {
         roster: Roster,
-        quorum: CountQuorum,
+        quorum: QuorumSet<()>,
     }
     impl Protocol for Census {
         type Msg = u64;
@@ -434,17 +434,17 @@ fn epoch_shifter_replay_cannot_double_count_votes() {
             ctx.set_timer(900, 0);
         }
         fn on_message(&mut self, from: usize, _m: u64, _ctx: &mut swiper::net::Context<u64>) {
-            self.quorum.vote(self.roster.stable_of(from));
+            self.quorum.vote((), self.roster.stable_of(from));
         }
-        fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut swiper::net::Context<u64>) {
-            self.quorum.migrate(&self.roster);
+        fn on_reconfigure(&mut self, e: &EpochEvent, _ctx: &mut swiper::net::Context<u64>) {
+            self.quorum.on_epoch(e);
         }
         fn on_timer(&mut self, _id: u64, ctx: &mut swiper::net::Context<u64>) {
-            let exact = self.quorum.count() == self.roster.total();
-            ctx.output(if exact {
+            let count = self.quorum.tally(&());
+            ctx.output(if count == self.roster.total() as u128 {
                 b"exact".to_vec()
             } else {
-                format!("count={} of {}", self.quorum.count(), self.roster.total()).into_bytes()
+                format!("count={count} of {}", self.roster.total()).into_bytes()
             });
         }
     }
@@ -464,7 +464,9 @@ fn epoch_shifter_replay_cannot_double_count_votes() {
             for party in 0..4 {
                 let bb = BlackBox::new(config.clone(), party, move |_v, roster| Census {
                     roster: roster.clone(),
-                    quorum: CountQuorum::at_least(roster.total(), 1),
+                    quorum: QuorumSet::new(Electorate::Roster(roster.clone()), |_| {
+                        Ratio::of(0, 1)
+                    }),
                 });
                 if party == shifter {
                     nodes.push(Box::new(EpochShifter::new(bb)));
@@ -544,9 +546,9 @@ fn blackbox_epoch_crossing_under_adaptive_vouch_delay() {
 /// into a live [`SmrInstance`] and torn down + rebuilt in a baseline
 /// twin, with `rounds_per_epoch` rounds prepared per epoch and two of
 /// them left un-committed across each boundary. A vouch-style weighted
-/// quorum rides along, reweighed through each epoch's [`EpochEvent`]:
-/// its published weights must match every epoch's snapshot exactly —
-/// the stake-refresh audit. Returns `(live, base)` fully drained, ready
+/// quorum set rides along, crossing each epoch's [`EpochEvent`]: its
+/// electorate's weights must match every epoch's snapshot exactly — the
+/// stake-refresh audit. Returns `(live, base)` fully drained, ready
 /// for assertions.
 fn replay_smr_live_vs_rebuild(
     snapshots: Vec<Weights>,
@@ -554,7 +556,7 @@ fn replay_smr_live_vs_rebuild(
     rounds_per_epoch: u64,
     session_seed: u64,
 ) -> (SmrInstance, SmrInstance) {
-    use swiper::protocols::quorum::WeightQuorum;
+    use swiper::protocols::quorum::{Electorate, QuorumSet};
     let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
     let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
     let mut reconf = Reconfigurator::new(
@@ -567,21 +569,21 @@ fn replay_smr_live_vs_rebuild(
     let proposers: Vec<usize> = (0..proposer_count.min(n)).collect();
     let mut live: Option<SmrInstance> = None;
     let mut base: Option<SmrInstance> = None;
-    let mut vouch: Option<WeightQuorum> = None;
+    let mut vouch: Option<QuorumSet<()>> = None;
     let batch = |r: u64, p: usize| format!("b{r}-{p}").into_bytes();
     reconf
         .drive_simulation(snapshots, |weights, outcome| {
             let wq_t = outcome.solutions[0].assignment.clone();
             let wr_t = outcome.solutions[1].assignment.clone();
-            let vouch_q = vouch
-                .get_or_insert_with(|| WeightQuorum::new(weights.clone(), Ratio::of(1, 4)));
+            let vouch_q = vouch.get_or_insert_with(|| {
+                QuorumSet::new(Electorate::Weighted(weights.clone()), |_| Ratio::of(1, 4))
+            });
             if let Some(event) = outcome.event(1) {
                 assert_eq!(event.weights(), weights, "the event carries the snapshot");
-                vouch_q.reweigh(event);
+                vouch_q.on_epoch(event);
             }
-            assert_eq!(
-                vouch_q.weights(),
-                weights,
+            assert!(
+                matches!(vouch_q.electorate(), Electorate::Weighted(w) if w == weights),
                 "epoch {}: published vouch-quorum weights diverged from the snapshot",
                 outcome.epoch
             );
@@ -1023,7 +1025,7 @@ fn vba_weighted_zoo_sweep_with_stake_drift() {
 /// whale to dust, and a Byzantine accomplice adds its vote *after* the
 /// boundary. Under construction-time weights the pair holds 28 > 26 and
 /// the victim adopts the forgery on any schedule that delivers it before
-/// the (deliberately late) honest vouches; under `WeightQuorum::reweigh`
+/// the (deliberately late) honest vouches; under `QuorumSet::on_epoch`
 /// the whale's kept vote re-tallies at its current weight 2, the forged
 /// quorum is revoked (6 of the 19 now needed), and the victim adopts
 /// only the honest output — on every schedule.
