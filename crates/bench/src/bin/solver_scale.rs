@@ -106,6 +106,7 @@ fn row(
         .with("wall_ms", wall_ms)
         .with("tickets", tickets)
         .with("dp_invocations", stats.dp_invocations)
+        .with("dp_cells", stats.dp_cells)
         .with("certificate_skips", stats.certificate_skips)
         .with("candidates_checked", stats.candidates_checked)
         .with("cursor_advances", stats.cursor_advances)

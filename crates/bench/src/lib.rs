@@ -449,6 +449,8 @@ pub const SOLVER: Schema = Schema {
         Field::num("tickets", Gate::Exact),
         // Exact-DP invocations across the run.
         Field::num("dp_invocations", Gate::Exact),
+        // Table states those DP calls read (`SolveStats::dp_cells`).
+        Field::num("dp_cells", Gate::Exact),
         // Checks settled by replaying a delta-stable certificate.
         Field::num("certificate_skips", Gate::Exact),
         // Family members materialized and checked.

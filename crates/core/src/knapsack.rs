@@ -47,7 +47,9 @@
 //!   alone, for the profit and weight still open. Floor 0 fixes nothing
 //!   and is what the exact verifiers, certificate probes and test
 //!   references keep, so they stay an independent check of the reduced
-//!   kernel.
+//!   kernel. The per-item fill applies the same bound to every table state
+//!   (`Fathom`): a state that cannot reach the floor is cleared, and the
+//!   fill reads only the window between the dead states at both ends.
 //! * **Dominated-item prefilter.** Items whose profit saturates the cap
 //!   collapse to the single lightest such item, and each distinct profit
 //!   class `p` is reduced to its `ceil(cap / p)` lightest members — any
@@ -166,6 +168,9 @@ pub struct DpScratch {
     over: Vec<Item>,
     narrow: Table<u64>,
     wide: Table<u128>,
+    /// Table states the fills have read; the oracle drains it into
+    /// `SolveStats::dp_cells`.
+    pub(crate) cells: u64,
 }
 
 /// One DP table and its working buffers.
@@ -184,6 +189,8 @@ struct FillBufs<W> {
     f: Vec<W>,
     g: Vec<W>,
     wpfx: Vec<W>,
+    /// [`Fathom`]'s suffix gains.
+    gain: Vec<i128>,
 }
 
 /// Exact min-weight frontier produced by [`max_profit_dp_probe`].
@@ -329,7 +336,9 @@ fn decide(
 
 /// Every stage between the class order and the table, then the table: fix
 /// what the floor decides ([`fix_outside_core`]), drop dominated items
-/// ([`reduce_items`]), fill — in a `u64` table when `horizon` allows one.
+/// ([`reduce_items`]), fill — in a `u64` table when `horizon` allows one,
+/// fathomed against the floor still open ([`Fathom`]) — and count the
+/// states the fill read into `scratch.cells`.
 ///
 /// `scratch.kept` holds the participating items in class order and `free`
 /// the zero-weight profit beside them (it is read only when `free` stays
@@ -349,7 +358,7 @@ fn fill(
     stop_early: bool,
 ) -> Option<(u64, u128, &dyn Filled)> {
     let states = usize::try_from(profit_cap).expect("profit cap fits usize");
-    let DpScratch { kept, narrow, wide, .. } = scratch;
+    let DpScratch { kept, narrow, wide, cells, .. } = scratch;
     let (banked, used) = if free >= u128::from(profit_cap) {
         (profit_cap, 0)
     } else {
@@ -364,11 +373,13 @@ fn fill(
     }
     let room = horizon - used;
     let stop_at = stop_early.then_some(room);
+    // The floor still open above what is banked; 0 fathoms nothing.
+    let open = (floor.saturating_sub(banked), lambda);
     let table: &dyn Filled = if horizon > NARROW_HORIZON {
-        wide.fill(kept, cap, room, stop_at);
+        *cells += wide.fill(kept, cap, room, stop_at, open);
         wide
     } else {
-        narrow.fill(kept, cap, room, stop_at);
+        *cells += narrow.fill(kept, cap, room, stop_at, open);
         narrow
     };
     Some((banked, used, table))
@@ -376,7 +387,8 @@ fn fill(
 
 /// A filled table, read whatever its word.
 trait Filled {
-    /// The highest state within `room` (`dp[0] == 0` always is).
+    /// The highest state within `room`; 0 when none is (`dp[0] == 0` is,
+    /// unless the fill fathomed every state).
     fn highest_within(&self, room: u128) -> u64;
     /// The reachable states as `(offset + profit, weight)`, ascending.
     fn frontier(&self, offset: u64) -> Vec<(u64, u128)>;
@@ -398,18 +410,30 @@ impl<W: Word> Filled for Table<W> {
 
 impl<W: Word> Table<W> {
     /// A `cap + 1`-state table over class-ordered, reduced `items`: the
-    /// profit-class decomposition when it pays, else the per-item fill.
-    fn fill(&mut self, items: &[Item], cap: usize, room: u128, stop_at: Option<u128>) {
+    /// profit-class decomposition when it pays, else the per-item fill,
+    /// fathomed against `(floor, lambda)` ([`Fathom`]). Returns the table
+    /// states it read.
+    fn fill(
+        &mut self,
+        items: &[Item],
+        cap: usize,
+        room: u128,
+        stop_at: Option<u128>,
+        (floor, lambda): (u64, (u64, u64)),
+    ) -> u64 {
         self.dp.clear();
         self.dp.resize(cap + 1, W::INF);
         self.dp[0] = W::default();
         if cap == 0 {
-            return;
+            return 0;
         }
-        let (room, stop_at) = (W::of(room), stop_at.map(W::of));
-        if !class_dp(&mut self.dp, items, &mut self.bufs, room, stop_at) {
-            dp_fill(&mut self.dp, &mut self.bufs.pre, items, room, stop_at);
+        let (room_w, stop_at) = (W::of(room), stop_at.map(W::of));
+        if let Some(cells) = class_dp(&mut self.dp, items, &mut self.bufs, room_w, stop_at) {
+            return cells;
         }
+        let FillBufs { pre, gain, .. } = &mut self.bufs;
+        let fathom = Fathom::new(gain, items, cap, room, floor, lambda);
+        dp_fill(&mut self.dp, pre, items, room_w, stop_at, fathom.as_ref())
     }
 }
 
@@ -438,32 +462,23 @@ fn class_len(items: &[Item]) -> usize {
 /// lighter than the window is forced in, everything heavier forced out.
 /// Items priced at exactly zero add no loss and stay in the window.
 ///
-/// All arithmetic is exact, in `i128` scaled by `lw`; operands that leave
-/// that envelope (or `lw == 0`) fix nothing. So does floor 0 under
-/// [`NO_MULTIPLIER`]: the slack is then the whole profit sum.
+/// All arithmetic is exact, in `i128` scaled by `lw` ([`Lagrange`]);
+/// operands that leave that envelope (or `lw == 0`) fix nothing. So does
+/// floor 0 under [`NO_MULTIPLIER`]: the slack is then the whole profit sum.
 fn fix_outside_core(
     kept: &mut Vec<Item>,
     capacity: u128,
     floor: u64,
-    (lp, lw): (u64, u64),
+    lambda: (u64, u64),
 ) -> Option<(u128, u128)> {
-    let (lp, lw) = (i128::from(lp), i128::from(lw));
-    // `Some` proves every product below in range, so `reduced` may use
-    // plain arithmetic afterwards.
-    let checked_reduced = |it: &Item| {
-        i128::from(it.profit).checked_mul(lw)?.checked_sub(lp.checked_mul(it.weight.into())?)
+    let scaled_slack = |m: Lagrange| {
+        let upper = m.bound(capacity, kept.iter().map(|it| (it.profit, it.weight)))?;
+        Some((m, upper.checked_sub(i128::from(floor).checked_mul(m.lw)?)?))
     };
-    let reduced = |it: &Item| i128::from(it.profit) * lw - lp * i128::from(it.weight);
-    let scaled_slack = || {
-        let mut upper = lp.checked_mul(i128::try_from(capacity).ok()?)?;
-        for it in kept.iter() {
-            upper = upper.checked_add(checked_reduced(it)?.max(0))?;
-        }
-        upper.checked_sub(i128::from(floor).checked_mul(lw)?)
-    };
-    let Some(slack) = (lw > 0).then(scaled_slack).flatten() else {
+    let Some((m, slack)) = Lagrange::new(lambda).and_then(scaled_slack) else {
         return Some((0, 0));
     };
+    let reduced = |it: &Item| m.reduced(it.profit, it.weight);
     if slack < 0 {
         return None; // even the relaxation stays below the floor
     }
@@ -495,6 +510,100 @@ fn fix_outside_core(
     }
     kept.truncate(out);
     (forced_weight <= capacity).then_some((forced_profit, forced_weight))
+}
+
+/// The Lagrangian relaxation at `λ = lp/lw` both floor stages rest on
+/// ([`fix_outside_core`], [`Fathom`]), scaled by `lw` to stay exact in
+/// `i128`: every subset of some items within `room` has `lw·profit ≤
+/// lp·room + Σ max(0, lw·p − lp·w)`.
+#[derive(Clone, Copy)]
+struct Lagrange {
+    lp: i128,
+    lw: i128,
+}
+
+impl Lagrange {
+    /// `None` when `lw == 0`: no ratio to price at.
+    fn new((lp, lw): (u64, u64)) -> Option<Self> {
+        (lw > 0).then(|| Lagrange { lp: lp.into(), lw: lw.into() })
+    }
+
+    /// `lw·p − lp·w`, exact for any item [`Lagrange::bound`] accepted.
+    fn reduced(self, profit: u64, weight: u64) -> i128 {
+        i128::from(profit) * self.lw - self.lp * i128::from(weight)
+    }
+
+    /// The scaled bound `lp·room + Σ max(0, lw·p − lp·w)` over the
+    /// `(profit, weight)` items; `None` — the envelope — when a product or
+    /// a partial sum leaves `i128`.
+    fn bound(self, room: u128, items: impl Iterator<Item = (u64, u64)>) -> Option<i128> {
+        let mut upper = self.lp.checked_mul(i128::try_from(room).ok()?)?;
+        for (p, w) in items {
+            let r = i128::from(p)
+                .checked_mul(self.lw)?
+                .checked_sub(self.lp.checked_mul(w.into())?)?;
+            upper = upper.checked_add(r.max(0))?;
+        }
+        Some(upper)
+    }
+}
+
+/// Fathoming (Martello–Pisinger–Toth): [`fix_outside_core`]'s Lagrangian
+/// bound applied to each partial solution of [`dp_fill`] instead of to
+/// whole items. Profits count from `banked`, so `floor` is what the table
+/// itself must reach, and `room` is the weight it may use. Before item `i`
+/// a state of profit `q` and weight `d` is *dead* when `lw·(floor − q) −
+/// lp·(room − d) > g[i]`, `g[i] = Σ_{j ≥ i} max(0, lw·min(p_j, cap) −
+/// lp·w_j)`:
+/// - any completion `x` over items `i..` with `w·x ≤ room − d` has `p·x ≤
+///   λ·(room − d) + g[i]/lw` (a profit past `cap` counts as `cap ≥ floor`),
+///   so a dead state has no completion reaching the floor;
+/// - `d` only shrinks, `g` only shrinks, and a dead state's extensions stay
+///   dead. States with `q ≥ floor` are never dead, so the exact `best` at
+///   or above the floor survives.
+///
+/// Floor 0 makes nothing dead, so the frontier and full-table callers run
+/// no fathom at all. Exact in `i128` or not built (the [`Lagrange`]
+/// envelope, plus `lw·cap`).
+struct Fathom<'a> {
+    m: Lagrange,
+    floor: i128,
+    room: i128,
+    /// `g[i]` for `i` in `0..=items.len()`.
+    g: &'a [i128],
+}
+
+impl<'a> Fathom<'a> {
+    fn new(
+        g: &'a mut Vec<i128>,
+        items: &[Item],
+        cap: usize,
+        room: u128,
+        floor: u64,
+        lambda: (u64, u64),
+    ) -> Option<Self> {
+        let m = Lagrange::new(lambda).filter(|_| floor > 0)?;
+        let clamped = |it: &Item| (it.profit.min(cap as u64), it.weight);
+        m.bound(room, items.iter().map(clamped))?;
+        m.lw.checked_mul(i128::try_from(cap).ok()?)?;
+        g.clear();
+        g.extend(items.iter().map(clamped).map(|(p, w)| m.reduced(p, w).max(0)));
+        g.push(0);
+        for i in (0..items.len()).rev() {
+            g[i] += g[i + 1];
+        }
+        Some(Fathom { m, floor: floor.into(), room: i128::try_from(room).ok()?, g })
+    }
+
+    /// Whether the state `q` of weight `d` (unreachable: `INF`) is dead
+    /// before item `i`. Every term is within the envelope: `|floor − q| ≤
+    /// cap`, and a finite `d` is at most `room`.
+    fn dead<W: Word>(&self, i: usize, q: usize, d: W) -> bool {
+        d == W::INF || {
+            let open = self.room - d.into() as i128;
+            self.m.lw * (self.floor - q as i128) > self.g[i] + self.m.lp * open
+        }
+    }
 }
 
 /// The dominated-item prefilter over class-ordered `kept`: items whose
@@ -546,22 +655,46 @@ fn prune_frontier<W: Word>(dp: &mut [W]) -> usize {
 /// `prune_limit` are discarded; with `stop_at` set, the fill returns as soon
 /// as the saturated state is reachable within that budget (sound when the
 /// caller only needs `best`, not the full frontier). The table is left
-/// frontier-pruned. `pre` is [`add_item`]'s scratch.
+/// frontier-pruned. `pre` holds [`add_item`]'s copy of the pre-item states.
+///
+/// With a `fathom`, the fill keeps a live window `[lo, reach]`: before each
+/// item both ends move inwards past dead states (cleared to `INF`), only
+/// the window is read, and an empty window ends the fill with every state
+/// cleared. Returns the table states the items read.
 fn dp_fill<W: Word>(
     dp: &mut [W],
     pre: &mut Vec<W>,
     items: &[Item],
     prune_limit: W,
     stop_at: Option<W>,
-) {
+    fathom: Option<&Fathom<'_>>,
+) -> u64 {
     let cap = dp.len() - 1;
-    let mut reach = prune_frontier(dp);
+    let (mut lo, mut reach) = (0, prune_frontier(dp));
+    let mut cells = 0;
     for (k, it) in items.iter().enumerate() {
+        if let Some(f) = fathom {
+            while lo <= reach && f.dead(k, lo, dp[lo]) {
+                dp[lo] = W::INF;
+                lo += 1;
+            }
+            if lo > reach {
+                break;
+            }
+            // `dp[lo]` is live, so this stops at `lo` at the latest.
+            while f.dead(k, reach, dp[reach]) {
+                dp[reach] = W::INF;
+                reach -= 1;
+            }
+        }
         let p = usize::try_from(it.profit).unwrap_or(cap).min(cap);
         let w = W::from(it.weight);
         // Only states of weight at most `fits` can take the item.
         if let Some(fits) = prune_limit.checked_sub(w) {
-            add_item(dp, pre, reach, p, w, fits);
+            pre.clear();
+            pre.extend_from_slice(&dp[lo..=reach]);
+            add_item(dp, pre, lo, p, w, fits);
+            cells += pre.len() as u64;
         }
         // Upper bound on the new reach; tightened at each prune.
         reach = (reach + p).min(cap);
@@ -571,27 +704,27 @@ fn dp_fill<W: Word>(
             }
         }
         if k % PRUNE_STRIDE == PRUNE_STRIDE - 1 {
-            reach = prune_frontier(dp);
+            reach = lo + prune_frontier(&mut dp[lo..=reach]);
         }
     }
     prune_frontier(dp);
+    cells
 }
 
 /// The 0/1 update for one item of (cap-clamped, positive) profit `p` and
-/// weight `w`: every state `q <= reach` that weighs at most `fits` offers
-/// its weight plus `w` to `min(q + p, cap)`. The update reads a copy of the
-/// pre-item states, so below the saturated top it is one flat, branch-free
-/// min of the table against that copy shifted by `p` — nothing it writes
-/// is read again, so a target with 64-bit vector compares (x86-64 from
-/// SSE4.2 on) vectorizes it, and baseline x86-64 runs a conditional-move
-/// stream. The states that land on the top fold into a single min.
-fn add_item<W: Word>(dp: &mut [W], pre: &mut Vec<W>, reach: usize, p: usize, w: W, fits: W) {
+/// weight `w` over `pre`, a copy of the live window's pre-item states from
+/// `dp[lo]` on (states outside the window are not read): every state `q`
+/// of it that weighs at most `fits` offers its weight plus `w` to `min(q +
+/// p, cap)`. Below the saturated top this is one flat, branch-free min of
+/// the table against that copy shifted by `p` — nothing it writes is read
+/// again, so a target with 64-bit vector compares (x86-64 from SSE4.2 on)
+/// vectorizes it, and baseline x86-64 runs a conditional-move stream. The
+/// states that land on the top fold into a single min.
+fn add_item<W: Word>(dp: &mut [W], pre: &[W], lo: usize, p: usize, w: W, fits: W) {
     let cap = dp.len() - 1;
-    pre.clear();
-    pre.extend_from_slice(&dp[..=reach]);
     let offer = |s: W| if s <= fits { s + w } else { W::INF };
-    let (below, top) = pre.split_at((cap - p).min(reach + 1));
-    for (d, &s) in dp[p..].iter_mut().zip(below) {
+    let (below, top) = pre.split_at((cap - p).saturating_sub(lo).min(pre.len()));
+    for (d, &s) in dp[(lo + p).min(cap)..].iter_mut().zip(below) {
         *d = (*d).min(offer(s));
     }
     if let Some(m) = top.iter().map(|&s| offer(s)).min() {
@@ -629,31 +762,34 @@ const CLASS_MONGE_MIN: usize = 32;
 ///
 /// `items` must be in class order and already through [`reduce_items`] for
 /// this table's cap (so a class of [`CLASS_MONGE_MIN`] items or more has a
-/// profit below the cap). Returns `false` (table untouched) when the input
+/// profit below the cap). Returns `None` (table untouched) when the input
 /// does not bunch enough to pay for the convolutions; the caller falls
-/// back to the per-item fill. When it runs, the resulting frontier-pruned
-/// table is identical to the sequential fill's: both compute the exact
-/// min-weight-per-profit function over the same subset space, and the
-/// final domination prune is path-independent.
+/// back to the per-item fill. When it runs, it returns the table states it
+/// read (window evaluations, then the loose items' reads). The resulting
+/// frontier-pruned table is identical to the sequential fill's: both
+/// compute the exact min-weight-per-profit function over the same subset
+/// space, and the final domination prune is path-independent.
 fn class_dp<W: Word>(
     dp: &mut [W],
     items: &[Item],
     bufs: &mut FillBufs<W>,
     prune_limit: W,
     stop_at: Option<W>,
-) -> bool {
+) -> Option<u64> {
     let cap = dp.len() - 1;
     if items.len() < CLASS_MIN_ITEMS || cap == 0 || prune_limit >= W::CLASS_INF {
-        return false;
+        return None;
     }
     let distinct = 1 + items.windows(2).filter(|w| w[0].profit != w[1].profit).count();
     if distinct.saturating_mul(CLASS_MIN_BUNCHING) > items.len() {
-        return false;
+        return None;
     }
-    // Small classes fold item-by-item at the end; `dp_fill` also performs
-    // the final domination prune.
-    let FillBufs { pre, loose, f, g, wpfx } = bufs;
+    // Small classes fold item-by-item at the end, unfathomed: the gains of
+    // a fathom follow the class order, which this path breaks. `dp_fill`
+    // also performs the final domination prune.
+    let FillBufs { pre, loose, f, g, wpfx, .. } = bufs;
     loose.clear();
+    let mut cells = 0;
     let mut budget_met = false;
     let mut rest = items;
     while !rest.is_empty() {
@@ -698,7 +834,7 @@ fn class_dp<W: Word>(
             let out_len = len_f + k_max;
             g.clear();
             g.resize(out_len, W::CLASS_INF);
-            monge_fill(f, wpfx, g, 0, out_len, 0, len_f - 1);
+            cells += monge_fill(f, wpfx, g, 0, out_len, 0, len_f - 1);
             for (j, &v) in g.iter().enumerate().take(len_f) {
                 dp[r + j * p_us] =
                     if v >= W::CLASS_INF || v > prune_limit { W::INF } else { v };
@@ -722,9 +858,9 @@ fn class_dp<W: Word>(
     if budget_met {
         prune_frontier(dp);
     } else {
-        dp_fill(dp, pre, loose, prune_limit, stop_at);
+        cells += dp_fill(dp, pre, loose, prune_limit, stop_at, None);
     }
-    true
+    Some(cells)
 }
 
 /// Divide-and-conquer Monge minimization for one residue class:
@@ -733,7 +869,8 @@ fn class_dp<W: Word>(
 /// leftmost argmin monotone in `j` (the quadrangle inequality cancels the
 /// `f` terms exactly — which is why unreachable states are the finite
 /// [`Word::CLASS_INF`] rather than a saturating `INF`), so each level of
-/// the recursion scans a window bounded by its parent's argmin.
+/// the recursion scans a window bounded by its parent's argmin. Returns
+/// the window evaluations.
 fn monge_fill<W: Word>(
     f: &[W],
     wpfx: &[W],
@@ -742,9 +879,9 @@ fn monge_fill<W: Word>(
     jhi: usize,
     ilo: usize,
     ihi: usize,
-) {
+) -> u64 {
     if jlo >= jhi {
-        return;
+        return 0;
     }
     let jm = jlo + (jhi - jlo) / 2;
     let k_max = wpfx.len() - 1;
@@ -760,8 +897,9 @@ fn monge_fill<W: Word>(
         }
     }
     g[jm] = best;
-    monge_fill(f, wpfx, g, jlo, jm, ilo, best_i);
-    monge_fill(f, wpfx, g, jm + 1, jhi, best_i, ihi);
+    (hi + 1).saturating_sub(lo) as u64
+        + monge_fill(f, wpfx, g, jlo, jm, ilo, best_i)
+        + monge_fill(f, wpfx, g, jm + 1, jhi, best_i, ihi)
 }
 
 /// A positive-profit, positive-weight party in the ratio-sorted view.
@@ -1403,16 +1541,41 @@ mod tests {
     ) -> (Vec<u128>, Vec<u128>) {
         let (prune_limit, stop_at) = (W::of(prune_limit), stop_at.map(W::of));
         let mut seq = empty_table::<W>(cap);
-        dp_fill(&mut seq, &mut Vec::new(), its, prune_limit, stop_at);
+        dp_fill(&mut seq, &mut Vec::new(), its, prune_limit, stop_at, None);
         let mut cls = empty_table::<W>(cap);
         assert!(
-            class_dp(&mut cls, its, &mut FillBufs::default(), prune_limit, stop_at),
+            class_dp(&mut cls, its, &mut FillBufs::default(), prune_limit, stop_at).is_some(),
             "bunched instance must take the class path"
         );
         let widen = |dp: Vec<W>| -> Vec<u128> {
             dp.into_iter().map(|w| if w == W::INF { u128::MAX } else { w.into() }).collect()
         };
         (widen(seq), widen(cls))
+    }
+
+    /// The per-item fill over class-ordered `its` twice, in a table of word
+    /// `W`: unfathomed, and fathomed against `floor` at `lambda` (when the
+    /// fathom is built). Returns both tables widened, each with the states
+    /// it read.
+    fn fathomed_and_full<W: Word>(
+        its: &[Item],
+        cap: usize,
+        room: u128,
+        floor: u64,
+        lambda: (u64, u64),
+    ) -> [(Vec<u128>, u64); 2] {
+        let mut gain = Vec::new();
+        let fathom = Fathom::new(&mut gain, its, cap, room, floor, lambda);
+        [None, fathom.as_ref()].map(|fathom| {
+            let mut dp = empty_table::<W>(cap);
+            let cells = dp_fill(&mut dp, &mut Vec::new(), its, W::of(room), None, fathom);
+            (
+                dp.into_iter()
+                    .map(|w| if w == W::INF { u128::MAX } else { w.into() })
+                    .collect(),
+                cells,
+            )
+        })
     }
 
     #[test]
@@ -1460,7 +1623,7 @@ mod tests {
             (0..5000).map(|i| Item { profit: i + 1, weight: i % 97 + 1 }).collect();
         let its = class_ordered(its, 6000);
         let mut dp = empty_table::<u64>(6000);
-        assert!(!class_dp(&mut dp, &its, &mut FillBufs::default(), 10_000, None));
+        assert!(class_dp(&mut dp, &its, &mut FillBufs::default(), 10_000, None).is_none());
         assert!(dp[1..].iter().all(|&w| w == u64::MAX));
     }
 
@@ -1953,6 +2116,60 @@ mod tests {
             let full = max_profit_dp(&its, cap.into(), total.max(1));
             let capped = max_profit_dp(&its, cap.into(), pcap);
             prop_assert_eq!(capped, full.min(pcap));
+        }
+
+        /// The fathomed decision against the scalar reference on bunched
+        /// items (a handful of profit values, so classes hold several
+        /// items), at floors anywhere in `1..=pcap`, under the break ratio,
+        /// an arbitrary ratio, the two extreme ratios and none. Weights come
+        /// in units of 1, 2^32, 2^57 or 2^62 plus a jitter, so capacities
+        /// straddle the `u64` table's horizon and `lp·room`, `lp·w` and the
+        /// gain sums run up to and past the `i128` envelope. The fill
+        /// itself is checked too: fathomed, it reads no more states than
+        /// the full table and agrees with it on every state at or above the
+        /// floor.
+        #[test]
+        fn fathomed_decide_matches_reference(
+            pw in proptest::collection::vec((1u64..5, 1u64..12), 1..32),
+            shift in 0usize..4,
+            jitter in any::<u64>(),
+            cap_units in 0u64..48,
+            pcap in 1u64..48,
+            floor in 1u64..48,
+            lp in any::<u64>(),
+            lw in 1u64..u64::MAX,
+        ) {
+            let unit = 1u64 << [0, 32, 57, 62][shift];
+            let its: Vec<Item> = pw
+                .iter()
+                .enumerate()
+                .map(|(i, &(profit, w))| Item {
+                    profit,
+                    weight: w % (u64::MAX / unit) * unit + (jitter >> (i % 64)) % unit.max(2),
+                })
+                .collect();
+            let capacity = u128::from(cap_units) * u128::from(unit) + u128::from(jitter % unit);
+            let floor = 1 + (floor - 1) % pcap;
+            let exact = reference_scalar_dp(&its, capacity, pcap);
+            let want = (exact >= floor).then_some(exact);
+            let tight = SortedItems::new(&its).break_ratio(capacity);
+            let mut scratch = DpScratch::default();
+            let lambdas = [tight, (lp, lw), (1, u64::MAX), (u64::MAX, 1), NO_MULTIPLIER];
+            for lambda in lambdas {
+                let got =
+                    max_profit_dp_floor(&mut scratch, &its, capacity, pcap, floor, lambda);
+                prop_assert_eq!(got, want, "floor {}, lambda {:?}", floor, lambda);
+                let cap = pcap as usize;
+                let its = class_ordered(its.clone(), cap);
+                let [(full, all), (fathomed, read)] = if capacity > NARROW_HORIZON {
+                    fathomed_and_full::<u128>(&its, cap, capacity, floor, lambda)
+                } else {
+                    fathomed_and_full::<u64>(&its, cap, capacity, floor, lambda)
+                };
+                prop_assert!(read <= all, "read {} of {} states", read, all);
+                let above = floor as usize..;
+                prop_assert_eq!(&fathomed[above.clone()], &full[above], "lambda {:?}", lambda);
+            }
         }
     }
 

@@ -282,8 +282,9 @@ impl CheckParams {
 ///   and resets them; the search drains once per solve (on errors too), so
 ///   a shared oracle instance yields per-solve stats for free. Oracles
 ///   report only how checks were *settled* (`settled_by_*`,
-///   `dp_invocations`); the search-shaped counters (`candidates_checked`,
-///   `settled_by_theorem`) are owned and filled by the driver.
+///   `dp_invocations`, `dp_cells`); the search-shaped counters
+///   (`candidates_checked`, `settled_by_theorem`) are owned and filled by
+///   the driver.
 pub trait ValidityOracle {
     /// Judges one family member under the given check parameters.
     ///
@@ -629,7 +630,8 @@ impl ValidityOracle for FullOracle {
     }
 
     fn take_stats(&mut self) -> SolveStats {
-        std::mem::take(&mut self.stats)
+        let stats = std::mem::take(&mut self.stats);
+        SolveStats { dp_cells: std::mem::take(&mut self.dp.cells), ..stats }
     }
 }
 
@@ -1312,6 +1314,8 @@ mod tests {
                 lambda,
             );
             let got = oracle.exact(capacity, cap, floor);
+            // The oracle's own checks count their cells; this call is not one.
+            oracle.dp.cells = 0;
             assert_eq!(got, want, "total {}, capacity {capacity}, cap {cap}", member.total);
             want
         };
@@ -1406,6 +1410,53 @@ mod tests {
         .map(|sol| sol.unwrap().stats.dp_invocations);
         assert!(dp.iter().all(|&calls| calls > 0), "a shape never reached the DP: {dp:?}");
         assert!(oracle.heavy_calls > 0, "no separation check reached its heavy side");
+    }
+
+    /// The same re-decision on the warm path, where the fathomed fill does
+    /// most of its work: the WR(1/3, 1/2) and WQ(1/3, 1/4) tracks, each
+    /// re-solved through `resolve_from_with` over six seeded drifts of 10⁵
+    /// whale-skewed parties — 1 % of the parties, each moved by up to ±5 %
+    /// of its stake — with every DP-settled probe re-decided on the full
+    /// table and run through both entry points.
+    #[test]
+    #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
+    fn core_reduction_matches_full_table_on_warm_1e5_epochs() {
+        use crate::problems::WeightQualification;
+        use crate::solver::Instance;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 100_000;
+        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
+        let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
+        let tracks = |w: &Weights| {
+            [Instance::restriction(w.clone(), wr), Instance::qualification(w.clone(), wq)]
+        };
+        let solver = crate::Swiper::new();
+        let mut w = Weights::whale_skewed(n, 1);
+        let mut oracles: [FullTableRecheck; 2] = Default::default();
+        let mut prev: Vec<_> = tracks(&w)
+            .iter()
+            .zip(&mut oracles)
+            .map(|(inst, oracle)| solver.solve_instance_with(oracle, inst).unwrap())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut warm_dp = [0u64; 2];
+        for _ in 0..6 {
+            let mut next = w.as_slice().to_vec();
+            // A partial Fisher–Yates draw of distinct parties.
+            for i in 0..n / 100 {
+                order.swap(i, rng.random_range(i..n));
+                let party = &mut next[order[i]];
+                *party = (*party * rng.random_range(95..=105u64) / 100).max(1);
+            }
+            w = Weights::new(next).unwrap();
+            for (k, inst) in tracks(&w).iter().enumerate() {
+                let sol = solver.resolve_from_with(&mut oracles[k], &prev[k], inst).unwrap();
+                warm_dp[k] += sol.stats.dp_invocations;
+                prev[k] = sol;
+            }
+        }
+        assert!(warm_dp.iter().all(|&calls| calls > 0), "a warm track never reached the DP");
     }
 
     /// Checks every member twice — through the wrapped persistent

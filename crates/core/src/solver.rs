@@ -73,6 +73,9 @@ pub struct SolveStats {
     pub settled_by_lower_bound: u64,
     /// Checks that needed the exact DP.
     pub dp_invocations: u64,
+    /// Table states those DP calls read: the pre-item states each per-item
+    /// update reads, and the window evaluations of the profit-class path.
+    pub dp_cells: u64,
     /// Checks settled by the theoretical bound itself (bootstrapping).
     pub settled_by_theorem: u64,
     /// Checks answered from a [`crate::CachingOracle`] verdict cache.
@@ -113,6 +116,7 @@ impl SolveStats {
         self.settled_by_upper_bound += other.settled_by_upper_bound;
         self.settled_by_lower_bound += other.settled_by_lower_bound;
         self.dp_invocations += other.dp_invocations;
+        self.dp_cells += other.dp_cells;
         self.settled_by_theorem += other.settled_by_theorem;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -1412,10 +1416,11 @@ mod tests {
 
     /// Oracle equivalence (WR): the solver must produce the *identical*
     /// `TicketAssignment` as the seed cascade — and identical `SolveStats`
-    /// (bar the cursor's own reuse and grid-pass counters), so
-    /// `dp_invocations` cannot regress. The reference materializes every
-    /// probe from scratch, so this is also the cursor ≡ from-scratch pin at
-    /// solver level, and it decides every DP probe on the full table
+    /// (bar the cursor's own reuse and grid-pass counters and `dp_cells`,
+    /// which the seed did not count), so `dp_invocations` cannot regress.
+    /// The reference materializes every probe from scratch, so this is also
+    /// the cursor ≡ from-scratch pin at solver level, and it decides every
+    /// DP probe on the full table
     /// (`max_profit_dp`), so it pins the floor-reduced kernel's verdicts
     /// too. Returns the full mode's DP count.
     fn assert_matches_seed_cascade_wr(w: &Weights, p: &WeightRestriction) -> u64 {
@@ -1424,7 +1429,8 @@ mod tests {
             let old = reference::solve_restriction(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
             assert_eq!(new.ticket_bound, old.ticket_bound);
-            let masked = SolveStats { cursor_advances: 0, grid_counts: 0, ..new.stats };
+            let masked =
+                SolveStats { cursor_advances: 0, grid_counts: 0, dp_cells: 0, ..new.stats };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]
@@ -1436,7 +1442,8 @@ mod tests {
             let new = Swiper::with_mode(mode).solve_separation(w, p).unwrap();
             let old = reference::solve_separation(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
-            let masked = SolveStats { cursor_advances: 0, grid_counts: 0, ..new.stats };
+            let masked =
+                SolveStats { cursor_advances: 0, grid_counts: 0, dp_cells: 0, ..new.stats };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]
