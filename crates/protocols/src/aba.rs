@@ -17,6 +17,7 @@
 //! decides broadcasts `Decided(v)`; weight `> f_w` of `Decided(v)` lets
 //! anyone adopt `v`, and weight `> 2 f_w` lets a party halt.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -270,13 +271,21 @@ enum Tally {
     Adopt(bool),
     /// `Decided(v)` at weight `> 2 f_w`: halt on `v`.
     Halt(bool),
+    /// First `Aux(v)`s in a round at weight `> 2 f_w`: `vals = {v}` may
+    /// snapshot while `bin_values = {v}`.
+    Aux(u32, bool),
+    /// First `Aux`es of either value in a round at weight `> 2 f_w`: `vals`
+    /// may snapshot while `bin_values = {0, 1}`.
+    AuxAll(u32),
 }
 
 impl Tally {
     fn threshold(&self) -> Ratio {
         match self {
             Tally::Relay(..) | Tally::Adopt(_) => Ratio::of(1, 3),
-            Tally::Bin(..) | Tally::Halt(_) => Ratio::of(2, 3),
+            Tally::Bin(..) | Tally::Halt(_) | Tally::Aux(..) | Tally::AuxAll(_) => {
+                Ratio::of(2, 3)
+            }
         }
     }
 }
@@ -290,7 +299,8 @@ struct RoundState {
     /// The AUX value this node broadcast (`Some` iff `aux_sent`), kept so
     /// the epochal form can re-send it to joiners spawned mid-flight.
     aux_value: Option<bool>,
-    /// First AUX value per stable voter identity.
+    /// First AUX value per stable voter identity: which values `vals`
+    /// holds (their weight is tallied under [`Tally::Aux`]).
     aux_of: HashMap<StableId, bool>,
     coin_sent: bool,
     coin_seen: std::collections::HashSet<u64>,
@@ -417,23 +427,23 @@ impl AbaNode {
     }
 
     fn try_snapshot_vals(&mut self, round: u32) {
-        let Some(st) = self.rounds.get(&round) else { return };
+        let Some(st) = self.rounds.get_mut(&round) else { return };
         if st.vals.is_some() || !st.aux_sent {
             return;
         }
-        // Weight of AUX senders whose value is currently in bin_values,
-        // under the electorate the BVal quorums tally with.
-        let electorate = self.quorums.electorate();
-        let mut vals = [false; 2];
-        let mut weight: u128 = 0;
-        for (&voter, &v) in &st.aux_of {
-            if st.bin[v as usize] {
-                weight += electorate.weight_of(voter).unwrap_or(0);
-                vals[v as usize] = true;
+        // The AUX senders whose value is in bin_values weigh > 2 f_w.
+        let reached = match st.bin {
+            [true, true] => self.quorums.reached(&Tally::AuxAll(round)),
+            [false, true] => self.quorums.reached(&Tally::Aux(round, true)),
+            [true, false] => self.quorums.reached(&Tally::Aux(round, false)),
+            [false, false] => false,
+        };
+        if reached {
+            let mut vals = [false; 2];
+            for &v in st.aux_of.values() {
+                vals[v as usize] |= st.bin[v as usize];
             }
-        }
-        if weight * 3 > 2 * electorate.base() {
-            self.rounds.get_mut(&round).expect("checked above").vals = Some(vals);
+            st.vals = Some(vals);
         }
     }
 
@@ -482,6 +492,8 @@ impl AbaNode {
                     return true;
                 }
             }
+            // `progress` reads the AUX quorums when it snapshots `vals`.
+            Tally::Aux(..) | Tally::AuxAll(_) => {}
         }
         false
     }
@@ -528,7 +540,13 @@ impl Protocol for AbaNode {
                 }
             }
             AbaMsg::Aux { round, value } => {
-                self.state(round).aux_of.entry(voter).or_insert(value);
+                // A voter's first AUX of the round is the one that counts.
+                let st = self.rounds.entry(round).or_default();
+                if let Entry::Vacant(first) = st.aux_of.entry(voter) {
+                    first.insert(value);
+                    self.quorums.vote(Tally::Aux(round, value), voter);
+                    self.quorums.vote(Tally::AuxAll(round), voter);
+                }
             }
             AbaMsg::CoinShare { round, partials } => {
                 let tag = self.setup.coin_tag(round);
@@ -578,8 +596,8 @@ impl Protocol for AbaNode {
         }
         let crossed = self.quorums.on_epoch(event);
         if let Some(roster) = self.setup.view.roster() {
-            // AUX claims are first-vote maps outside the quorum set:
-            // retired voters' claims are shed here.
+            // The set shed retired voters' AUX weight; their claims on
+            // `vals` are shed here.
             for st in self.rounds.values_mut() {
                 st.aux_of.retain(|id, _| roster.contains(*id));
             }

@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 
-use swiper_core::{EpochEvent, Ratio, StableId, Weights};
+use swiper_core::{EpochEvent, StableId, Weights};
 #[cfg(not(test))]
 use swiper_crypto::hash::digest;
 use swiper_crypto::hash::Digest;
@@ -30,7 +30,7 @@ use swiper_net::{Context, MessageSize, NodeId, Protocol};
 #[cfg(test)]
 use tests::digest;
 
-use crate::quorum::{Electorate, IdentityView, QuorumSet, Roster};
+use crate::quorum::{Electorate, IdentityView, Phase, QuorumSet, Roster};
 
 /// Bracha protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,27 +88,6 @@ impl BrachaConfig {
         BrachaConfig {
             electorate: Electorate::Roster(roster.clone()),
             view: IdentityView::Virtual(roster),
-        }
-    }
-}
-
-/// The three quorums a node counts on each digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Phase {
-    /// ECHO: `> (1 + f_w)/2 = 2/3` of weight (or `> 2n/3` parties) joins
-    /// READY.
-    Echo,
-    /// READY amplification: `> f_w = 1/3` joins READY.
-    Amplify,
-    /// READY delivery: `> 2 f_w = 2/3`.
-    Deliver,
-}
-
-impl Phase {
-    fn threshold(&(phase, _): &(Phase, Digest)) -> Ratio {
-        match phase {
-            Phase::Echo | Phase::Deliver => Ratio::of(2, 3),
-            Phase::Amplify => Ratio::of(1, 3),
         }
     }
 }
@@ -340,7 +319,7 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
-    use swiper_core::{TicketAssignment, TicketDelta};
+    use swiper_core::{Ratio, TicketAssignment, TicketDelta};
     use swiper_net::adversary::{AdaptiveDelay, SelectiveAck, Silent};
     use swiper_net::{DelayModel, Simulation};
 

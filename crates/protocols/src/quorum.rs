@@ -233,7 +233,7 @@ pub enum Electorate {
 impl Electorate {
     /// What `voter`'s vote weighs, or `None` when it names a party outside
     /// a weighted electorate.
-    pub(crate) fn weight_of(&self, voter: StableId) -> Option<u128> {
+    fn weight_of(&self, voter: StableId) -> Option<u128> {
         match self {
             Electorate::Weighted(weights) => {
                 weights.as_slice().get(voter.party_ix()).map(|&w| u128::from(w))
@@ -243,7 +243,7 @@ impl Electorate {
     }
 
     /// What a quorum threshold is a fraction of.
-    pub(crate) fn base(&self) -> u128 {
+    fn base(&self) -> u128 {
         match self {
             Electorate::Nominal(n) => *n as u128,
             Electorate::Weighted(weights) => weights.total(),
@@ -257,6 +257,28 @@ impl Electorate {
         match self {
             Electorate::Nominal(_) | Electorate::Roster(_) => true,
             Electorate::Weighted(weights) => event.refresh_weights(weights),
+        }
+    }
+}
+
+/// The three quorums of a Bracha-shaped commit, which weighted Bracha and
+/// the SMR replica count on each digest (`f_w = 1/3`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Phase {
+    /// ECHO: `> (1 + f_w)/2 = 2/3` of the base joins READY.
+    Echo,
+    /// READY amplification: `> f_w = 1/3` joins READY.
+    Amplify,
+    /// READY delivery (or commit): `> 2 f_w = 2/3`.
+    Deliver,
+}
+
+impl Phase {
+    /// The [`QuorumSet`] threshold of a `(phase, digest)` key.
+    pub(crate) fn threshold<D>(&(phase, _): &(Phase, D)) -> Ratio {
+        match phase {
+            Phase::Echo | Phase::Deliver => Ratio::of(2, 3),
+            Phase::Amplify => Ratio::of(1, 3),
         }
     }
 }

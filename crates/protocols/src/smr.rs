@@ -11,19 +11,26 @@
 //! without affecting the resilience of the composition" — `f_w = f_n =
 //! 1/3`.
 //!
-//! This module is a deterministic round-driven composition harness (the
-//! async machinery of the individual components is exercised in their own
-//! modules): each round, alive parties contribute a batch, the beacon
-//! elects a stake-weighted leader, and every party appends the leader's
-//! batch. It measures the dissemination bytes of the erasure-coded path
-//! against naive full replication.
+//! Two forms live here, and each serves what the other cannot:
+//!
+//! * [`SmrInstance`] is the composition itself, driven round by round and
+//!   deterministically (the async machinery of the individual components
+//!   is exercised in their own modules): each round, alive parties
+//!   contribute a batch that disseminates erasure-coded under the WQ
+//!   tickets, the threshold beacon over the WR tickets elects a
+//!   stake-weighted leader, and every party appends the leader's batch.
+//!   It charges the dissemination bytes, and it is what crosses epoch
+//!   boundaries (below);
+//! * [`SmrNode`] is the message-passing replica: a Bracha-shaped commit
+//!   per round whose votes tally by stake in a
+//!   [`QuorumSet`], runnable over the simulator,
+//!   the threaded runtime and sockets.
 //!
 //! # Live-instance epoch reconfiguration
 //!
-//! [`SmrInstance`] is the long-running form: it pipelines disseminated
-//! but not-yet-committed rounds and survives epoch reconfigurations
-//! ([`SmrInstance::reconfigure`]) instead of tearing down. Across an
-//! epoch boundary it carries
+//! [`SmrInstance`] pipelines disseminated but not-yet-committed rounds and
+//! survives epoch reconfigurations ([`SmrInstance::reconfigure`]) instead
+//! of tearing down. Across an epoch boundary it carries
 //!
 //! * the **committed prefix** (the ledger) — always;
 //! * the **beacon state** (threshold scheme, group key, per-party
@@ -63,182 +70,106 @@
 use std::collections::{HashSet, VecDeque};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use swiper_core::{Ratio, TicketAssignment, VirtualUsers, Weights};
+use rand::SeedableRng;
+use swiper_core::{Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
 use swiper_crypto::hash::{Digest, Hasher};
 use swiper_crypto::thresh::{KeyShare, PublicKey, ThresholdScheme};
 use swiper_erasure::shards::encode_bytes;
 
-/// Folds a ticket-assignment fingerprint into a 64-bit RNG seed.
-fn fold_fingerprint(tickets: &TicketAssignment) -> u64 {
-    let fp = tickets.fingerprint();
-    (fp ^ (fp >> 64)) as u64
-}
+use crate::quorum::{Electorate, Phase, QuorumSet};
 
-/// Deals the beacon's threshold keys over the WR virtual users.
-fn deal_beacon<R: Rng + ?Sized>(
-    wr_mapping: &VirtualUsers,
-    rng: &mut R,
-) -> (ThresholdScheme, PublicKey, Vec<Vec<KeyShare>>) {
+/// The beacon's threshold keys over the WR virtual users: the mapping, the
+/// scheme, the group key and each party's shares.
+type Beacon = (VirtualUsers, ThresholdScheme, PublicKey, Vec<Vec<KeyShare>>);
+
+/// Deals the beacon's keys over `wr_tickets`, deterministically from
+/// `session_seed` and the assignment's fingerprint: every replica — and
+/// every rebuild for the *same* assignment — deals identical keys, which
+/// is what lets a live instance carry its beacon state across an epoch
+/// whose WR tickets did not move while staying bit-compatible with a full
+/// rebuild.
+///
+/// # Panics
+///
+/// Panics on an empty assignment.
+fn deal_beacon(wr_tickets: &TicketAssignment, session_seed: u64) -> Beacon {
+    let wr_mapping = VirtualUsers::from_assignment(wr_tickets).expect("fits memory");
     let total = wr_mapping.total();
+    assert!(total > 0, "empty WR reduction");
+    let fp = wr_tickets.fingerprint();
+    let mut rng = StdRng::seed_from_u64(session_seed ^ (fp ^ (fp >> 64)) as u64);
     let scheme = ThresholdScheme::new(total / 2 + 1, total).expect("threshold <= total");
-    let (pk, all) = scheme.keygen(rng);
+    let (pk, all) = scheme.keygen(&mut rng);
     let shares = (0..wr_mapping.parties())
         .map(|p| wr_mapping.virtuals_of(p).map(|v| all[v]).collect())
         .collect();
-    (scheme, pk, shares)
+    (wr_mapping, scheme, pk, shares)
 }
 
-/// Configuration of the SMR composition.
-#[derive(Debug, Clone)]
-pub struct SmrConfig {
+/// One epoch of the composition: the weights, the WQ tickets the batches
+/// disseminate under, and the beacon's keys over the WR tickets.
+struct SmrConfig {
     weights: Weights,
     /// WQ tickets for dissemination (`(ceil(beta_n T), T)` coding).
     wq_tickets: TicketAssignment,
     beta_n: Ratio,
-    /// WR tickets for the beacon.
-    wr_mapping: VirtualUsers,
-    scheme: ThresholdScheme,
-    pk: PublicKey,
-    shares: Vec<Vec<KeyShare>>,
+    /// WR tickets for the beacon, and the keys dealt over them.
+    wr_tickets: TicketAssignment,
+    beacon: Beacon,
 }
 
 impl SmrConfig {
-    /// Builds the composition from the two weight reduction solutions.
+    /// The composition over the two weight reduction solutions, its beacon
+    /// keys dealt by [`deal_beacon`].
     ///
     /// # Panics
     ///
     /// Panics on length mismatches or empty assignments.
-    pub fn new<R: Rng + ?Sized>(
+    fn new(
         weights: Weights,
         wq_tickets: TicketAssignment,
         beta_n: Ratio,
-        wr_tickets: &TicketAssignment,
-        rng: &mut R,
+        wr_tickets: TicketAssignment,
+        session_seed: u64,
     ) -> Self {
         assert_eq!(weights.len(), wq_tickets.len(), "WQ tickets mismatch");
         assert_eq!(weights.len(), wr_tickets.len(), "WR tickets mismatch");
-        let wr_mapping = VirtualUsers::from_assignment(wr_tickets).expect("fits memory");
-        assert!(wr_mapping.total() > 0 && wq_tickets.total() > 0, "empty reduction");
-        let (scheme, pk, shares) = deal_beacon(&wr_mapping, rng);
-        SmrConfig { weights, wq_tickets, beta_n, wr_mapping, scheme, pk, shares }
-    }
-
-    /// Like [`SmrConfig::new`], but the beacon keys derive
-    /// deterministically from `session_seed` and the WR assignment's
-    /// fingerprint. Every replica — and every rebuild for the *same*
-    /// assignment — deals identical keys, which is what lets a live
-    /// instance carry its beacon state across an epoch whose WR tickets
-    /// did not move while staying bit-compatible with a full rebuild.
-    pub fn deterministic(
-        weights: Weights,
-        wq_tickets: TicketAssignment,
-        beta_n: Ratio,
-        wr_tickets: &TicketAssignment,
-        session_seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(session_seed ^ fold_fingerprint(wr_tickets));
-        SmrConfig::new(weights, wq_tickets, beta_n, wr_tickets, &mut rng)
+        assert!(wq_tickets.total() > 0, "empty WQ reduction");
+        let beacon = deal_beacon(&wr_tickets, session_seed);
+        SmrConfig { weights, wq_tickets, beta_n, wr_tickets, beacon }
     }
 
     /// The dissemination code parameters `(k, m)`.
-    pub fn code_params(&self) -> (usize, usize) {
+    fn code_params(&self) -> (usize, usize) {
         let total = usize::try_from(self.wq_tickets.total()).expect("fits");
         let k_num = self.beta_n.num() * total as u128;
         let k = usize::try_from(k_num.div_ceil(self.beta_n.den())).expect("fits").max(1);
         (k, total)
     }
 
-    /// Beacon output for a round, produced from the shares of the `alive`
-    /// parties (they must jointly clear the threshold).
+    /// The stake-weighted leader of `round`, from the beacon output the
+    /// shares of the `alive` parties produce: the owner of the
+    /// `(beacon mod T)`-th WR virtual user, so election probability is
+    /// proportional to tickets, i.e. approximately to stake.
     ///
     /// Returns `None` when the alive set lacks the shares — which the WR
     /// guarantee rules out for any alive set of weight `> 2/3 W`.
-    pub fn beacon(&self, round: u64, alive: &[usize]) -> Option<Digest> {
-        let tag = {
-            let mut t = b"swiper.smr.round.".to_vec();
-            t.extend_from_slice(&round.to_le_bytes());
-            t
-        };
-        let mut partials = Vec::new();
-        for &p in alive {
-            for s in &self.shares[p] {
-                partials.push(self.scheme.partial_sign(s, &tag));
-            }
-        }
-        let sig = self.scheme.combine(&partials).ok()?;
-        if !self.scheme.verify(&self.pk, &tag, &sig) {
+    fn leader(&self, round: u64, alive: &[usize]) -> Option<usize> {
+        let (wr_mapping, scheme, pk, shares) = &self.beacon;
+        let mut tag = b"swiper.smr.round.".to_vec();
+        tag.extend_from_slice(&round.to_le_bytes());
+        let partials: Vec<_> = alive
+            .iter()
+            .flat_map(|&p| &shares[p])
+            .map(|s| scheme.partial_sign(s, &tag))
+            .collect();
+        let sig = scheme.combine(&partials).ok()?;
+        if !scheme.verify(pk, &tag, &sig) {
             return None;
         }
-        Some(sig.beacon_output())
+        let total = wr_mapping.total() as u64;
+        Some(wr_mapping.owner_of((sig.beacon_output().to_u64() % total) as usize))
     }
-
-    /// Stake-weighted leader for a beacon output: the owner of the
-    /// `(beacon mod T)`-th WR virtual user — election probability is
-    /// proportional to tickets, i.e. approximately to stake.
-    pub fn leader(&self, beacon: &Digest) -> usize {
-        let total = self.wr_mapping.total() as u64;
-        self.wr_mapping.owner_of((beacon.to_u64() % total) as usize)
-    }
-}
-
-/// The outcome of a run.
-#[derive(Debug, Clone)]
-pub struct SmrRun {
-    /// Committed ledger (identical for every honest party by
-    /// construction; the tests assert the invariants that make it so).
-    pub ledger: Vec<(u64, usize, Vec<u8>)>,
-    /// Leaders per round.
-    pub leaders: Vec<usize>,
-    /// Total bytes of erasure-coded dissemination.
-    pub coded_bytes: u64,
-    /// Bytes a full-replication broadcast of the same batches would cost.
-    pub replicated_bytes: u64,
-}
-
-/// Runs `rounds` of the composition. `alive` lists the participating
-/// parties (crashed parties contribute nothing); batches come from
-/// `batch_of(round, party)`.
-///
-/// # Panics
-///
-/// Panics if the alive set cannot produce the beacon (alive weight must
-/// exceed `2/3` of the total, the asynchronous SMR liveness condition).
-pub fn run<F>(config: &SmrConfig, rounds: u64, alive: &[usize], mut batch_of: F) -> SmrRun
-where
-    F: FnMut(u64, usize) -> Vec<u8>,
-{
-    let n = config.weights.len();
-    let (k, m) = config.code_params();
-    let mut ledger = Vec::new();
-    let mut leaders = Vec::new();
-    let mut coded_bytes = 0u64;
-    let mut replicated_bytes = 0u64;
-    for round in 0..rounds {
-        // 1. Alive parties disseminate their batches (erasure-coded).
-        let mut batches: Vec<Option<Vec<u8>>> = vec![None; n];
-        for &p in alive {
-            let batch = batch_of(round, p);
-            let shards = encode_bytes(&batch, k, m).expect("valid code");
-            // Dispersal sends each fragment to its owner once; retrieval
-            // has every party relay its fragments to all n parties. Total
-            // per batch: shard_bytes * (1 + n).
-            let shard_bytes: usize = shards.iter().map(|s| s.len()).sum();
-            coded_bytes += shard_bytes as u64 * (1 + n as u64);
-            replicated_bytes += (batch.len() * n * n) as u64;
-            batches[p] = Some(batch);
-        }
-        // 2. Beacon -> leader.
-        let beacon = config.beacon(round, alive).expect("alive weight > 2/3 required");
-        let leader = config.leader(&beacon);
-        leaders.push(leader);
-        // 3. Commit the leader's batch (skip rounds led by crashed parties
-        //    — their batch never disseminated).
-        if let Some(batch) = &batches[leader] {
-            ledger.push((round, leader, batch.clone()));
-        }
-    }
-    SmrRun { ledger, leaders, coded_bytes, replicated_bytes }
 }
 
 /// How an [`SmrInstance`] crosses an epoch boundary.
@@ -279,7 +210,6 @@ struct PreparedRound {
 /// [`ReconfigureMode::Rebuild`].
 pub struct SmrInstance {
     config: SmrConfig,
-    wr_tickets: TicketAssignment,
     session_seed: u64,
     pipeline: VecDeque<PreparedRound>,
     next_round: u64,
@@ -292,8 +222,13 @@ pub struct SmrInstance {
 
 impl SmrInstance {
     /// Creates the instance at epoch 0. Beacon keys are dealt
-    /// deterministically from `session_seed` and the WR assignment (see
-    /// [`SmrConfig::deterministic`]).
+    /// deterministically from `session_seed` and the WR assignment's
+    /// fingerprint, so every replica — and every rebuild for the same
+    /// assignment — deals identical keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches or empty assignments.
     pub fn new(
         weights: Weights,
         wq_tickets: TicketAssignment,
@@ -301,11 +236,8 @@ impl SmrInstance {
         wr_tickets: TicketAssignment,
         session_seed: u64,
     ) -> Self {
-        let config =
-            SmrConfig::deterministic(weights, wq_tickets, beta_n, &wr_tickets, session_seed);
         SmrInstance {
-            config,
-            wr_tickets,
+            config: SmrConfig::new(weights, wq_tickets, beta_n, wr_tickets, session_seed),
             session_seed,
             pipeline: VecDeque::new(),
             next_round: 0,
@@ -353,6 +285,8 @@ impl SmrInstance {
         let (k, m) = self.config.code_params();
         for batch in batches.iter().flatten() {
             let shards = encode_bytes(batch, k, m).expect("valid code");
+            // Dispersal sends each fragment to its owner once; retrieval
+            // has every party relay its fragments to all n parties.
             let shard_bytes: usize = shards.iter().map(|s| s.len()).sum();
             self.coded_bytes += shard_bytes as u64 * (1 + n as u64);
         }
@@ -386,9 +320,8 @@ impl SmrInstance {
     /// must exceed `2/3` of the total — the liveness condition).
     pub fn commit(&mut self, alive: &[usize]) -> Option<bool> {
         let prepared = self.pipeline.pop_front()?;
-        let beacon =
-            self.config.beacon(prepared.round, alive).expect("alive weight > 2/3 required");
-        let leader = self.config.leader(&beacon);
+        let leader =
+            self.config.leader(prepared.round, alive).expect("alive weight > 2/3 required");
         if let Some(batch) = &prepared.batches[leader] {
             self.ledger.push((prepared.round, leader, batch.clone()));
             Some(true)
@@ -411,7 +344,7 @@ impl SmrInstance {
         assert_eq!(weights.len(), wq_tickets.len(), "WQ tickets mismatch");
         assert_eq!(weights.len(), wr_tickets.len(), "WR tickets mismatch");
         let wq_changed = wq_tickets.as_slice() != self.config.wq_tickets.as_slice();
-        let wr_changed = wr_tickets.as_slice() != self.wr_tickets.as_slice();
+        let wr_changed = wr_tickets.as_slice() != self.config.wr_tickets.as_slice();
         self.config.weights = weights;
         // Beacon: re-deal only when the WR assignment moved (or the
         // baseline insists). Deterministic dealing keeps a re-deal for an
@@ -419,18 +352,10 @@ impl SmrInstance {
         // is exactly why Live and Rebuild commit the same ledgers.
         let rekeyed = wr_changed || mode == ReconfigureMode::Rebuild;
         if rekeyed {
-            let mapping = VirtualUsers::from_assignment(&wr_tickets).expect("fits memory");
-            assert!(mapping.total() > 0, "empty WR reduction");
-            let mut rng =
-                StdRng::seed_from_u64(self.session_seed ^ fold_fingerprint(&wr_tickets));
-            let (scheme, pk, shares) = deal_beacon(&mapping, &mut rng);
-            self.config.wr_mapping = mapping;
-            self.config.scheme = scheme;
-            self.config.pk = pk;
-            self.config.shares = shares;
+            self.config.beacon = deal_beacon(&wr_tickets, self.session_seed);
             self.rekeys += 1;
         }
-        self.wr_tickets = wr_tickets;
+        self.config.wr_tickets = wr_tickets;
         // Pipeline: un-committed rounds re-disseminate only when the WQ
         // assignment (and with it the code parameters) moved.
         let in_flight = self.pipeline.len() as u64;
@@ -478,25 +403,18 @@ impl swiper_net::MessageSize for SmrMsg {
 }
 
 /// Per-round voting state of one [`SmrNode`].
-#[derive(Default)]
 struct SmrRound {
-    /// Digest of the leader's verified batch, once the propose arrived.
-    accepted: Option<Digest>,
+    /// Whether the leader's batch arrived, verified, and was echoed.
+    sent_echo: bool,
     /// Senders whose `Echo` for this round was counted. Only a sender's
-    /// first `Echo` counts, so one Byzantine replica adds at most one
-    /// digest entry below, however many digests it sends.
+    /// first `Echo` counts, so one Byzantine replica votes on at most one
+    /// digest below, however many digests it sends.
     echoed: HashSet<usize>,
     /// Senders whose `Ready` for this round was counted (first one only).
     readied: HashSet<usize>,
-    /// Counted echo senders per digest. `BTreeMap`, not `HashMap`: when
-    /// an equivocating leader lets two digests clear a threshold in the
-    /// same callback, the winner must not depend on hash iteration order
-    /// (fresh replay nodes have fresh hasher seeds — the twin contract
-    /// forbids it).
-    echoes: std::collections::BTreeMap<Digest, usize>,
-    /// Counted ready senders per digest (ordered for the same reason).
-    readies: std::collections::BTreeMap<Digest, usize>,
-    sent_echo: bool,
+    /// The round's echo, amplification and commit quorums, by stake, one
+    /// per phase and digest.
+    votes: QuorumSet<(Phase, Digest)>,
     sent_ready: bool,
     /// Digest with a full ready quorum, pending in-order commit.
     committable: Option<Digest>,
@@ -507,24 +425,24 @@ struct SmrRound {
 /// backends (the deterministic simulator and the threaded runtime — see
 /// `docs/ARCHITECTURE.md`).
 ///
-/// Each round is a Bracha-shaped commit: the round's stake-weighted
-/// leader (elected from a digest chain seeded by `session_seed`, election
-/// probability proportional to weight) proposes a deterministic batch,
-/// replicas echo its digest after verifying it, send `Ready` on an
-/// `n - f` echo quorum (amplifying on `f + 1` readies), and commit on an
-/// `n - f` ready quorum. Rounds commit strictly in order; committing
-/// round `r` triggers the leader of `r + 1`, so the commit rate is the
-/// pipeline's end-to-end latency — what the `runtime_scale` bench
-/// measures as commits/sec. After the last round every replica outputs
+/// Each round is a Bracha-shaped commit, voted by stake: the round's
+/// stake-weighted leader (elected from a digest chain seeded by
+/// `session_seed`, election probability proportional to weight) proposes
+/// a deterministic batch, replicas echo its digest after verifying it,
+/// send `Ready` once echoes from more than 2/3 of the stake agree
+/// (amplifying on readies from more than 1/3), and commit on readies from
+/// more than 2/3. Rounds commit strictly in order; committing round `r`
+/// triggers the leader of `r + 1`, so the commit rate is the pipeline's
+/// end-to-end latency — what the `runtime_scale` bench measures as
+/// commits/sec. After the last round every replica outputs
 /// `committed_rounds (8 bytes LE) || ledger_digest` and goes quiet.
 ///
-/// All internal tallies are keyed lookups, counts, or ordered-map scans —
-/// nothing consults hash iteration order to decide *what to send* — so
-/// the automaton is a deterministic function of its callback sequence,
-/// which the twin-replay contract requires.
+/// Every transition fires on the vote that completes its quorum, in
+/// callback order — nothing consults hash iteration order to decide
+/// *what to send* — so the automaton is a deterministic function of its
+/// callback sequence, which the twin-replay contract requires.
 pub struct SmrNode {
     me: usize,
-    n: usize,
     weights: Weights,
     session_seed: u64,
     rounds: u64,
@@ -537,12 +455,12 @@ pub struct SmrNode {
 }
 
 impl SmrNode {
-    /// A replica for `me` of an `n`-party, `rounds`-round chain with
-    /// `batch_bytes` batches.
+    /// A replica for `me` of a `rounds`-round chain with `batch_bytes`
+    /// batches among the `weights.len()` replicas `weights` stakes.
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len() != n` or `rounds == 0`.
+    /// Panics if `me >= weights.len()` or `rounds == 0`.
     pub fn new(
         me: usize,
         weights: Weights,
@@ -550,12 +468,10 @@ impl SmrNode {
         rounds: u64,
         batch_bytes: usize,
     ) -> Self {
-        let n = weights.len();
-        assert!(me < n, "replica id out of range");
+        assert!(me < weights.len(), "replica id out of range");
         assert!(rounds > 0, "need at least one round");
         SmrNode {
             me,
-            n,
             weights,
             session_seed,
             rounds,
@@ -565,16 +481,6 @@ impl SmrNode {
             state: std::collections::BTreeMap::new(),
             done: false,
         }
-    }
-
-    /// Tolerated faults: `floor((n - 1) / 3)`.
-    fn f(&self) -> usize {
-        (self.n - 1) / 3
-    }
-
-    /// The quorum size `n - f`.
-    fn quorum(&self) -> usize {
-        self.n - self.f()
     }
 
     /// The round's election digest: a chain seeded by `session_seed`, the
@@ -604,7 +510,7 @@ impl SmrNode {
                 return p;
             }
         }
-        self.n - 1
+        self.weights.len() - 1
     }
 
     /// The deterministic batch the leader of the round with election
@@ -646,39 +552,51 @@ impl SmrNode {
         }
     }
 
-    /// Re-examines `round` after new state: emit echo/ready when a
-    /// threshold cleared, then commit every in-order committable round.
-    fn advance(&mut self, round: u64, ctx: &mut swiper_net::Context<SmrMsg>) {
-        let quorum = self.quorum();
-        let amplify = self.f() + 1;
-        let entry = self.state.entry(round).or_default();
-        if !entry.sent_echo {
-            if let Some(d) = entry.accepted {
-                entry.sent_echo = true;
-                ctx.broadcast(SmrMsg::Echo(round, d));
-            }
+    /// `round`'s voting state, opened on its first message.
+    fn round(&mut self, round: u64) -> &mut SmrRound {
+        let weights = &self.weights;
+        self.state.entry(round).or_insert_with(|| SmrRound {
+            sent_echo: false,
+            echoed: HashSet::new(),
+            readied: HashSet::new(),
+            votes: QuorumSet::new(Electorate::Weighted(weights.clone()), Phase::threshold),
+            sent_ready: false,
+            committable: None,
+        })
+    }
+
+    /// `from`'s vote on `key` in `round`; fires the transition when it
+    /// completes the quorum.
+    fn vote(
+        &mut self,
+        round: u64,
+        key: (Phase, Digest),
+        from: usize,
+        ctx: &mut swiper_net::Context<SmrMsg>,
+    ) {
+        let entry = self.round(round);
+        if !entry.votes.vote(key, StableId::solo(from)) {
+            return;
         }
-        if !entry.sent_ready {
-            // An echo quorum, or a Byzantine-safe f+1 ready amplification,
+        match key {
+            // An echo quorum, or a Byzantine-safe ready amplification,
             // commits this replica to the digest.
-            let ready_for = entry
-                .echoes
-                .iter()
-                .find(|(_, &c)| c >= quorum)
-                .or_else(|| entry.readies.iter().find(|(_, &c)| c >= amplify))
-                .map(|(d, _)| *d);
-            if let Some(d) = ready_for {
-                entry.sent_ready = true;
-                ctx.broadcast(SmrMsg::Ready(round, d));
+            (Phase::Echo | Phase::Amplify, d) => {
+                if !entry.sent_ready {
+                    entry.sent_ready = true;
+                    ctx.broadcast(SmrMsg::Ready(round, d));
+                }
+            }
+            (Phase::Deliver, d) => {
+                entry.committable.get_or_insert(d);
             }
         }
-        if entry.committable.is_none() {
-            if let Some((d, _)) = entry.readies.iter().find(|(_, &c)| c >= quorum) {
-                entry.committable = Some(*d);
-            }
-        }
-        // Commit strictly in order; each commit folds the batch digest
-        // into the ledger digest and unleashes the next round's leader.
+    }
+
+    /// Commits every in-order committable round; each commit folds the
+    /// batch digest into the ledger digest and unleashes the next round's
+    /// leader.
+    fn commit_in_order(&mut self, ctx: &mut swiper_net::Context<SmrMsg>) {
         while self.next_commit < self.rounds {
             let r = self.next_commit;
             let Some(d) = self.state.get(&r).and_then(|s| s.committable) else { break };
@@ -708,37 +626,33 @@ impl swiper_net::Protocol for SmrNode {
     }
 
     fn on_message(&mut self, from: usize, msg: SmrMsg, ctx: &mut swiper_net::Context<SmrMsg>) {
+        let (SmrMsg::Propose(round, _) | SmrMsg::Echo(round, _) | SmrMsg::Ready(round, _)) =
+            msg;
+        if round >= self.rounds || round < self.next_commit {
+            return;
+        }
         match msg {
             SmrMsg::Propose(round, batch) => {
-                if round >= self.rounds || round < self.next_commit {
-                    return;
-                }
                 let seed = self.round_digest(round);
                 if from != self.leader_for(&seed) || batch != self.batch_of(&seed) {
                     return;
                 }
-                let d = swiper_crypto::hash::digest(&batch);
-                self.state.entry(round).or_default().accepted = Some(d);
-                self.advance(round, ctx);
+                let entry = self.round(round);
+                if !entry.sent_echo {
+                    entry.sent_echo = true;
+                    ctx.broadcast(SmrMsg::Echo(round, swiper_crypto::hash::digest(&batch)));
+                }
             }
             SmrMsg::Echo(round, d) => {
-                if round >= self.rounds || round < self.next_commit {
-                    return;
-                }
-                let entry = self.state.entry(round).or_default();
-                if entry.echoed.insert(from) {
-                    *entry.echoes.entry(d).or_default() += 1;
-                    self.advance(round, ctx);
+                if self.round(round).echoed.insert(from) {
+                    self.vote(round, (Phase::Echo, d), from, ctx);
                 }
             }
             SmrMsg::Ready(round, d) => {
-                if round >= self.rounds || round < self.next_commit {
-                    return;
-                }
-                let entry = self.state.entry(round).or_default();
-                if entry.readied.insert(from) {
-                    *entry.readies.entry(d).or_default() += 1;
-                    self.advance(round, ctx);
+                if self.round(round).readied.insert(from) {
+                    self.vote(round, (Phase::Amplify, d), from, ctx);
+                    self.vote(round, (Phase::Deliver, d), from, ctx);
+                    self.commit_in_order(ctx);
                 }
             }
         }
@@ -748,23 +662,36 @@ impl swiper_net::Protocol for SmrNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use swiper_core::{Swiper, WeightQualification, WeightRestriction};
 
-    fn config(ws: &[u64]) -> SmrConfig {
+    fn solutions(ws: &[u64]) -> (Weights, TicketAssignment, TicketAssignment) {
         let weights = Weights::new(ws.to_vec()).unwrap();
         let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
         let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let wq_sol = Swiper::new().solve_qualification(&weights, &wq).unwrap();
         let wr_sol = Swiper::new().solve_restriction(&weights, &wr).unwrap();
-        SmrConfig::new(
-            weights,
-            wq_sol.assignment,
-            Ratio::of(1, 4),
-            &wr_sol.assignment,
-            &mut StdRng::seed_from_u64(3),
-        )
+        (weights, wq_sol.assignment, wr_sol.assignment)
+    }
+
+    fn instance(ws: &[u64]) -> SmrInstance {
+        let (weights, wq, wr) = solutions(ws);
+        SmrInstance::new(weights, wq, Ratio::of(1, 4), wr, 3)
+    }
+
+    /// Prepares and commits `rounds` rounds one at a time from `alive`;
+    /// returns whether each commit appended a block.
+    fn lockstep(
+        inst: &mut SmrInstance,
+        rounds: u64,
+        alive: &[usize],
+        mut batch_of: impl FnMut(u64, usize) -> Vec<u8>,
+    ) -> Vec<bool> {
+        (0..rounds)
+            .map(|_| {
+                inst.prepare(alive, &mut batch_of);
+                inst.commit(alive).expect("one round prepared")
+            })
+            .collect()
     }
 
     fn smr_nodes(
@@ -900,23 +827,28 @@ mod tests {
     }
 
     /// A sender's first `Echo` and first `Ready` per round are the ones
-    /// that count: a Byzantine replica spraying distinct digests leaves
-    /// one entry per vote kind, not one per digest for every later
-    /// `advance` to scan.
+    /// that count: a Byzantine replica spraying distinct digests carries
+    /// its stake on the first digest's quorums only, and 10 % of the stake
+    /// moves nothing.
     #[test]
     fn a_sender_counts_once_per_round_however_many_digests_it_sends() {
         use swiper_net::Protocol;
         let weights = Weights::new(vec![40, 30, 20, 10]).unwrap();
         let mut node = SmrNode::new(0, weights, 11, 3, 64);
         let mut ctx = swiper_net::Context::detached(0, 4, 0);
-        for i in 0..1000u64 {
-            let d = swiper_crypto::hash::digest(&i.to_le_bytes());
+        let digests: Vec<Digest> =
+            (0..1000u64).map(|i| swiper_crypto::hash::digest(&i.to_le_bytes())).collect();
+        for &d in &digests {
             node.on_message(3, SmrMsg::Echo(1, d), &mut ctx);
             node.on_message(3, SmrMsg::Ready(1, d), &mut ctx);
         }
-        let spammed = &node.state[&1];
-        assert_eq!(spammed.echoes.len(), 1, "echo entries");
-        assert_eq!(spammed.readies.len(), 1, "ready entries");
+        let votes = &node.state[&1].votes;
+        for (i, &d) in digests.iter().enumerate() {
+            let stake = if i == 0 { 10 } else { 0 };
+            for phase in [Phase::Echo, Phase::Amplify, Phase::Deliver] {
+                assert_eq!(votes.tally(&(phase, d)), stake, "digest {i} {phase:?}");
+            }
+        }
         assert!(ctx.into_effects().outbox.is_empty());
     }
 
@@ -931,95 +863,95 @@ mod tests {
 
     #[test]
     fn all_alive_rounds_commit() {
-        let cfg = config(&[40, 30, 20, 10]);
+        let mut inst = instance(&[40, 30, 20, 10]);
         let alive = [0usize, 1, 2, 3];
-        let run = run(&cfg, 20, &alive, |r, p| format!("batch-{r}-{p}").into_bytes());
-        assert_eq!(run.ledger.len(), 20, "every round commits when all are alive");
-        assert_eq!(run.leaders.len(), 20);
+        let appended =
+            lockstep(&mut inst, 20, &alive, |r, p| format!("batch-{r}-{p}").into_bytes());
+        assert_eq!(appended, vec![true; 20], "every round commits when all are alive");
+        let rounds: Vec<u64> = inst.ledger().iter().map(|(r, _, _)| *r).collect();
+        assert_eq!(rounds, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn crashed_minority_does_not_block() {
-        let cfg = config(&[40, 30, 20, 10]);
-        // Party 3 (10% < 1/3) crashed: liveness preserved, rounds led by 3
-        // are skipped.
-        let alive = [0usize, 1, 2];
-        let run = run(&cfg, 30, &alive, |r, p| format!("b{r}{p}").into_bytes());
-        let skipped = run.leaders.iter().filter(|&&l| l == 3).count();
-        assert_eq!(run.ledger.len(), 30 - skipped);
-        for (_, leader, _) in &run.ledger {
-            assert!(alive.contains(leader));
-        }
+        // Party 2 (20% < 1/3, one of the three WR tickets) crashed:
+        // liveness preserved, rounds led by 2 are skipped. The beacon's
+        // group signature is unique, so an all-alive twin elects the same
+        // leaders.
+        let ws = [30, 25, 20, 15, 10];
+        let batch = |r: u64, p: usize| format!("b{r}{p}").into_bytes();
+        let mut everyone = instance(&ws);
+        lockstep(&mut everyone, 30, &[0, 1, 2, 3, 4], batch);
+        let mut crashed = instance(&ws);
+        let appended = lockstep(&mut crashed, 30, &[0, 1, 3, 4], batch);
+        let led_by_alive: Vec<_> =
+            everyone.ledger().iter().filter(|(_, leader, _)| *leader != 2).cloned().collect();
+        assert!(led_by_alive.len() < 30, "party 2 leads some round");
+        assert_eq!(crashed.ledger(), &led_by_alive[..]);
+        assert_eq!(appended.iter().filter(|&&a| a).count(), led_by_alive.len());
     }
 
     #[test]
     fn determinism_across_replicas() {
         // Two replicas computing the same run agree block-for-block — the
         // agreement property of the composition.
-        let cfg = config(&[40, 30, 20, 10]);
         let alive = [0usize, 1, 2, 3];
-        let a = run(&cfg, 15, &alive, |r, p| vec![r as u8, p as u8]);
-        let b = run(&cfg, 15, &alive, |r, p| vec![r as u8, p as u8]);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(a.leaders, b.leaders);
+        let [a, b] = [(); 2].map(|()| {
+            let mut inst = instance(&[40, 30, 20, 10]);
+            lockstep(&mut inst, 15, &alive, |r, p| vec![r as u8, p as u8]);
+            inst
+        });
+        assert_eq!(a.ledger(), b.ledger());
     }
 
     #[test]
     fn leaders_are_stake_weighted() {
-        let cfg = config(&[60, 20, 10, 10]);
-        let alive = [0usize, 1, 2, 3];
-        let run = run(&cfg, 400, &alive, |_, _| vec![0]);
-        let whale_rounds = run.leaders.iter().filter(|&&l| l == 0).count();
+        let mut inst = instance(&[60, 20, 10, 10]);
+        lockstep(&mut inst, 400, &[0, 1, 2, 3], |_, _| vec![0]);
+        let whale_rounds = inst.ledger().iter().filter(|(_, leader, _)| *leader == 0).count();
         // The whale holds ~60% of tickets; allow generous slack.
         assert!(whale_rounds > 400 * 2 / 5, "whale led only {whale_rounds}/400 rounds");
     }
 
     #[test]
     fn coded_dissemination_beats_replication() {
-        let cfg = config(&[40, 30, 20, 10]);
-        let alive = [0usize, 1, 2, 3];
-        let big = vec![0xEE; 4000];
-        let run = run(&cfg, 5, &alive, move |_, _| big.clone());
+        let mut inst = instance(&[40, 30, 20, 10]);
+        let (n, rounds, batch_bytes) = (4u64, 5u64, 4000u64);
+        lockstep(&mut inst, rounds, &[0, 1, 2, 3], |_, _| vec![0xEE; batch_bytes as usize]);
+        // Full replication: every party's batch reaches all n parties, each
+        // of which relays it to all n.
+        let replicated = rounds * n * batch_bytes * n * n;
         assert!(
-            run.coded_bytes < run.replicated_bytes,
-            "coded {} vs replicated {}",
-            run.coded_bytes,
-            run.replicated_bytes
+            inst.coded_bytes() < replicated,
+            "coded {} vs replicated {replicated}",
+            inst.coded_bytes()
         );
     }
 
     #[test]
     #[should_panic(expected = "alive weight > 2/3 required")]
     fn insufficient_alive_weight_panics() {
-        let cfg = config(&[40, 30, 20, 10]);
         // Only 30% alive: the beacon cannot be produced.
-        let _ = run(&cfg, 1, &[1usize], |_, _| vec![]);
+        lockstep(&mut instance(&[40, 30, 20, 10]), 1, &[1], |_, _| vec![]);
     }
 
-    fn solutions(ws: &[u64]) -> (Weights, TicketAssignment, TicketAssignment) {
-        let weights = Weights::new(ws.to_vec()).unwrap();
-        let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
-        let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
-        let wq_sol = Swiper::new().solve_qualification(&weights, &wq).unwrap();
-        let wr_sol = Swiper::new().solve_restriction(&weights, &wr).unwrap();
-        (weights, wq_sol.assignment, wr_sol.assignment)
-    }
-
+    /// Pipelining changes nothing the ledger shows: twelve rounds prepared
+    /// ahead and then committed commit what lockstep commits, at the same
+    /// dissemination cost.
     #[test]
-    fn live_instance_without_epochs_matches_run() {
-        let (weights, wq, wr) = solutions(&[40, 30, 20, 10]);
-        let cfg =
-            SmrConfig::deterministic(weights.clone(), wq.clone(), Ratio::of(1, 4), &wr, 9);
+    fn pipelined_commits_match_lockstep_commits() {
         let alive = [0usize, 1, 2, 3];
         let batch = |r: u64, p: usize| format!("b{r}-{p}").into_bytes();
-        let baseline = run(&cfg, 12, &alive, batch);
-        let mut inst = SmrInstance::new(weights, wq, Ratio::of(1, 4), wr, 9);
+        let mut lock = instance(&[40, 30, 20, 10]);
+        lockstep(&mut lock, 12, &alive, batch);
+        let mut piped = instance(&[40, 30, 20, 10]);
         for _ in 0..12 {
-            inst.prepare(&alive, batch);
+            piped.prepare(&alive, batch);
         }
-        while inst.commit(&alive).is_some() {}
-        assert_eq!(inst.ledger(), &baseline.ledger[..]);
-        assert_eq!(inst.coded_bytes(), baseline.coded_bytes);
+        assert_eq!(piped.pipeline_len(), 12);
+        while piped.commit(&alive).is_some() {}
+        assert_eq!(piped.ledger(), lock.ledger());
+        assert_eq!(piped.coded_bytes(), lock.coded_bytes());
     }
 
     /// The live-reconfiguration contract in miniature: across an epoch

@@ -15,7 +15,7 @@ use swiper::protocols::beacon::{BeaconMsg, BeaconNode, BeaconSetup};
 use swiper::protocols::blackbox::{BlackBox, BlackBoxConfig, BlackBoxMsg};
 use swiper::protocols::bracha::{BrachaConfig, BrachaMsg, BrachaNode, EquivocatingSender};
 use swiper::protocols::ecbc::{EcbcConfig, EcbcMsg, EcbcNode, GarbageEchoer};
-use swiper::protocols::smr::{ReconfigureMode, SmrInstance};
+use swiper::protocols::smr::{ReconfigureMode, SmrInstance, SmrMsg, SmrNode};
 use swiper::protocols::tight::{TargetedShareSender, TightConfig, TightMsg, TightNode};
 use swiper::weights::epoch::{churn, churn_with, ChurnMode, Reconfigurator, Setting};
 use swiper::weights::{gen, Chain};
@@ -724,6 +724,114 @@ fn tezos_live_smr_replay_matches_baseline_with_strictly_fewer_restarts() {
     );
     assert!(l.survived_rounds() > 0, "some rounds must survive an epoch change");
     assert!(l.rekeys() < b.rekeys(), "the beacon state must be carried when WR holds");
+}
+
+/// A replica that only forges commit votes: at start it sends, for every
+/// round, `Ready(r, d)` to the replicas below `split` and `Ready(r, d′)`
+/// to the rest — two digests nobody proposed — and then stays silent.
+struct ReadyForger {
+    n: usize,
+    rounds: u64,
+    split: usize,
+}
+
+/// The digest a [`ReadyForger`] claims for `round`, on side `side`.
+fn forged(round: u64, side: u8) -> swiper::crypto::hash::Digest {
+    swiper::crypto::hash::digest_parts(&[b"forged", &round.to_le_bytes(), &[side]])
+}
+
+impl Protocol for ReadyForger {
+    type Msg = SmrMsg;
+
+    fn on_start(&mut self, ctx: &mut swiper::net::Context<SmrMsg>) {
+        for round in 0..self.rounds {
+            for to in 0..self.n {
+                ctx.send(to, SmrMsg::Ready(round, forged(round, u8::from(to >= self.split))));
+            }
+        }
+    }
+
+    fn on_message(&mut self, _: usize, _: SmrMsg, _: &mut swiper::net::Context<SmrMsg>) {}
+}
+
+/// The `smr_socket` fleet (the 16 heaviest Tezos bakers) with its six
+/// lightest replicas as [`ReadyForger`]s splitting at `split`, or all
+/// honest for `None`, over 5 rounds on schedule `seed`. The six hold
+/// 14.3 % of the stake — under `f_w = 1/3`, yet `f + 1` replicas by
+/// count. Returns the run, the honest replicas, and the fault-free run's
+/// output they must all reach.
+fn smr_stake_forgery_run(
+    split: impl Fn(&[usize]) -> usize,
+    seed: u64,
+) -> (swiper::net::RunReport, Vec<usize>, Vec<u8>) {
+    const N: usize = 16;
+    const ROUNDS: u64 = 5;
+    let weights = Weights::new(Chain::Tezos.weights().as_slice()[..N].to_vec()).unwrap();
+    let mut by_stake: Vec<usize> = (0..N).collect();
+    by_stake.sort_by_key(|&p| (weights.as_slice()[p], p));
+    let forgers = &by_stake[..6];
+    let honest: Vec<usize> = (0..N).filter(|p| !forgers.contains(p)).collect();
+    let forged_stake: u128 = forgers.iter().map(|&p| u128::from(weights.as_slice()[p])).sum();
+    assert!(forged_stake * 3 < weights.total(), "the forgers stay under f_w = 1/3");
+    // A forger never proposes, so a round it leads commits nowhere: take
+    // the first session whose leaders are all honest.
+    let session = (0..)
+        .find(|&s| {
+            let probe = SmrNode::new(0, weights.clone(), s, ROUNDS, 64);
+            (0..ROUNDS).all(|r| honest.contains(&probe.leader_of(r)))
+        })
+        .expect("some session");
+    let fleet = |split: Option<usize>| -> Vec<Box<dyn Protocol<Msg = SmrMsg>>> {
+        (0..N)
+            .map(|me| match split {
+                Some(split) if forgers.contains(&me) => {
+                    Box::new(ReadyForger { n: N, rounds: ROUNDS, split }) as _
+                }
+                _ => Box::new(SmrNode::new(me, weights.clone(), session, ROUNDS, 64)) as _,
+            })
+            .collect()
+    };
+    let run =
+        |split| Simulation::new(fleet(split), seed).with_delay(DelayModel::Uniform(1, 9)).run();
+    let clean = run(None);
+    assert!(clean.unanimity_among(&honest), "fault-free run stalled at seed {seed}");
+    let expected = clean.outputs[honest[0]].clone().expect("checked");
+    (run(Some(split(&honest))), honest, expected)
+}
+
+/// Validity by stake: six [`ReadyForger`]s sending every replica
+/// `Ready(r, d′)` for a digest nobody proposed make no honest replica
+/// commit it — every honest ledger equals the fault-free run's. Counting
+/// `f + 1` readies to amplify and `n − f` to commit fails this.
+#[test]
+fn smr_stake_forgery_cannot_forge_a_commit() {
+    for seed in seeds() {
+        let (report, honest, expected) = smr_stake_forgery_run(|_| usize::MAX, seed);
+        for &p in &honest {
+            assert_eq!(
+                report.outputs[p].as_deref(),
+                Some(&expected[..]),
+                "seed {seed}: replica {p} committed a ledger the leaders never proposed"
+            );
+        }
+    }
+}
+
+/// Agreement by stake: six [`ReadyForger`]s sending `Ready(d)` to one half
+/// of the honest replicas and `Ready(d′)` to the other cannot split them;
+/// they all commit the fault-free ledger.
+#[test]
+fn smr_stake_forgery_cannot_split_the_honest_replicas() {
+    for seed in seeds() {
+        let (report, honest, expected) =
+            smr_stake_forgery_run(|honest| honest[honest.len() / 2], seed);
+        assert!(
+            report.unanimity_among(&honest),
+            "seed {seed}: forged readies split the honest replicas: {:?}",
+            report.outputs_of(&honest)
+        );
+        assert_eq!(report.outputs[honest[0]].as_deref(), Some(&expected[..]), "seed {seed}");
+    }
 }
 
 /// The coin carry/re-deal sweep: a nominal ABA hosted over the black-box
