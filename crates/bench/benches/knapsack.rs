@@ -67,7 +67,7 @@ fn bench_dp_vs_bounds(c: &mut Criterion) {
             Swiper::new().solve_instance_with(&mut finder, &instance).expect("solvable");
             let (tickets, params) =
                 finder.last.unwrap_or_else(|| panic!("{shape} at n = {n} never ran the DP"));
-            let member = FamilyMember::dense(&w, &tickets);
+            let member = FamilyMember::from((&w, &tickets));
             let total = member.total;
             let mut oracle = FullOracle::new();
             group.bench_function(BenchmarkId::new(format!("dp_check/{shape}"), n), |b| {
@@ -84,12 +84,8 @@ fn bench_dp_vs_bounds(c: &mut Criterion) {
                 continue;
             };
             let target = alpha_n.ceil_mul(total.into()).expect("in envelope") as u64;
-            let items: Vec<Item> = w
-                .as_slice()
-                .iter()
-                .zip(tickets.as_slice())
-                .map(|(&weight, &profit)| Item { profit, weight })
-                .collect();
+            // The holders' items, as the oracle reads them.
+            let items: Vec<Item> = member.nonzero().map(|(_, item)| item).collect();
             group.bench_with_input(BenchmarkId::new("upper_bound", n), &items, |b, its| {
                 b.iter(|| fractional_upper_bound_reaches(black_box(its), capacity, target))
             });

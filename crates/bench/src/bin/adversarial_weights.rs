@@ -82,7 +82,7 @@ fn main() {
         let adv_weight = weights.subset_weight(ids);
         let frac = adv_weight as f64 / weights.total() as f64;
         assert!(frac < 1.0 / 3.0, "{name}: adversary must stay below f_w ({frac:.3})");
-        let adv_tickets: u128 = ids.iter().map(|&i| u128::from(sol.assignment.get(i))).sum();
+        let adv_tickets = sol.assignment.subset_tickets(ids);
         let total = sol.total_tickets();
         let baseline = *baseline_total.get_or_insert(total);
         table.row(vec![

@@ -47,8 +47,7 @@ fn main() {
             "{name}: corrupt set must stay below f_w = 1/4 ({frac_weight})"
         );
         let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
-        let corrupt_tickets: u128 =
-            corrupt.iter().map(|&p| u128::from(sol.assignment.get(p))).sum();
+        let corrupt_tickets = sol.assignment.subset_tickets(&corrupt);
         let frac_tickets = corrupt_tickets as f64 / sol.total_tickets() as f64;
         let stats = measure_elections(&sol.assignment, &weights, &corrupt, rounds, 0xC0DE);
         table.row(vec![

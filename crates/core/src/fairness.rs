@@ -23,10 +23,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::assignment::TicketAssignment;
 use crate::error::CoreError;
-use crate::knapsack::{self, Item};
+use crate::knapsack;
 use crate::problems::WeightRestriction;
-use crate::verify::{strict_capacity, ticket_target};
+use crate::verify::{items_of, strict_capacity, ticket_target};
 use crate::weights::Weights;
+use std::collections::BTreeMap;
 
 /// A fairness extension over a deterministic ticket assignment.
 #[derive(Debug, Clone)]
@@ -116,7 +117,7 @@ impl FairExtension {
     /// output), returning the combined assignment.
     pub fn sample(&self, seed: u64) -> TicketAssignment {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut tickets: Vec<u64> = self.base.as_slice().to_vec();
+        let mut tickets: BTreeMap<usize, u64> = self.base.nonzero().collect();
         for _ in 0..self.lottery {
             if self.total_mass == 0 {
                 break;
@@ -124,9 +125,10 @@ impl FairExtension {
             let draw = rng.random_range(0..self.total_mass);
             // First party whose cumulative mass exceeds the draw.
             let idx = self.cumulative.partition_point(|&c| c <= draw);
-            tickets[idx] += 1;
+            *tickets.entry(idx).or_default() += 1;
         }
-        TicketAssignment::new(tickets)
+        let run = tickets.into_iter().map(|(p, t)| (p as u32, t));
+        TicketAssignment::from_run(self.base.len(), run)
     }
 
     /// Deterministic worst-case safety check: Weight Restriction holds for
@@ -149,13 +151,7 @@ impl FairExtension {
         }
         let base_target =
             u64::try_from(base_target).map_err(|_| CoreError::ArithmeticOverflow)?;
-        let items: Vec<Item> = self
-            .weights
-            .as_slice()
-            .iter()
-            .zip(self.base.as_slice())
-            .map(|(&weight, &profit)| Item { profit, weight })
-            .collect();
+        let items = items_of(&self.weights, &self.base);
         let reached = knapsack::max_profit_dp_floor(
             &mut knapsack::DpScratch::default(),
             &items,

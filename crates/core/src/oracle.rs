@@ -112,51 +112,28 @@ pub enum Verdict {
     Invalid,
 }
 
-/// One candidate of the `t(s, k)` family, as presented to an oracle.
-///
-/// The solver lends its cursor's live run: the parties that can hold a
-/// ticket at the member's grid interval, ascending, with their weights and
-/// tickets; every party outside it holds none. Tests and external callers
-/// present a whole [`TicketAssignment`] through [`FamilyMember::dense`].
-/// Either way an oracle reads the tickets through
-/// [`FamilyMember::nonzero`].
+/// One candidate of the `t(s, k)` family, as presented to an oracle: a run
+/// of ascending parties with their tickets; every party outside it holds
+/// none. The solver lends its cursor's live run with the run's weights in
+/// an aligned column, so a probe never indexes the `n`-wide weight vector;
+/// `FamilyMember::from((&weights, &assignment))` borrows a
+/// [`TicketAssignment`]'s holders and reads each weight by party. Oracles
+/// read the tickets through [`FamilyMember::nonzero`].
 #[derive(Debug, Clone, Copy)]
 pub struct FamilyMember<'a> {
     /// The instance's party weights.
     pub weights: &'a Weights,
     /// Total tickets of the candidate.
     pub total: u64,
-    view: View<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum View<'a> {
-    /// Aligned `(party, weight, tickets)` columns, parties strictly
-    /// ascending, holding every ticket of the member.
-    Run {
-        parties: &'a [u32],
-        weights: &'a [u64],
-        tickets: &'a [u64],
-    },
-    Dense(&'a TicketAssignment),
+    /// The run's parties, strictly ascending, holding every ticket.
+    parties: &'a [u32],
+    tickets: &'a [u64],
+    /// The run's weights aligned with `parties`, when the lender keeps
+    /// them; `None` reads `weights` by party.
+    run_weights: Option<&'a [u64]>,
 }
 
 impl<'a> FamilyMember<'a> {
-    /// The member holding `tickets` over `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tickets do not match the weights' party count, there
-    /// are more than `u32::MAX` parties, or the tickets' total exceeds
-    /// `u64::MAX`.
-    #[must_use]
-    pub fn dense(weights: &'a Weights, tickets: &'a TicketAssignment) -> Self {
-        assert_eq!(weights.len(), tickets.len(), "one ticket count per party");
-        assert!(u32::try_from(weights.len()).is_ok(), "party count fits u32");
-        let total = u64::try_from(tickets.total()).expect("member total fits u64");
-        FamilyMember { weights, total, view: View::Dense(tickets) }
-    }
-
     /// The member whose tickets all sit in the aligned run `(parties,
     /// run_weights, tickets)`, parties strictly ascending; `total` is the
     /// run's ticket sum.
@@ -170,39 +147,41 @@ impl<'a> FamilyMember<'a> {
         debug_assert!(parties.len() == run_weights.len() && parties.len() == tickets.len());
         debug_assert!(parties.windows(2).all(|p| p[0] < p[1]), "run parties not ascending");
         debug_assert_eq!(tickets.iter().map(|&t| u128::from(t)).sum::<u128>(), total.into());
-        let view = View::Run { parties, weights: run_weights, tickets };
-        FamilyMember { weights, total, view }
+        FamilyMember { weights, total, parties, tickets, run_weights: Some(run_weights) }
     }
 
     /// The `(party, item)` pairs with a ticket, ascending by party; the
     /// item's profit is the party's tickets, its weight the party's weight.
     pub fn nonzero(&self) -> impl Iterator<Item = (u32, Item)> + 'a {
-        let (parties, weights, tickets) = match self.view {
-            View::Run { parties, weights, tickets } => (Some(parties), weights, tickets),
-            View::Dense(tickets) => (None, self.weights.as_slice(), tickets.as_slice()),
-        };
-        // A dense member has at most `u32::MAX` parties (see `dense`).
-        weights.iter().zip(tickets).enumerate().filter(|(_, (_, &t))| t != 0).map(
-            move |(k, (&weight, &profit))| {
-                (parties.map_or(k as u32, |ps| ps[k]), Item { profit, weight })
+        let (run_weights, all) = (self.run_weights, self.weights.as_slice());
+        self.parties.iter().zip(self.tickets).enumerate().filter(|(_, (_, &t))| t != 0).map(
+            move |(k, (&party, &profit))| {
+                let weight = run_weights.map_or_else(|| all[party as usize], |ws| ws[k]);
+                (party, Item { profit, weight })
             },
         )
     }
 
-    /// The member as a whole ticket vector: one zeroed vector and one
-    /// scatter of the run.
+    /// The member as an assignment: one copy of the run's holders.
     #[must_use]
     pub fn materialize(&self) -> TicketAssignment {
-        match self.view {
-            View::Dense(tickets) => tickets.clone(),
-            View::Run { parties, tickets, .. } => {
-                let mut dense = vec![0; self.weights.len()];
-                for (&p, &t) in parties.iter().zip(tickets) {
-                    dense[p as usize] = t;
-                }
-                TicketAssignment::from_parts(dense, self.total.into())
-            }
-        }
+        let run = self.parties.iter().copied().zip(self.tickets.iter().copied());
+        TicketAssignment::from_run(self.weights.len(), run)
+    }
+}
+
+impl<'a> From<(&'a Weights, &'a TicketAssignment)> for FamilyMember<'a> {
+    /// The member holding `tickets` over `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tickets do not match the weights' party count or
+    /// their total exceeds `u64::MAX`.
+    fn from((weights, tickets): (&'a Weights, &'a TicketAssignment)) -> Self {
+        assert_eq!(weights.len(), tickets.len(), "one ticket count per party");
+        let total = u64::try_from(tickets.total()).expect("member total fits u64");
+        let (parties, tickets) = tickets.columns();
+        FamilyMember { weights, total, parties, tickets, run_weights: None }
     }
 }
 
@@ -1178,7 +1157,7 @@ mod tests {
         let t = TicketAssignment::new(vec![0, 0, 0]);
         let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let params = CheckParams::restriction(&w, &p).unwrap();
-        let member = FamilyMember::dense(&w, &t);
+        let member = FamilyMember::from((&w, &t));
         assert_eq!(FullOracle::new().check(&member, &params).unwrap(), Verdict::Invalid);
         assert_eq!(LinearOracle::new().check(&member, &params).unwrap(), Verdict::Invalid);
     }
@@ -1194,7 +1173,7 @@ mod tests {
         for total in 1u64..=12 {
             let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
             let t = fam.assignment_with_total(total).unwrap();
-            let member = FamilyMember::dense(&w, &t);
+            let member = FamilyMember::from((&w, &t));
             let fv = full.check(&member, &params).unwrap();
             let lv = linear.check(&member, &params).unwrap();
             if lv == Verdict::Valid {
@@ -1214,7 +1193,7 @@ mod tests {
             for total in 1u64..=10 {
                 let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                 let t = fam.assignment_with_total(total).unwrap();
-                let member = FamilyMember::dense(&w, &t);
+                let member = FamilyMember::from((&w, &t));
                 let expect = plain.check(&member, &params).unwrap();
                 assert_eq!(cached.check(&member, &params).unwrap(), expect, "round {round}");
             }
@@ -1229,7 +1208,7 @@ mod tests {
     fn caching_oracle_distinguishes_params_and_members() {
         let w = Weights::new(vec![40, 25, 20, 10, 5]).unwrap();
         let t = TicketAssignment::new(vec![2, 1, 1, 1, 0]);
-        let member = FamilyMember::dense(&w, &t);
+        let member = FamilyMember::from((&w, &t));
         let pa = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let pb = WeightRestriction::new(Ratio::of(1, 4), Ratio::of(1, 3)).unwrap();
         let mut cached = CachingOracle::new(FullOracle::new());
@@ -1237,7 +1216,7 @@ mod tests {
         cached.check(&member, &CheckParams::restriction(&w, &pb).unwrap()).unwrap();
         // Same tickets under different weights must also be distinct keys.
         let w2 = Weights::new(vec![40, 25, 20, 10, 6]).unwrap();
-        let member2 = FamilyMember::dense(&w2, &t);
+        let member2 = FamilyMember::from((&w2, &t));
         cached.check(&member2, &CheckParams::restriction(&w2, &pa).unwrap()).unwrap();
         let stats = cached.take_stats();
         assert_eq!(stats.cache_hits, 0);
@@ -1252,7 +1231,7 @@ mod tests {
         let params = CheckParams::restriction(&w, &p).unwrap();
         let mut cached = CachingOracle::new(FullOracle::new()).with_max_entries(0);
         let t = TicketAssignment::new(vec![2, 1, 1, 1, 0]);
-        let member = FamilyMember::dense(&w, &t);
+        let member = FamilyMember::from((&w, &t));
         cached.check(&member, &params).unwrap();
         cached.check(&member, &params).unwrap();
         assert!(cached.is_empty(), "max_entries == 0 disables caching");
@@ -1262,7 +1241,7 @@ mod tests {
         for total in 1u64..=5 {
             let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
             let t = fam.assignment_with_total(total).unwrap();
-            small.check(&FamilyMember::dense(&w, &t), &params).unwrap();
+            small.check(&FamilyMember::from((&w, &t)), &params).unwrap();
         }
         assert!(small.len() <= 2, "cache stays bounded: {}", small.len());
     }
@@ -1274,7 +1253,7 @@ mod tests {
         let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
         let params = CheckParams::restriction(&w, &p).unwrap();
         let mut oracle = FullOracle::new();
-        oracle.check(&FamilyMember::dense(&w, &t), &params).unwrap();
+        oracle.check(&FamilyMember::from((&w, &t)), &params).unwrap();
         let stats = oracle.take_stats();
         // The driver owns candidates_checked; the oracle reports only how
         // the check was settled.
@@ -1460,8 +1439,9 @@ mod tests {
     }
 
     /// Checks every member twice — through the wrapped persistent
-    /// [`FullOracle`] and, in dense form, through a fresh one — and insists
-    /// on the same verdict and settlement counters.
+    /// [`FullOracle`] and, rebuilt from its materialized assignment,
+    /// through a fresh one — and insists on the same verdict and
+    /// settlement counters.
     #[derive(Default)]
     struct AgainstFresh {
         inner: FullOracle,
@@ -1477,9 +1457,9 @@ mod tests {
             let verdict = self.inner.check(member, params)?;
             let settled = self.inner.take_stats();
             let mut fresh = FullOracle::new();
-            let dense = member.materialize();
-            let dense = FamilyMember::dense(member.weights, &dense);
-            assert_eq!(fresh.check(&dense, params)?, verdict, "total {}", member.total);
+            let landed = member.materialize();
+            let landed = FamilyMember::from((member.weights, &landed));
+            assert_eq!(fresh.check(&landed, params)?, verdict, "total {}", member.total);
             assert_eq!(fresh.take_stats(), settled, "total {}", member.total);
             self.stats.absorb(&settled);
             Ok(verdict)
@@ -1503,12 +1483,12 @@ mod tests {
         assert!(sol.stats.candidates_checked > 1, "a one-probe solve compares nothing");
     }
 
-    /// Forwards every member to `inner`, materialized to its dense form
-    /// when `dense`, and records the verdicts.
+    /// Forwards every member to `inner`, rebuilt from its materialized
+    /// assignment when `landed`, and records the verdicts.
     #[derive(Default)]
     struct Recorded {
         inner: FullOracle,
-        dense: bool,
+        landed: bool,
         verdicts: Vec<(u64, Verdict)>,
     }
 
@@ -1518,9 +1498,9 @@ mod tests {
             member: &FamilyMember<'_>,
             params: &CheckParams,
         ) -> Result<Verdict, CoreError> {
-            let verdict = if self.dense {
+            let verdict = if self.landed {
                 let tickets = member.materialize();
-                self.inner.check(&FamilyMember::dense(member.weights, &tickets), params)?
+                self.inner.check(&FamilyMember::from((member.weights, &tickets)), params)?
             } else {
                 self.inner.check(member, params)?
             };
@@ -1534,25 +1514,27 @@ mod tests {
     }
 
     /// The cold WR solve over 10⁶ whale-skewed parties twice: its oracle
-    /// reading each member as the cursor's live run, and as the whole
-    /// ticket vector. Verdicts, counters and landing must agree.
+    /// reading each member as the cursor's live run (weights lent in an
+    /// aligned column), and as the member built from that run's landed
+    /// assignment (weights read by party). Verdicts, counters and landing
+    /// must agree.
     #[test]
     #[ignore = "too slow for the debug-mode run; ci.yml runs it with --release"]
     fn support_walk_matches_full_walk_on_1e6_whales() {
         let w = Weights::whale_skewed(1_000_000, 1);
         let wr = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
-        let solve = |dense| {
-            let mut oracle = Recorded { dense, ..Recorded::default() };
+        let solve = |landed| {
+            let mut oracle = Recorded { landed, ..Recorded::default() };
             let sol =
                 crate::Swiper::new().solve_restriction_with(&mut oracle, &w, &wr).unwrap();
             (sol, oracle.verdicts)
         };
         let (walked, walked_verdicts) = solve(false);
-        let (full, full_verdicts) = solve(true);
+        let (landed, landed_verdicts) = solve(true);
         assert!(walked_verdicts.len() > 1, "a one-probe solve compares nothing");
-        assert_eq!(walked_verdicts, full_verdicts);
-        assert_eq!(walked.stats, full.stats);
-        assert_eq!(walked.assignment, full.assignment);
+        assert_eq!(walked_verdicts, landed_verdicts);
+        assert_eq!(walked.stats, landed.stats);
+        assert_eq!(walked.assignment, landed.assignment);
     }
 
     // --- Delta-stable certificate tests -----------------------------------
@@ -1568,7 +1550,7 @@ mod tests {
         let w = Weights::new(ws.to_vec()).unwrap();
         let t = TicketAssignment::new(ts.to_vec());
         let mut c = CachingOracle::new(FullOracle::new()).with_certificates(true);
-        c.check(&FamilyMember::dense(&w, &t), params).unwrap();
+        c.check(&FamilyMember::from((&w, &t)), params).unwrap();
         let stats = c.take_stats();
         assert_eq!(stats.certificate_skips, 0, "priming never skips");
         c
@@ -1587,7 +1569,7 @@ mod tests {
     ) {
         let w = Weights::new(ws.to_vec()).unwrap();
         let t = TicketAssignment::new(ts.to_vec());
-        let member = FamilyMember::dense(&w, &t);
+        let member = FamilyMember::from((&w, &t));
         let fresh = FullOracle::new().check(&member, params).unwrap();
         assert_eq!(fresh, expect, "instance is miscrafted");
         assert_eq!(c.check(&member, params).unwrap(), expect);
@@ -1658,7 +1640,7 @@ mod tests {
         let mut c = primed(&[5, 5, 6], &[6, 6, 7], &params);
         let w = Weights::new(vec![5, 5, 5]).unwrap();
         let t = TicketAssignment::new(vec![6, 6, 7]);
-        let member = FamilyMember::dense(&w, &t);
+        let member = FamilyMember::from((&w, &t));
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         let stats = c.take_stats();
@@ -1677,7 +1659,7 @@ mod tests {
         let mut c = primed(&[5, 5, 6], &[6, 6, 7], &params);
         let w = Weights::new(vec![5, 5, 6]).unwrap();
         let near = TicketAssignment::new(vec![6, 6, 8]);
-        let member = FamilyMember::dense(&w, &near);
+        let member = FamilyMember::from((&w, &near));
         assert_eq!(
             FullOracle::new().check(&member, &params).unwrap(),
             Verdict::Valid,
@@ -1693,7 +1675,7 @@ mod tests {
         // recompute — the true verdict here is Invalid, so replaying the
         // stale Valid would lie.
         let far = TicketAssignment::new(vec![6, 6, 20]);
-        let member = FamilyMember::dense(&w, &far);
+        let member = FamilyMember::from((&w, &far));
         assert_eq!(c.check(&member, &params).unwrap(), Verdict::Invalid);
         let stats = c.take_stats();
         assert_eq!(stats.coarse_cert_hits, 0, "margin gone: no coarse settle");
@@ -1768,7 +1750,7 @@ mod tests {
             let (run_w, run_t) = run_columns(&ws_b, &ts_b, &parties);
             let total_b = u64::try_from(tb.total()).unwrap();
             let mut oracle = FullOracle::new();
-            oracle.prepare(&FamilyMember::dense(&wa, &ta));
+            oracle.prepare(&FamilyMember::from((&wa, &ta)));
             oracle.prepare(&FamilyMember::run(&wb, total_b, &parties, &run_w, &run_t));
 
             let item = |ws: &[u64], ts: &[u64], p: usize| {
@@ -1783,8 +1765,10 @@ mod tests {
                 .collect();
             prop_assert_eq!(&oracle.changes, &want);
             let held: Vec<(u32, Item)> = oracle.held.pairs().collect();
-            prop_assert_eq!(held, FamilyMember::dense(&wb, &tb).nonzero().collect::<Vec<_>>());
-            let items = crate::verify::items_of(&wb, &tb);
+            prop_assert_eq!(held, FamilyMember::from((&wb, &tb)).nonzero().collect::<Vec<_>>());
+            // The dense items: a view's parties are slice positions.
+            let items: Vec<Item> =
+                ws_b.iter().zip(&ts_b).map(|(&weight, &profit)| Item { profit, weight }).collect();
             prop_assert_eq!(oracle.sorted.parts(), SortedItems::new(&items).parts());
         }
 
@@ -1794,10 +1778,11 @@ mod tests {
         /// splice), more than n/8 of them (the re-sort), new weights at the
         /// same n, a different n, zero weights and zero tickets, and
         /// thinning to a sparse member; each member comes as a run (its
-        /// nonzero parties plus random others) or in dense form and is
-        /// judged under both check shapes, and the persistent oracle's DP
-        /// calls for it run through both entry points. A `CachingOracle`
-        /// fingerprints the run and the dense form the same.
+        /// nonzero parties plus random others, weights in a column) or
+        /// built from its assignment (weights read by party) and is judged
+        /// under both check shapes, and the persistent oracle's DP calls
+        /// for it run through both entry points. A `CachingOracle`
+        /// fingerprints the two forms the same.
         #[test]
         fn persistent_full_oracle_matches_a_fresh_one(
             seed in 1u64..u64::MAX,
@@ -1862,18 +1847,18 @@ mod tests {
                 }
                 let w = Weights::new(ws.clone()).unwrap();
                 let t = TicketAssignment::new(ts.clone());
-                let dense = FamilyMember::dense(&w, &t);
+                let held = FamilyMember::from((&w, &t));
                 let parties: Vec<u32> =
                     (0..ts.len() as u32).filter(|&p| ts[p as usize] != 0 || next(8) == 0).collect();
                 let (run_w, run_t) = run_columns(&ws, &ts, &parties);
                 let member = if next(4) != 0 {
-                    FamilyMember::run(&w, dense.total, &parties, &run_w, &run_t)
+                    FamilyMember::run(&w, held.total, &parties, &run_w, &run_t)
                 } else {
-                    dense
+                    held
                 };
                 prop_assert_eq!(
                     caching.member_fingerprint(&member),
-                    caching.member_fingerprint(&dense)
+                    caching.member_fingerprint(&held)
                 );
                 for params in [
                     CheckParams::restriction(&w, &wr).unwrap(),
@@ -1926,7 +1911,7 @@ mod tests {
                 for total in 1u64..=10 {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    let member = FamilyMember::dense(&w, &t);
+                    let member = FamilyMember::from((&w, &t));
                     let expect = fresh.check(&member, &params).unwrap();
                     prop_assert_eq!(cert.check(&member, &params).unwrap(), expect);
                 }
@@ -1961,7 +1946,7 @@ mod tests {
                 for total in (2u64..=20).step_by(2) {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    cert.check(&FamilyMember::dense(&w, &t), &params).unwrap();
+                    cert.check(&FamilyMember::from((&w, &t)), &params).unwrap();
                 }
             }
             let _ = cert.take_stats();
@@ -1982,7 +1967,7 @@ mod tests {
                 for total in (1u64..=21).step_by(2) {
                     let fam = crate::family::Family::new(&w, p.family_constant(), total).unwrap();
                     let t = fam.assignment_with_total(total).unwrap();
-                    let member = FamilyMember::dense(&w, &t);
+                    let member = FamilyMember::from((&w, &t));
                     let expect = fresh.check(&member, &params).unwrap();
                     prop_assert_eq!(cert.check(&member, &params).unwrap(), expect);
                 }

@@ -1109,12 +1109,8 @@ mod tests {
         }
 
         fn to_items(weights: &Weights, tickets: &TicketAssignment) -> Vec<Item> {
-            weights
-                .as_slice()
-                .iter()
-                .zip(tickets.as_slice())
-                .map(|(&weight, &profit)| Item { profit, weight })
-                .collect()
+            // Every party, holder or not: the seed's items.
+            weights.iter().map(|(i, weight)| Item { profit: tickets.get(i), weight }).collect()
         }
 
         fn check_restriction(

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::assignment::{tickets_fingerprint, TicketAssignment};
+use crate::assignment::{merge_runs, TicketAssignment};
 use crate::error::CoreError;
 
 /// A real party's index, as carried inside a [`StableId`]. Party sets are
@@ -138,20 +138,20 @@ impl TicketDelta {
                 what: "assignments cover different party counts",
             });
         }
-        let changes = old
-            .as_slice()
-            .iter()
-            .zip(new.as_slice())
-            .enumerate()
-            .filter(|(_, (o, n))| o != n)
-            .map(|(party, (&old, &new))| TicketChange { party, old, new })
+        let changes = merge_runs(old.nonzero(), new.nonzero())
+            .map(|(party, old, new)| TicketChange {
+                party,
+                old: old.unwrap_or(0),
+                new: new.unwrap_or(0),
+            })
+            .filter(|c| c.old != c.new)
             .collect();
         Ok(TicketDelta {
             changes,
             parties: old.len(),
             old_total: old.total(),
             new_total: new.total(),
-            base_fingerprint: tickets_fingerprint(old.as_slice()),
+            base_fingerprint: old.fingerprint(),
         })
     }
 
@@ -192,32 +192,19 @@ impl TicketDelta {
 
     /// Applies this delta to the assignment it was diffed against,
     /// producing the new epoch's assignment — the assignment-level twin of
-    /// [`VirtualUsers::apply_delta`], for consumers that track tickets
-    /// rather than mappings (e.g. re-dealing epoch-pinned keys).
+    /// [`VirtualUsers::apply_delta`] (which goes through it), for consumers
+    /// that track tickets rather than mappings (e.g. re-dealing
+    /// epoch-pinned keys). The delta may arrive deserialized, so it is
+    /// validated first: party count, full-base fingerprint, well-formed
+    /// ascending changes that agree with the base, declared new total.
     ///
     /// # Errors
     ///
-    /// [`CoreError::DeltaMismatch`] when `old` is not the base this delta
+    /// [`CoreError::DeltaMismatch`] when `base` is not the one this delta
     /// was diffed against, or the (possibly deserialized) changes list is
     /// malformed.
-    pub fn apply_to(&self, old: &TicketAssignment) -> Result<TicketAssignment, CoreError> {
-        self.validate_against(old.as_slice())?;
-        let mut next = old.as_slice().to_vec();
-        for change in &self.changes {
-            next[change.party] = change.new;
-        }
-        Ok(TicketAssignment::new(next))
-    }
-
-    /// Validates this (possibly deserialized) delta against the base
-    /// ticket vector it claims to extend — party count, full-base
-    /// fingerprint, well-formed ascending changes that agree with the
-    /// base, declared new total — and returns that total. The one shared
-    /// rule for both the assignment-level ([`TicketDelta::apply_to`]) and
-    /// mapping-level ([`VirtualUsers::apply_delta`]) splices, so the two
-    /// can never drift apart.
-    fn validate_against(&self, tickets: &[u64]) -> Result<u128, CoreError> {
-        if self.parties != tickets.len() {
+    pub fn apply_to(&self, base: &TicketAssignment) -> Result<TicketAssignment, CoreError> {
+        if self.parties != base.len() {
             return Err(CoreError::DeltaMismatch {
                 what: "delta covers a different party count",
             });
@@ -226,15 +213,15 @@ impl TicketDelta {
         // assignment that differs anywhere — even at parties it does not
         // touch — must be rejected, or the splice would fabricate a
         // vector no epoch ever published.
-        if self.base_fingerprint != tickets_fingerprint(tickets) {
+        if self.base_fingerprint != base.fingerprint() {
             return Err(CoreError::DeltaMismatch {
                 what: "delta base does not match the current tickets",
             });
         }
-        let mut new_total: u128 = tickets.iter().map(|&t| u128::from(t)).sum();
+        let mut new_total = base.total();
         let mut prev_party: Option<usize> = None;
         for change in &self.changes {
-            if change.party >= tickets.len() {
+            if change.party >= base.len() {
                 return Err(CoreError::DeltaMismatch {
                     what: "change targets an unknown party",
                 });
@@ -245,7 +232,7 @@ impl TicketDelta {
                 });
             }
             prev_party = Some(change.party);
-            if tickets[change.party] != change.old {
+            if base.get(change.party) != change.old {
                 return Err(CoreError::DeltaMismatch {
                     what: "change disagrees with the current tickets",
                 });
@@ -257,7 +244,11 @@ impl TicketDelta {
                 what: "declared new total disagrees with the changes",
             });
         }
-        Ok(new_total)
+        let changed = self.changes.iter().map(|c| (c.party, c.new));
+        // Validated: every party is below `base.len()`, which fits u32.
+        let run = merge_runs(base.nonzero(), changed)
+            .map(|(party, old, new)| (party as u32, new.or(old).unwrap_or(0)));
+        Ok(TicketAssignment::from_run(base.len(), run))
     }
 }
 
@@ -283,11 +274,10 @@ impl TicketDelta {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VirtualUsers {
-    /// `owner[v]` = real party controlling virtual user `v`.
+    /// `owner[v]` = real party controlling virtual user `v`, ascending,
+    /// so a party's virtual ids are one run of it.
     owner: Vec<usize>,
-    /// `first[i]..first[i] + tickets[i]` = virtual ids of party `i`.
-    first: Vec<u64>,
-    tickets: Vec<u64>,
+    tickets: TicketAssignment,
 }
 
 impl VirtualUsers {
@@ -301,16 +291,18 @@ impl VirtualUsers {
         let total =
             usize::try_from(tickets.total()).map_err(|_| CoreError::ArithmeticOverflow)?;
         let mut owner = Vec::with_capacity(total);
-        let mut first = Vec::with_capacity(tickets.len());
-        let mut next: u64 = 0;
-        for (party, t) in tickets.iter() {
-            first.push(next);
-            for _ in 0..t {
-                owner.push(party);
-            }
-            next += t;
+        for (party, t) in tickets.nonzero() {
+            // `t <= total`, which fits usize.
+            owner.extend(std::iter::repeat_n(party, t as usize));
         }
-        Ok(VirtualUsers { owner, first, tickets: tickets.as_slice().to_vec() })
+        Ok(VirtualUsers { owner, tickets: tickets.clone() })
+    }
+
+    /// Virtual ids of party `i`: its range, empty for a non-holder.
+    /// Panics if `i >= self.parties()`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        assert!(i < self.parties(), "party {i} out of bounds for {} parties", self.parties());
+        self.owner.partition_point(|&p| p < i)..self.owner.partition_point(|&p| p <= i)
     }
 
     /// Number of virtual users `T`.
@@ -338,9 +330,7 @@ impl VirtualUsers {
     ///
     /// Panics if `i >= self.parties()`.
     pub fn virtuals_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let start = self.first[i];
-        let count = self.tickets[i];
-        (start..start + count).map(|v| v as usize)
+        self.span(i)
     }
 
     /// Tickets (= number of virtual users) of party `i`.
@@ -349,7 +339,7 @@ impl VirtualUsers {
     ///
     /// Panics if `i >= self.parties()`.
     pub fn tickets_of(&self, i: usize) -> u64 {
-        self.tickets[i]
+        self.tickets.get(i)
     }
 
     /// Locates virtual user `v` as `(owner, offset)` — the controlling
@@ -365,7 +355,7 @@ impl VirtualUsers {
     /// Panics if `v >= self.total()`.
     pub fn locate(&self, v: usize) -> (usize, u64) {
         let owner = self.owner[v];
-        (owner, v as u64 - self.first[owner])
+        (owner, (v - self.span(owner).start) as u64)
     }
 
     /// The virtual id at `(party, offset)`, or `None` when the offset is
@@ -376,11 +366,8 @@ impl VirtualUsers {
     ///
     /// Panics if `party >= self.parties()`.
     pub fn at(&self, party: usize, offset: u64) -> Option<usize> {
-        if offset < self.tickets[party] {
-            usize::try_from(self.first[party] + offset).ok()
-        } else {
-            None
-        }
+        let span = self.span(party);
+        usize::try_from(offset).ok().filter(|&o| o < span.len()).map(|o| span.start + o)
     }
 
     /// The epoch-stable identity of virtual user `v` under this epoch's
@@ -421,12 +408,12 @@ impl VirtualUsers {
     ///
     /// Panics if `i >= self.parties()`.
     pub fn is_spectator(&self, i: usize) -> bool {
-        self.tickets[i] == 0
+        self.tickets.get(i) == 0
     }
 
     /// Parties holding at least one virtual user.
     pub fn holders(&self) -> impl Iterator<Item = usize> + '_ {
-        self.tickets.iter().enumerate().filter(|(_, &t)| t > 0).map(|(i, _)| i)
+        self.tickets.nonzero().map(|(party, _)| party)
     }
 
     /// Applies an epoch's [`TicketDelta`] in place, splicing only the
@@ -447,28 +434,18 @@ impl VirtualUsers {
     /// [`CoreError::ArithmeticOverflow`] when the new total does not fit
     /// addressable memory.
     pub fn apply_delta(&mut self, delta: &TicketDelta) -> Result<(), CoreError> {
-        // Deltas can arrive deserialized, so the shared validation treats
-        // the changes list as untrusted (see
-        // `TicketDelta::validate_against`); the new total is recomputed
-        // rather than trusted for the addressability check.
-        let new_total = delta.validate_against(&self.tickets)?;
-        usize::try_from(new_total).map_err(|_| CoreError::ArithmeticOverflow)?;
-        // Splice in descending party order so the untouched offsets in
-        // `first` stay valid for every party still to be processed.
+        // `apply_to` validates the (possibly deserialized) delta.
+        let next = delta.apply_to(&self.tickets)?;
+        usize::try_from(next.total()).map_err(|_| CoreError::ArithmeticOverflow)?;
+        // Splice in descending party order so the untouched spans stay
+        // valid for every party still to be processed.
         for change in delta.changes().iter().rev() {
-            let start = usize::try_from(self.first[change.party])
-                .map_err(|_| CoreError::ArithmeticOverflow)?;
+            let start = self.span(change.party).start;
             let old = usize::try_from(change.old).map_err(|_| CoreError::ArithmeticOverflow)?;
             let new = usize::try_from(change.new).map_err(|_| CoreError::ArithmeticOverflow)?;
             self.owner.splice(start..start + old, std::iter::repeat_n(change.party, new));
-            self.tickets[change.party] = change.new;
         }
-        // One prefix-sum pass from the first changed party restores `first`.
-        if let Some(first_changed) = delta.changes().first() {
-            for i in first_changed.party..self.parties().saturating_sub(1) {
-                self.first[i + 1] = self.first[i] + self.tickets[i];
-            }
-        }
+        self.tickets = next;
         Ok(())
     }
 }
@@ -476,6 +453,7 @@ impl VirtualUsers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::tickets_fingerprint;
     use proptest::prelude::*;
 
     #[test]
@@ -602,7 +580,40 @@ mod tests {
         assert_eq!(vu, VirtualUsers::from_assignment(&new).unwrap());
     }
 
+    /// Chunks of a sparse ticket vector: a zero run of up to 2 000 slots,
+    /// then up to five word codes (see [`sparse_words`]).
+    fn sparse_chunks() -> impl Strategy<Value = Vec<(usize, Vec<u64>)>> {
+        proptest::collection::vec(
+            (0usize..2_000, proptest::collection::vec(0u64..6, 0..6)),
+            0..8,
+        )
+    }
+
+    /// The vector the chunks spell: each zero run, then its words, code
+    /// `c` standing for `[0, 1, 2, 3, u64::MAX, 2⁴⁰][c]`.
+    fn sparse_words(chunks: &[(usize, Vec<u64>)]) -> Vec<u64> {
+        const WORDS: [u64; 6] = [0, 1, 2, 3, u64::MAX, 1 << 40];
+        let mut v = Vec::new();
+        for (zeros, codes) in chunks {
+            v.extend(std::iter::repeat_n(0, *zeros));
+            v.extend(codes.iter().map(|&c| WORDS[c as usize]));
+        }
+        v
+    }
+
     proptest! {
+        /// An assignment's fingerprint and a delta's base fingerprint,
+        /// folded from the holders alone, equal the fold over every slot.
+        #[test]
+        fn run_fingerprints_match_the_word_fold(chunks in sparse_chunks()) {
+            let v = sparse_words(&chunks);
+            let want = tickets_fingerprint(&v);
+            let base = TicketAssignment::new(v);
+            prop_assert_eq!(base.fingerprint(), want);
+            let delta = TicketDelta::between(&base, &base).unwrap();
+            prop_assert_eq!(delta.base_fingerprint, want);
+        }
+
         #[test]
         fn apply_delta_matches_full_rebuild(
             old in proptest::collection::vec(0u64..9, 1..24),

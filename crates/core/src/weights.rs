@@ -14,10 +14,10 @@ use crate::error::CoreError;
 /// integer base units, so `u64` is the natural domain. The *total* weight `W`
 /// is tracked as `u128` so it cannot overflow.
 ///
-/// The vector is shared: cloning a `Weights` bumps a reference count, so
-/// one epoch's snapshot flows through the solver, its events and every
-/// quorum electorate without a copy. (A real `serde` needs its `rc`
-/// feature for the `Arc<[u64]>`; see the offline `serde` shim.)
+/// The vector is shared: [`Weights::new`] keeps the caller's vector and a
+/// clone bumps a reference count, so one epoch's snapshot flows through the
+/// solver, its events and every quorum electorate without a copy. (A real
+/// `serde` needs its `rc` feature for the `Arc`; see the offline shim.)
 ///
 /// # Examples
 ///
@@ -34,7 +34,7 @@ use crate::error::CoreError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Weights {
-    weights: Arc<[u64]>,
+    weights: Arc<Vec<u64>>,
     total: u128,
 }
 
@@ -54,7 +54,7 @@ impl Weights {
         if total == 0 {
             return Err(CoreError::ZeroTotalWeight);
         }
-        Ok(Weights { weights: weights.into(), total })
+        Ok(Weights { weights: Arc::new(weights), total })
     }
 
     /// Quantizes real weights to `u64` by scaling so that the largest weight

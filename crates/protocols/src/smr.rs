@@ -343,8 +343,8 @@ impl SmrInstance {
     ) -> EpochCrossing {
         assert_eq!(weights.len(), wq_tickets.len(), "WQ tickets mismatch");
         assert_eq!(weights.len(), wr_tickets.len(), "WR tickets mismatch");
-        let wq_changed = wq_tickets.as_slice() != self.config.wq_tickets.as_slice();
-        let wr_changed = wr_tickets.as_slice() != self.config.wr_tickets.as_slice();
+        let wq_changed = wq_tickets != self.config.wq_tickets;
+        let wr_changed = wr_tickets != self.config.wr_tickets;
         self.config.weights = weights;
         // Beacon: re-deal only when the WR assignment moved (or the
         // baseline insists). Deterministic dealing keeps a re-deal for an
@@ -904,13 +904,38 @@ mod tests {
         assert_eq!(a.ledger(), b.ledger());
     }
 
+    /// Each round's leader is a ticket holder, drawn with probability
+    /// `tickets / T`: every holder's share of 400 rounds lies within 4σ of
+    /// it. The tickets are unequal, so a rule that always picks the first
+    /// holder, or picks uniformly among holders, fails.
     #[test]
     fn leaders_are_stake_weighted() {
-        let mut inst = instance(&[60, 20, 10, 10]);
-        lockstep(&mut inst, 400, &[0, 1, 2, 3], |_, _| vec![0]);
-        let whale_rounds = inst.ledger().iter().filter(|(_, leader, _)| *leader == 0).count();
-        // The whale holds ~60% of tickets; allow generous slack.
-        assert!(whale_rounds > 400 * 2 / 5, "whale led only {whale_rounds}/400 rounds");
+        let ws = [1000, 700, 490, 343, 240, 168, 117, 82, 57];
+        let wr = solutions(&ws).2;
+        let holders: Vec<(usize, u64)> = wr.nonzero().collect();
+        assert!(
+            holders.len() >= 3 && holders.iter().any(|&(_, t)| t != holders[0].1),
+            "need three holders with unequal tickets: {holders:?}"
+        );
+        let mut inst = instance(&ws);
+        let alive: Vec<usize> = (0..ws.len()).collect();
+        let rounds = 400;
+        lockstep(&mut inst, rounds, &alive, |_, _| vec![0]);
+        assert_eq!(inst.ledger().len() as u64, rounds);
+        let mut led = vec![0u64; ws.len()];
+        for &(_, leader, _) in inst.ledger() {
+            assert!(wr.get(leader) > 0, "party {leader} holds no ticket but led");
+            led[leader] += 1;
+        }
+        for (party, tickets) in holders {
+            let p = tickets as f64 / wr.total() as f64;
+            let sigma = (p * (1.0 - p) / rounds as f64).sqrt();
+            let share = led[party] as f64 / rounds as f64;
+            assert!(
+                (share - p).abs() <= 4.0 * sigma,
+                "party {party} led {share:.3} of the rounds, holds {p:.3} of the tickets"
+            );
+        }
     }
 
     #[test]
@@ -988,7 +1013,7 @@ mod tests {
             inst.commit(&alive);
         }
         // Epoch 2: the WQ assignment moves — both re-disseminate.
-        let mut wq2 = wq.as_slice().to_vec();
+        let mut wq2: Vec<u64> = (0..wq.len()).map(|i| wq.get(i)).collect();
         wq2[3] += 1;
         let wq2 = TicketAssignment::new(wq2);
         let c2_live =

@@ -6,7 +6,7 @@
 //! nothing serializes yet — so this shim provides the two trait names with
 //! blanket impls and re-exports no-op derive macros. Swapping in the real
 //! `serde` later is a one-line manifest change, with its `rc` feature on:
-//! `swiper_core::Weights` holds its vector as an `Arc<[u64]>`, which real
+//! `swiper_core::Weights` holds its vector as an `Arc<Vec<u64>>`, which real
 //! `serde` implements only under `rc` (a deserialized `Weights` then owns
 //! a fresh vector, shared by its clones from there on). No source edits
 //! are needed.

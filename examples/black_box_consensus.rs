@@ -22,8 +22,8 @@ fn main() {
     let params = WeightRestriction::new(Ratio::of(1, 4), Ratio::of(1, 3)).unwrap();
     let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
     println!(
-        "WR(1/4, 1/3) tickets: {:?} -> {} virtual identities",
-        sol.assignment.as_slice(),
+        "WR(1/4, 1/3) holders (party, tickets): {:?} -> {} virtual identities",
+        sol.assignment.nonzero().collect::<Vec<_>>(),
         sol.total_tickets()
     );
 

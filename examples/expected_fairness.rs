@@ -15,8 +15,8 @@ fn main() {
     let params = WeightRestriction::new(Ratio::of(1, 4), Ratio::of(1, 2)).unwrap();
     let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
     println!(
-        "deterministic tickets: {:?} (T = {})",
-        sol.assignment.as_slice(),
+        "deterministic holders (party, tickets): {:?} (T = {})",
+        sol.assignment.nonzero().collect::<Vec<_>>(),
         sol.total_tickets()
     );
 
@@ -84,7 +84,7 @@ fn main() {
         println!(
             "with the WR(1/4, 3/10) bound member: base T = {} ({:?}), lottery R = {}, worst case {}",
             base.total(),
-            base.as_slice(),
+            base.nonzero().collect::<Vec<_>>(),
             fair.lottery_tickets(),
             if safe { "SAFE - fairness and safety coexist" } else { "still breaks" }
         );

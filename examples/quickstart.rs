@@ -22,7 +22,8 @@ fn main() -> Result<(), CoreError> {
 
     for (label, mode) in [("full", Mode::Full), ("linear", Mode::Linear)] {
         let solution = Swiper::with_mode(mode).solve_restriction(&stake, &params)?;
-        println!("\n[{label} mode] tickets = {:?}", solution.assignment.as_slice());
+        let holders: Vec<_> = solution.assignment.nonzero().collect();
+        println!("\n[{label} mode] holders (party, tickets) = {holders:?}");
         println!(
             "  total T = {} (theoretical bound {}), holders = {}, max = {}",
             solution.total_tickets(),

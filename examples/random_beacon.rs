@@ -17,8 +17,8 @@ fn main() {
     let params = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
     let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
     println!(
-        "tickets {:?} -> {} key shares, combine threshold {}",
-        sol.assignment.as_slice(),
+        "holders (party, tickets) {:?} -> {} key shares, combine threshold {}",
+        sol.assignment.nonzero().collect::<Vec<_>>(),
         sol.total_tickets(),
         sol.total_tickets() / 2 + 1
     );

@@ -17,7 +17,7 @@ fn main() {
 
     let params = WeightRestriction::new(Ratio::of(1, 4), Ratio::of(1, 3)).unwrap();
     let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
-    println!("WR(1/4, 1/3) tickets: {:?}", sol.assignment.as_slice());
+    println!("WR(1/4, 1/3) holders: {:?}", sol.assignment.nonzero().collect::<Vec<_>>());
 
     // Corrupt coalition: the three smallest parties (90/1000 = 9% < 25%).
     let corrupt = vec![3usize, 4, 5];

@@ -20,7 +20,8 @@ fn main() {
     // WQ(beta_w = f_w = 1/3, beta_n = 1/4): fragments per ticket.
     let wq = WeightQualification::new(Ratio::of(1, 3), Ratio::of(1, 4)).unwrap();
     let sol = Swiper::new().solve_qualification(&weights, &wq).unwrap();
-    println!("WQ tickets: {:?} (T = {})", sol.assignment.as_slice(), sol.total_tickets());
+    let holders: Vec<_> = sol.assignment.nonzero().collect();
+    println!("WQ holders (party, tickets): {holders:?} (T = {})", sol.total_tickets());
 
     let config = AvidConfig::weighted(weights, &sol.assignment, Ratio::of(1, 4));
     println!("code: any {} of {} fragments reconstruct", config.k(), config.m());

@@ -24,7 +24,7 @@
 //! let stake = Weights::new(vec![3_400, 2_100, 900, 420, 77])?;
 //! let params = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2))?;
 //! let solution = Swiper::new().solve_restriction(&stake, &params)?;
-//! println!("tickets: {:?}", solution.assignment.as_slice());
+//! println!("(party, tickets): {:?}", solution.assignment.nonzero().collect::<Vec<_>>());
 //! assert!(swiper::core::verify_restriction(&stake, &solution.assignment, &params)?);
 //! # Ok(())
 //! # }
