@@ -107,6 +107,7 @@ fn row(
         .with("tickets", tickets)
         .with("dp_invocations", stats.dp_invocations)
         .with("dp_cells", stats.dp_cells)
+        .with("splice_copied", stats.splice_copied)
         .with("certificate_skips", stats.certificate_skips)
         .with("candidates_checked", stats.candidates_checked)
         .with("cursor_advances", stats.cursor_advances)

@@ -451,6 +451,9 @@ pub const SOLVER: Schema = Schema {
         Field::num("dp_invocations", Gate::Exact),
         // Table states those DP calls read (`SolveStats::dp_cells`).
         Field::num("dp_cells", Gate::Exact),
+        // Entries the oracle's sorted-view splices wrote
+        // (`SolveStats::splice_copied`).
+        Field::num("splice_copied", Gate::Exact),
         // Checks settled by replaying a delta-stable certificate.
         Field::num("certificate_skips", Gate::Exact),
         // Family members materialized and checked.

@@ -939,32 +939,123 @@ fn gallop(entries: &[Entry], from: usize, ahead: impl Fn(&Entry) -> bool) -> usi
     from + lo + tail[lo..hi.min(tail.len())].partition_point(ahead)
 }
 
+/// Writes into `out` the sorted `entries` with the sorted `rem` taken out
+/// and the sorted `ins` put in. Each change finds its slot by a galloping
+/// search from the merge cursor, and the unchanged runs between them move
+/// as whole slices.
+///
+/// # Panics
+///
+/// Panics if an entry of `rem` is not in `entries`.
+fn merge_into(entries: &[Entry], rem: &[Entry], ins: &[Entry], out: &mut Vec<Entry>) {
+    // The slot of a removal is its entry's; that of an insertion is past
+    // every entry not after it.
+    let removal = |from, x: &Entry| {
+        let at = gallop(entries, from, |e| cmp_entry(e, x) == Ordering::Less);
+        assert!(entries.get(at) == Some(x), "changed old entry present in view");
+        at
+    };
+    let insertion =
+        |from, x: &Entry| (gallop(entries, from, |e| cmp_entry(e, x) != Ordering::Greater), *x);
+    out.clear();
+    out.reserve(entries.len() + ins.len());
+    // The first old entry not yet copied or dropped.
+    let mut at = 0;
+    let (mut rem, mut ins) = (rem.iter(), ins.iter());
+    let mut next_rem = rem.next().map(|x| removal(0, x));
+    let mut next_ins = ins.next().map(|x| insertion(0, x));
+    loop {
+        if let Some(r) = next_rem.filter(|&r| next_ins.is_none_or(|(s, _)| r < s)) {
+            out.extend_from_slice(&entries[at..r]);
+            at = r + 1;
+            next_rem = rem.next().map(|x| removal(at, x));
+        } else if let Some((s, x)) = next_ins {
+            out.extend_from_slice(&entries[at..s]);
+            out.push(x);
+            at = s;
+            next_ins = ins.next().map(|x| insertion(at, x));
+        } else {
+            break;
+        }
+    }
+    out.extend_from_slice(&entries[at..]);
+}
+
+/// Entries per block of [`SortedItems`] as a sort cuts them. A splice
+/// splits a block that grows past twice this and drops one it empties.
+const BLOCK: usize = 512;
+
+/// Consecutive entries of the sorted view with their sums and extremes,
+/// which let a scan take or skip them in one step.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Block {
+    /// Not empty once the block is in a view.
+    entries: Vec<Entry>,
+    /// Total profit and weight of `entries`.
+    profit: u128,
+    weight: u128,
+    /// The least and the largest weight, and the largest profit.
+    lightest: u64,
+    heaviest: u64,
+    top_profit: u64,
+}
+
+impl Block {
+    fn of(entries: Vec<Entry>) -> Self {
+        let mut block = Block { entries, ..Block::default() };
+        block.refresh();
+        block
+    }
+
+    /// Recomputes the sums and extremes from `entries`.
+    fn refresh(&mut self) {
+        let (mut profit, mut weight) = (0, 0);
+        let (mut lightest, mut heaviest, mut top_profit) = (u64::MAX, 0, 0);
+        for e in &self.entries {
+            profit += u128::from(e.profit);
+            weight += u128::from(e.weight);
+            lightest = lightest.min(e.weight);
+            heaviest = heaviest.max(e.weight);
+            top_profit = top_profit.max(e.profit);
+        }
+        (self.profit, self.weight) = (profit, weight);
+        (self.lightest, self.heaviest, self.top_profit) = (lightest, heaviest, top_profit);
+    }
+
+    fn last(&self) -> &Entry {
+        self.entries.last().expect("a view's blocks are not empty")
+    }
+}
+
 /// [`SortedItems::parts`]: free profit, entries, prefix profits and weights.
 #[cfg(test)]
-pub(crate) type ViewParts<'a> = (u128, Vec<(u64, u64, u32)>, &'a [u128], &'a [u128]);
+pub(crate) type ViewParts = (u128, Vec<(u64, u64, u32)>, Vec<u128>, Vec<u128>);
 
-/// A ratio-sorted item view with prefix sums, shared by every bound query
-/// against the same candidate assignment.
+/// A ratio-sorted item view shared by every bound query against the same
+/// candidate assignment.
 ///
 /// The solver's oracle evaluates up to four bound queries per candidate
 /// (two capacities × two bounds for Weight Separation); building this once
 /// per candidate replaces one sort *per query* with one sort per candidate,
 /// and [`SortedItems::rebuild`] recycles the allocations across the whole
-/// binary search. Between epochs, [`SortedItems::splice`] updates only the
-/// changed parties instead of re-sorting from scratch. Answers are
-/// bit-identical to the one-shot free functions below, which delegate here.
+/// binary search. Between probes, [`SortedItems::splice`] updates only the
+/// changed parties instead of re-sorting from scratch. The entries sit in
+/// blocks of about 512, each with its profit and weight sums and its
+/// extremes, under one prefix array over the blocks: a splice rewrites
+/// only the blocks its changes fall in, and a query takes every block it
+/// does not stop in as one step. Answers are bit-identical to the one-shot
+/// free functions below, which delegate here.
 #[derive(Debug, Default, Clone)]
 pub struct SortedItems {
     /// Profit of zero-weight items: free under any capacity.
     free: u128,
-    /// Positive-weight, positive-profit entries in descending ratio order.
-    entries: Vec<Entry>,
-    /// `prefix_profit[i]` = total profit of `entries[..i]`.
-    prefix_profit: Vec<u128>,
-    /// `prefix_weight[i]` = total weight of `entries[..i]` (strictly
-    /// increasing: zero weights were split out).
-    prefix_weight: Vec<u128>,
-    /// Splice scratch, recycled across epochs.
+    /// Positive-weight, positive-profit entries in descending ratio order,
+    /// cut into non-empty blocks.
+    blocks: Vec<Block>,
+    /// `prefix[b]` = total `(profit, weight)` of `blocks[..b]`; the
+    /// weights strictly increase (zero weights were split out).
+    prefix: Vec<(u128, u128)>,
+    /// Sort and merge scratch, recycled across probes.
     scratch: Vec<Entry>,
     splice_ins: Vec<Entry>,
     splice_rem: Vec<Entry>,
@@ -991,10 +1082,12 @@ impl SortedItems {
 
     /// [`SortedItems::rebuild`] from a run of `(party, item)` pairs in
     /// ascending party order, every party absent from it holding profit 0:
-    /// equals `rebuild` over the dense items.
+    /// equals `rebuild` over the dense items. One sort, then the sorted
+    /// entries are cut into blocks.
     pub fn rebuild_run(&mut self, run: impl IntoIterator<Item = (u32, Item)>) {
         self.free = 0;
-        self.entries.clear();
+        let sorted = &mut self.scratch;
+        sorted.clear();
         for (party, it) in run {
             if it.profit == 0 {
                 continue; // never helps
@@ -1002,130 +1095,167 @@ impl SortedItems {
             if it.weight == 0 {
                 self.free += u128::from(it.profit);
             } else {
-                self.entries.push(Entry { profit: it.profit, weight: it.weight, party });
+                sorted.push(Entry { profit: it.profit, weight: it.weight, party });
             }
         }
-        self.entries.sort_unstable_by(cmp_entry);
+        sorted.sort_unstable_by(cmp_entry);
+        self.blocks.resize_with(sorted.len().div_ceil(BLOCK), Block::default);
+        for (block, chunk) in self.blocks.iter_mut().zip(sorted.chunks(BLOCK)) {
+            block.entries.clear();
+            block.entries.extend_from_slice(chunk);
+            block.refresh();
+        }
         self.refresh_prefixes(0);
     }
 
     /// Incremental [`SortedItems::rebuild`]: `changes` lists each changed
     /// party once as `(party, old, new)`, `old` being its item in the slice
-    /// this view was last built from. Bit-identical to rebuilding from the
-    /// updated slice. The `k` removals and insertions are sorted, and each
-    /// finds its slot by a galloping search from the merge cursor; the
-    /// unchanged runs between them move as whole slices, and the prefix
-    /// sums are recomputed only from the first changed slot. That is
-    /// `O(k log n)` comparisons (`O(k log(n/k))` for the searches) plus a
-    /// copy of the view, instead of one comparison per entry.
+    /// this view was last built from. The entries afterwards are those of a
+    /// rebuild from the updated slice (the block cuts may differ). The `k`
+    /// removals and insertions are sorted; each falls in the first block
+    /// whose last entry is not before it (the last block for an insertion
+    /// past them all), and each such block is merged once, split into
+    /// blocks of about 512 entries when it grows past twice that, and
+    /// dropped when it empties. The block prefixes are then recomputed
+    /// from the first block touched. That is `O(k log k)` comparisons plus
+    /// `O(B)` per touched block and `O(m / B)` for the prefixes, against a
+    /// copy of the whole view.
+    ///
+    /// Returns the number of entries the splice wrote: the merged blocks'
+    /// entries and those a split moved to new blocks.
     ///
     /// # Panics
     ///
     /// Panics if a changed old entry is not present in the view (an `old`
     /// that is not what the view was built from).
-    pub fn splice(&mut self, changes: &[(usize, Item, Item)]) {
-        self.splice_rem.clear();
-        self.splice_ins.clear();
+    pub fn splice(&mut self, changes: &[(usize, Item, Item)]) -> u64 {
+        let (rem, ins) = (&mut self.splice_rem, &mut self.splice_ins);
+        rem.clear();
+        ins.clear();
         for &(i, old, new) in changes {
             let party = u32::try_from(i).expect("party count fits u32");
             if old.profit > 0 {
                 if old.weight == 0 {
                     self.free -= u128::from(old.profit);
                 } else {
-                    self.splice_rem.push(Entry {
-                        profit: old.profit,
-                        weight: old.weight,
-                        party,
-                    });
+                    rem.push(Entry { profit: old.profit, weight: old.weight, party });
                 }
             }
             if new.profit > 0 {
                 if new.weight == 0 {
                     self.free += u128::from(new.profit);
                 } else {
-                    self.splice_ins.push(Entry {
-                        profit: new.profit,
-                        weight: new.weight,
-                        party,
-                    });
+                    ins.push(Entry { profit: new.profit, weight: new.weight, party });
                 }
             }
         }
-        if self.splice_rem.is_empty() && self.splice_ins.is_empty() {
-            self.refresh_prefixes(self.entries.len());
-            return;
+        if rem.is_empty() && ins.is_empty() {
+            self.refresh_prefixes(self.blocks.len());
+            return 0;
         }
-        self.splice_rem.sort_unstable_by(cmp_entry);
-        self.splice_ins.sort_unstable_by(cmp_entry);
-        let entries = &self.entries;
-        // The slot of a removal is its entry's; that of an insertion is
-        // past every entry not after it.
-        let removal = |from, x: &Entry| {
-            let at = gallop(entries, from, |e| cmp_entry(e, x) == Ordering::Less);
-            assert!(entries.get(at) == Some(x), "changed old entry present in view");
-            at
-        };
-        let insertion = |from, x: &Entry| {
-            (gallop(entries, from, |e| cmp_entry(e, x) != Ordering::Greater), *x)
-        };
+        rem.sort_unstable_by(cmp_entry);
+        ins.sort_unstable_by(cmp_entry);
+        if self.blocks.is_empty() {
+            self.blocks.push(Block::default());
+        }
+        let blocks = &mut self.blocks;
         let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        out.reserve(entries.len() + self.splice_ins.len());
-        // `at`: the first old entry not yet copied or dropped; `first`: the
-        // first slot the splice changes.
-        let (mut at, mut first) = (0, entries.len());
-        let (mut rem, mut ins) = (self.splice_rem.iter(), self.splice_ins.iter());
-        let mut next_rem = rem.next().map(|x| removal(0, x));
-        let mut next_ins = ins.next().map(|x| insertion(0, x));
-        loop {
-            if let Some(r) = next_rem.filter(|&r| next_ins.is_none_or(|(s, _)| r < s)) {
-                out.extend_from_slice(&entries[at..r]);
-                first = first.min(r);
-                at = r + 1;
-                next_rem = rem.next().map(|x| removal(at, x));
-            } else if let Some((s, x)) = next_ins {
-                out.extend_from_slice(&entries[at..s]);
-                first = first.min(s);
-                out.push(x);
-                at = s;
-                next_ins = ins.next().map(|x| insertion(at, x));
+        let (mut b, mut r, mut i) = (0, 0, 0);
+        let (mut first, mut written) = (None, 0);
+        while r < rem.len() || i < ins.len() {
+            // Skip the blocks wholly before the next change; the last block
+            // takes whatever is left.
+            let (x, y) = (rem.get(r), ins.get(i));
+            let before = |block: &Block| {
+                let last = block.last();
+                x.is_none_or(|x| cmp_entry(last, x) == Ordering::Less)
+                    && y.is_none_or(|y| cmp_entry(last, y) != Ordering::Greater)
+            };
+            b += blocks[b..blocks.len() - 1].partition_point(before);
+            let (r_end, i_end) = if b + 1 == blocks.len() {
+                (rem.len(), ins.len())
             } else {
-                break;
+                let last = *blocks[b].last();
+                (
+                    r + rem[r..].partition_point(|x| cmp_entry(x, &last) != Ordering::Greater),
+                    i + ins[i..].partition_point(|y| cmp_entry(y, &last) == Ordering::Less),
+                )
+            };
+            merge_into(&blocks[b].entries, &rem[r..r_end], &ins[i..i_end], &mut out);
+            (r, i) = (r_end, i_end);
+            first = first.or(Some(b));
+            written += out.len();
+            let block = &mut blocks[b];
+            std::mem::swap(&mut block.entries, &mut out);
+            let len = block.entries.len();
+            if len == 0 {
+                blocks.remove(b);
+            } else if len > 2 * BLOCK {
+                let size = len.div_ceil(len / BLOCK);
+                let split: Vec<Block> =
+                    block.entries[size..].chunks(size).map(|c| Block::of(c.to_vec())).collect();
+                written += len - size;
+                block.entries.truncate(size);
+                block.refresh();
+                let added = split.len();
+                blocks.splice(b + 1..b + 1, split);
+                b += 1 + added;
+            } else {
+                block.refresh();
+                b += 1;
             }
         }
-        out.extend_from_slice(&entries[at..]);
-        std::mem::swap(&mut self.entries, &mut out);
         self.scratch = out;
-        // The slots before the first change kept their entries.
-        self.refresh_prefixes(first);
+        // The blocks before the first one touched kept their entries.
+        self.refresh_prefixes(first.unwrap_or(0));
+        written as u64
     }
 
     /// Everything the view answers from: the free profit, the
-    /// `(profit, weight, party)` entries in order and the prefix sums.
+    /// `(profit, weight, party)` entries in order and their prefix sums.
+    /// Checks the blocks on the way: not empty, at most twice [`BLOCK`]
+    /// long, their sums and extremes and the block prefixes current.
     #[cfg(test)]
-    pub(crate) fn parts(&self) -> ViewParts<'_> {
-        let entries = self.entries.iter().map(|e| (e.profit, e.weight, e.party)).collect();
-        (self.free, entries, &self.prefix_profit, &self.prefix_weight)
+    pub(crate) fn parts(&self) -> ViewParts {
+        assert_eq!(self.prefix.len(), self.blocks.len() + 1, "one prefix per block");
+        let mut at = (0, 0);
+        for (block, &prefix) in self.blocks.iter().zip(&self.prefix) {
+            assert!((1..=2 * BLOCK).contains(&block.entries.len()), "block length");
+            assert_eq!(block, &Block::of(block.entries.clone()), "block sums");
+            assert_eq!(prefix, at, "block prefix");
+            at = (at.0 + block.profit, at.1 + block.weight);
+        }
+        assert_eq!(self.prefix.last(), Some(&at), "block prefix");
+        let entries: Vec<_> = self.entries().map(|e| (e.profit, e.weight, e.party)).collect();
+        let sums = |f: fn(&(u64, u64, u32)) -> u64| {
+            let mut acc = 0;
+            std::iter::once(0)
+                .chain(entries.iter().map(|e| {
+                    acc += u128::from(f(e));
+                    acc
+                }))
+                .collect()
+        };
+        let (profits, weights) = (sums(|e| e.0), sums(|e| e.1));
+        (self.free, entries, profits, weights)
     }
 
-    /// Recomputes the prefix sums past slot `from`; those up to it must
-    /// be current.
+    /// The entries in ratio order.
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.blocks.iter().flat_map(|block| &block.entries)
+    }
+
+    /// Recomputes the block prefixes past block `from`; those up to it
+    /// must be current.
     fn refresh_prefixes(&mut self, from: usize) {
-        self.prefix_profit.truncate(from + 1);
-        self.prefix_weight.truncate(from + 1);
-        if self.prefix_profit.is_empty() {
-            self.prefix_profit.push(0);
-            self.prefix_weight.push(0);
+        self.prefix.truncate(from + 1);
+        if self.prefix.is_empty() {
+            self.prefix.push((0, 0));
         }
-        let (mut ap, mut aw) = (self.prefix_profit[from], self.prefix_weight[from]);
-        let tail = &self.entries[from..];
-        self.prefix_profit.extend(tail.iter().map(|e| {
-            ap += u128::from(e.profit);
-            ap
-        }));
-        self.prefix_weight.extend(tail.iter().map(|e| {
-            aw += u128::from(e.weight);
-            aw
+        let (mut profit, mut weight) = self.prefix[from];
+        self.prefix.extend(self.blocks[from..].iter().map(|block| {
+            (profit, weight) = (profit + block.profit, weight + block.weight);
+            (profit, weight)
         }));
     }
 
@@ -1133,7 +1263,7 @@ impl SortedItems {
     /// `(profit, weight)` pair — the slope bound certificates need.
     #[must_use]
     pub fn densest(&self) -> Option<(u64, u64)> {
-        self.entries.first().map(|e| (e.profit, e.weight))
+        self.entries().next().map(|e| (e.profit, e.weight))
     }
 
     /// The Dantzig break ratio under `capacity`, as the `(profit, weight)`
@@ -1143,7 +1273,7 @@ impl SortedItems {
     /// everything fits.
     #[must_use]
     pub fn break_ratio(&self, capacity: u128) -> (u64, u64) {
-        self.entries.get(self.cut(capacity)).map_or(NO_MULTIPLIER, |e| (e.profit, e.weight))
+        self.cut(capacity).2.map_or(NO_MULTIPLIER, |e| (e.profit, e.weight))
     }
 
     /// [`max_profit_dp_floor`] over the items this view was built from,
@@ -1171,16 +1301,23 @@ impl SortedItems {
     /// Writes the view's items of weight within `horizon` into
     /// `scratch.kept` in class order — ascending profit, lightest first
     /// inside a class — with one stable counting pass by profit over the
-    /// ratio order: inside one profit class, descending ratio is ascending
-    /// weight. That is the `(profit, weight)` sort's sequence up to swapping
-    /// identical items. Profits above `profit_cap` are not counted; those
-    /// few items are stably sorted by profit and appended.
+    /// ratio order, block by block: inside one profit class, descending
+    /// ratio is ascending weight. That is the `(profit, weight)` sort's
+    /// sequence up to swapping identical items. Profits above `profit_cap`
+    /// are not counted; those few items are stably sorted by profit and
+    /// appended.
     fn class_order(&self, scratch: &mut DpScratch, horizon: u128, profit_cap: u64) {
         let DpScratch { kept, slots, over, .. } = scratch;
-        let within = |e: &&Entry| u128::from(e.weight) <= horizon;
+        let within = || {
+            self.blocks
+                .iter()
+                .filter(|block| u128::from(block.lightest) <= horizon)
+                .flat_map(|block| &block.entries)
+                .filter(|e| u128::from(e.weight) <= horizon)
+        };
         slots.clear();
         over.clear();
-        for e in self.entries.iter().filter(within) {
+        for e in within() {
             if e.profit > profit_cap {
                 over.push(Item { profit: e.profit, weight: e.weight });
                 continue;
@@ -1198,7 +1335,7 @@ impl SortedItems {
         }
         kept.clear();
         kept.resize(next, Item { profit: 0, weight: 0 });
-        for e in self.entries.iter().filter(within).filter(|e| e.profit <= profit_cap) {
+        for e in within().filter(|e| e.profit <= profit_cap) {
             let slot = &mut slots[e.profit as usize];
             kept[*slot] = Item { profit: e.profit, weight: e.weight };
             *slot += 1;
@@ -1207,11 +1344,23 @@ impl SortedItems {
         kept.extend_from_slice(over);
     }
 
-    /// Number of leading sorted items whose cumulative weight fits within
-    /// `capacity` — the Dantzig split point.
-    fn cut(&self, capacity: u128) -> usize {
-        // prefix_weight is strictly increasing with prefix_weight[0] = 0.
-        self.prefix_weight.partition_point(|&w| w <= capacity) - 1
+    /// The Dantzig split under `capacity`: the profit and weight of the
+    /// longest ratio-order prefix of the entries that fits, and the first
+    /// entry past it (`None` when everything fits). A binary search over
+    /// the block prefixes, then a scan of the one block the split is in.
+    fn cut(&self, capacity: u128) -> (u128, u128, Option<&Entry>) {
+        // The block prefix weights strictly increase from 0; a view never
+        // built has no prefix and answers as an empty one.
+        let b = self.prefix.partition_point(|&(_, w)| w <= capacity).saturating_sub(1);
+        let (mut profit, mut weight) = self.prefix.get(b).copied().unwrap_or_default();
+        for e in self.blocks.get(b).map_or(&[][..], |block| &block.entries) {
+            let next = weight + u128::from(e.weight);
+            if next > capacity {
+                return (profit, weight, Some(e));
+            }
+            (profit, weight) = (profit + u128::from(e.profit), next);
+        }
+        (profit, weight, None)
     }
 
     /// Whether the Dantzig fractional upper bound reaches `target` under
@@ -1225,16 +1374,15 @@ impl SortedItems {
             return true;
         }
         let target = u128::from(target) - self.free;
-        let cut = self.cut(capacity);
-        let acc_profit = self.prefix_profit[cut];
+        let (acc_profit, acc_weight, breaking) = self.cut(capacity);
         if acc_profit >= target {
             return true;
         }
-        let Some(it) = self.entries.get(cut) else {
+        let Some(it) = breaking else {
             return false; // everything fits and still falls short
         };
         // Fractional part of the breaking item: remaining capacity.
-        let rem = capacity - self.prefix_weight[cut];
+        let rem = capacity - acc_weight;
         // UB reaches target iff acc + profit*rem/w >= target
         //  iff profit*rem >= (target-acc)*w   (exact, widened).
         let need = target - acc_profit;
@@ -1245,12 +1393,12 @@ impl SortedItems {
     /// under `capacity`.
     #[must_use]
     pub fn fractional_upper_bound_floor(&self, capacity: u128) -> u128 {
-        let cut = self.cut(capacity);
-        let acc_profit = self.free + self.prefix_profit[cut];
-        let Some(it) = self.entries.get(cut) else {
+        let (acc_profit, acc_weight, breaking) = self.cut(capacity);
+        let acc_profit = self.free + acc_profit;
+        let Some(it) = breaking else {
             return acc_profit;
         };
-        let rem = capacity - self.prefix_weight[cut];
+        let rem = capacity - acc_weight;
         // floor(profit * rem / w); operands fit comfortably via widening.
         let frac =
             crate::wide::mul_div_floor(u128::from(it.profit), rem, u128::from(it.weight))
@@ -1270,6 +1418,11 @@ impl SortedItems {
     /// witness packing `(profit, weight)` — free profit included — when the
     /// target is reached. `Some` exactly when the boolean test is `true`;
     /// the pair is a concrete subset certificates can carry forward.
+    ///
+    /// The greedy takes, in ratio order, every entry that still fits. A
+    /// block that fits whole without reaching the target is one step, and
+    /// one whose lightest entry does not fit is skipped: the same choices
+    /// as the entry-by-entry scan.
     #[must_use]
     pub fn greedy_witness(&self, capacity: u128, target: u64) -> Option<(u128, u128)> {
         if u128::from(target) <= self.free {
@@ -1278,44 +1431,69 @@ impl SortedItems {
         let target = u128::from(target) - self.free;
         let mut acc_profit: u128 = 0;
         let mut acc_weight: u128 = 0;
-        for e in &self.entries {
-            let w = u128::from(e.weight);
-            if acc_weight + w <= capacity {
-                acc_weight += w;
-                acc_profit += u128::from(e.profit);
-                if acc_profit >= target {
-                    return Some((self.free + acc_profit, acc_weight));
+        for block in &self.blocks {
+            if acc_weight + block.weight <= capacity && acc_profit + block.profit < target {
+                acc_weight += block.weight;
+                acc_profit += block.profit;
+                continue;
+            }
+            if acc_weight + u128::from(block.lightest) > capacity {
+                continue;
+            }
+            for e in &block.entries {
+                let w = u128::from(e.weight);
+                if acc_weight + w <= capacity {
+                    acc_weight += w;
+                    acc_profit += u128::from(e.profit);
+                    if acc_profit >= target {
+                        return Some((self.free + acc_profit, acc_weight));
+                    }
                 }
             }
         }
         // Best single item is another classic feasible witness.
-        self.entries
+        self.blocks
             .iter()
+            .filter(|b| {
+                u128::from(b.lightest) <= capacity && u128::from(b.top_profit) >= target
+            })
+            .flat_map(|block| &block.entries)
             .find(|e| u128::from(e.weight) <= capacity && u128::from(e.profit) >= target)
             .map(|e| (self.free + u128::from(e.profit), u128::from(e.weight)))
     }
 
     /// Profit of the greedy feasible packing under `capacity` — a certified
-    /// lower bound on the optimum.
+    /// lower bound on the optimum. Takes and skips whole blocks as
+    /// [`SortedItems::greedy_witness`] does.
     #[must_use]
     pub fn greedy_lower_bound(&self, capacity: u128) -> u128 {
         let mut acc_profit: u128 = 0;
         let mut acc_weight: u128 = 0;
-        for e in &self.entries {
-            let w = u128::from(e.weight);
-            if acc_weight + w <= capacity {
-                acc_weight += w;
-                acc_profit += u128::from(e.profit);
+        let mut best_single = 0;
+        for block in &self.blocks {
+            if u128::from(block.heaviest) <= capacity {
+                best_single = best_single.max(block.top_profit);
+            } else if u128::from(block.lightest) <= capacity {
+                let fits = block.entries.iter().filter(|e| u128::from(e.weight) <= capacity);
+                best_single = fits.map(|e| e.profit).fold(best_single, u64::max);
+            }
+            if acc_weight + block.weight <= capacity {
+                acc_weight += block.weight;
+                acc_profit += block.profit;
+                continue;
+            }
+            if acc_weight + u128::from(block.lightest) > capacity {
+                continue;
+            }
+            for e in &block.entries {
+                let w = u128::from(e.weight);
+                if acc_weight + w <= capacity {
+                    acc_weight += w;
+                    acc_profit += u128::from(e.profit);
+                }
             }
         }
-        let best_single = self
-            .entries
-            .iter()
-            .filter(|e| u128::from(e.weight) <= capacity)
-            .map(|e| u128::from(e.profit))
-            .max()
-            .unwrap_or(0);
-        self.free + acc_profit.max(best_single)
+        self.free + acc_profit.max(u128::from(best_single))
     }
 
     /// The paper's three-valued quasilinear test combining both bounds.
@@ -1638,11 +1816,9 @@ mod tests {
         // Includes an unchanged party: a no-op change splices to itself.
         let changes: Vec<_> = [0, 2, 5, 4].iter().map(|&i| (i, old[i], new[i])).collect();
         spliced.splice(&changes);
-        let rebuilt = SortedItems::new(&new);
-        assert_eq!(spliced.free, rebuilt.free);
-        assert_eq!(spliced.entries, rebuilt.entries);
-        assert_eq!(spliced.prefix_profit, rebuilt.prefix_profit);
-        assert_eq!(spliced.prefix_weight, rebuilt.prefix_weight);
+        assert_eq!(spliced.parts(), SortedItems::new(&new).parts());
+        // A view never built answers as an empty one.
+        same_answers(&SortedItems::default(), &[], 5, 3);
     }
 
     #[test]
@@ -2024,8 +2200,9 @@ mod tests {
                 old.iter_mut().for_each(|it| it.profit = 0);
             }
             let view = SortedItems::new(&old);
-            let picked = (!view.entries.is_empty())
-                .then(|| view.entries[pick as usize % view.entries.len()]);
+            let entries: Vec<Entry> = view.entries().copied().collect();
+            let picked =
+                (!entries.is_empty()).then(|| entries[pick as usize % entries.len()]);
             let as_item = |e: Entry| Item { profit: e.profit, weight: e.weight };
             let mut new = old.clone();
             let fresh = pw.len()..old.len();
@@ -2045,9 +2222,9 @@ mod tests {
                     // above land just past its slot, and one copy of the
                     // entry before it lands on the slot.
                     new[e.party as usize].profit = 0;
-                    let at = view.entries.iter().position(|x| x.party == e.party);
+                    let at = entries.iter().position(|x| x.party == e.party);
                     if let Some(before) = at.and_then(|at| at.checked_sub(1)) {
-                        new[fresh.start] = as_item(view.entries[before]);
+                        new[fresh.start] = as_item(entries[before]);
                     }
                 }
                 (4, _) => new.iter_mut().for_each(|it| it.profit = 0),
@@ -2209,6 +2386,153 @@ mod tests {
             prop_assert_eq!(probe.best, old);
             for w in probe.frontier.windows(2) {
                 prop_assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1);
+            }
+        }
+    }
+    /// Every query a splice must keep, asked of `view` and of a fresh
+    /// rebuild of `items` at `capacity`, with `profit_cap` for the class
+    /// order.
+    fn same_answers(view: &SortedItems, items: &[Item], capacity: u128, profit_cap: u64) {
+        let fresh = SortedItems::new(items);
+        assert_eq!(view.cut(capacity), fresh.cut(capacity), "cut at {capacity}");
+        assert_eq!(view.break_ratio(capacity), fresh.break_ratio(capacity));
+        assert_eq!(
+            view.fractional_upper_bound_floor(capacity),
+            fresh.fractional_upper_bound_floor(capacity)
+        );
+        assert_eq!(view.greedy_lower_bound(capacity), fresh.greedy_lower_bound(capacity));
+        assert_eq!(view.densest(), fresh.densest());
+        // The scans the blocks shortcut, entry by entry over the rebuild.
+        let flat: Vec<Entry> = fresh.entries().copied().collect();
+        let (mut acc_p, mut acc_w) = (fresh.free, 0);
+        let mut best_single = 0;
+        for e in &flat {
+            if acc_w + u128::from(e.weight) <= capacity {
+                acc_w += u128::from(e.weight);
+                acc_p += u128::from(e.profit);
+            }
+            if u128::from(e.weight) <= capacity {
+                best_single = best_single.max(u128::from(e.profit));
+            }
+        }
+        assert_eq!(view.greedy_lower_bound(capacity), acc_p.max(fresh.free + best_single));
+        for target in [0, 1, profit_cap, (acc_p as u64).saturating_add(1), acc_p as u64 / 2] {
+            assert_eq!(
+                view.fractional_upper_bound_reaches(capacity, target),
+                fresh.fractional_upper_bound_reaches(capacity, target)
+            );
+            let witness = view.greedy_witness(capacity, target);
+            assert_eq!(witness, fresh.greedy_witness(capacity, target), "target {target}");
+            let target = u128::from(target);
+            let (mut p, mut w) = (fresh.free, 0);
+            let mut want = (target <= p).then_some((p, w));
+            for e in &flat {
+                if want.is_none() && w + u128::from(e.weight) <= capacity {
+                    (p, w) = (p + u128::from(e.profit), w + u128::from(e.weight));
+                    want = (p >= target).then_some((p, w));
+                }
+            }
+            let single = flat.iter().find(|e| {
+                u128::from(e.weight) <= capacity && fresh.free + u128::from(e.profit) >= target
+            });
+            let single =
+                single.map(|e| (fresh.free + u128::from(e.profit), u128::from(e.weight)));
+            assert_eq!(witness, want.or(single), "target {target}");
+        }
+        let (mut a, mut b) = (DpScratch::default(), DpScratch::default());
+        view.class_order(&mut a, capacity, profit_cap);
+        fresh.class_order(&mut b, capacity, profit_cap);
+        assert_eq!(a.kept, b.kept, "class order");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Splice batches on views of 0, 1, B − 1, B, B + 1 and 2B + 1
+        /// entries (B = [`BLOCK`]): over B + 1 insertions beside one entry
+        /// (the block splits), every entry of one block removed (it is
+        /// dropped), insertions past the last entry, removals only, and
+        /// random churn. After each batch the view equals a rebuild
+        /// (`parts` also checks every block's sums, extremes and prefix),
+        /// and the cut, break ratio, both fractional bounds, the greedy
+        /// bound and witness and the class order agree with the rebuild's
+        /// and with the entry-by-entry scans at random capacities.
+        #[test]
+        fn blocked_splices_match_rebuilds_across_block_edges(
+            size in 0usize..6,
+            seed in 1u64..u64::MAX,
+            batches in proptest::collection::vec(0u8..5, 1..5),
+        ) {
+            let mut next = xorshift_stream(seed);
+            let len = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1][size];
+            // Parties past the base hold nothing: room to insert.
+            let room = 2 * BLOCK + 2;
+            let mut items: Vec<Item> = (0..len + room)
+                .map(|i| {
+                    if i < len {
+                        Item { profit: 1 + next() % 30, weight: 1 + next() % 60 }
+                    } else {
+                        Item { profit: 0, weight: 0 }
+                    }
+                })
+                .collect();
+            let mut view = SortedItems::new(&items);
+            prop_assert_eq!(view.entries().count(), len);
+            for batch in batches {
+                let mut new = items.clone();
+                let idle: Vec<usize> = (0..new.len()).filter(|&i| new[i].profit == 0).collect();
+                let entries: Vec<Entry> = view.entries().copied().collect();
+                match batch {
+                    // Copies of one entry's item land beside it.
+                    0 => {
+                        let like = entries.get(next() as usize % entries.len().max(1)).map_or(
+                            Item { profit: 3, weight: 7 },
+                            |e| Item { profit: e.profit, weight: e.weight },
+                        );
+                        for &i in idle.iter().take(BLOCK + 1) {
+                            new[i] = like;
+                        }
+                    }
+                    // Every entry of one block leaves.
+                    1 => {
+                        if !view.blocks.is_empty() {
+                            let b = next() as usize % view.blocks.len();
+                            for e in &view.blocks[b].entries {
+                                new[e.party as usize].profit = 0;
+                            }
+                        }
+                    }
+                    // Past the last entry: the lowest ratios there are.
+                    2 => {
+                        for (k, &i) in idle.iter().take(1 + next() as usize % 40).enumerate() {
+                            new[i] = Item { profit: 1, weight: 1000 + k as u64 };
+                        }
+                    }
+                    // Removals only.
+                    3 => {
+                        for e in entries.iter().filter(|_| next().is_multiple_of(5)) {
+                            new[e.party as usize].profit = 0;
+                        }
+                    }
+                    // Random churn: re-weighed, emptied, zero-weight, new.
+                    _ => {
+                        for _ in 0..1 + next() % 64 {
+                            let i = next() as usize % new.len();
+                            new[i] = Item { profit: next() % 30, weight: next() % 60 };
+                        }
+                    }
+                }
+                let changes: Vec<_> = (0..items.len())
+                    .filter(|&i| items[i] != new[i])
+                    .map(|i| (i, items[i], new[i]))
+                    .collect();
+                view.splice(&changes);
+                items = new;
+                prop_assert_eq!(view.parts(), SortedItems::new(&items).parts());
+                let total: u128 = items.iter().map(|it| u128::from(it.weight)).sum();
+                for capacity in [0, 1, total / 3, total, total + 1, u128::from(next()) % (total + 2)] {
+                    same_answers(&view, &items, capacity, 1 + next() % 40);
+                }
             }
         }
     }

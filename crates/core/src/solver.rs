@@ -76,6 +76,9 @@ pub struct SolveStats {
     /// Table states those DP calls read: the pre-item states each per-item
     /// update reads, and the window evaluations of the profit-class path.
     pub dp_cells: u64,
+    /// Entries the oracle's sorted-view splices wrote
+    /// ([`crate::knapsack::SortedItems::splice`]); a re-sort writes none.
+    pub splice_copied: u64,
     /// Checks settled by the theoretical bound itself (bootstrapping).
     pub settled_by_theorem: u64,
     /// Checks answered from a [`crate::CachingOracle`] verdict cache.
@@ -117,6 +120,7 @@ impl SolveStats {
         self.settled_by_lower_bound += other.settled_by_lower_bound;
         self.dp_invocations += other.dp_invocations;
         self.dp_cells += other.dp_cells;
+        self.splice_copied += other.splice_copied;
         self.settled_by_theorem += other.settled_by_theorem;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -1412,8 +1416,8 @@ mod tests {
 
     /// Oracle equivalence (WR): the solver must produce the *identical*
     /// `TicketAssignment` as the seed cascade — and identical `SolveStats`
-    /// (bar the cursor's own reuse and grid-pass counters and `dp_cells`,
-    /// which the seed did not count), so `dp_invocations` cannot regress.
+    /// (bar the cursor's own reuse and grid-pass counters, `dp_cells` and
+    /// `splice_copied`, which the seed did not count), so `dp_invocations` cannot regress.
     /// The reference materializes every probe from scratch, so this is also
     /// the cursor ≡ from-scratch pin at solver level, and it decides every
     /// DP probe on the full table
@@ -1425,8 +1429,13 @@ mod tests {
             let old = reference::solve_restriction(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
             assert_eq!(new.ticket_bound, old.ticket_bound);
-            let masked =
-                SolveStats { cursor_advances: 0, grid_counts: 0, dp_cells: 0, ..new.stats };
+            let masked = SolveStats {
+                cursor_advances: 0,
+                grid_counts: 0,
+                dp_cells: 0,
+                splice_copied: 0,
+                ..new.stats
+            };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]
@@ -1438,8 +1447,13 @@ mod tests {
             let new = Swiper::with_mode(mode).solve_separation(w, p).unwrap();
             let old = reference::solve_separation(mode, w, p).unwrap();
             assert_eq!(new.assignment, old.assignment, "{mode:?}");
-            let masked =
-                SolveStats { cursor_advances: 0, grid_counts: 0, dp_cells: 0, ..new.stats };
+            let masked = SolveStats {
+                cursor_advances: 0,
+                grid_counts: 0,
+                dp_cells: 0,
+                splice_copied: 0,
+                ..new.stats
+            };
             assert_eq!(masked, old.stats, "{mode:?}");
             new.stats.dp_invocations
         })[0]

@@ -342,6 +342,11 @@ impl VirtualUsers {
         self.tickets.get(i)
     }
 
+    /// The ticket assignment the mapping is built over.
+    pub fn assignment(&self) -> &TicketAssignment {
+        &self.tickets
+    }
+
     /// Locates virtual user `v` as `(owner, offset)` — the controlling
     /// party and `v`'s position within that party's range. The inverse of
     /// [`VirtualUsers::at`]. Offsets are the epoch-stable coordinate of a

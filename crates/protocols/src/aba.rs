@@ -214,9 +214,7 @@ impl AbaSetup {
                 if event.delta().is_unchanged() {
                     return Some(false);
                 }
-                let per_party: Vec<u64> =
-                    (0..roster.parties()).map(|p| roster.tickets_of(p)).collect();
-                self.redeal(TicketAssignment::new(per_party), event);
+                self.redeal(roster.assignment(), event);
                 Some(true)
             }
         }

@@ -56,7 +56,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use swiper_core::{CoreError, EpochEvent, Ratio, StableId, TicketDelta, VirtualUsers, Weights};
+use swiper_core::{
+    CoreError, EpochEvent, Ratio, StableId, TicketAssignment, TicketDelta, VirtualUsers,
+    Weights,
+};
 
 /// A shared, epoch-aware identity directory: one replica's view of the
 /// current virtual-user mapping, shared between a black-box wrapper and
@@ -104,6 +107,11 @@ impl Roster {
     /// Panics if `party >= self.parties()`.
     pub fn tickets_of(&self, party: usize) -> u64 {
         self.read().tickets_of(party)
+    }
+
+    /// A copy of the current ticket assignment.
+    pub fn assignment(&self) -> TicketAssignment {
+        self.read().assignment().clone()
     }
 
     /// The stable identity of the current dense id `v`.
@@ -512,6 +520,9 @@ mod tests {
         assert!(q.reached(&()));
 
         roster.apply_delta(&delta).unwrap();
+        // The spliced roster holds the new assignment, fingerprint and all.
+        assert_eq!(roster.assignment(), new);
+        assert_eq!(roster.assignment().fingerprint(), new.fingerprint());
         q.on_epoch(&event);
         // Retired voters shed: (0,1), (2,0); survivors retained.
         assert_eq!(q.tally(&()), old_map.total() as u128 - 2);
