@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use swiper_core::{Ratio, Swiper, WeightRestriction, Weights};
-use swiper_crypto::thresh::PartialSignature;
 use swiper_protocols::beacon::BeaconSetup;
 
 fn bench_beacon_rounds(c: &mut Criterion) {
@@ -36,14 +35,11 @@ fn bench_beacon_rounds(c: &mut Criterion) {
 
 fn sign_and_combine(setup: &BeaconSetup, round: u64) -> [u8; 32] {
     let tag = BeaconSetup::round_tag(round);
-    let mut partials: Vec<PartialSignature> = Vec::new();
-    for bundle in &setup.shares {
-        for share in bundle {
-            partials.push(setup.scheme.partial_sign(share, &tag));
-        }
-    }
-    partials.truncate(setup.scheme.threshold());
-    let sig = setup.scheme.combine(&partials).expect("threshold met");
+    let keys = &setup.keys;
+    let mut partials: Vec<_> =
+        (0..keys.mapping().parties()).flat_map(|p| keys.partials(p, &tag)).collect();
+    partials.truncate(keys.threshold());
+    let sig = keys.combine(&tag, &partials).expect("threshold met");
     *BeaconSetup::output_of(&sig).as_bytes()
 }
 

@@ -136,7 +136,7 @@ fn measured_beacon_overhead(sol: &Solution) {
 }
 
 fn run_beacon(setup: &BeaconSetup, seed: u64) -> u64 {
-    let n = setup.shares.len();
+    let n = setup.keys.mapping().parties();
     let nodes: Vec<Box<dyn Protocol<Msg = BeaconMsg>>> =
         (0..n).map(|_| Box::new(BeaconNode::new(setup.clone(), 1)) as _).collect();
     let report = Simulation::new(nodes, seed).run();

@@ -38,6 +38,37 @@ fn hash_to_field(msg: &[u8]) -> F61 {
     }
 }
 
+/// Interpolates at zero the first `threshold` of the `(index, value)`
+/// points: a group secret from key shares, a signature from partials, a
+/// decryption mask from decryption shares.
+///
+/// # Errors
+///
+/// * [`CryptoError::DuplicateShare`] on a repeated index (anywhere in the
+///   input, not only among the first `threshold`).
+/// * [`CryptoError::NotEnoughShares`] below the threshold.
+fn interpolate_at_zero(
+    threshold: usize,
+    points: impl Iterator<Item = (u64, F61)>,
+) -> Result<F61, CryptoError> {
+    let mut seen = std::collections::HashSet::new();
+    let mut used = Vec::with_capacity(threshold);
+    for (index, value) in points {
+        if !seen.insert(index) {
+            return Err(CryptoError::DuplicateShare { index });
+        }
+        if used.len() < threshold {
+            used.push((index, value));
+        }
+    }
+    if used.len() < threshold {
+        return Err(CryptoError::NotEnoughShares { needed: threshold, have: used.len() });
+    }
+    let xs: Vec<F61> = used.iter().map(|&(index, _)| F61::eval_point(index as usize)).collect();
+    let lambdas = poly::lagrange_coefficients(&xs, F61::ZERO);
+    Ok(used.iter().zip(lambdas).fold(F61::ZERO, |acc, (&(_, value), l)| acc + value * l))
+}
+
 /// A share of the signing key (one per virtual user).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KeyShare {
@@ -124,19 +155,7 @@ impl ThresholdScheme {
                 break c;
             }
         };
-        // Shamir-share the secret.
-        let mut coeffs = vec![secret];
-        for _ in 1..self.threshold {
-            coeffs.push(F61::new(rng.random::<u64>()));
-        }
-        let shares: Vec<KeyShare> = (0..self.total)
-            .map(|i| KeyShare {
-                index: i as u64,
-                value: poly::eval(&coeffs, F61::eval_point(i)),
-            })
-            .collect();
-        let per_share = shares.iter().map(|ks| ks.value * h).collect();
-        (PublicKey { h, group: secret * h, per_share }, shares)
+        self.split(secret, h, rng)
     }
 
     /// Deals fresh shares of an **existing** group secret to this scheme's
@@ -166,33 +185,21 @@ impl ThresholdScheme {
         old_shares: &[KeyShare],
         rng: &mut R,
     ) -> Result<(PublicKey, Vec<KeyShare>), CryptoError> {
-        // Recover the secret by interpolating `old.threshold` distinct
-        // shares at zero.
-        let mut seen = std::collections::HashSet::new();
-        let mut use_shares = Vec::with_capacity(old.threshold);
-        for s in old_shares {
-            if !seen.insert(s.index) {
-                return Err(CryptoError::DuplicateShare { index: s.index });
-            }
-            if use_shares.len() < old.threshold {
-                use_shares.push(*s);
-            }
-        }
-        if use_shares.len() < old.threshold {
-            return Err(CryptoError::NotEnoughShares {
-                needed: old.threshold,
-                have: use_shares.len(),
-            });
-        }
-        let xs: Vec<F61> =
-            use_shares.iter().map(|s| F61::eval_point(s.index as usize)).collect();
-        let lambdas = poly::lagrange_coefficients(&xs, F61::ZERO);
-        let mut secret = F61::ZERO;
-        for (s, l) in use_shares.iter().zip(lambdas) {
-            secret = secret + s.value * l;
-        }
+        let points = old_shares.iter().map(|s| (s.index, s.value));
+        let secret = interpolate_at_zero(old.threshold, points)?;
         // Fresh polynomial, same constant term, same base point.
-        let h = old_pk.h;
+        Ok(self.split(secret, old_pk.h, rng))
+    }
+
+    /// Shamir-splits `secret` over a fresh random polynomial of degree
+    /// `threshold - 1` into `total` shares, with their verification keys
+    /// under the base `h`.
+    fn split<R: Rng + ?Sized>(
+        &self,
+        secret: F61,
+        h: F61,
+        rng: &mut R,
+    ) -> (PublicKey, Vec<KeyShare>) {
         let mut coeffs = vec![secret];
         for _ in 1..self.threshold {
             coeffs.push(F61::new(rng.random::<u64>()));
@@ -204,7 +211,7 @@ impl ThresholdScheme {
             })
             .collect();
         let per_share = shares.iter().map(|ks| ks.value * h).collect();
-        Ok((PublicKey { h, group: secret * h, per_share }, shares))
+        (PublicKey { h, group: secret * h, per_share }, shares)
     }
 
     /// Produces a partial signature.
@@ -234,30 +241,8 @@ impl ThresholdScheme {
     /// * [`CryptoError::NotEnoughShares`] below the threshold.
     /// * [`CryptoError::DuplicateShare`] on repeated indices.
     pub fn combine(&self, partials: &[PartialSignature]) -> Result<Signature, CryptoError> {
-        let mut seen = std::collections::HashSet::new();
-        let mut use_partials = Vec::with_capacity(self.threshold);
-        for p in partials {
-            if !seen.insert(p.index) {
-                return Err(CryptoError::DuplicateShare { index: p.index });
-            }
-            if use_partials.len() < self.threshold {
-                use_partials.push(*p);
-            }
-        }
-        if use_partials.len() < self.threshold {
-            return Err(CryptoError::NotEnoughShares {
-                needed: self.threshold,
-                have: use_partials.len(),
-            });
-        }
-        let xs: Vec<F61> =
-            use_partials.iter().map(|p| F61::eval_point(p.index as usize)).collect();
-        let lambdas = poly::lagrange_coefficients(&xs, F61::ZERO);
-        let mut sig = F61::ZERO;
-        for (p, l) in use_partials.iter().zip(lambdas) {
-            sig = sig + p.value * l;
-        }
-        Ok(Signature(sig))
+        let points = partials.iter().map(|p| (p.index, p.value));
+        interpolate_at_zero(self.threshold, points).map(Signature)
     }
 
     /// Verifies a combined signature: `sigma * h == group_vk * H(m)`.
@@ -332,29 +317,8 @@ impl ThresholdScheme {
         ct: &Ciphertext,
         shares: &[DecryptionShare],
     ) -> Result<Vec<u8>, CryptoError> {
-        let mut seen = std::collections::HashSet::new();
-        let mut use_shares = Vec::with_capacity(self.threshold);
-        for s in shares {
-            if !seen.insert(s.index) {
-                return Err(CryptoError::DuplicateShare { index: s.index });
-            }
-            if use_shares.len() < self.threshold {
-                use_shares.push(*s);
-            }
-        }
-        if use_shares.len() < self.threshold {
-            return Err(CryptoError::NotEnoughShares {
-                needed: self.threshold,
-                have: use_shares.len(),
-            });
-        }
-        let xs: Vec<F61> =
-            use_shares.iter().map(|s| F61::eval_point(s.index as usize)).collect();
-        let lambdas = poly::lagrange_coefficients(&xs, F61::ZERO);
-        let mut combined = F61::ZERO;
-        for (s, l) in use_shares.iter().zip(lambdas) {
-            combined = combined + s.value * l;
-        }
+        let points = shares.iter().map(|s| (s.index, s.value));
+        let combined = interpolate_at_zero(self.threshold, points)?;
         let mask = kdf(combined, ct.masked.len());
         Ok(ct.masked.iter().zip(mask).map(|(b, m)| b ^ m).collect())
     }

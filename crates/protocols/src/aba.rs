@@ -20,12 +20,12 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
-use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
+use rand::Rng;
+use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, Weights};
+use swiper_crypto::thresh::PartialSignature;
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
 
+use crate::keys::{majority, Shares, TicketKeys};
 use crate::quorum::{Electorate, IdentityView, QuorumSet, Roster};
 
 /// ABA protocol messages.
@@ -94,9 +94,7 @@ pub struct AbaSetup {
     weights: Weights,
     /// The assignment the coin keys are currently dealt to.
     tickets: TicketAssignment,
-    scheme: ThresholdScheme,
-    pk: PublicKey,
-    shares: Vec<Vec<KeyShare>>,
+    keys: TicketKeys,
     /// Domain-separation tag so concurrent instances draw distinct coins.
     instance: u64,
     /// Identity regime: [`IdentityView::Party`] for fixed party sets (the
@@ -120,23 +118,11 @@ impl AbaSetup {
         rng: &mut R,
     ) -> Self {
         assert_eq!(weights.len(), tickets.len(), "weights/tickets mismatch");
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "coin needs at least one ticket");
-        // Strict majority of tickets: unreachable below 1/2, held by the
-        // honest (> 1/2 by WR with alpha_n = 1/2).
-        let threshold = total / 2 + 1;
-        let scheme = ThresholdScheme::new(threshold, total).expect("threshold <= total");
-        let (pk, all_shares) = scheme.keygen(rng);
-        let shares = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all_shares[v]).collect())
-            .collect();
+        let keys = TicketKeys::deal(tickets, majority(tickets), rng);
         AbaSetup {
             weights,
             tickets: tickets.clone(),
-            scheme,
-            pk,
-            shares,
+            keys,
             instance,
             view: IdentityView::Party,
         }
@@ -181,21 +167,19 @@ impl AbaSetup {
     /// new epoch (the black-box wrapper splices it before propagating the
     /// event, and validates the event against its own mapping).
     pub fn on_epoch(&mut self, event: &EpochEvent) -> Option<bool> {
-        match self.view.roster().cloned() {
+        // The tickets the epoch moves to, and the holders the shares
+        // re-deal over.
+        let (next, holders) = match self.view.roster() {
             // Party regime: chain the delta from our dealt tickets; only
             // an event that does chain is allowed to touch anything.
-            None => match event.delta().apply_to(&self.tickets) {
-                Err(_) => None,
-                Ok(next) => {
-                    let _ = event.refresh_weights(&mut self.weights);
-                    if next != self.tickets {
-                        self.redeal(next, event);
-                        Some(true)
-                    } else {
-                        Some(false)
-                    }
+            None => {
+                let next = event.delta().apply_to(&self.tickets).ok()?;
+                let _ = event.refresh_weights(&mut self.weights);
+                if next == self.tickets {
+                    return Some(false);
                 }
-            },
+                (next.clone(), next)
+            }
             // Roster regime: the wrapper already spliced the mapping. The
             // hosted nominal instance treats each virtual user as a
             // one-ticket party, so shares re-deal over the roster's new
@@ -214,40 +198,21 @@ impl AbaSetup {
                 if event.delta().is_unchanged() {
                     return Some(false);
                 }
-                self.redeal(roster.assignment(), event);
-                Some(true)
+                (roster.assignment(), TicketAssignment::new(vec![1; roster.total()]))
             }
-        }
+        };
+        // Same group secret (straddling rounds keep their coin value),
+        // fresh shares for the new population, identical on every replica.
+        let seed = event.fold_rekey(next.fingerprint()) ^ self.instance;
+        self.keys = self.keys.reshare(&holders, majority(&holders), seed);
+        self.tickets = next;
+        Some(true)
     }
 
-    /// Deterministically reshares the coin keys for the new epoch: same
-    /// group secret (straddling rounds keep their coin value), fresh
-    /// shares for the new population, identical on every replica. In the
-    /// party regime shares distribute over `tickets`' virtual users; in
-    /// the roster regime every virtual user of the new population is its
-    /// own one-share holder (the nominal hosting shape).
-    fn redeal(&mut self, tickets: TicketAssignment, event: &EpochEvent) {
-        let seed = event.fold_rekey(tickets.fingerprint()) ^ self.instance;
-        let deal_over = match self.view.roster() {
-            None => tickets.clone(),
-            Some(roster) => TicketAssignment::new(vec![1; roster.total()]),
-        };
-        let mapping = VirtualUsers::from_assignment(&deal_over).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "coin needs at least one ticket");
-        let new_scheme =
-            ThresholdScheme::new(total / 2 + 1, total).expect("threshold <= total");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let flat: Vec<KeyShare> = self.shares.iter().flatten().copied().collect();
-        let (pk, all) = new_scheme
-            .reshare(&self.scheme, &self.pk, &flat, &mut rng)
-            .expect("the dealt generation holds a recovery quorum");
-        self.shares = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all[v]).collect())
-            .collect();
-        self.scheme = new_scheme;
-        self.pk = pk;
-        self.tickets = tickets;
+    /// The coin keys, as the last epoch left them.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> &TicketKeys {
+        &self.keys
     }
 
     fn coin_tag(&self, round: u32) -> Vec<u8> {
@@ -301,8 +266,9 @@ struct RoundState {
     /// holds (their weight is tallied under [`Tally::Aux`]).
     aux_of: HashMap<StableId, bool>,
     coin_sent: bool,
-    coin_seen: std::collections::HashSet<u64>,
-    coin_partials: Vec<PartialSignature>,
+    /// The coin partials received under the current keys (`None` before
+    /// the first).
+    coin_shares: Option<Shares>,
     coin: Option<bool>,
     /// `vals` snapshot (as a {false, true} membership pair) taken when the
     /// AUX quorum first completed.
@@ -387,13 +353,7 @@ impl AbaNode {
                 st.vals.is_some() && !st.coin_sent
             };
             if need_coin {
-                let partials: Vec<PartialSignature> = {
-                    let tag = self.setup.coin_tag(round);
-                    self.setup.shares[ctx.me()]
-                        .iter()
-                        .map(|s| self.setup.scheme.partial_sign(s, &tag))
-                        .collect()
-                };
+                let partials = self.setup.keys.partials(ctx.me(), &self.setup.coin_tag(round));
                 let st = self.state(round);
                 st.coin_sent = true;
                 ctx.broadcast(AbaMsg::CoinShare { round, partials });
@@ -446,17 +406,10 @@ impl AbaNode {
     }
 
     fn try_combine_coin(&mut self, round: u32) {
-        let tag = self.setup.coin_tag(round);
-        let scheme = self.setup.scheme.clone();
-        let pk = self.setup.pk.clone();
         let st = self.state(round);
-        if st.coin.is_some() || st.coin_partials.len() < scheme.threshold() {
-            return;
-        }
-        if let Ok(sig) = scheme.combine(&st.coin_partials) {
-            if scheme.verify(&pk, &tag, &sig) {
-                st.coin = Some(sig.beacon_output().to_u64() & 1 == 1);
-            }
+        if st.coin.is_none() {
+            let sig = st.coin_shares.as_ref().and_then(Shares::signature);
+            st.coin = sig.map(|sig| sig.beacon_output().to_u64() & 1 == 1);
         }
     }
 
@@ -547,15 +500,11 @@ impl Protocol for AbaNode {
                 }
             }
             AbaMsg::CoinShare { round, partials } => {
-                let tag = self.setup.coin_tag(round);
-                let scheme = self.setup.scheme.clone();
-                let pk = self.setup.pk.clone();
-                let st = self.state(round);
-                for p in partials {
-                    if scheme.verify_partial(&pk, &tag, &p) && st.coin_seen.insert(p.index) {
-                        st.coin_partials.push(p);
-                    }
-                }
+                let setup = &self.setup;
+                let st = self.rounds.entry(round).or_default();
+                let shares =
+                    st.coin_shares.get_or_insert_with(|| Shares::new(setup.coin_tag(round)));
+                shares.add(&setup.keys, partials);
             }
             AbaMsg::Decided { value } => {
                 for tally in [Tally::Adopt(value), Tally::Halt(value)] {
@@ -586,8 +535,7 @@ impl Protocol for AbaNode {
         if rekeyed {
             for st in self.rounds.values_mut() {
                 if st.coin.is_none() {
-                    st.coin_partials.clear();
-                    st.coin_seen.clear();
+                    st.coin_shares = None;
                     st.coin_sent = false;
                 }
             }

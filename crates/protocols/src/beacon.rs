@@ -15,22 +15,18 @@
 //!   — the beacon stays **live** without any corrupt help.
 
 use rand::Rng;
-use swiper_core::{EpochEvent, Ratio, TicketAssignment, VirtualUsers};
+use swiper_core::{EpochEvent, Ratio, TicketAssignment};
 use swiper_crypto::hash::Digest;
-use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
+use swiper_crypto::thresh::{PartialSignature, Signature};
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
+
+use crate::keys::{Shares, TicketKeys};
 
 /// Public setup broadcast by the (simulated) trusted dealer.
 #[derive(Debug, Clone)]
 pub struct BeaconSetup {
-    /// The threshold scheme parameters.
-    pub scheme: ThresholdScheme,
-    /// Public verification material.
-    pub pk: PublicKey,
-    /// Per-party key share bundles (party `i` controls `tickets[i]`).
-    pub shares: Vec<Vec<KeyShare>>,
-    /// The virtual-user mapping used to deal the shares.
-    pub mapping: VirtualUsers,
+    /// The signing keys, dealt to the virtual users of the tickets.
+    pub keys: TicketKeys,
 }
 
 impl BeaconSetup {
@@ -46,18 +42,10 @@ impl BeaconSetup {
         alpha_n: Ratio,
         rng: &mut R,
     ) -> Self {
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "ticket assignment must allocate tickets");
-        let threshold_num = alpha_n.num() * total as u128;
-        let threshold =
-            usize::try_from(threshold_num.div_ceil(alpha_n.den())).expect("fits").max(1);
-        let scheme = ThresholdScheme::new(threshold, total).expect("threshold <= total");
-        let (pk, all_shares) = scheme.keygen(rng);
-        let shares = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all_shares[v]).collect())
-            .collect();
-        BeaconSetup { scheme, pk, shares, mapping }
+        let total = tickets.total();
+        let target = alpha_n.num().checked_mul(total).expect("alpha_n * T fits u128");
+        let threshold = usize::try_from(target.div_ceil(alpha_n.den())).expect("fits").max(1);
+        BeaconSetup { keys: TicketKeys::deal(tickets, threshold, rng) }
     }
 
     /// Nominal setup: one share per party, threshold `ceil(alpha_n * n)`.
@@ -74,7 +62,7 @@ impl BeaconSetup {
     }
 
     /// Derives the round output from the combined signature.
-    pub fn output_of(sig: &swiper_crypto::thresh::Signature) -> Digest {
+    pub fn output_of(sig: &Signature) -> Digest {
         sig.beacon_output()
     }
 }
@@ -98,50 +86,17 @@ impl MessageSize for BeaconMsg {
 pub struct BeaconNode {
     setup: BeaconSetup,
     round: u64,
-    collected: Vec<PartialSignature>,
-    seen: std::collections::HashSet<u64>,
+    shares: Shares,
     /// Whether this party's own partials have been broadcast — the duty
-    /// that must be done before halting (see [`BeaconNode::try_combine`]).
+    /// that must be done before halting (see `on_message`).
     shared: bool,
-    done: bool,
 }
 
 impl BeaconNode {
     /// A party contributing to (and outputting) round `round`.
     pub fn new(setup: BeaconSetup, round: u64) -> Self {
-        BeaconNode {
-            setup,
-            round,
-            collected: Vec::new(),
-            seen: Default::default(),
-            shared: false,
-            done: false,
-        }
-    }
-
-    fn try_combine(&mut self, ctx: &mut Context<BeaconMsg>) {
-        if self.done || self.collected.len() < self.setup.scheme.threshold() {
-            return;
-        }
-        if let Ok(sig) = self.setup.scheme.combine(&self.collected) {
-            let msg = BeaconSetup::round_tag(self.round);
-            if self.setup.scheme.verify(&self.setup.pk, &msg, &sig) {
-                self.done = true;
-                ctx.output(BeaconSetup::output_of(&sig).as_bytes().to_vec());
-                // Halt-before-duty audit (same class as the ECBC seed-15
-                // bug, found live in `tight.rs`/`avid.rs`): the beacon's
-                // only duty towards slower parties is broadcasting its own
-                // partials, which `on_start` discharges unconditionally
-                // before any message can be delivered — so this halt can
-                // never starve anyone. The explicit gate keeps that
-                // invariant structural rather than incidental: if share
-                // broadcasting ever becomes conditional or message-driven,
-                // the node stays live until the duty is done.
-                if self.shared {
-                    ctx.halt();
-                }
-            }
-        }
+        let shares = Shares::new(BeaconSetup::round_tag(round));
+        BeaconNode { setup, round, shares, shared: false }
     }
 }
 
@@ -150,28 +105,32 @@ impl Protocol for BeaconNode {
 
     fn on_start(&mut self, ctx: &mut Context<BeaconMsg>) {
         let tag = BeaconSetup::round_tag(self.round);
-        let partials: Vec<PartialSignature> = self.setup.shares[ctx.me()]
-            .iter()
-            .map(|s| self.setup.scheme.partial_sign(s, &tag))
-            .collect();
+        let partials = self.setup.keys.partials(ctx.me(), &tag);
         ctx.broadcast(BeaconMsg { round: self.round, partials });
         self.shared = true;
     }
 
     fn on_message(&mut self, _from: NodeId, msg: BeaconMsg, ctx: &mut Context<BeaconMsg>) {
-        if msg.round != self.round || self.done {
+        if msg.round != self.round {
             return;
         }
-        let tag = BeaconSetup::round_tag(self.round);
-        for p in msg.partials {
-            // Verify and deduplicate by share index.
-            if self.setup.scheme.verify_partial(&self.setup.pk, &tag, &p)
-                && self.seen.insert(p.index)
-            {
-                self.collected.push(p);
+        // The collector yields the signature once; later partials are
+        // dropped unread.
+        if let Some(sig) = self.shares.add(&self.setup.keys, msg.partials) {
+            ctx.output(BeaconSetup::output_of(&sig).as_bytes().to_vec());
+            // Halt-before-duty audit (same class as the ECBC seed-15 bug,
+            // found live in `tight.rs`/`avid.rs`): the beacon's only duty
+            // towards slower parties is broadcasting its own partials,
+            // which `on_start` discharges unconditionally before any
+            // message can be delivered — so this halt can never starve
+            // anyone. The explicit gate keeps that invariant structural
+            // rather than incidental: if share broadcasting ever becomes
+            // conditional or message-driven, the node stays live until the
+            // duty is done.
+            if self.shared {
+                ctx.halt();
             }
         }
-        self.try_combine(ctx);
     }
 
     fn on_reconfigure(&mut self, _event: &EpochEvent, _ctx: &mut Context<BeaconMsg>) {
@@ -206,7 +165,7 @@ mod tests {
     #[test]
     fn all_parties_agree_on_randomness() {
         let setup = weighted_setup(&[50, 30, 10, 5, 3, 2]);
-        let n = setup.shares.len();
+        let n = setup.keys.mapping().parties();
         let nodes: Vec<Box<dyn Protocol<Msg = BeaconMsg>>> =
             (0..n).map(|_| Box::new(BeaconNode::new(setup.clone(), 7)) as _).collect();
         let report = Simulation::new(nodes, 5).run();
@@ -220,7 +179,7 @@ mod tests {
     #[test]
     fn different_rounds_different_randomness() {
         let setup = weighted_setup(&[50, 30, 10, 5, 3, 2]);
-        let n = setup.shares.len();
+        let n = setup.keys.mapping().parties();
         let mut outputs = Vec::new();
         for round in [1u64, 2] {
             let nodes: Vec<Box<dyn Protocol<Msg = BeaconMsg>>> =
@@ -257,17 +216,19 @@ mod tests {
         let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
         let setup =
             BeaconSetup::deal(&sol.assignment, Ratio::of(1, 2), &mut StdRng::seed_from_u64(2));
-        let total = setup.mapping.total() as u128;
+        let total = setup.keys.mapping().total() as u128;
         let w_total = weights.total();
         // Enumerate all coalitions with weight < W/3.
         for mask in 0u32..(1 << 5) {
             let coalition: Vec<usize> = (0..5).filter(|i| mask >> i & 1 == 1).collect();
             let coalition_weight = weights.subset_weight(&coalition);
             if coalition_weight * 3 < w_total {
-                let shares: u128 =
-                    coalition.iter().map(|&p| setup.shares[p].len() as u128).sum();
+                let shares: u128 = coalition
+                    .iter()
+                    .map(|&p| u128::from(setup.keys.mapping().tickets_of(p)))
+                    .sum();
                 assert!(
-                    shares < (setup.scheme.threshold() as u128),
+                    shares < (setup.keys.threshold() as u128),
                     "coalition {coalition:?} holds {shares}/{total} shares"
                 );
             }
@@ -279,7 +240,7 @@ mod tests {
         // The forger holds 20% (< 1/3) of the weight, so the honest parties
         // hold enough shares on their own.
         let setup = weighted_setup(&[20, 40, 40]);
-        let n = setup.shares.len();
+        let n = setup.keys.mapping().parties();
         // One node injects partials with flipped values.
         struct Forger {
             setup: BeaconSetup,
@@ -288,14 +249,10 @@ mod tests {
             type Msg = BeaconMsg;
             fn on_start(&mut self, ctx: &mut Context<BeaconMsg>) {
                 let tag = BeaconSetup::round_tag(4);
-                let partials: Vec<PartialSignature> = self.setup.shares[ctx.me()]
-                    .iter()
-                    .map(|s| {
-                        let mut p = self.setup.scheme.partial_sign(s, &tag);
-                        p.value = p.value + swiper_field::F61::new(1);
-                        p
-                    })
-                    .collect();
+                let mut partials = self.setup.keys.partials(ctx.me(), &tag);
+                for p in &mut partials {
+                    p.value = p.value + swiper_field::F61::new(1);
+                }
                 ctx.broadcast(BeaconMsg { round: 4, partials });
             }
             fn on_message(&mut self, _f: NodeId, _m: BeaconMsg, _c: &mut Context<BeaconMsg>) {}

@@ -17,19 +17,18 @@
 //!   paper notes.
 
 use rand::Rng;
-use swiper_core::{Ratio, TicketAssignment, VirtualUsers, Weights};
-use swiper_crypto::thresh::{
-    KeyShare, PartialSignature, PublicKey, Signature, ThresholdScheme,
-};
+use swiper_core::{Ratio, StableId, TicketAssignment, Weights};
+use swiper_crypto::thresh::{PartialSignature, Signature};
 use swiper_crypto::CryptoError;
+
+use crate::keys::{majority, TicketKeys};
+use crate::quorum::{Electorate, QuorumSet};
 
 /// A checkpointing authority over a weighted validator set.
 #[derive(Debug, Clone)]
 pub struct CheckpointScheme {
     weights: Weights,
-    scheme: ThresholdScheme,
-    pk: PublicKey,
-    shares: Vec<Vec<KeyShare>>,
+    keys: TicketKeys,
 }
 
 impl CheckpointScheme {
@@ -45,26 +44,18 @@ impl CheckpointScheme {
         rng: &mut R,
     ) -> Self {
         assert_eq!(weights.len(), tickets.len(), "weights/tickets mismatch");
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "checkpointing needs at least one ticket");
-        let threshold = total / 2 + 1;
-        let scheme = ThresholdScheme::new(threshold, total).expect("threshold <= total");
-        let (pk, all) = scheme.keygen(rng);
-        let shares = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all[v]).collect())
-            .collect();
-        CheckpointScheme { weights, scheme, pk, shares }
+        let keys = TicketKeys::deal(tickets, majority(tickets), rng);
+        CheckpointScheme { weights, keys }
     }
 
     /// The underlying share threshold.
     pub fn share_threshold(&self) -> usize {
-        self.scheme.threshold()
+        self.keys.threshold()
     }
 
     /// Partial signatures of one party over a checkpoint.
     pub fn partials_of(&self, party: usize, checkpoint: &[u8]) -> Vec<PartialSignature> {
-        self.shares[party].iter().map(|s| self.scheme.partial_sign(s, checkpoint)).collect()
+        self.keys.partials(party, checkpoint)
     }
 
     /// **Blunt certification**: pools the shares of `signers` and combines
@@ -79,14 +70,15 @@ impl CheckpointScheme {
         checkpoint: &[u8],
         signers: &[usize],
     ) -> Result<Signature, CryptoError> {
-        let mut partials: Vec<PartialSignature> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for &p in signers {
-            if seen.insert(p) {
-                partials.extend(self.partials_of(p, checkpoint));
-            }
-        }
-        self.scheme.combine(&partials)
+        let mut signers = signers.to_vec();
+        signers.sort_unstable();
+        signers.dedup();
+        let partials: Vec<PartialSignature> =
+            signers.iter().flat_map(|&p| self.partials_of(p, checkpoint)).collect();
+        self.keys.combine(checkpoint, &partials).ok_or(CryptoError::NotEnoughShares {
+            needed: self.share_threshold(),
+            have: partials.len(),
+        })
     }
 
     /// **Tight certification** (Section 4.3): requires an explicit vote set
@@ -105,23 +97,24 @@ impl CheckpointScheme {
         voters: &[usize],
         beta: Ratio,
     ) -> Result<Signature, CryptoError> {
-        let mut dedup: Vec<usize> = voters.to_vec();
-        dedup.sort_unstable();
-        dedup.dedup();
-        let weight = self.weights.subset_weight(&dedup);
-        // Strictly more than beta * W.
-        if weight * beta.den() <= beta.num() * self.weights.total() {
+        // Strictly more than beta * W, judged as every weighted quorum is.
+        let mut votes =
+            QuorumSet::new(Electorate::Weighted(self.weights.clone()), move |_| beta);
+        for &voter in voters {
+            votes.vote((), StableId::solo(voter));
+        }
+        if !votes.reached(&()) {
             return Err(CryptoError::NotEnoughShares {
                 needed: self.share_threshold(),
                 have: 0,
             });
         }
-        self.certify_blunt(checkpoint, &dedup)
+        self.certify_blunt(checkpoint, voters)
     }
 
     /// Verifies a checkpoint certificate.
     pub fn verify(&self, checkpoint: &[u8], sig: &Signature) -> bool {
-        self.scheme.verify(&self.pk, checkpoint, sig)
+        self.keys.verify(checkpoint, sig)
     }
 }
 
@@ -238,6 +231,20 @@ mod tests {
         // even though their tickets would clear the blunt threshold.
         assert!(cs.certify_blunt(b"cp", &[0, 2, 3]).is_ok());
         assert!(cs.certify_tight(b"cp", &[0, 2, 3], Ratio::of(2, 3)).is_err());
+    }
+
+    /// The vote check at stakes whose weighted comparison passes `2^128`:
+    /// four parties of `u64::MAX` stake, `beta` just above 1/2 with a
+    /// 67-bit denominator.
+    #[test]
+    fn tight_certification_compares_past_u128() {
+        let weights = Weights::new(vec![u64::MAX; 4]).unwrap();
+        let tickets = TicketAssignment::new(vec![1; 4]);
+        let cs = CheckpointScheme::setup(weights, &tickets, &mut StdRng::seed_from_u64(6));
+        let beta = Ratio::of((1 << 65) + 1, (1 << 66) + 1);
+        assert!(cs.certify_tight(b"cp", &[0, 1], beta).is_err());
+        let sig = cs.certify_tight(b"cp", &[0, 1, 2], beta).unwrap();
+        assert!(cs.verify(b"cp", &sig));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! knows.
 //!
 //! The output is interoperable with [`swiper_crypto::thresh`]: an
-//! aggregated [`PublicKey`] plus per-virtual-user [`KeyShare`]s that drive
-//! `partial_sign` / `combine` / `verify` unchanged, so the randomness
-//! beacon and the ABA coin can run on DKG keys instead of dealt ones.
+//! aggregated [`PublicKey`] plus per-virtual-user [`KeyShare`]s, which
+//! [`TicketKeys::over`](crate::keys::TicketKeys::over) hands to their
+//! ticket holders, so the randomness beacon and the ABA coin can run on
+//! DKG keys instead of dealt ones.
 //!
 //! Dealing verification is Feldman-style, expressible exactly in the
 //! simulated scheme: the per-share verification keys `vk_i = f(x_i) * h`
@@ -21,10 +22,12 @@
 //! zero is the dealing's group key.
 
 use rand::Rng;
-use swiper_core::{TicketAssignment, VirtualUsers};
-use swiper_crypto::thresh::{KeyShare, PublicKey, ThresholdScheme};
+use swiper_core::TicketAssignment;
+use swiper_crypto::thresh::{KeyShare, PublicKey};
 use swiper_crypto::CryptoError;
 use swiper_field::{poly, Field, F61};
+
+use crate::keys::majority;
 
 /// One party's dealing: a verifiable sharing of a fresh random secret.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +63,7 @@ impl DkgParams {
     ///
     /// Panics if the assignment allocates no tickets.
     pub fn majority<R: Rng + ?Sized>(tickets: &TicketAssignment, rng: &mut R) -> Self {
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
+        let total = usize::try_from(tickets.total()).expect("fits memory");
         assert!(total > 0, "DKG needs at least one ticket");
         let h = loop {
             let c = F61::new(rng.random::<u64>());
@@ -69,7 +71,7 @@ impl DkgParams {
                 break c;
             }
         };
-        DkgParams { threshold: total / 2 + 1, total, h }
+        DkgParams { threshold: majority(tickets), total, h }
     }
 }
 
@@ -114,7 +116,8 @@ pub fn verify_dealing(params: &DkgParams, dealing: &Dealing) -> bool {
 }
 
 /// Aggregates the qualified dealings into a threshold key pair compatible
-/// with [`swiper_crypto::thresh`]. Rejects unverifiable dealings.
+/// with [`swiper_crypto::thresh`] (any `params.threshold` of the shares
+/// sign). Rejects unverifiable dealings.
 ///
 /// # Errors
 ///
@@ -125,7 +128,7 @@ pub fn verify_dealing(params: &DkgParams, dealing: &Dealing) -> bool {
 pub fn aggregate(
     params: &DkgParams,
     dealings: &[Dealing],
-) -> Result<(ThresholdScheme, PublicKey, Vec<KeyShare>), CryptoError> {
+) -> Result<(PublicKey, Vec<KeyShare>), CryptoError> {
     if dealings.is_empty() {
         return Err(CryptoError::NotEnoughShares { needed: 1, have: 0 });
     }
@@ -144,33 +147,22 @@ pub fn aggregate(
             shares[v] = shares[v] + d.shares[v];
         }
     }
-    let scheme = ThresholdScheme::new(params.threshold, params.total)
-        .map_err(|_| CryptoError::InvalidParameters { what: "threshold/total".into() })?;
+    if params.threshold == 0 || params.threshold > params.total {
+        return Err(CryptoError::InvalidParameters { what: "threshold/total".into() });
+    }
     let pk = PublicKey { h: params.h, group, per_share: per_share_vk };
     let key_shares = shares
         .into_iter()
         .enumerate()
         .map(|(v, value)| KeyShare { index: v as u64, value })
         .collect();
-    Ok((scheme, pk, key_shares))
-}
-
-/// Distributes aggregated key shares to their owning parties per the
-/// virtual-user mapping.
-///
-/// # Panics
-///
-/// Panics if `shares.len()` does not match the mapping's total.
-pub fn shares_by_party(mapping: &VirtualUsers, shares: &[KeyShare]) -> Vec<Vec<KeyShare>> {
-    assert_eq!(shares.len(), mapping.total(), "share/mapping mismatch");
-    (0..mapping.parties())
-        .map(|p| mapping.virtuals_of(p).map(|v| shares[v]).collect())
-        .collect()
+    Ok((pk, key_shares))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{Shares, TicketKeys};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use swiper_core::{Ratio, Swiper, WeightRestriction, Weights};
@@ -193,20 +185,17 @@ mod tests {
         for d in &dealings {
             assert!(verify_dealing(&params, d), "dealer {}", d.dealer);
         }
-        let (scheme, pk, shares) = aggregate(&params, &dealings).unwrap();
+        let (pk, shares) = aggregate(&params, &dealings).unwrap();
         // The aggregated key signs and verifies through the stock
-        // threshold machinery.
-        let msg = b"dkg-powered beacon round 1";
-        let partials: Vec<_> = shares
-            .iter()
-            .take(scheme.threshold())
-            .map(|s| scheme.partial_sign(s, msg))
-            .collect();
-        for p in &partials {
-            assert!(scheme.verify_partial(&pk, msg, p));
-        }
-        let sig = scheme.combine(&partials).unwrap();
-        assert!(scheme.verify(&pk, msg, &sig));
+        // threshold machinery: fed one at a time, the partials verify up
+        // to the threshold, where they combine.
+        let keys = TicketKeys::over(&t, params.threshold, pk, shares);
+        let msg = b"dkg-powered beacon round 1".to_vec();
+        let partials: Vec<_> = (0..t.len()).flat_map(|p| keys.partials(p, &msg)).collect();
+        let mut collected = Shares::new(msg.clone());
+        let at = partials.iter().position(|p| collected.add(&keys, [*p]).is_some());
+        assert_eq!(at, Some(keys.threshold() - 1));
+        assert_eq!(collected.signature(), keys.combine(&msg, &partials));
     }
 
     #[test]
@@ -254,15 +243,11 @@ mod tests {
         let qualified: Vec<Dealing> =
             dealings.into_iter().filter(|d| verify_dealing(&params, d)).collect();
         assert_eq!(qualified.len(), 4);
-        let (scheme, pk, shares) = aggregate(&params, &qualified).unwrap();
+        let (pk, shares) = aggregate(&params, &qualified).unwrap();
+        let keys = TicketKeys::over(&t, params.threshold, pk, shares);
         let msg = b"still works";
-        let partials: Vec<_> = shares
-            .iter()
-            .take(scheme.threshold())
-            .map(|s| scheme.partial_sign(s, msg))
-            .collect();
-        let sig = scheme.combine(&partials).unwrap();
-        assert!(scheme.verify(&pk, msg, &sig));
+        let partials: Vec<_> = (0..t.len()).flat_map(|p| keys.partials(p, msg)).collect();
+        assert!(keys.combine(msg, &partials).is_some());
     }
 
     #[test]
@@ -274,7 +259,7 @@ mod tests {
         let t = tickets();
         let params = DkgParams::majority(&t, &mut rng);
         let dealings: Vec<Dealing> = (0..3).map(|d| deal(&params, d, &mut rng)).collect();
-        let (_, pk, _) = aggregate(&params, &dealings).unwrap();
+        let (pk, _) = aggregate(&params, &dealings).unwrap();
         for d in &dealings {
             assert_ne!(pk.group, d.group_vk);
         }
@@ -285,12 +270,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let t = tickets();
         let params = DkgParams::majority(&t, &mut rng);
-        let mapping = VirtualUsers::from_assignment(&t).unwrap();
         let dealings: Vec<Dealing> = (0..2).map(|d| deal(&params, d, &mut rng)).collect();
-        let (_, _, shares) = aggregate(&params, &dealings).unwrap();
-        let per_party = shares_by_party(&mapping, &shares);
-        for (p, bundle) in per_party.iter().enumerate() {
-            assert_eq!(bundle.len() as u64, t.get(p), "party {p}");
+        let (pk, shares) = aggregate(&params, &dealings).unwrap();
+        let keys = TicketKeys::over(&t, params.threshold, pk, shares);
+        for p in 0..t.len() {
+            assert_eq!(keys.partials(p, b"m").len() as u64, t.get(p), "party {p}");
         }
     }
 
@@ -302,13 +286,13 @@ mod tests {
         let t = tickets();
         let params = DkgParams::majority(&t, &mut rng);
         let dealings: Vec<Dealing> = (0..4).map(|d| deal(&params, d, &mut rng)).collect();
-        let (scheme, pk, shares) = aggregate(&params, &dealings).unwrap();
+        let (pk, shares) = aggregate(&params, &dealings).unwrap();
+        let keys = TicketKeys::over(&t, params.threshold, pk, shares);
         let msg = b"unique";
-        let all: Vec<_> = shares.iter().map(|s| scheme.partial_sign(s, msg)).collect();
-        let k = scheme.threshold();
-        let sig_a = scheme.combine(&all[..k]).unwrap();
-        let sig_b = scheme.combine(&all[all.len() - k..]).unwrap();
+        let all: Vec<_> = (0..t.len()).flat_map(|p| keys.partials(p, msg)).collect();
+        let k = keys.threshold();
+        let sig_a = keys.combine(msg, &all[..k]).unwrap();
+        let sig_b = keys.combine(msg, &all[all.len() - k..]).unwrap();
         assert_eq!(sig_a, sig_b);
-        assert!(scheme.verify(&pk, msg, &sig_a));
     }
 }

@@ -8,6 +8,7 @@
 //! | module | paper | weight reduction used |
 //! |--------|-------|----------------------|
 //! | [`quorum`] | §1.2 weighted voting | none (exact rational quorums) |
+//! | [`keys`] | §4.1 ticket-dealt threshold keys: deal, sign, collect, combine | WR |
 //! | [`bracha`] | §5.1 substrate | weighted voting |
 //! | [`avid`] | §5.1 erasure-coded broadcast/storage | WQ |
 //! | [`ecbc`] | §5.2 error-corrected broadcast | WQ |
@@ -32,6 +33,7 @@ pub mod bracha;
 pub mod checkpoint;
 pub mod dkg;
 pub mod ecbc;
+pub mod keys;
 pub mod overhead;
 pub mod quorum;
 pub mod smr;

@@ -52,10 +52,12 @@
 //! whose claimed identity is not owned by the wire sender. A quorum set
 //! counts whatever distinct identities it is handed.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use swiper_core::wide::cmp_mul;
 use swiper_core::{
     CoreError, EpochEvent, Ratio, StableId, TicketAssignment, TicketDelta, VirtualUsers,
     Weights,
@@ -300,8 +302,11 @@ struct Tally {
 }
 
 impl Tally {
+    /// `sum · den > num · base`, in 256 bits: a stake total near `2^66`
+    /// times a wide threshold denominator does not fit a `u128`.
     fn reached(&self, base: u128) -> bool {
-        self.sum * self.threshold.den() > self.threshold.num() * base
+        let (num, den) = (self.threshold.num(), self.threshold.den());
+        cmp_mul(self.sum, den, num, base) == Ordering::Greater
     }
 }
 
@@ -427,6 +432,19 @@ mod tests {
             assert!(!q.vote((), solo(p)), "party {p}");
         }
         assert!(q.vote((), solo(4)));
+        assert!(q.reached(&()));
+    }
+
+    /// Four parties of `u64::MAX` stake against a threshold just above
+    /// 1/2 with a 67-bit denominator: both sides of the comparison pass
+    /// `2^128`, where a `u128` product overflows.
+    #[test]
+    fn weighted_quorum_compares_past_u128() {
+        let beta = Ratio::of((1 << 65) + 1, (1 << 66) + 1);
+        let mut q = set_of(weighted(&[u64::MAX; 4]), beta);
+        assert!(!q.vote((), solo(0)));
+        assert!(!q.vote((), solo(1)), "exactly half is not more than beta");
+        assert!(q.vote((), solo(2)));
         assert!(q.reached(&()));
     }
 

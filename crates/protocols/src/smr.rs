@@ -71,16 +71,12 @@ use std::collections::{HashSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swiper_core::{Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
+use swiper_core::{Ratio, StableId, TicketAssignment, Weights};
 use swiper_crypto::hash::{Digest, Hasher};
-use swiper_crypto::thresh::{KeyShare, PublicKey, ThresholdScheme};
 use swiper_erasure::shards::encode_bytes;
 
+use crate::keys::{majority, TicketKeys};
 use crate::quorum::{Electorate, Phase, QuorumSet};
-
-/// The beacon's threshold keys over the WR virtual users: the mapping, the
-/// scheme, the group key and each party's shares.
-type Beacon = (VirtualUsers, ThresholdScheme, PublicKey, Vec<Vec<KeyShare>>);
 
 /// Deals the beacon's keys over `wr_tickets`, deterministically from
 /// `session_seed` and the assignment's fingerprint: every replica — and
@@ -92,18 +88,10 @@ type Beacon = (VirtualUsers, ThresholdScheme, PublicKey, Vec<Vec<KeyShare>>);
 /// # Panics
 ///
 /// Panics on an empty assignment.
-fn deal_beacon(wr_tickets: &TicketAssignment, session_seed: u64) -> Beacon {
-    let wr_mapping = VirtualUsers::from_assignment(wr_tickets).expect("fits memory");
-    let total = wr_mapping.total();
-    assert!(total > 0, "empty WR reduction");
+pub(crate) fn deal_beacon(wr_tickets: &TicketAssignment, session_seed: u64) -> TicketKeys {
     let fp = wr_tickets.fingerprint();
     let mut rng = StdRng::seed_from_u64(session_seed ^ (fp ^ (fp >> 64)) as u64);
-    let scheme = ThresholdScheme::new(total / 2 + 1, total).expect("threshold <= total");
-    let (pk, all) = scheme.keygen(&mut rng);
-    let shares = (0..wr_mapping.parties())
-        .map(|p| wr_mapping.virtuals_of(p).map(|v| all[v]).collect())
-        .collect();
-    (wr_mapping, scheme, pk, shares)
+    TicketKeys::deal(wr_tickets, majority(wr_tickets), &mut rng)
 }
 
 /// One epoch of the composition: the weights, the WQ tickets the batches
@@ -115,7 +103,7 @@ struct SmrConfig {
     beta_n: Ratio,
     /// WR tickets for the beacon, and the keys dealt over them.
     wr_tickets: TicketAssignment,
-    beacon: Beacon,
+    beacon: TicketKeys,
 }
 
 impl SmrConfig {
@@ -155,20 +143,11 @@ impl SmrConfig {
     /// Returns `None` when the alive set lacks the shares — which the WR
     /// guarantee rules out for any alive set of weight `> 2/3 W`.
     fn leader(&self, round: u64, alive: &[usize]) -> Option<usize> {
-        let (wr_mapping, scheme, pk, shares) = &self.beacon;
         let mut tag = b"swiper.smr.round.".to_vec();
         tag.extend_from_slice(&round.to_le_bytes());
-        let partials: Vec<_> = alive
-            .iter()
-            .flat_map(|&p| &shares[p])
-            .map(|s| scheme.partial_sign(s, &tag))
-            .collect();
-        let sig = scheme.combine(&partials).ok()?;
-        if !scheme.verify(pk, &tag, &sig) {
-            return None;
-        }
-        let total = wr_mapping.total() as u64;
-        Some(wr_mapping.owner_of((sig.beacon_output().to_u64() % total) as usize))
+        let partials: Vec<_> =
+            alive.iter().flat_map(|&p| self.beacon.partials(p, &tag)).collect();
+        Some(self.beacon.owner_of(&self.beacon.combine(&tag, &partials)?))
     }
 }
 

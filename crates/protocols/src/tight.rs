@@ -16,10 +16,11 @@
 //! honest shares alone suffice. This module implements the wrapper as a
 //! simulator protocol over the threshold-signature primitive.
 
-use swiper_core::{Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
-use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
+use swiper_core::{Ratio, StableId, TicketAssignment, Weights};
+use swiper_crypto::thresh::{PartialSignature, Signature};
 use swiper_net::{Context, MessageSize, NodeId, Protocol};
 
+use crate::keys::{majority, Shares, TicketKeys};
 use crate::quorum::{Electorate, QuorumSet};
 
 /// Messages of the tight-signing wrapper.
@@ -49,9 +50,7 @@ impl MessageSize for TightMsg {
 pub struct TightConfig {
     weights: Weights,
     beta: Ratio,
-    scheme: ThresholdScheme,
-    pk: PublicKey,
-    shares: Vec<Vec<KeyShare>>,
+    keys: TicketKeys,
     action: Vec<u8>,
 }
 
@@ -71,20 +70,13 @@ impl TightConfig {
         rng: &mut R,
     ) -> Self {
         assert_eq!(weights.len(), tickets.len(), "weights/tickets mismatch");
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "at least one ticket required");
-        let scheme = ThresholdScheme::new(total / 2 + 1, total).expect("threshold <= total");
-        let (pk, all) = scheme.keygen(rng);
-        let shares = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all[v]).collect())
-            .collect();
-        TightConfig { weights, beta, scheme, pk, shares, action }
+        let keys = TicketKeys::deal(tickets, majority(tickets), rng);
+        TightConfig { weights, beta, keys, action }
     }
 
     /// Verifies a produced certificate.
-    pub fn verify(&self, sig: &swiper_crypto::thresh::Signature) -> bool {
-        self.scheme.verify(&self.pk, &self.action, sig)
+    pub fn verify(&self, sig: &Signature) -> bool {
+        self.keys.verify(&self.action, sig)
     }
 }
 
@@ -96,8 +88,7 @@ pub struct TightNode {
     approves: bool,
     vote_quorum: QuorumSet<()>,
     released: bool,
-    seen: std::collections::HashSet<u64>,
-    collected: Vec<PartialSignature>,
+    shares: Shares,
     done: bool,
 }
 
@@ -107,15 +98,8 @@ impl TightNode {
         let beta = config.beta;
         let vote_quorum =
             QuorumSet::new(Electorate::Weighted(config.weights.clone()), move |_| beta);
-        TightNode {
-            config,
-            approves,
-            vote_quorum,
-            released: false,
-            seen: Default::default(),
-            collected: Vec::new(),
-            done: false,
-        }
+        let shares = Shares::new(config.action.clone());
+        TightNode { config, approves, vote_quorum, released: false, shares, done: false }
     }
 
     fn maybe_release(&mut self, ctx: &mut Context<TightMsg>) {
@@ -123,10 +107,7 @@ impl TightNode {
         // extra round that upgrades blunt to tight.
         if self.vote_quorum.reached(&()) && !self.released {
             self.released = true;
-            let partials: Vec<PartialSignature> = self.config.shares[ctx.me()]
-                .iter()
-                .map(|s| self.config.scheme.partial_sign(s, &self.config.action))
-                .collect();
+            let partials = self.config.keys.partials(ctx.me(), &self.config.action);
             ctx.broadcast(TightMsg::Shares { partials });
             if self.done {
                 // The combine happened before our vote quorum; with the
@@ -136,25 +117,19 @@ impl TightNode {
         }
     }
 
-    fn maybe_combine(&mut self, ctx: &mut Context<TightMsg>) {
-        if self.done || self.collected.len() < self.config.scheme.threshold() {
-            return;
-        }
-        if let Ok(sig) = self.config.scheme.combine(&self.collected) {
-            if self.config.verify(&sig) {
-                self.done = true;
-                ctx.output(sig.0.value().to_le_bytes().to_vec());
-                // Halt-before-duty guard (same class as the ECBC seed-15
-                // bug): a node can cross the combine threshold from shares
-                // a Byzantine sender fed only to it, *before* its own vote
-                // quorum — halting then would drop the pending Vote
-                // deliveries and this node's shares would never be
-                // released, starving slower parties below
-                // `scheme.threshold()`. Halt only once the share-release
-                // duty is done.
-                if self.released {
-                    ctx.halt();
-                }
+    fn take_shares(&mut self, partials: Vec<PartialSignature>, ctx: &mut Context<TightMsg>) {
+        if let Some(sig) = self.shares.add(&self.config.keys, partials) {
+            self.done = true;
+            ctx.output(sig.0.value().to_le_bytes().to_vec());
+            // Halt-before-duty guard (same class as the ECBC seed-15 bug):
+            // a node can cross the combine threshold from shares a
+            // Byzantine sender fed only to it, *before* its own vote
+            // quorum — halting then would drop the pending Vote deliveries
+            // and this node's shares would never be released, starving
+            // slower parties below the share threshold. Halt only once the
+            // share-release duty is done.
+            if self.released {
+                ctx.halt();
             }
         }
     }
@@ -178,19 +153,7 @@ impl Protocol for TightNode {
                 self.vote_quorum.vote((), StableId::solo(from));
                 self.maybe_release(ctx);
             }
-            TightMsg::Shares { partials } => {
-                for p in partials {
-                    if self.config.scheme.verify_partial(
-                        &self.config.pk,
-                        &self.config.action,
-                        &p,
-                    ) && self.seen.insert(p.index)
-                    {
-                        self.collected.push(p);
-                    }
-                }
-                self.maybe_combine(ctx);
-            }
+            TightMsg::Shares { partials } => self.take_shares(partials, ctx),
         }
     }
 }
@@ -201,7 +164,7 @@ impl Protocol for TightNode {
 /// its own vote quorum — the adverse schedule that exposes
 /// halt-before-duty bugs: if the target exits without releasing its own
 /// shares, the remaining honest parties may be starved below
-/// `scheme.threshold()` forever.
+/// the share threshold forever.
 pub struct TargetedShareSender {
     config: TightConfig,
     target: NodeId,
@@ -219,10 +182,7 @@ impl Protocol for TargetedShareSender {
 
     fn on_start(&mut self, ctx: &mut Context<TightMsg>) {
         ctx.broadcast(TightMsg::Vote);
-        let partials: Vec<PartialSignature> = self.config.shares[ctx.me()]
-            .iter()
-            .map(|s| self.config.scheme.partial_sign(s, &self.config.action))
-            .collect();
+        let partials = self.config.keys.partials(ctx.me(), &self.config.action);
         ctx.send(self.target, TightMsg::Shares { partials });
     }
 

@@ -22,12 +22,13 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, VirtualUsers, Weights};
-use swiper_crypto::thresh::{KeyShare, PartialSignature, PublicKey, ThresholdScheme};
+use swiper_core::{EpochEvent, Ratio, StableId, TicketAssignment, Weights};
+use swiper_crypto::thresh::PartialSignature;
 use swiper_net::{Context, Effects, MessageSize, NodeId, Protocol};
 
 use crate::aba::{AbaMsg, AbaNode, AbaSetup};
 use crate::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
+use crate::keys::{majority, Shares, TicketKeys};
 use crate::quorum::{Electorate, QuorumSet};
 
 /// VBA wrapper messages.
@@ -71,13 +72,10 @@ impl MessageSize for VbaMsg {
 pub struct VbaConfig {
     weights: Weights,
     /// The current epoch's WR assignment — the base the next event's
-    /// delta must chain from (the election `mapping` itself stays pinned
+    /// delta must chain from (the election `keys` themselves stay pinned
     /// to the dealing epoch; see [`VbaConfig::on_epoch`]).
     tickets: TicketAssignment,
-    mapping: VirtualUsers,
-    scheme: ThresholdScheme,
-    pk: PublicKey,
-    shares: Vec<Vec<KeyShare>>,
+    keys: TicketKeys,
     aba_setups: Vec<AbaSetup>,
     max_views: u32,
 }
@@ -98,29 +96,13 @@ impl VbaConfig {
     ) -> Self {
         assert!(max_views > 0, "need at least one view");
         assert_eq!(weights.len(), tickets.len(), "weights/tickets mismatch");
-        let mapping = VirtualUsers::from_assignment(tickets).expect("fits memory");
-        let total = mapping.total();
-        assert!(total > 0, "leader election needs at least one ticket");
-        let scheme = ThresholdScheme::new(total / 2 + 1, total).expect("threshold <= total");
-        let (pk, all) = scheme.keygen(rng);
-        let shares: Vec<Vec<KeyShare>> = (0..mapping.parties())
-            .map(|p| mapping.virtuals_of(p).map(|v| all[v]).collect())
-            .collect();
+        let keys = TicketKeys::deal(tickets, majority(tickets), rng);
         let aba_setups = (0..max_views)
             .map(|view| {
                 AbaSetup::deal(weights.clone(), tickets, 0xABA_000 + u64::from(view), rng)
             })
             .collect();
-        VbaConfig {
-            weights,
-            tickets: tickets.clone(),
-            mapping,
-            scheme,
-            pk,
-            shares,
-            aba_setups,
-            max_views,
-        }
+        VbaConfig { weights, tickets: tickets.clone(), keys, aba_setups, max_views }
     }
 
     /// Maximum number of views before giving up.
@@ -173,8 +155,8 @@ pub struct VbaNode<V> {
     // Views.
     view: u32,
     view_entered: bool,
-    election_seen: HashMap<u32, std::collections::HashSet<u64>>,
-    election_partials: HashMap<u32, Vec<PartialSignature>>,
+    /// Each view's leader-election partials.
+    elections: HashMap<u32, Shares>,
     leaders: HashMap<u32, usize>,
     abas: HashMap<u32, AbaNode>,
     aba_halted: std::collections::HashSet<u32>,
@@ -210,8 +192,7 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
             delivered_quorum,
             view: 0,
             view_entered: false,
-            election_seen: HashMap::new(),
-            election_partials: HashMap::new(),
+            elections: HashMap::new(),
             leaders: HashMap::new(),
             abas: HashMap::new(),
             aba_halted: Default::default(),
@@ -262,29 +243,14 @@ impl<V: Fn(&[u8]) -> bool> VbaNode<V> {
         {
             self.view_entered = true;
             let view = self.view;
-            let tag = self.config.election_tag(view);
-            let partials: Vec<PartialSignature> = self.config.shares[ctx.me()]
-                .iter()
-                .map(|s| self.config.scheme.partial_sign(s, &tag))
-                .collect();
+            let partials = self.config.keys.partials(ctx.me(), &self.config.election_tag(view));
             ctx.broadcast(VbaMsg::LeaderShare { view, partials });
         }
         // Combine the election once the share threshold is met.
         let view = self.view;
         if self.view_entered && !self.leaders.contains_key(&view) {
-            if let Some(partials) = self.election_partials.get(&view) {
-                if partials.len() >= self.config.scheme.threshold() {
-                    if let Ok(sig) = self.config.scheme.combine(partials) {
-                        let tag = self.config.election_tag(view);
-                        if self.config.scheme.verify(&self.config.pk, &tag, &sig) {
-                            let total = self.config.mapping.total() as u64;
-                            let winner_virtual =
-                                (sig.beacon_output().to_u64() % total) as usize;
-                            let leader = self.config.mapping.owner_of(winner_virtual);
-                            self.leaders.insert(view, leader);
-                        }
-                    }
-                }
+            if let Some(sig) = self.elections.get(&view).and_then(Shares::signature) {
+                self.leaders.insert(view, self.config.keys.owner_of(&sig));
             }
         }
         // Start the view's ABA once the leader is known.
@@ -419,16 +385,12 @@ impl<V: Fn(&[u8]) -> bool> Protocol for VbaNode<V> {
                 if view >= self.config.max_views {
                     return;
                 }
-                let tag = self.config.election_tag(view);
-                let seen = self.election_seen.entry(view).or_default();
-                let bucket = self.election_partials.entry(view).or_default();
-                for p in partials {
-                    if self.config.scheme.verify_partial(&self.config.pk, &tag, &p)
-                        && seen.insert(p.index)
-                    {
-                        bucket.push(p);
-                    }
-                }
+                let config = &self.config;
+                let shares = self
+                    .elections
+                    .entry(view)
+                    .or_insert_with(|| Shares::new(config.election_tag(view)));
+                shares.add(&config.keys, partials);
             }
         }
         self.progress(ctx);
@@ -635,11 +597,8 @@ mod tests {
         // party computes the same leader.
         let tag = cfg.election_tag(0);
         let partials: Vec<PartialSignature> =
-            cfg.shares.iter().flatten().map(|s| cfg.scheme.partial_sign(s, &tag)).collect();
-        let sig = cfg.scheme.combine(&partials).unwrap();
-        assert!(cfg.scheme.verify(&cfg.pk, &tag, &sig));
-        let total = cfg.mapping.total() as u64;
-        let leader = cfg.mapping.owner_of((sig.beacon_output().to_u64() % total) as usize);
-        assert!(leader < 4);
+            (0..4).flat_map(|p| cfg.keys.partials(p, &tag)).collect();
+        let sig = cfg.keys.combine(&tag, &partials).unwrap();
+        assert!(cfg.keys.owner_of(&sig) < 4);
     }
 }

@@ -16,18 +16,18 @@ fn main() {
     let weights = Weights::new(vec![500, 300, 120, 50, 20, 10]).unwrap();
     let params = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
     let sol = Swiper::new().solve_restriction(&weights, &params).unwrap();
+    let setup =
+        BeaconSetup::deal(&sol.assignment, Ratio::of(1, 2), &mut StdRng::seed_from_u64(42));
     println!(
         "holders (party, tickets) {:?} -> {} key shares, combine threshold {}",
         sol.assignment.nonzero().collect::<Vec<_>>(),
         sol.total_tickets(),
-        sol.total_tickets() / 2 + 1
+        setup.keys.threshold()
     );
-
-    let setup =
-        BeaconSetup::deal(&sol.assignment, Ratio::of(1, 2), &mut StdRng::seed_from_u64(42));
+    let mapping = setup.keys.mapping();
     println!(
         "share bundles per party: {:?}",
-        setup.shares.iter().map(Vec::len).collect::<Vec<_>>()
+        (0..mapping.parties()).map(|p| mapping.tickets_of(p)).collect::<Vec<_>>()
     );
 
     for round in 1..=3u64 {

@@ -6,8 +6,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swiper::core::fairness::FairExtension;
 use swiper::core::inverse::min_alpha_n_for_budget;
-use swiper::core::{verify_restriction, VirtualUsers};
+use swiper::core::verify_restriction;
 use swiper::protocols::dkg;
+use swiper::protocols::keys::TicketKeys;
 use swiper::protocols::ssle::measure_elections;
 use swiper::weights::{gen, snapshot};
 use swiper::{Ratio, Swiper, WeightRestriction, Weights};
@@ -73,30 +74,22 @@ fn dkg_key_powers_weighted_beacon() {
     let weights = Weights::new(vec![30, 25, 20, 15, 10]).unwrap();
     let params = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).unwrap();
     let tickets = Swiper::new().solve_restriction(&weights, &params).unwrap().assignment;
-    let mapping = VirtualUsers::from_assignment(&tickets).unwrap();
 
     let mut rng = StdRng::seed_from_u64(11);
     let dkg_params = dkg::DkgParams::majority(&tickets, &mut rng);
     let dealings: Vec<dkg::Dealing> =
         (0..5).map(|d| dkg::deal(&dkg_params, d, &mut rng)).collect();
-    let (scheme, pk, shares) = dkg::aggregate(&dkg_params, &dealings).unwrap();
-    let per_party = dkg::shares_by_party(&mapping, &shares);
+    let (pk, shares) = dkg::aggregate(&dkg_params, &dealings).unwrap();
+    let keys = TicketKeys::over(&tickets, dkg_params.threshold, pk, shares);
 
     // Honest parties 1..5 (70% of weight) produce the beacon alone.
     let msg = b"dkg beacon round 9";
-    let mut partials = Vec::new();
-    for bundle in per_party.iter().skip(1) {
-        for s in bundle {
-            partials.push(scheme.partial_sign(s, msg));
-        }
-    }
-    assert!(partials.len() >= scheme.threshold(), "honest majority holds enough shares");
-    let sig = scheme.combine(&partials).unwrap();
-    assert!(scheme.verify(&pk, msg, &sig));
+    let partials: Vec<_> = (1..5).flat_map(|p| keys.partials(p, msg)).collect();
+    assert!(partials.len() >= keys.threshold(), "honest majority holds enough shares");
+    assert!(keys.combine(msg, &partials).is_some());
 
     // Party 0 alone (30% < 1/3) cannot.
-    let lone: Vec<_> = per_party[0].iter().map(|s| scheme.partial_sign(s, msg)).collect();
-    assert!(scheme.combine(&lone).is_err());
+    assert!(keys.combine(msg, &keys.partials(0, msg)).is_none());
 }
 
 /// CSV snapshots round-trip into the solver pipeline.
